@@ -250,6 +250,18 @@ def _initial_state(gen, config, rng):
     raise ConfigError(f"u0.preset: unknown preset {preset!r}")
 
 
+def _positive(config, key, default):
+    """The config value as a finite positive float."""
+    val = config.get(key, default)
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected a number, got {val!r}") from None
+    if not np.isfinite(num) or num <= 0:
+        raise ConfigError(f"{key}: must be finite and positive, got {val!r}")
+    return num
+
+
 def _mu_grid(config):
     spec = config.get("mu.grid")
     if spec is not None:
@@ -264,13 +276,15 @@ def _mu_grid(config):
 # experiment handlers (each returns (verdicts, outputs))
 
 
-def _run_simulate(config, out, rng, jobs=1):
+def _run_simulate(config, out, rng):
     gen = _build_generator(config)
     u0 = _initial_state(gen, config, rng)
-    T = float(config.get("T", 1.0))
-    dt_default = float(min(gen.grid.h)) ** 2 / 4.0
-    dt = float(config.get("dt", dt_default))
-    stride = int(config.get("snapshot_stride", max(1, int(round(T / dt)) // 200)))
+    T = _positive(config, "T", 1.0)
+    dt = _positive(config, "dt", float(min(gen.grid.h)) ** 2 / 4.0)
+    stride = _positive(config, "snapshot_stride", max(1, int(round(T / dt)) // 200))
+    if stride < 1:
+        raise ConfigError(f"snapshot_stride: must be at least 1, got {stride!r}")
+    stride = int(stride)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=stride)
     trace.export_csv(out / "energy.csv")
     evolve.export_snapshots(traj, out / "snapshots.bin", out / "snapshots.json")
@@ -297,9 +311,9 @@ def _run_simulate(config, out, rng, jobs=1):
     return verdicts, ["energy.csv", "snapshots.bin", "snapshots.json"]
 
 
-def _run_resolvent_scan(config, out, rng, jobs=1):
+def _run_resolvent_scan(config, out, rng):
     gen = _build_generator(config)
-    scan = spectra.scan_resolvent(gen, _mu_grid(config), jobs=jobs)
+    scan = spectra.scan_resolvent(gen, _mu_grid(config))
     scan.export_csv(out / "scan.csv")
     summary = {
         "C": scan.fit_c, "K": scan.fit_k, "p": scan.fit_p,
@@ -315,7 +329,7 @@ def _run_resolvent_scan(config, out, rng, jobs=1):
     return verdicts, ["scan.csv", "summary.json"]
 
 
-def _run_observability(config, out, rng, jobs=1):
+def _run_observability(config, out, rng):
     gen = _build_generator(config, kind="A0")
     obs_kind = config.get("observation.kind", "interior-l2")
     if obs_kind == "boundary-conormal":
@@ -344,7 +358,7 @@ def _run_observability(config, out, rng, jobs=1):
     return verdicts, ["report.json"]
 
 
-def _run_product_observability(config, out, rng, jobs=1):
+def _run_product_observability(config, out, rng):
     n1 = int(config.get("grid.n1", 24))
     n2 = int(config.get("grid.n2", 24))
     L1 = float(config.get("grid.extent1", 1.0))
@@ -367,7 +381,7 @@ def _run_product_observability(config, out, rng, jobs=1):
     return verdicts, ["comparison.json"]
 
 
-def _run_hautus(config, out, rng, jobs=1):
+def _run_hautus(config, out, rng):
     gen = _build_generator(config, kind="A0")
     omega = _box_nodes(gen.grid, config.get("omega", "all"), "omega")
     aleph0 = np.asarray(config.get("aleph0.grid", [0.0, 1e-4, 1e-2]), dtype=float)
@@ -395,11 +409,11 @@ def _run_hautus(config, out, rng, jobs=1):
     return verdicts, ["hautus.json"]
 
 
-def _run_multiplier_check(config, out, rng, jobs=1):
+def _run_multiplier_check(config, out, rng):
     gen = _build_generator(config, kind="A0")
     u0 = _initial_state(gen, config, rng)
-    T = float(config.get("T", 0.25))
-    dt = float(config.get("dt", 5e-4))
+    T = _positive(config, "T", 0.25)
+    dt = _positive(config, "dt", 5e-4)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
     x0 = config.get("multiplier.x0", [0.0] * gen.grid.dim)
     fld = multiplier.MultiplierField.radial(gen.grid, traj.times, x0)
@@ -424,7 +438,7 @@ def _weight_from_config(grid, config):
     raise ConfigError(f"weight.preset: unknown preset {preset!r}")
 
 
-def _run_carleman_certify(config, out, rng, jobs=1):
+def _run_carleman_certify(config, out, rng):
     grid = _build_grid(config)
     w = _weight_from_config(grid, config)
     lam = float(config.get("weight.lambda", 1.0))
@@ -453,7 +467,7 @@ def _run_carleman_certify(config, out, rng, jobs=1):
     return verdicts, ["certification.json"]
 
 
-def _run_carleman_probe(config, out, rng, jobs=1):
+def _run_carleman_probe(config, out, rng):
     grid = _build_grid(config)
     pot = _build_potential(grid, config)
     w = _weight_from_config(grid, config)
@@ -477,7 +491,7 @@ def _run_carleman_probe(config, out, rng, jobs=1):
     return verdicts, ["probe.csv", "probe_summary.json"]
 
 
-def _run_gauge_check(config, out, rng, jobs=1):
+def _run_gauge_check(config, out, rng):
     import scipy.sparse as sp
 
     gen = _build_generator(config, kind=config.get("generator", "A0"))
@@ -528,13 +542,17 @@ _HANDLERS = {
 
 
 def run(config, out_dir=None, jobs=1):
-    """Run one experiment; write artifacts and manifest; return exit code."""
+    """Run one experiment; write artifacts and manifest; return exit code.
+
+    ``jobs`` is accepted for compatibility and ignored: every kind runs
+    serially.
+    """
     out = Path(out_dir if out_dir is not None else config.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     rng = _rng(config)
     t0 = time.perf_counter()
     try:
-        verdicts, outputs = _HANDLERS[config.kind](config, out, rng, jobs=jobs)
+        verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
     except ConfigError:
         raise
     elapsed = time.perf_counter() - t0
@@ -581,7 +599,8 @@ def main(argv=None):
                         help="manifest path (report mode only)")
     parser.add_argument("--config", help="config file (flat key-value or JSON)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored; every kind runs serially")
     args = parser.parse_args(argv)
 
     if args.kind == "report":

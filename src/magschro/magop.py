@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -364,13 +365,13 @@ class GeneratorMatrix:
         return float(np.sqrt(max(self.inner_product(u, u).real, 0.0)))
 
     def mass_norm(self, u):
-        return float(np.sqrt(max(np.vdot(u, self.mass_diag * u).real, 0.0)))
+        return float(self.mass_norms(u))
 
     def stiffness_norm(self, u):
-        return float(np.sqrt(max(np.vdot(u, self.stiffness @ u).real, 0.0)))
+        return float(self.stiffness_norms(u))
 
     def energy(self, u):
-        return 0.5 * self.norm(u) ** 2
+        return float(self.energies(u))
 
     # -- state embedding -------------------------------------------------
 
@@ -393,17 +394,41 @@ class GeneratorMatrix:
 
     def dissipation(self, u):
         """The exact algebraic right-hand side of the energy law, at state u."""
+        return float(self.dissipations(u))
+
+    # -- the same quantities for every column of a block of states ----------
+    # A vector u gives a scalar; an (n, k) block U gives one value per column.
+
+    def mass_norms(self, U):
+        return np.sqrt(np.maximum(self.mass_diag @ (U.real ** 2 + U.imag ** 2), 0.0))
+
+    def stiffness_norms(self, U):
+        form = np.sum((U.conj() * (self.stiffness @ U)).real, axis=0)
+        return np.sqrt(np.maximum(form, 0.0))
+
+    def energies(self, U):
+        """Half the squared norm in the generator's inner product."""
+        if self.inner_kind == "mass":
+            return 0.5 * self.mass_norms(U) ** 2
+        return 0.5 * self.stiffness_norms(U) ** 2
+
+    def dissipations(self, U):
         if self.kind in ("A0", "laplacian"):
-            return 0.0
+            return np.zeros(np.shape(U)[1:])
         if self.kind == "A1":
-            return -float(np.sum(self.mass_diag * self.damping_c * np.abs(u) ** 2))
-        if self.kind == "A3":
-            tr = u[self.gamma0_pos]
-            return -float(np.sum(self.sigma_d * np.abs(tr) ** 2))
-        if self.kind == "A2":
-            w = (self.lap_matrix @ u)[self.gamma0_pos]
-            return -float(np.sum(self.sigma_d * np.abs(w) ** 2))
-        raise ValueError(f"no dissipation law for kind {self.kind}")
+            w, V = self.mass_diag * self.damping_c, U
+        elif self.kind == "A3":
+            w, V = self.sigma_d, U[self.gamma0_pos]
+        elif self.kind == "A2":
+            w, V = self.sigma_d, self._lap_gamma0 @ U
+        else:
+            raise ValueError(f"no dissipation law for kind {self.kind}")
+        return -(w @ (V.real ** 2 + V.imag ** 2))
+
+    @cached_property
+    def _lap_gamma0(self):
+        """The rows of the discrete Delta_a at the gamma0 nodes."""
+        return self.lap_matrix[self.gamma0_pos]
 
     # -- structural checks -------------------------------------------------
 
@@ -431,15 +456,16 @@ class GeneratorMatrix:
             lam = float(np.linalg.eigvalsh(H.toarray())[-1])
         else:
             shift = 1e-8 * max(scale, 1.0)
+            v0 = np.random.default_rng(0).normal(size=H.shape[0])
             try:
                 lam = float(
-                    spla.eigsh(H, k=1, sigma=shift, which="LM",
+                    spla.eigsh(H, k=1, sigma=shift, which="LM", v0=v0,
                                return_eigenvectors=False)[0]
                 )
             except Exception:
                 lam = float(
                     spla.eigsh(H, k=1, which="LA", return_eigenvectors=False,
-                               maxiter=5000)[0]
+                               maxiter=5000, v0=v0)[0]
                 )
         return lam, float(scale)
 

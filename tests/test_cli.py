@@ -65,6 +65,23 @@ def test_a2_without_split_names_boundary_field(tmp_path):
         cli.run(cfg, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("line", [
+    "dt = NaN", "dt = -0.002", "dt = 0", "T = Infinity", "T = -1.0", 'T = "soon"',
+    "snapshot_stride = 0", "snapshot_stride = NaN", "snapshot_stride = 0.5",
+])
+def test_simulate_bad_numbers_are_config_errors(tmp_path, line):
+    key = line.split()[0]
+    text = "\n".join(l for l in MINIMAL_SIMULATE.splitlines()
+                     if not l.startswith(key + " ")) + "\n" + line + "\n"
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "main")]) == 2
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = cli.ExperimentConfig.parse(MINIMAL_SIMULATE)
     out1 = tmp_path / "run1"

@@ -1,5 +1,11 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from magschro import evolve, magop, mesh
 
@@ -135,6 +141,11 @@ def test_endpoint_dissipation_second_order(grid, a_zero):
 def test_simulate_rejects_bad_args(gen_a0):
     with pytest.raises(ValueError):
         evolve.simulate(gen_a0, first_mode(gen_a0), T=0.0, dt=1e-3)
+    for T, dt in ((np.nan, 1e-3), (1.0, np.nan), (np.inf, 1e-3), (1.0, -1e-3)):
+        with pytest.raises(ValueError, match="finite"):
+            evolve.simulate(gen_a0, first_mode(gen_a0), T=T, dt=dt)
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        evolve.simulate(gen_a0, first_mode(gen_a0), T=1.0, dt=1e-3, snapshot_stride=0)
     with pytest.raises(ValueError):
         evolve.simulate(gen_a0, first_mode(gen_a0)[:-3], T=1.0, dt=1e-3)
 
@@ -269,3 +280,118 @@ def test_simulate_default_dt_is_h_squared_over_four(gen_a0):
     h = gen_a0.grid.h[0]
     trace, _ = evolve.simulate(gen_a0, first_mode(gen_a0), T=100 * h * h)
     assert abs(trace.dt - h * h / 4.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# property tests: the blocked stepper against a per-step reference loop
+#
+# Random small grids, generators, potentials and damping; the block length is
+# shrunk so that runs span several blocks and end in a partial one.
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 40) if dim == 1 else st.integers(6, 12))
+    grid = mesh.build_grid(dim, 1.0, n)
+    amp, freq, phase = (draw(st.floats(0.0, 1.0)), draw(st.floats(0.5, 4.0)),
+                        draw(st.floats(0.0, 3.0)))
+    a = magop.MagneticPotential.from_callable(
+        grid, lambda p: amp * np.sin(freq * p + phase))
+    kind = draw(st.sampled_from(["A0", "A1", "A2", "A3"]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    damping, split = None, None
+    if kind == "A1":
+        c = np.where(grid.coords[:, 0] < draw(st.floats(0.2, 1.0)),
+                     draw(st.floats(0.1, 20.0)), 0.0) * rng.random(grid.num_nodes)
+        damping = magop.DampingConfig.interior(grid, c)
+    elif kind in ("A2", "A3"):
+        x0 = [-0.3] if dim == 1 else [-0.3, draw(st.floats(-0.5, 1.5))]
+        split = mesh.split_boundary(grid, x0)
+        d = np.zeros(grid.num_nodes)
+        d[split.gamma0] = draw(st.floats(0.1, 5.0)) * (0.5 + rng.random(split.gamma0.size))
+        damping = magop.DampingConfig.boundary(grid, d)
+    gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    dt = draw(st.sampled_from([1e-4, 5e-4, 2e-3, 1e-2]))
+    width = draw(st.integers(2, 6))
+    nsteps = draw(st.integers(width + 1, 4 * width).filter(lambda k: k % width))
+    return gen, u0, dt, width, nsteps
+
+
+def reference_loop(gen, u0, dt, nsteps, increase_tol=None):
+    """Step by step with ``step``, ``energy`` and ``dissipation``."""
+    u = u0.copy()
+    energy, diss, first_rise = [gen.energy(u)], [], None
+    for k in range(nsteps):
+        u_next = evolve.step(gen, u, dt)
+        diss.append(gen.dissipation(0.5 * (u + u_next)))
+        energy.append(gen.energy(u_next))
+        if (first_rise is None and increase_tol is not None
+                and energy[-1] > energy[-2] + increase_tol):
+            first_rise = k
+        u = u_next
+    return np.array(energy), np.array(diss), u, first_rise
+
+
+def blocked(gen, u0, dt, width, nsteps, tridiagonal=True, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
+        if not tridiagonal:
+            mp.setattr(evolve, "_tridiagonal_solver", lambda A, dt: None)
+        return evolve.simulate(gen, u0, nsteps * dt, dt, snapshot_stride=3, **kw)
+
+
+@PROPERTY
+@given(cases())
+def test_blocked_simulate_matches_reference_loop(case):
+    gen, u0, dt, width, nsteps = case
+    trace, traj = blocked(gen, u0, dt, width, nsteps)
+    energy, diss, u_end, _ = reference_loop(gen, u0, dt, nsteps)
+    e0 = energy[0]
+    assert trace.energy.shape == (nsteps + 1,)
+    np.testing.assert_allclose(trace.energy, energy, rtol=1e-12, atol=1e-12 * e0)
+    np.testing.assert_allclose(trace.dissipation, diss, rtol=1e-9,
+                               atol=1e-12 * max(np.max(np.abs(diss)), e0))
+    assert np.max(trace.midpoint_residual) <= 1e-9 * max(e0, 1.0)
+    scale = np.max(np.abs(u0))
+    np.testing.assert_allclose(traj.states[-1], u_end, rtol=0, atol=1e-12 * scale)
+    assert traj.times[-1] == trace.times[-1]
+    np.testing.assert_array_equal(traj.times[:-1], trace.times[:-1:3])
+
+    # every 1D generator is tridiagonal and takes the LAPACK path
+    assert (evolve._tridiagonal_solver(gen.matrix, dt) is not None) == (gen.grid.dim == 1)
+    trace_lu, traj_lu = blocked(gen, u0, dt, width, nsteps, tridiagonal=False)
+    np.testing.assert_allclose(trace.energy, trace_lu.energy, rtol=1e-13, atol=1e-13 * e0)
+    np.testing.assert_allclose(traj.states, traj_lu.states, rtol=0, atol=1e-13 * scale)
+
+
+def anti_damped(gen, shift):
+    """gen.matrix + shift I under a damped label, so the energy check applies."""
+    parts = {f.name: getattr(gen, f.name) for f in dataclasses.fields(gen)
+             if f.name != "uid"}
+    parts["matrix"] = (gen.matrix + shift * sp.identity(gen.size)).tocsr()
+    if gen.kind == "A0":
+        parts.update(kind="A1", damping_c=np.zeros(gen.size))
+    return magop.GeneratorMatrix(**parts)
+
+
+@PROPERTY
+@given(cases(), st.floats(0.01, 0.2), st.integers(0, 100))
+def test_energy_increase_reports_reference_step(case, shift_dt, pick):
+    gen, u0, dt, width, nsteps = case
+    bad = anti_damped(gen, shift_dt / dt)
+    energy, _, _, _ = reference_loop(bad, u0, dt, nsteps)
+    rises = np.diff(energy)
+    tol = rises[pick % nsteps] * (1 - 1e-6)
+    assume(tol > 0)
+    # no rise within rounding of the tolerance, so both loops see the same steps
+    assume(np.min(np.abs(energy[1:] - (energy[:-1] + tol))) > 1e-9 * tol)
+    _, _, _, first = reference_loop(bad, u0, dt, nsteps, increase_tol=tol)
+    with pytest.raises(evolve.EnergyIncreaseError,
+                       match=re.escape(f"at step {first} (tolerance {tol:.3e})")):
+        blocked(bad, u0, dt, width, nsteps, increase_tol=tol)

@@ -218,11 +218,11 @@ def test_refinement_trend_report(grid, a_zero):
     assert isinstance(trend["non_decreasing"], bool)
 
 
-def test_scan_parallel_matches_serial(gen_a1):
+def test_scan_reruns_identical(gen_a1):
     mus = -np.linspace(10, 200, 12)
-    s1 = spectra.scan_resolvent(gen_a1, mus, jobs=1)
-    s4 = spectra.scan_resolvent(gen_a1, mus, jobs=4)
-    assert np.allclose(s1.norms, s4.norms, rtol=1e-12)
+    s1 = spectra.scan_resolvent(gen_a1, mus)
+    s2 = spectra.scan_resolvent(gen_a1, mus)
+    assert np.array_equal(s1.norms, s2.norms)
 
 
 def test_resolvent_near_singular_condition_estimate(gen_a0, modal):
