@@ -250,26 +250,49 @@ def _initial_state(gen, config, rng):
     raise ConfigError(f"u0.preset: unknown preset {preset!r}")
 
 
-def _positive(config, key, default):
-    """The config value as a finite positive float."""
+def _finite(config, key, default):
+    """The config value as a finite float."""
     val = config.get(key, default)
     try:
         num = float(val)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {val!r}") from None
-    if not np.isfinite(num) or num <= 0:
-        raise ConfigError(f"{key}: must be finite and positive, got {val!r}")
+    if not np.isfinite(num):
+        raise ConfigError(f"{key}: must be finite, got {val!r}")
     return num
 
 
+def _positive(config, key, default):
+    """The config value as a finite positive float."""
+    num = _finite(config, key, default)
+    if num <= 0:
+        raise ConfigError(f"{key}: must be positive, got {num!r}")
+    return num
+
+
+def _number_list(config, key, default, nonnegative=False):
+    """The config value as a nonempty 1D array of finite floats."""
+    val = config.get(key, default)
+    try:
+        arr = np.asarray(val, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key}: expected a nonempty list of finite numbers, got {val!r}")
+    if nonnegative and np.any(arr < 0):
+        raise ConfigError(f"{key}: values must be >= 0, got {val!r}")
+    return arr
+
+
 def _mu_grid(config):
-    spec = config.get("mu.grid")
-    if spec is not None:
-        return np.asarray(spec, dtype=float)
-    start = float(config.get("mu.start", -200.0))
-    stop = float(config.get("mu.stop", -5.0))
-    count = int(config.get("mu.count", 40))
-    return np.linspace(start, stop, count)
+    if config.get("mu.grid") is not None:
+        return _number_list(config, "mu.grid", None)
+    start = _finite(config, "mu.start", -200.0)
+    stop = _finite(config, "mu.stop", -5.0)
+    count = _finite(config, "mu.count", 40)
+    if count < 1 or count != int(count):
+        raise ConfigError(f"mu.count: must be a whole number >= 1, got {count!r}")
+    return np.linspace(start, stop, int(count))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +407,11 @@ def _run_product_observability(config, out, rng):
 def _run_hautus(config, out, rng):
     gen = _build_generator(config, kind="A0")
     omega = _box_nodes(gen.grid, config.get("omega", "all"), "omega")
-    aleph0 = np.asarray(config.get("aleph0.grid", [0.0, 1e-4, 1e-2]), dtype=float)
-    try:
-        rep = spectra.hautus_sweep(gen, omega, _mu_grid(config), aleph0)
-    except ValueError as exc:
-        raise ConfigError(f"omega: {exc}") from exc
+    aleph0 = _number_list(config, "aleph0.grid", [0.0, 1e-4, 1e-2], nonnegative=True)
+    mu_grid = _mu_grid(config)
+    if not np.isin(gen.state_idx, omega).any():
+        raise ConfigError("omega: the box holds no state node of the generator")
+    rep = spectra.hautus_sweep(gen, omega, mu_grid, aleph0)
     doc = {
         "mus": rep.mus.tolist(),
         "aleph0_grid": rep.aleph0_grid.tolist(),
@@ -396,6 +419,7 @@ def _run_hautus(config, out, rng):
                        for row in rep.min_aleph1],
         "global_aleph1": [None if not np.isfinite(v) else v
                           for v in rep.global_aleph1],
+        "eigensolves": rep.eigensolves.tolist(),
     }
     (out / "hautus.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
     frontier_monotone = True

@@ -100,8 +100,10 @@ class EnergyTrace:
             fh.write("t,energy,dissipation,cum_residual\n")
             diss = np.append(self.dissipation, 0.0)
             cum = np.concatenate([[0.0], np.cumsum(self.midpoint_residual)])
-            for i, (t, e) in enumerate(zip(self.times, self.energy)):
-                fh.write(f"{t:.17g},{e:.17g},{diss[i]:.17g},{cum[i]:.17g}\n")
+            fh.write("".join(
+                f"{t:.17g},{e:.17g},{d:.17g},{c:.17g}\n"
+                for t, e, d, c in zip(self.times.tolist(), self.energy.tolist(),
+                                      diss.tolist(), cum.tolist())))
 
 
 # States buffered between two checks of the energy law, counted in complex
@@ -359,12 +361,10 @@ def prepare_smooth_initial(gen, v, k=1):
 
 def export_snapshots(traj, path_bin, path_sidecar):
     """Binary snapshot record (t, re/im per node) plus a JSON layout sidecar."""
-    full = traj.full_fields()
-    n = full.shape[1]
-    rec = np.empty((traj.times.size, 1 + 2 * n))
+    n = traj.generator.grid.num_nodes
+    rec = np.zeros((traj.times.size, 1 + 2 * n))
     rec[:, 0] = traj.times
-    rec[:, 1::2] = full.real
-    rec[:, 2::2] = full.imag
+    rec[:, 1:].view(complex)[:, traj.generator.state_idx] = traj.states
     with open(path_bin, "wb") as fh:
         fh.write(rec.tobytes())
     sidecar = {

@@ -15,7 +15,13 @@ minimal constants (aleph0, aleph1) making
 
     ||u||^2 <= aleph0 ||(A0 - i mu) u||^2 + aleph1 ||u||^2_omega
 
-hold for every state, by bisection on aleph1 at fixed aleph0.
+hold for every state, by doubling and bisection on aleph1 at fixed aleph0.
+The pencil is reduced once per mu, to aleph0 G + aleph1 diag(1_omega) with
+G = D K^H M K D and D = M^-1/2.  lambda_min of that matrix is concave and
+nondecreasing in aleph1, so a few Newton steps with the omega weight of the
+eigenvector as supergradient bracket the threshold from below; a monotone
+oracle then answers the bisection's questions outside the bracket without
+an eigensolve, and the result equals plain bisection's.
 """
 
 from __future__ import annotations
@@ -318,28 +324,127 @@ class HautusReport:
     global_aleph1: np.ndarray     # per aleph0, max over mu; inf if any infeasible
     aleph1_cap: float
     bisection_steps: int
+    eigensolves: np.ndarray       # (n_mu, n_aleph0) eigensolves each cell used
 
     @property
     def feasible_anywhere(self):
         return bool(np.isfinite(self.min_aleph1).any())
 
 
-def _smallest_generalized(H, mass, dense_limit=1200):
-    """lambda_min of (H, diag(mass)) for Hermitian PSD H."""
-    d = 1.0 / np.sqrt(mass)
-    Ht = sp.diags(d) @ H @ sp.diags(d)
-    n = Ht.shape[0]
-    if n <= dense_limit:
-        return float(la.eigvalsh(Ht.toarray(), subset_by_index=[0, 0])[0])
-    Ht = Ht.tocsc()
-    v0 = np.random.default_rng(0).normal(size=n)
+# Reduced pencils up to this order are solved densely, larger ones by ARPACK.
+_DENSE_LIMIT = 1200
+# Newton steps seeding each cell's bracket before doubling and bisection.
+_NEWTON_STEPS = 8
+
+
+def _reduced_pencil(gen, mu):
+    """G = D K^H M K D with K = A0 - i mu and D = M^-1/2, dense up to _DENSE_LIMIT.
+
+    D (aleph0 K^H M K + aleph1 M_omega) D = aleph0 G + aleph1 diag(1_omega), so
+    lambda_min of that matrix is the smallest generalized eigenvalue of the
+    pencil against M.
+    """
+    n = gen.size
+    root = np.sqrt(gen.mass_diag)
+    K = gen.matrix - 1j * mu * sp.identity(n, dtype=complex, format="csr")
+    B = (sp.diags(root) @ K @ sp.diags(1.0 / root)).tocsr()
+    G = (B.getH() @ B).tocsr()
+    return G.toarray() if n <= _DENSE_LIMIT else G
+
+
+def _lowest_pair(H):
+    """Smallest eigenvalue of the Hermitian H and a unit eigenvector."""
+    if isinstance(H, np.ndarray):
+        w, v = la.eigh(H, subset_by_index=[0, 0], overwrite_a=True)
+        return float(w[0]), v[:, 0]
+    H = H.tocsc()
+    v0 = np.random.default_rng(0).normal(size=H.shape[0])
     try:
-        w = spla.eigsh(Ht, k=1, sigma=-1e-10, which="LM", v0=v0,
-                       return_eigenvectors=False)
+        w, v = spla.eigsh(H, k=1, sigma=-1e-10, which="LM", v0=v0)
     except Exception:
-        w = spla.eigsh(Ht, k=1, which="SA", return_eigenvectors=False,
-                       maxiter=5000, v0=v0)
-    return float(w[0])
+        w, v = spla.eigsh(H, k=1, which="SA", maxiter=5000, v0=v0)
+    return float(w[0]), v[:, 0]
+
+
+class _Threshold:
+    """feasible(aleph1): lambda_min(aleph0 G + aleph1 diag(1_omega)) >= level.
+
+    f(aleph1) = lambda_min is concave and nondecreasing, so a question is
+    answered from the largest aleph1 found infeasible and the smallest found
+    feasible; only a point between the two costs an eigensolve.
+    """
+
+    def __init__(self, G, aleph0, indicator, level):
+        self.G, self.aleph0, self.indicator, self.level = G, aleph0, indicator, level
+        self.below, self.above = -np.inf, np.inf
+        self.eigensolves = 0
+
+    def evaluate(self, al1):
+        """f(al1) and the omega weight of its eigenvector, a supergradient of f."""
+        if isinstance(self.G, np.ndarray):
+            H = self.aleph0 * self.G
+            H.flat[::H.shape[0] + 1] += al1 * self.indicator
+        else:
+            H = self.aleph0 * self.G + sp.diags(al1 * self.indicator)
+        lam, v = _lowest_pair(H)
+        self.eigensolves += 1
+        if lam >= self.level:
+            self.above = min(self.above, al1)
+        else:
+            self.below = max(self.below, al1)
+        return lam, float(self.indicator @ np.abs(v) ** 2)
+
+    def __call__(self, al1):
+        if al1 >= self.above:
+            return True
+        if al1 <= self.below:
+            return False
+        return self.evaluate(al1)[0] >= self.level
+
+    def seed(self, top, steps):
+        """Bracket the threshold by concave Newton from aleph1 = 0.
+
+        With g a supergradient, f(x + (level - f)/g) <= level: no step passes
+        the threshold, even where lambda_min is multiple.  A step past ``top``
+        (or g = 0) is confirmed infeasible by evaluating at ``top``; otherwise
+        the last iterate is followed by one evaluation just across the
+        threshold from it.
+        """
+        x = 0.0
+        lam, g = self.evaluate(x)
+        for k in range(steps + 1):
+            if lam >= self.level:
+                if x > 0.0:            # landed on the threshold: bracket it from below
+                    self.evaluate(x * (1.0 - 2.0**-30))
+                return
+            step = (self.level - lam) / g if g > 0 else np.inf
+            if x + step > top:
+                self.evaluate(top)
+                return
+            if k == steps or step <= x * 2.0**-20:
+                self.evaluate(min(top, x + 2.0 * step + x * 2.0**-30))
+                return
+            x += step
+            lam, g = self.evaluate(x)
+
+
+def _bisect(feasible, aleph1_cap, bisection_steps):
+    """0 if feasible there, else doubling from 1 and bisection; inf past the cap."""
+    if feasible(0.0):
+        return 0.0
+    hi = 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > aleph1_cap:
+            return np.inf              # infeasible at this aleph0
+    lo = 0.0 if hi == 1.0 else hi / 2.0
+    for _ in range(bisection_steps):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def hautus_sweep(gen, omega, mu_grid, aleph0_grid, bisection_steps=16,
@@ -348,58 +453,33 @@ def hautus_sweep(gen, omega, mu_grid, aleph0_grid, bisection_steps=16,
 
     For each (mu, aleph0) the minimal aleph1 is bracketed by doubling from 1
     and refined by bisection; the certificate is the smallest generalized
-    eigenvalue of (aleph0 K^H M K + aleph1 M_omega, M) reaching 1.
+    eigenvalue of (aleph0 K^H M K + aleph1 M_omega, M) reaching 1.  The pencil
+    is reduced once per mu to aleph0 G + aleph1 diag(1_omega) (see
+    ``_reduced_pencil``), and a few concave Newton steps per cell seed a
+    monotone oracle that answers most doubling and bisection questions
+    without an eigensolve, so the table is the bisection's own answer.
     """
-    omega = np.asarray(omega, dtype=int)
-    if omega.size == 0:
-        raise ValueError("omega must be nonempty")
     mu_grid = np.asarray(mu_grid, dtype=float)
     aleph0_grid = np.asarray(aleph0_grid, dtype=float)
-    M = gen.mass_diag
-    pos = np.full(gen.grid.num_nodes, -1, dtype=int)
-    pos[gen.state_idx] = np.arange(gen.size)
-    opos = pos[omega]
-    opos = opos[opos >= 0]
-    if opos.size == 0:
+    indicator = np.isin(gen.state_idx, omega).astype(float)
+    if not indicator.any():
         raise ValueError("omega does not intersect the generator's state nodes")
-    w_omega = np.zeros(gen.size)
-    w_omega[opos] = M[opos]
-    M_omega = sp.diags(w_omega).tocsr()
+    level = 1.0 - feas_tol
+    top = max(1.0, np.ldexp(0.5, np.frexp(aleph1_cap)[1]))   # last doubling point
 
     table = np.full((mu_grid.size, aleph0_grid.size), np.inf)
-    eye = sp.identity(gen.size, dtype=complex, format="csr")
+    counts = np.zeros(table.shape, dtype=int)
     for i, mu in enumerate(mu_grid):
-        K = (gen.matrix - 1j * mu * eye).tocsr()
-        KMK = (K.getH() @ sp.diags(M) @ K).tocsr()
+        G = _reduced_pencil(gen, mu)
         for j, al0 in enumerate(aleph0_grid):
-            base = (al0 * KMK).tocsr()
-
-            def feasible(al1):
-                H = (base + al1 * M_omega).tocsr()
-                return _smallest_generalized(H, M) >= 1.0 - feas_tol
-
-            if feasible(0.0):
-                table[i, j] = 0.0
-                continue
-            hi = 1.0
-            while not feasible(hi):
-                hi *= 2.0
-                if hi > aleph1_cap:
-                    hi = None
-                    break
-            if hi is None:
-                continue               # infeasible at this aleph0
-            lo = 0.0 if hi == 1.0 else hi / 2.0
-            for _ in range(bisection_steps):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            table[i, j] = hi
+            feasible = _Threshold(G, al0, indicator, level)
+            feasible.seed(top, _NEWTON_STEPS)
+            table[i, j] = _bisect(feasible, aleph1_cap, bisection_steps)
+            counts[i, j] = feasible.eigensolves
     global_env = np.max(table, axis=0)
     return HautusReport(
         mus=mu_grid, aleph0_grid=aleph0_grid, min_aleph1=table,
         global_aleph1=global_env, aleph1_cap=aleph1_cap,
-        bisection_steps=bisection_steps,
+        bisection_steps=bisection_steps, eigensolves=counts,
     )
+

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,44 @@ def test_simulate_bad_numbers_are_config_errors(tmp_path, line):
     cfg_path.write_text(text)
     assert cli.main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "main")]) == 2
+
+
+GRID_CONFIGS = {
+    "hautus": """
+kind = "hautus"
+grid.dim = 1
+grid.n = 32
+omega = "all"
+mu.count = 2
+aleph0.grid = [0.0]
+""",
+    "resolvent-scan": """
+kind = "resolvent-scan"
+grid.dim = 1
+grid.n = 32
+generator = "A0"
+mu.count = 4
+""",
+}
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("hautus", "aleph0.grid = [NaN]"), ("hautus", "aleph0.grid = [-1.0]"),
+    ("hautus", "aleph0.grid = []"), ("hautus", "mu.grid = [NaN]"),
+    ("hautus", "mu.count = 0"), ("hautus", "mu.count = -3"),
+    ("resolvent-scan", "mu.count = 0"), ("resolvent-scan", "mu.grid = [NaN, -5]"),
+    ("resolvent-scan", "mu.grid = []"), ("resolvent-scan", "mu.start = Infinity"),
+])
+def test_bad_grids_are_config_errors(tmp_path, kind, line):
+    key = line.split()[0]
+    text = "\n".join(l for l in GRID_CONFIGS[kind].splitlines()
+                     if not l.startswith(key + " ")) + "\n" + line + "\n"
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=re.escape(key)):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "main")]) == 2
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from magschro import magop, mesh, spectra
 
@@ -202,6 +206,21 @@ def test_hautus_infeasible_reported(gen_a0, grid):
     assert not np.isfinite(rep.min_aleph1[0, 0])
 
 
+def test_hautus_eigensolve_budget(gen_a0, grid):
+    # the criterion-11 sweeps: most questions are settled by the monotone
+    # oracle that the Newton steps seed, not by an eigensolve each
+    rep_full = spectra.hautus_sweep(gen_a0, grid.interior_idx,
+                                    mu_grid=[-80.0, -10.0, 30.0], aleph0_grid=[0.0])
+    rep_loc = spectra.hautus_sweep(gen_a0, grid.box_nodes([0.0], [0.3]),
+                                   mu_grid=[-60.0, -14.0],
+                                   aleph0_grid=[0.0, 1e-3, 1e-2, 1e-1])
+    for rep in (rep_full, rep_loc):
+        assert rep.eigensolves.shape == rep.min_aleph1.shape
+        assert rep.eigensolves.dtype.kind == "i"
+        assert np.all(rep.eigensolves >= 1)
+    assert rep_full.eigensolves.sum() + rep_loc.eigensolves.sum() <= 40
+
+
 def test_refinement_trend_report(grid, a_zero):
     scans = []
     for n in (64, 128):
@@ -235,3 +254,97 @@ def test_resolvent_near_singular_condition_estimate(gen_a0, modal):
         assert sol.condition_estimate > 1e8
     else:
         assert gen_a0.norm(sol.u) > 1e8 * gen_a0.norm(g)
+
+
+# ---------------------------------------------------------------------------
+# property test: the reduced, Newton-seeded sweep against per-query bisection
+
+
+def smallest_generalized(H, mass, dense_limit):
+    """lambda_min of (H, diag(mass)) for Hermitian PSD H, one query at a time."""
+    d = 1.0 / np.sqrt(mass)
+    Ht = sp.diags(d) @ H @ sp.diags(d)
+    n = Ht.shape[0]
+    if n <= dense_limit:
+        return float(la.eigvalsh(Ht.toarray(), subset_by_index=[0, 0])[0])
+    Ht = Ht.tocsc()
+    v0 = np.random.default_rng(0).normal(size=n)
+    try:
+        w = spla.eigsh(Ht, k=1, sigma=-1e-10, which="LM", v0=v0,
+                       return_eigenvectors=False)
+    except Exception:
+        w = spla.eigsh(Ht, k=1, which="SA", return_eigenvectors=False,
+                       maxiter=5000, v0=v0)
+    return float(w[0])
+
+
+def reference_sweep(gen, omega, mus, aleph0s, dense_limit, steps=16, cap=1e12,
+                    feas_tol=1e-9):
+    """Doubling from 1 and bisection, every question answered by an eigensolve."""
+    M = gen.mass_diag
+    M_omega = sp.diags(np.where(np.isin(gen.state_idx, omega), M, 0.0)).tocsr()
+    eye = sp.identity(gen.size, dtype=complex, format="csr")
+    table = np.full((len(mus), len(aleph0s)), np.inf)
+    for i, mu in enumerate(mus):
+        K = (gen.matrix - 1j * mu * eye).tocsr()
+        KMK = (K.getH() @ sp.diags(M) @ K).tocsr()
+        for j, al0 in enumerate(aleph0s):
+            def feasible(al1):
+                H = (al0 * KMK + al1 * M_omega).tocsr()
+                return smallest_generalized(H, M, dense_limit) >= 1.0 - feas_tol
+
+            if feasible(0.0):
+                table[i, j] = 0.0
+                continue
+            hi = 1.0
+            while not feasible(hi):
+                hi *= 2.0
+                if hi > cap:
+                    break
+            if hi > cap:
+                continue
+            lo = 0.0 if hi == 1.0 else hi / 2.0
+            for _ in range(steps):
+                mid = 0.5 * (lo + hi)
+                if feasible(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            table[i, j] = hi
+    return table
+
+
+@st.composite
+def hautus_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 40) if dim == 1 else st.integers(5, 9))
+    grid = mesh.build_grid(dim, 1.0, n)
+    amp, freq = draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 4.0))
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    lo = [draw(st.floats(0.0, 0.6)) for _ in range(dim)]
+    hi = [l + draw(st.floats(0.2, 1.0)) for l in lo]
+    omega = grid.box_nodes(lo, hi)
+    assume(np.isin(gen.state_idx, omega).any())
+    mus = draw(st.lists(st.floats(-400.0, 100.0), min_size=1, max_size=2))
+    # aleph0 around 1 / dist(i mu, spectrum)^2, where the cells turn feasible
+    r = spectra.spectral_distance_norms(gen, mus[:1])[0]
+    aleph0s = draw(st.lists(st.just(0.0) | st.floats(0.02, 1.5).map(lambda t: t * r * r),
+                            min_size=1, max_size=2))
+    sparse = draw(st.booleans())
+    return gen, omega, mus, aleph0s, sparse
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(hautus_cases())
+def test_hautus_sweep_matches_per_query_bisection(case):
+    gen, omega, mus, aleph0s, sparse = case
+    limit = 0 if sparse else spectra._DENSE_LIMIT
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_DENSE_LIMIT", limit)
+        rep = spectra.hautus_sweep(gen, omega, mus, aleph0s)
+    table = reference_sweep(gen, omega, mus, aleph0s, limit)
+    assert np.array_equal(rep.min_aleph1, table)
+    assert rep.eigensolves.shape == table.shape
+    assert np.all(rep.eigensolves >= 1)
