@@ -366,11 +366,20 @@ def _run_observability(config, out, rng):
         obs = obsgram.Observation(obs_kind, nodes)
     except ValueError as exc:
         raise ConfigError(f"observation: {exc}") from exc
-    T = float(config.get("T", 1.0))
-    dt = float(config.get("dt", 0.01))
-    rep = obsgram.gramian(gen, obs, T, dt,
-                          stride=int(config.get("stride", 1)),
-                          method=config.get("method", "eig"))
+    method = config.get("method", "eig")
+    if method not in ("eig", "cn"):
+        raise ConfigError(f"method: expected \"eig\" or \"cn\", got {method!r}")
+    T = _positive(config, "T", 1.0)
+    dt = _positive(config, "dt", 0.01)
+    stride = _positive(config, "stride", 1)
+    if stride != int(stride):
+        raise ConfigError(f"stride: must be a whole number >= 1, got {stride!r}")
+    if method == "cn":
+        try:
+            obsgram._trapezoid_steps(T, dt, 1)
+        except ValueError:
+            raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
+    rep = obsgram.gramian(gen, obs, T, dt, stride=int(stride), method=method)
     (out / "report.json").write_text(rep.to_json())
     verdicts = {
         "gramian_psd": {"pass": bool(rep.lambda_min >= -1e-12 * max(rep.lambda_max, 1e-300)),

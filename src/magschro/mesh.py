@@ -134,6 +134,18 @@ def _trapezoid_1d(n, h):
     return w
 
 
+def trapezoid_weights(times):
+    """Trapezoid weights on increasing sample points (weight 1 for one point)."""
+    w = np.empty(times.size)
+    if times.size == 1:
+        w[0] = 1.0
+        return w
+    w[1:-1] = 0.5 * (times[2:] - times[:-2])
+    w[0] = 0.5 * (times[1] - times[0])
+    w[-1] = 0.5 * (times[-1] - times[-2])
+    return w
+
+
 def build_grid(dim, extents, n, origin=None):
     """Build a 1D interval or 2D rectangle grid with n nodes per axis.
 

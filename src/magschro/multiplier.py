@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import magop
-from .mesh import poincare_constant
+from .mesh import poincare_constant, trapezoid_weights
 
 
 @dataclass(eq=False)
@@ -195,17 +195,6 @@ class MultiplierField:
         return worst
 
 
-def _time_weights(times):
-    w = np.empty(times.size)
-    if times.size == 1:
-        w[0] = 1.0
-        return w
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    return w
-
-
 def _time_derivative(fields, times):
     """Centered differences along the snapshot axis, one-sided at the ends."""
     return np.gradient(fields, times, axis=0)
@@ -241,7 +230,7 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
     d = grid.dim
     u = traj.full_fields()                      # (nt, N)
     ut = _time_derivative(u, times)
-    wt = _time_weights(times)
+    wt = trapezoid_weights(times)
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]

@@ -15,9 +15,12 @@ boundary-flux and H1 observation) give
 the best constants in the observability and hidden-regularity inequalities.
 
 Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
-evaluates the time quadrature on exact phase factors; ``cn`` propagates a
-basis (or a randomized probe sketch above ``dense_limit`` unknowns) with
-Crank-Nicolson steps.
+evaluates the time quadrature on exact phase factors; ``cn`` samples
+Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
+``dense_limit`` unknowns), S the Crank-Nicolson step.  It propagates the
+narrower side: the m observation rows by the adjoint step, or the k basis
+columns by the forward one.  A sampled Gramian has rank at most m times the
+number of time samples; the report records that bound.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from . import magop
+from . import evolve, magop
 from .evolve import _stepper
+from .mesh import trapezoid_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +59,7 @@ class Observation:
     def build(self, gen):
         """Sparse row operator (obs x state) and its quadrature weights."""
         grid = gen.grid
-        pos = np.full(grid.num_nodes, -1, dtype=int)
-        pos[gen.state_idx] = np.arange(gen.size)
+        pos = magop._positions(grid.num_nodes, gen.state_idx)
         if self.kind == "interior-l2":
             keep = self.nodes[pos[self.nodes] >= 0]
             if keep.size == 0:
@@ -74,8 +77,7 @@ class Observation:
             grads = magop.gradient_matrices(grid)
             rows = []
             a = gen.potential
-            bpos = np.full(grid.num_nodes, -1, dtype=int)
-            bpos[grid.boundary_idx] = np.arange(grid.boundary_idx.size)
+            bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
             for node in self.nodes:
                 face = grid.faces[grid.owner_face[node]]
                 row = (face.normal[face.axis] * grads[face.axis][node]).astype(complex)
@@ -117,6 +119,7 @@ class ObservabilityReport:
     method: str
     warnings: list = field(default_factory=list)
     sketch_spread: float | None = None
+    rank_bound: int | None = None      # min(k, m s): k unknowns, m rows, s samples
 
     def to_json(self):
         doc = {
@@ -130,6 +133,7 @@ class ObservabilityReport:
             "stride": self.stride,
             "method": self.method,
             "warnings": self.warnings,
+            "rank_bound": self.rank_bound,
         }
         if self.sketch_spread is not None:
             doc["sketch_spread"] = self.sketch_spread
@@ -177,16 +181,58 @@ def _trapezoid_steps(T, dt, stride):
     if keep[-1] != nsteps:
         keep = np.append(keep, nsteps)
     times = dt * keep
-    w = np.empty(times.size)
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    return keep, times, w
+    return keep, times, trapezoid_weights(times)
 
 
-def _trapezoid_times(T, dt, stride):
-    _, times, w = _trapezoid_steps(T, dt, stride)
-    return times, w
+def _cn_gramians(gen, N, W, basis, T, dt, stride):
+    """Stepped Gramians G (stride) and G2 (double stride) on ``basis``.
+
+    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t basis, where
+    S = 2 (I - dt/2 A)^-1 - I is the Crank-Nicolson (Cayley) step and
+    ``basis`` None stands for the identity.  The narrower side is propagated:
+    the m observation rows, as X = N^H under the adjoint step
+    x <- 2 (I - dt/2 A)^-H x - x, when m <= k basis columns, else the basis
+    under the forward step.  Samples are buffered (``evolve._BLOCK_ENTRIES``
+    complex entries) and added into G and G2 once per block, by two products
+    weighted with the two trapezoid rules.  Returns (G, G2, samples of G).
+    """
+    lu = _stepper(gen, dt)[0]
+    steps, _, c1 = _trapezoid_steps(T, dt, stride)
+    steps2, _, w2 = _trapezoid_steps(T, dt, 2 * stride)
+    c2 = np.zeros(steps.size)
+    c2[np.searchsorted(steps, steps2)] = w2     # every double-stride step is a stride step
+    m, n = N.shape
+    k = n if basis is None else basis.shape[1]
+    if m <= k:
+        X, trans = N.conj().T.toarray(), "H"
+    else:
+        X, trans = (np.eye(n, dtype=complex) if basis is None else basis.copy()), "N"
+    width = max(1, evolve._BLOCK_ENTRIES // (m * k))
+    buf = np.empty((width, m, k), dtype=complex)
+    G = np.zeros((k, k), dtype=complex)
+    G2 = np.zeros_like(G)
+    done, filled = 0, 0
+    for j, target in enumerate(steps):
+        for _ in range(target - done):
+            x = lu.solve(X, trans=trans)
+            x *= 2.0
+            x -= X
+            X = x
+        done = target
+        if trans == "N":
+            buf[filled] = N @ X
+        elif basis is None:
+            buf[filled] = X.conj().T
+        else:
+            buf[filled] = X.conj().T @ basis
+        filled += 1
+        if filled == width or j == steps.size - 1:
+            Z = buf[:filled].reshape(filled * m, k)
+            for acc, c in ((G, c1), (G2, c2)):
+                d = np.outer(c[j + 1 - filled:j + 1], W).ravel()
+                acc += Z.conj().T @ (d[:, None] * Z)
+            filled = 0
+    return G, G2, steps.size
 
 
 def _phase_gramian(Z, lam, times, w):
@@ -225,11 +271,16 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
 
     ``method="eig"`` diagonalizes the generator and integrates the modal
     phases exactly in time (set ``eig_time_quadrature`` to force the
-    trapezoid rule instead); ``"cn"`` propagates a basis by Crank-Nicolson
-    with trapezoid weights, switching to a randomized sketch above
-    ``dense_limit`` unknowns.  For quadrature-based assemblies a Richardson
-    comparison against the double-stride rule estimates the time-quadrature
-    error; above 5% a warning is attached.
+    trapezoid rule instead); ``"cn"`` samples N S^n on a basis with
+    trapezoid weights, S the Crank-Nicolson step, switching from the
+    identity to a randomized sketch of ``probes`` columns above
+    ``dense_limit`` unknowns.  It propagates the m observation rows by the
+    adjoint step when m is at most the basis width k, else the basis by the
+    forward step (``_cn_gramians``).  For quadrature-based assemblies a
+    Richardson comparison against the double-stride rule estimates the
+    time-quadrature error; above 5% a warning is attached.  The report's
+    ``rank_bound`` is min(k, m s) for s time samples (k for the exact modal
+    integral); a warning is attached when it is below k.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
@@ -244,13 +295,15 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
 
     if method == "eig":
         lam, V = _modal_data(gen, dense_limit)
+        k, samples = gen.size, None
         Y = N @ V
         Z = (Y.conj().T * W) @ Y
         if eig_time_quadrature:
-            times, w = _trapezoid_times(T, dt, stride)
+            _, times, w = _trapezoid_steps(T, dt, stride)
+            samples = times.size
             Ghat = _phase_gramian(Z, lam, times, w)
             lo, hi = _extremes_from_modal(Ghat, lam, metric)
-            t2, w2 = _trapezoid_times(T, dt, 2 * stride)
+            _, t2, w2 = _trapezoid_steps(T, dt, 2 * stride)
             lo2, hi2 = _extremes_from_modal(
                 _phase_gramian(Z, lam, t2, w2), lam, metric)
         else:
@@ -259,32 +312,15 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             lo2, hi2 = lo, hi
         handle = GramianHandle("modal", (V, Ghat), gen)
     elif method == "cn":
-        lu, B = _stepper(gen, dt)
         n = gen.size
         rng = np.random.default_rng(seed)
         if n <= dense_limit:
-            basis = np.eye(n, dtype=complex)
+            basis = None
         else:
             basis = rng.normal(size=(n, probes)) + 1j * rng.normal(size=(n, probes))
             basis, _ = np.linalg.qr(basis)
-        nsteps = int(round(T / dt))
-        steps1, _, w1 = _trapezoid_steps(T, dt, stride)
-        steps2, _, w2 = _trapezoid_steps(T, dt, 2 * stride)
-        wmap = dict(zip(steps1.tolist(), w1))
-        wmap2 = dict(zip(steps2.tolist(), w2))
-        G = np.zeros((basis.shape[1], basis.shape[1]), dtype=complex)
-        G2 = np.zeros_like(G)
-        U = basis.copy()
-        for istep in range(nsteps + 1):
-            if istep in wmap or istep in wmap2:
-                Yn = N @ U
-                ZnY = (Yn.conj().T * W) @ Yn
-                if istep in wmap:
-                    G += wmap[istep] * ZnY
-                if istep in wmap2:
-                    G2 += wmap2[istep] * ZnY
-            if istep < nsteps:
-                U = lu.solve(B @ U)
+        G, G2, samples = _cn_gramians(gen, N, W, basis, T, dt, stride)
+        k = G.shape[0]
         if n <= dense_limit:
             L = (sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness).toarray()
             ev = la.eigvalsh(G, L)
@@ -307,6 +343,13 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             handle = GramianHandle("dense", G, gen)
     else:
         raise ValueError(f"unknown method {method!r}")
+    # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
+    m = N.shape[0]
+    rank_bound = k if samples is None else min(k, m * samples)
+    if rank_bound < k:
+        warns.append(
+            f"Gramian rank <= {m} observation rows x {samples} time samples = "
+            f"{m * samples} < {k} unknowns: lambda_min = 0 (C_obs = inf) by sampling alone")
 
     lo_c = max(lo, 0.0)
     c_obs = float("inf") if lo_c <= 1e-14 * max(hi, 1e-300) else 1.0 / np.sqrt(lo_c)
@@ -324,7 +367,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         T=float(T), lambda_min=lo, lambda_max=hi, c_obs=float(c_obs),
         c_hid=float(c_hid), quadrature_error_estimate=float(quad_err),
         stride=int(stride), method=method, warnings=warns,
-        sketch_spread=sketch_spread,
+        sketch_spread=sketch_spread, rank_bound=int(rank_bound),
     )
     return (report, handle) if return_handle else report
 
@@ -421,8 +464,7 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     lam2, V2 = _modal_data(gen2, 4096)
     lam12 = (lam1[:, None] + lam2[None, :]).ravel()
     mass_kron = np.kron(gen1.mass_diag, gen2.mass_diag)
-    pos1 = np.full(gen1.grid.num_nodes, -1, dtype=int)
-    pos1[gen1.state_idx] = np.arange(n1)
+    pos1 = magop._positions(gen1.grid.num_nodes, gen1.state_idx)
     sel1 = pos1[np.asarray(omega1, dtype=int)]
     sel1 = sel1[sel1 >= 0]
     mask = np.zeros(n1, dtype=bool)

@@ -218,6 +218,45 @@ observation.omega = [[0.0], [0.4]]
     assert doc["C_obs"] > 0
 
 
+OBSERVABILITY_CN = """
+kind = "observability"
+grid.dim = 1
+grid.n = 32
+observation.kind = "interior-l2"
+observation.omega = [[0.0], [0.4]]
+method = "cn"
+T = 0.1
+dt = 0.01
+"""
+
+
+@pytest.mark.parametrize("line", [
+    'method = "foo"', "stride = 0", "T = NaN", "dt = 0", 'dt = "abc"', "T = 0.105",
+])
+def test_observability_bad_numbers_are_config_errors(tmp_path, line):
+    key = line.split()[0]
+    text = "\n".join(l for l in OBSERVABILITY_CN.splitlines()
+                     if not l.startswith(key + " ")) + "\n" + line + "\n"
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    cfg_path = tmp_path / "obs.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["observability", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "main")]) == 2
+
+
+def test_observability_reports_rank_bound(tmp_path):
+    cfg = cli.ExperimentConfig.parse(OBSERVABILITY_CN.replace(
+        'observation.omega = [[0.0], [0.4]]', 'observation.omega = [[0.0], [0.05]]'))
+    cli.run(cfg, out_dir=tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    # one observed node, 11 time samples, 31 unknowns
+    assert doc["rank_bound"] == 11
+    assert doc["C_obs"] == float("inf")
+    assert any("rank <= " in w for w in doc["warnings"])
+
+
 def test_hautus_run(tmp_path):
     text = """
 kind = "hautus"

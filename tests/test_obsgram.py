@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from magschro import magop, mesh, obsgram
+from magschro import evolve, magop, mesh, obsgram
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +191,132 @@ def test_report_json_fields(gen, grid):
     for key in ("observation", "T", "lambda_min", "lambda_max", "C_obs",
                 "C_hid", "quadrature_error_estimate"):
         assert key in doc
+
+
+# -- property test: the blocked adjoint CN Gramian against a forward loop ----
+#
+# Random small 1D and 2D grids, all observation kinds, strides and the sketch
+# path; the sample buffer is shrunk so that runs span several blocks.
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def cn_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(8, 30) if dim == 1 else st.integers(5, 9))
+    grid = mesh.build_grid(dim, 1.0, n)
+    amp, freq = draw(st.floats(0.0, 1.0)), draw(st.floats(0.5, 4.0))
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    kind = draw(st.sampled_from(["interior-l2", "boundary-conormal", "interior-h1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if kind == "boundary-conormal":
+        pool = grid.boundary_idx
+    else:
+        pool = gen.state_idx
+    size = max(1, round(draw(st.sampled_from([0.1, 0.4, 0.7, 1.0])) * pool.size))
+    nodes = rng.choice(pool, size=size, replace=False)
+    dt = draw(st.sampled_from([1e-3, 5e-3, 2e-2]))
+    nsteps = draw(st.integers(1, 14))
+    stride = draw(st.integers(1, 3))
+    probes = draw(st.integers(2, 12)) if draw(st.integers(0, 2)) == 2 else None
+    width = draw(st.integers(2, 6))
+    return gen, obsgram.Observation(kind, np.sort(nodes)), dt, nsteps, stride, probes, width
+
+
+def forward_gramians(gen, obs, dt, nsteps, stride, basis):
+    """G and G2 by forward ``evolve.step`` on the basis, one sample at a time."""
+    N, W = obs.build(gen)
+
+    def weights(s):
+        keep = list(range(0, nsteps + 1, s))
+        if keep[-1] != nsteps:
+            keep.append(nsteps)
+        half = 0.5 * dt * np.diff(keep)
+        w = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+        return dict(zip(keep, w))
+
+    w1, w2 = weights(stride), weights(2 * stride)
+    U = basis.copy()
+    G = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    G2 = np.zeros_like(G)
+    for i in range(nsteps + 1):
+        Y = N @ U
+        Z = (Y.conj().T * W) @ Y
+        G += w1.get(i, 0.0) * Z
+        G2 += w2.get(i, 0.0) * Z
+        U = evolve.step(gen, U, dt)
+    return G, G2
+
+
+def test_cn_gramian_matches_forward_loop():
+    sides = set()
+
+    @PROPERTY
+    @given(cn_cases())
+    def check(case):
+        gen, obs, dt, nsteps, stride, probes, width = case
+        n, m = gen.size, obs.build(gen)[0].shape[0]
+        sketch = probes is not None and probes <= n
+        k = probes if sketch else n
+        kw = dict(dense_limit=n - 1, probes=probes) if sketch else {}
+        solves = []
+
+        def spy_stepper(g, step):
+            lu, B = evolve._stepper(g, step)
+
+            class Spy:
+                def solve(self, x, trans="N"):
+                    solves.append(trans)
+                    return lu.solve(x, trans=trans)
+            return Spy(), B
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * k)
+            mp.setattr(obsgram, "_stepper", spy_stepper)
+            rep, handle = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride,
+                                          method="cn", return_handle=True, **kw)
+        side = "H" if m <= k else "N"
+        assert set(solves) == {side} and len(solves) == nsteps
+        sides.add(side)
+
+        if sketch:
+            rng = np.random.default_rng(0)
+            basis = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+            basis, _ = np.linalg.qr(basis)
+        else:
+            basis = np.eye(n, dtype=complex)
+        G, G2 = forward_gramians(gen, obs, dt, nsteps, stride, basis)
+        got = handle._data
+        assert np.linalg.norm(got - G) <= 1e-12 * np.linalg.norm(G)
+
+        L = sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness
+        LB = basis.conj().T @ (L @ basis)
+        ev = la.eigvalsh(G, LB)
+        lo, hi = ev[0], ev[-1]
+        if sketch:
+            lo2, hi2 = lo, hi
+        else:
+            ev2 = la.eigvalsh(G2, LB)
+            lo2, hi2 = ev2[0], ev2[-1]
+        assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
+        assert abs(rep.lambda_min - lo) <= 1e-11 * abs(hi)
+        quad = abs(hi2 - hi) / max(abs(hi), 1e-300)
+        if lo > 1e-4 * hi and lo2 > 0:
+            quad = max(quad, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
+        elif np.isfinite(rep.c_obs):
+            # the sqrt(lambda_min) term is rounding noise: lambda_min is near 0
+            quad = None
+        if quad is not None:
+            assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
+        samples = len(set(range(0, nsteps + 1, stride)) | {nsteps})
+        assert rep.rank_bound == min(k, m * samples)
+
+    check()
+    assert sides == {"H", "N"}
 
 
 # -- product space --------------------------------------------------------
