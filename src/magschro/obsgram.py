@@ -17,10 +17,9 @@ the best constants in the observability and hidden-regularity inequalities.
 Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
 evaluates the time quadrature on exact phase factors; ``cn`` samples
 Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
-``dense_limit`` unknowns), S the Crank-Nicolson step.  It propagates the
-narrower side: the m observation rows by the adjoint step, or the k basis
-columns by the forward one.  A sampled Gramian has rank at most m times the
-number of time samples; the report records that bound.
+``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
+m observation rows with the adjoint step.  A sampled Gramian has rank at
+most m times the number of time samples; the report records that bound.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
+from scipy.linalg.blas import zherk
 
 from . import evolve, magop
 from .evolve import _stepper
@@ -117,9 +117,9 @@ class ObservabilityReport:
     quadrature_error_estimate: float
     stride: int
     method: str
+    rank_bound: int                    # min(k, m s): k unknowns, m rows, s samples
     warnings: list = field(default_factory=list)
     sketch_spread: float | None = None
-    rank_bound: int | None = None      # min(k, m s): k unknowns, m rows, s samples
 
     def to_json(self):
         doc = {
@@ -189,50 +189,57 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
 
     G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t basis, where
     S = 2 (I - dt/2 A)^-1 - I is the Crank-Nicolson (Cayley) step and
-    ``basis`` None stands for the identity.  The narrower side is propagated:
-    the m observation rows, as X = N^H under the adjoint step
-    x <- 2 (I - dt/2 A)^-H x - x, when m <= k basis columns, else the basis
-    under the forward step.  Samples are buffered (``evolve._BLOCK_ENTRIES``
-    complex entries) and added into G and G2 once per block, by two products
-    weighted with the two trapezoid rules.  Returns (G, G2, samples of G).
+    ``basis`` None stands for the identity.  The m observation rows are
+    propagated, as X = N^H under the adjoint step
+    x <- 2 (I - dt/2 A)^-H x - x, and Z_t = X_t^H basis.  Samples are
+    buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added in once
+    per block, split by whether they lie on the double stride:
+    G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
+    twice the stride weight except on the samples R holds, at most two near
+    an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
+    half the work of a general product) on the weight-scaled samples.
+    Returns (G, G2, samples of G).
     """
     lu = _stepper(gen, dt)[0]
-    steps, _, c1 = _trapezoid_steps(T, dt, stride)
-    steps2, _, w2 = _trapezoid_steps(T, dt, 2 * stride)
-    c2 = np.zeros(steps.size)
-    c2[np.searchsorted(steps, steps2)] = w2     # every double-stride step is a stride step
+    steps = _trapezoid_steps(T, dt, stride)[0]
+    steps2 = _trapezoid_steps(T, dt, 2 * stride)[0]
+    g1 = trapezoid_weights(steps.astype(float))      # in units of dt: exact halves
+    g2 = np.zeros(steps.size)
+    g2[np.searchsorted(steps, steps2)] = trapezoid_weights(steps2.astype(float))
+    even = g2 != 0                                   # every double-stride step is a stride step
+    r = np.where(even, g2 - 2.0 * g1, 0.0)
     m, n = N.shape
     k = n if basis is None else basis.shape[1]
-    if m <= k:
-        X, trans = N.conj().T.toarray(), "H"
-    else:
-        X, trans = (np.eye(n, dtype=complex) if basis is None else basis.copy()), "N"
+    X = N.conj().T.toarray()
     width = max(1, evolve._BLOCK_ENTRIES // (m * k))
-    buf = np.empty((width, m, k), dtype=complex)
-    G = np.zeros((k, k), dtype=complex)
-    G2 = np.zeros_like(G)
+    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T conj(basis)
+    upper = [np.zeros((k, k), dtype=complex, order="F") for _ in range(2)]
+    R = np.zeros((k, k), dtype=complex)
     done, filled = 0, 0
     for j, target in enumerate(steps):
         for _ in range(target - done):
-            x = lu.solve(X, trans=trans)
+            x = lu.solve(X, trans="H")
             x *= 2.0
             x -= X
             X = x
         done = target
-        if trans == "N":
-            buf[filled] = N @ X
-        elif basis is None:
-            buf[filled] = X.conj().T
-        else:
-            buf[filled] = X.conj().T @ basis
+        buf[filled] = X.T if basis is None else X.T @ basis.conj()
         filled += 1
         if filled == width or j == steps.size - 1:
-            Z = buf[:filled].reshape(filled * m, k)
-            for acc, c in ((G, c1), (G2, c2)):
-                d = np.outer(c[j + 1 - filled:j + 1], W).ravel()
-                acc += Z.conj().T @ (d[:, None] * Z)
+            blk = slice(j + 1 - filled, j + 1)
+            for i, rows in enumerate((even[blk], ~even[blk])):
+                if rows.any():
+                    # positive weights D: Y = sqrt(D) conj(Z), Y^T conj(Y) = Z^H D Z
+                    s = np.sqrt(np.outer(dt * g1[blk][rows], W).ravel())
+                    Y = s[:, None] * buf[:filled][rows].reshape(-1, k)
+                    upper[i] = zherk(1.0, Y.T, beta=1.0, c=upper[i], overwrite_c=1)
+            rows = r[blk] != 0
+            if rows.any():
+                Y = buf[:filled][rows].reshape(-1, k)
+                R += (Y.T * np.outer(dt * r[blk][rows], W).ravel()) @ Y.conj()
             filled = 0
-    return G, G2, steps.size
+    GE, GO = (U + np.triu(U, 1).conj().T for U in upper)   # herk fills the upper triangle
+    return GE + GO, 2.0 * GE + R, steps.size
 
 
 def _phase_gramian(Z, lam, times, w):
@@ -274,9 +281,8 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
     trapezoid rule instead); ``"cn"`` samples N S^n on a basis with
     trapezoid weights, S the Crank-Nicolson step, switching from the
     identity to a randomized sketch of ``probes`` columns above
-    ``dense_limit`` unknowns.  It propagates the m observation rows by the
-    adjoint step when m is at most the basis width k, else the basis by the
-    forward step (``_cn_gramians``).  For quadrature-based assemblies a
+    ``dense_limit`` unknowns; it propagates the m observation rows by the
+    adjoint step (``_cn_gramians``).  For quadrature-based assemblies a
     Richardson comparison against the double-stride rule estimates the
     time-quadrature error; above 5% a warning is attached.  The report's
     ``rank_bound`` is min(k, m s) for s time samples (k for the exact modal
