@@ -104,8 +104,7 @@ def _flatten(doc, prefix=""):
 
 
 def _rng(config):
-    seed = int(config.get("seed", 0))
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_whole(config, "seed", 0, least=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +269,14 @@ def _positive(config, key, default):
     return num
 
 
+def _whole(config, key, default, least=1):
+    """The config value as a whole number >= least."""
+    num = _finite(config, key, default)
+    if num < least or num != int(num):
+        raise ConfigError(f"{key}: must be a whole number >= {least}, got {num!r}")
+    return int(num)
+
+
 def _number_list(config, key, default, nonnegative=False):
     """The config value as a nonempty 1D array of finite floats."""
     val = config.get(key, default)
@@ -289,10 +296,7 @@ def _mu_grid(config):
         return _number_list(config, "mu.grid", None)
     start = _finite(config, "mu.start", -200.0)
     stop = _finite(config, "mu.stop", -5.0)
-    count = _finite(config, "mu.count", 40)
-    if count < 1 or count != int(count):
-        raise ConfigError(f"mu.count: must be a whole number >= 1, got {count!r}")
-    return np.linspace(start, stop, int(count))
+    return np.linspace(start, stop, _whole(config, "mu.count", 40))
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +375,13 @@ def _run_observability(config, out, rng):
         raise ConfigError(f"method: expected \"eig\" or \"cn\", got {method!r}")
     T = _positive(config, "T", 1.0)
     dt = _positive(config, "dt", 0.01)
-    stride = _positive(config, "stride", 1)
-    if stride != int(stride):
-        raise ConfigError(f"stride: must be a whole number >= 1, got {stride!r}")
+    stride = _whole(config, "stride", 1)
     if method == "cn":
         try:
             obsgram._trapezoid_steps(T, dt, 1)
         except ValueError:
             raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
-    rep = obsgram.gramian(gen, obs, T, dt, stride=int(stride), method=method)
+    rep = obsgram.gramian(gen, obs, T, dt, stride=stride, method=method)
     (out / "report.json").write_text(rep.to_json())
     verdicts = {
         "gramian_psd": {"pass": bool(rep.lambda_min >= -1e-12 * max(rep.lambda_max, 1e-300)),
@@ -391,18 +393,18 @@ def _run_observability(config, out, rng):
 
 
 def _run_product_observability(config, out, rng):
-    n1 = int(config.get("grid.n1", 24))
-    n2 = int(config.get("grid.n2", 24))
-    L1 = float(config.get("grid.extent1", 1.0))
-    L2 = float(config.get("grid.extent2", 1.0))
+    n1 = _whole(config, "grid.n1", 24, least=4)
+    n2 = _whole(config, "grid.n2", 24, least=4)
+    L1 = _positive(config, "grid.extent1", 1.0)
+    L2 = _positive(config, "grid.extent2", 1.0)
     g1 = mesh.build_grid(1, L1, n1)
     g2 = mesh.build_grid(1, L2, n2)
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
     omega1 = _box_nodes(g1, config.get("omega1", [[0.0], [0.3 * L1]]), "omega1")
     rep = obsgram.product_observability(
-        gen1, gen2, omega1, T=float(config.get("T", 1.0)),
-        dt=float(config.get("dt", 0.005)), tol=float(config.get("tol", 0.05)))
+        gen1, gen2, omega1, T=_positive(config, "T", 1.0),
+        dt=_positive(config, "dt", 0.005), tol=_finite(config, "tol", 0.05))
     (out / "comparison.json").write_text(rep.to_json())
     verdicts = {
         "tensor_identity": {"pass": bool(rep.tensor_residual <= 1e-12),
@@ -474,18 +476,20 @@ def _weight_from_config(grid, config):
 def _run_carleman_certify(config, out, rng):
     grid = _build_grid(config)
     w = _weight_from_config(grid, config)
-    lam = float(config.get("weight.lambda", 1.0))
-    beta = float(config.get("weight.beta", 1.0))
+    lam = _positive(config, "weight.lambda", 1.0)
+    beta = _finite(config, "weight.beta", 1.0)
     region = _box_nodes(grid, config.get("region", "all"), "region")
     pc = weights.check_pseudoconvexity(w, region)
-    cyl = weights.make_cylinder(grid, ns=int(config.get("cylinder.ns", grid.n[0])))
+    cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=2))
     wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
     region_cyl = np.concatenate([region + i * grid.num_nodes
                                  for i in range(cyl.ns)])
-    tau_grid = np.asarray(config.get("tau.grid", [1.0, 2.0, 4.0]), dtype=float)
+    tau_grid = _number_list(config, "tau.grid", [1.0, 2.0, 4.0])
+    if np.any(tau_grid <= 0):
+        raise ConfigError(f"tau.grid: values must be positive, got {tau_grid.tolist()!r}")
     se = weights.check_subellipticity(wext, region_cyl, tau_grid,
-                                      samples_per_node=int(config.get("samples", 16)),
-                                      seed=int(config.get("seed", 0)))
+                                      samples_per_node=_whole(config, "samples", 16),
+                                      seed=_whole(config, "seed", 0, least=0))
     doc = {
         "min_grad": pc.min_grad,
         "pseudoconvexity_margin": pc.margin,
@@ -504,17 +508,16 @@ def _run_carleman_probe(config, out, rng):
     grid = _build_grid(config)
     pot = _build_potential(grid, config)
     w = _weight_from_config(grid, config)
-    lam = float(config.get("weight.lambda", 1.0))
-    beta = float(config.get("weight.beta", 1.0))
-    cyl = weights.make_cylinder(grid, ns=int(config.get("cylinder.ns", grid.n[0])))
+    lam = _positive(config, "weight.lambda", 1.0)
+    beta = _finite(config, "weight.beta", 1.0)
+    cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=4))
     wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
     op = weights.CylinderOperator(cyl, potential=pot)
-    count = int(config.get("bumps", 20))
-    funcs = weights.bump_functions(cyl, count, seed=int(config.get("seed", 0)),
+    count = _whole(config, "bumps", 20)
+    funcs = weights.bump_functions(cyl, count, seed=_whole(config, "seed", 0, least=0),
                                    cylinder=True)
     tau_hi = 0.5 / cyl.min_h
-    taus = np.asarray(config.get("tau.grid",
-                                 np.linspace(5.0, tau_hi, 8).tolist()), dtype=float)
+    taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
     rep = weights.carleman_probe(op, wext, funcs, taus)
     rep.export_csv(out / "probe.csv")
     summary = {"trend_slope": rep.trend_slope, "trend_stderr": rep.trend_stderr,
@@ -529,7 +532,7 @@ def _run_gauge_check(config, out, rng):
 
     gen = _build_generator(config, kind=config.get("generator", "A0"))
     grid = gen.grid
-    psi = np.sin(2.0 * grid.coords[:, 0]) * float(config.get("gauge.amplitude", 0.5))
+    psi = np.sin(2.0 * grid.coords[:, 0]) * _finite(config, "gauge.amplitude", 0.5)
     conj = magop.gauge_transform(gen, psi)
     shifted = magop.potential_plus_edge_gradient(gen.potential, psi)
     direct = magop.assemble_generator(gen.kind, grid, shifted,

@@ -4,9 +4,14 @@ The stepper is the implicit midpoint (Crank-Nicolson) rule
 
     (I - dt/2 A) u+ = (I + dt/2 A) u,
 
-a Cayley transform of A.  It is exactly norm-preserving in the generator's
-inner product when A is skew-adjoint there and exactly contractive when A is
-dissipative, so conservation and monotonicity are rounding-level statements.
+a Cayley transform of A, taken as u+ = 2 (I - dt/2 A)^-1 u - u.  It is
+exactly norm-preserving in the generator's inner product when A is
+skew-adjoint there and exactly contractive when A is dissipative, so
+conservation and monotonicity are rounding-level statements.  The solve is
+the generator's own ``cayley_solver(dt)``, factored once per dt and kept on
+the generator (LAPACK zgttrf for the tridiagonal 1D generators, SuperLU
+otherwise), so the factor is freed with it.
+
 The discrete energy increment satisfies
 
     (E(u+) - E(u)) / dt = Re (A um | um)_L,   um = (u + u+)/2,
@@ -22,44 +27,21 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 
 class EnergyIncreaseError(RuntimeError):
     """The discrete energy rose beyond tolerance; the assembly is suspect."""
 
 
-_STEP_CACHE = {}
-_STEP_CACHE_CAP = 8
-
-
-def _stepper(gen, dt):
-    key = (gen.uid, float(dt))
-    hit = _STEP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = gen.size
-    eye = sp.identity(n, dtype=complex, format="csc")
-    A = gen.matrix.tocsc()
-    lu = spla.splu((eye - (dt / 2.0) * A).tocsc())
-    B = (eye + (dt / 2.0) * A).tocsr()
-    if len(_STEP_CACHE) >= _STEP_CACHE_CAP:
-        _STEP_CACHE.pop(next(iter(_STEP_CACHE)))
-    _STEP_CACHE[key] = (lu, B)
-    return lu, B
-
-
 def step(gen, u, dt):
-    """One Crank-Nicolson step of u' = A u."""
+    """One Crank-Nicolson step of u' = A u, by the Cayley identity."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     u = np.asarray(u, dtype=complex)
     if dt == 0:
         return u.copy()
-    lu, B = _stepper(gen, dt)
-    return lu.solve(B @ u)
+    return 2.0 * gen.cayley_solver(dt)(u) - u
 
 
 @dataclass(eq=False)
@@ -111,24 +93,6 @@ class EnergyTrace:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _tridiagonal_solver(A, dt):
-    """x -> (I - dt/2 A)^-1 x by LAPACK zgttrf/zgttrs, or None when A has
-    entries off its three central diagonals (or fewer than 3 rows, or the
-    factorization reports a zero pivot)."""
-    n = A.shape[0]
-    coo = A.tocoo()
-    if n < 3 or np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
-        return None
-    half = dt / 2.0
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(
-        -half * A.diagonal(-1).astype(complex),
-        1.0 - half * A.diagonal().astype(complex),
-        -half * A.diagonal(1).astype(complex))
-    if info != 0:
-        return None
-    return lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b)[0]
-
-
 def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
     """Integrate u' = A u over [0, T] and record the energy law.
 
@@ -178,8 +142,7 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
     states = np.empty((snap_steps.size, n), dtype=complex)
     states[0] = u
 
-    # every 1D generator is tridiagonal; others use the SuperLU factor of step()
-    solve = _tridiagonal_solver(gen.matrix, dt) or _stepper(gen, dt)[0].solve
+    solve = gen.cayley_solver(dt)
     # column 0 holds the last state of the previous block
     width = max(1, _BLOCK_ENTRIES // n)
     buf = np.empty((n, width + 1), dtype=complex)

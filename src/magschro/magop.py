@@ -31,78 +31,20 @@ dissipation identities exact algebraic statements:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .mesh import Grid, BoundarySplit, poincare_constant
-
-_GEN_COUNTER = itertools.count()
+from .mesh import (Grid, BoundarySplit, _axis_matrix, _d2_matrix, _trapezoid_1d,
+                   poincare_constant)
 
 
 # ---------------------------------------------------------------------------
-# one-axis stencils and their tensor extensions
-
-
-def _d1_matrix(n, h):
-    """Second-order first derivative; one-sided rows at both ends."""
-    main = np.zeros(n)
-    lower = np.full(n - 1, -1.0 / (2 * h))
-    upper = np.full(n - 1, 1.0 / (2 * h))
-    D = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
-    D[-1, -1], D[-1, -2], D[-1, -3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
-    return D.tocsr()
-
-
-def _d2_matrix(n, h):
-    """Second derivative; one-sided second-order rows at both ends."""
-    h2 = h * h
-    D = sp.diags(
-        [np.full(n - 1, 1.0 / h2), np.full(n, -2.0 / h2), np.full(n - 1, 1.0 / h2)],
-        [-1, 0, 1],
-        format="lil",
-    )
-    D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
-    D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
-    return D.tocsr()
-
-
-def _axis_matrix(grid, mat1d, axis):
-    if grid.dim == 1:
-        return mat1d
-    eye_other = sp.identity(grid.n[1 - axis], format="csr")
-    if axis == 0:
-        return sp.kron(mat1d, eye_other, format="csr")
-    return sp.kron(eye_other, mat1d, format="csr")
-
-
-_GRAD_CACHE = {}
-
-
-def gradient_matrices(grid):
-    """Per-axis first-derivative matrices over all grid nodes."""
-    key = id(grid)
-    hit = _GRAD_CACHE.get(key)
-    if hit is not None and hit[0] is grid:
-        return hit[1]
-    mats = tuple(
-        _axis_matrix(grid, _d1_matrix(grid.n[ax], grid.h[ax]), ax)
-        for ax in range(grid.dim)
-    )
-    _GRAD_CACHE[key] = (grid, mats)
-    return mats
-
-
-def second_derivative_matrices(grid):
-    return tuple(
-        _axis_matrix(grid, _d2_matrix(grid.n[ax], grid.h[ax]), ax)
-        for ax in range(grid.dim)
-    )
+# edges
 
 
 def _edges(grid, axis):
@@ -125,8 +67,7 @@ def _edge_transverse_weights(grid, axis):
     if grid.dim == 1:
         return np.full(tails.shape[0], grid.h[0])
     other = 1 - axis
-    w_other = np.full(grid.n[other], grid.h[other])
-    w_other[0] = w_other[-1] = grid.h[other] / 2.0
+    w_other = _trapezoid_1d(grid.n[other], grid.h[other])
     mi = np.unravel_index(tails, grid.shape)
     return grid.h[axis] * w_other[mi[other]]
 
@@ -188,7 +129,7 @@ class MagneticPotential:
     @classmethod
     def _finish(cls, grid, values, edges):
         values = np.array(values, dtype=float, copy=True)
-        grads = gradient_matrices(grid)
+        grads = grid.gradients
         div = np.zeros(grid.num_nodes)
         for ax in range(grid.dim):
             div += grads[ax] @ values[:, ax]
@@ -308,10 +249,11 @@ def magnetic_stiffness(grid, a, state_idx):
 
 def laplacian_stencil_full(grid, a=None):
     """Expansion-scheme Delta_a over all grid nodes (one-sided boundary rows)."""
-    d2 = second_derivative_matrices(grid)
+    d2 = [_axis_matrix(grid, _d2_matrix(grid.n[ax], grid.h[ax]), ax)
+          for ax in range(grid.dim)]
     L = sum(d2[1:], d2[0]).astype(complex)
     if a is not None:
-        grads = gradient_matrices(grid)
+        grads = grid.gradients
         for ax in range(grid.dim):
             L = L + 2j * sp.diags(a.values[:, ax]) @ grads[ax]
         L = L + sp.diags(1j * a.div - np.sum(a.values**2, axis=1))
@@ -322,8 +264,10 @@ def laplacian_stencil_full(grid, a=None):
 class GeneratorMatrix:
     """A complex square operator together with the inner product it lives in.
 
-    Immutable after assembly; operator application is pure, so instances can
-    be shared across parallel workers without synchronization.
+    Immutable after assembly; operator application is pure.  Derived data
+    (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
+    gamma0) is built on first use and kept on the instance, so it is freed
+    with it; ``dataclasses.replace`` gives a copy with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3 | laplacian
@@ -341,7 +285,6 @@ class GeneratorMatrix:
     potential: MagneticPotential = None
     damping: DampingConfig = None
     split: BoundarySplit = None
-    uid: int = field(default_factory=lambda: next(_GEN_COUNTER))
 
     # -- inner products ------------------------------------------------
 
@@ -380,9 +323,6 @@ class GeneratorMatrix:
         full = np.zeros(self.grid.num_nodes, dtype=complex)
         full[self.state_idx] = u
         return full
-
-    def restrict(self, full):
-        return np.asarray(full)[self.state_idx]
 
     # -- dynamics helpers -------------------------------------------------
 
@@ -430,6 +370,30 @@ class GeneratorMatrix:
         """The rows of the discrete Delta_a at the gamma0 nodes."""
         return self.lap_matrix[self.gamma0_pos]
 
+    # -- Crank-Nicolson (Cayley) solves --------------------------------------
+
+    @cached_property
+    def _cayley_solvers(self):
+        """{dt: {"N": solve, "H": adjoint solve}}, filled by cayley_solver."""
+        return {}
+
+    def cayley_solver(self, dt, trans="N"):
+        """b -> (I - dt/2 A)^-1 b, or (I - dt/2 A)^-H b with trans="H".
+
+        Factored once per dt and kept on this instance: LAPACK zgttrf when A
+        is tridiagonal (every 1D generator), SuperLU otherwise.
+        """
+        dt = float(dt)
+        solvers = self._cayley_solvers.get(dt)
+        if solvers is None:
+            solvers = _tridiagonal_solver(self.matrix, dt)
+            if solvers is None:
+                eye = sp.identity(self.size, dtype=complex, format="csc")
+                lu = spla.splu((eye - (dt / 2.0) * self.matrix.tocsc()).tocsc())
+                solvers = {"N": lu.solve, "H": partial(lu.solve, trans="H")}
+            self._cayley_solvers[dt] = solvers
+        return solvers[trans]
+
     # -- structural checks -------------------------------------------------
 
     def hermitian_residual(self):
@@ -468,6 +432,25 @@ class GeneratorMatrix:
                                maxiter=5000, v0=v0)[0]
                 )
         return lam, float(scale)
+
+
+def _tridiagonal_solver(A, dt):
+    """{"N": b -> (I - dt/2 A)^-1 b, "H": the adjoint solve} by LAPACK
+    zgttrf/zgttrs, or None when A has entries off its three central diagonals
+    (or fewer than 3 rows, or the factorization reports a zero pivot)."""
+    n = A.shape[0]
+    coo = A.tocoo()
+    if n < 3 or np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
+        return None
+    half = dt / 2.0
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(
+        -half * A.diagonal(-1).astype(complex),
+        1.0 - half * A.diagonal().astype(complex),
+        -half * A.diagonal(1).astype(complex))
+    if info != 0:
+        return None
+    return {"N": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b)[0],
+            "H": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b, trans="C")[0]}
 
 
 def assemble_magnetic_laplacian(grid, a, scheme="link-phase", dirichlet="all"):
@@ -565,7 +548,7 @@ def assemble_generator(kind, grid, a, damping=None, split=None, scheme="link-pha
 def magnetic_gradient(grid, a, u):
     """(grad + i a) u at every node; one-sided stencils on the boundary."""
     u = np.asarray(u, dtype=complex)
-    grads = gradient_matrices(grid)
+    grads = grid.gradients
     out = np.empty((grid.num_nodes, grid.dim), dtype=complex)
     for ax in range(grid.dim):
         out[:, ax] = grads[ax] @ u + 1j * a.values[:, ax] * u
@@ -578,7 +561,7 @@ def conormal_derivative(grid, a, u, where=None):
     nodes = grid.boundary_idx if where is None else np.asarray(where, dtype=int)
     if np.any(grid.owner_face[nodes] < 0):
         raise ValueError("conormal derivative requested at non-boundary nodes")
-    grads = gradient_matrices(grid)
+    grads = grid.gradients
     full = np.zeros(grid.num_nodes, dtype=complex)
     for ax in range(grid.dim):
         du = grads[ax] @ u
@@ -651,7 +634,7 @@ class DiamagneticReport:
 def check_diamagnetic(grid, a, f):
     """Node-wise margin |grad_a f| - |grad |f||; nonnegative up to O(h)."""
     f = np.asarray(f, dtype=complex)
-    grads = gradient_matrices(grid)
+    grads = grid.gradients
     mod = np.abs(f)
     gmod = np.column_stack([grads[ax] @ mod for ax in range(grid.dim)])
     gmag = magnetic_gradient(grid, a, f)
@@ -682,7 +665,7 @@ def norm_equivalence_bounds(grid, a, samples, dirichlet_part):
         u = np.asarray(u, dtype=complex)
         if np.max(np.abs(u[np.asarray(dirichlet_part, dtype=int)]), initial=0.0) > 1e-12:
             raise ValueError("samples must vanish on the Dirichlet part")
-        grads = gradient_matrices(grid)
+        grads = grid.gradients
         g = np.column_stack([grads[ax] @ u for ax in range(grid.dim)])
         gnorm = np.sqrt(np.sum(grid.volume_weights * np.sum(np.abs(g) ** 2, axis=1)).real)
         gm = magnetic_gradient(grid, a, u)
@@ -710,8 +693,7 @@ def gauge_transform(gen, psi):
     Dinv = sp.diags(np.conj(phase))
     new_matrix = (Dinv @ gen.matrix @ D).tocsr()
     new_lap = (Dinv @ gen.lap_matrix @ D).tocsr() if gen.lap_matrix is not None else None
-    return replace(gen, matrix=new_matrix, lap_matrix=new_lap,
-                   uid=next(_GEN_COUNTER))
+    return replace(gen, matrix=new_matrix, lap_matrix=new_lap)
 
 
 def edge_gradient(grid, psi):
@@ -731,7 +713,7 @@ def potential_plus_edge_gradient(a, psi):
     gauge conjugation of the original operator to rounding.
     """
     grid = a.grid
-    grads = gradient_matrices(grid)
+    grads = grid.gradients
     psi = np.asarray(psi, dtype=float)
     node_vals = a.values + np.column_stack([grads[ax] @ psi for ax in range(grid.dim)])
     eg = edge_gradient(grid, psi)

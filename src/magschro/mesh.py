@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,27 +85,19 @@ class Grid:
             out *= e
         return out
 
-    def multi_index(self, flat):
-        return np.unravel_index(flat, self.shape)
-
     def flat_index(self, multi):
         return np.ravel_multi_index(multi, self.shape)
-
-    def axis_nodes(self, axis):
-        n = self.n[axis]
-        return self.origin[axis] + self.h[axis] * np.arange(n)
 
     def integrate(self, values):
         """Trapezoid volume integral of a node field."""
         return complex(np.sum(self.volume_weights * np.asarray(values)))
 
-    def surface_integrate(self, values, nodes=None):
-        """Trapezoid surface integral over a boundary node subset (default: all)."""
-        idx = self.boundary_idx if nodes is None else np.asarray(nodes)
-        vals = np.asarray(values)
-        if vals.shape[0] == self.num_nodes:
-            vals = vals[idx]
-        return complex(np.sum(self.surface_weights[idx] * vals))
+    @cached_property
+    def gradients(self):
+        """Per-axis first-derivative matrices over all grid nodes, built on
+        first use and kept on the grid."""
+        return tuple(_axis_matrix(self, _d1_matrix(self.n[ax], self.h[ax]), ax)
+                     for ax in range(self.dim))
 
     def box_nodes(self, lo, hi):
         """Indices of nodes inside the closed box [lo, hi] (per-axis bounds)."""
@@ -126,6 +119,40 @@ class Grid:
             "faces": {f.name: [int(i) for i in f.nodes] for f in self.faces},
         }
         return json.dumps(doc, sort_keys=True)
+
+
+def _d1_matrix(n, h):
+    """Second-order first derivative; one-sided rows at both ends."""
+    main = np.zeros(n)
+    lower = np.full(n - 1, -1.0 / (2 * h))
+    upper = np.full(n - 1, 1.0 / (2 * h))
+    D = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
+    D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)
+    D[-1, -1], D[-1, -2], D[-1, -3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
+    return D.tocsr()
+
+
+def _d2_matrix(n, h):
+    """Second derivative; one-sided second-order rows at both ends."""
+    h2 = h * h
+    D = sp.diags(
+        [np.full(n - 1, 1.0 / h2), np.full(n, -2.0 / h2), np.full(n - 1, 1.0 / h2)],
+        [-1, 0, 1],
+        format="lil",
+    )
+    D[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h2
+    D[-1, -4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h2
+    return D.tocsr()
+
+
+def _axis_matrix(grid, mat1d, axis):
+    """A one-axis matrix extended by the identity over the other axis."""
+    if grid.dim == 1:
+        return mat1d
+    eye_other = sp.identity(grid.n[1 - axis], format="csr")
+    if axis == 0:
+        return sp.kron(mat1d, eye_other, format="csr")
+    return sp.kron(eye_other, mat1d, format="csr")
 
 
 def _trapezoid_1d(n, h):

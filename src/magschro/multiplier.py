@@ -138,7 +138,7 @@ class MultiplierField:
         jac = phi_t[:, None, None, None] * base_jac[None, :, :, :]
         div = phi_t[:, None] * base_div[None, :]
         tdv = dphi_t[:, None, None] * base[None, :, :]
-        grads = magop.gradient_matrices(grid)
+        grads = grid.gradients
         gd_base = np.column_stack([grads[ax] @ base_div for ax in range(d)])
         gdiv = phi_t[:, None, None] * gd_base[None, :, :]
         return cls(grid=grid, times=times, values=vals, jacobian=jac,
@@ -155,7 +155,7 @@ class MultiplierField:
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         nt, N, d = values.shape
-        grads = magop.gradient_matrices(grid)
+        grads = grid.gradients
         numeric = False
         if jacobian is None:
             numeric = True
@@ -185,7 +185,7 @@ class MultiplierField:
 
     def consistency_residual(self):
         """Round-trip check of the derived fields against finite differences."""
-        grads = magop.gradient_matrices(self.grid)
+        grads = self.grid.gradients
         worst = 0.0
         for it in range(self.times.size):
             div_fd = np.zeros(self.grid.num_nodes)
@@ -236,7 +236,7 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
     ws = grid.surface_weights[b]
     nu = grid.normals[b]
 
-    grads = magop.gradient_matrices(grid)
+    grads = grid.gradients
     gu = np.empty((nt, N, d), dtype=complex)    # magnetic gradient per snapshot
     for it in range(nt):
         for ax in range(d):
@@ -335,7 +335,7 @@ def functional_script_E2(traj, x0):
     times = traj.times
     u_full = traj.full_fields()
     nt = times.size
-    grads = magop.gradient_matrices(grid)
+    grads = grid.gradients
     wv = grid.volume_weights
 
     g0 = gen.split.gamma0
@@ -382,7 +382,7 @@ def ibp_identity_radial(grid, u, x0):
     u = np.asarray(u, dtype=complex)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     m = grid.coords - x0[None, :]
-    grads = magop.gradient_matrices(grid)
+    grads = grid.gradients
     d = grid.dim
     gu = np.column_stack([grads[ax] @ u for ax in range(d)])
     mgrad = np.einsum("nj,nj->n", m, gu)
@@ -419,7 +419,7 @@ def radial_estimate_slack(grid, a, u, x0, split):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     m = grid.coords - x0[None, :]
     d = grid.dim
-    grads = magop.gradient_matrices(grid)
+    grads = grid.gradients
     kappa1 = poincare_constant(grid, split.gamma1).kappa
     delta0 = 4.0 * (2.0 * kappa1 + kappa1**2) * a.sup_norm
 

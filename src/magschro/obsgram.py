@@ -20,6 +20,8 @@ Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
 ``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
 m observation rows with the adjoint step.  A sampled Gramian has rank at
 most m times the number of time samples; the report records that bound.
+Every Crank-Nicolson solve here is the generator's own ``cayley_solver``
+(LAPACK zgttrs for 1D generators, SuperLU otherwise), factored once per dt.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import scipy.sparse as sp
 from scipy.linalg.blas import zherk
 
 from . import evolve, magop
-from .evolve import _stepper
 from .mesh import trapezoid_weights
 
 
@@ -74,7 +75,7 @@ class Observation:
         if self.kind == "boundary-conormal":
             if np.any(grid.owner_face[self.nodes] < 0):
                 raise ValueError("boundary-conormal observation needs boundary nodes")
-            grads = magop.gradient_matrices(grid)
+            grads = grid.gradients
             rows = []
             a = gen.potential
             bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
@@ -89,7 +90,7 @@ class Observation:
             W = grid.surface_weights[self.nodes]
             return N, W
         # interior-h1: stacked magnetic gradient components plus the state
-        grads = magop.gradient_matrices(grid)
+        grads = grid.gradients
         a = gen.potential
         keep = self.nodes[pos[self.nodes] >= 0]
         sel = sp.csr_matrix(
@@ -191,16 +192,17 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
     S = 2 (I - dt/2 A)^-1 - I is the Crank-Nicolson (Cayley) step and
     ``basis`` None stands for the identity.  The m observation rows are
     propagated, as X = N^H under the adjoint step
-    x <- 2 (I - dt/2 A)^-H x - x, and Z_t = X_t^H basis.  Samples are
-    buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added in once
-    per block, split by whether they lie on the double stride:
+    x <- 2 (I - dt/2 A)^-H x - x (``gen.cayley_solver(dt, trans="H")``),
+    and Z_t = X_t^H basis.  Samples are buffered (``evolve._BLOCK_ENTRIES``
+    complex entries) and added in once per block, split by whether they lie
+    on the double stride:
     G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
     twice the stride weight except on the samples R holds, at most two near
     an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
     half the work of a general product) on the weight-scaled samples.
     Returns (G, G2, samples of G).
     """
-    lu = _stepper(gen, dt)[0]
+    solve = gen.cayley_solver(dt, trans="H")
     steps = _trapezoid_steps(T, dt, stride)[0]
     steps2 = _trapezoid_steps(T, dt, 2 * stride)[0]
     g1 = trapezoid_weights(steps.astype(float))      # in units of dt: exact halves
@@ -218,7 +220,7 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
     done, filled = 0, 0
     for j, target in enumerate(steps):
         for _ in range(target - done):
-            x = lu.solve(X, trans="H")
+            x = solve(X)
             x *= 2.0
             x -= X
             X = x
@@ -447,10 +449,9 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     kron_res = float(np.linalg.norm(act) / np.linalg.norm(A_kron @ w0))
 
     # factor-wise Cayley steps: exact tensor factorization at every step
-    lu1, B1 = _stepper(gen1, dt)
-    lu2, B2 = _stepper(gen2, dt)
-    C1 = lu1.solve(B1.toarray())
-    C2 = lu2.solve(B2.toarray())
+    eye1, eye2 = np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)
+    C1 = 2.0 * gen1.cayley_solver(dt)(eye1) - eye1
+    C2 = 2.0 * gen2.cayley_solver(dt)(eye2) - eye2
     Wmat = np.outer(u1, u2)
     v1, v2 = u1.copy(), u2.copy()
     worst = 0.0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import magop
-from .mesh import Grid
+from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +63,7 @@ class CylinderGrid:
         return float(min(self.s_h, min(self.spatial.h)))
 
     def weights(self):
-        ws = np.full(self.ns, self.s_h)
-        ws[0] = ws[-1] = self.s_h / 2.0
-        return np.outer(ws, self.spatial.volume_weights)
+        return np.outer(_trapezoid_1d(self.ns, self.s_h), self.spatial.volume_weights)
 
     def coords(self):
         """(ns * N, 1 + dim) array of (s, x) points, s-major order."""
@@ -93,7 +91,8 @@ class CylinderOperator:
             potential if potential is not None else None,
         )
         self.c = c
-        self._d2s = magop._d2_matrix(cylinder.ns, cylinder.s_h)
+        self._d1s = _d1_matrix(cylinder.ns, cylinder.s_h)
+        self._d2s = _d2_matrix(cylinder.ns, cylinder.s_h)
 
     def apply(self, F):
         F = np.asarray(F, dtype=complex)
@@ -107,9 +106,9 @@ class CylinderOperator:
         """Full (s, x) gradient, shape (ns, N, 1 + dim)."""
         cyl = self.cylinder
         F = np.asarray(F, dtype=complex)
-        grads = magop.gradient_matrices(cyl.spatial)
+        grads = cyl.spatial.gradients
         out = np.empty((cyl.ns, cyl.spatial.num_nodes, cyl.total_dim), dtype=complex)
-        out[:, :, 0] = magop._d1_matrix(cyl.ns, cyl.s_h) @ F
+        out[:, :, 0] = self._d1s @ F
         for ax in range(cyl.spatial.dim):
             out[:, :, 1 + ax] = (grads[ax] @ F.T).T
         return out
@@ -128,7 +127,7 @@ class GridOperator:
 
     def gradient(self, f):
         f = np.asarray(f, dtype=complex)
-        grads = magop.gradient_matrices(self.grid)
+        grads = self.grid.gradients
         return np.column_stack([grads[ax] @ f for ax in range(self.grid.dim)])
 
 
@@ -169,10 +168,6 @@ class WeightFunction:
     def total_dim(self):
         return self.grad.shape[1]
 
-    @property
-    def sup_psi(self):
-        return float(np.max(np.abs(self.psi)))
-
     def phi(self):
         return np.exp(self.lam * self.psi)
 
@@ -195,13 +190,13 @@ class WeightFunction:
         the stored values (second order for smooth analytic fields)."""
         dom = self.domain
         if isinstance(dom, Grid):
-            grads = magop.gradient_matrices(dom)
+            grads = dom.gradients
             fd = np.column_stack([grads[ax] @ self.psi for ax in range(dom.dim)])
             return float(np.max(np.abs(fd - self.grad)))
         psi2 = self.psi.reshape(dom.ns, dom.spatial.num_nodes)
-        grads = magop.gradient_matrices(dom.spatial)
+        grads = dom.spatial.gradients
         worst = float(np.max(np.abs(
-            (magop._d1_matrix(dom.ns, dom.s_h) @ psi2).ravel()
+            (_d1_matrix(dom.ns, dom.s_h) @ psi2).ravel()
             - self.grad[:, 0])))
         for ax in range(dom.spatial.dim):
             fd = (grads[ax] @ psi2.T).T.ravel()
@@ -306,7 +301,7 @@ def construct_psi_G(grid, omega, x0):
     grad[ones] = 2.0 * diff[ones]
     hess[ones] = 2.0 * np.eye(grid.dim)
     if np.any(transition):
-        grads = magop.gradient_matrices(grid)
+        grads = grid.gradients
         g_fd = np.column_stack([grads[ax] @ psi for ax in range(grid.dim)])
         grad[transition] = g_fd[transition]
         for ax in range(grid.dim):
@@ -418,6 +413,8 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
     evaluated from the analytic chain-rule fields of phi = exp(lambda psi).
     """
     region = np.asarray(region, dtype=int)
+    if np.size(tau_grid) == 0:
+        raise ValueError("tau_grid is empty: no bracket would be evaluated")
     if weight.total_dim < 2:
         raise ValueError("characteristic set is empty in total dimension 1; "
                          "extend the weight to the cylinder first")
@@ -653,7 +650,7 @@ def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
     wv = grid.volume_weights
     lam = stw.lam
     lap = magop.laplacian_stencil_full(grid, potential)
-    grads = magop.gradient_matrices(grid)
+    grads = grid.gradients
     mask_omega = np.zeros(grid.num_nodes)
     mask_omega[omega] = 1.0
 

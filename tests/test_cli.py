@@ -331,3 +331,71 @@ bumps = 6
     code = cli.run(cfg, out_dir=tmp_path)
     assert code in (0, 1)      # trend verdict is a measurement, not a given
     assert (tmp_path / "probe.csv").exists()
+
+
+BAD_NUMBER_BASES = {
+    "product-observability": """
+kind = "product-observability"
+grid.n1 = 12
+grid.n2 = 12
+T = 1.0
+dt = 0.01
+""",
+    "carleman-certify": """
+kind = "carleman-certify"
+grid.dim = 1
+grid.n = 17
+weight.preset = "quadratic"
+weight.x0 = [-1.0]
+weight.lambda = 6.0
+samples = 4
+""",
+    "carleman-probe": """
+kind = "carleman-probe"
+grid.dim = 1
+grid.n = 17
+weight.preset = "quadratic"
+weight.x0 = [-1.0]
+weight.lambda = 0.4
+bumps = 2
+""",
+    "gauge-check": """
+kind = "gauge-check"
+grid.dim = 1
+grid.n = 16
+potential.preset = "sine"
+""",
+}
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("product-observability", "grid.n1 = 2"),
+    ("product-observability", "grid.n2 = 3.5"),
+    ("product-observability", 'grid.extent1 = "wide"'),
+    ("product-observability", 'T = "abc"'),
+    ("product-observability", "dt = 0"),
+    ("product-observability", 'tol = "loose"'),
+    ("carleman-certify", "tau.grid = []"),
+    ("carleman-certify", "tau.grid = [1.0, NaN]"),
+    ("carleman-certify", "tau.grid = [0.0, 1.0]"),
+    ("carleman-certify", 'weight.lambda = "big"'),
+    ("carleman-certify", 'weight.beta = "x"'),
+    ("carleman-certify", "cylinder.ns = 1"),
+    ("carleman-certify", "samples = 0"),
+    ("carleman-certify", 'seed = "abc"'),
+    ("carleman-probe", 'bumps = "many"'),
+    ("carleman-probe", "cylinder.ns = 3"),
+    ("carleman-probe", "tau.grid = []"),
+    ("carleman-probe", 'tau.grid = "fast"'),
+    ("gauge-check", 'gauge.amplitude = "big"'),
+])
+def test_bad_numbers_are_config_errors(tmp_path, kind, line):
+    key = line.split()[0]
+    text = "\n".join(l for l in BAD_NUMBER_BASES[kind].splitlines()
+                     if not l.startswith(key + " ")) + "\n" + line + "\n"
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "main")]) == 2

@@ -342,7 +342,7 @@ def blocked(gen, u0, dt, width, nsteps, tridiagonal=True, **kw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
         if not tridiagonal:
-            mp.setattr(evolve, "_tridiagonal_solver", lambda A, dt: None)
+            mp.setattr(magop, "_tridiagonal_solver", lambda A, dt: None)
         return evolve.simulate(gen, u0, nsteps * dt, dt, snapshot_stride=3, **kw)
 
 
@@ -364,16 +364,20 @@ def test_blocked_simulate_matches_reference_loop(case):
     np.testing.assert_array_equal(traj.times[:-1], trace.times[:-1:3])
 
     # every 1D generator is tridiagonal and takes the LAPACK path
-    assert (evolve._tridiagonal_solver(gen.matrix, dt) is not None) == (gen.grid.dim == 1)
-    trace_lu, traj_lu = blocked(gen, u0, dt, width, nsteps, tridiagonal=False)
+    assert (magop._tridiagonal_solver(gen.matrix, dt) is not None) == (gen.grid.dim == 1)
+    # a copy starts with no factor, so it is factored again, here by SuperLU
+    gen_lu = dataclasses.replace(gen)
+    trace_lu, traj_lu = blocked(gen_lu, u0, dt, width, nsteps, tridiagonal=False)
     np.testing.assert_allclose(trace.energy, trace_lu.energy, rtol=1e-13, atol=1e-13 * e0)
     np.testing.assert_allclose(traj.states, traj_lu.states, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(gen.cayley_solver(dt, trans="H")(u0),
+                               gen_lu.cayley_solver(dt, trans="H")(u0),
+                               rtol=0, atol=1e-13 * scale)
 
 
 def anti_damped(gen, shift):
     """gen.matrix + shift I under a damped label, so the energy check applies."""
-    parts = {f.name: getattr(gen, f.name) for f in dataclasses.fields(gen)
-             if f.name != "uid"}
+    parts = {f.name: getattr(gen, f.name) for f in dataclasses.fields(gen)}
     parts["matrix"] = (gen.matrix + shift * sp.identity(gen.size)).tocsr()
     if gen.kind == "A0":
         parts.update(kind="A1", damping_c=np.zeros(gen.size))
@@ -395,3 +399,20 @@ def test_energy_increase_reports_reference_step(case, shift_dt, pick):
     with pytest.raises(evolve.EnergyIncreaseError,
                        match=re.escape(f"at step {first} (tolerance {tol:.3e})")):
         blocked(bad, u0, dt, width, nsteps, increase_tol=tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauge_conjugate_steps_with_its_own_factor(dim):
+    grid = mesh.build_grid(dim, 1.0, 24 if dim == 1 else 9)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.3 + np.sin(2.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    dt = 1e-3
+    evolve.step(gen, u, dt)             # gen now holds its factor for dt
+    psi = 1.5 * np.cos(3.0 * grid.coords[:, 0])
+    conj = magop.gauge_transform(gen, psi)
+    phase = np.exp(1j * psi[gen.state_idx])
+    want = np.conj(phase) * evolve.step(gen, phase * u, dt)
+    np.testing.assert_allclose(evolve.step(conj, u, dt), want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(u)))

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -264,19 +266,20 @@ def test_cn_gramian_matches_forward_loop():
         kw = dict(dense_limit=n - 1, probes=probes) if sketch else {}
         solves = []
 
-        def spy_stepper(g, step):
-            lu, B = evolve._stepper(g, step)
+        cayley_solver = magop.GeneratorMatrix.cayley_solver
 
-            class Spy:
-                def solve(self, x, trans="N"):
-                    solves.append((trans, x.shape[1]))
-                    return lu.solve(x, trans=trans)
-            return Spy(), B
+        def spy_solver(g, step, trans="N"):
+            solve = cayley_solver(g, step, trans)
+
+            def spy(x):
+                solves.append((trans, x.shape[1]))
+                return solve(x)
+            return spy
 
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * k)
-            mp.setattr(obsgram, "_stepper", spy_stepper)
+            mp.setattr(magop.GeneratorMatrix, "cayley_solver", spy_solver)
             rep, handle = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride,
                                           method="cn", return_handle=True, **kw)
         # one adjoint solve per step, on the m observation rows only
@@ -317,6 +320,23 @@ def test_cn_gramian_matches_forward_loop():
 
     check()
     assert shapes == {True, False}      # rows narrower and wider than the basis
+
+
+def test_grid_is_freed_with_its_generator():
+    def run_and_drop():
+        grid = mesh.build_grid(2, 1.0, 10)
+        gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+        u0 = np.ones(gen.size, dtype=complex)
+        evolve.simulate(gen, u0, 0.01, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            obsgram.gramian(gen, obsgram.Observation("interior-l2", gen.state_idx[:5]),
+                            T=0.01, dt=1e-3, method="cn")
+        return weakref.ref(grid)
+
+    ref = run_and_drop()
+    gc.collect()
+    assert ref() is None      # no module-level cache keeps the grid or its factors
 
 
 # -- product space --------------------------------------------------------

@@ -192,6 +192,14 @@ def test_subellipticity_rejects_dimension_1(grid):
         weights.check_subellipticity(w, np.arange(grid.num_nodes), [1.0])
 
 
+def test_subellipticity_rejects_empty_tau_grid(grid):
+    cyl = weights.make_cylinder(grid, ns=17)
+    lw = weights.linear_weight(grid, [1.0], offset=2.0).with_lambda(6.0)
+    w = weights.cylinder_extend(lw, cyl, beta=1.0)
+    with pytest.raises(ValueError, match="tau_grid is empty"):
+        weights.check_subellipticity(w, np.arange(w.num_nodes), [])
+
+
 def test_subellipticity_excludes_flat_nodes(grid):
     cyl = weights.make_cylinder(grid, ns=17)
     # quadratic centered inside: grad psi vanishes near x0 in the cylinder
