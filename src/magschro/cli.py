@@ -511,13 +511,16 @@ def _run_carleman_probe(config, out, rng):
     lam = _positive(config, "weight.lambda", 1.0)
     beta = _finite(config, "weight.beta", 1.0)
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=4))
+    tau_hi = 0.5 / cyl.min_h
+    taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
+    if np.any(taus <= 0) or np.any(taus > tau_hi + 1e-12):
+        raise ConfigError(f"tau.grid: values must lie in the aliasing window "
+                          f"(0, 0.5/h = {tau_hi:.6g}], got {taus.tolist()!r}")
     wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
     op = weights.CylinderOperator(cyl, potential=pot)
     count = _whole(config, "bumps", 20)
     funcs = weights.bump_functions(cyl, count, seed=_whole(config, "seed", 0, least=0),
                                    cylinder=True)
-    tau_hi = 0.5 / cyl.min_h
-    taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
     rep = weights.carleman_probe(op, wext, funcs, taus)
     rep.export_csv(out / "probe.csv")
     summary = {"trend_slope": rep.trend_slope, "trend_stderr": rep.trend_stderr,
@@ -540,7 +543,7 @@ def _run_gauge_check(config, out, rng):
     res = float(sp.linalg.norm(conj.matrix - direct.matrix)
                 / sp.linalg.norm(direct.matrix))
     e1 = spectra.eigenvalues_dense(gen)
-    e2 = spectra.eigenvalues_dense(conj)
+    e2 = spectra.eigenvalues_dense(direct)
     e1 = e1[np.argsort(e1.imag)]
     e2 = e2[np.argsort(e2.imag)]
     spec_res = float(np.max(np.abs(e1 - e2)) / np.max(np.abs(e1)))

@@ -168,9 +168,11 @@ def _modal_data(gen, dense_limit):
         raise ValueError(
             f"modal path needs a dense eigendecomposition; {n} > {dense_limit}"
         )
+    # the pencil (S, diag M) as the standard problem D S D, D = M^-1/2; real when A = 0
     S = gen.stiffness.toarray()
-    lam, V = la.eigh(S, np.diag(gen.mass_diag))
-    return lam, V            # V^H M V = I, frequencies lambda >= 0
+    d = 1.0 / np.sqrt(gen.mass_diag)
+    lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
+    return lam, d[:, None] * U      # V^H M V = I, frequencies lambda >= 0
 
 
 def _trapezoid_steps(T, dt, stride):

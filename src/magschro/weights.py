@@ -120,7 +120,6 @@ class GridOperator:
     def __init__(self, grid, potential=None):
         self.grid = grid
         self._op = magop.laplacian_stencil_full(grid, potential)
-        self._pot = potential
 
     def apply(self, f):
         return self._op @ np.asarray(f, dtype=complex)
@@ -411,6 +410,9 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
     eta perp grad phi with |eta| = tau |grad phi| are sampled uniformly and
     the bracket 4 tau^3 (H_phi g_phi . g_phi) + 4 tau (H_phi eta . eta) is
     evaluated from the analytic chain-rule fields of phi = exp(lambda psi).
+    As eta = tau |g_phi| e, a sample with unit direction e needs only
+    q = H_phi e . e: the bracket is 4 tau^3 (H_phi g_phi . g_phi + |g_phi|^2 q).
+    Each tau draws its own normal block from one generator seeded by ``seed``.
     """
     region = np.asarray(region, dtype=int)
     if np.size(tau_grid) == 0:
@@ -431,6 +433,7 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
 
     cubic = np.einsum("njk,nj,nk->n", hphi, gphi, gphi)
     phi_scale = (weight.lam * weight.phi()[region][ok]) ** 3
+    ghat = (gphi / gnorm[:, None])[:, :, None]
     best = np.inf
     best_margin = np.inf
     witness = None
@@ -438,25 +441,23 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
     D = weight.total_dim
     for tau in np.atleast_1d(tau_grid):
         tau = float(tau)
-        ghat = gphi / gnorm[:, None]
         z = rng.normal(size=(nodes.size, samples_per_node, D))
-        z -= np.einsum("nsj,nj->ns", z, ghat)[:, :, None] * ghat[:, None, :]
-        zn = np.linalg.norm(z, axis=2)
-        zn[zn == 0] = 1.0
-        eta = z / zn[:, :, None] * (tau * gnorm)[:, None, None]
-        quad = np.einsum("njk,nsj,nsk->ns", hphi, eta, eta)
-        bracket = 4.0 * tau**3 * cubic[:, None] + 4.0 * tau * quad
-        tau_min = float(bracket.min())
+        z -= (z @ ghat) * ghat.transpose(0, 2, 1)
+        zz = np.einsum("nsj,nsj->ns", z, z)
+        zz[zz == 0] = 1.0
+        # bracket / 4 tau^3, with q = H e . e for the unit direction e = z / |z|
+        q = np.einsum("nsj,nsj->ns", z @ hphi, z) / zz
+        low = np.min(cubic[:, None] + (gnorm**2)[:, None] * q, axis=1)
+        best_margin = min(best_margin, float(np.min(low / phi_scale)))
+        ni = int(np.argmin(low))
+        tau_min = 4.0 * tau**3 * float(low[ni])
         per_tau[tau] = tau_min
-        best_margin = min(best_margin, float(
-            (bracket / (4.0 * tau**3 * phi_scale)[:, None]).min()))
         if tau_min < best:
             best = tau_min
-            flat = int(np.argmin(bracket))
-            ni, si = np.unravel_index(flat, bracket.shape)
+            si = int(np.argmin(q[ni]))
+            eta = z[ni, si] / np.sqrt(zz[ni, si]) * (tau * gnorm[ni])
             witness = {"node": int(nodes[ni]), "tau": tau,
-                       "eta": [float(v) for v in eta[ni, si]],
-                       "bracket": tau_min}
+                       "eta": [float(v) for v in eta], "bracket": tau_min}
     certified = best > 0
     return SubellipticityReport(
         min_bracket=float(best), margin=float(best_margin),
@@ -510,21 +511,14 @@ def carleman_probe(operator, weight, test_functions, tau_grid):
     zero samples are excluded from the max.  tau is restricted to the
     aliasing window tau h <= 1/2.  The exponential weight is renormalized by
     its maximum over each sample's support, which leaves every ratio exactly
-    invariant and keeps the arithmetic in range.
+    invariant and keeps the arithmetic in range.  All tau are evaluated at
+    once, as the squared weights (one row per tau) times three densities.
     """
     cyl = isinstance(operator, CylinderOperator)
-    if cyl:
-        dom = operator.cylinder
-        wq = dom.weights()
-        min_h = dom.min_h
-    else:
-        dom = operator.grid
-        wq = dom.volume_weights
-        min_h = float(min(dom.h))
-    taus = _tau_window_check(tau_grid, min_h)
-    phi = weight.phi()
-    if cyl:
-        phi = phi.reshape(dom.ns, dom.spatial.num_nodes)
+    dom = operator.cylinder if cyl else operator.grid
+    wq = dom.weights() if cyl else dom.volume_weights
+    taus = _tau_window_check(tau_grid, dom.min_h if cyl else float(min(dom.h)))
+    phi = weight.phi().reshape(wq.shape)
 
     ratios = np.full(taus.size, -np.inf)
     used = 0
@@ -543,21 +537,22 @@ def carleman_probe(operator, weight, test_functions, tau_grid):
         # renormalized by its maximum on it, which cancels in the ratio)
         support = ((np.abs(f) > 0) | (np.abs(Pf) > 0)
                    | np.any(np.abs(gf) > 0, axis=-1))
-        phimax = float(np.max(phi[support]))
-        spread = phimax - float(np.min(phi[support]))
+        phi_s = phi[support]
+        phimax = float(np.max(phi_s))
+        spread = phimax - float(np.min(phi_s))
         if float(np.max(taus)) * spread > 700.0:
             raise ValueError(
                 "exp(tau * phi) spans more than double precision on a test "
                 "support; reduce lambda or the tau window")
-        for i, tau in enumerate(taus):
-            w = np.zeros_like(phi)
-            w[support] = np.exp(tau * (phi[support] - phimax))
-            nf = np.sum(wq * np.abs(w * f) ** 2)
-            ngf = np.sum(wq * np.sum(np.abs(w[..., None] * gf) ** 2, axis=-1))
-            npf = np.sum(wq * np.abs(w * Pf) ** 2)
-            if npf == 0:
-                continue
-            ratios[i] = max(ratios[i], (tau**3 * nf + tau * ngf) / npf)
+        w2 = np.exp(2.0 * np.outer(taus, phi_s - phimax))
+        wq_s = wq[support]
+        dens = np.stack([wq_s * np.abs(f[support]) ** 2,
+                         wq_s * np.sum(np.abs(gf[support]) ** 2, axis=-1),
+                         wq_s * np.abs(Pf[support]) ** 2], axis=1)
+        nf, ngf, npf = (w2 @ dens).T
+        hit = npf != 0
+        ratios[hit] = np.maximum(
+            ratios[hit], (taus[hit]**3 * nf[hit] + taus[hit] * ngf[hit]) / npf[hit])
     if used == 0:
         raise ValueError("all test functions were identically zero")
     slope, stderr = _trend(taus, ratios)

@@ -183,6 +183,34 @@ potential.frequency = 2.0
     assert doc["reduction_residual"] < 1e-12
 
 
+def test_gauge_check_spectra_can_disagree(tmp_path, monkeypatch):
+    """spectra_agree compares against the directly assembled generator: a
+    shifted potential with nonzero curl changes that spectrum and fails it."""
+    from magschro import magop
+
+    orig = magop.potential_plus_edge_gradient
+
+    def with_curl(a, psi):
+        p = orig(a, psi)
+        field = magop.MagneticPotential.from_callable(
+            a.grid, lambda x: 20.0 * np.column_stack([-x[:, 1], x[:, 0]]))
+        edges = tuple(e + f for e, f in zip(p.edge_values, field.edge_values))
+        return magop.MagneticPotential._finish(a.grid, p.values + field.values, edges)
+
+    monkeypatch.setattr(magop, "potential_plus_edge_gradient", with_curl)
+    text = """
+kind = "gauge-check"
+grid.dim = 2
+grid.n = 10
+potential.preset = "sine"
+potential.amplitude = 0.3
+"""
+    assert cli.run(cli.ExperimentConfig.parse(text), out_dir=tmp_path) == 1
+    verdicts = json.loads((tmp_path / "manifest.json").read_text())["verdicts"]
+    assert verdicts["spectra_agree"]["pass"] is False
+    assert json.loads((tmp_path / "gauge.json").read_text())["spectrum_residual"] > 1e-3
+
+
 def test_resolvent_scan_run(tmp_path):
     text = """
 kind = "resolvent-scan"
@@ -387,6 +415,8 @@ potential.preset = "sine"
     ("carleman-probe", "cylinder.ns = 3"),
     ("carleman-probe", "tau.grid = []"),
     ("carleman-probe", 'tau.grid = "fast"'),
+    ("carleman-probe", "tau.grid = [1000.0]"),       # beyond the window 0.5/h
+    ("carleman-probe", "tau.grid = [-1.0, 5.0]"),
     ("gauge-check", 'gauge.amplitude = "big"'),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, kind, line):

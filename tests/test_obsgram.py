@@ -322,6 +322,51 @@ def test_cn_gramian_matches_forward_loop():
     assert shapes == {True, False}      # rows narrower and wider than the basis
 
 
+@st.composite
+def modal_cases(draw, kind, magnetic):
+    dim = draw(st.sampled_from([1, 2]))
+    grid = mesh.build_grid(dim, 1.0, draw(st.integers(6, 40) if dim == 1 else st.integers(4, 11)))
+    amp = draw(st.floats(0.1, 1.5)) if magnetic else 0.0
+    freq = draw(st.floats(0.5, 4.0))
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = max(1, round(draw(st.sampled_from([0.2, 0.5, 1.0])) * pool.size))
+    nodes = np.sort(rng.choice(pool, size=size, replace=False))
+    return gen, obsgram.Observation(kind, nodes), draw(st.floats(0.1, 2.0))
+
+
+def generalized_modal_data(gen, dense_limit):
+    """Modes of the pencil (S, diag M) by LAPACK's complex generalized eigh."""
+    return la.eigh(gen.stiffness.toarray(), np.diag(gen.mass_diag))
+
+
+@pytest.mark.parametrize("magnetic", [False, True])
+@pytest.mark.parametrize("kind", ["interior-l2", "boundary-conormal", "interior-h1"])
+def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
+    @settings(PROPERTY, max_examples=10)
+    @given(modal_cases(kind, magnetic))
+    def check(case):
+        gen, obs, T = case
+        lam, V = obsgram._modal_data(gen, 4096)
+        lam_ref, _ = generalized_modal_data(gen, 4096)
+        S, M = gen.stiffness.toarray(), gen.mass_diag
+        assert np.isrealobj(V) != magnetic            # A = 0: real modes
+        assert np.max(np.abs(V.conj().T @ (M[:, None] * V) - np.eye(gen.size))) <= 1e-13
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-13 * lam_ref[-1]
+        assert np.linalg.norm(S @ V - (M[:, None] * V) * lam) <= 1e-12 * lam_ref[-1]
+
+        rep = obsgram.gramian(gen, obs, T)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(obsgram, "_modal_data", generalized_modal_data)
+            ref = obsgram.gramian(gen, obs, T)
+        assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
+        assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
+
+    check()
+
+
 def test_grid_is_freed_with_its_generator():
     def run_and_drop():
         grid = mesh.build_grid(2, 1.0, 10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from magschro import magop, mesh, weights
 
@@ -212,6 +214,140 @@ def test_subellipticity_excludes_flat_nodes(grid):
     assert rep.excluded_nodes.size > 0
 
 
+# Property tests against the per-tau loops the certificate and the probe used to
+# run, in the bounded, derandomized style of tests/test_obsgram.py.
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+PROBE_PROPERTY = settings(PROPERTY, max_examples=15)
+
+
+@st.composite
+def subellipticity_cases(draw, dim):
+    grid = mesh.build_grid(dim, 1.0, draw(st.integers(5, 12) if dim == 1 else st.integers(4, 7)))
+    cyl = weights.make_cylinder(grid, ns=draw(st.integers(2, 7)))
+    if draw(st.booleans()):
+        e = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
+        e[0] += 1.5
+        base = weights.linear_weight(grid, e, offset=3.0)
+    else:
+        x0 = [draw(st.floats(-1.0, 2.0)) for _ in range(dim)]
+        base = weights.quadratic_weight(grid, x0)
+    # below the lambda threshold (small lambda, large beta) most weights fail
+    if draw(st.booleans()):
+        lam, beta = draw(st.floats(1.0, 4.0)), draw(st.floats(-1.0, 1.0))
+    else:
+        lam, beta = draw(st.floats(0.01, 0.3)), draw(st.floats(1.0, 4.0))
+    w = weights.cylinder_extend(base.with_lambda(lam), cyl, beta=beta)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    region = np.sort(rng.choice(w.num_nodes, size=draw(st.integers(1, w.num_nodes)),
+                                replace=False))
+    taus = [draw(st.floats(0.1, 10.0)) for _ in range(draw(st.integers(1, 4)))]
+    return w, region, taus, draw(st.integers(1, 12)), draw(st.integers(0, 2**16))
+
+
+def sampled_brackets(weight, region, tau_grid, samples, seed):
+    """The per-tau sampled loop: for every tau, the brackets of the sampled
+    characteristic directions eta at the nodes where grad phi is nonzero."""
+    rng = np.random.default_rng(seed)
+    gphi = weight.phi_grad()[region]
+    hphi = weight.phi_hess()[region]
+    gnorm = np.linalg.norm(gphi, axis=1)
+    ok = gnorm > 1e-10
+    gphi, hphi, gnorm = gphi[ok], hphi[ok], gnorm[ok]
+    cubic = np.einsum("njk,nj,nk->n", hphi, gphi, gphi)
+    out = []
+    for tau in tau_grid:
+        ghat = gphi / gnorm[:, None]
+        z = rng.normal(size=(gphi.shape[0], samples, weight.total_dim))
+        z -= np.einsum("nsj,nj->ns", z, ghat)[:, :, None] * ghat[:, None, :]
+        zn = np.linalg.norm(z, axis=2)
+        zn[zn == 0] = 1.0
+        eta = z / zn[:, :, None] * (tau * gnorm)[:, None, None]
+        quad = np.einsum("njk,nsj,nsk->ns", hphi, eta, eta)
+        out.append((tau, eta, 4.0 * tau**3 * cubic[:, None] + 4.0 * tau * quad))
+    # |H g . g| + |g|^2 |H| per node: the size of the terms a bracket / 4 tau^3 sums
+    terms = np.abs(cubic) + gnorm**2 * np.linalg.norm(hphi, 2, axis=(1, 2))
+    return region[ok], terms, out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subellipticity_matches_per_tau_sampled_loop(dim):
+    seen = {"certified": 0, "uncertified": 0, "unique witness": 0}
+
+    @PROPERTY
+    @given(subellipticity_cases(dim))
+    def check(case):
+        w, region, taus, samples, seed = case
+        if not np.any(np.linalg.norm(w.phi_grad()[region], axis=1) > 1e-10):
+            return
+        rep = weights.check_subellipticity(w, region, taus, samples_per_node=samples, seed=seed)
+        nodes, terms, per_tau = sampled_brackets(w, region, taus, samples, seed)
+        phi_scale = (w.lam * w.phi()[nodes]) ** 3
+        margin = min((b / (4.0 * t**3 * phi_scale)[:, None]).min() for t, _, b in per_tau)
+        assert abs(rep.margin - margin) <= 1e-12 * np.max(terms / phi_scale)
+        tol = 1e-12 * 4.0 * max(taus) ** 3 * np.max(terms)
+        per_tau_min = {tau: bracket.min() for tau, _, bracket in per_tau}   # a repeated tau: the last
+        assert rep.per_tau_min.keys() == per_tau_min.keys()
+        for tau, low in per_tau_min.items():
+            assert abs(rep.per_tau_min[tau] - low) <= 1e-12 * 4.0 * tau**3 * np.max(terms)
+        best = min(b.min() for _, _, b in per_tau)
+        assert abs(rep.min_bracket - best) <= tol
+        if abs(best) > tol:
+            assert rep.certified == (best > 0)
+        if rep.certified:
+            seen["certified"] += 1
+            assert rep.witness is None
+            return
+        seen["uncertified"] += 1
+        # the first tau reaching the minimum, its first node and sample
+        tau, eta, bracket = next(c for c in per_tau if c[2].min() == best)
+        ni, si = np.unravel_index(np.argmin(bracket), bracket.shape)
+        others = np.sort(np.concatenate([b.ravel() for _, _, b in per_tau]))
+        if others.size == 1 or others[1] - others[0] > 2 * tol:
+            # the minimum is separated from every other sample beyond rounding
+            seen["unique witness"] += 1
+            assert rep.witness["node"] == nodes[ni] and rep.witness["tau"] == tau
+            assert np.allclose(rep.witness["eta"], eta[ni, si], rtol=0.0,
+                               atol=1e-12 * np.linalg.norm(eta[ni, si]))
+
+    check()
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subellipticity_closed_form_lower_bound(dim):
+    """The bracket on the characteristic set is 4 tau^3 (H g . g + |g|^2 H e . e)
+    over unit e perp g, so 4 tau^3 min_n (H g . g + |g|^2 lambda_min(H on g-perp))
+    bounds every sampled minimum from below, and is attained when D = 2."""
+    @PROPERTY
+    @given(subellipticity_cases(dim))
+    def check(case):
+        w, region, taus, samples, seed = case
+        g = w.phi_grad()[region]
+        H = w.phi_hess()[region]
+        gnorm = np.linalg.norm(g, axis=1)
+        ok = gnorm > 1e-10
+        if not ok.any():
+            return
+        g, H, gnorm = g[ok], H[ok], gnorm[ok]
+        # columns 1.. of a complete QR of g span the plane perpendicular to g
+        Q = np.linalg.qr(g[:, :, None], mode="complete")[0][:, :, 1:]
+        perp = np.linalg.eigvalsh(np.transpose(Q, (0, 2, 1)) @ H @ Q)[:, 0]
+        inner = np.einsum("njk,nj,nk->n", H, g, g) + gnorm**2 * perp
+        scale = np.max(np.abs(np.einsum("njk,nj,nk->n", H, g, g))
+                       + gnorm**2 * np.linalg.norm(H, 2, axis=(1, 2)))
+        rep = weights.check_subellipticity(w, region, taus, samples_per_node=samples, seed=seed)
+        for tau, sampled in rep.per_tau_min.items():
+            exact = 4.0 * tau**3 * inner.min()
+            tol = 1e-12 * 4.0 * tau**3 * scale
+            assert exact <= sampled + tol
+            if w.total_dim == 2:
+                assert abs(sampled - exact) <= tol
+
+    check()
+
+
 # -- probes ----------------------------------------------------------------
 
 
@@ -296,6 +432,73 @@ def test_probe_overflow_guard(grid):
     f = bump_1d(grid, 0.5, 0.25)
     with pytest.raises(ValueError, match="double precision"):
         weights.carleman_probe(op, w, [f], [16.0])
+
+
+@st.composite
+def probe_cases(draw, kind):
+    dim = 2 if kind == "grid-2d" else 1
+    grid = mesh.build_grid(dim, 1.0, draw(st.integers(12, 33) if dim == 1 else st.integers(8, 14)))
+    amp = draw(st.sampled_from([0.0, draw(st.floats(0.1, 2.0))]))
+    pot = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.cos(2.0 * p))
+    base = weights.quadratic_weight(grid, [draw(st.floats(-1.5, -0.2)) for _ in range(dim)])
+    lam = draw(st.floats(0.05, 0.6))
+    seed = draw(st.integers(0, 2**16))
+    count = draw(st.integers(1, 5))
+    if kind == "cylinder":
+        cyl = weights.make_cylinder(grid, ns=draw(st.integers(8, 20)))
+        op = weights.CylinderOperator(cyl, potential=pot)
+        w = weights.cylinder_extend(base.with_lambda(lam), cyl, beta=draw(st.floats(0.0, 1.0)))
+        funcs = weights.bump_functions(cyl, count, seed=seed, cylinder=True)
+        min_h = cyl.min_h
+    else:
+        op = weights.GridOperator(grid, pot)
+        w = base.with_lambda(lam)
+        funcs = weights.bump_functions(grid, count, seed=seed)
+        min_h = min(grid.h)
+    for at in draw(st.lists(st.integers(0, count), max_size=2)):
+        funcs.insert(at, np.zeros_like(funcs[0]))
+    taus = [draw(st.floats(0.5, 0.5 / min_h)) for _ in range(draw(st.integers(1, 6)))]
+    return op, w, funcs, taus
+
+
+def probe_ratios_per_tau(operator, weight, test_functions, taus):
+    """The per-tau probe loop, weights applied to the fields before squaring."""
+    cyl = isinstance(operator, weights.CylinderOperator)
+    dom = operator.cylinder if cyl else operator.grid
+    wq = dom.weights() if cyl else dom.volume_weights
+    phi = weight.phi().reshape(wq.shape)
+    ratios = np.full(len(taus), -np.inf)
+    for f in test_functions:
+        if np.max(np.abs(f)) == 0:
+            continue
+        Pf = operator.apply(f)
+        gf = operator.gradient(f)
+        support = (np.abs(f) > 0) | (np.abs(Pf) > 0) | np.any(np.abs(gf) > 0, axis=-1)
+        phimax = np.max(phi[support])
+        for i, tau in enumerate(taus):
+            w = np.zeros_like(phi)
+            w[support] = np.exp(tau * (phi[support] - phimax))
+            nf = np.sum(wq * np.abs(w * f) ** 2)
+            ngf = np.sum(wq * np.sum(np.abs(w[..., None] * gf) ** 2, axis=-1))
+            npf = np.sum(wq * np.abs(w * Pf) ** 2)
+            if npf != 0:
+                ratios[i] = max(ratios[i], (tau**3 * nf + tau * ngf) / npf)
+    return ratios
+
+
+@pytest.mark.parametrize("kind", ["grid-1d", "grid-2d", "cylinder"])
+def test_probe_matches_per_tau_loop(kind):
+    @PROBE_PROPERTY
+    @given(probe_cases(kind))
+    def check(case):
+        op, w, funcs, taus = case
+        rep = weights.carleman_probe(op, w, funcs, taus)
+        ref = probe_ratios_per_tau(op, w, funcs, taus)
+        assert rep.samples_used == sum(np.max(np.abs(f)) > 0 for f in funcs)
+        assert np.all(np.isfinite(ref))
+        assert np.allclose(rep.ratios, ref, rtol=1e-13, atol=0.0)
+
+    check()
 
 
 # -- space-time weights -----------------------------------------------------
