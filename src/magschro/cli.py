@@ -346,6 +346,7 @@ def _run_resolvent_scan(config, out, rng):
         "C": scan.fit_c, "K": scan.fit_k, "p": scan.fit_p,
         "C_free": scan.fit_c_free, "K_free": scan.fit_k_free,
         "points": scan.fit_points, "failures": scan.failures,
+        "shift_invert_products": scan.products.tolist(),
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     finite = bool(np.all(np.isfinite(scan.norms[scan.ok]))) and not scan.failures

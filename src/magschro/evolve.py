@@ -8,9 +8,9 @@ a Cayley transform of A, taken as u+ = 2 (I - dt/2 A)^-1 u - u.  It is
 exactly norm-preserving in the generator's inner product when A is
 skew-adjoint there and exactly contractive when A is dissipative, so
 conservation and monotonicity are rounding-level statements.  The solve is
-the generator's own ``cayley_solver(dt)``, factored once per dt and kept on
-the generator (LAPACK zgttrf for the tridiagonal 1D generators, SuperLU
-otherwise), so the factor is freed with it.
+the generator's own ``cayley_solver(dt)``, factored once per dt by
+``magop.factorize`` (zgttrf in 1D, SuperLU otherwise) and kept on the
+generator, so the factor is freed with it.
 
 The discrete energy increment satisfies
 
@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+
+from . import magop
 
 
 class EnergyIncreaseError(RuntimeError):
@@ -315,10 +316,10 @@ def prepare_smooth_initial(gen, v, k=1):
     """Apply the discrete inverse k times: the result lies in D(A^k)."""
     if int(k) < 1:
         raise ValueError("k must be at least 1")
-    lu = spla.splu(gen.matrix.tocsc())
+    solve = magop.factorize(gen.matrix)["N"]
     u = np.asarray(v, dtype=complex)
     for _ in range(int(k)):
-        u = lu.solve(u)
+        u = solve(u)
     return u
 
 

@@ -380,19 +380,13 @@ class GeneratorMatrix:
     def cayley_solver(self, dt, trans="N"):
         """b -> (I - dt/2 A)^-1 b, or (I - dt/2 A)^-H b with trans="H".
 
-        Factored once per dt and kept on this instance: LAPACK zgttrf when A
-        is tridiagonal (every 1D generator), SuperLU otherwise.
+        Factored once per dt by ``factorize`` and kept on this instance.
         """
         dt = float(dt)
-        solvers = self._cayley_solvers.get(dt)
-        if solvers is None:
-            solvers = _tridiagonal_solver(self.matrix, dt)
-            if solvers is None:
-                eye = sp.identity(self.size, dtype=complex, format="csc")
-                lu = spla.splu((eye - (dt / 2.0) * self.matrix.tocsc()).tocsc())
-                solvers = {"N": lu.solve, "H": partial(lu.solve, trans="H")}
-            self._cayley_solvers[dt] = solvers
-        return solvers[trans]
+        if dt not in self._cayley_solvers:
+            eye = sp.identity(self.size, dtype=complex, format="csc")
+            self._cayley_solvers[dt] = factorize(eye - (dt / 2.0) * self.matrix.tocsc())
+        return self._cayley_solvers[dt][trans]
 
     # -- structural checks -------------------------------------------------
 
@@ -434,19 +428,27 @@ class GeneratorMatrix:
         return lam, float(scale)
 
 
-def _tridiagonal_solver(A, dt):
-    """{"N": b -> (I - dt/2 A)^-1 b, "H": the adjoint solve} by LAPACK
-    zgttrf/zgttrs, or None when A has entries off its three central diagonals
-    (or fewer than 3 rows, or the factorization reports a zero pivot)."""
-    n = A.shape[0]
-    coo = A.tocoo()
+def factorize(M):
+    """{"N": b -> M^-1 b, "H": b -> M^-H b}, the package's one sparse factor:
+    LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU with
+    the minimum-degree ordering of M^T + M, which fits the structurally
+    symmetric stencils assembled here better than the default COLAMD."""
+    solvers = _tridiagonal_solver(M)
+    if solvers is None:
+        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        solvers = {"N": lu.solve, "H": partial(lu.solve, trans="H")}
+    return solvers
+
+
+def _tridiagonal_solver(M):
+    """zgttrf/zgttrs solves, or None when M has fewer than 3 rows, entries off
+    its three central diagonals, or a zero pivot."""
+    n = M.shape[0]
+    coo = M.tocoo()
     if n < 3 or np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
         return None
-    half = dt / 2.0
     dl, d, du, du2, ipiv, info = lapack.zgttrf(
-        -half * A.diagonal(-1).astype(complex),
-        1.0 - half * A.diagonal().astype(complex),
-        -half * A.diagonal(1).astype(complex))
+        *(M.diagonal(k).astype(complex) for k in (-1, 0, 1)))
     if info != 0:
         return None
     return {"N": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b)[0],

@@ -5,10 +5,10 @@ The resolvent norm at i mu in the generator's inner product L is
     || (A - i mu)^-1 ||_L = 1 / sigma_min,
     sigma_min^2 = min_u (u^H K^H L K u) / (u^H L u),  K = A - i mu,
 
-computed by inverse power iteration on the normal equations with a sparse LU
-of K reused across the inner iterations.  Scans fit the growth models
-C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope, since on any
-fixed grid the point values oscillate between spectral peaks.
+computed by shift-inverted Lanczos on the normal equations (inverse power
+iteration as the fallback), one sparse factor of K serving every product.
+Scans fit C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope,
+since on any fixed grid the point values oscillate between spectral peaks.
 
 The observability-resolvent (Hautus) sweep searches, per frequency, the
 minimal constants (aleph0, aleph1) making
@@ -33,6 +33,8 @@ import scipy.linalg as la
 import scipy.optimize as opt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import magop
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +89,15 @@ def resolvent_solve(gen, mu, g):
     """
     g = np.asarray(g, dtype=complex)
     K = (gen.matrix - 1j * mu * sp.identity(gen.size, dtype=complex, format="csr")).tocsc()
-    lu = spla.splu(K)
-    u = lu.solve(g)
+    solve = magop.factorize(K)
+    u = solve["N"](g)
     gnorm = float(np.linalg.norm(g))
     res = float(np.linalg.norm(K @ u - g)) / gnorm if gnorm > 0 else 0.0
     cond = None
     if res > 1e-10:
         n = gen.size
         inv_norm = spla.onenormest(spla.LinearOperator(
-            (n, n), matvec=lu.solve,
-            rmatvec=lambda x: lu.solve(x, trans="H"), dtype=complex))
+            (n, n), matvec=solve["N"], rmatvec=solve["H"], dtype=complex))
         cond = float(spla.onenormest(K) * inv_norm)
     return ResolventSolution(u=u, mu=float(mu), residual=res,
                              identity_residuals=_identity_residuals(gen, mu, u, g),
@@ -104,49 +105,50 @@ def resolvent_solve(gen, mu, g):
 
 
 def resolvent_norm(gen, mu, tol=1e-12, maxiter=400, seed=7):
-    """|| (A - i mu)^-1 || in the generator's inner product.
+    """|| (A - i mu)^-1 || in the generator's inner product, and the number
+    of shift-invert products x -> K^-1 L^-1 K^-H x it took.
 
     Computes the smallest generalized eigenvalue of (K^H L K, L) by
-    shift-inverted Lanczos with a sparse LU of K (applied twice per product),
-    falling back to plain inverse power iteration if ARPACK stalls.  Both
-    start from the same vector drawn from ``seed``, so reruns agree bitwise.
+    shift-inverted Lanczos on an 8-vector basis, applying ``magop.factorize``
+    of K twice per product, and falls back to plain inverse power iteration
+    (one more product per iteration) if ARPACK stalls.  Both start from the
+    same vector drawn from ``seed``, so reruns agree bitwise.
     """
     n = gen.size
     K = (gen.matrix - 1j * mu * sp.identity(n, dtype=complex, format="csr")).tocsc()
-    lu = spla.splu(K)
+    solve = magop.factorize(K)
     L = gen.inner_matrix.tocsc()
     if gen.inner_kind == "mass":
         diag = gen.mass_diag
         l_solve = lambda x: x / diag
         l_apply = lambda x: diag * x
     else:
-        lu_L = spla.splu(L)
-        l_solve = lu_L.solve
+        l_solve = magop.factorize(L)["N"]
         l_apply = lambda x: L @ x
+    products = 0
+
+    def shift_invert(x):
+        nonlocal products
+        products += 1
+        return solve["N"](l_solve(solve["H"](x)))
 
     normal_op = spla.LinearOperator(
         (n, n), matvec=lambda x: K.getH() @ l_apply(K @ x), dtype=complex)
-    inv_op = spla.LinearOperator(
-        (n, n), matvec=lambda x: lu.solve(l_solve(lu.solve(x, trans="H"))),
-        dtype=complex)
+    inv_op = spla.LinearOperator((n, n), matvec=shift_invert, dtype=complex)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     try:
         lam = float(spla.eigsh(
             normal_op, k=1, M=L, sigma=0.0, which="LM", OPinv=inv_op, v0=z,
-            return_eigenvectors=False, maxiter=maxiter,
+            ncv=min(8, n), return_eigenvectors=False, maxiter=maxiter,
         )[0])
-        return 1.0 / np.sqrt(lam), -1
+        return 1.0 / np.sqrt(lam), products
     except Exception:
         pass
 
     lam_prev = None
-    iterations = 0
-    for iterations in range(1, maxiter + 1):
-        w = l_apply(z)
-        v = lu.solve(w, trans="H")
-        q = l_solve(v)
-        z = lu.solve(q)
+    for _ in range(maxiter):
+        z = shift_invert(l_apply(z))
         nz = np.sqrt(np.vdot(z, l_apply(z)).real)
         if nz == 0:
             raise RuntimeError("inverse iteration collapsed to zero")
@@ -156,7 +158,7 @@ def resolvent_norm(gen, mu, tol=1e-12, maxiter=400, seed=7):
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
             break
         lam_prev = lam
-    return 1.0 / np.sqrt(lam), iterations
+    return 1.0 / np.sqrt(lam), products
 
 
 @dataclass(eq=False)
@@ -172,6 +174,7 @@ class ResolventScan:
     fit_points: int
     grid_tag: tuple
     failures: list
+    products: np.ndarray          # shift-invert products per point (0 where it failed)
     growth_detected: bool = False
 
     def export_csv(self, path):
@@ -263,10 +266,11 @@ def scan_resolvent(gen, mu_grid, envelope=True):
     mu_grid = np.asarray(mu_grid, dtype=float)
     norms = np.full(mu_grid.shape, np.nan)
     ok = np.zeros(mu_grid.shape, dtype=bool)
+    products = np.zeros(mu_grid.shape, dtype=int)
     failures = []
     for i, mu in enumerate(mu_grid):
         try:
-            norms[i] = resolvent_norm(gen, mu)[0]
+            norms[i], products[i] = resolvent_norm(gen, mu)
             ok[i] = True
         except Exception as exc:  # singular factor or non-convergence
             failures.append({"mu": float(mu), "error": str(exc)})
@@ -279,7 +283,7 @@ def scan_resolvent(gen, mu_grid, envelope=True):
         fit_c_free=None if fit is None else fit["c_free"],
         fit_k_free=None if fit is None else fit["k_free"],
         fit_points=0 if fit is None else fit["points"],
-        grid_tag=gen.grid.n, failures=failures,
+        grid_tag=gen.grid.n, failures=failures, products=products,
         growth_detected=False if fit is None else bool(fit["growth_detected"]),
     )
 

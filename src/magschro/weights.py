@@ -390,7 +390,7 @@ class SubellipticityReport:
     certified: bool
     witness: dict | None            # most negative sample, when any
     excluded_nodes: np.ndarray      # |grad phi| below threshold
-    per_tau_min: dict
+    per_tau_min: dict               # tau -> minimum over its draws (a tau may repeat)
 
     def to_json(self):
         return json.dumps({
@@ -451,7 +451,7 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
         best_margin = min(best_margin, float(np.min(low / phi_scale)))
         ni = int(np.argmin(low))
         tau_min = 4.0 * tau**3 * float(low[ni])
-        per_tau[tau] = tau_min
+        per_tau[tau] = min(tau_min, per_tau.get(tau, np.inf))
         if tau_min < best:
             best = tau_min
             si = int(np.argmin(q[ni]))
@@ -707,9 +707,10 @@ def bump_functions(dom, count, seed, cylinder=False):
         center = los + (0.3 + 0.4 * rng.random(D)) * (his - los)
         radius = (0.1 + 0.15 * rng.random(D)) * (his - los)
         r2 = np.sum(((pts - center) / radius) ** 2, axis=1)
-        prof = _smoothstep(1.0 - r2)
-        phase = np.exp(1j * (pts @ rng.normal(size=D)))
-        f = prof * phase * (0.5 + rng.random())
+        inside = r2 < 1.0               # the support; the profile is 0 elsewhere
+        phase = np.exp(1j * (pts[inside] @ rng.normal(size=D)))
+        f = np.zeros(pts.shape[0], dtype=complex)
+        f[inside] = _smoothstep(1.0 - r2[inside]) * phase * (0.5 + rng.random())
         if cylinder:
             f = f.reshape(dom.ns, dom.spatial.num_nodes)
         out.append(f)

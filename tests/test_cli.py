@@ -229,6 +229,8 @@ mu.count = 8
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["points"] >= 2
+    products = summary["shift_invert_products"]
+    assert len(products) == 8 and all(isinstance(p, int) and p > 0 for p in products)
 
 
 def test_observability_run(tmp_path):

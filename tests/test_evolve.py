@@ -342,7 +342,7 @@ def blocked(gen, u0, dt, width, nsteps, tridiagonal=True, **kw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
         if not tridiagonal:
-            mp.setattr(magop, "_tridiagonal_solver", lambda A, dt: None)
+            mp.setattr(magop, "_tridiagonal_solver", lambda M: None)
         return evolve.simulate(gen, u0, nsteps * dt, dt, snapshot_stride=3, **kw)
 
 
@@ -364,7 +364,8 @@ def test_blocked_simulate_matches_reference_loop(case):
     np.testing.assert_array_equal(traj.times[:-1], trace.times[:-1:3])
 
     # every 1D generator is tridiagonal and takes the LAPACK path
-    assert (magop._tridiagonal_solver(gen.matrix, dt) is not None) == (gen.grid.dim == 1)
+    cn = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
+    assert (magop._tridiagonal_solver(cn) is not None) == (gen.grid.dim == 1)
     # a copy starts with no factor, so it is factored again, here by SuperLU
     gen_lu = dataclasses.replace(gen)
     trace_lu, traj_lu = blocked(gen_lu, u0, dt, width, nsteps, tridiagonal=False)
