@@ -512,17 +512,15 @@ def _run_carleman_probe(config, out, rng):
     lam = _positive(config, "weight.lambda", 1.0)
     beta = _finite(config, "weight.beta", 1.0)
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=4))
-    tau_hi = 0.5 / cyl.min_h
+    tau_hi = 0.5 / min(cyl.h)
     taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
     if np.any(taus <= 0) or np.any(taus > tau_hi + 1e-12):
         raise ConfigError(f"tau.grid: values must lie in the aliasing window "
                           f"(0, 0.5/h = {tau_hi:.6g}], got {taus.tolist()!r}")
     wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
-    op = weights.CylinderOperator(cyl, potential=pot)
     count = _whole(config, "bumps", 20)
-    funcs = weights.bump_functions(cyl, count, seed=_whole(config, "seed", 0, least=0),
-                                   cylinder=True)
-    rep = weights.carleman_probe(op, wext, funcs, taus)
+    funcs = weights.bump_functions(cyl, count, seed=_whole(config, "seed", 0, least=0))
+    rep = weights.carleman_probe(wext, pot, funcs, taus)
     rep.export_csv(out / "probe.csv")
     summary = {"trend_slope": rep.trend_slope, "trend_stderr": rep.trend_stderr,
                "bounded": rep.bounded, "samples": rep.samples_used}
@@ -591,10 +589,7 @@ def run(config, out_dir=None, jobs=1):
     out.mkdir(parents=True, exist_ok=True)
     rng = _rng(config)
     t0 = time.perf_counter()
-    try:
-        verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
-    except ConfigError:
-        raise
+    verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
     elapsed = time.perf_counter() - t0
     manifest = {
         "kind": config.kind,

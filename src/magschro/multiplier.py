@@ -36,6 +36,7 @@ import numpy as np
 
 from . import magop
 from .mesh import poincare_constant, trapezoid_weights
+from .weights import _smoothstep
 
 
 @dataclass(eq=False)
@@ -92,10 +93,6 @@ class MultiplierField:
         N = grid.num_nodes
         xs = grid.coords
 
-        def ramp(s):
-            s = np.clip(s, 0.0, 1.0)
-            return s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-
         def dramp(s):
             inside = (s > 0.0) & (s < 1.0)
             s = np.clip(s, 0.0, 1.0)
@@ -108,9 +105,9 @@ class MultiplierField:
             x = xs[:, ax]
             below = (lo[ax] - x) / margin
             above = (x - hi[ax]) / margin
-            ax_val[:, ax] = ramp(1.0 - below) * ramp(1.0 - above)
-            ax_der[:, ax] = (dramp(1.0 - below) / margin * ramp(1.0 - above)
-                             - ramp(1.0 - below) * dramp(1.0 - above) / margin)
+            ax_val[:, ax] = _smoothstep(1.0 - below) * _smoothstep(1.0 - above)
+            ax_der[:, ax] = (dramp(1.0 - below) / margin * _smoothstep(1.0 - above)
+                             - _smoothstep(1.0 - below) * dramp(1.0 - above) / margin)
         psi = np.prod(ax_val, axis=1)
         dpsi = np.empty((N, d))
         for ax in range(d):
@@ -122,9 +119,9 @@ class MultiplierField:
         nu_e = 2.0 * (xs - origin) / extents - 1.0
         dnu = np.diag(2.0 / extents)
 
-        phi_t = ramp(times / delta) * ramp((T - times) / delta)
-        dphi_t = (dramp(times / delta) / delta * ramp((T - times) / delta)
-                  - ramp(times / delta) * dramp((T - times) / delta) / delta)
+        phi_t = _smoothstep(times / delta) * _smoothstep((T - times) / delta)
+        dphi_t = (dramp(times / delta) / delta * _smoothstep((T - times) / delta)
+                  - _smoothstep(times / delta) * dramp((T - times) / delta) / delta)
 
         base = psi[:, None] * nu_e                      # (N, d)
         base_jac = np.empty((N, d, d))
@@ -195,11 +192,6 @@ class MultiplierField:
         return worst
 
 
-def _time_derivative(fields, times):
-    """Centered differences along the snapshot axis, one-sided at the ends."""
-    return np.gradient(fields, times, axis=0)
-
-
 @dataclass(eq=False)
 class MultiplierIdentityReport:
     residual: float
@@ -229,7 +221,7 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
     N = grid.num_nodes
     d = grid.dim
     u = traj.full_fields()                      # (nt, N)
-    ut = _time_derivative(u, times)
+    ut = np.gradient(u, times, axis=0)
     wt = trapezoid_weights(times)
     wv = grid.volume_weights
     b = grid.boundary_idx

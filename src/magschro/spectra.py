@@ -117,14 +117,13 @@ def resolvent_norm(gen, mu, tol=1e-12, maxiter=400, seed=7):
     n = gen.size
     K = (gen.matrix - 1j * mu * sp.identity(n, dtype=complex, format="csr")).tocsc()
     solve = magop.factorize(K)
-    L = gen.inner_matrix.tocsc()
     if gen.inner_kind == "mass":
         diag = gen.mass_diag
         l_solve = lambda x: x / diag
         l_apply = lambda x: diag * x
     else:
-        l_solve = magop.factorize(L)["N"]
-        l_apply = lambda x: L @ x
+        l_solve = magop.factorize(gen.stiffness)["N"]
+        l_apply = lambda x: gen.stiffness @ x
     products = 0
 
     def shift_invert(x):
@@ -135,11 +134,12 @@ def resolvent_norm(gen, mu, tol=1e-12, maxiter=400, seed=7):
     normal_op = spla.LinearOperator(
         (n, n), matvec=lambda x: K.getH() @ l_apply(K @ x), dtype=complex)
     inv_op = spla.LinearOperator((n, n), matvec=shift_invert, dtype=complex)
+    metric = spla.LinearOperator((n, n), matvec=l_apply, dtype=complex)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     try:
         lam = float(spla.eigsh(
-            normal_op, k=1, M=L, sigma=0.0, which="LM", OPinv=inv_op, v0=z,
+            normal_op, k=1, M=metric, sigma=0.0, which="LM", OPinv=inv_op, v0=z,
             ncv=min(8, n), return_eigenvectors=False, maxiter=maxiter,
         )[0])
         return 1.0 / np.sqrt(lam), products

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import magop
 from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
@@ -40,7 +42,12 @@ from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
 
 @dataclass(frozen=True, eq=False)
 class CylinderGrid:
-    """Tensor extension (s, x) of a spatial grid by one auxiliary axis."""
+    """Tensor extension (s, x) of a spatial grid by one auxiliary axis.
+
+    Node fields are flat (ns * N,) arrays in s-major order; the domain answers
+    what a probe asks of a Grid (spacings, box, coordinates, quadrature,
+    boundary nodes, gradient matrices).
+    """
 
     spatial: Grid
     s_nodes: np.ndarray
@@ -55,23 +62,55 @@ class CylinderGrid:
         return self.ns * self.spatial.num_nodes
 
     @property
-    def total_dim(self):
+    def dim(self):
         return 1 + self.spatial.dim
 
     @property
-    def min_h(self):
-        return float(min(self.s_h, min(self.spatial.h)))
+    def h(self):
+        return (self.s_h, *self.spatial.h)
 
-    def weights(self):
-        return np.outer(_trapezoid_1d(self.ns, self.s_h), self.spatial.volume_weights)
+    @property
+    def origin(self):
+        return (float(self.s_nodes[0]), *self.spatial.origin)
 
+    @property
+    def extents(self):
+        return (float(self.s_nodes[-1] - self.s_nodes[0]), *self.spatial.extents)
+
+    @cached_property
     def coords(self):
-        """(ns * N, 1 + dim) array of (s, x) points, s-major order."""
+        """(ns * N, 1 + dim) array of (s, x) points."""
         N = self.spatial.num_nodes
-        out = np.empty((self.num_nodes, self.total_dim))
+        out = np.empty((self.num_nodes, self.dim))
         out[:, 0] = np.repeat(self.s_nodes, N)
         out[:, 1:] = np.tile(self.spatial.coords, (self.ns, 1))
+        out.setflags(write=False)
         return out
+
+    @cached_property
+    def volume_weights(self):
+        out = np.outer(_trapezoid_1d(self.ns, self.s_h),
+                       self.spatial.volume_weights).ravel()
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def boundary_idx(self):
+        """The two s-end slices and the spatial-boundary column of every slice."""
+        on = np.zeros((self.ns, self.spatial.num_nodes), dtype=bool)
+        on[[0, -1]] = True
+        on[:, self.spatial.boundary_idx] = True
+        out = np.flatnonzero(on)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def gradients(self):
+        """d_s and the spatial first-derivative matrices over all nodes."""
+        eye_s = sp.identity(self.ns, format="csr")
+        eye_x = sp.identity(self.spatial.num_nodes, format="csr")
+        return (sp.kron(_d1_matrix(self.ns, self.s_h), eye_x, format="csr"),
+                *(sp.kron(eye_s, g, format="csr") for g in self.spatial.gradients))
 
 
 def make_cylinder(spatial, s_half=2.0, ns=None):
@@ -81,53 +120,14 @@ def make_cylinder(spatial, s_half=2.0, ns=None):
     return CylinderGrid(spatial=spatial, s_nodes=s, s_h=float(s[1] - s[0]))
 
 
-class CylinderOperator:
-    """P = d_ss + Delta_a (+ i c) acting on (ns, N) cylinder fields."""
-
-    def __init__(self, cylinder, potential=None, c=None):
-        self.cylinder = cylinder
-        self.spatial_op = magop.laplacian_stencil_full(
-            cylinder.spatial,
-            potential if potential is not None else None,
-        )
-        self.c = c
-        self._d1s = _d1_matrix(cylinder.ns, cylinder.s_h)
-        self._d2s = _d2_matrix(cylinder.ns, cylinder.s_h)
-
-    def apply(self, F):
-        F = np.asarray(F, dtype=complex)
-        out = self._d2s @ F                      # second derivative along s
-        out += (self.spatial_op @ F.T).T
-        if self.c is not None:
-            out += 1j * self.c[None, :] * F
-        return out
-
-    def gradient(self, F):
-        """Full (s, x) gradient, shape (ns, N, 1 + dim)."""
-        cyl = self.cylinder
-        F = np.asarray(F, dtype=complex)
-        grads = cyl.spatial.gradients
-        out = np.empty((cyl.ns, cyl.spatial.num_nodes, cyl.total_dim), dtype=complex)
-        out[:, :, 0] = self._d1s @ F
-        for ax in range(cyl.spatial.dim):
-            out[:, :, 1 + ax] = (grads[ax] @ F.T).T
-        return out
-
-
-class GridOperator:
-    """Plain full-grid Delta_a for probes without the auxiliary axis."""
-
-    def __init__(self, grid, potential=None):
-        self.grid = grid
-        self._op = magop.laplacian_stencil_full(grid, potential)
-
-    def apply(self, f):
-        return self._op @ np.asarray(f, dtype=complex)
-
-    def gradient(self, f):
-        f = np.asarray(f, dtype=complex)
-        grads = self.grid.gradients
-        return np.column_stack([grads[ax] @ f for ax in range(self.grid.dim)])
+def _probe_operator(dom, a):
+    """P = Delta_a on a grid, d_ss + Delta_a on a cylinder, one sparse matrix."""
+    if isinstance(dom, Grid):
+        return magop.laplacian_stencil_full(dom, a)
+    eye_s = sp.identity(dom.ns, format="csr")
+    eye_x = sp.identity(dom.spatial.num_nodes, format="csr")
+    return (sp.kron(_d2_matrix(dom.ns, dom.s_h), eye_x, format="csr")
+            + sp.kron(eye_s, magop.laplacian_stencil_full(dom.spatial, a), format="csr"))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +138,9 @@ class GridOperator:
 class WeightFunction:
     """Base function psi with derivative fields and composition parameters.
 
-    ``domain`` is a Grid or CylinderGrid; psi/grad/hess are sampled per node
-    (cylinder fields flattened s-major).  ``analytic_mask`` marks nodes whose
+    ``domain`` is a Grid or CylinderGrid; psi/grad/hess are flat node fields
+    on either (s-major on a cylinder), differentiated by the domain's sparse
+    ``gradients``.  ``analytic_mask`` marks nodes whose
     derivatives are exact; elsewhere they came from finite differences and
     certification near those nodes is sensitive to stencil noise.
     """
@@ -187,20 +188,8 @@ class WeightFunction:
     def derivative_consistency(self):
         """Max mismatch between the stored gradient and finite differences of
         the stored values (second order for smooth analytic fields)."""
-        dom = self.domain
-        if isinstance(dom, Grid):
-            grads = dom.gradients
-            fd = np.column_stack([grads[ax] @ self.psi for ax in range(dom.dim)])
-            return float(np.max(np.abs(fd - self.grad)))
-        psi2 = self.psi.reshape(dom.ns, dom.spatial.num_nodes)
-        grads = dom.spatial.gradients
-        worst = float(np.max(np.abs(
-            (_d1_matrix(dom.ns, dom.s_h) @ psi2).ravel()
-            - self.grad[:, 0])))
-        for ax in range(dom.spatial.dim):
-            fd = (grads[ax] @ psi2.T).T.ravel()
-            worst = max(worst, float(np.max(np.abs(fd - self.grad[:, 1 + ax]))))
-        return worst
+        fd = np.column_stack([g @ self.psi for g in self.domain.gradients])
+        return float(np.max(np.abs(fd - self.grad)))
 
 
 def quadratic_weight(grid, x0, shift=0.0):
@@ -233,7 +222,7 @@ def cylinder_extend(weight, cylinder, beta):
     if grid is not cylinder.spatial:
         raise ValueError("weight must live on the cylinder's spatial grid")
     ns, N = cylinder.ns, grid.num_nodes
-    D = cylinder.total_dim
+    D = cylinder.dim
     s = cylinder.s_nodes
     psi = (-beta * s[:, None] ** 2 + weight.psi[None, :]).ravel()
     grad = np.zeros((ns * N, D))
@@ -500,43 +489,49 @@ def _tau_window_check(taus, min_h):
     return taus
 
 
-def carleman_probe(operator, weight, test_functions, tau_grid):
+def carleman_probe(weight, potential, test_functions, tau_grid):
     """Ratio trace C(tau) of the conjugated a-priori estimate.
 
     C(tau) = max over samples f of
         (tau^3 ||e^{tau phi} f||^2 + tau ||e^{tau phi} grad f||^2)
         / ||e^{tau phi} P f||^2.
 
-    Test functions must vanish near the domain boundary (compact support);
-    zero samples are excluded from the max.  tau is restricted to the
-    aliasing window tau h <= 1/2.  The exponential weight is renormalized by
-    its maximum over each sample's support, which leaves every ratio exactly
-    invariant and keeps the arithmetic in range.  All tau are evaluated at
-    once, as the squared weights (one row per tau) times three densities.
+    The domain is ``weight.domain``, a Grid (P = Delta_a) or a CylinderGrid
+    (P = d_ss + Delta_a); samples are flat node fields on it, and P and grad
+    are the domain's sparse matrices, with the magnetic potential sampled on
+    the spatial grid (None for the plain Laplacian).  Test functions must
+    vanish on the domain's boundary nodes (compact support); zero samples are
+    excluded from the max.  tau is restricted to the aliasing window
+    tau h <= 1/2.  The exponential weight is renormalized by its maximum over
+    each sample's support, which leaves every ratio exactly invariant and
+    keeps the arithmetic in range.  All tau are evaluated at once, as the
+    squared weights (one row per tau) times three densities.
     """
-    cyl = isinstance(operator, CylinderOperator)
-    dom = operator.cylinder if cyl else operator.grid
-    wq = dom.weights() if cyl else dom.volume_weights
-    taus = _tau_window_check(tau_grid, dom.min_h if cyl else float(min(dom.h)))
-    phi = weight.phi().reshape(wq.shape)
+    dom = weight.domain
+    wq = dom.volume_weights
+    taus = _tau_window_check(tau_grid, float(min(dom.h)))
+    phi = weight.phi()
+    P = _probe_operator(dom, potential)
 
     ratios = np.full(taus.size, -np.inf)
     used = 0
     for f in test_functions:
         f = np.asarray(f, dtype=complex)
-        if cyl and f.ndim == 1:
-            f = f.reshape(dom.ns, dom.spatial.num_nodes)
-        _check_support(f, dom, cyl)
+        edge = np.max(np.abs(f[dom.boundary_idx]))
+        if edge > 1e-12 * max(np.max(np.abs(f)), 1e-300):
+            raise ValueError("test functions must be compactly supported "
+                             "(zero near the domain boundary)")
         if np.max(np.abs(f)) == 0:
             continue
         used += 1
-        Pf = operator.apply(f)
-        gf = operator.gradient(f)
+        Pf = P @ f
+        gf = [g @ f for g in dom.gradients]
         # the stencils are local: everything vanishes off the widened support,
         # so the weighted norms are evaluated there only (and the weight is
         # renormalized by its maximum on it, which cancels in the ratio)
-        support = ((np.abs(f) > 0) | (np.abs(Pf) > 0)
-                   | np.any(np.abs(gf) > 0, axis=-1))
+        support = (f != 0) | (Pf != 0)
+        for d in gf:
+            support |= d != 0
         phi_s = phi[support]
         phimax = float(np.max(phi_s))
         spread = phimax - float(np.min(phi_s))
@@ -547,7 +542,7 @@ def carleman_probe(operator, weight, test_functions, tau_grid):
         w2 = np.exp(2.0 * np.outer(taus, phi_s - phimax))
         wq_s = wq[support]
         dens = np.stack([wq_s * np.abs(f[support]) ** 2,
-                         wq_s * np.sum(np.abs(gf[support]) ** 2, axis=-1),
+                         wq_s * sum(np.abs(d[support]) ** 2 for d in gf),
                          wq_s * np.abs(Pf[support]) ** 2], axis=1)
         nf, ngf, npf = (w2 @ dens).T
         hit = npf != 0
@@ -558,18 +553,6 @@ def carleman_probe(operator, weight, test_functions, tau_grid):
     slope, stderr = _trend(taus, ratios)
     return CarlemanProbeReport(taus=taus, ratios=ratios, trend_slope=slope,
                                trend_stderr=stderr, samples_used=used)
-
-
-def _check_support(f, dom, cyl):
-    if cyl:
-        edge = np.max(np.abs(f[0])) + np.max(np.abs(f[-1]))
-        b = dom.spatial.boundary_idx
-        edge += np.max(np.abs(f[:, b]))
-    else:
-        edge = np.max(np.abs(np.asarray(f)[dom.boundary_idx]))
-    if edge > 1e-12 * max(np.max(np.abs(f)), 1e-300):
-        raise ValueError("test functions must be compactly supported "
-                         "(zero near the domain boundary)")
 
 
 def _trend(x, y):
@@ -650,6 +633,7 @@ def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
     mask_omega[omega] = 1.0
 
     ratios = np.full(s_vals.size, -np.inf)
+    used = 0
     for w in test_functions:
         w = np.asarray(w, dtype=complex)
         if w.shape != (t.size, grid.num_nodes):
@@ -658,6 +642,7 @@ def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
             raise ValueError("samples must vanish on the spatial boundary")
         if np.max(np.abs(w)) == 0:
             continue
+        used += 1
         wt_deriv = np.gradient(w, t, axis=0)
         Pw = 1j * wt_deriv + (lap @ w.T).T
         gw = np.empty((t.size, grid.num_nodes, grid.dim), dtype=complex)
@@ -678,30 +663,25 @@ def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
             rhs = pn + gn_o + zn_o
             if rhs > 0:
                 ratios[i] = max(ratios[i], lhs / rhs)
+    if used == 0:
+        raise ValueError("all test functions were identically zero")
     slope, stderr = _trend(s_vals, ratios)
     return CarlemanProbeReport(taus=s_vals, ratios=ratios, trend_slope=slope,
-                               trend_stderr=stderr,
-                               samples_used=len(test_functions))
+                               trend_stderr=stderr, samples_used=used)
 
 
 # ---------------------------------------------------------------------------
 # test-function generators
 
 
-def bump_functions(dom, count, seed, cylinder=False):
-    """Smooth compactly supported random bumps (products of quintic ramps)."""
+def bump_functions(dom, count, seed):
+    """Smooth compactly supported random bumps (products of quintic ramps)
+    as flat node fields on a Grid or CylinderGrid."""
     rng = np.random.default_rng(seed)
     out = []
-    if cylinder:
-        pts = dom.coords()
-        los = np.concatenate([[dom.s_nodes[0]], np.asarray(dom.spatial.origin)])
-        his = np.concatenate([[dom.s_nodes[-1]],
-                              np.asarray(dom.spatial.origin)
-                              + np.asarray(dom.spatial.extents)])
-    else:
-        pts = dom.coords
-        los = np.asarray(dom.origin)
-        his = los + np.asarray(dom.extents)
+    pts = dom.coords
+    los = np.asarray(dom.origin)
+    his = los + np.asarray(dom.extents)
     D = pts.shape[1]
     for _ in range(count):
         center = los + (0.3 + 0.4 * rng.random(D)) * (his - los)
@@ -711,7 +691,5 @@ def bump_functions(dom, count, seed, cylinder=False):
         phase = np.exp(1j * (pts[inside] @ rng.normal(size=D)))
         f = np.zeros(pts.shape[0], dtype=complex)
         f[inside] = _smoothstep(1.0 - r2[inside]) * phase * (0.5 + rng.random())
-        if cylinder:
-            f = f.reshape(dom.ns, dom.spatial.num_nodes)
         out.append(f)
     return out

@@ -364,12 +364,11 @@ def test_criterion_10_weight_certification():
 
     gp = mesh.build_grid(1, [1.0], 65)
     cylp = weights.make_cylinder(gp, ns=65)
-    op = weights.CylinderOperator(cylp, potential=magop.MagneticPotential.zero(gp))
-    funcs = weights.bump_functions(cylp, 20, seed=0, cylinder=True)
+    funcs = weights.bump_functions(cylp, 20, seed=0)
     wq = weights.cylinder_extend(
         weights.quadratic_weight(gp, [-1.0]).with_lambda(0.4), cylp, beta=0.5)
-    taus = np.linspace(5.0, 0.5 / cylp.min_h, 10)
-    probe = weights.carleman_probe(op, wq, funcs, taus)
+    taus = np.linspace(5.0, 0.5 / min(cylp.h), 10)
+    probe = weights.carleman_probe(wq, magop.MagneticPotential.zero(gp), funcs, taus)
     assert probe.trend_slope <= 2.0 * probe.trend_stderr
     verdict(10, f"pseudo-convexity margin {pc.margin:.6f} >= 2 - 1e-8; "
                 f"sub-ellipticity threshold lambda* = {hi:.3f}, positive at "

@@ -386,88 +386,119 @@ def bump_1d(grid, center, radius):
 
 
 def test_probe_constant_weight_reduces_to_unweighted(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     const = weights.WeightFunction(
         domain=grid, psi=np.full(grid.num_nodes, 2.0),
         grad=np.zeros((grid.num_nodes, 1)),
         hess=np.zeros((grid.num_nodes, 1, 1)), label="flat")
     f = bump_1d(grid, 0.5, 0.25)
     tau = 3.0
-    rep = weights.carleman_probe(op, const, [f], [tau])
-    Pf = op.apply(f)
-    gf = op.gradient(f)
+    rep = weights.carleman_probe(const, pot, [f], [tau])
+    Pf = magop.laplacian_stencil_full(grid, pot) @ f
+    gf = grid.gradients[0] @ f
     wq = grid.volume_weights
     plain = ((tau**3 * np.sum(wq * np.abs(f) ** 2)
-              + tau * np.sum(wq * np.abs(gf[:, 0]) ** 2))
+              + tau * np.sum(wq * np.abs(gf) ** 2))
              / np.sum(wq * np.abs(Pf) ** 2))
     assert np.isclose(rep.ratios[0], plain, rtol=1e-13)
 
 
 def test_probe_homogeneity_exact(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     w = weights.quadratic_weight(grid, [-1.0]).with_lambda(0.3)
     f = bump_1d(grid, 0.5, 0.25)
-    r1 = weights.carleman_probe(op, w, [f], [2.0, 4.0]).ratios
-    r2 = weights.carleman_probe(op, w, [2.0 * f], [2.0, 4.0]).ratios
+    r1 = weights.carleman_probe(w, pot, [f], [2.0, 4.0]).ratios
+    r2 = weights.carleman_probe(w, pot, [2.0 * f], [2.0, 4.0]).ratios
     assert np.array_equal(r1, r2)
 
 
 def test_probe_rejects_tau_beyond_window(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     w = weights.quadratic_weight(grid, [-1.0]).with_lambda(0.3)
     f = bump_1d(grid, 0.5, 0.25)
     tau_bad = 0.5 / min(grid.h) + 1.0
     with pytest.raises(ValueError):
-        weights.carleman_probe(op, w, [f], [tau_bad])
+        weights.carleman_probe(w, pot, [f], [tau_bad])
 
 
 def test_probe_rejects_uncompact_support(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     w = weights.quadratic_weight(grid, [-1.0]).with_lambda(0.3)
     f = np.ones(grid.num_nodes, dtype=complex)
     with pytest.raises(ValueError):
-        weights.carleman_probe(op, w, [f], [2.0])
+        weights.carleman_probe(w, pot, [f], [2.0])
 
 
 def test_probe_skips_zero_samples(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     w = weights.quadratic_weight(grid, [-1.0]).with_lambda(0.3)
     f = bump_1d(grid, 0.5, 0.25)
     zero = np.zeros_like(f)
-    rep = weights.carleman_probe(op, w, [zero, f], [2.0])
+    rep = weights.carleman_probe(w, pot, [zero, f], [2.0])
     assert rep.samples_used == 1
     assert np.isfinite(rep.ratios[0])
     with pytest.raises(ValueError):
-        weights.carleman_probe(op, w, [zero], [2.0])
+        weights.carleman_probe(w, pot, [zero], [2.0])
 
 
 def test_probe_trend_on_shipped_cylinder():
     grid = mesh.build_grid(1, [1.0], 65)
     cyl = weights.make_cylinder(grid, ns=65)
-    op = weights.CylinderOperator(cyl, potential=magop.MagneticPotential.zero(grid))
-    funcs = weights.bump_functions(cyl, 20, seed=0, cylinder=True)
+    funcs = weights.bump_functions(cyl, 20, seed=0)
     w = weights.cylinder_extend(
         weights.quadratic_weight(grid, [-1.0]).with_lambda(0.4), cyl, beta=0.5)
-    taus = np.linspace(5.0, 0.5 / cyl.min_h, 10)
-    rep = weights.carleman_probe(op, w, funcs, taus)
+    taus = np.linspace(5.0, 0.5 / min(cyl.h), 10)
+    rep = weights.carleman_probe(w, magop.MagneticPotential.zero(grid), funcs, taus)
     assert rep.samples_used == 20
     assert rep.trend_slope <= 2.0 * rep.trend_stderr
     assert rep.bounded
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cylinder_grid_vocabulary(dim):
+    grid = mesh.build_grid(dim, [1.0, 0.5][:dim], [9, 7][:dim])
+    cyl = weights.make_cylinder(grid, s_half=1.5, ns=6)
+    s = cyl.coords[:, 0]
+    on_space_boundary = np.zeros(grid.num_nodes, dtype=bool)
+    on_space_boundary[grid.boundary_idx] = True
+    expect = ((s == cyl.s_nodes[0]) | (s == cyl.s_nodes[-1])
+              | np.tile(on_space_boundary, cyl.ns))
+    assert np.array_equal(cyl.boundary_idx, np.flatnonzero(expect))
+    assert np.isclose(cyl.volume_weights.sum(), 2 * 1.5 * grid.measure, rtol=1e-14)
+    assert cyl.dim == 1 + dim and cyl.num_nodes == cyl.ns * grid.num_nodes
+    assert cyl.h == (cyl.s_h, *grid.h)
+    slope = np.array([0.7, -1.3, 2.1][:1 + dim])
+    affine = 0.4 + cyl.coords @ slope
+    for g, c in zip(cyl.gradients, slope):
+        assert np.allclose(g @ affine, c, rtol=0.0, atol=1e-12)
+
+
+def test_probe_rejects_cylinder_field_on_s_end():
+    grid = mesh.build_grid(1, [1.0], 17)
+    cyl = weights.make_cylinder(grid, ns=9)
+    w = weights.cylinder_extend(weights.quadratic_weight(grid, [-1.0]), cyl, beta=0.5)
+    pot = magop.MagneticPotential.zero(grid)
+    f = weights.bump_functions(cyl, 1, seed=0)[0]
+    weights.carleman_probe(w, pot, [f], [2.0])
+    f = f.copy()
+    f[cyl.num_nodes - grid.num_nodes + grid.num_nodes // 2] = 1.0   # last s slice
+    with pytest.raises(ValueError, match="compactly supported"):
+        weights.carleman_probe(w, pot, [f], [2.0])
+
+
 def test_probe_overflow_guard(grid):
-    op = weights.GridOperator(grid, magop.MagneticPotential.zero(grid))
+    pot = magop.MagneticPotential.zero(grid)
     w = weights.quadratic_weight(grid, [-1.0]).with_lambda(4.0)
     f = bump_1d(grid, 0.5, 0.25)
     with pytest.raises(ValueError, match="double precision"):
-        weights.carleman_probe(op, w, [f], [16.0])
+        weights.carleman_probe(w, pot, [f], [16.0])
 
 
 def bump_functions_all_nodes(dom, count, seed, cylinder=False):
     """The bump generator evaluating profile and phase on every node."""
     rng = np.random.default_rng(seed)
     if cylinder:
-        pts = dom.coords()
+        pts = dom.coords
         los = np.concatenate([[dom.s_nodes[0]], np.asarray(dom.spatial.origin)])
         his = np.concatenate([[dom.s_nodes[-1]], np.asarray(dom.spatial.origin)
                               + np.asarray(dom.spatial.extents)])
@@ -483,7 +514,7 @@ def bump_functions_all_nodes(dom, count, seed, cylinder=False):
         prof = weights._smoothstep(1.0 - r2)
         phase = np.exp(1j * (pts @ rng.normal(size=pts.shape[1])))
         f = prof * phase * (0.5 + rng.random())
-        out.append(f.reshape(dom.ns, dom.spatial.num_nodes) if cylinder else f)
+        out.append(f)
     return out
 
 
@@ -492,7 +523,7 @@ def test_bump_functions_match_all_node_evaluation(dim, cylinder):
     grid = mesh.build_grid(dim, 1.0, 17 if dim == 1 else 12)
     dom = weights.make_cylinder(grid, ns=9) if cylinder else grid
     for seed in (0, 5):
-        got = weights.bump_functions(dom, 20, seed=seed, cylinder=cylinder)
+        got = weights.bump_functions(dom, 20, seed=seed)
         ref = bump_functions_all_nodes(dom, 20, seed=seed, cylinder=cylinder)
         assert len(got) == len(ref) == 20
         for f, g in zip(got, ref):
@@ -512,35 +543,49 @@ def probe_cases(draw, kind):
     count = draw(st.integers(1, 5))
     if kind == "cylinder":
         cyl = weights.make_cylinder(grid, ns=draw(st.integers(8, 20)))
-        op = weights.CylinderOperator(cyl, potential=pot)
         w = weights.cylinder_extend(base.with_lambda(lam), cyl, beta=draw(st.floats(0.0, 1.0)))
-        funcs = weights.bump_functions(cyl, count, seed=seed, cylinder=True)
-        min_h = cyl.min_h
+        funcs = weights.bump_functions(cyl, count, seed=seed)
+        min_h = min(cyl.h)
     else:
-        op = weights.GridOperator(grid, pot)
         w = base.with_lambda(lam)
         funcs = weights.bump_functions(grid, count, seed=seed)
         min_h = min(grid.h)
     for at in draw(st.lists(st.integers(0, count), max_size=2)):
         funcs.insert(at, np.zeros_like(funcs[0]))
     taus = [draw(st.floats(0.5, 0.5 / min_h)) for _ in range(draw(st.integers(1, 6)))]
-    return op, w, funcs, taus
+    return w, pot, funcs, taus
 
 
-def probe_ratios_per_tau(operator, weight, test_functions, taus):
-    """The per-tau probe loop, weights applied to the fields before squaring."""
-    cyl = isinstance(operator, weights.CylinderOperator)
-    dom = operator.cylinder if cyl else operator.grid
-    wq = dom.weights() if cyl else dom.volume_weights
-    phi = weight.phi().reshape(wq.shape)
+def probe_fields(dom, potential, f):
+    """P f and grad f from the per-axis stencils: on a cylinder in the tensor
+    form on (ns, N) arrays, flattened back to node fields."""
+    if isinstance(dom, weights.CylinderGrid):
+        space = dom.spatial
+        F = f.reshape(dom.ns, space.num_nodes)
+        lap = magop.laplacian_stencil_full(space, potential)
+        Pf = mesh._d2_matrix(dom.ns, dom.s_h) @ F + (lap @ F.T).T
+        gf = [mesh._d1_matrix(dom.ns, dom.s_h) @ F]
+        gf += [(g @ F.T).T for g in space.gradients]
+        return Pf.ravel(), np.stack([g.ravel() for g in gf], axis=-1)
+    Pf = magop.laplacian_stencil_full(dom, potential) @ f
+    return Pf, np.column_stack([g @ f for g in dom.gradients])
+
+
+def probe_ratios_per_tau(weight, potential, test_functions, taus):
+    """The per-tau probe loop, weights applied to the fields before squaring;
+    None when exp(tau phi) spans more than double precision on a support."""
+    dom = weight.domain
+    wq = dom.volume_weights
+    phi = weight.phi()
     ratios = np.full(len(taus), -np.inf)
     for f in test_functions:
         if np.max(np.abs(f)) == 0:
             continue
-        Pf = operator.apply(f)
-        gf = operator.gradient(f)
+        Pf, gf = probe_fields(dom, potential, f)
         support = (np.abs(f) > 0) | (np.abs(Pf) > 0) | np.any(np.abs(gf) > 0, axis=-1)
         phimax = np.max(phi[support])
+        if max(taus) * (phimax - np.min(phi[support])) > 700.0:
+            return None
         for i, tau in enumerate(taus):
             w = np.zeros_like(phi)
             w[support] = np.exp(tau * (phi[support] - phimax))
@@ -557,9 +602,13 @@ def test_probe_matches_per_tau_loop(kind):
     @PROBE_PROPERTY
     @given(probe_cases(kind))
     def check(case):
-        op, w, funcs, taus = case
-        rep = weights.carleman_probe(op, w, funcs, taus)
-        ref = probe_ratios_per_tau(op, w, funcs, taus)
+        w, pot, funcs, taus = case
+        ref = probe_ratios_per_tau(w, pot, funcs, taus)
+        if ref is None:
+            with pytest.raises(ValueError, match="double precision"):
+                weights.carleman_probe(w, pot, funcs, taus)
+            return
+        rep = weights.carleman_probe(w, pot, funcs, taus)
         assert rep.samples_used == sum(np.max(np.abs(f)) > 0 for f in funcs)
         assert np.all(np.isfinite(ref))
         assert np.allclose(rep.ratios, ref, rtol=1e-13, atol=0.0)
@@ -612,6 +661,23 @@ def test_evolution_probe_smoke():
                                            omega)
     assert np.all(np.isfinite(rep.ratios))
     assert rep.ratios.max() > 0
+
+
+def test_evolution_probe_counts_used_samples():
+    grid = mesh.build_grid(1, [1.0], 33)
+    pot = magop.MagneticPotential.zero(grid)
+    w = weights.quadratic_weight(grid, [-1.0])
+    T = 1.0
+    stw = weights.spacetime_weights(w, 0.5, T, 21)
+    t, xs = stw.t_nodes, grid.coords[:, 0]
+    f = np.outer(weights._smoothstep(1 - ((t - T / 2) / (0.35 * T)) ** 2),
+                 weights._smoothstep(1 - ((xs - 0.45) / 0.3) ** 2)).astype(complex)
+    zero = np.zeros_like(f)
+    omega = grid.box_nodes([0.6], [1.0])
+    rep = weights.carleman_probe_evolution(grid, pot, stw, [zero, f], [2.0], omega)
+    assert rep.samples_used == 1
+    with pytest.raises(ValueError, match="identically zero"):
+        weights.carleman_probe_evolution(grid, pot, stw, [zero], [2.0], omega)
 
 
 def test_weight_derivative_consistency():
