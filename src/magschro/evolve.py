@@ -65,7 +65,7 @@ class Trajectory:
 
 @dataclass(eq=False)
 class EnergyTrace:
-    """Energy/dissipation time series of one run, plus fitted decay laws."""
+    """Energy/dissipation time series of one run."""
 
     kind: str
     times: np.ndarray
@@ -75,8 +75,6 @@ class EnergyTrace:
     endpoint_residual: np.ndarray     # |dE/dt - trapezoid endpoint dissipation|, O(dt^2)
     dt: float
     conservation: dict = field(default_factory=dict)
-    exp_fit: object = None
-    log_fit: object = None
 
     def export_csv(self, path):
         with open(path, "w") as fh:
@@ -122,7 +120,7 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
         nsteps = int(np.ceil(T / dt))
     times = dt * np.arange(nsteps + 1)
 
-    conservative = gen.kind in ("A0", "laplacian")
+    conservative = gen.kind == "A0"
     e0 = gen.energy(u)
     if increase_tol is None:
         increase_tol = max(dt * dt * e0, 1e-13 * max(e0, 1.0)) * 10.0
@@ -244,13 +242,11 @@ def fit_exponential(trace, window=None):
     tt = float(np.sum((t - t.mean()) ** 2))
     stderr = float(np.sqrt(ss_res / dof / tt)) if tt > 0 else 0.0
     rate = -float(slope)
-    fit = ExponentialFit(
+    return ExponentialFit(
         rate=rate, log_intercept=float(intercept), r_squared=r2,
         rate_stderr=stderr, ci95=(rate - 1.96 * stderr, rate + 1.96 * stderr),
         window=(float(window[0]), float(window[1])), npoints=int(t.size),
     )
-    trace.exp_fit = fit
-    return fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,13 +299,11 @@ def fit_log_decay(trace, k, exponent=None, window=None):
         sse_exp = float(np.sum((np.exp(A @ coef) - e[pos]) ** 2))
         sse_log = float(np.sum((c_fit / L[pos] - e[pos]) ** 2))
         exp_dominates = sse_exp < sse_log
-    fit = LogDecayFit(
+    return LogDecayFit(
         c1_fit=c_fit, c1_envelope=c_env, exponent=p, k=k, r_squared=r2,
         exponential_dominates=exp_dominates,
         window=(float(window[0]), float(window[1])),
     )
-    trace.log_fit = fit
-    return fit
 
 
 def prepare_smooth_initial(gen, v, k=1):

@@ -1,15 +1,15 @@
 """Magnetic differential operators and the four evolution generators.
 
-The magnetic Laplacian sum_j (d_j + i a_j)^2 is discretized two ways:
-
-* ``link-phase``: finite differences with complex phase factors exp(i h a)
-  on edges.  The resulting operator is Hermitian against the trapezoid mass
-  matrix by construction, so skew-adjointness of the conservative generator,
-  dissipativity of the damped ones, and gauge covariance all hold at machine
-  precision rather than at discretization order.
-* ``expansion``: term-by-term assembly of Delta + 2i a.grad + i div(a) - |a|^2
-  with centered stencils.  Second-order consistent; used for cross-validation
-  and for full-grid operator application on fields with boundary data.
+The magnetic Laplacian sum_j (d_j + i a_j)^2 is discretized by finite
+differences with complex phase factors exp(i h a) on edges (link phases).
+The magnetic stiffness S is Hermitian and the mass M is the diagonal
+trapezoid matrix, so skew-adjointness of the conservative generator,
+dissipativity of the damped ones, and gauge covariance all hold at machine
+precision rather than at discretization order.  The term-by-term expansion
+Delta + 2i a.grad + i div(a) - |a|^2 with centered stencils
+(``laplacian_stencil_full``) is the cross-check operator: second-order
+consistent with the link phases, and applied to full-grid fields with
+boundary data.
 
 Generators (state space in parentheses):
 
@@ -21,8 +21,14 @@ Generators (state space in parentheses):
 
 Boundary conditions on gamma0 are eliminated through the discrete flux
 balance M.(Delta_a u) = -S u + sigma.flux, which is the ghost-node
-elimination written against the quadrature weights; it makes the energy
-dissipation identities exact algebraic statements:
+elimination written against the quadrature weights.  All four kinds share
+one assembly,
+
+    Delta_a = (M + i sigma d [A2])^-1 (-S + i sigma d [A3]),
+    A = i Delta_a - c [A1],
+
+where a bracketed term is present only for the kind named.  It makes the
+energy dissipation identities exact algebraic statements:
 
     Re (u | A1 u)_M = -||sqrt(c) u||^2,
     Re (A2 u | u)_S = -||sqrt(d) Delta_a u||^2 on gamma0,
@@ -153,9 +159,8 @@ class MagneticPotential:
             return True
         if np.max(np.abs(self.values[nodes])) > tol:
             return False
-        pos = {int(n): i for i, n in enumerate(self.grid.boundary_idx)}
-        bpos = [pos[int(n)] for n in nodes if int(n) in pos]
-        return not bpos or np.max(np.abs(self.a_dot_nu[bpos])) <= tol
+        bpos = _positions(self.grid.num_nodes, self.grid.boundary_idx)[nodes]
+        return bool(np.max(np.abs(self.a_dot_nu[bpos[bpos >= 0]]), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +253,8 @@ def magnetic_stiffness(grid, a, state_idx):
 
 
 def laplacian_stencil_full(grid, a=None):
-    """Expansion-scheme Delta_a over all grid nodes (one-sided boundary rows)."""
+    """The cross-check Delta + 2i a.grad + i div(a) - |a|^2 over all grid nodes
+    (one-sided boundary rows)."""
     d2 = [_axis_matrix(grid, _d2_matrix(grid.n[ax], grid.h[ax]), ax)
           for ax in range(grid.dim)]
     L = sum(d2[1:], d2[0]).astype(complex)
@@ -270,15 +276,13 @@ class GeneratorMatrix:
     with it; ``dataclasses.replace`` gives a copy with empty caches.
     """
 
-    kind: str                      # A0 | A1 | A2 | A3 | laplacian
+    kind: str                      # A0 | A1 | A2 | A3
     matrix: sp.csr_matrix
-    scheme: str                    # link-phase | expansion
     grid: Grid
     state_idx: np.ndarray          # full-grid node indices of the unknowns
     mass_diag: np.ndarray          # trapezoid volume weights at the unknowns
     stiffness: sp.csr_matrix       # magnetic stiffness on the unknowns
-    inner_kind: str                # mass | stiffness
-    lap_matrix: sp.csr_matrix = None   # discrete Delta_a including the BC elimination
+    lap_matrix: sp.csr_matrix      # discrete Delta_a including the BC elimination
     gamma0_pos: np.ndarray = None      # positions of gamma0 nodes in the state vector
     sigma_d: np.ndarray = None         # surface weight * d at those positions
     damping_c: np.ndarray = None       # c at the unknowns (A1)
@@ -291,6 +295,11 @@ class GeneratorMatrix:
     @property
     def size(self):
         return self.matrix.shape[0]
+
+    @property
+    def inner_kind(self):
+        """mass, or stiffness for A2, whose energy is the magnetic gradient norm."""
+        return "stiffness" if self.kind == "A2" else "mass"
 
     @property
     def inner_matrix(self):
@@ -326,9 +335,6 @@ class GeneratorMatrix:
 
     # -- dynamics helpers -------------------------------------------------
 
-    def apply(self, u):
-        return self.matrix @ u
-
     def laplacian_apply(self, u):
         return self.lap_matrix @ u
 
@@ -353,7 +359,7 @@ class GeneratorMatrix:
         return 0.5 * self.stiffness_norms(U) ** 2
 
     def dissipations(self, U):
-        if self.kind in ("A0", "laplacian"):
+        if self.kind == "A0":
             return np.zeros(np.shape(U)[1:])
         if self.kind == "A1":
             w, V = self.mass_diag * self.damping_c, U
@@ -455,91 +461,44 @@ def _tridiagonal_solver(M):
             "H": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b, trans="C")[0]}
 
 
-def assemble_magnetic_laplacian(grid, a, scheme="link-phase", dirichlet="all"):
-    """Discrete Delta_a with homogeneous Dirichlet rows eliminated.
+def assemble_generator(kind, grid, a, damping=None, split=None):
+    """Assemble one of the generators A0..A3 on the given grid.
 
-    ``dirichlet`` is "all" (whole boundary) or an explicit node set.
+    The unknowns are the interior nodes, plus the gamma0 nodes for A2 and A3;
+    every kind is then the module's one formula with its own bracketed terms.
     """
-    if a.grid is not grid:
-        raise ValueError("potential was sampled on a different grid")
-    if isinstance(dirichlet, str):
-        if dirichlet != "all":
-            raise ValueError("dirichlet must be 'all' or a node set")
-        eliminated = grid.boundary_idx
-    else:
-        eliminated = np.asarray(dirichlet, dtype=int)
-    state_idx = np.setdiff1d(np.arange(grid.num_nodes), eliminated)
-    mass = grid.volume_weights[state_idx]
-    S = magnetic_stiffness(grid, a, state_idx)
-    if scheme == "link-phase":
-        lap = (sp.diags(-1.0 / mass) @ S).tocsr()
-    elif scheme == "expansion":
-        full = laplacian_stencil_full(grid, a)
-        lap = full[state_idx][:, state_idx].tocsr()
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return GeneratorMatrix(
-        kind="laplacian", matrix=lap, scheme=scheme, grid=grid,
-        state_idx=state_idx, mass_diag=mass, stiffness=S, inner_kind="mass",
-        lap_matrix=lap, potential=a,
-    )
-
-
-def assemble_generator(kind, grid, a, damping=None, split=None, scheme="link-phase"):
-    """Assemble one of the generators A0..A3 on the given grid."""
     if kind not in ("A0", "A1", "A2", "A3"):
         raise ValueError(f"unknown generator kind {kind!r}")
+    if a.grid is not grid:
+        raise ValueError("potential was sampled on a different grid")
     if damping is None:
         damping = DampingConfig.none(grid)
 
-    if kind in ("A0", "A1"):
-        lapgen = assemble_magnetic_laplacian(grid, a, scheme=scheme, dirichlet="all")
-        state, mass, S = lapgen.state_idx, lapgen.mass_diag, lapgen.stiffness
-        lap = lapgen.matrix
-        A = (1j * lap).tocsr()
-        cvals = None
-        if kind == "A1":
-            cvals = damping.c[state]
-            A = (A - sp.diags(cvals)).tocsr()
-        return GeneratorMatrix(
-            kind=kind, matrix=A, scheme=scheme, grid=grid, state_idx=state,
-            mass_diag=mass, stiffness=S, inner_kind="mass", lap_matrix=lap,
-            damping_c=cvals, potential=a, damping=damping, split=split,
-        )
-
-    # boundary-damped kinds need the observation split
-    if split is None:
-        raise ValueError("boundary_split: A2/A3 require a boundary split")
-    if split.gamma0_empty:
-        raise ValueError("boundary_split: gamma0 is empty, no damped boundary part")
-    if scheme != "link-phase":
-        raise ValueError("boundary elimination is implemented for the link-phase scheme")
-
-    state = np.sort(np.concatenate([grid.interior_idx, split.gamma0]))
+    state, g0_pos, sigma_d = grid.interior_idx, None, None
+    D = np.zeros(grid.num_nodes)        # sigma d, nonzero on gamma0 only
+    if kind in ("A2", "A3"):
+        if split is None:
+            raise ValueError("boundary_split: A2/A3 require a boundary split")
+        if split.gamma0_empty:
+            raise ValueError("boundary_split: gamma0 is empty, no damped boundary part")
+        state = np.sort(np.concatenate([grid.interior_idx, split.gamma0]))
+        g0_pos = _positions(grid.num_nodes, state)[split.gamma0]
+        sigma_d = grid.surface_weights[split.gamma0] * damping.d[split.gamma0]
+        D[split.gamma0] = sigma_d
+    D = D[state]
     mass = grid.volume_weights[state]
     S = magnetic_stiffness(grid, a, state)
-    pos = _positions(grid.num_nodes, state)
-    g0_pos = pos[split.gamma0]
-    sigma = grid.surface_weights[split.gamma0]
-    dvals = damping.d[split.gamma0]
-    sigma_d = sigma * dvals
+    c = damping.c[state] if kind == "A1" else None
 
-    D = np.zeros(state.size)
-    D[g0_pos] = sigma_d
-    if kind == "A3":
-        # M Delta u = -S u + i sigma d u on gamma0; A3 = i Delta
-        lap = (sp.diags(1.0 / mass) @ (-S + 1j * sp.diags(D))).tocsr()
-        A = (1j * lap).tocsr()
-    else:
-        # flux = -i d Delta u: (M + i sigma d) Delta u = -S u
-        lap = (sp.diags(1.0 / (mass + 1j * D)) @ (-S)).tocsr()
-        A = (1j * lap).tocsr()
+    # From M Delta u = -S u + sigma flux on gamma0: A2's flux -i d Delta u moves
+    # to the left as i sigma d, A3's flux i d u stays on the right.
+    lap = (sp.diags(1.0 / (mass + 1j * D * (kind == "A2")))
+           @ (-S + 1j * sp.diags(D * (kind == "A3")))).tocsr()
+    A = 1j * lap if c is None else (1j * lap - sp.diags(c)).tocsr()
     return GeneratorMatrix(
-        kind=kind, matrix=A, scheme="link-phase", grid=grid, state_idx=state,
-        mass_diag=mass, stiffness=S,
-        inner_kind="stiffness" if kind == "A2" else "mass",
-        lap_matrix=lap, gamma0_pos=g0_pos, sigma_d=sigma_d,
-        potential=a, damping=damping, split=split,
+        kind=kind, matrix=A, grid=grid, state_idx=state, mass_diag=mass,
+        stiffness=S, lap_matrix=lap, gamma0_pos=g0_pos, sigma_d=sigma_d,
+        damping_c=c, potential=a, damping=damping, split=split,
     )
 
 
@@ -694,7 +653,7 @@ def gauge_transform(gen, psi):
     D = sp.diags(phase)
     Dinv = sp.diags(np.conj(phase))
     new_matrix = (Dinv @ gen.matrix @ D).tocsr()
-    new_lap = (Dinv @ gen.lap_matrix @ D).tocsr() if gen.lap_matrix is not None else None
+    new_lap = (Dinv @ gen.lap_matrix @ D).tocsr()
     return replace(gen, matrix=new_matrix, lap_matrix=new_lap)
 
 
@@ -730,12 +689,3 @@ def edge_antiderivative_1d(grid, a):
     psi = np.zeros(grid.num_nodes)
     psi[1:] = np.cumsum(grid.h[0] * a.edge_values[0])
     return psi
-
-
-def export_coo(gen, path):
-    """Write the generator matrix in (row, col, re, im) coordinate text form."""
-    coo = gen.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"# kind={gen.kind} n={gen.size} scheme={gen.scheme}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

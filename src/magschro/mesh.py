@@ -88,10 +88,6 @@ class Grid:
     def flat_index(self, multi):
         return np.ravel_multi_index(multi, self.shape)
 
-    def integrate(self, values):
-        """Trapezoid volume integral of a node field."""
-        return complex(np.sum(self.volume_weights * np.asarray(values)))
-
     @cached_property
     def gradients(self):
         """Per-axis first-derivative matrices over all grid nodes, built on

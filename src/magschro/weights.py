@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import magop
-from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
+from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +621,7 @@ def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
         raise ValueError("empty observation region")
     s_vals = _tau_window_check(s_grid, float(min(grid.h)))
     t = stw.t_nodes
-    wt = np.empty(t.size)
-    wt[1:-1] = 0.5 * (t[2:] - t[:-2])
-    wt[0] = t[1] - t[0]
-    wt[-1] = t[-1] - t[-2]
+    wt = trapezoid_weights(np.concatenate([[0.0], t, [stw.T]]))[1:-1]
     wv = grid.volume_weights
     lam = stw.lam
     lap = magop.laplacian_stencil_full(grid, potential)

@@ -69,6 +69,7 @@ def test_a2_without_split_names_boundary_field(tmp_path):
 @pytest.mark.parametrize("line", [
     "dt = NaN", "dt = -0.002", "dt = 0", "T = Infinity", "T = -1.0", 'T = "soon"',
     "snapshot_stride = 0", "snapshot_stride = NaN", "snapshot_stride = 0.5",
+    'scheme = "expansion"',
 ])
 def test_simulate_bad_numbers_are_config_errors(tmp_path, line):
     key = line.split()[0]

@@ -159,9 +159,8 @@ def test_energy_increase_detected(grid, a_zero):
 
     bad = magop.GeneratorMatrix(
         kind="A1", matrix=(gen.matrix + 2.0 * sp.identity(gen.size)).tocsr(),
-        scheme=gen.scheme, grid=gen.grid, state_idx=gen.state_idx,
-        mass_diag=gen.mass_diag, stiffness=gen.stiffness, inner_kind="mass",
-        lap_matrix=gen.lap_matrix, damping_c=gen.damping_c)
+        grid=gen.grid, state_idx=gen.state_idx, mass_diag=gen.mass_diag,
+        stiffness=gen.stiffness, lap_matrix=gen.lap_matrix, damping_c=gen.damping_c)
     with pytest.raises(evolve.EnergyIncreaseError):
         evolve.simulate(bad, first_mode(gen), T=1.0, dt=1e-2)
 

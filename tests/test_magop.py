@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from magschro import magop, mesh
 
@@ -25,8 +27,8 @@ def smooth_pot(grid_1d):
 
 def test_laplacian_zero_potential_spectrum(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
-    lap = magop.assemble_magnetic_laplacian(grid_1d, a)
-    w = spla.eigsh((-lap.matrix).real.tocsc(), k=1, sigma=0, which="LM",
+    lap = magop.assemble_generator("A0", grid_1d, a).lap_matrix
+    w = spla.eigsh((-lap).real.tocsc(), k=1, sigma=0, which="LM",
                    return_eigenvectors=False)
     assert abs(w[0] - np.pi**2) < 0.01
 
@@ -36,18 +38,24 @@ def test_constant_potential_isospectral(grid_1d):
     a = magop.MagneticPotential.from_samples(
         grid_1d, np.full((grid_1d.num_nodes, 1), alpha))
     z = magop.MagneticPotential.zero(grid_1d)
-    lap_a = magop.assemble_magnetic_laplacian(grid_1d, a)
-    lap_0 = magop.assemble_magnetic_laplacian(grid_1d, z)
-    ea = np.sort(la.eigvalsh(lap_a.matrix.toarray()))
-    e0 = np.sort(la.eigvalsh(lap_0.matrix.toarray()))
+    lap_a = magop.assemble_generator("A0", grid_1d, a).lap_matrix
+    lap_0 = magop.assemble_generator("A0", grid_1d, z).lap_matrix
+    ea = np.sort(la.eigvalsh(lap_a.toarray()))
+    e0 = np.sort(la.eigvalsh(lap_0.toarray()))
     assert np.max(np.abs(ea - e0)) < 1e-10 * np.max(np.abs(e0))
+
+
+def cross_check_laplacian(grid, a):
+    """The expansion stencil with the boundary rows and columns removed."""
+    inner = grid.interior_idx
+    return magop.laplacian_stencil_full(grid, a)[inner][:, inner]
 
 
 def test_schemes_identical_for_zero_potential(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
-    link = magop.assemble_magnetic_laplacian(grid_1d, a, scheme="link-phase")
-    expa = magop.assemble_magnetic_laplacian(grid_1d, a, scheme="expansion")
-    assert sp.linalg.norm(link.matrix - expa.matrix) < 1e-12 * sp.linalg.norm(expa.matrix)
+    link = magop.assemble_generator("A0", grid_1d, a).lap_matrix
+    expa = cross_check_laplacian(grid_1d, a)
+    assert sp.linalg.norm(link - expa) < 1e-12 * sp.linalg.norm(expa)
 
 
 def test_schemes_agree_second_order():
@@ -56,19 +64,19 @@ def test_schemes_agree_second_order():
         g = mesh.build_grid(1, [1.0], n)
         a = magop.MagneticPotential.from_callable(
             g, lambda p: 0.5 * np.sin(2.0 * p[:, 0]))
-        link = magop.assemble_magnetic_laplacian(g, a, scheme="link-phase")
-        expa = magop.assemble_magnetic_laplacian(g, a, scheme="expansion")
+        link = magop.assemble_generator("A0", g, a)
+        expa = cross_check_laplacian(g, a)
         x = g.coords[link.state_idx, 0]
         u = np.sin(np.pi * x) * np.exp(1j * 1.3 * x)
-        diffs.append(np.max(np.abs(link.matrix @ u - expa.matrix @ u)))
+        diffs.append(np.max(np.abs(link.lap_matrix @ u - expa @ u)))
     assert diffs[0] / diffs[1] > 3.0
 
 
 def test_laplacian_rejects_wrong_grid(grid_1d):
     other = mesh.build_grid(1, [1.0], 32)
     a = magop.MagneticPotential.zero(other)
-    with pytest.raises(ValueError):
-        magop.assemble_magnetic_laplacian(grid_1d, a)
+    with pytest.raises(ValueError, match="different grid"):
+        magop.assemble_generator("A0", grid_1d, a)
 
 
 def test_magnetic_gradient_linear_exact(grid_1d):
@@ -388,12 +396,113 @@ def test_damping_validation(grid_1d):
             omega=np.arange(grid_1d.num_nodes))
 
 
-def test_export_coo(tmp_path, grid_1d, smooth_pot):
-    gen = magop.assemble_generator("A0", grid_1d, smooth_pot)
-    path = tmp_path / "a0.coo"
-    magop.export_coo(gen, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# kind=A0")
-    row, col, re_, im_ = lines[1].split()
-    entry = gen.matrix[int(row), int(col)]
-    assert abs(complex(float(re_), float(im_)) - entry) < 1e-15 * abs(entry)
+
+# -- property tests: one assembly formula for every kind -------------------
+#
+# Random small grids, potentials, damping fields and boundary splits.  The
+# shared assembly must reproduce, bit for bit, the two per-kind formulas it
+# replaced, and every kind must keep the structural identities: A0
+# skew-adjoint, A1-A3 dissipative, every kind gauge covariant.
+
+KINDS = ("A0", "A1", "A2", "A3")
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def assembly_cases(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(5, 30) if dim == 1 else st.integers(5, 12))
+    grid = mesh.build_grid(dim, 1.0, n)
+    amp, freq, phase, offset = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 4.0)),
+                                draw(st.floats(0.0, 3.0)), draw(st.floats(-1.0, 1.0)))
+    a = magop.MagneticPotential.from_callable(
+        grid, lambda p: offset + amp * np.sin(freq * p + phase))
+    x0 = [draw(st.floats(-0.5, 1.5)) for _ in range(dim)]
+    split = mesh.split_boundary(grid, x0)
+    assume(not split.gamma0_empty)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    c = draw(st.floats(0.0, 20.0)) * rng.random(grid.num_nodes)
+    d = np.zeros(grid.num_nodes)
+    d[split.gamma0] = draw(st.floats(0.0, 5.0)) * rng.random(split.gamma0.size)
+    damping = magop.DampingConfig(c=c, c0=0.0, omega=np.nonzero(c > 0)[0], d=d,
+                                  d0=0.0, gamma0_support=split.gamma0)
+    psi = draw(st.floats(0.1, 3.0)) * np.cos(
+        grid.coords @ np.array([draw(st.floats(-4.0, 4.0)) for _ in range(dim)])
+        + draw(st.floats(0.0, 3.0)))
+    return grid, a, damping, split, psi
+
+
+def reference_assembly(kind, grid, a, damping, split):
+    """The per-kind formulas that assembled A0/A1 and A2/A3 separately."""
+    if kind in ("A0", "A1"):
+        state = np.setdiff1d(np.arange(grid.num_nodes), grid.boundary_idx)
+        mass = grid.volume_weights[state]
+        S = magop.magnetic_stiffness(grid, a, state)
+        lap = (sp.diags(-1.0 / mass) @ S).tocsr()
+        A = (1j * lap).tocsr()
+        cvals = None
+        if kind == "A1":
+            cvals = damping.c[state]
+            A = (A - sp.diags(cvals)).tocsr()
+        return dict(matrix=A, lap_matrix=lap, stiffness=S, mass_diag=mass,
+                    state_idx=state, gamma0_pos=None, sigma_d=None, damping_c=cvals)
+    state = np.sort(np.concatenate([grid.interior_idx, split.gamma0]))
+    mass = grid.volume_weights[state]
+    S = magop.magnetic_stiffness(grid, a, state)
+    g0_pos = magop._positions(grid.num_nodes, state)[split.gamma0]
+    sigma_d = grid.surface_weights[split.gamma0] * damping.d[split.gamma0]
+    D = np.zeros(state.size)
+    D[g0_pos] = sigma_d
+    if kind == "A3":
+        lap = (sp.diags(1.0 / mass) @ (-S + 1j * sp.diags(D))).tocsr()
+    else:
+        lap = (sp.diags(1.0 / (mass + 1j * D)) @ (-S)).tocsr()
+    return dict(matrix=(1j * lap).tocsr(), lap_matrix=lap, stiffness=S, mass_diag=mass,
+                state_idx=state, gamma0_pos=g0_pos, sigma_d=sigma_d, damping_c=None)
+
+
+def assert_bitwise(got, want):
+    if want is None:
+        assert got is None
+        return
+    if sp.issparse(want):
+        got, want = got.tocsr(copy=True), want.tocsr(copy=True)
+        got.sort_indices()
+        want.sort_indices()
+        for name in ("indptr", "indices"):
+            assert_bitwise(getattr(got, name), getattr(want, name))
+        got, want = got.data, want.data
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(assembly_cases())
+def test_assembly_matches_per_kind_formulas(case):
+    grid, a, damping, split, _ = case
+    for kind in KINDS:
+        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        for name, want in reference_assembly(kind, grid, a, damping, split).items():
+            assert_bitwise(getattr(gen, name), want)
+
+
+@PROPERTY
+@given(assembly_cases())
+def test_structural_identities(case):
+    grid, a, damping, split, psi = case
+    shifted = magop.potential_plus_edge_gradient(a, psi)
+    for kind in KINDS:
+        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        if kind == "A0":
+            assert gen.hermitian_residual() <= 1e-12
+        else:
+            lam, scale = gen.dissipativity_margin()
+            assert lam <= 1e-10 * scale
+        conj = magop.gauge_transform(gen, psi)
+        direct = magop.assemble_generator(kind, grid, shifted, damping=damping,
+                                          split=split)
+        for name in ("matrix", "lap_matrix"):
+            want = getattr(direct, name)
+            rel = sp.linalg.norm(getattr(conj, name) - want) / sp.linalg.norm(want)
+            assert rel <= 1e-12
