@@ -65,7 +65,10 @@ class ExperimentConfig:
     def parse(cls, text):
         text = text.strip()
         if text.startswith("{"):
-            doc = json.loads(text)
+            try:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config: invalid JSON: {exc}") from None
             flat = _flatten(doc)
         else:
             flat = {}
@@ -89,7 +92,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {path}: {exc}") from None
+        return cls.parse(text)
 
 
 def _flatten(doc, prefix=""):
@@ -112,7 +119,7 @@ def _rng(config):
 
 
 def _build_grid(config):
-    dim = int(config.get("grid.dim", 1))
+    dim = _whole(config, "grid.dim", 1)
     extents = config.get("grid.extents", 1.0)
     n = config.get("grid.n", 64)
     try:
@@ -126,23 +133,32 @@ def _build_potential(grid, config):
     if preset == "zero":
         return magop.MagneticPotential.zero(grid)
     if preset == "constant":
-        vals = np.atleast_1d(np.asarray(config.get("potential.value", 0.0), dtype=float))
+        vals = _numbers(config, "potential.value", 0.0)
+        if vals.size not in (1, grid.dim):
+            raise ConfigError(f"potential.value: expected 1 or {grid.dim} numbers, "
+                              f"got {vals.size}")
         if vals.size == 1:
             vals = np.repeat(vals, grid.dim)
         return magop.MagneticPotential.from_samples(
             grid, np.tile(vals, (grid.num_nodes, 1)))
     if preset == "sine":
-        amp = float(config.get("potential.amplitude", 0.1))
-        freq = float(config.get("potential.frequency", 2.0))
-        phase = float(config.get("potential.phase", 0.0))
+        amp = _finite(config, "potential.amplitude", 0.1)
+        freq = _finite(config, "potential.frequency", 2.0)
+        phase = _finite(config, "potential.phase", 0.0)
 
         def fn(pts):
             return amp * np.sin(freq * pts + phase)
 
         return magop.MagneticPotential.from_callable(grid, fn)
     if preset == "tabulated":
-        vals = np.asarray(config.require("potential.values"), dtype=float)
-        return magop.MagneticPotential.from_samples(grid, vals)
+        vals = config.require("potential.values")
+        try:
+            arr = np.asarray(vals, dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("values must be finite")
+            return magop.MagneticPotential.from_samples(grid, arr)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"potential.values: {exc}") from None
     raise ConfigError(f"potential.preset: unknown preset {preset!r}")
 
 
@@ -163,7 +179,10 @@ def _build_split(grid, config, required=False):
             raise ConfigError(
                 "boundary_split: split.x0 is required for this experiment")
         return None
-    return mesh.split_boundary(grid, x0)
+    try:
+        return mesh.split_boundary(grid, x0)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split.x0: {exc}") from None
 
 
 def _build_damping(grid, config, split):
@@ -173,11 +192,11 @@ def _build_damping(grid, config, split):
     c0 = 0.0
     omega = np.array([], dtype=int)
     if cpre == "constant":
-        c0 = float(config.get("damping.c0", 1.0))
+        c0 = _nonnegative(config, "damping.c0", 1.0)
         c[:] = c0
         omega = np.arange(grid.num_nodes)
     elif cpre == "box":
-        c0 = float(config.get("damping.c0", 1.0))
+        c0 = _nonnegative(config, "damping.c0", 1.0)
         omega = _box_nodes(grid, config.require("damping.omega"), "damping.omega")
         c[omega] = c0
     elif cpre != "none":
@@ -190,7 +209,7 @@ def _build_damping(grid, config, split):
         if split is None or split.gamma0_empty:
             raise ConfigError("boundary_split: boundary damping needs a nonempty gamma0")
         if dpre == "constant":
-            d0 = float(config.get("damping.d0", 1.0))
+            d0 = _nonnegative(config, "damping.d0", 1.0)
             d[split.gamma0] = d0
             gamma0_support = split.gamma0
         elif dpre == "m-dot-nu":
@@ -226,9 +245,11 @@ def _initial_state(gen, config, rng):
     grid = gen.grid
     coords = grid.coords[gen.state_idx]
     if preset == "sine-mode":
-        k = np.atleast_1d(np.asarray(config.get("u0.mode", 1), dtype=int))
-        if k.size == 1 and grid.dim == 2:
-            k = np.repeat(k, 2)
+        k = _numbers(config, "u0.mode", 1)
+        if k.size not in (1, grid.dim) or np.any(k < 1) or np.any(k != np.round(k)):
+            raise ConfigError(f"u0.mode: expected 1 or {grid.dim} whole numbers >= 1, "
+                              f"got {config.get('u0.mode')!r}")
+        k = np.repeat(k.astype(int), grid.dim // k.size)
         u = np.ones(gen.size, dtype=complex)
         for ax in range(grid.dim):
             u *= np.sin(k[ax] * np.pi * (coords[:, ax] - grid.origin[ax])
@@ -270,6 +291,14 @@ def _positive(config, key, default):
     return num
 
 
+def _nonnegative(config, key, default):
+    """The config value as a finite float >= 0."""
+    num = _finite(config, key, default)
+    if num < 0:
+        raise ConfigError(f"{key}: must be >= 0, got {num!r}")
+    return num
+
+
 def _whole(config, key, default, least=1):
     """The config value as a whole number >= least."""
     num = _finite(config, key, default)
@@ -290,6 +319,13 @@ def _number_list(config, key, default, nonnegative=False):
     if nonnegative and np.any(arr < 0):
         raise ConfigError(f"{key}: values must be >= 0, got {val!r}")
     return arr
+
+
+def _numbers(config, key, default):
+    """The config value, one number or a list of them, as a 1D array of finite floats."""
+    if isinstance(config.get(key, default), list):
+        return _number_list(config, key, default)
+    return np.array([_finite(config, key, default)])
 
 
 def _mu_grid(config):
@@ -452,11 +488,13 @@ def _run_multiplier_check(config, out, rng):
     T = _positive(config, "T", 0.25)
     dt = _positive(config, "dt", 5e-4)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
-    x0 = config.get("multiplier.x0", [0.0] * gen.grid.dim)
+    x0 = _number_list(config, "multiplier.x0", [0.0] * gen.grid.dim)
+    if x0.size != gen.grid.dim:
+        raise ConfigError(f"multiplier.x0: expected {gen.grid.dim} coordinates, got {x0.size}")
     fld = multiplier.MultiplierField.radial(gen.grid, traj.times, x0)
     rep = multiplier.multiplier_identity_residual(traj, gen.potential, fld)
     (out / "residuals.json").write_text(rep.to_json())
-    tol = float(config.get("tolerance", 0.1))
+    tol = _finite(config, "tolerance", 0.1)
     verdicts = {"identity": {"pass": bool(rep.residual <= tol * rep.scale),
                              "residual": rep.residual, "scale": rep.scale}}
     return verdicts, ["residuals.json"]
@@ -468,7 +506,7 @@ def _weight_from_config(grid, config):
         return weights.quadratic_weight(grid, config.require("weight.x0"))
     if preset == "linear":
         return weights.linear_weight(grid, config.get("weight.direction", [1.0] * grid.dim),
-                                     offset=float(config.get("weight.offset", 2.0)))
+                                     offset=_finite(config, "weight.offset", 2.0))
     if preset == "collar":
         omega = _box_nodes(grid, config.require("weight.collar"), "weight.collar")
         return weights.construct_psi_G(grid, omega, config.require("weight.x0"))
@@ -583,8 +621,8 @@ _HANDLERS = {
 def run(config, out_dir=None, jobs=1):
     """Run one experiment; write artifacts and manifest; return exit code.
 
-    ``jobs`` is accepted for compatibility and ignored: every kind runs
-    serially.
+    ``jobs`` is ignored: every kind runs serially.  The keyword stays because
+    the benchmark's worker and reference recorder call ``run(..., jobs=1)``.
     """
     out = Path(out_dir if out_dir is not None else config.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
@@ -635,8 +673,6 @@ def main(argv=None):
                         help="manifest path (report mode only)")
     parser.add_argument("--config", help="config file (flat key-value or JSON)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored; every kind runs serially")
     args = parser.parse_args(argv)
 
     if args.kind == "report":
@@ -657,7 +693,7 @@ def main(argv=None):
         if config.kind != args.kind:
             raise ConfigError(
                 f"kind: config says {config.kind!r}, command line says {args.kind!r}")
-        return run(config, out_dir=args.out, jobs=args.jobs)
+        return run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

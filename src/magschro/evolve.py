@@ -249,63 +249,6 @@ def fit_exponential(trace, window=None):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LogDecayFit:
-    c1_fit: float               # least-squares C in E ~ C / ln^p (2 + t)
-    c1_envelope: float          # max E ln^p (2 + t); bounds every sample
-    exponent: int
-    k: int
-    r_squared: float
-    exponential_dominates: bool # the exp model explains the window better
-    window: tuple
-
-
-def fit_log_decay(trace, k, exponent=None, window=None):
-    """Fit the logarithmic energy law E ~ C1 / ln^p (2+t).
-
-    ``k`` is the smoothness order of the prepared initial state (it must lie
-    in the domain of the k-th generator power, k >= 1); the default exponent
-    is p = 4k, the squared-norm decay of such states.  Both the
-    least-squares coefficient and the upper envelope (which bounds every
-    sample by construction) are returned.  On a fixed grid the spectral
-    abscissa is finite, so an exponential law eventually wins; the fit
-    reports which model explains the window better.
-    """
-    if int(k) < 1:
-        raise ValueError("the logarithmic law requires smoothness order k >= 1")
-    k = int(k)
-    p = int(exponent) if exponent is not None else 4 * k
-    t = trace.times
-    e = trace.energy
-    if window is not None:
-        mask = (t >= window[0]) & (t <= window[1])
-        t, e = t[mask], e[mask]
-    else:
-        window = (float(t[0]), float(t[-1]))
-    L = np.log(2.0 + t) ** p
-    c_fit = float(np.sum(e / L) / np.sum(1.0 / L**2))
-    c_env = float(np.max(e * L))
-    model = c_fit / L
-    ss_res = float(np.sum((e - model) ** 2))
-    ss_tot = float(np.sum((e - e.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    exp_dominates = False
-    pos = e > 0
-    if np.count_nonzero(pos) >= 3:
-        y = np.log(e[pos])
-        A = np.column_stack([t[pos], np.ones(int(np.count_nonzero(pos)))])
-        coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-        sse_exp = float(np.sum((np.exp(A @ coef) - e[pos]) ** 2))
-        sse_log = float(np.sum((c_fit / L[pos] - e[pos]) ** 2))
-        exp_dominates = sse_exp < sse_log
-    return LogDecayFit(
-        c1_fit=c_fit, c1_envelope=c_env, exponent=p, k=k, r_squared=r2,
-        exponential_dominates=exp_dominates,
-        window=(float(window[0]), float(window[1])),
-    )
-
-
 def prepare_smooth_initial(gen, v, k=1):
     """Apply the discrete inverse k times: the result lies in D(A^k)."""
     if int(k) < 1:

@@ -45,8 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .mesh import (Grid, BoundarySplit, _axis_matrix, _d2_matrix, _trapezoid_1d,
-                   poincare_constant)
+from .mesh import Grid, BoundarySplit, _axis_matrix, _d2_matrix, _trapezoid_1d
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +334,6 @@ class GeneratorMatrix:
 
     # -- dynamics helpers -------------------------------------------------
 
-    def laplacian_apply(self, u):
-        return self.lap_matrix @ u
-
     def dissipation(self, u):
         """The exact algebraic right-hand side of the energy law, at state u."""
         return float(self.dissipations(u))
@@ -582,63 +578,6 @@ def check_green_identity(grid, a, f, g):
         volume_term=complex(t_vol),
         gradient_term=complex(t_grad),
         boundary_term=complex(t_bnd),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class DiamagneticReport:
-    min_margin: float
-    argmin_node: int
-    h_scale: float
-
-
-def check_diamagnetic(grid, a, f):
-    """Node-wise margin |grad_a f| - |grad |f||; nonnegative up to O(h)."""
-    f = np.asarray(f, dtype=complex)
-    grads = grid.gradients
-    mod = np.abs(f)
-    gmod = np.column_stack([grads[ax] @ mod for ax in range(grid.dim)])
-    gmag = magnetic_gradient(grid, a, f)
-    margin = np.linalg.norm(gmag, axis=1) - np.linalg.norm(gmod, axis=1)
-    k = int(np.argmin(margin))
-    return DiamagneticReport(min_margin=float(margin[k]), argmin_node=k,
-                             h_scale=float(max(grid.h)))
-
-
-@dataclass(frozen=True, eq=False)
-class NormEquivalenceReport:
-    kappa: float
-    coupling: float                # ||a||_inf * kappa
-    smallness_met: bool            # coupling < 1
-    worst_lower_slack: float       # min over samples of ||grad_a u|| - (1-coupling)||grad u||
-    worst_upper_slack: float       # min over samples of (1+coupling)||grad u|| - ||grad_a u||
-    flagged: bool                  # violation beyond O(h) resolution
-
-
-def norm_equivalence_bounds(grid, a, samples, dirichlet_part):
-    """Check (1 -+ ||a|| kappa) ||grad u|| brackets for ||grad_a u||."""
-    rep = poincare_constant(grid, dirichlet_part)
-    kappa = rep.kappa
-    coupling = a.sup_norm * kappa
-    lo_slack, up_slack = np.inf, np.inf
-    hmax = float(max(grid.h))
-    for u in samples:
-        u = np.asarray(u, dtype=complex)
-        if np.max(np.abs(u[np.asarray(dirichlet_part, dtype=int)]), initial=0.0) > 1e-12:
-            raise ValueError("samples must vanish on the Dirichlet part")
-        grads = grid.gradients
-        g = np.column_stack([grads[ax] @ u for ax in range(grid.dim)])
-        gnorm = np.sqrt(np.sum(grid.volume_weights * np.sum(np.abs(g) ** 2, axis=1)).real)
-        gm = magnetic_gradient(grid, a, u)
-        mnorm = np.sqrt(np.sum(grid.volume_weights * np.sum(np.abs(gm) ** 2, axis=1)).real)
-        lo_slack = min(lo_slack, mnorm - (1 - coupling) * gnorm)
-        up_slack = min(up_slack, (1 + coupling) * gnorm - mnorm)
-    scale = max(1.0, a.sup_norm)
-    flagged = (lo_slack < -10 * hmax * scale) or (up_slack < -10 * hmax * scale)
-    return NormEquivalenceReport(
-        kappa=kappa, coupling=coupling, smallness_met=bool(coupling < 1.0),
-        worst_lower_slack=float(lo_slack), worst_upper_slack=float(up_slack),
-        flagged=bool(flagged),
     )
 
 

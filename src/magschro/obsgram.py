@@ -15,7 +15,7 @@ boundary-flux and H1 observation) give
 the best constants in the observability and hidden-regularity inequalities.
 
 Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
-evaluates the time quadrature on exact phase factors; ``cn`` samples
+integrates the modal phase couplings exactly in time; ``cn`` samples
 Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
 ``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
 m observation rows with the adjoint step.  A sampled Gramian has rank at
@@ -141,25 +141,6 @@ class ObservabilityReport:
         return json.dumps(doc, sort_keys=True)
 
 
-class GramianHandle:
-    """Quadratic-form access to an assembled Gramian, for trial states."""
-
-    def __init__(self, kind, data, gen):
-        self._kind = kind
-        self._data = data
-        self._gen = gen
-
-    def quadratic_form(self, u):
-        """u^H G u for a state vector u."""
-        if self._kind == "modal":
-            V, Ghat = self._data
-            c = V.conj().T @ (self._gen.mass_diag * np.asarray(u, dtype=complex))
-            return float(np.vdot(c, Ghat @ c).real)
-        G = self._data
-        u = np.asarray(u, dtype=complex)
-        return float(np.vdot(u, G @ u).real)
-
-
 def _modal_data(gen, dense_limit):
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator")
@@ -246,12 +227,6 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
     return GE + GO, 2.0 * GE + R, steps.size
 
 
-def _phase_gramian(Z, lam, times, w):
-    P = np.exp(1j * np.outer(lam, times))
-    F = (P * w) @ P.conj().T
-    return Z * F
-
-
 def _phase_gramian_exact(Z, lam, T):
     """Exact time integral of the modal phase couplings over [0, T].
 
@@ -276,27 +251,26 @@ def _extremes_from_modal(Ghat, lam, metric):
 
 
 def gramian(gen, observation, T, dt=None, stride=1, method="eig",
-            dense_limit=4096, probes=64, seed=0, return_handle=False,
-            eig_time_quadrature=False):
+            dense_limit=4096, probes=64, seed=0):
     """Observability report for the conservative flow observed through N.
 
     ``method="eig"`` diagonalizes the generator and integrates the modal
-    phases exactly in time (set ``eig_time_quadrature`` to force the
-    trapezoid rule instead); ``"cn"`` samples N S^n on a basis with
+    phases exactly in time, so ``dt`` and ``stride`` are unused and the
+    quadrature error estimate is 0; ``"cn"`` samples N S^n on a basis with
     trapezoid weights, S the Crank-Nicolson step, switching from the
     identity to a randomized sketch of ``probes`` columns above
     ``dense_limit`` unknowns; it propagates the m observation rows by the
-    adjoint step (``_cn_gramians``).  For quadrature-based assemblies a
-    Richardson comparison against the double-stride rule estimates the
-    time-quadrature error; above 5% a warning is attached.  The report's
-    ``rank_bound`` is min(k, m s) for s time samples (k for the exact modal
-    integral); a warning is attached when it is below k.
+    adjoint step (``_cn_gramians``).  For the stepped assembly a Richardson
+    comparison against the double-stride rule estimates the time-quadrature
+    error; above 5% a warning is attached.  The report's ``rank_bound`` is
+    min(k, m s) for s time samples (k for the exact modal integral); a
+    warning is attached when it is below k.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator (A0)")
-    if dt is None and (method == "cn" or eig_time_quadrature):
+    if dt is None and method == "cn":
         raise ValueError("quadrature-based assembly needs a time step dt")
     N, W = observation.build(gen)
     metric = observation.metric
@@ -308,19 +282,8 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         k, samples = gen.size, None
         Y = N @ V
         Z = (Y.conj().T * W) @ Y
-        if eig_time_quadrature:
-            _, times, w = _trapezoid_steps(T, dt, stride)
-            samples = times.size
-            Ghat = _phase_gramian(Z, lam, times, w)
-            lo, hi = _extremes_from_modal(Ghat, lam, metric)
-            _, t2, w2 = _trapezoid_steps(T, dt, 2 * stride)
-            lo2, hi2 = _extremes_from_modal(
-                _phase_gramian(Z, lam, t2, w2), lam, metric)
-        else:
-            Ghat = _phase_gramian_exact(Z, lam, T)
-            lo, hi = _extremes_from_modal(Ghat, lam, metric)
-            lo2, hi2 = lo, hi
-        handle = GramianHandle("modal", (V, Ghat), gen)
+        lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
+        lo2, hi2 = lo, hi
     elif method == "cn":
         n = gen.size
         rng = np.random.default_rng(seed)
@@ -337,7 +300,6 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             ev2 = la.eigvalsh(G2, L)
             lo, hi = float(ev[0]), float(ev[-1])
             lo2, hi2 = float(ev2[0]), float(ev2[-1])
-            handle = GramianHandle("dense", G, gen)
         else:
             # sketch: Rayleigh-Ritz bounds on the probe range, spread over halves
             Lop = sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness
@@ -350,7 +312,6 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             sketch_spread = float(abs(e1[-1] - e2[-1]) / max(hi, 1e-300))
             lo2, hi2 = lo, hi
             warns.append("sketched Gramian: extreme eigenvalues are range estimates")
-            handle = GramianHandle("dense", G, gen)
     else:
         raise ValueError(f"unknown method {method!r}")
     # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
@@ -379,7 +340,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         stride=int(stride), method=method, warnings=warns,
         sketch_spread=sketch_spread, rank_bound=int(rank_bound),
     )
-    return (report, handle) if return_handle else report
+    return report
 
 
 def observed_ratio(gen, u0, observation, T, dense_limit=4096):

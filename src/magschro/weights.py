@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import magop
-from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d, trapezoid_weights
+from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
 
 
 # ---------------------------------------------------------------------------
@@ -567,104 +567,6 @@ def _trend(x, y):
     xx = float(np.sum((x - x.mean()) ** 2))
     stderr = float(np.sqrt(np.sum(resid**2) / dof / xx)) if xx > 0 else float("inf")
     return float(coef[0]), stderr
-
-
-# ---------------------------------------------------------------------------
-# parabolic-style space-time weights and the evolution-form probe
-
-
-@dataclass(eq=False)
-class SpaceTimeWeights:
-    """theta = e^{lambda psi} / t(T-t) and phi = (e^{2 lambda max psi}
-    - e^{lambda psi}) / t(T-t) on interior time slices."""
-
-    t_nodes: np.ndarray             # strictly inside (0, T)
-    theta: np.ndarray               # (nt, N)
-    phi: np.ndarray                 # (nt, N)
-    lam: float
-    T: float
-    psi_sup: float
-
-
-def spacetime_weights(weight, lam, T, nt):
-    """Sample the blow-up weights on nt interior time nodes."""
-    if nt < 3:
-        raise ValueError("need at least 3 time nodes to have interior ones")
-    t_all = np.linspace(0.0, T, int(nt))
-    t = t_all[1:-1]
-    psi = weight.psi
-    sup = float(np.max(psi))
-    e_psi = np.exp(lam * psi)
-    denom = t * (T - t)
-    theta = e_psi[None, :] / denom[:, None]
-    phi = (np.exp(2.0 * lam * sup) - e_psi)[None, :] / denom[:, None]
-    return SpaceTimeWeights(t_nodes=t, theta=theta, phi=phi, lam=float(lam),
-                            T=float(T), psi_sup=sup)
-
-
-def carleman_probe_evolution(grid, potential, stw, test_functions, s_grid,
-                             omega):
-    """Ratio trace of the evolution-form weighted estimate.
-
-    For space-time samples w(x, t) vanishing near t = 0, T and near the
-    spatial boundary, compares
-
-        || sqrt(lam s theta) e^{-s phi} grad_a w || + || lam^2 s theta
-        sqrt(s theta) e^{-s phi} w ||   over Q
-
-    against the same norms restricted to Q_omega plus
-    || e^{-s phi} (i d_t + Delta_a) w ||.  The parameter s is restricted to
-    the discrete window s <= 0.5/h.
-    """
-    omega = np.asarray(omega, dtype=int)
-    if omega.size == 0:
-        raise ValueError("empty observation region")
-    s_vals = _tau_window_check(s_grid, float(min(grid.h)))
-    t = stw.t_nodes
-    wt = trapezoid_weights(np.concatenate([[0.0], t, [stw.T]]))[1:-1]
-    wv = grid.volume_weights
-    lam = stw.lam
-    lap = magop.laplacian_stencil_full(grid, potential)
-    grads = grid.gradients
-    mask_omega = np.zeros(grid.num_nodes)
-    mask_omega[omega] = 1.0
-
-    ratios = np.full(s_vals.size, -np.inf)
-    used = 0
-    for w in test_functions:
-        w = np.asarray(w, dtype=complex)
-        if w.shape != (t.size, grid.num_nodes):
-            raise ValueError("samples must be (nt_interior, N) space-time fields")
-        if np.max(np.abs(w[:, grid.boundary_idx])) > 1e-12 * max(np.max(np.abs(w)), 1e-300):
-            raise ValueError("samples must vanish on the spatial boundary")
-        if np.max(np.abs(w)) == 0:
-            continue
-        used += 1
-        wt_deriv = np.gradient(w, t, axis=0)
-        Pw = 1j * wt_deriv + (lap @ w.T).T
-        gw = np.empty((t.size, grid.num_nodes, grid.dim), dtype=complex)
-        for ax in range(grid.dim):
-            gw[:, :, ax] = (grads[ax] @ w.T).T + 1j * potential.values[None, :, ax] * w
-        for i, s in enumerate(s_vals):
-            damp = np.exp(-s * (stw.phi - np.min(stw.phi)))
-            w1 = np.sqrt(lam * s * stw.theta) * damp
-            w2 = lam**2 * s * stw.theta * np.sqrt(s * stw.theta) * damp
-            g2 = np.sum(np.abs(w1[:, :, None] * gw) ** 2, axis=-1)
-            gn = np.sqrt(np.sum(wt[:, None] * wv[None, :] * g2))
-            zn = np.sqrt(np.sum(wt[:, None] * wv[None, :] * np.abs(w2 * w) ** 2))
-            lhs = gn + zn
-            gn_o = np.sqrt(np.sum(wt[:, None] * (wv * mask_omega)[None, :] * g2))
-            zn_o = np.sqrt(np.sum(wt[:, None] * (wv * mask_omega)[None, :]
-                                  * np.abs(w2 * w) ** 2))
-            pn = np.sqrt(np.sum(wt[:, None] * wv[None, :] * np.abs(damp * Pw) ** 2))
-            rhs = pn + gn_o + zn_o
-            if rhs > 0:
-                ratios[i] = max(ratios[i], lhs / rhs)
-    if used == 0:
-        raise ValueError("all test functions were identically zero")
-    slope, stderr = _trend(s_vals, ratios)
-    return CarlemanProbeReport(taus=s_vals, ratios=ratios, trend_slope=slope,
-                               trend_stderr=stderr, samples_used=used)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,44 @@ grid.dim = 1
 grid.n = 16
 potential.preset = "sine"
 """,
+    "simulate": """
+kind = "simulate"
+grid.dim = 1
+grid.n = 16
+generator = "A3"
+split.x0 = [-0.3]
+potential.preset = "constant"
+potential.value = 0.5
+damping.c_preset = "constant"
+damping.d_preset = "constant"
+u0.mode = 1
+T = 0.01
+dt = 0.005
+""",
+    "resolvent-scan": """
+kind = "resolvent-scan"
+grid.dim = 1
+grid.n = 8
+potential.preset = "tabulated"
+potential.values = [0.0, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0.0]
+mu.count = 2
+""",
+    "multiplier-check": """
+kind = "multiplier-check"
+grid.dim = 1
+grid.n = 16
+T = 0.01
+dt = 0.005
+tolerance = 0.1
+""",
+    "carleman-certify-linear": """
+kind = "carleman-certify"
+grid.dim = 2
+grid.n = 9
+weight.preset = "linear"
+weight.offset = 2.0
+samples = 4
+""",
 }
 
 
@@ -421,6 +459,24 @@ potential.preset = "sine"
     ("carleman-probe", "tau.grid = [1000.0]"),       # beyond the window 0.5/h
     ("carleman-probe", "tau.grid = [-1.0, 5.0]"),
     ("gauge-check", 'gauge.amplitude = "big"'),
+    ("gauge-check", 'potential.amplitude = "abc"'),
+    ("gauge-check", 'potential.frequency = "fast"'),
+    ("gauge-check", 'potential.phase = "late"'),
+    ("simulate", "grid.dim = 2.5"),
+    ("simulate", 'potential.value = "x"'),
+    ("simulate", "potential.value = [0.1, 0.2]"),
+    ("simulate", 'damping.c0 = "abc"'),
+    ("simulate", "damping.c0 = -1.0"),
+    ("simulate", 'damping.d0 = "abc"'),
+    ("simulate", 'u0.mode = "x"'),
+    ("simulate", "u0.mode = 1.5"),
+    ("simulate", "u0.mode = [1, 2]"),
+    ("simulate", "split.x0 = [0.5, 0.5]"),
+    ("resolvent-scan", 'potential.values = "x"'),
+    ("resolvent-scan", "potential.values = [0.0, 1.0]"),
+    ("multiplier-check", 'tolerance = "tight"'),
+    ("multiplier-check", 'multiplier.x0 = "abc"'),
+    ("carleman-certify-linear", 'weight.offset = "abc"'),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, kind, line):
     key = line.split()[0]
@@ -431,4 +487,13 @@ def test_bad_numbers_are_config_errors(tmp_path, kind, line):
         cli.run(cfg, out_dir=tmp_path / "run")
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
-    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "main")]) == 2
+    assert cli.main([cfg.kind, "--config", str(cfg_path), "--out", str(tmp_path / "main")]) == 2
+
+
+@pytest.mark.parametrize("text", [None, '{"kind": "simulate", "grid": {"n": 16'])
+def test_unreadable_config_files_are_config_errors(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.cfg"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err

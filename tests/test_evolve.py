@@ -198,49 +198,6 @@ def test_fit_exponential_rejects_nonpositive():
         evolve.fit_exponential(trace)
 
 
-def test_fit_log_decay_exact_model():
-    t = np.linspace(0, 40, 400)
-    e = 4.0 / np.log(2.0 + t) ** 4
-    trace = evolve.EnergyTrace(kind="A3", times=t, energy=e,
-                               dissipation=np.zeros(t.size - 1),
-                               midpoint_residual=np.zeros(t.size - 1),
-                               endpoint_residual=np.zeros(t.size - 1), dt=t[1])
-    fit = evolve.fit_log_decay(trace, k=1)
-    assert fit.exponent == 4
-    assert abs(fit.c1_fit - 4.0) < 1e-8
-    assert abs(fit.c1_envelope - 4.0) < 1e-8
-
-
-def test_fit_log_decay_rejects_k0():
-    t = np.linspace(0, 5, 11)
-    trace = evolve.EnergyTrace(kind="A3", times=t, energy=np.ones(t.size),
-                               dissipation=np.zeros(t.size - 1),
-                               midpoint_residual=np.zeros(t.size - 1),
-                               endpoint_residual=np.zeros(t.size - 1), dt=t[1])
-    with pytest.raises(ValueError):
-        evolve.fit_log_decay(trace, k=0)
-
-
-def test_fit_log_decay_a3_envelope_bound(grid, a_zero):
-    split = mesh.split_boundary(grid, [-0.3])
-    d = np.zeros(grid.num_nodes)
-    d[split.gamma0] = 1.0
-    damping = magop.DampingConfig.boundary(grid, d, d0=1.0,
-                                           gamma0_support=split.gamma0)
-    gen = magop.assemble_generator("A3", grid, a_zero, damping=damping,
-                                   split=split)
-    rng = np.random.default_rng(1)
-    v = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
-    u0 = evolve.prepare_smooth_initial(gen, v, k=1)
-    trace, _ = evolve.simulate(gen, u0, T=5.0, dt=5e-3, snapshot_stride=100)
-    fit = evolve.fit_log_decay(trace, k=1, exponent=2)
-    assert np.isfinite(fit.c1_envelope)
-    bound = fit.c1_envelope / np.log(2.0 + trace.times) ** 2
-    assert np.all(trace.energy <= bound * (1 + 1e-12))
-    # on a fixed grid the exponential law wins eventually
-    assert isinstance(fit.exponential_dominates, bool)
-
-
 def test_prepare_smooth_initial_inverts(gen_a0):
     rng = np.random.default_rng(2)
     v = rng.normal(size=gen_a0.size) + 1j * rng.normal(size=gen_a0.size)

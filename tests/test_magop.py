@@ -174,81 +174,6 @@ def test_green_identity_refinement():
     assert residuals[0] / residuals[1] >= 1.8
 
 
-def test_diamagnetic_real_positive(grid_1d):
-    a = magop.MagneticPotential.zero(grid_1d)
-    f = (2.0 + np.sin(3 * grid_1d.coords[:, 0])).astype(complex)
-    rep = magop.check_diamagnetic(grid_1d, a, f)
-    assert abs(rep.min_margin) < 1e-12
-
-
-def test_diamagnetic_gauge_equality():
-    g = mesh.build_grid(1, [1.0], 129)
-    x = g.coords[:, 0]
-    theta = np.sin(2 * x)
-    rho = 1.5 + 0.5 * np.cos(3 * x)
-    # potential canceling the phase gradient makes both sides equal
-    a = magop.MagneticPotential.from_callable(g, lambda p: -2 * np.cos(2 * p[:, 0]))
-    f = np.exp(1j * theta) * rho
-    rep = magop.check_diamagnetic(g, a, f)
-    assert rep.min_margin > -5e-2 * rep.h_scale / (1.0 / 128)  # ~O(h)
-
-
-def test_diamagnetic_refinement():
-    rng = np.random.default_rng(11)
-    margins = []
-    for n in (65, 129):
-        g = mesh.build_grid(1, [1.0], n)
-        a = magop.MagneticPotential.from_callable(
-            g, lambda p: 0.8 * np.sin(2.4 * p[:, 0] + 0.3))
-        x = g.coords[:, 0]
-        f = (np.sin(2 * x) + 1j * np.cos(3 * x)) + 0.1
-        rep = magop.check_diamagnetic(g, a, f)
-        margins.append(min(rep.min_margin, 0.0))
-    # negative excursions shrink at least linearly with h
-    assert margins[1] >= margins[0] * 0.75 - 1e-12
-
-
-def test_norm_equivalence_zero_potential(grid_1d):
-    a = magop.MagneticPotential.zero(grid_1d)
-    x = grid_1d.coords[:, 0]
-    u = np.sin(np.pi * x).astype(complex)
-    rep = magop.norm_equivalence_bounds(grid_1d, a, [u], grid_1d.boundary_idx)
-    assert abs(rep.worst_lower_slack) < 1e-10
-    assert abs(rep.worst_upper_slack) < 1e-10
-    assert rep.smallness_met
-
-
-def test_norm_equivalence_large_potential(grid_1d):
-    a = magop.MagneticPotential.from_samples(
-        grid_1d, np.full((grid_1d.num_nodes, 1), 2.0 * np.pi))
-    x = grid_1d.coords[:, 0]
-    u = np.sin(np.pi * x).astype(complex)
-    rep = magop.norm_equivalence_bounds(grid_1d, a, [u], grid_1d.boundary_idx)
-    assert not rep.smallness_met          # ||a|| kappa >= 1: lower bound vacuous
-
-
-def test_norm_equivalence_constant_potential_closed_form(grid_1d):
-    alpha = 0.7
-    a = magop.MagneticPotential.from_samples(
-        grid_1d, np.full((grid_1d.num_nodes, 1), alpha))
-    x = grid_1d.coords[:, 0]
-    u = np.sin(np.pi * x).astype(complex)
-    rep = magop.norm_equivalence_bounds(grid_1d, a, [u], grid_1d.boundary_idx)
-    # closed forms: ||grad u||^2 = pi^2/2, ||grad_a u||^2 = (pi^2 + alpha^2)/2
-    assert rep.worst_lower_slack > -1e-10
-    assert rep.worst_upper_slack > -1e-10
-    mag = np.sqrt((np.pi**2 + alpha**2) / 2)
-    grad = np.pi / np.sqrt(2)
-    assert (1 - rep.coupling) * grad <= mag <= (1 + rep.coupling) * grad
-
-
-def test_norm_equivalence_rejects_bad_sample(grid_1d):
-    a = magop.MagneticPotential.zero(grid_1d)
-    u = np.ones(grid_1d.num_nodes, dtype=complex)
-    with pytest.raises(ValueError):
-        magop.norm_equivalence_bounds(grid_1d, a, [u], grid_1d.boundary_idx)
-
-
 # -- generators ---------------------------------------------------------
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from magschro import evolve, magop, mesh, multiplier
 
@@ -98,180 +97,9 @@ def test_identity_random_smooth_refinement(seed):
     assert residuals[1] / residuals[2] >= 1.8
 
 
-def test_field_from_values_warns_and_is_consistent():
-    grid = mesh.build_grid(1, [1.0], 33)
-    times = np.linspace(0, 0.2, 6)
-    xs = grid.coords[:, 0]
-    vals = np.empty((6, grid.num_nodes, 1))
-    for it, t in enumerate(times):
-        vals[it, :, 0] = (1 + t) * np.sin(2 * xs)
-    with pytest.warns(UserWarning, match="finite differences"):
-        field = multiplier.MultiplierField.from_values(grid, times, vals)
-    assert field.derived_numerically
-    assert field.consistency_residual() < 1e-10
-
-
 def test_radial_field_consistency():
     grid = mesh.build_grid(2, [1.0, 1.0], 9)
     times = np.linspace(0, 0.1, 3)
     field = multiplier.MultiplierField.radial(grid, times, [0.2, -0.1])
     assert field.consistency_residual() < 1e-12
     assert np.all(field.divergence == 2.0)
-
-
-# -- auxiliary boundary functional ---------------------------------------
-
-
-def a2_setup(n=128, d_scale=1.0):
-    grid = mesh.build_grid(1, [1.0], n)
-    a = magop.MagneticPotential.zero(grid)
-    split = mesh.split_boundary(grid, [-0.3])
-    mn = np.einsum("ij,ij->i", split.m[split.gamma0], grid.normals[split.gamma0])
-    d = np.zeros(grid.num_nodes)
-    d[split.gamma0] = d_scale * mn
-    damping = magop.DampingConfig.boundary(
-        grid, d, d0=float(d_scale * mn.min()) if d_scale else 0.0,
-        gamma0_support=split.gamma0 if d_scale else np.array([], dtype=int))
-    gen = magop.assemble_generator("A2", grid, a, damping=damping, split=split)
-    return grid, gen, split
-
-
-def test_script_e2_rejects_wrong_kind():
-    grid = mesh.build_grid(1, [1.0], 32)
-    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
-    times = np.linspace(0, 0.1, 4)
-    traj = evolve.Trajectory(generator=gen, times=times,
-                             states=np.zeros((4, gen.size), dtype=complex))
-    with pytest.raises(ValueError):
-        multiplier.functional_script_E2(traj, [0.0])
-
-
-def test_script_e2_real_state_vanishes():
-    grid, gen, split = a2_setup(64)
-    x = grid.coords[gen.state_idx, 0]
-    u0 = np.sin(np.pi * x) + 0j          # real at t = 0
-    _, traj = evolve.simulate(gen, u0, T=0.02, dt=1e-3, snapshot_stride=1)
-    rep = multiplier.functional_script_E2(traj, split.x0)
-    assert abs(rep.values[0]) < 1e-12
-
-
-def test_script_e2_stationary_conservative_mode():
-    """d = 0 limit: eigenmode evolution keeps the functional constant."""
-    grid, gen, split = a2_setup(64, d_scale=0.0)
-    import scipy.linalg as la
-
-    lam, V = la.eigh(gen.stiffness.toarray(), np.diag(gen.mass_diag))
-    u0 = V[:, 0].astype(complex)
-    _, traj = evolve.simulate(gen, u0, T=0.2, dt=1e-3, snapshot_stride=10)
-    rep = multiplier.functional_script_E2(traj, split.x0)
-    scale = max(np.max(np.abs(rep.values)), 1.0)
-    assert np.max(np.abs(np.diff(rep.values))) < 1e-9 * scale
-    # the balance reduces to the stationary flux identity, O(h^2) here
-    assert rep.residual < 5e-3 * rep.scale
-
-
-def test_script_e2_balance_on_damped_run():
-    grid, gen, split = a2_setup(128)
-    x = grid.coords[gen.state_idx, 0]
-    # domain-compatible initial state: the identity needs the flux condition
-    u0 = evolve.prepare_smooth_initial(gen, np.sqrt(2) * np.sin(np.pi * x) + 0j)
-    u0 = u0 / gen.norm(u0)
-    _, traj = evolve.simulate(gen, u0, T=0.2, dt=1e-3, snapshot_stride=1)
-    rep = multiplier.functional_script_E2(traj, split.x0)
-    assert rep.residual <= 0.01 * rep.scale
-
-
-# -- stationary integration-by-parts identity -----------------------------
-
-
-def test_ibp_zero_field():
-    grid = mesh.build_grid(1, [1.0], 33)
-    res, terms = multiplier.ibp_identity_radial(
-        grid, np.zeros(grid.num_nodes, dtype=complex), [0.0])
-    assert res == 0.0
-
-
-def test_ibp_1d_sine_against_quadrature_oracle():
-    grid = mesh.build_grid(1, [1.0], 257)
-    x = grid.coords[:, 0]
-    u = np.sin(np.pi * x).astype(complex)
-    res, terms = multiplier.ibp_identity_radial(grid, u, [0.0])
-
-    du = lambda s: np.pi * np.cos(np.pi * s)
-    ddu = lambda s: -np.pi**2 * np.sin(np.pi * s)
-    t1_oracle = quad(lambda s: du(s) * (du(s) + s * ddu(s)), 0, 1)[0]
-    t2_oracle = -0.5 * quad(lambda s: du(s) ** 2, 0, 1)[0]
-    t3_oracle = 0.5 * du(1.0) ** 2          # m.nu = 1 at x=1, 0 at x=0
-    assert abs(terms["volume_pairing"] - t1_oracle) < 1e-3
-    assert abs(terms["gradient_energy"] - t2_oracle) < 1e-3
-    assert abs(terms["boundary_flux"] - t3_oracle) < 1e-3
-    assert abs(t1_oracle + t2_oracle - t3_oracle) < 1e-12   # identity, exactly
-    assert res < 1e-3
-
-
-def test_ibp_1d_second_order():
-    errs = []
-    for n in (65, 129):
-        grid = mesh.build_grid(1, [1.0], n)
-        u = np.sin(np.pi * grid.coords[:, 0]).astype(complex)
-        res, _ = multiplier.ibp_identity_radial(grid, u, [0.0])
-        errs.append(res)
-    assert errs[0] / errs[1] > 3.0
-
-
-def test_ibp_2d_tensor_mode():
-    grid = mesh.build_grid(2, [1.0, 1.0], 33)
-    x, y = grid.coords[:, 0], grid.coords[:, 1]
-    u = (np.sin(np.pi * x) * np.sin(np.pi * y)).astype(complex)
-    res, terms = multiplier.ibp_identity_radial(grid, u, [0.0, 0.0])
-    # n = 2: the gradient-energy term drops; oracle by 2D quadrature
-    assert terms["gradient_energy"] == 0.0
-    scale = abs(terms["volume_pairing"]) + abs(terms["boundary_flux"])
-    assert res < 0.05 * scale
-
-
-def test_radial_estimate_slack_reports():
-    grid = mesh.build_grid(1, [1.0], 65)
-    a = magop.MagneticPotential.from_callable(
-        grid, lambda p: 0.05 * np.sin(2 * p[:, 0]))
-    split = mesh.split_boundary(grid, [-0.3])
-    u = np.sin(np.pi * grid.coords[:, 0]).astype(complex)
-    rep = multiplier.radial_estimate_slack(grid, a, u, split.x0, split)
-    kappa1 = mesh.poincare_constant(grid, split.gamma1).kappa
-    want = 4.0 * (2.0 * kappa1 + kappa1**2) * a.sup_norm
-    assert abs(rep.delta0 - want) < 1e-12
-    assert np.isfinite(rep.measured_delta)
-
-
-def test_normal_extension_preset_shape_and_consistency():
-    grid = mesh.build_grid(1, [1.0], 65)
-    T = 0.5
-    times = np.linspace(0, T, 21)
-    field = multiplier.MultiplierField.normal_extension(
-        grid, times, T, collar=([0.7], [1.0]), delta=0.1)
-    # matches the outward normal component on the observed face, 0 deep inside
-    right = grid.num_nodes - 1
-    mid_t = 10
-    assert abs(field.values[mid_t, right, 0] - 1.0) < 1e-12
-    assert abs(field.values[mid_t, 0, 0]) < 1e-12
-    # vanishes at the time endpoints
-    assert np.max(np.abs(field.values[0])) == 0.0
-    assert np.max(np.abs(field.values[-1])) == 0.0
-    assert field.consistency_residual() < 0.05
-
-
-def test_normal_extension_identity_converges():
-    residuals = []
-    for n in (33, 65):
-        grid = mesh.build_grid(1, [1.0], n)
-        a = magop.MagneticPotential.zero(grid)
-        gen = magop.assemble_generator("A0", grid, a)
-        x = grid.coords[gen.state_idx, 0]
-        u0 = np.sqrt(2) * np.sin(np.pi * x) + 0j
-        T = 0.25
-        _, traj = evolve.simulate(gen, u0, T, 2e-4, snapshot_stride=1)
-        field = multiplier.MultiplierField.normal_extension(
-            grid, traj.times, T, collar=([0.7], [1.0]), delta=0.05)
-        rep = multiplier.multiplier_identity_residual(traj, a, field)
-        residuals.append(rep.residual)
-    assert residuals[0] / residuals[1] > 1.8

@@ -616,68 +616,7 @@ def test_probe_matches_per_tau_loop(kind):
     check()
 
 
-# -- space-time weights -----------------------------------------------------
-
-
-def test_spacetime_weights_values(grid):
-    w = weights.quadratic_weight(grid, [-1.0])
-    T, lam, nt = 2.0, 0.7, 21
-    stw = weights.spacetime_weights(w, lam, T, nt)
-    assert stw.t_nodes.size == nt - 2
-    mid = np.argmin(np.abs(stw.t_nodes - T / 2))
-    denom = stw.t_nodes[mid] * (T - stw.t_nodes[mid])
-    assert abs(denom - T**2 / 4) < 1e-12
-    assert np.allclose(stw.theta[mid], np.exp(lam * w.psi) / (T**2 / 4))
-    assert np.all(stw.phi > 0)
-    # time symmetry t <-> T - t
-    assert np.allclose(stw.theta, stw.theta[::-1], rtol=1e-12)
-    assert np.allclose(stw.phi, stw.phi[::-1], rtol=1e-12)
-
-
-def test_spacetime_weights_need_interior_nodes(grid):
-    w = weights.quadratic_weight(grid, [-1.0])
-    with pytest.raises(ValueError):
-        weights.spacetime_weights(w, 1.0, 1.0, 2)
-
-
-def test_evolution_probe_smoke():
-    grid = mesh.build_grid(1, [1.0], 33)
-    pot = magop.MagneticPotential.zero(grid)
-    w = weights.construct_psi_G(grid, grid.box_nodes([0.7], [1.0]), [-1.0])
-    T, nt = 1.0, 41
-    stw = weights.spacetime_weights(w, 0.5, T, nt)
-    omega = grid.box_nodes([0.6], [1.0])
-    rng = np.random.default_rng(0)
-    xs = grid.coords[:, 0]
-    t = stw.t_nodes
-    samples = []
-    for _ in range(5):
-        sprof = weights._smoothstep(1 - ((t - T / 2) / (0.35 * T)) ** 2)
-        xprof = weights._smoothstep(1 - ((xs - 0.45) / 0.3) ** 2)
-        samples.append(np.outer(sprof, xprof)
-                       * np.exp(1j * rng.normal() * xs)[None, :])
-    s_grid = [2.0, 5.0, 10.0]
-    rep = weights.carleman_probe_evolution(grid, pot, stw, samples, s_grid,
-                                           omega)
-    assert np.all(np.isfinite(rep.ratios))
-    assert rep.ratios.max() > 0
-
-
-def test_evolution_probe_counts_used_samples():
-    grid = mesh.build_grid(1, [1.0], 33)
-    pot = magop.MagneticPotential.zero(grid)
-    w = weights.quadratic_weight(grid, [-1.0])
-    T = 1.0
-    stw = weights.spacetime_weights(w, 0.5, T, 21)
-    t, xs = stw.t_nodes, grid.coords[:, 0]
-    f = np.outer(weights._smoothstep(1 - ((t - T / 2) / (0.35 * T)) ** 2),
-                 weights._smoothstep(1 - ((xs - 0.45) / 0.3) ** 2)).astype(complex)
-    zero = np.zeros_like(f)
-    omega = grid.box_nodes([0.6], [1.0])
-    rep = weights.carleman_probe_evolution(grid, pot, stw, [zero, f], [2.0], omega)
-    assert rep.samples_used == 1
-    with pytest.raises(ValueError, match="identically zero"):
-        weights.carleman_probe_evolution(grid, pot, stw, [zero], [2.0], omega)
+# -- derivative fields ------------------------------------------------------
 
 
 def test_weight_derivative_consistency():
