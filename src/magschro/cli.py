@@ -120,10 +120,14 @@ def _rng(config):
 
 def _build_grid(config):
     dim = _whole(config, "grid.dim", 1)
-    extents = config.get("grid.extents", 1.0)
-    n = config.get("grid.n", 64)
+    extents = _per_axis(config, "grid.extents", dim, 1.0)
+    n = _per_axis(config, "grid.n", dim, 64)
+    if np.any(extents <= 0):
+        raise ConfigError(f"grid.extents: must be positive, got {extents.tolist()!r}")
+    if np.any((n < 4) | (n != np.floor(n))):
+        raise ConfigError(f"grid.n: must be whole numbers >= 4, got {n.tolist()!r}")
     try:
-        return mesh.build_grid(dim, extents, n)
+        return mesh.build_grid(dim, extents, n.astype(int))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -133,10 +137,7 @@ def _build_potential(grid, config):
     if preset == "zero":
         return magop.MagneticPotential.zero(grid)
     if preset == "constant":
-        vals = _numbers(config, "potential.value", 0.0)
-        if vals.size not in (1, grid.dim):
-            raise ConfigError(f"potential.value: expected 1 or {grid.dim} numbers, "
-                              f"got {vals.size}")
+        vals = _per_axis(config, "potential.value", grid.dim, 0.0)
         if vals.size == 1:
             vals = np.repeat(vals, grid.dim)
         return magop.MagneticPotential.from_samples(
@@ -328,6 +329,23 @@ def _numbers(config, key, default):
     return np.array([_finite(config, key, default)])
 
 
+def _per_axis(config, key, dim, default):
+    """The config value as 1 or ``dim`` finite numbers."""
+    vals = _numbers(config, key, default)
+    if vals.size not in (1, dim):
+        raise ConfigError(f"{key}: expected 1 or {dim} numbers, got {vals.size}")
+    return vals
+
+
+def _point(config, key, dim, default=None):
+    """The config value as exactly ``dim`` finite numbers (a point or
+    direction); required when there is no default."""
+    vals = _numbers(config, key, config.require(key) if default is None else default)
+    if vals.size != dim:
+        raise ConfigError(f"{key}: expected {dim} numbers, got {vals.size}")
+    return vals
+
+
 def _mu_grid(config):
     if config.get("mu.grid") is not None:
         return _number_list(config, "mu.grid", None)
@@ -488,9 +506,7 @@ def _run_multiplier_check(config, out, rng):
     T = _positive(config, "T", 0.25)
     dt = _positive(config, "dt", 5e-4)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
-    x0 = _number_list(config, "multiplier.x0", [0.0] * gen.grid.dim)
-    if x0.size != gen.grid.dim:
-        raise ConfigError(f"multiplier.x0: expected {gen.grid.dim} coordinates, got {x0.size}")
+    x0 = _point(config, "multiplier.x0", gen.grid.dim, [0.0] * gen.grid.dim)
     fld = multiplier.MultiplierField.radial(gen.grid, traj.times, x0)
     rep = multiplier.multiplier_identity_residual(traj, gen.potential, fld)
     (out / "residuals.json").write_text(rep.to_json())
@@ -503,13 +519,21 @@ def _run_multiplier_check(config, out, rng):
 def _weight_from_config(grid, config):
     preset = config.get("weight.preset", "quadratic")
     if preset == "quadratic":
-        return weights.quadratic_weight(grid, config.require("weight.x0"))
+        return weights.quadratic_weight(grid, _point(config, "weight.x0", grid.dim))
     if preset == "linear":
-        return weights.linear_weight(grid, config.get("weight.direction", [1.0] * grid.dim),
-                                     offset=_finite(config, "weight.offset", 2.0))
+        direction = _point(config, "weight.direction", grid.dim, [1.0] * grid.dim)
+        offset = _finite(config, "weight.offset", 2.0)
+        try:
+            return weights.linear_weight(grid, direction, offset=offset)
+        except ValueError as exc:
+            raise ConfigError(f"weight.offset: {exc}") from None
     if preset == "collar":
         omega = _box_nodes(grid, config.require("weight.collar"), "weight.collar")
-        return weights.construct_psi_G(grid, omega, config.require("weight.x0"))
+        x0 = _point(config, "weight.x0", grid.dim)
+        try:
+            return weights.construct_psi_G(grid, omega, x0)
+        except ValueError as exc:
+            raise ConfigError(f"weight.x0: {exc}") from None
     raise ConfigError(f"weight.preset: unknown preset {preset!r}")
 
 

@@ -267,7 +267,7 @@ def export_snapshots(traj, path_bin, path_sidecar):
     rec[:, 0] = traj.times
     rec[:, 1:].view(complex)[:, traj.generator.state_idx] = traj.states
     with open(path_bin, "wb") as fh:
-        fh.write(rec.tobytes())
+        rec.tofile(fh)          # the buffer itself, no bytes copy
     sidecar = {
         "format": "float64 rows of (t, node0_re, node0_im, ...)",
         "rows": int(traj.times.size),

@@ -15,7 +15,11 @@ boundary-flux and H1 observation) give
 the best constants in the observability and hidden-regularity inequalities.
 
 Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
-integrates the modal phase couplings exactly in time; ``cn`` samples
+integrates the modal phase couplings exactly in time.  That integral is
+P K P^H with P a diagonal of unit phases and K real symmetric, so the modal
+Gramian is a diagonal unitary similarity of Z o K (Z the modal observation
+couplings): when A = 0 the modes and Z are real and its extremes come from a
+real symmetric eigenproblem.  ``cn`` samples
 Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
 ``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
 m observation rows with the adjoint step.  A sampled Gramian has rank at
@@ -227,18 +231,34 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
     return GE + GO, 2.0 * GE + R, steps.size
 
 
-def _phase_gramian_exact(Z, lam, T):
-    """Exact time integral of the modal phase couplings over [0, T].
+def _modal_couplings(N, W, V):
+    """Z = (N V)^H W (N V), real when N V has no imaginary part (A = 0)."""
+    Y = N @ V
+    if np.iscomplexobj(Y) and not Y.imag.any():
+        Y = Y.real
+    return (Y.conj().T * W) @ Y
 
-    F_jk = integral(0,T) exp(i (lam_j - lam_k) t) dt, in closed form; this
-    avoids aliasing of the fast spectral gaps that any fixed-step quadrature
-    would undersample.
+
+def _phase_gramian_exact(Z, lam, T):
+    """Exact time integral of the modal phase couplings over [0, T], up to a
+    diagonal unitary similarity.
+
+    F_jk = integral(0,T) exp(i (lam_j - lam_k) t) dt factors exactly as
+    F = P K P^H, P = diag(exp(i lam T/2)), with the real symmetric
+
+        K_jk = 2 sin((lam_j - lam_k) T/2) / (lam_j - lam_k),   K_jk = T on ties,
+
+    so Z o F = P (Z o K) P^H has the spectrum of Z o K, which this returns:
+    real symmetric when Z is real (A = 0), Hermitian otherwise.  A quadratic
+    form c^H (Z o F) c is (P^H c)^H (Z o K) (P^H c).  The closed form avoids
+    aliasing of the fast spectral gaps that any fixed-step quadrature would
+    undersample, and sin(x)/x has no cancellation at tiny gaps.
     """
     D = lam[:, None] - lam[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = (np.exp(1j * D * T) - 1.0) / (1j * D)
-    F[np.abs(D) < 1e-300] = T
-    return Z * F
+        K = 2.0 * np.sin(0.5 * T * D) / D
+    K[np.abs(D) < 1e-300] = T
+    return Z * K
 
 
 def _extremes_from_modal(Ghat, lam, metric):
@@ -280,8 +300,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
     if method == "eig":
         lam, V = _modal_data(gen, dense_limit)
         k, samples = gen.size, None
-        Y = N @ V
-        Z = (Y.conj().T * W) @ Y
+        Z = _modal_couplings(N, W, V)
         lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
         lo2, hi2 = lo, hi
     elif method == "cn":
@@ -350,9 +369,8 @@ def observed_ratio(gen, u0, observation, T, dense_limit=4096):
     N, W = observation.build(gen)
     lam, V = _modal_data(gen, dense_limit)
     c = V.conj().T @ (gen.mass_diag * np.asarray(u0, dtype=complex))
-    Y = N @ V
-    Z = (Y.conj().T * W) @ Y
-    Ghat = _phase_gramian_exact(Z, lam, T)
+    c *= np.exp(-0.5j * lam * T)        # P^H c: the phase form is Z o K, not Z o F
+    Ghat = _phase_gramian_exact(_modal_couplings(N, W, V), lam, T)
     return float(np.vdot(c, Ghat @ c).real)
 
 
@@ -443,10 +461,9 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     V12 = np.kron(V1, V2)
     Y = V12[rows, :]
     Z = (Y.conj().T * mass_kron[rows]) @ Y
-    Ghat = _phase_gramian_exact(Z, lam12, T)
-    ev = la.eigvalsh(Ghat)
-    lam_min = max(float(ev[0]), 0.0)
-    c2d = float("inf") if lam_min <= 1e-14 * max(float(ev[-1]), 1e-300) else 1.0 / np.sqrt(lam_min)
+    lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam12, T), lam12, "mass")
+    lam_min = max(lo, 0.0)
+    c2d = float("inf") if lam_min <= 1e-14 * max(hi, 1e-300) else 1.0 / np.sqrt(lam_min)
 
     ratio = c2d / rep1.c_obs if np.isfinite(rep1.c_obs) else float("nan")
     return ProductObservabilityReport(

@@ -511,7 +511,13 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
     wq = dom.volume_weights
     taus = _tau_window_check(tau_grid, float(min(dom.h)))
     phi = weight.phi()
-    P = _probe_operator(dom, potential)
+    n = dom.num_nodes
+    # P and the gradients stacked, so one row slice evaluates all of them; a
+    # node can be nonzero in P f or grad f only if some stencil row of it
+    # reaches a nonzero of f (the column pattern of Q, read from CSC)
+    Q = sp.vstack([_probe_operator(dom, potential), *dom.gradients], format="csr")
+    reach = Q.tocsc()
+    blocks = n * np.arange(Q.shape[0] // n)[:, None]
 
     ratios = np.full(taus.size, -np.inf)
     used = 0
@@ -524,14 +530,19 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
         if np.max(np.abs(f)) == 0:
             continue
         used += 1
-        Pf = P @ f
-        gf = [g @ f for g in dom.gradients]
         # the stencils are local: everything vanishes off the widened support,
-        # so the weighted norms are evaluated there only (and the weight is
-        # renormalized by its maximum on it, which cancels in the ratio)
-        support = (f != 0) | (Pf != 0)
-        for d in gf:
-            support |= d != 0
+        # so P f and grad f are evaluated on the rows that reach supp f only
+        # (in CSR row order, the same sums as the full products), and the
+        # weighted norms there only (the weight is renormalized by its maximum
+        # on the support, which cancels in the ratio)
+        near = f != 0
+        start, stop = reach.indptr[:-1][near], reach.indptr[1:][near]
+        near[reach.indices[_concat_ranges(start, stop)] % n] = True
+        rows = np.flatnonzero(near)
+        vals = (Q[(blocks + rows).ravel()] @ f).reshape(-1, rows.size)
+        keep = (f[rows] != 0) | (vals != 0).any(axis=0)
+        support = rows[keep]
+        Pf, *gf = vals[:, keep]
         phi_s = phi[support]
         phimax = float(np.max(phi_s))
         spread = phimax - float(np.min(phi_s))
@@ -542,8 +553,8 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
         w2 = np.exp(2.0 * np.outer(taus, phi_s - phimax))
         wq_s = wq[support]
         dens = np.stack([wq_s * np.abs(f[support]) ** 2,
-                         wq_s * sum(np.abs(d[support]) ** 2 for d in gf),
-                         wq_s * np.abs(Pf[support]) ** 2], axis=1)
+                         wq_s * sum(np.abs(d) ** 2 for d in gf),
+                         wq_s * np.abs(Pf) ** 2], axis=1)
         nf, ngf, npf = (w2 @ dens).T
         hit = npf != 0
         ratios[hit] = np.maximum(
@@ -553,6 +564,13 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
     slope, stderr = _trend(taus, ratios)
     return CarlemanProbeReport(taus=taus, ratios=ratios, trend_slope=slope,
                                trend_stderr=stderr, samples_used=used)
+
+
+def _concat_ranges(start, stop):
+    """The integers of the ranges [start_i, stop_i), concatenated in order."""
+    lens = stop - start
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
 
 
 def _trend(x, y):

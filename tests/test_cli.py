@@ -434,6 +434,15 @@ weight.preset = "linear"
 weight.offset = 2.0
 samples = 4
 """,
+    "carleman-certify-collar": """
+kind = "carleman-certify"
+grid.dim = 1
+grid.n = 17
+weight.preset = "collar"
+weight.collar = [[0.0], [0.2]]
+weight.x0 = [-0.5]
+samples = 4
+""",
 }
 
 
@@ -477,6 +486,20 @@ samples = 4
     ("multiplier-check", 'tolerance = "tight"'),
     ("multiplier-check", 'multiplier.x0 = "abc"'),
     ("carleman-certify-linear", 'weight.offset = "abc"'),
+    ("carleman-certify-linear", "weight.offset = -5.0"),     # psi <= 0 somewhere
+    ("carleman-certify-linear", "weight.direction = [1.0]"),
+    ("carleman-certify-linear", "weight.direction = [1.0, 0.0, 0.0]"),
+    ("carleman-certify", "weight.x0 = [-1.0, 0.5]"),
+    ("carleman-probe", "weight.x0 = []"),
+    ("carleman-certify-collar", "weight.x0 = [0.5]"),         # inside the domain
+    ("carleman-certify-collar", "weight.x0 = [-0.5, 0.0]"),
+    ("simulate", "grid.n = 16.7"),
+    ("simulate", "grid.n = 3"),
+    ("simulate", 'grid.n = "many"'),
+    ("simulate", "grid.n = [16, 16]"),
+    ("simulate", "grid.extents = 0.0"),
+    ("simulate", "grid.extents = [1.0, NaN]"),
+    ("simulate", "grid.extents = [1.0, 2.0]"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, kind, line):
     key = line.split()[0]

@@ -376,6 +376,115 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
     check()
 
 
+# -- the real phase form of the exact modal integral ----------------------
+
+
+def complex_phase_gramian(Z, lam, T):
+    """The phase couplings as first written: Z o F, F_jk the complex closed form
+    (exp(i D T) - 1) / (i D) of integral(0,T) exp(i (lam_j - lam_k) t) dt."""
+    D = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F = (np.exp(1j * D * T) - 1.0) / (1j * D)
+    F[np.abs(D) < 1e-300] = T
+    return Z * F
+
+
+@st.composite
+def phase_cases(draw):
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lam = np.sort(rng.uniform(1.0, draw(st.sampled_from([10.0, 1e3, 5e3])), n))
+    # exact ties (D = 0 entries) and near ties; below ~1e-3 the complex form's
+    # own cancellation, eps / |D|, would exceed the tolerance
+    for j in rng.choice(n - 1, size=draw(st.integers(0, n - 1)), replace=False):
+        lam[j + 1] = lam[j] + draw(st.sampled_from([0.0, 0.0, 1e-3, 1e-2]))
+    lam = np.sort(lam)
+    m = draw(st.integers(1, n))
+    Y = rng.normal(size=(m, n))
+    if draw(st.booleans()):
+        Y = Y + 1j * rng.normal(size=(m, n))
+    Z = (Y.conj().T * rng.uniform(0.1, 1.0, m)) @ Y
+    return Z, lam, draw(st.floats(0.1, 4.0)), draw(st.sampled_from(["mass", "stiffness"]))
+
+
+@settings(PROPERTY)
+@given(phase_cases())
+def test_real_phase_form_has_the_complex_extremes(case):
+    Z, lam, T, metric = case
+    ref_lo, ref_hi = obsgram._extremes_from_modal(complex_phase_gramian(Z, lam, T), lam, metric)
+    Ghat = obsgram._phase_gramian_exact(Z, lam, T)
+    assert Ghat.dtype == Z.dtype                     # real Z gives a real problem
+    K = obsgram._phase_gramian_exact(np.ones((lam.size, lam.size)), lam, T)
+    assert np.array_equal(K, K.T)
+    lo, hi = obsgram._extremes_from_modal(Ghat, lam, metric)
+    assert abs(hi - ref_hi) <= 1e-12 * ref_hi
+    assert abs(lo - ref_lo) <= 1e-12 * ref_hi
+
+
+def test_real_phase_form_at_tiny_gaps():
+    """K_jk = 2 sin(D T/2) / D keeps full accuracy where (exp(i D T) - 1)/(i D)
+    cancels: against its Taylor series T (1 - (D T)^2 / 24) at |D T| <= 1e-4."""
+    T = 1.5
+    lam = 1000.0 + np.array([0.0, 1e-13, 1e-10, 1e-7, 1e-5])
+    K = obsgram._phase_gramian_exact(np.ones((lam.size, lam.size)), lam, T)
+    D = lam[:, None] - lam[None, :]
+    assert np.max(np.abs(K - T * (1.0 - (D * T) ** 2 / 24.0))) <= 4e-16 * T
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.8])
+@pytest.mark.parametrize("kind", ["interior-l2", "boundary-conormal"])
+def test_observed_ratio_matches_cn_stepped_energy(kind, amp):
+    """The exact modal integral of ||N u(t)||_W^2 for a multi-mode state (so the
+    phase rotation exp(-i lam T/2) matters) against Crank-Nicolson steps and
+    the trapezoid rule in time: second-order agreement."""
+    grid = mesh.build_grid(1, [1.0], 32)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    _, V = obsgram._modal_data(gen, 4096)
+    rng = np.random.default_rng(1)
+    u0 = V[:, :4] @ (rng.normal(size=4) + 1j * rng.normal(size=4))
+    nodes = grid.box_nodes([0.0], [0.3]) if kind == "interior-l2" else grid.boundary_idx
+    obs = obsgram.Observation(kind, nodes)
+    N, W = obs.build(gen)
+    T = 0.5
+    want = obsgram.observed_ratio(gen, u0, obs, T)
+    errs = []
+    for dt in (1e-3, 5e-4):
+        nsteps = int(round(T / dt))
+        solve = gen.cayley_solver(dt)
+        u, energy = u0.astype(complex), []
+        for _ in range(nsteps + 1):
+            energy.append(float(W @ np.abs(N @ u) ** 2))
+            u = 2.0 * solve(u) - u
+        got = float(mesh.trapezoid_weights(dt * np.arange(nsteps + 1)) @ np.array(energy))
+        errs.append(abs(got - want) / want)
+    assert errs[1] < 5e-4
+    assert errs[0] / errs[1] > 3.0
+
+
+def test_modal_eigensolves_are_real_when_a_is_zero(monkeypatch):
+    """Guard for the real solve: with A = 0 every matrix the modal path hands
+    to eigvalsh is float64, boundary-conormal (complex-typed N) included."""
+    seen = []
+    eigvalsh = la.eigvalsh
+
+    def recorder(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(obsgram.la, "eigvalsh", recorder)
+    grid = mesh.build_grid(2, 1.0, 9)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    for obs in (obsgram.Observation("interior-l2", grid.box_nodes([0.0, 0.0], [0.3, 1.0])),
+                obsgram.Observation("boundary-conormal", grid.boundary_idx)):
+        obsgram.gramian(gen, obs, T=1.0)
+    g1 = mesh.build_grid(1, [1.0], 12)
+    gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
+    obsgram.product_observability(gen1, gen1, g1.box_nodes([0.0], [0.3]), T=1.0, dt=0.01)
+    assert len(seen) == 4
+    assert all(dt == np.float64 for dt in seen)
+
+
 def test_grid_is_freed_with_its_generator():
     def run_and_drop():
         grid = mesh.build_grid(2, 1.0, 10)
