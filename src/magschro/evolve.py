@@ -57,11 +57,6 @@ class Trajectory:
         """Snapshot i zero-extended to the full grid."""
         return self.generator.embed(self.states[i])
 
-    def full_fields(self):
-        out = np.zeros((self.times.size, self.generator.grid.num_nodes), dtype=complex)
-        out[:, self.generator.state_idx] = self.states
-        return out
-
 
 @dataclass(eq=False)
 class EnergyTrace:
@@ -168,8 +163,7 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
                 f"(tolerance {increase_tol:.3e}); generator assembly is suspect"
             )
         rate = (e_new - e_old) / dt
-        d_end = gen.dissipations(U)
-        diss[steps] = gen.dissipations(0.5 * (U[:, :-1] + U[:, 1:]))
+        d_end, diss[steps] = gen.step_dissipations(U)
         res_mid[steps] = np.abs(rate - diss[steps])
         res_end[steps] = np.abs(rate - 0.5 * (d_end[:-1] + d_end[1:]))
         if conservative:
@@ -261,13 +255,23 @@ def prepare_smooth_initial(gen, v, k=1):
 
 
 def export_snapshots(traj, path_bin, path_sidecar):
-    """Binary snapshot record (t, re/im per node) plus a JSON layout sidecar."""
+    """Binary snapshot record (t, re/im per node) plus a JSON layout sidecar.
+
+    Rows are written in blocks from one reused buffer of about
+    ``_BLOCK_ENTRIES`` complex entries: the nodes off the state stay zero in
+    it, so only the times and the state entries are filled per block.
+    """
     n = traj.generator.grid.num_nodes
-    rec = np.zeros((traj.times.size, 1 + 2 * n))
-    rec[:, 0] = traj.times
-    rec[:, 1:].view(complex)[:, traj.generator.state_idx] = traj.states
+    rows = traj.times.size
+    width = max(1, min(rows, _BLOCK_ENTRIES // n))
+    buf = np.zeros((width, 1 + 2 * n))
+    nodes = buf[:, 1:].view(complex)
     with open(path_bin, "wb") as fh:
-        rec.tofile(fh)          # the buffer itself, no bytes copy
+        for start in range(0, rows, width):
+            k = min(width, rows - start)
+            buf[:k, 0] = traj.times[start:start + k]
+            nodes[:k, traj.generator.state_idx] = traj.states[start:start + k]
+            buf[:k].tofile(fh)
     sidecar = {
         "format": "float64 rows of (t, node0_re, node0_im, ...)",
         "rows": int(traj.times.size),

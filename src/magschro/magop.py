@@ -357,15 +357,28 @@ class GeneratorMatrix:
     def dissipations(self, U):
         if self.kind == "A0":
             return np.zeros(np.shape(U)[1:])
+        return _weighted_squares(*self._damped_trace(U))
+
+    def step_dissipations(self, U):
+        """Dissipations at the k columns of U and at the k - 1 midpoints of
+        consecutive columns.  The damped trace is linear in the state, so the
+        midpoint traces are the means of the endpoint ones: no midpoint block
+        of states is formed."""
+        if self.kind == "A0":
+            k = np.shape(U)[1]
+            return np.zeros(k), np.zeros(k - 1)
+        w, V = self._damped_trace(U)
+        return _weighted_squares(w, V), _weighted_squares(w, 0.5 * (V[:, :-1] + V[:, 1:]))
+
+    def _damped_trace(self, U):
+        """(w, V) with the dissipation -(w . |V|^2), V linear in U."""
         if self.kind == "A1":
-            w, V = self.mass_diag * self.damping_c, U
-        elif self.kind == "A3":
-            w, V = self.sigma_d, U[self.gamma0_pos]
-        elif self.kind == "A2":
-            w, V = self.sigma_d, self._lap_gamma0 @ U
-        else:
-            raise ValueError(f"no dissipation law for kind {self.kind}")
-        return -(w @ (V.real ** 2 + V.imag ** 2))
+            return self.mass_diag * self.damping_c, U
+        if self.kind == "A3":
+            return self.sigma_d, U[self.gamma0_pos]
+        if self.kind == "A2":
+            return self.sigma_d, self._lap_gamma0 @ U
+        raise ValueError(f"no dissipation law for kind {self.kind}")
 
     @cached_property
     def _lap_gamma0(self):
@@ -428,6 +441,11 @@ class GeneratorMatrix:
                                maxiter=5000, v0=v0)[0]
                 )
         return lam, float(scale)
+
+
+def _weighted_squares(w, V):
+    """-(w . |V|^2), per column of V."""
+    return -(w @ (V.real ** 2 + V.imag ** 2))
 
 
 def factorize(M):

@@ -45,6 +45,9 @@ class MultiplierField:
     divergence: (nt, N)
     grad_div:   (nt, N, dim)
     time_deriv: (nt, N, dim)
+
+    A field that does not depend on t may hold read-only broadcast views of
+    one (N, ...) array for these (``radial``).
     """
 
     grid: object
@@ -57,16 +60,20 @@ class MultiplierField:
 
     @classmethod
     def radial(cls, grid, times, x0):
-        """The field m(x) = x - x0, static: jacobian I, divergence dim."""
+        """The field m(x) = x - x0, static: jacobian I, divergence dim.
+
+        Each field is stored once and broadcast over t (read-only views), so
+        no (nt, N, ...) copy is made.
+        """
         times = np.asarray(times, dtype=float)
         nt, N, d = times.size, grid.num_nodes, grid.dim
         m = grid.coords - np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
-        vals = np.broadcast_to(m, (nt, N, d)).copy()
-        jac = np.broadcast_to(np.eye(d), (nt, N, d, d)).copy()
-        return cls(grid=grid, times=times, values=vals, jacobian=jac,
-                   divergence=np.full((nt, N), float(d)),
-                   grad_div=np.zeros((nt, N, d)),
-                   time_deriv=np.zeros((nt, N, d)))
+        return cls(grid=grid, times=times,
+                   values=np.broadcast_to(m, (nt, N, d)),
+                   jacobian=np.broadcast_to(np.eye(d), (nt, N, d, d)),
+                   divergence=np.broadcast_to(float(d), (nt, N)),
+                   grad_div=np.broadcast_to(0.0, (nt, N, d)),
+                   time_deriv=np.broadcast_to(0.0, (nt, N, d)))
 
     def consistency_residual(self):
         """Round-trip check of the derived fields against finite differences."""
@@ -101,45 +108,46 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
     forcing = 0; otherwise supply f = i u_t + Delta_a u on the snapshot
     grid).  Returns per-term magnitudes so a failing term is identifiable.
     """
-    grid = traj.generator.grid
+    gen = traj.generator
+    grid = gen.grid
     times = traj.times
     if not np.array_equal(field.times, times):
         raise ValueError("multiplier field must be sampled at the snapshot times")
-    nt = times.size
-    N = grid.num_nodes
-    d = grid.dim
-    u = traj.full_fields()                      # (nt, N)
-    ut = np.gradient(u, times, axis=0)
     wt = trapezoid_weights(times)
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]
     nu = grid.normals[b]
 
-    grads = grid.gradients
-    gu = np.empty((nt, N, d), dtype=complex)    # magnetic gradient per snapshot
-    for it in range(nt):
-        for ax in range(d):
-            gu[it, :, ax] = grads[ax] @ u[it] + 1j * a.values[:, ax] * u[it]
-
+    # node-major (N, nt) blocks: the snapshots on the full grid and their
+    # magnetic gradients, one sparse product per axis
+    u = np.zeros((grid.num_nodes, times.size), dtype=complex)
+    u[gen.state_idx] = traj.states.T
+    gu = [grad @ u + (1j * a.values[:, ax])[:, None] * u
+          for ax, grad in enumerate(grid.gradients)]
     X = field.values
-    f = np.zeros((nt, N), dtype=complex) if forcing is None else np.asarray(forcing)
 
-    # boundary quantities
-    gu_b = gu[:, b, :]
+    # boundary quantities (nt, nb); u_t is needed on the boundary only
+    gu_b = np.stack([g[b].T for g in gu], axis=2)
     conormal = np.einsum("tnj,nj->tn", gu_b, nu)
     X_b = X[:, b, :]
     X_nu = np.einsum("tnj,nj->tn", X_b, nu)
     X_gu_b = np.einsum("tnj,tnj->tn", X_b, gu_b)
     div_b = field.divergence[:, b]
-    u_b = u[:, b]
-    ut_b = ut[:, b]
+    u_b = u[b].T
+    ut_b = np.gradient(u_b, times, axis=0)
 
     def sigma_int(vals):
         return np.sum(wt[:, None] * ws[None, :] * vals)
 
+    # volume terms contract (N, nt) slices of the field, which may be
+    # broadcast views of a static field, against (N, nt) products of the state
     def vol_int(vals):
-        return np.sum(wt[:, None] * wv[None, :] * vals)
+        return wv @ vals @ wt
+
+    def re_pair(z, w):
+        """Re(z conj(w)), elementwise."""
+        return (z * np.conj(w)).real
 
     t_flux = sigma_int(np.real(conormal * np.conj(X_gu_b)))
     t_carrier = -0.5 * sigma_int(np.sum(np.abs(gu_b) ** 2, axis=2) * X_nu)
@@ -148,19 +156,21 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
         wt[:, None] * ws[None, :] * (u_b * X_nu * np.conj(ut_b))))
     lhs = t_flux + t_carrier + t_div_b + t_time_b
 
-    jac_term = np.einsum("tnjk,tnj,tnk->tn", field.jacobian, gu, np.conj(gu))
-    t_jac = vol_int(np.real(jac_term))
-    t_graddiv = 0.5 * vol_int(np.real(
-        u[:, :, None] * field.grad_div * np.conj(gu)).sum(axis=2))
-    t_xt = np.real(0.5j * np.sum(
-        wt[:, None] * wv[None, :]
-        * np.einsum("tnj,tnj->tn", u[:, :, None] * field.time_deriv, np.conj(gu))))
-    bracket_T = np.sum(wv * np.einsum("nj,nj->n", u[-1, :, None] * X[-1], np.conj(gu[-1])))
-    bracket_0 = np.sum(wv * np.einsum("nj,nj->n", u[0, :, None] * X[0], np.conj(gu[0])))
-    t_bracket = np.real(-0.5j * (bracket_T - bracket_0))
-    t_forcing = vol_int(np.real(
-        np.einsum("tnj,tnj->tn", f[:, :, None] * X, np.conj(gu))))
-    t_div_f = 0.5 * vol_int(np.real(field.divergence * u * np.conj(f)))
+    t_jac = sum(vol_int(field.jacobian[:, :, j, k].T * re_pair(gu[j], gu[k]))
+                for j in range(grid.dim) for k in range(grid.dim))
+    u_gu = [u * g.conj() for g in gu]           # u conj(grad_a u), per axis
+    t_graddiv = 0.5 * sum(vol_int(field.grad_div[:, :, j].T * p.real)
+                          for j, p in enumerate(u_gu))
+    t_xt = -0.5 * sum(vol_int(field.time_deriv[:, :, j].T * p.imag)   # Re(i/2 z) = -Im(z)/2
+                      for j, p in enumerate(u_gu))
+    brackets = [sum((wv * X[i, :, j]) @ p[:, i] for j, p in enumerate(u_gu)) for i in (0, -1)]
+    t_bracket = np.real(-0.5j * (brackets[1] - brackets[0]))
+    if forcing is None:                         # f = 0: both forcing terms vanish
+        t_forcing = t_div_f = 0.0
+    else:
+        f = np.asarray(forcing).T
+        t_forcing = sum(vol_int(X[:, :, j].T * re_pair(f, g)) for j, g in enumerate(gu))
+        t_div_f = 0.5 * vol_int(field.divergence.T * re_pair(u, f))
     rhs = t_jac + t_graddiv + t_xt + t_bracket + t_forcing + t_div_f
 
     terms = {

@@ -23,7 +23,12 @@ real symmetric eigenproblem.  ``cn`` samples
 Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
 ``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
 m observation rows with the adjoint step.  A sampled Gramian has rank at
-most m times the number of time samples; the report records that bound.
+most m times the number of time samples s; the report records that bound.
+Its eigenproblem is solved on the smaller Gram side: the state side forms
+the k x k Gramian (``_cn_gramians``); when m s < k on the identity basis,
+the snapshot side reads lambda_max from the (m s) x (m s) snapshot
+correlation matrix (``_cn_snapshot_extremes``, the method of snapshots,
+Sirovich 1987), and lambda_min is 0 by rank.
 Every Crank-Nicolson solve here is the generator's own ``cayley_solver``
 (LAPACK zgttrs for 1D generators, SuperLU otherwise), factored once per dt.
 """
@@ -79,20 +84,20 @@ class Observation:
         if self.kind == "boundary-conormal":
             if np.any(grid.owner_face[self.nodes] < 0):
                 raise ValueError("boundary-conormal observation needs boundary nodes")
-            grads = grid.gradients
-            rows = []
+            # row i: nu_ax d_ax at the node, ax the axis of the node's owner face,
+            # taken as row ax * num_nodes + node of the stacked gradients
+            owner = grid.owner_face[self.nodes]
+            axes = np.array([f.axis for f in grid.faces])[owner]
+            signs = np.array([f.normal[f.axis] for f in grid.faces])[owner]
+            rows = sp.vstack(grid.gradients, format="csr")[axes * grid.num_nodes + self.nodes]
+            N = (sp.diags(signs) @ rows).astype(complex)
             a = gen.potential
-            bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
-            for node in self.nodes:
-                face = grid.faces[grid.owner_face[node]]
-                row = (face.normal[face.axis] * grads[face.axis][node]).astype(complex)
-                if a is not None:
-                    row = row.tolil()
-                    row[0, node] = row[0, node] + 1j * a.a_dot_nu[bpos[node]]
-                rows.append(row.tocsr())
-            N = sp.vstack(rows).tocsr()[:, gen.state_idx]
-            W = grid.surface_weights[self.nodes]
-            return N, W
+            if a is not None:
+                bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
+                N = N + sp.csr_matrix(
+                    (1j * a.a_dot_nu[bpos[self.nodes]], (np.arange(self.nodes.size), self.nodes)),
+                    shape=N.shape)
+            return N[:, gen.state_idx], grid.surface_weights[self.nodes]
         # interior-h1: stacked magnetic gradient components plus the state
         grads = grid.gradients
         a = gen.potential
@@ -161,57 +166,73 @@ def _modal_data(gen, dense_limit):
 
 
 def _trapezoid_steps(T, dt, stride):
-    """Retained step indices, their times, and trapezoid weights over [0, T]."""
+    """Retained step indices of the stride-``stride`` rule over [0, T]."""
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a positive integer multiple of dt")
     keep = np.arange(0, nsteps + 1, stride)
     if keep[-1] != nsteps:
         keep = np.append(keep, nsteps)
-    times = dt * keep
-    return keep, times, trapezoid_weights(times)
+    return keep
 
 
-def _cn_gramians(gen, N, W, basis, T, dt, stride):
-    """Stepped Gramians G (stride) and G2 (double stride) on ``basis``.
-
-    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t basis, where
-    S = 2 (I - dt/2 A)^-1 - I is the Crank-Nicolson (Cayley) step and
-    ``basis`` None stands for the identity.  The m observation rows are
-    propagated, as X = N^H under the adjoint step
-    x <- 2 (I - dt/2 A)^-H x - x (``gen.cayley_solver(dt, trans="H")``),
-    and Z_t = X_t^H basis.  Samples are buffered (``evolve._BLOCK_ENTRIES``
-    complex entries) and added in once per block, split by whether they lie
-    on the double stride:
-    G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
-    twice the stride weight except on the samples R holds, at most two near
-    an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
-    half the work of a general product) on the weight-scaled samples.
-    Returns (G, G2, samples of G).
-    """
-    solve = gen.cayley_solver(dt, trans="H")
-    steps = _trapezoid_steps(T, dt, stride)[0]
-    steps2 = _trapezoid_steps(T, dt, 2 * stride)[0]
-    g1 = trapezoid_weights(steps.astype(float))      # in units of dt: exact halves
+def _cn_weights(T, dt, stride):
+    """Retained steps with their trapezoid weights for the stride (g1) and the
+    double-stride rule (g2, zero off the double stride), in units of dt, so
+    that the halves are exact."""
+    steps = _trapezoid_steps(T, dt, stride)
+    steps2 = _trapezoid_steps(T, dt, 2 * stride)
+    g1 = trapezoid_weights(steps.astype(float))
     g2 = np.zeros(steps.size)
     g2[np.searchsorted(steps, steps2)] = trapezoid_weights(steps2.astype(float))
-    even = g2 != 0                                   # every double-stride step is a stride step
-    r = np.where(even, g2 - 2.0 * g1, 0.0)
-    m, n = N.shape
-    k = n if basis is None else basis.shape[1]
+    return steps, g1, g2
+
+
+def _observed_rows(gen, N, steps, dt):
+    """Yield X_t = (N S^t)^H at each retained step t, S the Crank-Nicolson step.
+
+    The m observation rows are propagated, as X = N^H under the adjoint step
+    x <- 2 (I - dt/2 A)^-H x - x (``gen.cayley_solver(dt, trans="H")``):
+    one solve on m columns per time step.
+    """
+    solve = gen.cayley_solver(dt, trans="H")
     X = N.conj().T.toarray()
-    width = max(1, evolve._BLOCK_ENTRIES // (m * k))
-    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T conj(basis)
-    upper = [np.zeros((k, k), dtype=complex, order="F") for _ in range(2)]
-    R = np.zeros((k, k), dtype=complex)
-    done, filled = 0, 0
-    for j, target in enumerate(steps):
+    done = 0
+    for target in steps:
         for _ in range(target - done):
             x = solve(X)
             x *= 2.0
             x -= X
             X = x
         done = target
+        yield X
+
+
+def _cn_gramians(gen, N, W, basis, T, dt, stride):
+    """Stepped Gramians G (stride) and G2 (double stride) on ``basis``, the
+    state side.
+
+    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t basis = X_t^H basis
+    (``_observed_rows``), ``basis`` None standing for the identity.  Samples
+    are buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added in once
+    per block, split by whether they lie on the double stride:
+    G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
+    twice the stride weight except on the samples R holds, at most two near
+    an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
+    half the work of a general product) on the weight-scaled samples.
+    Returns (G, G2).
+    """
+    steps, g1, g2 = _cn_weights(T, dt, stride)
+    even = g2 != 0                                   # every double-stride step is a stride step
+    r = np.where(even, g2 - 2.0 * g1, 0.0)
+    m, n = N.shape
+    k = n if basis is None else basis.shape[1]
+    width = max(1, evolve._BLOCK_ENTRIES // (m * k))
+    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T conj(basis)
+    upper = [np.zeros((k, k), dtype=complex, order="F") for _ in range(2)]
+    R = np.zeros((k, k), dtype=complex)
+    filled = 0
+    for j, X in enumerate(_observed_rows(gen, N, steps, dt)):
         buf[filled] = X.T if basis is None else X.T @ basis.conj()
         filled += 1
         if filled == width or j == steps.size - 1:
@@ -228,7 +249,33 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
                 R += (Y.T * np.outer(dt * r[blk][rows], W).ravel()) @ Y.conj()
             filled = 0
     GE, GO = (U + np.triu(U, 1).conj().T for U in upper)   # herk fills the upper triangle
-    return GE + GO, 2.0 * GE + R, steps.size
+    return GE + GO, 2.0 * GE + R
+
+
+def _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride):
+    """lambda_max of the stepped Gramians G and G2 against the metric L, the
+    snapshot side.
+
+    With X = [X_0 X_1 ...] the n x (m s) block of propagated observation rows
+    (``_observed_rows``) and D = diag(dt g_t W_i) the sample weights,
+    G = X D X^H.  The nonzero spectrum of the pencil (G, L) is that of the
+    (m s) x (m s) snapshot correlation matrix D^1/2 X^H L^-1 X D^1/2 (the
+    method of snapshots), so neither G nor an n x n eigenproblem is formed;
+    G2 is the same matrix with the double-stride weights.  Returns
+    (lambda_max(G), lambda_max(G2)).
+    """
+    steps, g1, g2 = _cn_weights(T, dt, stride)
+    X = np.hstack(list(_observed_rows(gen, N, steps, dt)))
+    if metric == "mass":
+        LX = X / gen.mass_diag[:, None]
+    else:
+        LX = magop.factorize(gen.stiffness)["N"](X)
+    C = X.conj().T @ LX
+    tops = []
+    for g in (g1, g2):
+        s = np.sqrt(np.outer(dt * g, W).ravel())
+        tops.append(float(la.eigvalsh(s[:, None] * C * s[None, :])[-1]))
+    return tuple(tops)
 
 
 def _modal_couplings(N, W, V):
@@ -270,6 +317,12 @@ def _extremes_from_modal(Ghat, lam, metric):
     return float(ev[0]), float(ev[-1])
 
 
+def _c_obs(lo, hi):
+    """1 / sqrt(lambda_min), infinite when lambda_min is rounding-level zero."""
+    lo = max(lo, 0.0)
+    return float("inf") if lo <= 1e-14 * max(hi, 1e-300) else float(1.0 / np.sqrt(lo))
+
+
 def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             dense_limit=4096, probes=64, seed=0):
     """Observability report for the conservative flow observed through N.
@@ -280,11 +333,19 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
     trapezoid weights, S the Crank-Nicolson step, switching from the
     identity to a randomized sketch of ``probes`` columns above
     ``dense_limit`` unknowns; it propagates the m observation rows by the
-    adjoint step (``_cn_gramians``).  For the stepped assembly a Richardson
+    adjoint step (``_observed_rows``).  For the stepped assembly a Richardson
     comparison against the double-stride rule estimates the time-quadrature
     error; above 5% a warning is attached.  The report's ``rank_bound`` is
     min(k, m s) for s time samples (k for the exact modal integral); a
     warning is attached when it is below k.
+
+    The stepped eigenproblem runs on one of two Gram sides, chosen by that
+    bound.  On the identity basis with m s < k, the snapshot side
+    (``_cn_snapshot_extremes``) reads lambda_max of G and of its
+    double-stride companion from (m s) x (m s) matrices, and lambda_min is
+    reported as exactly 0.0, since G has rank at most m s < k.  Otherwise the
+    state side assembles the k x k Gramians (``_cn_gramians``) and solves the
+    generalized problem against the metric (or its sketch).
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
@@ -293,6 +354,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
     if dt is None and method == "cn":
         raise ValueError("quadrature-based assembly needs a time step dt")
     N, W = observation.build(gen)
+    m = N.shape[0]
     metric = observation.metric
     warns = []
     sketch_spread = None
@@ -304,16 +366,14 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
         lo2, hi2 = lo, hi
     elif method == "cn":
-        n = gen.size
-        rng = np.random.default_rng(seed)
-        if n <= dense_limit:
-            basis = None
-        else:
-            basis = rng.normal(size=(n, probes)) + 1j * rng.normal(size=(n, probes))
-            basis, _ = np.linalg.qr(basis)
-        G, G2, samples = _cn_gramians(gen, N, W, basis, T, dt, stride)
-        k = G.shape[0]
-        if n <= dense_limit:
+        n = k = gen.size
+        samples = _trapezoid_steps(T, dt, stride).size
+        if n <= dense_limit and m * samples < n:
+            # snapshot side: G has rank <= m s < n, so lambda_min = 0 exactly
+            hi, hi2 = _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride)
+            lo = lo2 = 0.0
+        elif n <= dense_limit:
+            G, G2 = _cn_gramians(gen, N, W, None, T, dt, stride)
             L = (sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness).toarray()
             ev = la.eigvalsh(G, L)
             ev2 = la.eigvalsh(G2, L)
@@ -321,6 +381,11 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
             lo2, hi2 = float(ev2[0]), float(ev2[-1])
         else:
             # sketch: Rayleigh-Ritz bounds on the probe range, spread over halves
+            rng = np.random.default_rng(seed)
+            basis = rng.normal(size=(n, probes)) + 1j * rng.normal(size=(n, probes))
+            basis, _ = np.linalg.qr(basis)
+            k = probes
+            G, G2 = _cn_gramians(gen, N, W, basis, T, dt, stride)
             Lop = sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness
             LB = basis.conj().T @ (Lop @ basis)
             ev = la.eigvalsh(G, LB)
@@ -334,19 +399,17 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
     else:
         raise ValueError(f"unknown method {method!r}")
     # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
-    m = N.shape[0]
     rank_bound = k if samples is None else min(k, m * samples)
     if rank_bound < k:
         warns.append(
             f"Gramian rank <= {m} observation rows x {samples} time samples = "
             f"{m * samples} < {k} unknowns: lambda_min = 0 (C_obs = inf) by sampling alone")
 
-    lo_c = max(lo, 0.0)
-    c_obs = float("inf") if lo_c <= 1e-14 * max(hi, 1e-300) else 1.0 / np.sqrt(lo_c)
+    c_obs = _c_obs(lo, hi)
     c_hid = np.sqrt(max(hi, 0.0))
     quad_err = abs(hi2 - hi) / max(abs(hi), 1e-300)
     if np.isfinite(c_obs) and lo2 > 0:
-        quad_err = max(quad_err, abs(np.sqrt(lo2) - np.sqrt(lo_c)) / np.sqrt(lo_c))
+        quad_err = max(quad_err, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
     if quad_err > 0.05:
         msg = f"stride {stride} too coarse: quadrature error estimate {quad_err:.2%}"
         warns.append(msg)
@@ -443,12 +506,13 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
         diff = np.linalg.norm(Wmat - np.outer(v1, v2))
         worst = max(worst, diff / np.linalg.norm(Wmat))
 
-    # one-factor constant (exact time integral)
-    obs1 = Observation("interior-l2", omega1)
-    rep1 = gramian(gen1, obs1, T, method="eig")
+    # one-factor constant: the exact modal Gramian on the factor's own modes
+    lam1, V1 = _modal_data(gen1, 4096)
+    N1, W1 = Observation("interior-l2", omega1).build(gen1)
+    c1d = _c_obs(*_extremes_from_modal(
+        _phase_gramian_exact(_modal_couplings(N1, W1, V1), lam1, T), lam1, "mass"))
 
     # direct product-space constant: modal Gramian of the Kronecker-sum flow
-    lam1, V1 = _modal_data(gen1, 4096)
     lam2, V2 = _modal_data(gen2, 4096)
     lam12 = (lam1[:, None] + lam2[None, :]).ravel()
     mass_kron = np.kron(gen1.mass_diag, gen2.mass_diag)
@@ -461,14 +525,12 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     V12 = np.kron(V1, V2)
     Y = V12[rows, :]
     Z = (Y.conj().T * mass_kron[rows]) @ Y
-    lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam12, T), lam12, "mass")
-    lam_min = max(lo, 0.0)
-    c2d = float("inf") if lam_min <= 1e-14 * max(hi, 1e-300) else 1.0 / np.sqrt(lam_min)
+    c2d = _c_obs(*_extremes_from_modal(_phase_gramian_exact(Z, lam12, T), lam12, "mass"))
 
-    ratio = c2d / rep1.c_obs if np.isfinite(rep1.c_obs) else float("nan")
+    ratio = c2d / c1d if np.isfinite(c1d) else float("nan")
     return ProductObservabilityReport(
         tensor_residual=worst, kron_action_residual=kron_res,
-        c_1d=rep1.c_obs, c_2d=c2d, ratio=float(ratio),
-        satisfied=bool(c2d <= rep1.c_obs * (1.0 + tol)),
+        c_1d=c1d, c_2d=c2d, ratio=float(ratio),
+        satisfied=bool(c2d <= c1d * (1.0 + tol)),
         tol=tol, T=float(T), dt=float(dt),
     )

@@ -373,3 +373,40 @@ def test_gauge_conjugate_steps_with_its_own_factor(dim):
     want = np.conj(phase) * evolve.step(gen, phase * u, dt)
     np.testing.assert_allclose(evolve.step(conj, u, dt), want, rtol=0,
                                atol=1e-13 * np.max(np.abs(u)))
+
+
+def _one_buffer_record(traj):
+    """The snapshot record as first written: one zeroed (rows, 1 + 2N) array."""
+    n = traj.generator.grid.num_nodes
+    rec = np.zeros((traj.times.size, 1 + 2 * n))
+    rec[:, 0] = traj.times
+    rec[:, 1:].view(complex)[:, traj.generator.state_idx] = traj.states
+    return rec.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["A0", "A1", "A2", "A3"])
+def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
+    """The blocked writer gives the bytes of the one-buffer record, for every
+    stride and block height, a last block shorter than the others included."""
+    grid = mesh.build_grid(dim, 1.0, 24 if dim == 1 else 7)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(2.0 * p + 0.3))
+    damping, split = None, None
+    if kind == "A1":
+        damping = magop.DampingConfig.interior(grid, np.where(grid.coords[:, 0] < 0.4, 3.0, 0.0))
+    elif kind in ("A2", "A3"):
+        split = mesh.split_boundary(grid, [-0.3] * dim)
+        d = np.zeros(grid.num_nodes)
+        d[split.gamma0] = 1.5
+        damping = magop.DampingConfig.boundary(grid, d)
+    gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    rng = np.random.default_rng(7)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    for stride in (1, 2, 3, 7):
+        _, traj = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride)
+        want = _one_buffer_record(traj)
+        for rows in (1, 2, 3, traj.times.size, traj.times.size + 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evolve, "_BLOCK_ENTRIES", rows * grid.num_nodes)
+                evolve.export_snapshots(traj, tmp_path / "s.bin", tmp_path / "s.json")
+            assert (tmp_path / "s.bin").read_bytes() == want, (stride, rows)

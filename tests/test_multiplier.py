@@ -103,3 +103,103 @@ def test_radial_field_consistency():
     field = multiplier.MultiplierField.radial(grid, times, [0.2, -0.1])
     assert field.consistency_residual() < 1e-12
     assert np.all(field.divergence == 2.0)
+
+
+def _materialized_radial(grid, times, x0):
+    """The radial field copied out to (nt, N, ...) arrays, as first written."""
+    nt, N, d = times.size, grid.num_nodes, grid.dim
+    m = grid.coords - np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
+    return multiplier.MultiplierField(
+        grid=grid, times=times,
+        values=np.broadcast_to(m, (nt, N, d)).copy(),
+        jacobian=np.broadcast_to(np.eye(d), (nt, N, d, d)).copy(),
+        divergence=np.full((nt, N), float(d)),
+        grad_div=np.zeros((nt, N, d)), time_deriv=np.zeros((nt, N, d)))
+
+
+def _materialized_terms(traj, a, field, forcing=None):
+    """The ten multiplier terms from full (nt, N, ...) temporaries: the oracle."""
+    grid = traj.generator.grid
+    times = traj.times
+    nt, N, d = times.size, grid.num_nodes, grid.dim
+    u = np.zeros((nt, N), dtype=complex)
+    u[:, traj.generator.state_idx] = traj.states
+    ut = np.gradient(u, times, axis=0)
+    wt = np.zeros(nt)
+    wt[:-1] += 0.5 * np.diff(times)
+    wt[1:] += 0.5 * np.diff(times)
+    wv = grid.volume_weights
+    b = grid.boundary_idx
+    ws = grid.surface_weights[b]
+    nu = grid.normals[b]
+    gu = np.empty((nt, N, d), dtype=complex)
+    for it in range(nt):
+        for ax in range(d):
+            gu[it, :, ax] = grid.gradients[ax] @ u[it] + 1j * a.values[:, ax] * u[it]
+    X = field.values
+    f = np.zeros((nt, N), dtype=complex) if forcing is None else forcing
+    gu_b = gu[:, b, :]
+    conormal = np.einsum("tnj,nj->tn", gu_b, nu)
+    X_nu = np.einsum("tnj,nj->tn", X[:, b, :], nu)
+    X_gu_b = np.einsum("tnj,tnj->tn", X[:, b, :], gu_b)
+    sig = wt[:, None] * ws[None, :]
+    vol = wt[:, None] * wv[None, :]
+    u_b, ut_b = u[:, b], ut[:, b]
+    brk = [np.sum(wv * np.einsum("nj,nj->n", u[i, :, None] * X[i], np.conj(gu[i])))
+           for i in (0, -1)]
+    return {
+        "boundary_flux_pairing": np.sum(sig * np.real(conormal * np.conj(X_gu_b))),
+        "boundary_carrier": -0.5 * np.sum(sig * (np.sum(np.abs(gu_b) ** 2, axis=2) * X_nu)),
+        "boundary_divergence": 0.5 * np.sum(
+            sig * np.real(field.divergence[:, b] * u_b * np.conj(conormal))),
+        "boundary_time": np.real(-0.5j * np.sum(sig * (u_b * X_nu * np.conj(ut_b)))),
+        "volume_jacobian": np.sum(vol * np.real(
+            np.einsum("tnjk,tnj,tnk->tn", field.jacobian, gu, np.conj(gu)))),
+        "volume_grad_div": 0.5 * np.sum(vol * np.real(
+            u[:, :, None] * field.grad_div * np.conj(gu)).sum(axis=2)),
+        "volume_time_deriv": np.real(0.5j * np.sum(vol * np.einsum(
+            "tnj,tnj->tn", u[:, :, None] * field.time_deriv, np.conj(gu)))),
+        "endpoint_bracket": np.real(-0.5j * (brk[1] - brk[0])),
+        "volume_forcing": np.sum(vol * np.real(
+            np.einsum("tnj,tnj->tn", f[:, :, None] * X, np.conj(gu)))),
+        "volume_div_forcing": 0.5 * np.sum(vol * np.real(field.divergence * u * np.conj(f))),
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_terms_match_materialized_field(seed):
+    """The broadcast radial field and the one-pass contractions give the ten
+    terms of the materialized field, on random grids, x0, potentials,
+    states and forcings."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 3))
+    n = int(rng.integers(9, 40)) if dim == 1 else int(rng.integers(5, 14))
+    grid = mesh.build_grid(dim, 1.0, n)
+    amp, freq = rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0)
+    a = magop.MagneticPotential.from_callable(
+        grid, lambda p: amp[:dim] * np.sin(freq * p + 0.3))
+    gen = magop.assemble_generator("A0", grid, a)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    _, traj = evolve.simulate(gen, u0, 0.01 * rng.integers(1, 4), 2e-3)
+    x0 = rng.uniform(-0.5, 1.5, dim)
+    forcing = None
+    if seed % 2:
+        shape = (traj.times.size, grid.num_nodes)
+        forcing = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a random time-dependent field with a full jacobian exercises every
+    # contraction; its derived fields need not be consistent for this check
+    nt, N = traj.times.size, grid.num_nodes
+    general = multiplier.MultiplierField(
+        grid=grid, times=traj.times, values=rng.normal(size=(nt, N, dim)),
+        jacobian=rng.normal(size=(nt, N, dim, dim)), divergence=rng.normal(size=(nt, N)),
+        grad_div=rng.normal(size=(nt, N, dim)), time_deriv=rng.normal(size=(nt, N, dim)))
+    for field, oracle in ((multiplier.MultiplierField.radial(grid, traj.times, x0),
+                           _materialized_radial(grid, traj.times, x0)),
+                          (general, general)):
+        rep = multiplier.multiplier_identity_residual(traj, a, field, forcing)
+        want = _materialized_terms(traj, a, oracle, forcing)
+        scale = max(abs(v) for v in want.values())
+        assert rep.terms.keys() == want.keys()
+        for name, value in want.items():
+            assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
+        assert rep.scale == pytest.approx(scale, rel=1e-12)

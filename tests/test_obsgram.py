@@ -185,6 +185,39 @@ def test_observation_validation(grid, gen):
         obsgram.Observation("boundary-conormal", np.array([5])).build(gen)
 
 
+def _per_node_conormal(obs, gen):
+    """The boundary-conormal rows built one node at a time: the oracle."""
+    grid = gen.grid
+    bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
+    rows = []
+    for node in obs.nodes:
+        face = grid.faces[grid.owner_face[node]]
+        row = (face.normal[face.axis] * grid.gradients[face.axis][node]).astype(complex)
+        if gen.potential is not None:
+            row = row.tolil()
+            row[0, node] = row[0, node] + 1j * gen.potential.a_dot_nu[bpos[node]]
+        rows.append(row.tocsr())
+    return sp.vstack(rows).tocsr()[:, gen.state_idx], grid.surface_weights[obs.nodes]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_conormal_matches_per_node_rows(seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    grid = mesh.build_grid(dim, 1.0, int(rng.integers(5, 30)))
+    amp, freq = rng.uniform(0.0, 1.0), rng.uniform(0.5, 4.0)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p + 0.2))
+    gen = magop.assemble_generator("A0", grid, a)
+    size = int(rng.integers(1, grid.boundary_idx.size + 1))
+    nodes = rng.choice(grid.boundary_idx, size=size, replace=False)   # any order
+    obs = obsgram.Observation("boundary-conormal", nodes)
+    N, W = obs.build(gen)
+    N_ref, W_ref = _per_node_conormal(obs, gen)
+    assert N.dtype == N_ref.dtype
+    assert np.array_equal(N.toarray(), N_ref.toarray())
+    assert np.array_equal(W, W_ref)
+
+
 def test_report_json_fields(gen, grid):
     import json
 
@@ -254,81 +287,114 @@ def forward_gramians(gen, obs, dt, nsteps, stride, basis):
     return G, G2
 
 
+def _check_cn_case(case):
+    """Check one stepped Gramian against the forward oracle; return
+    (rows no wider than the basis, the Gram side that ran)."""
+    gen, obs, dt, nsteps, stride, probes, width = case
+    n, m = gen.size, obs.build(gen)[0].shape[0]
+    sketch = probes is not None and probes <= n
+    k = probes if sketch else n
+    kw = dict(dense_limit=n - 1, probes=probes) if sketch else {}
+    samples = len(set(range(0, nsteps + 1, stride)) | {nsteps})
+    solves = []
+
+    cayley_solver = magop.GeneratorMatrix.cayley_solver
+
+    def spy_solver(g, step, trans="N"):
+        solve = cayley_solver(g, step, trans)
+
+        def spy(x):
+            solves.append((trans, x.shape[1]))
+            return solve(x)
+        return spy
+
+    ran = []
+
+    def recorded(side, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            ran.append((side, out))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * k)
+        mp.setattr(magop.GeneratorMatrix, "cayley_solver", spy_solver)
+        mp.setattr(obsgram, "_cn_gramians", recorded("state", obsgram._cn_gramians))
+        mp.setattr(obsgram, "_cn_snapshot_extremes",
+                   recorded("snapshot", obsgram._cn_snapshot_extremes))
+        rep = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride,
+                              method="cn", **kw)
+    # one adjoint solve per step, on the m observation rows only
+    assert solves == [("H", m)] * nsteps
+    [(side, out)] = ran
+    # the snapshot side runs exactly when the sampled rank m s is below n
+    assert side == ("snapshot" if not sketch and m * samples < n else "state")
+
+    if sketch:
+        rng = np.random.default_rng(0)
+        basis = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        basis, _ = np.linalg.qr(basis)
+    else:
+        basis = np.eye(n, dtype=complex)
+    G, G2 = forward_gramians(gen, obs, dt, nsteps, stride, basis)
+    if side == "state":
+        assert np.linalg.norm(out[0] - G) <= 1e-12 * np.linalg.norm(G)
+
+    L = sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness
+    LB = basis.conj().T @ (L @ basis)
+    ev = la.eigvalsh(G, LB)
+    lo, hi = ev[0], ev[-1]
+    if sketch:
+        lo2, hi2 = lo, hi
+    else:
+        ev2 = la.eigvalsh(G2, LB)
+        lo2, hi2 = ev2[0], ev2[-1]
+    assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
+    if side == "snapshot":
+        # rank <= m s < n: lambda_min is 0 exactly, not a rounding-level value
+        assert rep.lambda_min == 0.0
+        assert rep.lambda_max == pytest.approx(hi, rel=1e-10)
+    else:
+        assert abs(rep.lambda_min - lo) <= 1e-11 * abs(hi)
+    quad = abs(hi2 - hi) / max(abs(hi), 1e-300)
+    if lo > 1e-4 * hi and lo2 > 0:
+        quad = max(quad, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
+    elif np.isfinite(rep.c_obs):
+        # the sqrt(lambda_min) term is rounding noise: lambda_min is near 0
+        quad = None
+    if quad is not None:
+        assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
+    assert rep.rank_bound == min(k, m * samples)
+    return m <= k, side
+
+
 def test_cn_gramian_matches_forward_loop():
-    shapes = set()
+    seen = set()
 
     @PROPERTY
     @given(cn_cases())
     def check(case):
-        gen, obs, dt, nsteps, stride, probes, width = case
-        n, m = gen.size, obs.build(gen)[0].shape[0]
-        sketch = probes is not None and probes <= n
-        k = probes if sketch else n
-        kw = dict(dense_limit=n - 1, probes=probes) if sketch else {}
-        solves = []
-
-        cayley_solver = magop.GeneratorMatrix.cayley_solver
-
-        def spy_solver(g, step, trans="N"):
-            solve = cayley_solver(g, step, trans)
-
-            def spy(x):
-                solves.append((trans, x.shape[1]))
-                return solve(x)
-            return spy
-
-        cn_gramians, assembled = obsgram._cn_gramians, []
-
-        def record_gramians(*args):
-            out = cn_gramians(*args)
-            assembled.append(out[0])
-            return out
-
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * k)
-            mp.setattr(magop.GeneratorMatrix, "cayley_solver", spy_solver)
-            mp.setattr(obsgram, "_cn_gramians", record_gramians)
-            rep = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride,
-                                  method="cn", **kw)
-        # one adjoint solve per step, on the m observation rows only
-        assert solves == [("H", m)] * nsteps
-        shapes.add(m <= k)
-
-        if sketch:
-            rng = np.random.default_rng(0)
-            basis = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-            basis, _ = np.linalg.qr(basis)
-        else:
-            basis = np.eye(n, dtype=complex)
-        G, G2 = forward_gramians(gen, obs, dt, nsteps, stride, basis)
-        [got] = assembled
-        assert np.linalg.norm(got - G) <= 1e-12 * np.linalg.norm(G)
-
-        L = sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness
-        LB = basis.conj().T @ (L @ basis)
-        ev = la.eigvalsh(G, LB)
-        lo, hi = ev[0], ev[-1]
-        if sketch:
-            lo2, hi2 = lo, hi
-        else:
-            ev2 = la.eigvalsh(G2, LB)
-            lo2, hi2 = ev2[0], ev2[-1]
-        assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
-        assert abs(rep.lambda_min - lo) <= 1e-11 * abs(hi)
-        quad = abs(hi2 - hi) / max(abs(hi), 1e-300)
-        if lo > 1e-4 * hi and lo2 > 0:
-            quad = max(quad, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
-        elif np.isfinite(rep.c_obs):
-            # the sqrt(lambda_min) term is rounding noise: lambda_min is near 0
-            quad = None
-        if quad is not None:
-            assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
-        samples = len(set(range(0, nsteps + 1, stride)) | {nsteps})
-        assert rep.rank_bound == min(k, m * samples)
+        seen.add(_check_cn_case(case))
 
     check()
-    assert shapes == {True, False}      # rows narrower and wider than the basis
+    assert {wide for wide, _ in seen} == {True, False}   # rows narrower and wider than the basis
+    assert {side for _, side in seen} == {"state", "snapshot"}
+
+
+@pytest.mark.parametrize("dim, kind", [(1, "interior-l2"), (1, "boundary-conormal"),
+                                       (1, "interior-h1"), (2, "interior-l2"),
+                                       (2, "boundary-conormal"), (2, "interior-h1")])
+def test_cn_snapshot_side_every_metric(dim, kind):
+    """Few observation rows and samples: the snapshot side, on both metrics."""
+    grid = mesh.build_grid(dim, 1.0, 60 if dim == 1 else 11)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.7 * np.sin(1.3 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
+    obs = obsgram.Observation(kind, pool[:2])
+    for stride, width in ((1, 2), (2, 5)):
+        assert _check_cn_case((gen, obs, 5e-3, 9, stride, None, width))[1] == "snapshot"
 
 
 @st.composite
@@ -516,6 +582,25 @@ def test_product_tensor_identity_and_bound():
     assert rep.kron_action_residual < 1e-12
     assert rep.c_2d <= rep.c_1d * 1.05
     assert rep.satisfied
+
+
+def test_product_one_factor_constant_is_the_gramian_constant(monkeypatch):
+    """C_1D is read from the factor's own modal data, one eigensolve per
+    factor, and equals the exact modal Gramian's C_obs bit for bit."""
+    g1 = mesh.build_grid(1, [1.0], 20)
+    g2 = mesh.build_grid(1, [1.0], 14)
+    gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
+    gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
+    for omega1 in (g1.box_nodes([0.0], [0.3]), g1.box_nodes([0.2], [0.9])):
+        want = obsgram.gramian(gen1, obsgram.Observation("interior-l2", omega1),
+                               0.7, method="eig").c_obs
+        modal_data, solved = obsgram._modal_data, []
+        with monkeypatch.context() as mp:
+            mp.setattr(obsgram, "_modal_data",
+                       lambda gen, limit: solved.append(gen) or modal_data(gen, limit))
+            rep = obsgram.product_observability(gen1, gen2, omega1, T=0.7, dt=0.01)
+        assert solved == [gen1, gen2]
+        assert rep.c_1d == want
 
 
 def test_product_full_omega_recovers_inverse_sqrt_T():
