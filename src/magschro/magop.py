@@ -220,20 +220,25 @@ def _positions(num_nodes, state_idx):
     return pos
 
 
+def _state_edges(grid, a, state_idx):
+    """Per axis: the state positions of each edge's tail and head (-1 off the
+    state), its weight w_e (quadrature weight / h^2) and link phase exp(i h a)."""
+    pos = _positions(grid.num_nodes, state_idx)
+    for ax in range(grid.dim):
+        tails, heads, _ = _edges(grid, ax)
+        w = _edge_transverse_weights(grid, ax) / grid.h[ax] ** 2
+        phase = np.exp(1j * (grid.h[ax] * a.edge_values[ax]))
+        yield pos[tails], pos[heads], w, phase
+
+
 def magnetic_stiffness(grid, a, state_idx):
-    """Hermitian form sum_edges w_e |exp(i theta_e) u_head - u_tail|^2 / h^2.
+    """Hermitian form sum_edges w_e |exp(i theta_e) u_head - u_tail|^2.
 
     Nodes outside ``state_idx`` are eliminated (their values are zero); edges
     touching them contribute only the surviving diagonal entry.
     """
-    pos = _positions(grid.num_nodes, state_idx)
     rows, cols, vals = [], [], []
-    for ax in range(grid.dim):
-        tails, heads, _ = _edges(grid, ax)
-        w = _edge_transverse_weights(grid, ax) / grid.h[ax] ** 2
-        theta = grid.h[ax] * a.edge_values[ax]
-        phase = np.exp(1j * theta)
-        pt, ph = pos[tails], pos[heads]
+    for pt, ph, w, phase in _state_edges(grid, a, state_idx):
         both = (pt >= 0) & (ph >= 0)
         rows += [pt[both], ph[both], pt[both], ph[both]]
         cols += [pt[both], ph[both], ph[both], pt[both]]
@@ -249,6 +254,27 @@ def magnetic_stiffness(grid, a, state_idx):
         shape=(n, n),
     ).tocsr()
     return S
+
+
+def magnetic_edge_root(grid, a, state_idx):
+    """R with R^H R = magnetic_stiffness(grid, a, state_idx): one row
+    sqrt(w_e) (exp(i theta_e) e_head - e_tail) per edge touching a state node,
+    the eliminated end dropped."""
+    rows, cols, vals = [], [], []
+    num_rows = 0
+    for pt, ph, w, phase in _state_edges(grid, a, state_idx):
+        touch = (pt >= 0) | (ph >= 0)
+        pt, ph, r, phase = pt[touch], ph[touch], np.sqrt(w[touch]), phase[touch]
+        edge = num_rows + np.arange(pt.size)
+        t, h = pt >= 0, ph >= 0
+        rows += [edge[t], edge[h]]
+        cols += [pt[t], ph[h]]
+        vals += [-r[t] + 0j, r[h] * phase[h]]
+        num_rows += pt.size
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num_rows, state_idx.size),
+    )
 
 
 def laplacian_stencil_full(grid, a=None):
@@ -271,8 +297,9 @@ class GeneratorMatrix:
 
     Immutable after assembly; operator application is pure.  Derived data
     (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
-    gamma0) is built on first use and kept on the instance, so it is freed
-    with it; ``dataclasses.replace`` gives a copy with empty caches.
+    gamma0, the factored inner product of ``metric_root`` and the A - i mu I
+    pattern of ``shifted``) is built on first use and kept on the instance, so
+    it is freed with it; ``dataclasses.replace`` gives a copy with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3
@@ -305,6 +332,19 @@ class GeneratorMatrix:
         if self.inner_kind == "mass":
             return sp.diags(self.mass_diag).tocsr()
         return self.stiffness
+
+    @cached_property
+    def metric_root(self):
+        """(rows, R, R^H, L^-1) for the inner product L = R^H R, as functions
+        applying R (n -> rows), R^H (rows -> n) and L^-1 to vectors: the
+        elementwise sqrt(mass) and 1/mass, or for the stiffness the edge rows
+        of ``magnetic_edge_root`` and a ``factorize`` of S."""
+        if self.inner_kind == "mass":
+            root, mass = np.sqrt(self.mass_diag), self.mass_diag
+            return self.size, root.__mul__, root.__mul__, lambda x: x / mass
+        R = magnetic_edge_root(self.grid, self.potential, self.state_idx)
+        return (R.shape[0], R.__matmul__, R.getH().tocsr().__matmul__,
+                factorize(self.stiffness)["N"])
 
     def inner_product(self, u, v):
         """(u | v) in the generator's inner product (integral of u conj v)."""
@@ -345,7 +385,9 @@ class GeneratorMatrix:
         return np.sqrt(np.maximum(self.mass_diag @ (U.real ** 2 + U.imag ** 2), 0.0))
 
     def stiffness_norms(self, U):
-        form = np.sum((U.conj() * (self.stiffness @ U)).real, axis=0)
+        SU = self.stiffness @ U
+        form = (np.einsum("i...,i...->...", U.real, SU.real)
+                + np.einsum("i...,i...->...", U.imag, SU.imag))
         return np.sqrt(np.maximum(form, 0.0))
 
     def energies(self, U):
@@ -384,6 +426,27 @@ class GeneratorMatrix:
     def _lap_gamma0(self):
         """The rows of the discrete Delta_a at the gamma0 nodes."""
         return self.lap_matrix[self.gamma0_pos]
+
+    # -- resolvent shifts ---------------------------------------------------
+
+    @cached_property
+    def _shift_pattern(self):
+        """A - 0 I in CSC and the data positions of its diagonal, which every
+        kind fills (S_ii > 0).  The sparse difference, not A itself: on
+        unsorted rows SciPy's difference reads each entry as 0 + a, which turns
+        a -0.0 part into +0.0."""
+        n = self.size
+        C = (self.matrix - 0j * sp.identity(n, dtype=complex, format="csr")).tocsc()
+        cols = np.repeat(np.arange(n), np.diff(C.indptr))
+        return C, np.flatnonzero(C.indices == cols)
+
+    def shifted(self, mu):
+        """A - i mu I in CSC, bitwise the sparse difference: a copy of the
+        cached pattern with the shift written into its diagonal."""
+        C, diag = self._shift_pattern
+        K = C.copy()
+        K.data[diag] -= np.ones(diag.size, dtype=complex) * (1j * mu)
+        return K
 
     # -- Crank-Nicolson (Cayley) solves --------------------------------------
 

@@ -3,10 +3,13 @@
 The resolvent norm at i mu in the generator's inner product L is
 
     || (A - i mu)^-1 ||_L = 1 / sigma_min,
-    sigma_min^2 = min_u (u^H K^H L K u) / (u^H L u),  K = A - i mu,
+    sigma_min^2 = min_u (u^H K^H L K u) / (u^H L u),  K = A - i mu.
 
-computed by shift-inverted Lanczos on the normal equations (inverse power
+With L = R^H R, 1 / sigma_min^2 is the largest eigenvalue of the Hermitian
+R K^-1 L^-1 K^-H R^H, which standard-mode Lanczos reads directly (power
 iteration as the fallback), one sparse factor of K serving every product.
+R is the generator's ``metric_root``: sqrt(mass) for the mass metric, one
+row per edge for the magnetic stiffness of A2.
 Scans fit C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope,
 since on any fixed grid the point values oscillate between spectral peaks.
 
@@ -17,11 +20,12 @@ minimal constants (aleph0, aleph1) making
 
 hold for every state, by doubling and bisection on aleph1 at fixed aleph0.
 The pencil is reduced once per mu, to aleph0 G + aleph1 diag(1_omega) with
-G = D K^H M K D and D = M^-1/2.  lambda_min of that matrix is concave and
-nondecreasing in aleph1, so a few Newton steps with the omega weight of the
-eigenvector as supergradient bracket the threshold from below; a monotone
-oracle then answers the bisection's questions outside the bracket without
-an eigensolve, and the result equals plain bisection's.
+G = D K^H M K D and D = M^-1/2, which is real when A0 is (a = 0).
+lambda_min of that matrix is concave and nondecreasing in aleph1, so a few
+Newton steps with the omega weight of the eigenvector as supergradient
+bracket the threshold from below; a monotone oracle then answers the
+bisection's questions outside the bracket without an eigensolve, and the
+result equals plain bisection's.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def resolvent_solve(gen, mu, g):
     estimate so the caller can judge how close i mu sits to the spectrum.
     """
     g = np.asarray(g, dtype=complex)
-    K = (gen.matrix - 1j * mu * sp.identity(gen.size, dtype=complex, format="csr")).tocsc()
+    K = gen.shifted(mu)
     solve = magop.factorize(K)
     u = solve["N"](g)
     gnorm = float(np.linalg.norm(g))
@@ -106,59 +110,48 @@ def resolvent_solve(gen, mu, g):
 
 def resolvent_norm(gen, mu, tol=1e-12, maxiter=400, seed=7):
     """|| (A - i mu)^-1 || in the generator's inner product, and the number
-    of shift-invert products x -> K^-1 L^-1 K^-H x it took.
+    of products x -> R K^-1 L^-1 K^-H R^H x it took.
 
-    Computes the smallest generalized eigenvalue of (K^H L K, L) by
-    shift-inverted Lanczos on an 8-vector basis, applying ``magop.factorize``
-    of K twice per product, and falls back to plain inverse power iteration
-    (one more product per iteration) if ARPACK stalls.  Both start from the
-    same vector drawn from ``seed``, so reruns agree bitwise.
+    The norm is the square root of that Hermitian operator's largest
+    eigenvalue, read by standard-mode Lanczos on an 8-vector basis; each
+    product applies ``magop.factorize`` of K twice and the metric root
+    (R, R^H, L^-1) of ``GeneratorMatrix.metric_root`` once each.  If ARPACK
+    stalls, power iteration on the same operator takes over, and raises
+    RuntimeError when it has not met ``tol`` after ``maxiter`` products.
+    Both start from R z with z drawn from ``seed``, so reruns agree bitwise.
     """
-    n = gen.size
-    K = (gen.matrix - 1j * mu * sp.identity(n, dtype=complex, format="csr")).tocsc()
-    solve = magop.factorize(K)
-    if gen.inner_kind == "mass":
-        diag = gen.mass_diag
-        l_solve = lambda x: x / diag
-        l_apply = lambda x: diag * x
-    else:
-        l_solve = magop.factorize(gen.stiffness)["N"]
-        l_apply = lambda x: gen.stiffness @ x
+    rows, r_apply, rh_apply, l_solve = gen.metric_root
+    solve = magop.factorize(gen.shifted(mu))
     products = 0
 
-    def shift_invert(x):
+    def apply(x):
         nonlocal products
         products += 1
-        return solve["N"](l_solve(solve["H"](x)))
+        return r_apply(solve["N"](l_solve(solve["H"](rh_apply(x)))))
 
-    normal_op = spla.LinearOperator(
-        (n, n), matvec=lambda x: K.getH() @ l_apply(K @ x), dtype=complex)
-    inv_op = spla.LinearOperator((n, n), matvec=shift_invert, dtype=complex)
-    metric = spla.LinearOperator((n, n), matvec=l_apply, dtype=complex)
     rng = np.random.default_rng(seed)
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = r_apply(rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size))
+    op = spla.LinearOperator((rows, rows), matvec=apply, dtype=complex)
     try:
-        lam = float(spla.eigsh(
-            normal_op, k=1, M=metric, sigma=0.0, which="LM", OPinv=inv_op, v0=z,
-            ncv=min(8, n), return_eigenvectors=False, maxiter=maxiter,
-        )[0])
-        return 1.0 / np.sqrt(lam), products
-    except Exception:
+        lam = float(spla.eigsh(op, k=1, which="LM", v0=x, ncv=min(8, rows),
+                               return_eigenvectors=False, maxiter=maxiter)[0])
+        return np.sqrt(lam), products
+    except spla.ArpackError:           # ArpackNoConvergence included
         pass
 
+    x = x / np.linalg.norm(x)
     lam_prev = None
     for _ in range(maxiter):
-        z = shift_invert(l_apply(z))
-        nz = np.sqrt(np.vdot(z, l_apply(z)).real)
-        if nz == 0:
-            raise RuntimeError("inverse iteration collapsed to zero")
-        z = z / nz
-        Kz = K @ z
-        lam = np.vdot(Kz, l_apply(Kz)).real
+        y = apply(x)
+        lam = np.vdot(x, y).real
+        ny = np.linalg.norm(y)
+        if ny == 0:
+            raise RuntimeError("power iteration collapsed to zero")
+        x = y / ny
         if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            break
+            return np.sqrt(lam), products
         lam_prev = lam
-    return 1.0 / np.sqrt(lam), products
+    raise RuntimeError(f"power iteration did not converge in {maxiter} products")
 
 
 @dataclass(eq=False)
@@ -346,14 +339,15 @@ def _reduced_pencil(gen, mu):
 
     D (aleph0 K^H M K + aleph1 M_omega) D = aleph0 G + aleph1 diag(1_omega), so
     lambda_min of that matrix is the smallest generalized eigenvalue of the
-    pencil against M.
+    pencil against M.  G is returned real when it has no imaginary part (a = 0),
+    so the eigensolves run on real data.
     """
-    n = gen.size
     root = np.sqrt(gen.mass_diag)
-    K = gen.matrix - 1j * mu * sp.identity(n, dtype=complex, format="csr")
-    B = (sp.diags(root) @ K @ sp.diags(1.0 / root)).tocsr()
+    B = (sp.diags(root) @ gen.shifted(mu) @ sp.diags(1.0 / root)).tocsr()
     G = (B.getH() @ B).tocsr()
-    return G.toarray() if n <= _DENSE_LIMIT else G
+    if not G.imag.count_nonzero():
+        G = G.real
+    return G.toarray() if gen.size <= _DENSE_LIMIT else G
 
 
 def _lowest_pair(H):

@@ -431,3 +431,46 @@ def test_structural_identities(case):
             want = getattr(direct, name)
             rel = sp.linalg.norm(getattr(conj, name) - want) / sp.linalg.norm(want)
             assert rel <= 1e-12
+
+
+@PROPERTY
+@given(assembly_cases(), st.just(0.0) | st.floats(-400.0, 100.0))
+def test_shifted_is_the_sparse_difference(case, mu):
+    """The cached A - i mu I pattern gives bitwise the sparse sum's CSC, and
+    writing one shift leaves the pattern for the next."""
+    grid, a, damping, split, _ = case
+    for kind in KINDS:
+        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        eye = sp.identity(gen.size, dtype=complex, format="csr")
+        for m in (mu, -mu + 1.0, mu):
+            got, want = gen.shifted(m), (gen.matrix - 1j * m * eye).tocsc()
+            assert got.format == want.format == "csc"
+            for name in ("indptr", "indices", "data"):
+                assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+@PROPERTY
+@given(assembly_cases())
+def test_metric_root_factors_the_inner_product(case):
+    """R^H R = L to rounding, R^H is R's adjoint, and L^-1 inverts L.  A
+    stiffness with a kernel (gamma0 the whole boundary) is no metric and has
+    no L^-1, but its edge root still factors it."""
+    grid, a, damping, split, _ = case
+    rng = np.random.default_rng(0)
+    for kind in KINDS:
+        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        L = gen.inner_matrix.toarray()
+        if np.linalg.cond(L) > 1e10:
+            R = magop.magnetic_edge_root(grid, a, gen.state_idx).toarray()
+            assert np.linalg.norm(R.conj().T @ R - L) <= 1e-14 * np.linalg.norm(L)
+            continue
+        rows, r_apply, rh_apply, l_solve = gen.metric_root
+        n = gen.size
+        R = np.column_stack([r_apply(e) for e in np.eye(n, dtype=complex)])
+        assert R.shape == (rows, n)
+        assert np.linalg.norm(R.conj().T @ R - L) <= 1e-14 * np.linalg.norm(L)
+        y = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        assert np.linalg.norm(rh_apply(y) - R.conj().T @ y) <= 1e-14 * np.linalg.norm(
+            R) * np.linalg.norm(y)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.linalg.norm(L @ l_solve(x) - x) <= 1e-12 * np.linalg.norm(x)

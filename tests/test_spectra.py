@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -324,33 +326,36 @@ def test_factorize_branches_agree(gen, mu):
         assert np.linalg.norm(op @ x - b) <= 1e-13 * la.norm(K.toarray(), 2) * np.linalg.norm(x)
 
 
-@pytest.mark.parametrize("kind", ["A1", "A2"])
-def test_small_grid_scan_runs_arpack(kind):
-    """At n <= 8 unknowns the Lanczos basis is the whole space: ARPACK still
-    runs (no fallback, no failure), and the reported products are its own."""
-    grid = mesh.build_grid(1, 1.0, 6)
+def generator_1d(kind, n):
+    grid = mesh.build_grid(1, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(p))
     if kind == "A1":
         damping = magop.DampingConfig.interior(grid, np.full(grid.num_nodes, 2.0), c0=2.0)
-        gen = magop.assemble_generator(kind, grid, a, damping=damping)
-    else:
-        split = mesh.split_boundary(grid, [-0.3])
-        damping = magop.DampingConfig.boundary(grid, np.ones(grid.num_nodes))
-        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        return magop.assemble_generator(kind, grid, a, damping=damping)
+    split = mesh.split_boundary(grid, [-0.3])
+    damping = magop.DampingConfig.boundary(grid, np.ones(grid.num_nodes))
+    return magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2"])
+def test_small_grid_scan_runs_arpack(kind):
+    """At n <= 8 unknowns the Lanczos basis is the whole space: ARPACK still
+    runs in standard mode (no metric, no shift, no fallback, no failure), and
+    the reported products are its applications of the operator."""
+    gen = generator_1d(kind, 6)
     assert gen.size <= 8
     calls = []
     eigsh = spla.eigsh
 
     def spy(A, **kw):
+        assert kw.get("M") is None and kw.get("sigma") is None and kw.get("OPinv") is None
         counted = {"products": 0}
-        inv = kw["OPinv"]
 
         def matvec(x):
             counted["products"] += 1
-            return inv.matvec(x)
+            return A.matvec(x)
 
-        kw["OPinv"] = spla.LinearOperator(inv.shape, matvec=matvec, dtype=inv.dtype)
-        out = eigsh(A, **kw)
+        out = eigsh(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), **kw)
         calls.append(counted["products"])    # only when ARPACK returns
         return out
 
@@ -363,6 +368,38 @@ def test_small_grid_scan_runs_arpack(kind):
     for mu, norm in zip(mus, scan.norms):
         ref = dense_resolvent_norm(gen, mu)
         assert abs(norm - ref) <= 1e-10 * ref
+
+
+def _arpack_stalls(*args, **kwargs):
+    raise spla.ArpackNoConvergence("stalled", np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3"])
+def test_power_fallback_matches_dense_oracle(kind):
+    """When ARPACK stalls, power iteration on the same operator gives the norm."""
+    gen = generator_1d(kind, 24)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "eigsh", _arpack_stalls)
+        for mu in (-250.0, -37.0, 20.0):
+            norm, products = spectra.resolvent_norm(gen, mu)
+            ref = dense_resolvent_norm(gen, mu)
+            assert products > 1
+            assert abs(norm - ref) <= 1e-10 * ref
+
+
+def test_unconverged_fallback_is_a_failed_point(gen_a1):
+    """Power iteration out of products raises, and the scan records the point
+    as failed instead of keeping an unconverged norm."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "eigsh", _arpack_stalls)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            spectra.resolvent_norm(gen_a1, -40.0, maxiter=3)
+        mp.setattr(spectra, "resolvent_norm",
+                   functools.partial(spectra.resolvent_norm, maxiter=3))
+        scan = spectra.scan_resolvent(gen_a1, [-120.0, -40.0])
+    assert not scan.ok.any() and np.isnan(scan.norms).all()
+    assert [f["mu"] for f in scan.failures] == [-120.0, -40.0]
+    assert all("did not converge" in f["error"] for f in scan.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +494,24 @@ def test_hautus_sweep_matches_per_query_bisection(case):
     assert np.array_equal(rep.min_aleph1, table)
     assert rep.eigensolves.shape == table.shape
     assert np.all(rep.eigensolves >= 1)
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.8])
+def test_hautus_eigensolves_real_at_zero_potential(amp):
+    """With a = 0 the reduced pencil is real and every dense eigensolve gets
+    float64; a nonzero potential keeps it complex."""
+    grid = mesh.build_grid(1, 1.0, 40)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(3.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    dtypes = []
+    eigh = la.eigh
+
+    def spy(H, *args, **kwargs):
+        dtypes.append(H.dtype)
+        return eigh(H, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "eigh", spy)
+        spectra.hautus_sweep(gen, grid.box_nodes([0.0], [0.3]), [-60.0, -14.0],
+                             [0.0, 1e-2])
+    assert dtypes and set(dtypes) == {np.dtype(float if amp == 0.0 else complex)}
