@@ -422,6 +422,8 @@ def _run_observability(config, out, rng):
     else:
         nodes = _box_nodes(gen.grid, config.get("observation.omega", "all"),
                            "observation.omega")
+        if not np.isin(nodes, gen.state_idx).any():
+            raise ConfigError("observation.omega: the box holds no state node of the generator")
     try:
         obs = obsgram.Observation(obs_kind, nodes)
     except ValueError as exc:
@@ -437,7 +439,10 @@ def _run_observability(config, out, rng):
             obsgram._trapezoid_steps(T, dt, 1)
         except ValueError:
             raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
-    rep = obsgram.gramian(gen, obs, T, dt, stride=stride, method=method)
+    try:
+        rep = obsgram.gramian(gen, obs, T, dt, stride=stride, method=method)
+    except obsgram.DenseLimitError as exc:
+        raise ConfigError(f"grid.n: {exc}") from exc
     (out / "report.json").write_text(rep.to_json())
     verdicts = {
         "gramian_psd": {"pass": bool(rep.lambda_min >= -1e-12 * max(rep.lambda_max, 1e-300)),
@@ -458,9 +463,14 @@ def _run_product_observability(config, out, rng):
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
     omega1 = _box_nodes(g1, config.get("omega1", [[0.0], [0.3 * L1]]), "omega1")
-    rep = obsgram.product_observability(
-        gen1, gen2, omega1, T=_positive(config, "T", 1.0),
-        dt=_positive(config, "dt", 0.005), tol=_finite(config, "tol", 0.05))
+    if not np.isin(omega1, gen1.state_idx).any():
+        raise ConfigError("omega1: the box holds no state node of the generator")
+    try:
+        rep = obsgram.product_observability(
+            gen1, gen2, omega1, T=_positive(config, "T", 1.0),
+            dt=_positive(config, "dt", 0.005), tol=_finite(config, "tol", 0.05))
+    except obsgram.DenseLimitError as exc:
+        raise ConfigError(f"grid.n1, grid.n2: {exc}") from exc
     (out / "comparison.json").write_text(rep.to_json())
     verdicts = {
         "tensor_identity": {"pass": bool(rep.tensor_residual <= 1e-12),

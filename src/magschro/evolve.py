@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import magop
+from .mesh import retained_steps
 
 
 class EnergyIncreaseError(RuntimeError):
@@ -130,9 +131,7 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
     mass_drift = 0.0
     stiff_drift = 0.0
 
-    snap_steps = np.arange(0, nsteps + 1, snapshot_stride)
-    if snap_steps[-1] != nsteps:
-        snap_steps = np.append(snap_steps, nsteps)
+    snap_steps = retained_steps(nsteps, snapshot_stride)
     states = np.empty((snap_steps.size, n), dtype=complex)
     states[0] = u
 
@@ -203,12 +202,7 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
 @dataclass(frozen=True, eq=False)
 class ExponentialFit:
     rate: float                 # rho in E ~ E0 exp(-rho t)
-    log_intercept: float
     r_squared: float
-    rate_stderr: float
-    ci95: tuple
-    window: tuple
-    npoints: int
 
 
 def fit_exponential(trace, window=None):
@@ -218,8 +212,6 @@ def fit_exponential(trace, window=None):
     if window is not None:
         mask = (t >= window[0]) & (t <= window[1])
         t, e = t[mask], e[mask]
-    else:
-        window = (float(t[0]), float(t[-1]))
     if t.size < 2:
         raise ValueError("window contains fewer than two samples")
     if np.any(e <= 0):
@@ -227,20 +219,10 @@ def fit_exponential(trace, window=None):
     y = np.log(e)
     A = np.column_stack([t, np.ones_like(t)])
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = coef
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
+    ss_res = float(np.sum((y - A @ coef) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    dof = max(t.size - 2, 1)
-    tt = float(np.sum((t - t.mean()) ** 2))
-    stderr = float(np.sqrt(ss_res / dof / tt)) if tt > 0 else 0.0
-    rate = -float(slope)
-    return ExponentialFit(
-        rate=rate, log_intercept=float(intercept), r_squared=r2,
-        rate_stderr=stderr, ci95=(rate - 1.96 * stderr, rate + 1.96 * stderr),
-        window=(float(window[0]), float(window[1])), npoints=int(t.size),
-    )
+    return ExponentialFit(rate=-float(coef[0]), r_squared=r2)
 
 
 def prepare_smooth_initial(gen, v, k=1):

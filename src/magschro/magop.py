@@ -619,7 +619,6 @@ class GreenReport:
     matrix_residual: float | None
     volume_term: complex
     gradient_term: complex
-    boundary_term: complex
 
 
 def check_green_identity(grid, a, f, g):
@@ -658,7 +657,6 @@ def check_green_identity(grid, a, f, g):
         matrix_residual=None if matrix_residual is None else float(matrix_residual),
         volume_term=complex(t_vol),
         gradient_term=complex(t_grad),
-        boundary_term=complex(t_bnd),
     )
 
 

@@ -41,7 +41,6 @@ class Face:
 
     name: str
     axis: int
-    side: int                 # 0 = low end, 1 = high end
     nodes: np.ndarray         # all nodes geometrically on the face (corners included)
     weights: np.ndarray       # trapezoid weights along the face, sum = face measure
     normal: np.ndarray        # outward unit normal
@@ -169,6 +168,14 @@ def trapezoid_weights(times):
     return w
 
 
+def retained_steps(nsteps, stride):
+    """Every ``stride``-th step index of 0..nsteps, with nsteps always kept."""
+    keep = np.arange(0, nsteps + 1, stride)
+    if keep[-1] != nsteps:
+        keep = np.append(keep, nsteps)
+    return keep
+
+
 def build_grid(dim, extents, n, origin=None):
     """Build a 1D interval or 2D rectangle grid with n nodes per axis.
 
@@ -208,17 +215,17 @@ def build_grid(dim, extents, n, origin=None):
 
     faces = []
     if dim == 1:
-        faces.append(Face("x0", 0, 0, np.array([0]), np.array([1.0]), np.array([-1.0])))
-        faces.append(Face("x1", 0, 1, np.array([num - 1]), np.array([1.0]), np.array([1.0])))
+        faces.append(Face("x0", 0, np.array([0]), np.array([1.0]), np.array([-1.0])))
+        faces.append(Face("x1", 0, np.array([num - 1]), np.array([1.0]), np.array([1.0])))
     else:
         nx, ny = ns
         idx = np.arange(num).reshape(shape)
         wy = _trapezoid_1d(ny, h[1])
         wx = _trapezoid_1d(nx, h[0])
-        faces.append(Face("x0", 0, 0, idx[0, :].copy(), wy.copy(), np.array([-1.0, 0.0])))
-        faces.append(Face("x1", 0, 1, idx[-1, :].copy(), wy.copy(), np.array([1.0, 0.0])))
-        faces.append(Face("y0", 1, 0, idx[:, 0].copy(), wx.copy(), np.array([0.0, -1.0])))
-        faces.append(Face("y1", 1, 1, idx[:, -1].copy(), wx.copy(), np.array([0.0, 1.0])))
+        faces.append(Face("x0", 0, idx[0, :].copy(), wy.copy(), np.array([-1.0, 0.0])))
+        faces.append(Face("x1", 0, idx[-1, :].copy(), wy.copy(), np.array([1.0, 0.0])))
+        faces.append(Face("y0", 1, idx[:, 0].copy(), wx.copy(), np.array([0.0, -1.0])))
+        faces.append(Face("y1", 1, idx[:, -1].copy(), wx.copy(), np.array([0.0, 1.0])))
 
     normals = np.zeros((num, dim))
     owner = np.full(num, -1, dtype=int)
@@ -259,7 +266,6 @@ def build_grid(dim, extents, n, origin=None):
 class BoundarySplit:
     """Partition of the boundary by the sign of m . nu, with m = x - x0."""
 
-    x0: np.ndarray
     gamma0: np.ndarray          # nodes with m . nu > 0
     gamma1: np.ndarray          # the rest of the boundary
     m: np.ndarray               # (N, dim), m sampled at every node
@@ -301,7 +307,7 @@ def split_boundary(grid, x0):
             both = on_b[lo] & on_b[hi]
             transitions += int(np.sum(in_g0[lo[both]] != in_g0[hi[both]]))
 
-    split = BoundarySplit(x0=x0, gamma0=gamma0, gamma1=gamma1, m=m,
+    split = BoundarySplit(gamma0=gamma0, gamma1=gamma1, m=m,
                           transition_pairs=transitions)
     for arr in (split.gamma0, split.gamma1, split.m):
         arr.setflags(write=False)
@@ -312,11 +318,7 @@ def split_boundary(grid, x0):
 class PoincareReport:
     """Best constant kappa with ||u|| <= kappa ||grad u|| on the subspace."""
 
-    subspace: str
     kappa: float
-    eigenvalue: float
-    resolution: tuple
-    dirichlet_count: int
 
 
 def _stiffness_1d(n, h):
@@ -342,7 +344,7 @@ def neumann_stiffness(grid):
     return (sp.kron(kx, my) + sp.kron(mx, ky)).tocsr()
 
 
-def poincare_constant(grid, dirichlet_part, label=None):
+def poincare_constant(grid, dirichlet_part):
     """kappa = 1/sqrt(lambda_min) for the mixed Dirichlet/natural Laplacian.
 
     ``dirichlet_part`` is a nonempty node set carrying the zero trace; the
@@ -376,10 +378,4 @@ def poincare_constant(grid, dirichlet_part, label=None):
     if lam <= 0:
         raise EigenSolveError("nonpositive smallest eigenvalue",
                               diagnostics={"eigenvalue": lam})
-    return PoincareReport(
-        subspace=label or f"zero trace on {dirichlet.size} nodes",
-        kappa=1.0 / np.sqrt(lam),
-        eigenvalue=lam,
-        resolution=grid.n,
-        dirichlet_count=int(dirichlet.size),
-    )
+    return PoincareReport(kappa=1.0 / np.sqrt(lam))

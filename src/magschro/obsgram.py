@@ -19,18 +19,21 @@ integrates the modal phase couplings exactly in time.  That integral is
 P K P^H with P a diagonal of unit phases and K real symmetric, so the modal
 Gramian is a diagonal unitary similarity of Z o K (Z the modal observation
 couplings): when A = 0 the modes and Z are real and its extremes come from a
-real symmetric eigenproblem.  ``cn`` samples
-Y_n = N S^n on a basis (the identity, or a randomized probe sketch above
-``dense_limit`` unknowns), S the Crank-Nicolson step, by propagating the
-m observation rows with the adjoint step.  A sampled Gramian has rank at
-most m times the number of time samples s; the report records that bound.
-Its eigenproblem is solved on the smaller Gram side: the state side forms
-the k x k Gramian (``_cn_gramians``); when m s < k on the identity basis,
-the snapshot side reads lambda_max from the (m s) x (m s) snapshot
+real symmetric eigenproblem.  ``cn`` samples Y_n = N S^n, S the
+Crank-Nicolson step, by propagating the m observation rows with the adjoint
+step.  A sampled Gramian has rank at most m times the number of time samples
+s; the report records that bound.  Its eigenproblem is solved on the smaller
+Gram side: the state side forms the k x k Gramian (``_cn_gramians``); when
+m s < k, the snapshot side reads lambda_max from the (m s) x (m s) snapshot
 correlation matrix (``_cn_snapshot_extremes``, the method of snapshots,
 Sirovich 1987), and lambda_min is 0 by rank.
 Every Crank-Nicolson solve here is the generator's own ``cayley_solver``
 (LAPACK zgttrs for 1D generators, SuperLU otherwise), factored once per dt.
+
+Every dense path is exact, or refused: it runs only when its dense order is
+at most ``_DENSE_LIMIT``, and otherwise raises ``DenseLimitError`` before any
+dense allocation.  The orders are n for the modal path, the smaller Gram
+side min(m s, n) for the stepped one and n1 n2 for the product space.
 """
 
 from __future__ import annotations
@@ -45,7 +48,20 @@ import scipy.sparse as sp
 from scipy.linalg.blas import zherk
 
 from . import evolve, magop
-from .mesh import trapezoid_weights
+from .mesh import retained_steps, trapezoid_weights
+
+# Largest order of a dense matrix that an observability path may form.
+_DENSE_LIMIT = 4096
+
+
+class DenseLimitError(ValueError):
+    """A dense observability path refused: its order exceeds ``_DENSE_LIMIT``."""
+
+
+def _check_order(order, what):
+    if order > _DENSE_LIMIT:
+        raise DenseLimitError(
+            f"{what} has dense order {order}, above the dense limit {_DENSE_LIMIT}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +85,6 @@ class Observation:
     def build(self, gen):
         """Sparse row operator (obs x state) and its quadrature weights."""
         grid = gen.grid
-        pos = magop._positions(grid.num_nodes, gen.state_idx)
-        if self.kind == "interior-l2":
-            keep = self.nodes[pos[self.nodes] >= 0]
-            if keep.size == 0:
-                raise ValueError("observation set misses the generator's state nodes")
-            rows = pos[keep]
-            N = sp.csr_matrix(
-                (np.ones(rows.size), (np.arange(rows.size), rows)),
-                shape=(rows.size, gen.size),
-            )
-            W = grid.volume_weights[keep]
-            return N, W
         if self.kind == "boundary-conormal":
             if np.any(grid.owner_face[self.nodes] < 0):
                 raise ValueError("boundary-conormal observation needs boundary nodes")
@@ -98,10 +102,21 @@ class Observation:
                     (1j * a.a_dot_nu[bpos[self.nodes]], (np.arange(self.nodes.size), self.nodes)),
                     shape=N.shape)
             return N[:, gen.state_idx], grid.surface_weights[self.nodes]
+        pos = magop._positions(grid.num_nodes, gen.state_idx)
+        keep = self.nodes[pos[self.nodes] >= 0]
+        if keep.size == 0:
+            raise ValueError("observation set misses the generator's state nodes")
+        if self.kind == "interior-l2":
+            rows = pos[keep]
+            N = sp.csr_matrix(
+                (np.ones(rows.size), (np.arange(rows.size), rows)),
+                shape=(rows.size, gen.size),
+            )
+            W = grid.volume_weights[keep]
+            return N, W
         # interior-h1: stacked magnetic gradient components plus the state
         grads = grid.gradients
         a = gen.potential
-        keep = self.nodes[pos[self.nodes] >= 0]
         sel = sp.csr_matrix(
             (np.ones(keep.size), (np.arange(keep.size), keep)),
             shape=(keep.size, grid.num_nodes),
@@ -129,10 +144,9 @@ class ObservabilityReport:
     method: str
     rank_bound: int                    # min(k, m s): k unknowns, m rows, s samples
     warnings: list = field(default_factory=list)
-    sketch_spread: float | None = None
 
     def to_json(self):
-        doc = {
+        return json.dumps({
             "observation": self.observation,
             "T": self.T,
             "lambda_min": self.lambda_min,
@@ -144,20 +158,13 @@ class ObservabilityReport:
             "method": self.method,
             "warnings": self.warnings,
             "rank_bound": self.rank_bound,
-        }
-        if self.sketch_spread is not None:
-            doc["sketch_spread"] = self.sketch_spread
-        return json.dumps(doc, sort_keys=True)
+        }, sort_keys=True)
 
 
-def _modal_data(gen, dense_limit):
+def _modal_data(gen):
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator")
-    n = gen.size
-    if n > dense_limit:
-        raise ValueError(
-            f"modal path needs a dense eigendecomposition; {n} > {dense_limit}"
-        )
+    _check_order(gen.size, "the modal eigendecomposition")
     # the pencil (S, diag M) as the standard problem D S D, D = M^-1/2; real when A = 0
     S = gen.stiffness.toarray()
     d = 1.0 / np.sqrt(gen.mass_diag)
@@ -170,10 +177,7 @@ def _trapezoid_steps(T, dt, stride):
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError("T must be a positive integer multiple of dt")
-    keep = np.arange(0, nsteps + 1, stride)
-    if keep[-1] != nsteps:
-        keep = np.append(keep, nsteps)
-    return keep
+    return retained_steps(nsteps, stride)
 
 
 def _cn_weights(T, dt, stride):
@@ -208,14 +212,12 @@ def _observed_rows(gen, N, steps, dt):
         yield X
 
 
-def _cn_gramians(gen, N, W, basis, T, dt, stride):
-    """Stepped Gramians G (stride) and G2 (double stride) on ``basis``, the
-    state side.
+def _cn_gramians(gen, N, W, T, dt, stride):
+    """Stepped Gramians G (stride) and G2 (double stride), the state side.
 
-    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t basis = X_t^H basis
-    (``_observed_rows``), ``basis`` None standing for the identity.  Samples
-    are buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added in once
-    per block, split by whether they lie on the double stride:
+    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t = X_t^H (``_observed_rows``).
+    Samples are buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added
+    in once per block, split by whether they lie on the double stride:
     G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
     twice the stride weight except on the samples R holds, at most two near
     an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
@@ -225,15 +227,14 @@ def _cn_gramians(gen, N, W, basis, T, dt, stride):
     steps, g1, g2 = _cn_weights(T, dt, stride)
     even = g2 != 0                                   # every double-stride step is a stride step
     r = np.where(even, g2 - 2.0 * g1, 0.0)
-    m, n = N.shape
-    k = n if basis is None else basis.shape[1]
+    m, k = N.shape
     width = max(1, evolve._BLOCK_ENTRIES // (m * k))
-    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T conj(basis)
+    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T
     upper = [np.zeros((k, k), dtype=complex, order="F") for _ in range(2)]
     R = np.zeros((k, k), dtype=complex)
     filled = 0
     for j, X in enumerate(_observed_rows(gen, N, steps, dt)):
-        buf[filled] = X.T if basis is None else X.T @ basis.conj()
+        buf[filled] = X.T
         filled += 1
         if filled == width or j == steps.size - 1:
             blk = slice(j + 1 - filled, j + 1)
@@ -323,29 +324,29 @@ def _c_obs(lo, hi):
     return float("inf") if lo <= 1e-14 * max(hi, 1e-300) else float(1.0 / np.sqrt(lo))
 
 
-def gramian(gen, observation, T, dt=None, stride=1, method="eig",
-            dense_limit=4096, probes=64, seed=0):
+def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     """Observability report for the conservative flow observed through N.
 
     ``method="eig"`` diagonalizes the generator and integrates the modal
     phases exactly in time, so ``dt`` and ``stride`` are unused and the
-    quadrature error estimate is 0; ``"cn"`` samples N S^n on a basis with
-    trapezoid weights, S the Crank-Nicolson step, switching from the
-    identity to a randomized sketch of ``probes`` columns above
-    ``dense_limit`` unknowns; it propagates the m observation rows by the
-    adjoint step (``_observed_rows``).  For the stepped assembly a Richardson
-    comparison against the double-stride rule estimates the time-quadrature
-    error; above 5% a warning is attached.  The report's ``rank_bound`` is
-    min(k, m s) for s time samples (k for the exact modal integral); a
-    warning is attached when it is below k.
+    quadrature error estimate is 0; ``"cn"`` samples N S^n with trapezoid
+    weights, S the Crank-Nicolson step, by propagating the m observation rows
+    with the adjoint step (``_observed_rows``).  For the stepped assembly a
+    Richardson comparison against the double-stride rule estimates the
+    time-quadrature error; above 5% a warning is attached.  The report's
+    ``rank_bound`` is min(k, m s) for s time samples (k for the exact modal
+    integral); a warning is attached when it is below k.
 
     The stepped eigenproblem runs on one of two Gram sides, chosen by that
-    bound.  On the identity basis with m s < k, the snapshot side
-    (``_cn_snapshot_extremes``) reads lambda_max of G and of its
-    double-stride companion from (m s) x (m s) matrices, and lambda_min is
-    reported as exactly 0.0, since G has rank at most m s < k.  Otherwise the
-    state side assembles the k x k Gramians (``_cn_gramians``) and solves the
-    generalized problem against the metric (or its sketch).
+    bound.  With m s < k, the snapshot side (``_cn_snapshot_extremes``)
+    reads lambda_max of G and of its double-stride companion from
+    (m s) x (m s) matrices, and lambda_min is reported as exactly 0.0, since
+    G has rank at most m s < k.  Otherwise the state side assembles the
+    k x k Gramians (``_cn_gramians``) and solves the generalized problem
+    against the metric.
+
+    A path whose dense order (k for ``eig``, min(k, m s) for ``cn``)
+    exceeds ``_DENSE_LIMIT`` raises ``DenseLimitError`` before it allocates.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
@@ -355,47 +356,30 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         raise ValueError("quadrature-based assembly needs a time step dt")
     N, W = observation.build(gen)
     m = N.shape[0]
+    k = gen.size
     metric = observation.metric
     warns = []
-    sketch_spread = None
 
     if method == "eig":
-        lam, V = _modal_data(gen, dense_limit)
-        k, samples = gen.size, None
+        lam, V = _modal_data(gen)
+        samples = None
         Z = _modal_couplings(N, W, V)
         lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
         lo2, hi2 = lo, hi
     elif method == "cn":
-        n = k = gen.size
         samples = _trapezoid_steps(T, dt, stride).size
-        if n <= dense_limit and m * samples < n:
-            # snapshot side: G has rank <= m s < n, so lambda_min = 0 exactly
+        _check_order(min(k, m * samples), "the stepped Gramian")
+        if m * samples < k:
+            # snapshot side: G has rank <= m s < k, so lambda_min = 0 exactly
             hi, hi2 = _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride)
             lo = lo2 = 0.0
-        elif n <= dense_limit:
-            G, G2 = _cn_gramians(gen, N, W, None, T, dt, stride)
+        else:
+            G, G2 = _cn_gramians(gen, N, W, T, dt, stride)
             L = (sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness).toarray()
             ev = la.eigvalsh(G, L)
             ev2 = la.eigvalsh(G2, L)
             lo, hi = float(ev[0]), float(ev[-1])
             lo2, hi2 = float(ev2[0]), float(ev2[-1])
-        else:
-            # sketch: Rayleigh-Ritz bounds on the probe range, spread over halves
-            rng = np.random.default_rng(seed)
-            basis = rng.normal(size=(n, probes)) + 1j * rng.normal(size=(n, probes))
-            basis, _ = np.linalg.qr(basis)
-            k = probes
-            G, G2 = _cn_gramians(gen, N, W, basis, T, dt, stride)
-            Lop = sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness
-            LB = basis.conj().T @ (Lop @ basis)
-            ev = la.eigvalsh(G, LB)
-            lo, hi = float(ev[0]), float(ev[-1])
-            half = basis.shape[1] // 2
-            e1 = la.eigvalsh(G[:half, :half], LB[:half, :half])
-            e2 = la.eigvalsh(G[half:, half:], LB[half:, half:])
-            sketch_spread = float(abs(e1[-1] - e2[-1]) / max(hi, 1e-300))
-            lo2, hi2 = lo, hi
-            warns.append("sketched Gramian: extreme eigenvalues are range estimates")
     else:
         raise ValueError(f"unknown method {method!r}")
     # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
@@ -420,17 +404,17 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig",
         T=float(T), lambda_min=lo, lambda_max=hi, c_obs=float(c_obs),
         c_hid=float(c_hid), quadrature_error_estimate=float(quad_err),
         stride=int(stride), method=method, warnings=warns,
-        sketch_spread=sketch_spread, rank_bound=int(rank_bound),
+        rank_bound=int(rank_bound),
     )
     return report
 
 
-def observed_ratio(gen, u0, observation, T, dense_limit=4096):
+def observed_ratio(gen, u0, observation, T):
     """integral(0,T) ||N u(t)||_W^2 dt for one initial state, exact in time."""
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
     N, W = observation.build(gen)
-    lam, V = _modal_data(gen, dense_limit)
+    lam, V = _modal_data(gen)
     c = V.conj().T @ (gen.mass_diag * np.asarray(u0, dtype=complex))
     c *= np.exp(-0.5j * lam * T)        # P^H c: the phase form is Z o K, not Z o F
     Ghat = _phase_gramian_exact(_modal_couplings(N, W, V), lam, T)
@@ -474,12 +458,14 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     The factor flows must be conservative.  The observed set in the product
     is omega1 x Omega2; the direct product-space constant is computed on the
     Kronecker-sum generator with its own time discretization and compared
-    against the one-factor constant.
+    against the one-factor constant.  The product-space Gramian has dense
+    order n1 n2, refused above ``_DENSE_LIMIT`` before anything is allocated.
     """
     for g in (gen1, gen2):
         if g.kind != "A0":
             raise ValueError("product observability requires conservative factors")
     n1, n2 = gen1.size, gen2.size
+    _check_order(n1 * n2, "the product-space Gramian")
     rng = np.random.default_rng(seed)
     u1 = rng.normal(size=n1) + 1j * rng.normal(size=n1)
     u2 = rng.normal(size=n2) + 1j * rng.normal(size=n2)
@@ -507,13 +493,13 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
         worst = max(worst, diff / np.linalg.norm(Wmat))
 
     # one-factor constant: the exact modal Gramian on the factor's own modes
-    lam1, V1 = _modal_data(gen1, 4096)
+    lam1, V1 = _modal_data(gen1)
     N1, W1 = Observation("interior-l2", omega1).build(gen1)
     c1d = _c_obs(*_extremes_from_modal(
         _phase_gramian_exact(_modal_couplings(N1, W1, V1), lam1, T), lam1, "mass"))
 
     # direct product-space constant: modal Gramian of the Kronecker-sum flow
-    lam2, V2 = _modal_data(gen2, 4096)
+    lam2, V2 = _modal_data(gen2)
     lam12 = (lam1[:, None] + lam2[None, :]).ravel()
     mass_kron = np.kron(gen1.mass_diag, gen2.mass_diag)
     pos1 = magop._positions(gen1.grid.num_nodes, gen1.state_idx)

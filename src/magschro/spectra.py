@@ -44,7 +44,6 @@ from . import magop
 @dataclass(frozen=True, eq=False)
 class ResolventSolution:
     u: np.ndarray
-    mu: float
     residual: float                 # ||(A - i mu) u - g|| / ||g||
     identity_residuals: dict        # real/imaginary part balances, relative
     condition_estimate: float | None = None   # attached on near-singular solves
@@ -103,7 +102,7 @@ def resolvent_solve(gen, mu, g):
         inv_norm = spla.onenormest(spla.LinearOperator(
             (n, n), matvec=solve["N"], rmatvec=solve["H"], dtype=complex))
         cond = float(spla.onenormest(K) * inv_norm)
-    return ResolventSolution(u=u, mu=float(mu), residual=res,
+    return ResolventSolution(u=u, residual=res,
                              identity_residuals=_identity_residuals(gen, mu, u, g),
                              condition_estimate=cond)
 
@@ -319,8 +318,6 @@ class HautusReport:
     aleph0_grid: np.ndarray
     min_aleph1: np.ndarray        # (n_mu, n_aleph0); inf marks infeasible
     global_aleph1: np.ndarray     # per aleph0, max over mu; inf if any infeasible
-    aleph1_cap: float
-    bisection_steps: int
     eigensolves: np.ndarray       # (n_mu, n_aleph0) eigensolves each cell used
 
     @property
@@ -477,7 +474,6 @@ def hautus_sweep(gen, omega, mu_grid, aleph0_grid, bisection_steps=16,
     global_env = np.max(table, axis=0)
     return HautusReport(
         mus=mu_grid, aleph0_grid=aleph0_grid, min_aleph1=table,
-        global_aleph1=global_env, aleph1_cap=aleph1_cap,
-        bisection_steps=bisection_steps, eigensolves=counts,
+        global_aleph1=global_env, eigensolves=counts,
     )
 

@@ -18,14 +18,13 @@ added axis carrying -beta s^2.  Certification has three layers:
   (the sign convention is fixed by phi = exp(lambda psi) with grad psi != 0
   being admissible for large lambda, where the bracket grows like
   4 tau^3 lambda^4 phi^3 |grad psi|^4);
-* empirical probes of the weighted a-priori inequalities on compactly
+* an empirical probe of the weighted a-priori inequalities on compactly
   supported test functions, restricted to the discrete validity window
   tau * h <= 1/2 beyond which exponential weights alias on the grid.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -314,21 +313,8 @@ class PseudoconvexityReport:
     margin: float                   # min over region of lambda_min(gg^T + H)
     certified: bool
     min_grad: float
-    min_psi: float
-    max_normal_derivative: float    # of psi over boundary nodes in the domain
     transition_nodes: int           # region nodes with finite-difference fields
     failures: list
-
-    def to_json(self):
-        return json.dumps({
-            "pseudoconvexity_margin": self.margin,
-            "certified": self.certified,
-            "min_grad": self.min_grad,
-            "min_psi": self.min_psi,
-            "max_normal_derivative": self.max_normal_derivative,
-            "transition_nodes": self.transition_nodes,
-            "failing_witnesses": self.failures,
-        }, sort_keys=True)
 
 
 def check_pseudoconvexity(weight, region):
@@ -366,8 +352,6 @@ def check_pseudoconvexity(weight, region):
                  and (max_dnu <= 1e-12 or max_dnu == -np.inf))
     return PseudoconvexityReport(
         margin=margin, certified=bool(certified), min_grad=min_grad,
-        min_psi=min_psi,
-        max_normal_derivative=float(max_dnu) if np.isfinite(max_dnu) else 0.0,
         transition_nodes=transition, failures=failures,
     )
 
@@ -380,16 +364,6 @@ class SubellipticityReport:
     witness: dict | None            # most negative sample, when any
     excluded_nodes: np.ndarray      # |grad phi| below threshold
     per_tau_min: dict               # tau -> minimum over its draws (a tau may repeat)
-
-    def to_json(self):
-        return json.dumps({
-            "subellipticity_min_bracket": self.min_bracket,
-            "subellipticity_margin": self.margin,
-            "certified": self.certified,
-            "failing_witnesses": [] if self.witness is None else [self.witness],
-            "excluded_nodes": [int(i) for i in self.excluded_nodes],
-            "per_tau_min": {str(k): v for k, v in self.per_tau_min.items()},
-        }, sort_keys=True)
 
 
 def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
@@ -456,7 +430,7 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# empirical probes of the weighted estimates
+# empirical probe of the weighted estimates
 
 
 @dataclass(eq=False)

@@ -520,3 +520,79 @@ def test_unreadable_config_files_are_config_errors(tmp_path, capsys, text):
         cfg_path.write_text(text)
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# refused configs: (config text, the stderr line after "config error: ")
+REFUSED = {
+    "observability-eig": ("""
+kind = "observability"
+grid.dim = 2
+grid.n = 67
+method = "eig"
+""", "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
+    # 2210 observed rows x 5 samples >= 4225 unknowns: the state side
+    "observability-cn-state": ("""
+kind = "observability"
+grid.dim = 2
+grid.n = 67
+method = "cn"
+observation.omega = [[0.0, 0.0], [0.5, 1.0]]
+T = 0.004
+dt = 0.001
+""", "grid.n: the stepped Gramian has dense order 4225, above the dense limit 4096"),
+    # 2080 observed rows x 2 samples = 4160 < 4225 unknowns: the snapshot side
+    "observability-cn-snapshot": ("""
+kind = "observability"
+grid.dim = 2
+grid.n = 67
+method = "cn"
+observation.omega = [[0.0, 0.0], [0.49, 1.0]]
+T = 0.001
+dt = 0.001
+""", "grid.n: the stepped Gramian has dense order 4160, above the dense limit 4096"),
+    "product-observability": ("""
+kind = "product-observability"
+grid.n1 = 100
+grid.n2 = 100
+""", "grid.n1, grid.n2: the product-space Gramian has dense order 9604, "
+     "above the dense limit 4096"),
+    "product-observability-omega1-off-state": ("""
+kind = "product-observability"
+grid.n1 = 12
+grid.n2 = 12
+omega1 = [[0.0], [0.0]]
+""", "omega1: the box holds no state node of the generator"),
+    "observability-omega-off-state": ("""
+kind = "observability"
+grid.dim = 2
+grid.n = 12
+observation.omega = [[0, 0], [0, 1]]
+""", "observation.omega: the box holds no state node of the generator"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_inputs_are_config_errors(tmp_path, capsys, name):
+    """Inputs the observability paths refuse end in exit 2 and one
+    ``config error:`` line, not a traceback."""
+    text, message = REFUSED[name]
+    cfg_path = tmp_path / "refused.cfg"
+    cfg_path.write_text(text)
+    kind = cli.ExperimentConfig.parse(text).kind
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_linalg_error_in_gramian_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only the dense-limit refusal is relabelled: a LinAlgError (also a
+    ValueError) raised inside the Gramian still escapes as itself."""
+    from magschro import obsgram
+
+    def diverged(*args):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(obsgram, "_extremes_from_modal", diverged)
+    cfg_path = tmp_path / "obs.cfg"
+    cfg_path.write_text("kind = \"observability\"\ngrid.dim = 1\ngrid.n = 16\n")
+    with pytest.raises(np.linalg.LinAlgError):
+        cli.main(["observability", "--config", str(cfg_path), "--out", str(tmp_path / "out")])

@@ -1,10 +1,14 @@
-"""Guard against test-only code: every public function, class or method of
-the package is named somewhere in the package besides its definition, or is
-listed in TEST_ONLY as a reference that only the tests call."""
+"""Guard against test-only code.
+
+Every public function, class or method of the package is named somewhere in
+the package besides its definition, or is listed in TEST_ONLY as a reference
+that only the tests call.  Every dataclass field and property is read as
+``.name`` somewhere in the package, or is listed in TEST_ONLY_FIELDS as a
+value that only the tests read."""
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import magschro
@@ -28,6 +32,33 @@ TEST_ONLY = {
     "spectral_distance_norms": "1/dist(i mu, spectrum), the normal-operator oracle (planned CLI home)",
     "derivative_consistency": "finite-difference oracle for weight gradients and Hessians",
 }
+
+TEST_ONLY_FIELDS = {
+    "EnergyTrace.endpoint_residual": "the trapezoid endpoint law, the O(dt^2) cross-check",
+    "EnergyTrace.dt": "the step taken, checked against the default h^2/4",
+    "MagneticPotential.sup_norm": "sup |a|, checked against the samples and the paper's bound",
+    "BoundarySplit.transition_pairs": "class changes along the boundary, checked on two 2D splits",
+    "Face.measure": "face length, checked against its quadrature weights",
+    "Grid.measure": "domain measure, checked against the cylinder's volume weights",
+    "ResolventScan.growth_detected": "fit diagnostic, printed by the resolvent acceptance test",
+    "PseudoconvexityReport.transition_nodes": "finite-difference nodes, checked on collar weights",
+    "SubellipticityReport.margin": "the scale-free bracket, checked against sampled brackets",
+    "SubellipticityReport.excluded_nodes": "grad phi vanishes there, checked on an inner-centred weight",
+    "SubellipticityReport.per_tau_min": "per-tau minima, checked for repeated tau",
+    "GreenReport.residual": "part of the check_green_identity oracle",
+    "GreenReport.matrix_residual": "part of the check_green_identity oracle",
+    "GreenReport.volume_term": "part of the check_green_identity oracle",
+    "GreenReport.gradient_term": "part of the check_green_identity oracle",
+    "ResolventSolution.u": "part of the resolvent_solve oracle",
+    "ResolventSolution.residual": "part of the resolvent_solve oracle",
+    "ResolventSolution.identity_residuals": "part of the resolvent_solve oracle",
+    "ResolventSolution.condition_estimate": "part of the resolvent_solve oracle",
+    "PoincareReport.kappa": "part of the poincare_constant oracle",
+}
+
+
+def _trees():
+    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
 
 
 def _public_definitions(tree):
@@ -57,3 +88,76 @@ def test_public_names_are_used_or_listed():
         "caller (a CLI kind with a verdict) or delete it")
     stale = sorted(set(TEST_ONLY) - found)
     assert not stale, f"TEST_ONLY names now used by the package: {stale}"
+
+
+def _names(decorators_or_call):
+    for node in decorators_or_call:
+        node = node.func if isinstance(node, ast.Call) else node
+        yield node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _fields(trees):
+    """class name -> its dataclass fields and properties."""
+    out = defaultdict(set)
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            dataclass = "dataclass" in _names(cls.decorator_list)
+            for item in cls.body:
+                if dataclass and isinstance(item, ast.AnnAssign):
+                    out[cls.name].add(item.target.id)
+                if (isinstance(item, ast.FunctionDef)
+                        and {"property", "cached_property"} & set(_names(item.decorator_list))):
+                    out[cls.name].add(item.name)
+    return out
+
+
+def unread_fields():
+    """Class.field pairs that no ``.field`` read in the package reaches.
+
+    A read ``x.field`` goes to x's class when x is ``self`` in a method, or a
+    local bound to a constructor call or to a function that returns one;
+    any other read goes to every class with that field.
+    """
+    trees = _trees()
+    fields = _fields(trees)
+    owners = defaultdict(set)
+    for cls, names in fields.items():
+        for name in names:
+            owners[name].add(cls)
+    makes = {cls: cls for cls in fields}
+    for fn in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for ret in (n for n in ast.walk(fn) if isinstance(n, ast.Return)):
+            if isinstance(ret.value, ast.Call) and next(_names([ret.value])) in fields:
+                makes[fn.name] = next(_names([ret.value]))
+
+    read = set()
+
+    def scan(scope, bound):
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                made = makes.get(next(_names([node.value])))
+                bound.update({t.id: made for t in node.targets if isinstance(t, ast.Name) and made})
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and node.attr in owners:
+                known = bound.get(node.value.id) if isinstance(node.value, ast.Name) else None
+                read.update((cls, node.attr) for cls in ([known] if known else owners[node.attr]))
+
+    for tree in trees:
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in methods:
+                scan(item, {"self": node.name, "cls": node.name})
+            if not methods:
+                scan(node, {})
+    return {f"{cls}.{name}" for cls, names in fields.items() for name in names
+            if (cls, name) not in read}
+
+
+def test_fields_are_read_or_listed():
+    found = unread_fields()
+    grown = sorted(found - set(TEST_ONLY_FIELDS))
+    assert not grown, (
+        f"dataclass fields and properties the package never reads: {grown}; read each "
+        "(a verdict or an artifact) or delete it")
+    stale = sorted(set(TEST_ONLY_FIELDS) - found)
+    assert not stale, f"TEST_ONLY_FIELDS entries now read by the package, or gone: {stale}"

@@ -250,8 +250,8 @@ def test_dissipativity_margins(grid_1d, smooth_pot, kind):
 def test_a2_requires_gamma0(grid_1d, smooth_pot):
     g = grid_1d
     split = mesh.BoundarySplit(
-        x0=np.array([0.0]), gamma0=np.array([], dtype=int),
-        gamma1=g.boundary_idx.copy(), m=g.coords.copy(), transition_pairs=0)
+        gamma0=np.array([], dtype=int), gamma1=g.boundary_idx.copy(),
+        m=g.coords.copy(), transition_pairs=0)
     damping = magop.DampingConfig.none(g)
     with pytest.raises(ValueError, match="boundary_split"):
         magop.assemble_generator("A2", g, smooth_pot, damping=damping, split=split)

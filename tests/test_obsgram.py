@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -163,19 +164,6 @@ def test_stride_warning_attached():
     assert any("stride" in w for w in rep.warnings)
 
 
-def test_sketch_path_smoke(gen, grid):
-    omega = grid.box_nodes([0.0], [0.4])
-    obs = obsgram.Observation("interior-l2", omega)
-    rep = obsgram.gramian(gen, obs, T=0.5, dt=0.01, method="cn",
-                          dense_limit=10, probes=48)
-    assert rep.sketch_spread is not None
-    assert np.isfinite(rep.c_hid)
-    dense = obsgram.gramian(gen, obs, T=0.5, dt=0.01, method="cn")
-    # Rayleigh-Ritz on the probe range cannot exceed the dense extreme
-    assert rep.c_hid <= dense.c_hid * (1 + 1e-8)
-    assert abs(rep.c_hid - dense.c_hid) < 0.3 * dense.c_hid
-
-
 def test_observation_validation(grid, gen):
     with pytest.raises(ValueError):
         obsgram.Observation("interior-l2", np.array([], dtype=int))
@@ -231,8 +219,8 @@ def test_report_json_fields(gen, grid):
 
 # -- property test: the blocked adjoint CN Gramian against a forward loop ----
 #
-# Random small 1D and 2D grids, all observation kinds, strides and the sketch
-# path; the sample buffer is shrunk so that runs span several blocks.
+# Random small 1D and 2D grids, all observation kinds and strides, on both Gram
+# sides; the sample buffer is shrunk so that runs span several blocks.
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -257,13 +245,12 @@ def cn_cases(draw):
     dt = draw(st.sampled_from([1e-3, 5e-3, 2e-2]))
     nsteps = draw(st.integers(1, 14))
     stride = draw(st.integers(1, 3))
-    probes = draw(st.integers(2, 12)) if draw(st.integers(0, 2)) == 2 else None
     width = draw(st.integers(1, 6))
-    return gen, obsgram.Observation(kind, np.sort(nodes)), dt, nsteps, stride, probes, width
+    return gen, obsgram.Observation(kind, np.sort(nodes)), dt, nsteps, stride, width
 
 
-def forward_gramians(gen, obs, dt, nsteps, stride, basis):
-    """G and G2 by forward ``evolve.step`` on the basis, one sample at a time."""
+def forward_gramians(gen, obs, dt, nsteps, stride):
+    """G and G2 by forward ``evolve.step`` from the identity, one sample at a time."""
     N, W = obs.build(gen)
 
     def weights(s):
@@ -275,8 +262,8 @@ def forward_gramians(gen, obs, dt, nsteps, stride, basis):
         return dict(zip(keep, w))
 
     w1, w2 = weights(stride), weights(2 * stride)
-    U = basis.copy()
-    G = np.zeros((basis.shape[1],) * 2, dtype=complex)
+    U = np.eye(gen.size, dtype=complex)
+    G = np.zeros((gen.size,) * 2, dtype=complex)
     G2 = np.zeros_like(G)
     for i in range(nsteps + 1):
         Y = N @ U
@@ -289,12 +276,9 @@ def forward_gramians(gen, obs, dt, nsteps, stride, basis):
 
 def _check_cn_case(case):
     """Check one stepped Gramian against the forward oracle; return
-    (rows no wider than the basis, the Gram side that ran)."""
-    gen, obs, dt, nsteps, stride, probes, width = case
+    (rows no wider than the state, the Gram side that ran)."""
+    gen, obs, dt, nsteps, stride, width = case
     n, m = gen.size, obs.build(gen)[0].shape[0]
-    sketch = probes is not None and probes <= n
-    k = probes if sketch else n
-    kw = dict(dense_limit=n - 1, probes=probes) if sketch else {}
     samples = len(set(range(0, nsteps + 1, stride)) | {nsteps})
     solves = []
 
@@ -319,38 +303,27 @@ def _check_cn_case(case):
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * k)
+        mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * n)
         mp.setattr(magop.GeneratorMatrix, "cayley_solver", spy_solver)
         mp.setattr(obsgram, "_cn_gramians", recorded("state", obsgram._cn_gramians))
         mp.setattr(obsgram, "_cn_snapshot_extremes",
                    recorded("snapshot", obsgram._cn_snapshot_extremes))
-        rep = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride,
-                              method="cn", **kw)
+        rep = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride, method="cn")
     # one adjoint solve per step, on the m observation rows only
     assert solves == [("H", m)] * nsteps
     [(side, out)] = ran
     # the snapshot side runs exactly when the sampled rank m s is below n
-    assert side == ("snapshot" if not sketch and m * samples < n else "state")
+    assert side == ("snapshot" if m * samples < n else "state")
 
-    if sketch:
-        rng = np.random.default_rng(0)
-        basis = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-        basis, _ = np.linalg.qr(basis)
-    else:
-        basis = np.eye(n, dtype=complex)
-    G, G2 = forward_gramians(gen, obs, dt, nsteps, stride, basis)
+    G, G2 = forward_gramians(gen, obs, dt, nsteps, stride)
     if side == "state":
         assert np.linalg.norm(out[0] - G) <= 1e-12 * np.linalg.norm(G)
 
-    L = sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness
-    LB = basis.conj().T @ (L @ basis)
-    ev = la.eigvalsh(G, LB)
+    L = (sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness).toarray()
+    ev = la.eigvalsh(G, L)
+    ev2 = la.eigvalsh(G2, L)
     lo, hi = ev[0], ev[-1]
-    if sketch:
-        lo2, hi2 = lo, hi
-    else:
-        ev2 = la.eigvalsh(G2, LB)
-        lo2, hi2 = ev2[0], ev2[-1]
+    lo2, hi2 = ev2[0], ev2[-1]
     assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
     if side == "snapshot":
         # rank <= m s < n: lambda_min is 0 exactly, not a rounding-level value
@@ -366,8 +339,8 @@ def _check_cn_case(case):
         quad = None
     if quad is not None:
         assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
-    assert rep.rank_bound == min(k, m * samples)
-    return m <= k, side
+    assert rep.rank_bound == min(n, m * samples)
+    return m <= n, side
 
 
 def test_cn_gramian_matches_forward_loop():
@@ -379,7 +352,7 @@ def test_cn_gramian_matches_forward_loop():
         seen.add(_check_cn_case(case))
 
     check()
-    assert {wide for wide, _ in seen} == {True, False}   # rows narrower and wider than the basis
+    assert {wide for wide, _ in seen} == {True, False}   # rows narrower and wider than the state
     assert {side for _, side in seen} == {"state", "snapshot"}
 
 
@@ -394,7 +367,60 @@ def test_cn_snapshot_side_every_metric(dim, kind):
     pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
     obs = obsgram.Observation(kind, pool[:2])
     for stride, width in ((1, 2), (2, 5)):
-        assert _check_cn_case((gen, obs, 5e-3, 9, stride, None, width))[1] == "snapshot"
+        assert _check_cn_case((gen, obs, 5e-3, 9, stride, width))[1] == "snapshot"
+
+
+# -- the dense limit: every path exact, or refused before it allocates -------
+
+
+@pytest.mark.parametrize("kind", ["interior-l2", "boundary-conormal"])
+def test_snapshot_side_runs_above_the_dense_limit(kind, monkeypatch):
+    """The snapshot side's order is m s, not n: with the limit below n but not
+    below m s it returns the same report as without a limit."""
+    grid = mesh.build_grid(2, 1.0, 12)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
+    obs = obsgram.Observation(kind, pool[:3])
+    want = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
+    assert want.rank_bound == 3 * 21 < gen.size
+    monkeypatch.setattr(obsgram, "_DENSE_LIMIT", want.rank_bound)
+    got = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
+    assert got.to_json() == want.to_json()
+
+
+def _refused_peak_bytes(run, order):
+    """Run a call that the dense limit must refuse; return the peak bytes it
+    allocated, checking the message names the order."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(obsgram.DenseLimitError, match=rf"dense order {order}, above"):
+            run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oversize_paths_are_refused_before_allocating(monkeypatch):
+    grid = mesh.build_grid(1, 1.0, 402)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    n = gen.size
+    wide = obsgram.Observation("interior-l2", gen.state_idx)       # m = n: state side
+    narrow = obsgram.Observation("interior-l2", gen.state_idx[:10])
+    g1 = mesh.build_grid(1, 1.0, 22)
+    gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
+    dt = 1e-3
+    cases = [
+        (lambda: obsgram.gramian(gen, narrow, T=1.0), n),                        # eig
+        (lambda: obsgram.gramian(gen, wide, T=2 * dt, dt=dt, method="cn"), n),   # state side
+        (lambda: obsgram.gramian(gen, narrow, T=29 * dt, dt=dt, method="cn"), 300),  # m s < n
+        (lambda: obsgram.product_observability(gen1, gen1, g1.box_nodes([0.0], [0.3]),
+                                               T=1.0, dt=0.01), 400),
+    ]
+    for run, order in cases:
+        monkeypatch.setattr(obsgram, "_DENSE_LIMIT", order - 1)
+        peak = _refused_peak_bytes(run, order)
+        # a real dense matrix of that order would take 8 order^2 bytes
+        assert peak < 8 * order**2 / 16
 
 
 @st.composite
@@ -412,7 +438,7 @@ def modal_cases(draw, kind, magnetic):
     return gen, obsgram.Observation(kind, nodes), draw(st.floats(0.1, 2.0))
 
 
-def generalized_modal_data(gen, dense_limit):
+def generalized_modal_data(gen):
     """Modes of the pencil (S, diag M) by LAPACK's complex generalized eigh."""
     return la.eigh(gen.stiffness.toarray(), np.diag(gen.mass_diag))
 
@@ -424,8 +450,8 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
     @given(modal_cases(kind, magnetic))
     def check(case):
         gen, obs, T = case
-        lam, V = obsgram._modal_data(gen, 4096)
-        lam_ref, _ = generalized_modal_data(gen, 4096)
+        lam, V = obsgram._modal_data(gen)
+        lam_ref, _ = generalized_modal_data(gen)
         S, M = gen.stiffness.toarray(), gen.mass_diag
         assert np.isrealobj(V) != magnetic            # A = 0: real modes
         assert np.max(np.abs(V.conj().T @ (M[:, None] * V) - np.eye(gen.size))) <= 1e-13
@@ -506,7 +532,7 @@ def test_observed_ratio_matches_cn_stepped_energy(kind, amp):
     grid = mesh.build_grid(1, [1.0], 32)
     a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
     gen = magop.assemble_generator("A0", grid, a)
-    _, V = obsgram._modal_data(gen, 4096)
+    _, V = obsgram._modal_data(gen)
     rng = np.random.default_rng(1)
     u0 = V[:, :4] @ (rng.normal(size=4) + 1j * rng.normal(size=4))
     nodes = grid.box_nodes([0.0], [0.3]) if kind == "interior-l2" else grid.boundary_idx
@@ -597,7 +623,7 @@ def test_product_one_factor_constant_is_the_gramian_constant(monkeypatch):
         modal_data, solved = obsgram._modal_data, []
         with monkeypatch.context() as mp:
             mp.setattr(obsgram, "_modal_data",
-                       lambda gen, limit: solved.append(gen) or modal_data(gen, limit))
+                       lambda gen: solved.append(gen) or modal_data(gen))
             rep = obsgram.product_observability(gen1, gen2, omega1, T=0.7, dt=0.01)
         assert solved == [gen1, gen2]
         assert rep.c_1d == want
