@@ -163,14 +163,19 @@ def _build_potential(grid, config):
     raise ConfigError(f"potential.preset: unknown preset {preset!r}")
 
 
-def _box_nodes(grid, spec, key):
+def _box_nodes(grid, spec, key, state_idx=None):
+    """The box's nodes; with ``state_idx``, refused when it holds none of them."""
     if spec == "all":
-        return np.arange(grid.num_nodes)
-    try:
-        lo, hi = spec
-        return grid.box_nodes(lo, hi)
-    except Exception as exc:
-        raise ConfigError(f"{key}: expected 'all' or [lo, hi] box, got {spec!r}") from exc
+        nodes = np.arange(grid.num_nodes)
+    else:
+        try:
+            lo, hi = spec
+            nodes = grid.box_nodes(lo, hi)
+        except Exception as exc:
+            raise ConfigError(f"{key}: expected 'all' or [lo, hi] box, got {spec!r}") from exc
+    if state_idx is not None and not np.isin(nodes, state_idx).any():
+        raise ConfigError(f"{key}: the box holds no state node of the generator")
+    return nodes
 
 
 def _build_split(grid, config, required=False):
@@ -421,9 +426,7 @@ def _run_observability(config, out, rng):
             else gen.grid.boundary_idx
     else:
         nodes = _box_nodes(gen.grid, config.get("observation.omega", "all"),
-                           "observation.omega")
-        if not np.isin(nodes, gen.state_idx).any():
-            raise ConfigError("observation.omega: the box holds no state node of the generator")
+                           "observation.omega", gen.state_idx)
     try:
         obs = obsgram.Observation(obs_kind, nodes)
     except ValueError as exc:
@@ -441,7 +444,7 @@ def _run_observability(config, out, rng):
             raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
     try:
         rep = obsgram.gramian(gen, obs, T, dt, stride=stride, method=method)
-    except obsgram.DenseLimitError as exc:
+    except magop.DenseLimitError as exc:
         raise ConfigError(f"grid.n: {exc}") from exc
     (out / "report.json").write_text(rep.to_json())
     verdicts = {
@@ -462,14 +465,13 @@ def _run_product_observability(config, out, rng):
     g2 = mesh.build_grid(1, L2, n2)
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
-    omega1 = _box_nodes(g1, config.get("omega1", [[0.0], [0.3 * L1]]), "omega1")
-    if not np.isin(omega1, gen1.state_idx).any():
-        raise ConfigError("omega1: the box holds no state node of the generator")
+    omega1 = _box_nodes(g1, config.get("omega1", [[0.0], [0.3 * L1]]), "omega1",
+                        gen1.state_idx)
     try:
         rep = obsgram.product_observability(
             gen1, gen2, omega1, T=_positive(config, "T", 1.0),
             dt=_positive(config, "dt", 0.005), tol=_finite(config, "tol", 0.05))
-    except obsgram.DenseLimitError as exc:
+    except magop.DenseLimitError as exc:
         raise ConfigError(f"grid.n1, grid.n2: {exc}") from exc
     (out / "comparison.json").write_text(rep.to_json())
     verdicts = {
@@ -483,12 +485,13 @@ def _run_product_observability(config, out, rng):
 
 def _run_hautus(config, out, rng):
     gen = _build_generator(config, kind="A0")
-    omega = _box_nodes(gen.grid, config.get("omega", "all"), "omega")
+    omega = _box_nodes(gen.grid, config.get("omega", "all"), "omega", gen.state_idx)
     aleph0 = _number_list(config, "aleph0.grid", [0.0, 1e-4, 1e-2], nonnegative=True)
     mu_grid = _mu_grid(config)
-    if not np.isin(gen.state_idx, omega).any():
-        raise ConfigError("omega: the box holds no state node of the generator")
-    rep = spectra.hautus_sweep(gen, omega, mu_grid, aleph0)
+    try:
+        rep = spectra.hautus_sweep(gen, omega, mu_grid, aleph0)
+    except magop.DenseLimitError as exc:
+        raise ConfigError(f"grid.n: {exc}") from exc
     doc = {
         "mus": rep.mus.tolist(),
         "aleph0_grid": rep.aleph0_grid.tolist(),
@@ -496,7 +499,6 @@ def _run_hautus(config, out, rng):
                        for row in rep.min_aleph1],
         "global_aleph1": [None if not np.isfinite(v) else v
                           for v in rep.global_aleph1],
-        "eigensolves": rep.eigensolves.tolist(),
     }
     (out / "hautus.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
     frontier_monotone = True
@@ -614,8 +616,11 @@ def _run_gauge_check(config, out, rng):
                                       damping=gen.damping, split=gen.split)
     res = float(sp.linalg.norm(conj.matrix - direct.matrix)
                 / sp.linalg.norm(direct.matrix))
-    e1 = spectra.eigenvalues_dense(gen)
-    e2 = spectra.eigenvalues_dense(direct)
+    try:
+        e1 = spectra.eigenvalues_dense(gen)
+        e2 = spectra.eigenvalues_dense(direct)
+    except magop.DenseLimitError as exc:
+        raise ConfigError(f"grid.n: {exc}") from exc
     e1 = e1[np.argsort(e1.imag)]
     e2 = e2[np.argsort(e2.imag)]
     spec_res = float(np.max(np.abs(e1 - e2)) / np.max(np.abs(e1)))

@@ -511,6 +511,20 @@ def _weighted_squares(w, V):
     return -(w @ (V.real ** 2 + V.imag ** 2))
 
 
+# Largest order of a dense matrix that any path of the package may form.
+_DENSE_LIMIT = 4096
+
+
+class DenseLimitError(ValueError):
+    """A dense path refused: its order exceeds ``_DENSE_LIMIT``."""
+
+
+def _check_order(order, what):
+    if order > _DENSE_LIMIT:
+        raise DenseLimitError(
+            f"{what} has dense order {order}, above the dense limit {_DENSE_LIMIT}")
+
+
 def factorize(M):
     """{"N": b -> M^-1 b, "H": b -> M^-H b}, the package's one sparse factor:
     LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU with

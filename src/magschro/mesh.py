@@ -18,7 +18,6 @@ eigenvalues converge at second order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,7 +38,6 @@ class EigenSolveError(RuntimeError):
 class Face:
     """One axis-aligned boundary face with its surface quadrature."""
 
-    name: str
     axis: int
     nodes: np.ndarray         # all nodes geometrically on the face (corners included)
     weights: np.ndarray       # trapezoid weights along the face, sum = face measure
@@ -102,18 +100,6 @@ class Grid:
         for ax in range(self.dim):
             mask &= (self.coords[:, ax] >= lo[ax] - 1e-12) & (self.coords[:, ax] <= hi[ax] + 1e-12)
         return np.nonzero(mask)[0]
-
-    def to_json(self):
-        """Serialize the grid descriptor and boundary classes for reproducibility."""
-        doc = {
-            "dim": self.dim,
-            "extents": list(self.extents),
-            "n": list(self.n),
-            "origin": list(self.origin),
-            "h": list(self.h),
-            "faces": {f.name: [int(i) for i in f.nodes] for f in self.faces},
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _d1_matrix(n, h):
@@ -215,17 +201,17 @@ def build_grid(dim, extents, n, origin=None):
 
     faces = []
     if dim == 1:
-        faces.append(Face("x0", 0, np.array([0]), np.array([1.0]), np.array([-1.0])))
-        faces.append(Face("x1", 0, np.array([num - 1]), np.array([1.0]), np.array([1.0])))
+        faces.append(Face(0, np.array([0]), np.array([1.0]), np.array([-1.0])))
+        faces.append(Face(0, np.array([num - 1]), np.array([1.0]), np.array([1.0])))
     else:
         nx, ny = ns
         idx = np.arange(num).reshape(shape)
         wy = _trapezoid_1d(ny, h[1])
         wx = _trapezoid_1d(nx, h[0])
-        faces.append(Face("x0", 0, idx[0, :].copy(), wy.copy(), np.array([-1.0, 0.0])))
-        faces.append(Face("x1", 0, idx[-1, :].copy(), wy.copy(), np.array([1.0, 0.0])))
-        faces.append(Face("y0", 1, idx[:, 0].copy(), wx.copy(), np.array([0.0, -1.0])))
-        faces.append(Face("y1", 1, idx[:, -1].copy(), wx.copy(), np.array([0.0, 1.0])))
+        faces.append(Face(0, idx[0, :].copy(), wy.copy(), np.array([-1.0, 0.0])))
+        faces.append(Face(0, idx[-1, :].copy(), wy.copy(), np.array([1.0, 0.0])))
+        faces.append(Face(1, idx[:, 0].copy(), wx.copy(), np.array([0.0, -1.0])))
+        faces.append(Face(1, idx[:, -1].copy(), wx.copy(), np.array([0.0, 1.0])))
 
     normals = np.zeros((num, dim))
     owner = np.full(num, -1, dtype=int)

@@ -31,9 +31,10 @@ Every Crank-Nicolson solve here is the generator's own ``cayley_solver``
 (LAPACK zgttrs for 1D generators, SuperLU otherwise), factored once per dt.
 
 Every dense path is exact, or refused: it runs only when its dense order is
-at most ``_DENSE_LIMIT``, and otherwise raises ``DenseLimitError`` before any
-dense allocation.  The orders are n for the modal path, the smaller Gram
-side min(m s, n) for the stepped one and n1 n2 for the product space.
+at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
+before any dense allocation.  The orders are n for the modal path, the
+smaller Gram side min(m s, n) for the stepped one and n1 n2 for the product
+space.
 """
 
 from __future__ import annotations
@@ -49,20 +50,6 @@ from scipy.linalg.blas import zherk
 
 from . import evolve, magop
 from .mesh import retained_steps, trapezoid_weights
-
-# Largest order of a dense matrix that an observability path may form.
-_DENSE_LIMIT = 4096
-
-
-class DenseLimitError(ValueError):
-    """A dense observability path refused: its order exceeds ``_DENSE_LIMIT``."""
-
-
-def _check_order(order, what):
-    if order > _DENSE_LIMIT:
-        raise DenseLimitError(
-            f"{what} has dense order {order}, above the dense limit {_DENSE_LIMIT}")
-
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -164,7 +151,7 @@ class ObservabilityReport:
 def _modal_data(gen):
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator")
-    _check_order(gen.size, "the modal eigendecomposition")
+    magop._check_order(gen.size, "the modal eigendecomposition")
     # the pencil (S, diag M) as the standard problem D S D, D = M^-1/2; real when A = 0
     S = gen.stiffness.toarray()
     d = 1.0 / np.sqrt(gen.mass_diag)
@@ -346,7 +333,8 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     against the metric.
 
     A path whose dense order (k for ``eig``, min(k, m s) for ``cn``)
-    exceeds ``_DENSE_LIMIT`` raises ``DenseLimitError`` before it allocates.
+    exceeds ``magop._DENSE_LIMIT`` raises ``magop.DenseLimitError`` before it
+    allocates.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
@@ -368,7 +356,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
         lo2, hi2 = lo, hi
     elif method == "cn":
         samples = _trapezoid_steps(T, dt, stride).size
-        _check_order(min(k, m * samples), "the stepped Gramian")
+        magop._check_order(min(k, m * samples), "the stepped Gramian")
         if m * samples < k:
             # snapshot side: G has rank <= m s < k, so lambda_min = 0 exactly
             hi, hi2 = _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride)
@@ -459,13 +447,14 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     is omega1 x Omega2; the direct product-space constant is computed on the
     Kronecker-sum generator with its own time discretization and compared
     against the one-factor constant.  The product-space Gramian has dense
-    order n1 n2, refused above ``_DENSE_LIMIT`` before anything is allocated.
+    order n1 n2, refused above ``magop._DENSE_LIMIT`` before anything is
+    allocated.
     """
     for g in (gen1, gen2):
         if g.kind != "A0":
             raise ValueError("product observability requires conservative factors")
     n1, n2 = gen1.size, gen2.size
-    _check_order(n1 * n2, "the product-space Gramian")
+    magop._check_order(n1 * n2, "the product-space Gramian")
     rng = np.random.default_rng(seed)
     u1 = rng.normal(size=n1) + 1j * rng.normal(size=n1)
     u2 = rng.normal(size=n2) + 1j * rng.normal(size=n2)

@@ -13,19 +13,18 @@ row per edge for the magnetic stiffness of A2.
 Scans fit C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope,
 since on any fixed grid the point values oscillate between spectral peaks.
 
-The observability-resolvent (Hautus) sweep searches, per frequency, the
-minimal constants (aleph0, aleph1) making
+The observability-resolvent (Hautus) sweep finds, per frequency, the
+minimal aleph1 making
 
     ||u||^2 <= aleph0 ||(A0 - i mu) u||^2 + aleph1 ||u||^2_omega
 
-hold for every state, by doubling and bisection on aleph1 at fixed aleph0.
-The pencil is reduced once per mu, to aleph0 G + aleph1 diag(1_omega) with
-G = D K^H M K D and D = M^-1/2, which is real when A0 is (a = 0).
-lambda_min of that matrix is concave and nondecreasing in aleph1, so a few
-Newton steps with the omega weight of the eigenvector as supergradient
-bracket the threshold from below; a monotone oracle then answers the
-bisection's questions outside the bracket without an eigensolve, and the
-result equals plain bisection's.
+hold for every state, at each given aleph0.  The pencil is reduced once per
+mu, to aleph0 G + aleph1 diag(1_omega) with G = D K^H M K D and D = M^-1/2,
+which is real when A0 is (a = 0).  The estimate holds iff that matrix minus I
+is positive semidefinite, so the threshold is closed-form: a Cholesky of the
+block off omega decides feasibility, and the lowest eigenvalue lambda of the
+Schur complement on omega gives the threshold max(0, -lambda) (Haynsworth
+inertia).
 """
 
 from __future__ import annotations
@@ -295,7 +294,9 @@ def refinement_trend(scans):
 
 
 def eigenvalues_dense(gen):
-    """Full spectrum of the generator (dense; intended for modest sizes)."""
+    """Full spectrum of the generator, refused above the dense limit
+    (``magop._check_order``)."""
+    magop._check_order(gen.size, "the full spectrum")
     return la.eigvals(gen.matrix.toarray())
 
 
@@ -318,162 +319,72 @@ class HautusReport:
     aleph0_grid: np.ndarray
     min_aleph1: np.ndarray        # (n_mu, n_aleph0); inf marks infeasible
     global_aleph1: np.ndarray     # per aleph0, max over mu; inf if any infeasible
-    eigensolves: np.ndarray       # (n_mu, n_aleph0) eigensolves each cell used
 
     @property
     def feasible_anywhere(self):
         return bool(np.isfinite(self.min_aleph1).any())
 
 
-# Reduced pencils up to this order are solved densely, larger ones by ARPACK.
-_DENSE_LIMIT = 1200
-# Newton steps seeding each cell's bracket before doubling and bisection.
-_NEWTON_STEPS = 8
-
-
 def _reduced_pencil(gen, mu):
-    """G = D K^H M K D with K = A0 - i mu and D = M^-1/2, dense up to _DENSE_LIMIT.
+    """Dense G = D K^H M K D with K = A0 - i mu and D = M^-1/2.
 
-    D (aleph0 K^H M K + aleph1 M_omega) D = aleph0 G + aleph1 diag(1_omega), so
-    lambda_min of that matrix is the smallest generalized eigenvalue of the
-    pencil against M.  G is returned real when it has no imaginary part (a = 0),
-    so the eigensolves run on real data.
+    D (aleph0 K^H M K + aleph1 M_omega) D = aleph0 G + aleph1 diag(1_omega),
+    so the estimate holds exactly when that matrix minus I is positive
+    semidefinite.  G is returned real when it has no imaginary part (a = 0),
+    so the factorizations run on real data.
     """
     root = np.sqrt(gen.mass_diag)
     B = (sp.diags(root) @ gen.shifted(mu) @ sp.diags(1.0 / root)).tocsr()
     G = (B.getH() @ B).tocsr()
     if not G.imag.count_nonzero():
         G = G.real
-    return G.toarray() if gen.size <= _DENSE_LIMIT else G
+    return G.toarray()
 
 
-def _lowest_pair(H):
-    """Smallest eigenvalue of the Hermitian H and a unit eigenvector."""
-    if isinstance(H, np.ndarray):
-        w, v = la.eigh(H, subset_by_index=[0, 0], overwrite_a=True)
-        return float(w[0]), v[:, 0]
-    H = H.tocsc()
-    v0 = np.random.default_rng(0).normal(size=H.shape[0])
-    try:
-        w, v = spla.eigsh(H, k=1, sigma=-1e-10, which="LM", v0=v0)
-    except Exception:
-        w, v = spla.eigsh(H, k=1, which="SA", maxiter=5000, v0=v0)
-    return float(w[0]), v[:, 0]
+def _min_aleph1(aleph0, G_uu, G_uo, G_oo):
+    """Smallest aleph1 >= 0 with aleph0 G + aleph1 diag(1_omega) - I >= 0, or inf.
 
-
-class _Threshold:
-    """feasible(aleph1): lambda_min(aleph0 G + aleph1 diag(1_omega)) >= level.
-
-    f(aleph1) = lambda_min is concave and nondecreasing, so a question is
-    answered from the largest aleph1 found infeasible and the smallest found
-    feasible; only a point between the two costs an eigensolve.
+    o and u are the observed and unobserved positions.  The matrix is positive
+    semidefinite iff H_uu = aleph0 G_uu - I is positive definite and
+    Sigma + aleph1 I is positive semidefinite, with Sigma the Schur complement
+    aleph0 G_oo - I - aleph0^2 G_ou H_uu^-1 G_uo (Haynsworth inertia).  A
+    failed Cholesky of H_uu puts a deficit off omega, where aleph1 has no
+    effect.
     """
-
-    def __init__(self, G, aleph0, indicator, level):
-        self.G, self.aleph0, self.indicator, self.level = G, aleph0, indicator, level
-        self.below, self.above = -np.inf, np.inf
-        self.eigensolves = 0
-
-    def evaluate(self, al1):
-        """f(al1) and the omega weight of its eigenvector, a supergradient of f."""
-        if isinstance(self.G, np.ndarray):
-            H = self.aleph0 * self.G
-            H.flat[::H.shape[0] + 1] += al1 * self.indicator
-        else:
-            H = self.aleph0 * self.G + sp.diags(al1 * self.indicator)
-        lam, v = _lowest_pair(H)
-        self.eigensolves += 1
-        if lam >= self.level:
-            self.above = min(self.above, al1)
-        else:
-            self.below = max(self.below, al1)
-        return lam, float(self.indicator @ np.abs(v) ** 2)
-
-    def __call__(self, al1):
-        if al1 >= self.above:
-            return True
-        if al1 <= self.below:
-            return False
-        return self.evaluate(al1)[0] >= self.level
-
-    def seed(self, top, steps):
-        """Bracket the threshold by concave Newton from aleph1 = 0.
-
-        With g a supergradient, f(x + (level - f)/g) <= level: no step passes
-        the threshold, even where lambda_min is multiple.  A step past ``top``
-        (or g = 0) is confirmed infeasible by evaluating at ``top``; otherwise
-        the last iterate is followed by one evaluation just across the
-        threshold from it.
-        """
-        x = 0.0
-        lam, g = self.evaluate(x)
-        for k in range(steps + 1):
-            if lam >= self.level:
-                if x > 0.0:            # landed on the threshold: bracket it from below
-                    self.evaluate(x * (1.0 - 2.0**-30))
-                return
-            step = (self.level - lam) / g if g > 0 else np.inf
-            if x + step > top:
-                self.evaluate(top)
-                return
-            if k == steps or step <= x * 2.0**-20:
-                self.evaluate(min(top, x + 2.0 * step + x * 2.0**-30))
-                return
-            x += step
-            lam, g = self.evaluate(x)
+    H_uu = aleph0 * G_uu
+    H_uu.flat[::H_uu.shape[0] + 1] -= 1.0
+    try:
+        L, _ = la.cho_factor(H_uu, lower=True, overwrite_a=True)
+    except la.LinAlgError:
+        return np.inf
+    Y = la.solve_triangular(L, aleph0 * G_uo, lower=True)
+    sigma = aleph0 * G_oo - Y.conj().T @ Y
+    sigma.flat[::sigma.shape[0] + 1] -= 1.0
+    return max(0.0, -float(la.eigvalsh(sigma, subset_by_index=[0, 0])[0]))
 
 
-def _bisect(feasible, aleph1_cap, bisection_steps):
-    """0 if feasible there, else doubling from 1 and bisection; inf past the cap."""
-    if feasible(0.0):
-        return 0.0
-    hi = 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > aleph1_cap:
-            return np.inf              # infeasible at this aleph0
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def hautus_sweep(gen, omega, mu_grid, aleph0_grid, bisection_steps=16,
-                 aleph1_cap=1e12, feas_tol=1e-9):
+def hautus_sweep(gen, omega, mu_grid, aleph0_grid):
     """Minimal-aleph1 frontier of the observability resolvent estimate.
 
-    For each (mu, aleph0) the minimal aleph1 is bracketed by doubling from 1
-    and refined by bisection; the certificate is the smallest generalized
-    eigenvalue of (aleph0 K^H M K + aleph1 M_omega, M) reaching 1.  The pencil
-    is reduced once per mu to aleph0 G + aleph1 diag(1_omega) (see
-    ``_reduced_pencil``), and a few concave Newton steps per cell seed a
-    monotone oracle that answers most doubling and bisection questions
-    without an eigensolve, so the table is the bisection's own answer.
+    Each (mu, aleph0) cell is the exact threshold of ``_min_aleph1``: one
+    Cholesky of the unobserved block and, when it succeeds, one lowest
+    eigenvalue of the observed Schur complement.  The pencil is reduced once
+    per mu (``_reduced_pencil``), after ``magop._check_order`` has checked
+    its order against the dense limit.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     aleph0_grid = np.asarray(aleph0_grid, dtype=float)
-    indicator = np.isin(gen.state_idx, omega).astype(float)
-    if not indicator.any():
+    observed = np.isin(gen.state_idx, omega)
+    if not observed.any():
         raise ValueError("omega does not intersect the generator's state nodes")
-    level = 1.0 - feas_tol
-    top = max(1.0, np.ldexp(0.5, np.frexp(aleph1_cap)[1]))   # last doubling point
+    magop._check_order(gen.size, "the Hautus pencil")
+    o, u = np.flatnonzero(observed), np.flatnonzero(~observed)
 
     table = np.full((mu_grid.size, aleph0_grid.size), np.inf)
-    counts = np.zeros(table.shape, dtype=int)
     for i, mu in enumerate(mu_grid):
         G = _reduced_pencil(gen, mu)
+        blocks = G[np.ix_(u, u)], G[np.ix_(u, o)], G[np.ix_(o, o)]
         for j, al0 in enumerate(aleph0_grid):
-            feasible = _Threshold(G, al0, indicator, level)
-            feasible.seed(top, _NEWTON_STEPS)
-            table[i, j] = _bisect(feasible, aleph1_cap, bisection_steps)
-            counts[i, j] = feasible.eigensolves
-    global_env = np.max(table, axis=0)
-    return HautusReport(
-        mus=mu_grid, aleph0_grid=aleph0_grid, min_aleph1=table,
-        global_aleph1=global_env, eigensolves=counts,
-    )
-
+            table[i, j] = _min_aleph1(al0, *blocks)
+    return HautusReport(mus=mu_grid, aleph0_grid=aleph0_grid, min_aleph1=table,
+                        global_aleph1=np.max(table, axis=0))

@@ -568,13 +568,25 @@ grid.dim = 2
 grid.n = 12
 observation.omega = [[0, 0], [0, 1]]
 """, "observation.omega: the box holds no state node of the generator"),
+    "hautus": ("""
+kind = "hautus"
+grid.dim = 2
+grid.n = 67
+omega = [[0.0, 0.0], [0.3, 1.0]]
+mu.count = 2
+""", "grid.n: the Hautus pencil has dense order 4225, above the dense limit 4096"),
+    "gauge-check": ("""
+kind = "gauge-check"
+grid.dim = 2
+grid.n = 67
+""", "grid.n: the full spectrum has dense order 4225, above the dense limit 4096"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_inputs_are_config_errors(tmp_path, capsys, name):
-    """Inputs the observability paths refuse end in exit 2 and one
-    ``config error:`` line, not a traceback."""
+    """Inputs the observability and dense-spectrum paths refuse end in exit 2
+    and one ``config error:`` line, not a traceback."""
     text, message = REFUSED[name]
     cfg_path = tmp_path / "refused.cfg"
     cfg_path.write_text(text)

@@ -144,16 +144,6 @@ def test_poincare_rejects_empty_part():
         mesh.poincare_constant(g, np.array([], dtype=int))
 
 
-def test_grid_json_roundtrippable():
-    import json
-
-    g = mesh.build_grid(2, [1.0, 2.0], [5, 7])
-    doc = json.loads(g.to_json())
-    assert doc["dim"] == 2
-    assert doc["n"] == [5, 7]
-    assert set(doc["faces"]) == {"x0", "x1", "y0", "y1"}
-
-
 def test_box_nodes():
     g = mesh.build_grid(1, [1.0], 11)
     nodes = g.box_nodes([0.0], [0.3])

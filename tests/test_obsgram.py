@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from magschro import evolve, magop, mesh, obsgram
+from magschro import evolve, magop, mesh, obsgram, spectra
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +383,7 @@ def test_snapshot_side_runs_above_the_dense_limit(kind, monkeypatch):
     obs = obsgram.Observation(kind, pool[:3])
     want = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
     assert want.rank_bound == 3 * 21 < gen.size
-    monkeypatch.setattr(obsgram, "_DENSE_LIMIT", want.rank_bound)
+    monkeypatch.setattr(magop, "_DENSE_LIMIT", want.rank_bound)
     got = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
     assert got.to_json() == want.to_json()
 
@@ -393,7 +393,7 @@ def _refused_peak_bytes(run, order):
     allocated, checking the message names the order."""
     tracemalloc.start()
     try:
-        with pytest.raises(obsgram.DenseLimitError, match=rf"dense order {order}, above"):
+        with pytest.raises(magop.DenseLimitError, match=rf"dense order {order}, above"):
             run()
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -415,9 +415,11 @@ def test_oversize_paths_are_refused_before_allocating(monkeypatch):
         (lambda: obsgram.gramian(gen, narrow, T=29 * dt, dt=dt, method="cn"), 300),  # m s < n
         (lambda: obsgram.product_observability(gen1, gen1, g1.box_nodes([0.0], [0.3]),
                                                T=1.0, dt=0.01), 400),
+        (lambda: spectra.hautus_sweep(gen, gen.state_idx[:10], [-10.0], [0.0]), n),
+        (lambda: spectra.eigenvalues_dense(gen), n),
     ]
     for run, order in cases:
-        monkeypatch.setattr(obsgram, "_DENSE_LIMIT", order - 1)
+        monkeypatch.setattr(magop, "_DENSE_LIMIT", order - 1)
         peak = _refused_peak_bytes(run, order)
         # a real dense matrix of that order would take 8 order^2 bytes
         assert peak < 8 * order**2 / 16

@@ -164,6 +164,26 @@ def test_hautus_full_observation_exact(gen_a0, grid):
     assert np.all(rep.global_aleph1 == 1.0)
 
 
+@pytest.mark.parametrize("dim, n, amp", [(1, 12, 0.0), (1, 12, 1.3), (2, 8, 0.0), (2, 8, 1.3)])
+def test_hautus_full_observation_matches_spectral_distance(dim, n, amp):
+    """With omega everywhere the pencil minus I is aleph0 G - I + aleph1 I, and
+    lambda_min(G) = dist(i mu, spectrum)^2 since A0 is normal in the mass
+    metric: aleph1* = max(0, 1 - aleph0 dist^2).  Both sides round at
+    eps aleph0 ||G||, so the tolerance is 1e-12 of that scale."""
+    grid = mesh.build_grid(dim, 1.0, n)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    mus = [-150.0, -40.0, -9.0, 30.0, 200.0]
+    inv_dist = spectra.spectral_distance_norms(gen, mus)
+    for mu, r in zip(mus, inv_dist):
+        aleph0 = np.array([0.3, 0.7, 0.95, 1.2]) * r**2
+        got = spectra.hautus_sweep(gen, gen.state_idx, [mu], aleph0).min_aleph1[0]
+        want = np.maximum(0.0, 1.0 - aleph0 / r**2)
+        scale = np.maximum(1.0, aleph0 * np.linalg.norm(spectra._reduced_pencil(gen, mu), 2))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert got[-1] == 0.0
+
+
 def test_hautus_empty_omega_rejected(gen_a0):
     with pytest.raises(ValueError):
         spectra.hautus_sweep(gen_a0, np.array([], dtype=int), [-10.0], [0.0])
@@ -195,10 +215,6 @@ def test_hautus_localized_feasible(gen_a0, grid):
     assert rep.feasible_anywhere
     val = rep.min_aleph1[0, 0]
     assert np.isfinite(val)
-    # a coarser bisection cannot report a smaller feasible constant
-    rep2 = spectra.hautus_sweep(gen_a0, omega, [-45.0], [1e-2],
-                                bisection_steps=4)
-    assert rep2.min_aleph1[0, 0] >= val - 1e-9
 
 
 def test_hautus_infeasible_reported(gen_a0, grid):
@@ -208,19 +224,37 @@ def test_hautus_infeasible_reported(gen_a0, grid):
     assert not np.isfinite(rep.min_aleph1[0, 0])
 
 
-def test_hautus_eigensolve_budget(gen_a0, grid):
-    # the criterion-11 sweeps: most questions are settled by the monotone
-    # oracle that the Newton steps seed, not by an eigensolve each
-    rep_full = spectra.hautus_sweep(gen_a0, grid.interior_idx,
-                                    mu_grid=[-80.0, -10.0, 30.0], aleph0_grid=[0.0])
-    rep_loc = spectra.hautus_sweep(gen_a0, grid.box_nodes([0.0], [0.3]),
+def test_hautus_one_cholesky_per_cell(gen_a0, grid):
+    """Each cell is one Cholesky of the block off omega and, only when it
+    succeeds, one lowest eigenvalue of the Schur complement."""
+    events = []
+    cho_factor, eigvalsh = la.cho_factor, la.eigvalsh
+
+    def cho_spy(*args, **kwargs):
+        try:
+            out = cho_factor(*args, **kwargs)
+        except la.LinAlgError:
+            events.append("cho-failed")
+            raise
+        events.append("cho")
+        return out
+
+    def eig_spy(*args, **kwargs):
+        events.append("eig")
+        return eigvalsh(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "cho_factor", cho_spy)
+        mp.setattr(la, "eigvalsh", eig_spy)
+        rep = spectra.hautus_sweep(gen_a0, grid.box_nodes([0.0], [0.3]),
                                    mu_grid=[-60.0, -14.0],
                                    aleph0_grid=[0.0, 1e-3, 1e-2, 1e-1])
-    for rep in (rep_full, rep_loc):
-        assert rep.eigensolves.shape == rep.min_aleph1.shape
-        assert rep.eigensolves.dtype.kind == "i"
-        assert np.all(rep.eigensolves >= 1)
-    assert rep_full.eigensolves.sum() + rep_loc.eigensolves.sum() <= 40
+    cells = rep.min_aleph1.size
+    assert events.count("cho") + events.count("cho-failed") == cells
+    assert events.count("cho-failed") == np.isinf(rep.min_aleph1).sum() > 0
+    assert events.count("eig") == events.count("cho") > 0
+    for before, after in zip(events, events[1:]):
+        assert after != "eig" or before == "cho"
 
 
 def test_refinement_trend_report(grid, a_zero):
@@ -403,44 +437,34 @@ def test_unconverged_fallback_is_a_failed_point(gen_a1):
 
 
 # ---------------------------------------------------------------------------
-# property test: the reduced, Newton-seeded sweep against per-query bisection
+# property test: the closed-form sweep against per-query bisection
 
 
-def smallest_generalized(H, mass, dense_limit):
+def smallest_generalized(H, mass):
     """lambda_min of (H, diag(mass)) for Hermitian PSD H, one query at a time."""
     d = 1.0 / np.sqrt(mass)
     Ht = sp.diags(d) @ H @ sp.diags(d)
-    n = Ht.shape[0]
-    if n <= dense_limit:
-        return float(la.eigvalsh(Ht.toarray(), subset_by_index=[0, 0])[0])
-    Ht = Ht.tocsc()
-    v0 = np.random.default_rng(0).normal(size=n)
-    try:
-        w = spla.eigsh(Ht, k=1, sigma=-1e-10, which="LM", v0=v0,
-                       return_eigenvectors=False)
-    except Exception:
-        w = spla.eigsh(Ht, k=1, which="SA", return_eigenvectors=False,
-                       maxiter=5000, v0=v0)
-    return float(w[0])
+    return float(la.eigvalsh(Ht.toarray(), subset_by_index=[0, 0])[0])
 
 
-def reference_sweep(gen, omega, mus, aleph0s, dense_limit, steps=16, cap=1e12,
-                    feas_tol=1e-9):
-    """Doubling from 1 and bisection, every question answered by an eigensolve."""
+def reference_sweep(gen, omega, mus, aleph0s, steps=16, cap=1e12):
+    """Doubling from 1 and bisection at the estimate's level 1, every question
+    answered by an eigensolve.  Returns the final brackets (lo, hi]: lo = hi =
+    0 where aleph1 = 0 is feasible, and hi = inf above the last doubling
+    point lo <= cap, which is infeasible."""
     M = gen.mass_diag
     M_omega = sp.diags(np.where(np.isin(gen.state_idx, omega), M, 0.0)).tocsr()
     eye = sp.identity(gen.size, dtype=complex, format="csr")
-    table = np.full((len(mus), len(aleph0s)), np.inf)
+    lo_t = np.zeros((len(mus), len(aleph0s)))
+    hi_t = np.zeros_like(lo_t)
     for i, mu in enumerate(mus):
         K = (gen.matrix - 1j * mu * eye).tocsr()
         KMK = (K.getH() @ sp.diags(M) @ K).tocsr()
         for j, al0 in enumerate(aleph0s):
             def feasible(al1):
-                H = (al0 * KMK + al1 * M_omega).tocsr()
-                return smallest_generalized(H, M, dense_limit) >= 1.0 - feas_tol
+                return smallest_generalized((al0 * KMK + al1 * M_omega).tocsr(), M) >= 1.0
 
             if feasible(0.0):
-                table[i, j] = 0.0
                 continue
             hi = 1.0
             while not feasible(hi):
@@ -448,6 +472,7 @@ def reference_sweep(gen, omega, mus, aleph0s, dense_limit, steps=16, cap=1e12,
                 if hi > cap:
                     break
             if hi > cap:
+                lo_t[i, j], hi_t[i, j] = hi / 2.0, np.inf
                 continue
             lo = 0.0 if hi == 1.0 else hi / 2.0
             for _ in range(steps):
@@ -456,8 +481,8 @@ def reference_sweep(gen, omega, mus, aleph0s, dense_limit, steps=16, cap=1e12,
                     hi = mid
                 else:
                     lo = mid
-            table[i, j] = hi
-    return table
+            lo_t[i, j], hi_t[i, j] = lo, hi
+    return lo_t, hi_t
 
 
 @st.composite
@@ -477,41 +502,43 @@ def hautus_cases(draw):
     r = spectra.spectral_distance_norms(gen, mus[:1])[0]
     aleph0s = draw(st.lists(st.just(0.0) | st.floats(0.02, 1.5).map(lambda t: t * r * r),
                             min_size=1, max_size=2))
-    sparse = draw(st.booleans())
-    return gen, omega, mus, aleph0s, sparse
+    return gen, omega, mus, aleph0s
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(hautus_cases())
 def test_hautus_sweep_matches_per_query_bisection(case):
-    gen, omega, mus, aleph0s, sparse = case
-    limit = 0 if sparse else spectra._DENSE_LIMIT
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_DENSE_LIMIT", limit)
-        rep = spectra.hautus_sweep(gen, omega, mus, aleph0s)
-    table = reference_sweep(gen, omega, mus, aleph0s, limit)
-    assert np.array_equal(rep.min_aleph1, table)
-    assert rep.eigensolves.shape == table.shape
-    assert np.all(rep.eigensolves >= 1)
+    gen, omega, mus, aleph0s = case
+    got = spectra.hautus_sweep(gen, omega, mus, aleph0s).min_aleph1
+    lo, hi = reference_sweep(gen, omega, mus, aleph0s)
+    assert np.array_equal(got == 0.0, hi == 0.0)
+    # a finite threshold past the oracle's cap is inf there, not the reverse
+    assert np.all(np.isinf(hi) | np.isfinite(got))
+    assert np.all((lo <= got) & (got <= hi))
 
 
 @pytest.mark.parametrize("amp", [0.0, 0.8])
 def test_hautus_eigensolves_real_at_zero_potential(amp):
-    """With a = 0 the reduced pencil is real and every dense eigensolve gets
-    float64; a nonzero potential keeps it complex."""
+    """With a = 0 the reduced pencil is real and every dense factorization and
+    eigensolve gets float64; a nonzero potential keeps it complex."""
     grid = mesh.build_grid(1, 1.0, 40)
     a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(3.0 * p))
     gen = magop.assemble_generator("A0", grid, a)
-    dtypes = []
-    eigh = la.eigh
+    dtypes = {"cho_factor": [], "eigvalsh": []}
 
-    def spy(H, *args, **kwargs):
-        dtypes.append(H.dtype)
-        return eigh(H, *args, **kwargs)
+    def spy(name):
+        fn = getattr(la, name)
+
+        def wrapped(H, *args, **kwargs):
+            dtypes[name].append(H.dtype)
+            return fn(H, *args, **kwargs)
+        return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(la, "eigh", spy)
+        for name in dtypes:
+            mp.setattr(la, name, spy(name))
         spectra.hautus_sweep(gen, grid.box_nodes([0.0], [0.3]), [-60.0, -14.0],
                              [0.0, 1e-2])
-    assert dtypes and set(dtypes) == {np.dtype(float if amp == 0.0 else complex)}
+    want = {np.dtype(float if amp == 0.0 else complex)}
+    assert all(seen and set(seen) == want for seen in dtypes.values())
