@@ -11,6 +11,12 @@ Delta + 2i a.grad + i div(a) - |a|^2 with centered stencils
 consistent with the link phases, and applied to full-grid fields with
 boundary data.
 
+The potential owns the node-wise operators of the multiplier method and of
+boundary observation, as sparse matrices over the full grid built from
+``Grid.gradients`` and ``Grid.normals``: ``MagneticPotential.gradient``, the
+per-axis d_ax + i a_ax, and ``MagneticPotential.conormal``, the trace
+d_nu + i a.nu at the boundary nodes.
+
 Generators (state space in parentheses):
 
 * A0 = i Delta_a, Dirichlet on the whole boundary (interior nodes),
@@ -90,7 +96,6 @@ class MagneticPotential:
     edge_values: tuple              # per axis, aligned with _edges(grid, axis)
     div: np.ndarray                 # (N,), centered differences of the samples
     sup_norm: float
-    a_dot_nu: np.ndarray            # aligned with grid.boundary_idx
 
     @classmethod
     def from_samples(cls, grid, values):
@@ -138,28 +143,36 @@ class MagneticPotential:
         div = np.zeros(grid.num_nodes)
         for ax in range(grid.dim):
             div += grads[ax] @ values[:, ax]
-        b = grid.boundary_idx
-        a_dot_nu = np.einsum("ij,ij->i", values[b], grid.normals[b])
         pot = cls(
             grid=grid,
             values=values,
             edge_values=edges,
             div=div,
             sup_norm=float(np.max(np.linalg.norm(values, axis=1))),
-            a_dot_nu=a_dot_nu,
         )
         values.setflags(write=False)
         return pot
 
     def vanishes_on(self, nodes, tol=1e-14):
-        """True when both the vector and its normal component vanish on the set."""
+        """True when the vector vanishes on the set; then so does its normal
+        component, which is plus or minus one of its components."""
         nodes = np.asarray(nodes, dtype=int)
-        if nodes.size == 0:
-            return True
-        if np.max(np.abs(self.values[nodes])) > tol:
-            return False
-        bpos = _positions(self.grid.num_nodes, self.grid.boundary_idx)[nodes]
-        return bool(np.max(np.abs(self.a_dot_nu[bpos[bpos >= 0]]), initial=0.0) <= tol)
+        return bool(np.max(np.abs(self.values[nodes]), initial=0.0) <= tol)
+
+    @cached_property
+    def gradient(self):
+        """Per axis, the sparse d_ax + i a_ax over all grid nodes (one-sided
+        stencils on the boundary), built on first use and kept here."""
+        return tuple((G + 1j * sp.diags(self.values[:, ax])).tocsr()
+                     for ax, G in enumerate(self.grid.gradients))
+
+    @cached_property
+    def conormal(self):
+        """The sparse d_nu + i a.nu, one row per node of ``grid.boundary_idx``:
+        sum_ax nu_ax ``gradient[ax]``, nu the node's normal."""
+        b = self.grid.boundary_idx
+        rows = [sp.diags(self.grid.normals[b, ax]) @ G[b] for ax, G in enumerate(self.gradient)]
+        return sum(rows[1:], rows[0]).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,16 +506,8 @@ class GeneratorMatrix:
         else:
             shift = 1e-8 * max(scale, 1.0)
             v0 = np.random.default_rng(0).normal(size=H.shape[0])
-            try:
-                lam = float(
-                    spla.eigsh(H, k=1, sigma=shift, which="LM", v0=v0,
-                               return_eigenvectors=False)[0]
-                )
-            except Exception:
-                lam = float(
-                    spla.eigsh(H, k=1, which="LA", return_eigenvectors=False,
-                               maxiter=5000, v0=v0)[0]
-                )
+            lam = float(spla.eigsh(H, k=1, sigma=shift, which="LM", v0=v0,
+                                   return_eigenvectors=False)[0])
         return lam, float(scale)
 
 
@@ -594,36 +599,6 @@ def assemble_generator(kind, grid, a, damping=None, split=None):
 
 
 # ---------------------------------------------------------------------------
-# node-wise operators
-
-
-def magnetic_gradient(grid, a, u):
-    """(grad + i a) u at every node; one-sided stencils on the boundary."""
-    u = np.asarray(u, dtype=complex)
-    grads = grid.gradients
-    out = np.empty((grid.num_nodes, grid.dim), dtype=complex)
-    for ax in range(grid.dim):
-        out[:, ax] = grads[ax] @ u + 1j * a.values[:, ax] * u
-    return out
-
-
-def conormal_derivative(grid, a, u, where=None):
-    """(d_nu + i a.nu) u at the requested boundary nodes."""
-    u = np.asarray(u, dtype=complex)
-    nodes = grid.boundary_idx if where is None else np.asarray(where, dtype=int)
-    if np.any(grid.owner_face[nodes] < 0):
-        raise ValueError("conormal derivative requested at non-boundary nodes")
-    grads = grid.gradients
-    full = np.zeros(grid.num_nodes, dtype=complex)
-    for ax in range(grid.dim):
-        du = grads[ax] @ u
-        sel = grid.normals[nodes, ax] != 0.0
-        full[nodes[sel]] = grid.normals[nodes[sel], ax] * du[nodes[sel]]
-    bpos = _positions(grid.num_nodes, grid.boundary_idx)[nodes]
-    return full[nodes] + 1j * a.a_dot_nu[bpos] * u[nodes]
-
-
-# ---------------------------------------------------------------------------
 # structural identity checks
 
 
@@ -646,12 +621,9 @@ def check_green_identity(grid, a, f, g):
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     lap_f = laplacian_stencil_full(grid, a) @ f
-    gf = magnetic_gradient(grid, a, f)
-    gg = magnetic_gradient(grid, a, g)
     t_vol = np.sum(grid.volume_weights * lap_f * np.conj(g))
-    t_grad = np.sum(grid.volume_weights * np.einsum("ij,ij->i", gf, np.conj(gg)))
-    flux = conormal_derivative(grid, a, f)
-    t_bnd = np.sum(grid.surface_weights[grid.boundary_idx] * flux
+    t_grad = np.sum(grid.volume_weights * sum((G @ f) * np.conj(G @ g) for G in a.gradient))
+    t_bnd = np.sum(grid.surface_weights[grid.boundary_idx] * (a.conormal @ f)
                    * np.conj(g[grid.boundary_idx]))
     residual = abs(t_vol + t_grad - t_bnd)
 

@@ -2,9 +2,10 @@
 
 Grids are uniform tensor products.  Volume integrals use the trapezoid rule
 and surface integrals the trapezoid rule along each face, so the weights sum
-to the domain measure and to each face measure exactly.  Every boundary node
-is owned by exactly one face (x-faces take priority over y-faces at corners)
-and carries that face's outward unit normal.
+to the domain measure and to each face measure exactly.  ``Grid.normals``
+gives every boundary node the outward unit normal of exactly one face
+(x-faces take priority over y-faces at corners); the conormal trace reads
+that rule from it alone.
 
 The observation split classifies boundary nodes by the strict sign of
 m(x) . nu(x) with m(x) = x - x0: positive goes to the observed part
@@ -18,7 +19,7 @@ eigenvalues converge at second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,20 +33,6 @@ class EigenSolveError(RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-@dataclass(frozen=True, eq=False)
-class Face:
-    """One axis-aligned boundary face with its surface quadrature."""
-
-    axis: int
-    nodes: np.ndarray         # all nodes geometrically on the face (corners included)
-    weights: np.ndarray       # trapezoid weights along the face, sum = face measure
-    normal: np.ndarray        # outward unit normal
-
-    @property
-    def measure(self):
-        return float(self.weights.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +52,9 @@ class Grid:
     coords: np.ndarray          # (N, dim)
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
-    normals: np.ndarray         # (N, dim), zero rows at interior nodes
-    owner_face: np.ndarray      # (N,), -1 at interior nodes
+    normals: np.ndarray         # (N, dim), the owner face's; zero rows at interior nodes
     volume_weights: np.ndarray  # (N,), trapezoid, sums to |Omega|
     surface_weights: np.ndarray # (N,), per-node total face weight, sums to |Gamma|
-    faces: tuple = field(repr=False)
 
     @property
     def num_nodes(self):
@@ -199,32 +184,26 @@ def build_grid(dim, extents, n, origin=None):
         vol = np.multiply.outer(vol, w1d[a])
     volume_weights = vol.ravel()
 
-    faces = []
+    # faces as (nodes, trapezoid weights along the face, outward normal)
+    idx = np.arange(num).reshape(shape)
     if dim == 1:
-        faces.append(Face(0, np.array([0]), np.array([1.0]), np.array([-1.0])))
-        faces.append(Face(0, np.array([num - 1]), np.array([1.0]), np.array([1.0])))
+        faces = [(idx[:1], 1.0, -1.0), (idx[-1:], 1.0, 1.0)]
     else:
-        nx, ny = ns
-        idx = np.arange(num).reshape(shape)
-        wy = _trapezoid_1d(ny, h[1])
-        wx = _trapezoid_1d(nx, h[0])
-        faces.append(Face(0, idx[0, :].copy(), wy.copy(), np.array([-1.0, 0.0])))
-        faces.append(Face(0, idx[-1, :].copy(), wy.copy(), np.array([1.0, 0.0])))
-        faces.append(Face(1, idx[:, 0].copy(), wx.copy(), np.array([0.0, -1.0])))
-        faces.append(Face(1, idx[:, -1].copy(), wx.copy(), np.array([0.0, 1.0])))
+        wx, wy = w1d
+        faces = [(idx[0, :], wy, (-1.0, 0.0)), (idx[-1, :], wy, (1.0, 0.0)),
+                 (idx[:, 0], wx, (0.0, -1.0)), (idx[:, -1], wx, (0.0, 1.0))]
 
     normals = np.zeros((num, dim))
-    owner = np.full(num, -1, dtype=int)
+    on_face = np.zeros(num, dtype=bool)
     surface_weights = np.zeros(num)
-    for fi, f in enumerate(faces):
-        surface_weights[f.nodes] += f.weights
-        for node in f.nodes:
-            if owner[node] < 0:      # x-faces first in the list, so corners go to them
-                owner[node] = fi
-                normals[node] = f.normal
+    for nodes, weights, normal in faces:
+        surface_weights[nodes] += weights
+        new = nodes[~on_face[nodes]]     # x-faces come first, so corners go to them
+        normals[new] = normal
+        on_face[nodes] = True
 
-    boundary_idx = np.nonzero(owner >= 0)[0]
-    interior_idx = np.nonzero(owner < 0)[0]
+    boundary_idx = np.flatnonzero(on_face)
+    interior_idx = np.flatnonzero(~on_face)
 
     grid = Grid(
         dim=dim,
@@ -237,12 +216,10 @@ def build_grid(dim, extents, n, origin=None):
         interior_idx=interior_idx,
         boundary_idx=boundary_idx,
         normals=normals,
-        owner_face=owner,
         volume_weights=volume_weights,
         surface_weights=surface_weights,
-        faces=tuple(faces),
     )
-    for arr in (coords, interior_idx, boundary_idx, normals, owner,
+    for arr in (coords, interior_idx, boundary_idx, normals,
                 volume_weights, surface_weights):
         arr.setflags(write=False)
     return grid

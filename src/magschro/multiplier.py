@@ -22,8 +22,10 @@ quadratures of the grid; traces and gradients use the second-order node
 stencils, so the residual vanishes at second order in (h, dt) for smooth
 data.
 
-The field supplied is the radial multiplier m(x) = x - x0, with its derived
-fields in closed form.
+The potential is that of the trajectory's generator, and grad_a and the
+conormal trace grad_a u . nu are its operators (``MagneticPotential.gradient``
+and ``.conormal``).  The field supplied is the radial multiplier
+m(x) = x - x0, with its derived fields in closed form.
 """
 
 from __future__ import annotations
@@ -101,15 +103,16 @@ class MultiplierIdentityReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def multiplier_identity_residual(traj, a, field, forcing=None):
+def multiplier_identity_residual(traj, field, forcing=None):
     """|LHS - RHS| of the space-time multiplier balance on a trajectory.
 
     ``traj`` must provide snapshots on the full grid (conservative runs have
     forcing = 0; otherwise supply f = i u_t + Delta_a u on the snapshot
-    grid).  Returns per-term magnitudes so a failing term is identifiable.
+    grid).  The potential is that of the trajectory's generator.  Returns
+    per-term magnitudes so a failing term is identifiable.
     """
     gen = traj.generator
-    grid = gen.grid
+    grid, a = gen.grid, gen.potential
     times = traj.times
     if not np.array_equal(field.times, times):
         raise ValueError("multiplier field must be sampled at the snapshot times")
@@ -123,13 +126,12 @@ def multiplier_identity_residual(traj, a, field, forcing=None):
     # magnetic gradients, one sparse product per axis
     u = np.zeros((grid.num_nodes, times.size), dtype=complex)
     u[gen.state_idx] = traj.states.T
-    gu = [grad @ u + (1j * a.values[:, ax])[:, None] * u
-          for ax, grad in enumerate(grid.gradients)]
+    gu = [G @ u for G in a.gradient]
     X = field.values
 
     # boundary quantities (nt, nb); u_t is needed on the boundary only
     gu_b = np.stack([g[b].T for g in gu], axis=2)
-    conormal = np.einsum("tnj,nj->tn", gu_b, nu)
+    conormal = (a.conormal @ u).T
     X_b = X[:, b, :]
     X_nu = np.einsum("tnj,nj->tn", X_b, nu)
     X_gu_b = np.einsum("tnj,tnj->tn", X_b, gu_b)

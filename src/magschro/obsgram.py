@@ -73,22 +73,11 @@ class Observation:
         """Sparse row operator (obs x state) and its quadrature weights."""
         grid = gen.grid
         if self.kind == "boundary-conormal":
-            if np.any(grid.owner_face[self.nodes] < 0):
+            bpos = magop._positions(grid.num_nodes, grid.boundary_idx)[self.nodes]
+            if np.any(bpos < 0):
                 raise ValueError("boundary-conormal observation needs boundary nodes")
-            # row i: nu_ax d_ax at the node, ax the axis of the node's owner face,
-            # taken as row ax * num_nodes + node of the stacked gradients
-            owner = grid.owner_face[self.nodes]
-            axes = np.array([f.axis for f in grid.faces])[owner]
-            signs = np.array([f.normal[f.axis] for f in grid.faces])[owner]
-            rows = sp.vstack(grid.gradients, format="csr")[axes * grid.num_nodes + self.nodes]
-            N = (sp.diags(signs) @ rows).astype(complex)
-            a = gen.potential
-            if a is not None:
-                bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
-                N = N + sp.csr_matrix(
-                    (1j * a.a_dot_nu[bpos[self.nodes]], (np.arange(self.nodes.size), self.nodes)),
-                    shape=N.shape)
-            return N[:, gen.state_idx], grid.surface_weights[self.nodes]
+            N = gen.potential.conormal[bpos][:, gen.state_idx]
+            return N, grid.surface_weights[self.nodes]
         pos = magop._positions(grid.num_nodes, gen.state_idx)
         keep = self.nodes[pos[self.nodes] >= 0]
         if keep.size == 0:
@@ -101,21 +90,11 @@ class Observation:
             )
             W = grid.volume_weights[keep]
             return N, W
-        # interior-h1: stacked magnetic gradient components plus the state
-        grads = grid.gradients
-        a = gen.potential
-        sel = sp.csr_matrix(
-            (np.ones(keep.size), (np.arange(keep.size), keep)),
-            shape=(keep.size, grid.num_nodes),
-        )
-        blocks = []
-        for ax in range(grid.dim):
-            blk = sel @ (grads[ax] + 1j * sp.diags(a.values[:, ax]))
-            blocks.append(blk)
-        blocks.append(sel)
-        N = sp.vstack(blocks).tocsr()[:, gen.state_idx]
+        # interior-h1: the magnetic gradient components, then the state itself
+        sel = sp.identity(grid.num_nodes, format="csr")[keep]
+        N = sp.vstack([G[keep] for G in gen.potential.gradient] + [sel]).tocsr()
         W = np.tile(grid.volume_weights[keep], grid.dim + 1)
-        return N, W
+        return N[:, gen.state_idx], W
 
 
 @dataclass(eq=False)

@@ -1,13 +1,16 @@
 """Guard against test-only code.
 
-Every public function, class or method of the package is named somewhere in
-the package besides its definition, or is listed in TEST_ONLY as a reference
-that only the tests call.  Every dataclass field and property is read as
-``.name`` somewhere in the package, or is listed in TEST_ONLY_FIELDS as a
-value that only the tests read."""
+Every public function, class or method of the package is named in the
+package's code (not its comments or docstrings) besides its definition, or is
+listed in TEST_ONLY as a reference that only the tests call.  Every dataclass
+field and property is read as ``.name`` somewhere in the package, or is
+listed in TEST_ONLY_FIELDS as a value that only the tests read.  Every method
+the benchmark tracer wraps exists on its class."""
 
 import ast
-import re
+import importlib
+import io
+import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -31,6 +34,8 @@ TEST_ONLY = {
     "refinement_trend": "grid-refinement trend of resolvent norms (planned CLI home)",
     "spectral_distance_norms": "1/dist(i mu, spectrum), the normal-operator oracle (planned CLI home)",
     "derivative_consistency": "finite-difference oracle for weight gradients and Hessians",
+    "step": "one Crank-Nicolson step, the forward oracle of the stepped-Gramian tests",
+    "boundary": "boundary damping d on gamma0, a fixture constructor",
 }
 
 TEST_ONLY_FIELDS = {
@@ -38,7 +43,6 @@ TEST_ONLY_FIELDS = {
     "EnergyTrace.dt": "the step taken, checked against the default h^2/4",
     "MagneticPotential.sup_norm": "sup |a|, checked against the samples and the paper's bound",
     "BoundarySplit.transition_pairs": "class changes along the boundary, checked on two 2D splits",
-    "Face.measure": "face length, checked against its quadrature weights",
     "Grid.measure": "domain measure, checked against the cylinder's volume weights",
     "ResolventScan.growth_detected": "fit diagnostic, printed by the resolvent acceptance test",
     "PseudoconvexityReport.transition_nodes": "finite-difference nodes, checked on collar weights",
@@ -62,22 +66,31 @@ def _trees():
 
 
 def _public_definitions(tree):
-    """Public top-level functions and classes, and public methods of classes."""
+    """Public top-level functions and classes, and public methods of classes;
+    properties are left to the field guard."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and not {"property", "cached_property"} & set(_names(item.decorator_list))):
                     yield item.name
 
 
+def _code_names(text):
+    """The NAME tokens of a source text: identifiers in code, not words in
+    comments or strings."""
+    return (tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+            if tok.type == tokenize.NAME)
+
+
 def unreferenced_public_names():
-    """Public names whose every occurrence in the package is a definition."""
+    """Public names whose every occurrence in the package's code is a definition."""
     texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     defined = Counter(name for text in texts for name in _public_definitions(ast.parse(text)))
-    return {name for name, count in defined.items()
-            if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) <= count}
+    used = Counter(name for text in texts for name in _code_names(text))
+    return {name for name, count in defined.items() if used[name] <= count}
 
 
 def test_public_names_are_used_or_listed():
@@ -161,3 +174,26 @@ def test_fields_are_read_or_listed():
         "(a verdict or an artifact) or delete it")
     stale = sorted(set(TEST_ONLY_FIELDS) - found)
     assert not stale, f"TEST_ONLY_FIELDS entries now read by the package, or gone: {stale}"
+
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def traced_methods():
+    """The (module, class, method) entries of the tracer's ``_METHODS``, read
+    from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "_METHODS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no _METHODS in {TRACER}")
+
+
+def test_traced_methods_exist():
+    """The tracer installs each entry through ``cls.__dict__[method]``, so a
+    deleted or renamed method breaks every traced benchmark pass."""
+    entries = traced_methods()
+    assert entries
+    missing = [f"{mod}.{cls}.{meth}" for mod, cls, meth in entries
+               if meth not in vars(getattr(importlib.import_module(f"magschro.{mod}"), cls))]
+    assert not missing, f"methods the benchmark tracer wraps are gone: {missing}"

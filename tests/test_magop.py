@@ -82,13 +82,11 @@ def test_laplacian_rejects_wrong_grid(grid_1d):
 def test_magnetic_gradient_linear_exact(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
     u = grid_1d.coords[:, 0].astype(complex)
-    g = magop.magnetic_gradient(grid_1d, a, u)
-    assert np.max(np.abs(g[:, 0] - 1.0)) < 1e-12
+    assert np.max(np.abs(a.gradient[0] @ u - 1.0)) < 1e-12
 
 
 def test_magnetic_gradient_zero_field(grid_1d, smooth_pot):
-    g = magop.magnetic_gradient(grid_1d, smooth_pot,
-                                np.zeros(grid_1d.num_nodes, dtype=complex))
+    g = smooth_pot.gradient[0] @ np.zeros(grid_1d.num_nodes, dtype=complex)
     assert np.max(np.abs(g)) == 0.0
 
 
@@ -101,7 +99,7 @@ def test_magnetic_gradient_gauge_product_rule():
         x = g.coords[:, 0]
         v = np.sin(2.0 * x) + 0.3 * np.cos(5.0 * x)
         u = np.exp(-1j * alpha * x) * v
-        got = magop.magnetic_gradient(g, a, u)[:, 0]
+        got = a.gradient[0] @ u
         dv = 2.0 * np.cos(2.0 * x) - 1.5 * np.sin(5.0 * x)
         want = np.exp(-1j * alpha * x) * dv
         errs.append(np.max(np.abs(got - want)))
@@ -111,7 +109,8 @@ def test_magnetic_gradient_gauge_product_rule():
 def test_conormal_sine(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
     u = np.sin(np.pi * grid_1d.coords[:, 0]).astype(complex)
-    vals = magop.conormal_derivative(grid_1d, a, u, where=np.array([0]))
+    assert grid_1d.boundary_idx[0] == 0     # the first conormal row is x = 0
+    vals = a.conormal[:1] @ u
     # outward normal at x=0 points left: d_nu u = -u'(0) = -pi
     assert abs(abs(vals[0]) - np.pi) < 1e-3
     assert abs(vals[0] + np.pi) < 1e-3
@@ -120,7 +119,7 @@ def test_conormal_sine(grid_1d):
 def test_conormal_constant_exact(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
     u = np.full(grid_1d.num_nodes, 2.3, dtype=complex)
-    vals = magop.conormal_derivative(grid_1d, a, u)
+    vals = a.conormal @ u
     assert np.max(np.abs(vals)) < 1e-12
 
 
@@ -128,14 +127,9 @@ def test_conormal_pure_potential_term(grid_1d, smooth_pot):
     u = np.ones(grid_1d.num_nodes, dtype=complex)
     node = grid_1d.num_nodes - 1
     beta = smooth_pot.values[node, 0] * grid_1d.normals[node, 0]
-    vals = magop.conormal_derivative(grid_1d, smooth_pot, u, where=np.array([node]))
+    assert grid_1d.boundary_idx[-1] == node
+    vals = smooth_pot.conormal[-1:] @ u
     assert abs(vals[0] - 1j * beta) < 1e-12
-
-
-def test_conormal_rejects_interior(grid_1d, smooth_pot):
-    u = np.ones(grid_1d.num_nodes, dtype=complex)
-    with pytest.raises(ValueError):
-        magop.conormal_derivative(grid_1d, smooth_pot, u, where=np.array([5]))
 
 
 def test_green_identity_sine():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magschro import evolve, magop, mesh, multiplier
+from util_fields import trig_multiplier_field
 
 
 def a0_trajectory(n, dt, T, u0_fn=None, pot_fn=None, seed=None):
@@ -28,7 +29,7 @@ def test_identity_zero_state():
     states = np.zeros((5, gen.size), dtype=complex)
     traj = evolve.Trajectory(generator=gen, times=times, states=states)
     field = multiplier.MultiplierField.radial(grid, times, [0.0])
-    rep = multiplier.multiplier_identity_residual(traj, a, field)
+    rep = multiplier.multiplier_identity_residual(traj, field)
     assert rep.residual == 0.0
 
 
@@ -38,7 +39,7 @@ def test_identity_rellich_mode_closed_form():
     T = 0.25
     grid, a, traj = a0_trajectory(129, dt=2e-4, T=T)
     field = multiplier.MultiplierField.radial(grid, traj.times, [0.0])
-    rep = multiplier.multiplier_identity_residual(traj, a, field)
+    rep = multiplier.multiplier_identity_residual(traj, field)
     want = np.pi**2 * T
     assert abs(rep.lhs - want) < 1e-3 * want
     assert abs(rep.rhs - want) < 1e-3 * want
@@ -48,32 +49,6 @@ def test_identity_rellich_mode_closed_form():
     assert abs(rep.terms["boundary_time"]) < 1e-12
     assert abs(rep.terms["boundary_flux_pairing"] - 2 * want) < 2e-3 * want
     assert abs(rep.terms["boundary_carrier"] + want) < 1e-3 * want
-
-
-def _analytic_field(grid, times, rng):
-    """Random trig multiplier with hand-derived exact derivative fields."""
-    al, be = rng.normal(), 0.5 * rng.normal()
-    pf, ph, gr = 2.0, rng.normal(), 0.3
-    xs = grid.coords[:, 0]
-    base = al + be * np.sin(pf * xs + ph)
-    dbase = be * pf * np.cos(pf * xs + ph)
-    ddbase = -be * pf**2 * np.sin(pf * xs + ph)
-    nt = times.size
-    vals = np.empty((nt, grid.num_nodes, 1))
-    jac = np.empty((nt, grid.num_nodes, 1, 1))
-    div = np.empty((nt, grid.num_nodes))
-    gdiv = np.empty((nt, grid.num_nodes, 1))
-    tdv = np.empty((nt, grid.num_nodes, 1))
-    for it, t in enumerate(times):
-        s = 1 + gr * t
-        vals[it, :, 0] = s * base
-        jac[it, :, 0, 0] = s * dbase
-        div[it] = s * dbase
-        gdiv[it, :, 0] = s * ddbase
-        tdv[it, :, 0] = gr * base
-    return multiplier.MultiplierField(grid=grid, times=times, values=vals,
-                                      jacobian=jac, divergence=div,
-                                      grad_div=gdiv, time_deriv=tdv)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -90,8 +65,8 @@ def test_identity_random_smooth_refinement(seed):
         grid, a, traj = a0_trajectory(
             n, dt=2e-4, T=0.25, u0_fn=u0_fn,
             pot_fn=lambda p: 0.3 * np.sin(2.0 * p[:, 0] + 0.4))
-        field = _analytic_field(grid, traj.times, np.random.default_rng(seed))
-        rep = multiplier.multiplier_identity_residual(traj, a, field)
+        field = trig_multiplier_field(grid, traj.times, seed)
+        rep = multiplier.multiplier_identity_residual(traj, field)
         residuals.append(rep.residual)
     assert residuals[0] / residuals[1] >= 1.8
     assert residuals[1] / residuals[2] >= 1.8
@@ -196,7 +171,7 @@ def test_terms_match_materialized_field(seed):
     for field, oracle in ((multiplier.MultiplierField.radial(grid, traj.times, x0),
                            _materialized_radial(grid, traj.times, x0)),
                           (general, general)):
-        rep = multiplier.multiplier_identity_residual(traj, a, field, forcing)
+        rep = multiplier.multiplier_identity_residual(traj, field, forcing)
         want = _materialized_terms(traj, a, oracle, forcing)
         scale = max(abs(v) for v in want.values())
         assert rep.terms.keys() == want.keys()

@@ -176,14 +176,13 @@ def test_observation_validation(grid, gen):
 def _per_node_conormal(obs, gen):
     """The boundary-conormal rows built one node at a time: the oracle."""
     grid = gen.grid
-    bpos = magop._positions(grid.num_nodes, grid.boundary_idx)
     rows = []
     for node in obs.nodes:
-        face = grid.faces[grid.owner_face[node]]
-        row = (face.normal[face.axis] * grid.gradients[face.axis][node]).astype(complex)
-        if gen.potential is not None:
-            row = row.tolil()
-            row[0, node] = row[0, node] + 1j * gen.potential.a_dot_nu[bpos[node]]
+        nu = grid.normals[node]
+        axis = int(np.flatnonzero(nu)[0])             # the owner face's axis
+        row = (nu[axis] * grid.gradients[axis][node]).astype(complex).tolil()
+        a_dot_nu = gen.potential.values[node] @ nu
+        row[0, node] = row[0, node] + 1j * a_dot_nu
         rows.append(row.tocsr())
     return sp.vstack(rows).tocsr()[:, gen.state_idx], grid.surface_weights[obs.nodes]
 

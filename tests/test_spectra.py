@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -408,32 +406,15 @@ def _arpack_stalls(*args, **kwargs):
     raise spla.ArpackNoConvergence("stalled", np.array([]), np.array([]))
 
 
-@pytest.mark.parametrize("kind", ["A1", "A2", "A3"])
-def test_power_fallback_matches_dense_oracle(kind):
-    """When ARPACK stalls, power iteration on the same operator gives the norm."""
-    gen = generator_1d(kind, 24)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spla, "eigsh", _arpack_stalls)
-        for mu in (-250.0, -37.0, 20.0):
-            norm, products = spectra.resolvent_norm(gen, mu)
-            ref = dense_resolvent_norm(gen, mu)
-            assert products > 1
-            assert abs(norm - ref) <= 1e-10 * ref
-
-
 def test_unconverged_fallback_is_a_failed_point(gen_a1):
-    """Power iteration out of products raises, and the scan records the point
-    as failed instead of keeping an unconverged norm."""
+    """An ARPACK miss is not rescued: the scan records the point as failed,
+    with ARPACK's message, instead of keeping an unconverged norm."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spla, "eigsh", _arpack_stalls)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            spectra.resolvent_norm(gen_a1, -40.0, maxiter=3)
-        mp.setattr(spectra, "resolvent_norm",
-                   functools.partial(spectra.resolvent_norm, maxiter=3))
         scan = spectra.scan_resolvent(gen_a1, [-120.0, -40.0])
     assert not scan.ok.any() and np.isnan(scan.norms).all()
     assert [f["mu"] for f in scan.failures] == [-120.0, -40.0]
-    assert all("did not converge" in f["error"] for f in scan.failures)
+    assert all(f["error"] == "ARPACK error -1: stalled" for f in scan.failures)
 
 
 # ---------------------------------------------------------------------------

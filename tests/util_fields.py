@@ -51,6 +51,6 @@ def identity_residuals_over_grids(seed, grids=(17, 33, 65), dt=2e-4, T=0.25):
         _, traj = evolve.simulate(gen, random_mode_initial(seed, x), T, dt,
                                   snapshot_stride=1)
         field = trig_multiplier_field(grid, traj.times, seed)
-        rep = multiplier.multiplier_identity_residual(traj, a, field)
+        rep = multiplier.multiplier_identity_residual(traj, field)
         out.append(rep.residual)
     return np.array(out)
