@@ -8,7 +8,10 @@ byte-identical across reruns.  The manifest echoes the config, library
 versions, the output file list, per-invariant verdicts, and wall-clock
 timings (timings are the one non-reproducible entry).
 
-Exit codes: 0 all verdicts pass, 1 invariant failure, 2 config error.
+Exit codes: 0 all verdicts pass, 1 invariant failure, 2 config error.  A
+handler that raises anything but a config error exits 1 with a manifest whose
+``status`` is ``"error"`` and whose ``error`` holds the exception's type and
+message; a run that completes has ``status`` ``"ok"``.
 """
 
 from __future__ import annotations
@@ -667,7 +670,15 @@ def run(config, out_dir=None, jobs=1):
     out.mkdir(parents=True, exist_ok=True)
     rng = _rng(config)
     t0 = time.perf_counter()
-    verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
+    status = {"status": "ok"}
+    try:
+        verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
+    except ConfigError:
+        raise
+    except Exception as exc:  # a numerical failure is a failed run with a manifest
+        verdicts, outputs = {}, []
+        status = {"status": "error",
+                  "error": {"type": type(exc).__name__, "message": str(exc)}}
     elapsed = time.perf_counter() - t0
     manifest = {
         "kind": config.kind,
@@ -676,9 +687,10 @@ def run(config, out_dir=None, jobs=1):
         "outputs": outputs,
         "verdicts": verdicts,
         "timings": {"wall_seconds": elapsed},
+        **status,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-    ok = all(v.get("pass", False) for v in verdicts.values())
+    ok = "error" not in status and all(v.get("pass", False) for v in verdicts.values())
     return 0 if ok else 1
 
 
@@ -694,6 +706,8 @@ def report(manifest_path):
     except (json.JSONDecodeError, KeyError) as exc:
         raise ValueError(f"corrupt manifest {path}: {exc}") from exc
     lines = [f"experiment: {kind}"]
+    if "error" in doc:
+        lines.append(f"error: {doc['error']['type']}: {doc['error']['message']}")
     for name, v in sorted(verdicts.items()):
         status = "PASS" if v.get("pass") else "FAIL"
         detail = ", ".join(f"{k}={v[k]:.3g}" if isinstance(v[k], float) else f"{k}={v[k]}"

@@ -77,10 +77,8 @@ class EnergyTrace:
             fh.write("t,energy,dissipation,cum_residual\n")
             diss = np.append(self.dissipation, 0.0)
             cum = np.concatenate([[0.0], np.cumsum(self.midpoint_residual)])
-            fh.write("".join(
-                f"{t:.17g},{e:.17g},{d:.17g},{c:.17g}\n"
-                for t, e, d, c in zip(self.times.tolist(), self.energy.tolist(),
-                                      diss.tolist(), cum.tolist())))
+            rows = np.column_stack([self.times, self.energy, diss, cum])
+            fh.write(("%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # States buffered between two checks of the energy law, counted in complex

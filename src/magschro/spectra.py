@@ -25,6 +25,9 @@ is positive semidefinite, so the threshold is closed-form: a Cholesky of the
 block off omega decides feasibility, and the lowest eigenvalue lambda of the
 Schur complement on omega gives the threshold max(0, -lambda) (Haynsworth
 inertia).
+
+numpy and SciPy's sparse and linalg modules load at import; anything else
+loads where it is called (scipy.optimize only in a growth-detected fit).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.optimize as opt
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -221,6 +223,7 @@ def fit_growth(mus, norms, envelope=True):
             tol = rss.min() * 1.02 + 1e-9 * float(np.sum(y**2)) + 1e-30
             p0 = float(p_grid[np.nonzero(rss <= tol)[0][0]])
             bracket = (max(0.05, p0 - 0.05), min(2.0, p0 + 0.05))
+            import scipy.optimize as opt
             res = opt.minimize_scalar(rss_of, bounds=bracket, method="bounded")
             p = float(res.x) if rss_of(float(res.x)) <= tol else p0
             detected = True

@@ -595,9 +595,10 @@ def test_refused_inputs_are_config_errors(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_linalg_error_in_gramian_is_not_a_config_error(tmp_path, monkeypatch):
+def test_linalg_error_in_gramian_is_not_a_config_error(tmp_path, monkeypatch, capsys):
     """Only the dense-limit refusal is relabelled: a LinAlgError (also a
-    ValueError) raised inside the Gramian still escapes as itself."""
+    ValueError) raised inside the Gramian is a failed run (exit 1) whose
+    manifest records it, not a config error."""
     from magschro import obsgram
 
     def diverged(*args):
@@ -606,5 +607,47 @@ def test_linalg_error_in_gramian_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(obsgram, "_extremes_from_modal", diverged)
     cfg_path = tmp_path / "obs.cfg"
     cfg_path.write_text("kind = \"observability\"\ngrid.dim = 1\ngrid.n = 16\n")
-    with pytest.raises(np.linalg.LinAlgError):
-        cli.main(["observability", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    assert cli.main(["observability", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not any(line.startswith("config error:")
+                   for line in capsys.readouterr().err.splitlines())
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["error"] == {"type": "LinAlgError", "message": "eigenvalues did not converge"}
+    assert doc["verdicts"] == {} and doc["outputs"] == []
+
+
+def test_energy_increase_is_a_failed_run_with_a_manifest(tmp_path, monkeypatch, capsys):
+    """A damped A1 run completes with status "ok"; made anti-damped, it trips
+    simulate's energy guard, exits 1, the manifest names the error and
+    ``report`` prints it."""
+    import dataclasses
+
+    import scipy.sparse as sp
+
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(MINIMAL_SIMULATE.replace('"A0"', '"A1"')
+                        + 'damping.c_preset = "constant"\n')
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
+    assert json.loads((tmp_path / "ok" / "manifest.json").read_text())["status"] == "ok"
+
+    build = cli._build_generator
+
+    def anti_damped(config, kind=None):
+        gen = build(config, kind)
+        return dataclasses.replace(
+            gen, matrix=(gen.matrix + 2.0 * sp.identity(gen.size)).tocsr())
+
+    monkeypatch.setattr(cli, "_build_generator", anti_damped)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["status"] == "error"
+    assert doc["error"]["type"] == "EnergyIncreaseError"
+    assert doc["error"]["message"].startswith("energy rose by ")
+    assert doc["verdicts"] == {} and doc["outputs"] == []
+    assert cli.main(["report", str(out / "manifest.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["experiment: simulate",
+                       f"error: EnergyIncreaseError: {doc['error']['message']}"]

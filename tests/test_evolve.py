@@ -217,6 +217,28 @@ def test_trace_export_csv(tmp_path, gen_a0):
     assert len(lines) == trace.times.size + 1
 
 
+def test_trace_export_csv_matches_per_row_writer(tmp_path):
+    """The one-format writer gives the bytes of the per-row f-string writer,
+    on -0.0, subnormals, values needing 17 digits and infinities."""
+    times = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1e300])
+    energy = np.array([1 / 3, -0.0, 5e-324, 2.2250738585072014e-308, np.inf])
+    trace = evolve.EnergyTrace(
+        kind="A1", times=times, energy=energy,
+        dissipation=np.array([-0.0, 0.1 + 0.2, 1e-320, -np.inf]),
+        midpoint_residual=np.array([5e-324, 2.0**-1074 * 3, 1 / 7, 1e16 + 2]),
+        endpoint_residual=np.zeros(4), dt=0.1)
+    path = tmp_path / "energy.csv"
+    trace.export_csv(path)
+
+    diss = np.append(trace.dissipation, 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(trace.midpoint_residual)])
+    expected = "t,energy,dissipation,cum_residual\n" + "".join(
+        f"{t:.17g},{e:.17g},{d:.17g},{c:.17g}\n"
+        for t, e, d, c in zip(times.tolist(), energy.tolist(), diss.tolist(), cum.tolist()))
+    assert path.read_bytes() == expected.encode()
+    assert ",-0," in expected and "e-324," in expected and ",0.30000000000000004," in expected
+
+
 def test_snapshot_export_roundtrip(tmp_path, gen_a0):
     _, traj = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2,
                               snapshot_stride=2)

@@ -5,11 +5,16 @@ package's code (not its comments or docstrings) besides its definition, or is
 listed in TEST_ONLY as a reference that only the tests call.  Every dataclass
 field and property is read as ``.name`` somewhere in the package, or is
 listed in TEST_ONLY_FIELDS as a value that only the tests read.  Every method
-the benchmark tracer wraps exists on its class."""
+the benchmark tracer wraps exists on its class.  A run loads only the SciPy
+modules it uses."""
 
 import ast
 import importlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -197,3 +202,44 @@ def test_traced_methods_exist():
     missing = [f"{mod}.{cls}.{meth}" for mod, cls, meth in entries
                if meth not in vars(getattr(importlib.import_module(f"magschro.{mod}"), cls))]
     assert not missing, f"methods the benchmark tracer wraps are gone: {missing}"
+
+
+IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import magschro.cli as cli
+from magschro import spectra
+
+cfg = cli.ExperimentConfig.parse('''
+kind = "simulate"
+grid.dim = 1
+grid.n = 16
+generator = "A1"
+damping.c_preset = "constant"
+T = 0.05
+dt = 0.01
+''')
+code = cli.run(cfg, out_dir=sys.argv[1])
+heavy = ("scipy.optimize", "scipy.special", "scipy.fft", "scipy.spatial")
+after_run = [m for m in heavy if m in sys.modules]
+mus = -np.linspace(10, 400, 60)
+fit = spectra.fit_growth(mus, 2.5 * np.exp(0.31 * np.sqrt(np.abs(mus))), envelope=False)
+print(json.dumps({"code": code, "after_run": after_run, "p": fit["p"],
+                  "optimize_after_fit": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_run_imports_no_optimizer(tmp_path):
+    """A simulate run in a fresh interpreter loads none of scipy.optimize,
+    special, fft or spatial; a growth-detected fit then loads the optimizer
+    where it refines the exponent, and recovers p = 1/2."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout.splitlines()[-1])
+    assert doc["code"] == 0
+    assert doc["after_run"] == [], f"a simulate run imported {doc['after_run']}"
+    assert doc["optimize_after_fit"]
+    assert abs(doc["p"] - 0.5) < 1e-3
