@@ -94,7 +94,6 @@ class MagneticPotential:
     grid: Grid
     values: np.ndarray              # (N, dim)
     edge_values: tuple              # per axis, aligned with _edges(grid, axis)
-    div: np.ndarray                 # (N,), centered differences of the samples
     sup_norm: float
 
     @classmethod
@@ -139,15 +138,10 @@ class MagneticPotential:
     @classmethod
     def _finish(cls, grid, values, edges):
         values = np.array(values, dtype=float, copy=True)
-        grads = grid.gradients
-        div = np.zeros(grid.num_nodes)
-        for ax in range(grid.dim):
-            div += grads[ax] @ values[:, ax]
         pot = cls(
             grid=grid,
             values=values,
             edge_values=edges,
-            div=div,
             sup_norm=float(np.max(np.linalg.norm(values, axis=1))),
         )
         values.setflags(write=False)
@@ -158,6 +152,17 @@ class MagneticPotential:
         component, which is plus or minus one of its components."""
         nodes = np.asarray(nodes, dtype=int)
         return bool(np.max(np.abs(self.values[nodes]), initial=0.0) <= tol)
+
+    @cached_property
+    def div(self):
+        """The divergence of the node samples by centered differences (one-sided
+        on the boundary), built on first use: only the cross-check stencil
+        reads it."""
+        grads = self.grid.gradients
+        div = np.zeros(self.grid.num_nodes)
+        for ax in range(self.grid.dim):
+            div += grads[ax] @ self.values[:, ax]
+        return div
 
     @cached_property
     def gradient(self):
@@ -369,7 +374,7 @@ class GeneratorMatrix:
         return float(np.sqrt(max(self.inner_product(u, u).real, 0.0)))
 
     def mass_norm(self, u):
-        return float(self.mass_norms(u))
+        return float(np.sqrt(self._mass_forms(u)))
 
     def stiffness_norm(self, u):
         return float(self.stiffness_norms(u))
@@ -393,21 +398,29 @@ class GeneratorMatrix:
 
     # -- the same quantities for every column of a block of states ----------
     # A vector u gives a scalar; an (n, k) block U gives one value per column.
+    # Each is one pass over the block: energies are half the quadratic form
+    # (no square root to square again), and A1's dissipation reads only the
+    # rows of U on the support of c.
 
-    def mass_norms(self, U):
-        return np.sqrt(np.maximum(self.mass_diag @ (U.real ** 2 + U.imag ** 2), 0.0))
+    def _mass_forms(self, U):
+        """(u | u)_M."""
+        return self.mass_diag @ _abs_squares(U)
 
-    def stiffness_norms(self, U):
+    def _stiffness_forms(self, U):
+        """(S u | u), clamped at 0 against rounding."""
         SU = self.stiffness @ U
         form = (np.einsum("i...,i...->...", U.real, SU.real)
                 + np.einsum("i...,i...->...", U.imag, SU.imag))
-        return np.sqrt(np.maximum(form, 0.0))
+        return np.maximum(form, 0.0)
+
+    def stiffness_norms(self, U):
+        return np.sqrt(self._stiffness_forms(U))
 
     def energies(self, U):
         """Half the squared norm in the generator's inner product."""
         if self.inner_kind == "mass":
-            return 0.5 * self.mass_norms(U) ** 2
-        return 0.5 * self.stiffness_norms(U) ** 2
+            return 0.5 * self._mass_forms(U)
+        return 0.5 * self._stiffness_forms(U)
 
     def dissipations(self, U):
         if self.kind == "A0":
@@ -426,14 +439,23 @@ class GeneratorMatrix:
         return _weighted_squares(w, V), _weighted_squares(w, 0.5 * (V[:, :-1] + V[:, 1:]))
 
     def _damped_trace(self, U):
-        """(w, V) with the dissipation -(w . |V|^2), V linear in U."""
+        """(w, V) with the dissipation -(w . |V|^2), V linear in U: for A1 the
+        rows of U on supp c with w = mass c there, for A3 the gamma0 rows with
+        w = sigma d, for A2 the Delta_a rows at gamma0 applied to U."""
         if self.kind == "A1":
-            return self.mass_diag * self.damping_c, U
+            rows, w = self._damping_support
+            return w, U[rows]
         if self.kind == "A3":
             return self.sigma_d, U[self.gamma0_pos]
         if self.kind == "A2":
             return self.sigma_d, self._lap_gamma0 @ U
         raise ValueError(f"no dissipation law for kind {self.kind}")
+
+    @cached_property
+    def _damping_support(self):
+        """The state positions where c > 0 and the weights mass c there (A1)."""
+        rows = np.flatnonzero(self.damping_c)
+        return rows, self.mass_diag[rows] * self.damping_c[rows]
 
     @cached_property
     def _lap_gamma0(self):
@@ -469,14 +491,17 @@ class GeneratorMatrix:
         return {}
 
     def cayley_solver(self, dt, trans="N"):
-        """b -> (I - dt/2 A)^-1 b, or (I - dt/2 A)^-H b with trans="H".
+        """b -> 2 (I - dt/2 A)^-1 b, or 2 (I - dt/2 A)^-H b with trans="H".
 
-        Factored once per dt by ``factorize`` and kept on this instance.
+        The factor is of (I - dt/2 A)/2, an exact power-of-two scaling: the
+        pivots are those of I - dt/2 A, so each solve is bitwise twice the
+        unscaled one, and a Crank-Nicolson step is ``solve(u) - u``.  Factored
+        once per dt by ``factorize`` and kept on this instance.
         """
         dt = float(dt)
         if dt not in self._cayley_solvers:
             eye = sp.identity(self.size, dtype=complex, format="csc")
-            self._cayley_solvers[dt] = factorize(eye - (dt / 2.0) * self.matrix.tocsc())
+            self._cayley_solvers[dt] = factorize((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
         return self._cayley_solvers[dt][trans]
 
     # -- structural checks -------------------------------------------------
@@ -511,9 +536,16 @@ class GeneratorMatrix:
         return lam, float(scale)
 
 
+def _abs_squares(V):
+    """|V|^2 entrywise, re^2 + im^2 summed into the first square."""
+    sq = V.real ** 2
+    sq += V.imag ** 2
+    return sq
+
+
 def _weighted_squares(w, V):
     """-(w . |V|^2), per column of V."""
-    return -(w @ (V.real ** 2 + V.imag ** 2))
+    return -(w @ _abs_squares(V))
 
 
 # Largest order of a dense matrix that any path of the package may form.

@@ -27,8 +27,9 @@ Gram side: the state side forms the k x k Gramian (``_cn_gramians``); when
 m s < k, the snapshot side reads lambda_max from the (m s) x (m s) snapshot
 correlation matrix (``_cn_snapshot_extremes``, the method of snapshots,
 Sirovich 1987), and lambda_min is 0 by rank.
-Every Crank-Nicolson solve here is the generator's own ``cayley_solver``
-(LAPACK zgttrs for 1D generators, SuperLU otherwise), factored once per dt.
+Every Crank-Nicolson solve here is the generator's own ``cayley_solver``,
+b -> 2 (I - dt/2 A)^-1 b (LAPACK zgttrs for 1D generators, SuperLU
+otherwise), factored once per dt, so a step is ``solve(x) - x``.
 
 Every dense path is exact, or refused: it runs only when its dense order is
 at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
@@ -162,8 +163,9 @@ def _observed_rows(gen, N, steps, dt):
     """Yield X_t = (N S^t)^H at each retained step t, S the Crank-Nicolson step.
 
     The m observation rows are propagated, as X = N^H under the adjoint step
-    x <- 2 (I - dt/2 A)^-H x - x (``gen.cayley_solver(dt, trans="H")``):
-    one solve on m columns per time step.
+    x <- 2 (I - dt/2 A)^-H x - x (``solve(x) - x`` with
+    ``gen.cayley_solver(dt, trans="H")``): one solve on m columns per time
+    step.
     """
     solve = gen.cayley_solver(dt, trans="H")
     X = N.conj().T.toarray()
@@ -171,7 +173,6 @@ def _observed_rows(gen, N, steps, dt):
     for target in steps:
         for _ in range(target - done):
             x = solve(X)
-            x *= 2.0
             x -= X
             X = x
         done = target
@@ -448,8 +449,8 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
 
     # factor-wise Cayley steps: exact tensor factorization at every step
     eye1, eye2 = np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)
-    C1 = 2.0 * gen1.cayley_solver(dt)(eye1) - eye1
-    C2 = 2.0 * gen2.cayley_solver(dt)(eye2) - eye2
+    C1 = gen1.cayley_solver(dt)(eye1) - eye1
+    C2 = gen2.cayley_solver(dt)(eye2) - eye2
     Wmat = np.outer(u1, u2)
     v1, v2 = u1.copy(), u2.copy()
     worst = 0.0

@@ -432,3 +432,58 @@ def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
                 mp.setattr(evolve, "_BLOCK_ENTRIES", rows * grid.num_nodes)
                 evolve.export_snapshots(traj, tmp_path / "s.bin", tmp_path / "s.json")
             assert (tmp_path / "s.bin").read_bytes() == want, (stride, rows)
+
+
+# ---------------------------------------------------------------------------
+# the energy law on seeded random damped problems
+
+
+def random_damped_problem(kind, dim, seed):
+    """A random grid, potential and damping for a damped kind; for A1 the
+    damping support is empty (seed 0), a box (seed 1) or every node (seed 2)."""
+    rng = np.random.default_rng(1000 * dim + seed)
+    grid = mesh.build_grid(dim, 1.0, int(rng.integers(10, 60) if dim == 1
+                                         else rng.integers(6, 13)))
+    amp, freq, phase = rng.uniform(0.0, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 3.0)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p + phase))
+    damping, split = None, None
+    if kind == "A1":
+        box = grid.coords[:, 0] < rng.uniform(0.2, 0.6)
+        c = (rng.uniform(0.1, 20.0) * rng.uniform(0.5, 1.0, grid.num_nodes)
+             * (0.0, box, 1.0)[seed])
+        damping = magop.DampingConfig.interior(grid, c)
+    else:
+        split = mesh.split_boundary(grid, [-0.3] + [rng.uniform(-0.5, 1.5)] * (dim - 1))
+        d = np.zeros(grid.num_nodes)
+        d[split.gamma0] = rng.uniform(0.1, 5.0) * rng.uniform(0.5, 1.5, split.gamma0.size)
+        damping = magop.DampingConfig.boundary(grid, d)
+    gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    dt = float(rng.choice([1e-4, 1e-3, 1e-2]))
+    return gen, u0, dt, int(rng.integers(5, 60))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3"])
+def test_energy_law_on_random_damped_problems(kind, dim, seed):
+    """The midpoint energy law holds to 1e-9 max(E0, 1), a damped energy never
+    rises beyond the verdict's 1e-12 E0, and a run checked one state per block
+    matches the default run (one block here) to rounding: the per-block
+    bookkeeping does not depend on how the steps are blocked."""
+    gen, u0, dt, nsteps = random_damped_problem(kind, dim, seed)
+    if kind == "A1":
+        assert (gen._damping_support[0].size == 0) == (seed == 0)
+    trace, traj = evolve.simulate(gen, u0, nsteps * dt, dt)
+    e0 = trace.energy[0]
+    assert np.max(trace.midpoint_residual) <= 1e-9 * max(e0, 1.0)
+    assert np.max(np.diff(trace.energy)) <= 1e-12 * e0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_BLOCK_ENTRIES", gen.size)
+        single, single_traj = evolve.simulate(gen, u0, nsteps * dt, dt)
+    assert single_traj.states.tobytes() == traj.states.tobytes()
+    np.testing.assert_allclose(single.energy, trace.energy, rtol=1e-14, atol=0)
+    scale = max(np.max(np.abs(trace.dissipation)), e0)
+    np.testing.assert_allclose(single.dissipation, trace.dissipation, rtol=1e-12,
+                               atol=1e-14 * scale)

@@ -468,3 +468,97 @@ def test_metric_root_factors_the_inner_product(case):
             R) * np.linalg.norm(y)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.linalg.norm(L @ l_solve(x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+# -- block diagnostics and the Cayley solver ---------------------------------
+
+
+@pytest.mark.parametrize("support", ["empty", "everywhere", "box"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a1_trace_on_the_damping_support(support, dim):
+    """A1's dissipations read only the rows of the block on supp c, and agree
+    with the full-state formula -(mass c) . |U|^2 at the endpoints and at the
+    midpoints of consecutive columns: bitwise when c vanishes nowhere or
+    everywhere (the same rows are summed), to rounding on a box."""
+    grid = mesh.build_grid(dim, 1.0, 40 if dim == 1 else 11)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.6 * np.sin(2.0 * p + 0.4))
+    rng = np.random.default_rng(7)
+    c = {"empty": np.zeros(grid.num_nodes),
+         "everywhere": 0.5 + 4.0 * rng.random(grid.num_nodes),
+         "box": np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)}[support]
+    gen = magop.assemble_generator("A1", grid, a, damping=magop.DampingConfig.interior(grid, c))
+    rows, _ = gen._damping_support
+    assert np.array_equal(rows, np.flatnonzero(gen.damping_c > 0))
+    U = rng.normal(size=(gen.size, 9)) + 1j * rng.normal(size=(gen.size, 9))
+
+    w = gen.mass_diag * gen.damping_c
+    want_end = -(w @ (U.real ** 2 + U.imag ** 2))
+    mid = 0.5 * (U[:, :-1] + U[:, 1:])
+    want_mid = -(w @ (mid.real ** 2 + mid.imag ** 2))
+    want_one = np.array([-(w @ (u.real ** 2 + u.imag ** 2)) for u in U.T])
+    got_end, got_mid = gen.step_dissipations(U)
+    got_one = np.array([gen.dissipation(u) for u in U.T])
+    for got, want in ((got_end, want_end), (got_mid, want_mid),
+                      (gen.dissipations(U), want_end), (got_one, want_one)):
+        assert got.shape == want.shape
+        if support == "box":
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        else:
+            assert got.tobytes() == want.tobytes()
+    assert (support == "empty") == (not np.any(got_end))
+
+
+@pytest.mark.parametrize("kind", ["A0", "A1", "A2"])
+def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
+    """Energies are half the quadratic form with no square root taken: within
+    rounding of half the squared norm of each state, the mass norm for A0 and
+    A1, the stiffness norm for A2."""
+    a, split, damping = damped_setup(grid_1d, smooth_pot)
+    gen = magop.assemble_generator(kind, grid_1d, a, damping=damping, split=split)
+    rng = np.random.default_rng(3)
+    U = rng.normal(size=(gen.size, 6)) + 1j * rng.normal(size=(gen.size, 6))
+    norm = gen.mass_norm if gen.inner_kind == "mass" else gen.stiffness_norm
+    want = np.array([0.5 * norm(u) ** 2 for u in U.T])
+    # one square root and its square apart
+    np.testing.assert_allclose([gen.energy(u) for u in U.T], want, rtol=4e-16, atol=0)
+    # a vector's form is a dot product, a block's a matrix product: the
+    # summation orders differ
+    np.testing.assert_allclose(gen.energies(U), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("trans", ["N", "H"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
+    """The factor of (I - dt/2 A)/2 solves bitwise as twice the factor of
+    I - dt/2 A, on the zgttrf path (1D) and the SuperLU path (2D)."""
+    grid = mesh.build_grid(dim, 1.0, 48 if dim == 1 else 10)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.9 * np.cos(3.0 * p + 0.2))
+    split = mesh.split_boundary(grid, [-0.3] * dim)
+    d = np.zeros(grid.num_nodes)
+    d[split.gamma0] = 1.7
+    gen = magop.assemble_generator("A2", grid, a, split=split,
+                                   damping=magop.DampingConfig.boundary(grid, d))
+    rng = np.random.default_rng(11)
+    b = rng.normal(size=(gen.size, 4)) + 1j * rng.normal(size=(gen.size, 4))
+    for dt in (1e-3, 0.3):
+        unscaled = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
+        assert (magop._tridiagonal_solver(unscaled) is not None) == (dim == 1)
+        want = magop.factorize(unscaled)[trans]
+        solve = gen.cayley_solver(dt, trans)
+        for x in (b, b[:, 0]):
+            assert solve(x).tobytes() == (2.0 * want(x)).tobytes()
+
+
+def test_generator_build_forms_no_gradient_matrices():
+    """Assembly reads edges only: the grid's gradient matrices and the
+    potential's divergence are built on first use, by the cross-check
+    stencil, and the divergence is the centered-difference sum."""
+    grid = mesh.build_grid(2, 1.0, 9)
+    a, split, damping = damped_setup(
+        grid, magop.MagneticPotential.from_callable(grid, lambda p: np.sin(2.0 * p + 0.5)))
+    for kind in KINDS:
+        magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    assert "gradients" not in vars(grid) and "div" not in vars(a)
+    magop.laplacian_stencil_full(grid, a)
+    want = sum(G @ a.values[:, ax] for ax, G in enumerate(grid.gradients))
+    assert a.div.tobytes() == want.tobytes()

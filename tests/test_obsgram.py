@@ -548,7 +548,7 @@ def test_observed_ratio_matches_cn_stepped_energy(kind, amp):
         u, energy = u0.astype(complex), []
         for _ in range(nsteps + 1):
             energy.append(float(W @ np.abs(N @ u) ** 2))
-            u = 2.0 * solve(u) - u
+            u = solve(u) - u
         got = float(mesh.trapezoid_weights(dt * np.arange(nsteps + 1)) @ np.array(energy))
         errs.append(abs(got - want) / want)
     assert errs[1] < 5e-4
