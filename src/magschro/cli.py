@@ -167,7 +167,8 @@ def _build_potential(grid, config):
 
 
 def _box_nodes(grid, spec, key, state_idx=None):
-    """The box's nodes; with ``state_idx``, refused when it holds none of them."""
+    """The box's nodes, refused when it holds none; with ``state_idx``, also
+    when it holds none of those."""
     if spec == "all":
         nodes = np.arange(grid.num_nodes)
     else:
@@ -176,6 +177,8 @@ def _box_nodes(grid, spec, key, state_idx=None):
             nodes = grid.box_nodes(lo, hi)
         except Exception as exc:
             raise ConfigError(f"{key}: expected 'all' or [lo, hi] box, got {spec!r}") from exc
+        if nodes.size == 0:
+            raise ConfigError(f"{key}: the box {spec!r} holds no grid node")
     if state_idx is not None and not np.isin(nodes, state_idx).any():
         raise ConfigError(f"{key}: the box holds no state node of the generator")
     return nodes
@@ -552,15 +555,23 @@ def _weight_from_config(grid, config):
     raise ConfigError(f"weight.preset: unknown preset {preset!r}")
 
 
+def _cylinder_weight(w, cyl, config):
+    """The weight composed with weight.lambda, extended by -weight.beta s^2."""
+    lam = _positive(config, "weight.lambda", 1.0)
+    beta = _finite(config, "weight.beta", 1.0)
+    try:
+        return weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
+    except ValueError as exc:
+        raise ConfigError(f"weight.lambda: {exc}") from None
+
+
 def _run_carleman_certify(config, out, rng):
     grid = _build_grid(config)
     w = _weight_from_config(grid, config)
-    lam = _positive(config, "weight.lambda", 1.0)
-    beta = _finite(config, "weight.beta", 1.0)
     region = _box_nodes(grid, config.get("region", "all"), "region")
     pc = weights.check_pseudoconvexity(w, region)
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=2))
-    wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
+    wext = _cylinder_weight(w, cyl, config)
     region_cyl = np.concatenate([region + i * grid.num_nodes
                                  for i in range(cyl.ns)])
     tau_grid = _number_list(config, "tau.grid", [1.0, 2.0, 4.0])
@@ -587,15 +598,13 @@ def _run_carleman_probe(config, out, rng):
     grid = _build_grid(config)
     pot = _build_potential(grid, config)
     w = _weight_from_config(grid, config)
-    lam = _positive(config, "weight.lambda", 1.0)
-    beta = _finite(config, "weight.beta", 1.0)
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=4))
     tau_hi = 0.5 / min(cyl.h)
     taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
     if np.any(taus <= 0) or np.any(taus > tau_hi + 1e-12):
         raise ConfigError(f"tau.grid: values must lie in the aliasing window "
                           f"(0, 0.5/h = {tau_hi:.6g}], got {taus.tolist()!r}")
-    wext = weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
+    wext = _cylinder_weight(w, cyl, config)
     count = _whole(config, "bumps", 20)
     funcs = weights.bump_functions(cyl, count, seed=_whole(config, "seed", 0, least=0))
     rep = weights.carleman_probe(wext, pot, funcs, taus)

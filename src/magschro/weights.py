@@ -17,10 +17,15 @@ added axis carrying -beta s^2.  Certification has three layers:
   sampled over random characteristic directions per node and parameter
   (the sign convention is fixed by phi = exp(lambda psi) with grad psi != 0
   being admissible for large lambda, where the bracket grows like
-  4 tau^3 lambda^4 phi^3 |grad psi|^4);
+  4 tau^3 lambda^4 phi^3 |grad psi|^4).  The directions are drawn at every
+  node but evaluated only where the node's exact floor,
+  4 tau^3 (H_phi g_phi . g_phi + |g_phi|^2 lambda_min(H_phi on g_phi-perp)),
+  can reach the sampled minimum;
 * an empirical probe of the weighted a-priori inequalities on compactly
   supported test functions, restricted to the discrete validity window
-  tau * h <= 1/2 beyond which exponential weights alias on the grid.
+  tau * h <= 1/2 beyond which exponential weights alias on the grid.  P and
+  grad act through their factors (d_ss and d_s along s, the spatial Delta_a
+  and gradients) on the slices a test function's stencils reach.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ class CylinderGrid:
     """Tensor extension (s, x) of a spatial grid by one auxiliary axis.
 
     Node fields are flat (ns * N,) arrays in s-major order; the domain answers
-    what a probe asks of a Grid (spacings, box, coordinates, quadrature,
+    what a probe asks of a Grid (shape, spacings, box, coordinates, quadrature,
     boundary nodes, gradient matrices).
     """
 
@@ -59,6 +64,10 @@ class CylinderGrid:
     @property
     def num_nodes(self):
         return self.ns * self.spatial.num_nodes
+
+    @property
+    def shape(self):
+        return (self.ns, *self.spatial.shape)
 
     @property
     def dim(self):
@@ -119,14 +128,35 @@ def make_cylinder(spatial, s_half=2.0, ns=None):
     return CylinderGrid(spatial=spatial, s_nodes=s, s_h=float(s[1] - s[0]))
 
 
-def _probe_operator(dom, a):
-    """P = Delta_a on a grid, d_ss + Delta_a on a cylinder, one sparse matrix."""
+def _factor_operators(dom, a):
+    """P and grad by factors: the spatial Delta_a and gradients, and on a
+    cylinder d_ss and d_s along s (None on a grid)."""
     if isinstance(dom, Grid):
-        return magop.laplacian_stencil_full(dom, a)
-    eye_s = sp.identity(dom.ns, format="csr")
-    eye_x = sp.identity(dom.spatial.num_nodes, format="csr")
-    return (sp.kron(_d2_matrix(dom.ns, dom.s_h), eye_x, format="csr")
-            + sp.kron(eye_s, magop.laplacian_stencil_full(dom.spatial, a), format="csr"))
+        return magop.laplacian_stencil_full(dom, a), dom.gradients, None
+    return (magop.laplacian_stencil_full(dom.spatial, a), dom.spatial.gradients,
+            (_d2_matrix(dom.ns, dom.s_h), _d1_matrix(dom.ns, dom.s_h)))
+
+
+def _fields_on_band(f, lap, grads, s_ops):
+    """The s-slices lo:hi off which f, P f and grad f vanish, and f, P f and
+    the gradient fields on them as (hi - lo, N) blocks.  The spatial factors
+    act slice by slice; d_ss and d_s act along s on the spatial nodes where
+    f is nonzero, which are the only ones they reach."""
+    F = f.reshape(-1, lap.shape[0])
+    lo, hi = 0, F.shape[0]
+    if s_ops is not None:
+        cols = np.flatnonzero(F.any(axis=0))
+        ss, s1 = (op @ F[:, cols] for op in s_ops)
+        hit = np.flatnonzero(F.any(axis=1) | ss.any(axis=1) | s1.any(axis=1))
+        lo, hi = hit[0], hit[-1] + 1
+    BT = np.ascontiguousarray(F[lo:hi].T)     # the layout sparse products take
+    Pf = (lap @ BT).T
+    gf = [(g @ BT).T for g in grads]
+    if s_ops is not None:
+        Pf[:, cols] += ss[lo:hi]
+        gf.insert(0, np.zeros_like(Pf))
+        gf[0][:, cols] = s1[lo:hi]
+    return lo, BT.T, Pf, gf
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +186,12 @@ class WeightFunction:
     def __post_init__(self):
         if self.analytic_mask is None:
             self.analytic_mask = np.ones(self.psi.shape[0], dtype=bool)
-        if np.any(self.phi() <= 0):
-            raise ValueError("composed weight must be positive")
+        with np.errstate(over="ignore"):
+            phi = self.phi()
+        if not np.all(np.isfinite(phi) & (phi > 0)):
+            raise ValueError(
+                f"exp(lambda psi) over- or underflows at lambda = {self.lam:g} "
+                f"(psi from {np.min(self.psi):.3g} to {np.max(self.psi):.3g})")
 
     @property
     def num_nodes(self):
@@ -376,6 +410,15 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
     As eta = tau |g_phi| e, a sample with unit direction e needs only
     q = H_phi e . e: the bracket is 4 tau^3 (H_phi g_phi . g_phi + |g_phi|^2 q).
     Each tau draws its own normal block from one generator seeded by ``seed``.
+
+    The directions are drawn at every node, but evaluated only where the
+    minimum can be.  No sample at a node lies below the node's exact floor
+    H_phi g_phi . g_phi + |g_phi|^2 lambda_min(H_phi on g_phi-perp), less a
+    slack of 1e-12 times the size of its terms for rounding.  Per tau, the
+    samples at the node of lowest floor bound the minimum from above, and
+    only the nodes whose floor reaches that bound are evaluated; likewise
+    for the margin, with floors divided by (lambda phi)^3.  Every reported
+    number is the one the evaluation at all nodes gives.
     """
     region = np.asarray(region, dtype=int)
     if np.size(tau_grid) == 0:
@@ -397,29 +440,45 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
     cubic = np.einsum("njk,nj,nk->n", hphi, gphi, gphi)
     phi_scale = (weight.lam * weight.phi()[region][ok]) ** 3
     ghat = (gphi / gnorm[:, None])[:, :, None]
+    g2 = gnorm**2
+    floor = cubic + g2 * _perp_lowest_eigenvalue(hphi, ghat[:, :, 0])
+    # no computed sample lies below reach (the Frobenius norm bounds |H e . e|)
+    reach = floor - 1e-12 * (np.abs(cubic) + g2 * np.sqrt(np.einsum("njk,njk->n", hphi, hphi)))
+    reach_scaled = np.where(phi_scale > 0, reach / phi_scale, -np.inf)
+    pivots = np.array([np.argmin(floor), np.argmin(floor / phi_scale)])
+
+    def sampled(at, z):
+        """Per node of ``at``: the lowest bracket / 4 tau^3, q and the directions."""
+        z = z[at]
+        z -= (z @ ghat[at]) * ghat[at].transpose(0, 2, 1)
+        zz = np.einsum("nsj,nsj->ns", z, z)
+        zz[zz == 0] = 1.0
+        # bracket / 4 tau^3, with q = H e . e for the unit direction e = z / |z|
+        q = np.einsum("nsj,nsj->ns", z @ hphi[at], z) / zz
+        return np.min(cubic[at, None] + g2[at, None] * q, axis=1), q, z, zz
+
     best = np.inf
     best_margin = np.inf
     witness = None
     per_tau = {}
-    D = weight.total_dim
+    # one block per tau; standard_normal draws the stream of normal(0, 1)
+    z = np.empty((nodes.size, samples_per_node, weight.total_dim))
     for tau in np.atleast_1d(tau_grid):
         tau = float(tau)
-        z = rng.normal(size=(nodes.size, samples_per_node, D))
-        z -= (z @ ghat) * ghat.transpose(0, 2, 1)
-        zz = np.einsum("nsj,nsj->ns", z, z)
-        zz[zz == 0] = 1.0
-        # bracket / 4 tau^3, with q = H e . e for the unit direction e = z / |z|
-        q = np.einsum("nsj,nsj->ns", z @ hphi, z) / zz
-        low = np.min(cubic[:, None] + (gnorm**2)[:, None] * q, axis=1)
-        best_margin = min(best_margin, float(np.min(low / phi_scale)))
+        rng.standard_normal(out=z)
+        bound = sampled(pivots, z)[0]
+        at = np.flatnonzero((reach <= bound[0])
+                            | (reach_scaled <= bound[1] / phi_scale[pivots[1]]))
+        low, q, za, zz = sampled(at, z)
+        best_margin = min(best_margin, float(np.min(low / phi_scale[at])))
         ni = int(np.argmin(low))
         tau_min = 4.0 * tau**3 * float(low[ni])
         per_tau[tau] = min(tau_min, per_tau.get(tau, np.inf))
         if tau_min < best:
             best = tau_min
             si = int(np.argmin(q[ni]))
-            eta = z[ni, si] / np.sqrt(zz[ni, si]) * (tau * gnorm[ni])
-            witness = {"node": int(nodes[ni]), "tau": tau,
+            eta = za[ni, si] / np.sqrt(zz[ni, si]) * (tau * gnorm[at[ni]])
+            witness = {"node": int(nodes[at[ni]]), "tau": tau,
                        "eta": [float(v) for v in eta], "bracket": tau_min}
     certified = best > 0
     return SubellipticityReport(
@@ -427,6 +486,27 @@ def check_subellipticity(weight, region, tau_grid, samples_per_node=64, seed=0):
         certified=bool(certified), witness=None if certified else witness,
         excluded_nodes=excluded, per_tau_min=per_tau,
     )
+
+
+def _perp_lowest_eigenvalue(H, u):
+    """lambda_min of H on the plane perpendicular to the unit vector u, per
+    node.  The columns 1.. of the Householder reflector P = I - c v v^T
+    taking u to -+e_0 span that plane, so H there is the trailing block of
+    P H P = H - v w^T - w v^T (p = c H v, w = p - (c/2)(v . p) v); a 1x1 or
+    2x2 block is solved in closed form."""
+    v = u.copy()
+    v[:, 0] += np.where(u[:, 0] < 0, -1.0, 1.0)
+    c = 2.0 / np.einsum("nj,nj->n", v, v)
+    p = c[:, None] * np.einsum("njk,nk->nj", H, v)
+    w = (p - (0.5 * c * np.einsum("nj,nj->n", v, p))[:, None] * v)[:, 1:]
+    v = v[:, 1:]
+    M = H[:, 1:, 1:] - v[:, :, None] * w[:, None, :] - w[:, :, None] * v[:, None, :]
+    if M.shape[1] == 1:
+        return M[:, 0, 0]
+    if M.shape[1] == 2:
+        a, b, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +551,10 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
         / ||e^{tau phi} P f||^2.
 
     The domain is ``weight.domain``, a Grid (P = Delta_a) or a CylinderGrid
-    (P = d_ss + Delta_a); samples are flat node fields on it, and P and grad
-    are the domain's sparse matrices, with the magnetic potential sampled on
-    the spatial grid (None for the plain Laplacian).  Test functions must
+    (P = d_ss + Delta_a); samples are flat node fields on it.  P and grad
+    apply by factors: the spatial Delta_a and gradients slice by slice, with
+    the magnetic potential sampled on the spatial grid (None for the plain
+    Laplacian), and on a cylinder d_ss and d_s along s.  Test functions must
     vanish on the domain's boundary nodes (compact support); zero samples are
     excluded from the max.  tau is restricted to the aliasing window
     tau h <= 1/2.  The exponential weight is renormalized by its maximum over
@@ -485,38 +566,30 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
     wq = dom.volume_weights
     taus = _tau_window_check(tau_grid, float(min(dom.h)))
     phi = weight.phi()
-    n = dom.num_nodes
-    # P and the gradients stacked, so one row slice evaluates all of them; a
-    # node can be nonzero in P f or grad f only if some stencil row of it
-    # reaches a nonzero of f (the column pattern of Q, read from CSC)
-    Q = sp.vstack([_probe_operator(dom, potential), *dom.gradients], format="csr")
-    reach = Q.tocsc()
-    blocks = n * np.arange(Q.shape[0] // n)[:, None]
+    lap, grads, s_ops = _factor_operators(dom, potential)
+    N = lap.shape[0]
 
     ratios = np.full(taus.size, -np.inf)
     used = 0
     for f in test_functions:
         f = np.asarray(f, dtype=complex)
-        edge = np.max(np.abs(f[dom.boundary_idx]))
-        if edge > 1e-12 * max(np.max(np.abs(f)), 1e-300):
+        fmax = np.max(np.abs(f))
+        if np.max(np.abs(f[dom.boundary_idx])) > 1e-12 * max(fmax, 1e-300):
             raise ValueError("test functions must be compactly supported "
                              "(zero near the domain boundary)")
-        if np.max(np.abs(f)) == 0:
+        if fmax == 0:
             continue
         used += 1
-        # the stencils are local: everything vanishes off the widened support,
-        # so P f and grad f are evaluated on the rows that reach supp f only
-        # (in CSR row order, the same sums as the full products), and the
-        # weighted norms there only (the weight is renormalized by its maximum
-        # on the support, which cancels in the ratio)
-        near = f != 0
-        start, stop = reach.indptr[:-1][near], reach.indptr[1:][near]
-        near[reach.indices[_concat_ranges(start, stop)] % n] = True
-        rows = np.flatnonzero(near)
-        vals = (Q[(blocks + rows).ravel()] @ f).reshape(-1, rows.size)
-        keep = (f[rows] != 0) | (vals != 0).any(axis=0)
-        support = rows[keep]
-        Pf, *gf = vals[:, keep]
+        # the stencils are local: P f and grad f are formed on the s-slices
+        # they can be nonzero on, and the weighted norms on the nodes where f,
+        # P f or grad f is nonzero (the weight is renormalized by its maximum
+        # there, which cancels in the ratio)
+        lo, B, Pf, gf = _fields_on_band(f, lap, grads, s_ops)
+        near = (B != 0) | (Pf != 0)
+        for d in gf:
+            near |= d != 0
+        support = lo * N + np.flatnonzero(near)
+        Pf, gf = Pf[near], [d[near] for d in gf]
         phi_s = phi[support]
         phimax = float(np.max(phi_s))
         spread = phimax - float(np.min(phi_s))
@@ -540,13 +613,6 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
                                trend_stderr=stderr, samples_used=used)
 
 
-def _concat_ranges(start, stop):
-    """The integers of the ranges [start_i, stop_i), concatenated in order."""
-    lens = stop - start
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1]) + np.repeat(start - ends + lens, lens)
-
-
 def _trend(x, y):
     good = np.isfinite(y)
     x, y = np.asarray(x, dtype=float)[good], np.asarray(y, dtype=float)[good]
@@ -567,20 +633,29 @@ def _trend(x, y):
 
 def bump_functions(dom, count, seed):
     """Smooth compactly supported random bumps (products of quintic ramps)
-    as flat node fields on a Grid or CylinderGrid."""
+    as flat node fields on a Grid or CylinderGrid.  Each profile is evaluated
+    on its bump's bounding box only, the nodes whose every axis term of r^2
+    is below 1; it vanishes elsewhere."""
     rng = np.random.default_rng(seed)
     out = []
     pts = dom.coords
+    D = pts.shape[1]
+    # the nodes are the C-order product of each axis's coordinates
+    axes = pts.reshape(*dom.shape, D)
+    axes = [axes[(0,) * ax + (slice(None),) + (0,) * (D - 1 - ax) + (ax,)] for ax in range(D)]
     los = np.asarray(dom.origin)
     his = los + np.asarray(dom.extents)
-    D = pts.shape[1]
     for _ in range(count):
         center = los + (0.3 + 0.4 * rng.random(D)) * (his - los)
         radius = (0.1 + 0.15 * rng.random(D)) * (his - los)
-        r2 = np.sum(((pts - center) / radius) ** 2, axis=1)
+        box = np.ix_(*(np.flatnonzero(((x - c) / r) ** 2 < 1.0)
+                       for x, c, r in zip(axes, center, radius)))
+        box = np.ravel_multi_index(box, dom.shape).ravel()
+        r2 = np.sum(((pts[box] - center) / radius) ** 2, axis=1)
         inside = r2 < 1.0               # the support; the profile is 0 elsewhere
-        phase = np.exp(1j * (pts[inside] @ rng.normal(size=D)))
+        support = box[inside]
+        phase = np.exp(1j * (pts[support] @ rng.normal(size=D)))
         f = np.zeros(pts.shape[0], dtype=complex)
-        f[inside] = _smoothstep(1.0 - r2[inside]) * phase * (0.5 + rng.random())
+        f[support] = _smoothstep(1.0 - r2[inside]) * phase * (0.5 + rng.random())
         out.append(f)
     return out

@@ -580,13 +580,58 @@ kind = "gauge-check"
 grid.dim = 2
 grid.n = 67
 """, "grid.n: the full spectrum has dense order 4225, above the dense limit 4096"),
+    "carleman-certify-region-off-grid": ("""
+kind = "carleman-certify"
+grid.dim = 2
+grid.n = 12
+weight.x0 = [-0.3, 0.5]
+region = [[2.0, 2.0], [3.0, 3.0]]
+""", "region: the box [[2.0, 2.0], [3.0, 3.0]] holds no grid node"),
+    "carleman-certify-region-inverted": ("""
+kind = "carleman-certify"
+grid.dim = 2
+grid.n = 12
+weight.x0 = [-0.3, 0.5]
+region = [[0.8, 0.2], [0.2, 0.8]]
+""", "region: the box [[0.8, 0.2], [0.2, 0.8]] holds no grid node"),
+    # an empty box would run A1 with c = 0
+    "simulate-damping-box-off-grid": ("""
+kind = "simulate"
+grid.dim = 1
+grid.n = 16
+generator = "A1"
+damping.c_preset = "box"
+damping.omega = [[2.0], [3.0]]
+T = 0.05
+dt = 0.01
+""", "damping.omega: the box [[2.0], [3.0]] holds no grid node"),
+    # exp(800 psi) overflows on the grid (and underflows at the cylinder ends)
+    "carleman-certify-lambda-out-of-range": ("""
+kind = "carleman-certify"
+grid.dim = 2
+grid.n = 12
+weight.x0 = [-0.3, 0.5]
+weight.lambda = 800
+""", "weight.lambda: exp(lambda psi) over- or underflows at lambda = 800 "
+     "(psi from 1.09 to 2.94)"),
+    # exp(20 psi) underflows only at the cylinder ends, where psi = -39 + |x - x0|^2
+    "carleman-probe-lambda-underflow": ("""
+kind = "carleman-probe"
+grid.dim = 1
+grid.n = 12
+weight.x0 = [-0.3]
+weight.lambda = 20
+weight.beta = 10
+""", "weight.lambda: exp(lambda psi) over- or underflows at lambda = 20 "
+     "(psi from -38.9 to 2.36)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_inputs_are_config_errors(tmp_path, capsys, name):
-    """Inputs the observability and dense-spectrum paths refuse end in exit 2
-    and one ``config error:`` line, not a traceback."""
+    """Inputs the handlers refuse (dense orders above the limit, boxes off the
+    grid or the state, weights out of double range) end in exit 2 and one
+    ``config error:`` line, not a traceback."""
     text, message = REFUSED[name]
     cfg_path = tmp_path / "refused.cfg"
     cfg_path.write_text(text)

@@ -283,6 +283,26 @@ def witness_case(dim, seed):
     return w, region, [5.0], 1, seed
 
 
+def pruning_case(dim, kind):
+    """Cases at the edges of the floor pruning, on the whole cylinder unless
+    the region is one node."""
+    grid = mesh.build_grid(dim, 1.0, 9 if dim == 1 else 6)
+    cyl = weights.make_cylinder(grid, ns=5)
+    if kind == "tied":
+        # H_phi vanishes on g_phi-perp, so every node's margin floor is |e|^4
+        # and every sampled margin ties with it up to rounding
+        base = weights.linear_weight(grid, [1.0, 0.5][:dim], offset=3.0).with_lambda(2.0)
+        w = weights.cylinder_extend(base, cyl, beta=0.0)
+        return w, np.arange(w.num_nodes), [1.0, 3.0], 4, 7
+    base = weights.quadratic_weight(grid, [-0.5] * dim)
+    if kind == "one node":
+        w = weights.cylinder_extend(base.with_lambda(1.0), cyl, beta=0.5)
+        return w, np.array([w.num_nodes // 2 + 1]), [2.0, 0.5], 6, 1
+    # uncertified, one sample per node: the witness node is unique
+    w = weights.cylinder_extend(base.with_lambda(0.1), cyl, beta=3.0)
+    return w, np.arange(w.num_nodes), [5.0, 2.0], 1, 4
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_subellipticity_matches_per_tau_sampled_loop(dim):
     seen = {"certified": 0, "uncertified": 0, "unique witness": 0}
@@ -292,6 +312,9 @@ def test_subellipticity_matches_per_tau_sampled_loop(dim):
     @example(witness_case(dim, 0))
     @example(witness_case(dim, 2))
     @example(witness_case(dim, 3))
+    @example(pruning_case(dim, "tied"))
+    @example(pruning_case(dim, "one node"))
+    @example(pruning_case(dim, "uncertified"))
     def check(case):
         w, region, taus, samples, seed = case
         if not np.any(np.linalg.norm(w.phi_grad()[region], axis=1) > 1e-10):
