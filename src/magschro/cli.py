@@ -374,13 +374,10 @@ def _run_simulate(config, out, rng):
     u0 = _initial_state(gen, config, rng)
     T = _positive(config, "T", 1.0)
     dt = _positive(config, "dt", float(min(gen.grid.h)) ** 2 / 4.0)
-    stride = _positive(config, "snapshot_stride", max(1, int(round(T / dt)) // 200))
-    if stride < 1:
-        raise ConfigError(f"snapshot_stride: must be at least 1, got {stride!r}")
-    stride = int(stride)
-    trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=stride)
+    stride = _whole(config, "snapshot_stride", max(1, int(round(T / dt)) // 200))
+    trace, _ = evolve.simulate(gen, u0, T, dt, snapshot_stride=stride,
+                               record=out / "snapshots.bin")
     trace.export_csv(out / "energy.csv")
-    evolve.export_snapshots(traj, out / "snapshots.bin", out / "snapshots.json")
     verdicts = {}
     if gen.kind == "A0":
         drift = max(trace.conservation["mass_norm_relative_drift"],
@@ -560,9 +557,13 @@ def _cylinder_weight(w, cyl, config):
     lam = _positive(config, "weight.lambda", 1.0)
     beta = _finite(config, "weight.beta", 1.0)
     try:
-        return weights.cylinder_extend(w.with_lambda(lam), cyl, beta)
+        spatial = w.with_lambda(lam)
     except ValueError as exc:
         raise ConfigError(f"weight.lambda: {exc}") from None
+    try:
+        return weights.cylinder_extend(spatial, cyl, beta)
+    except ValueError as exc:       # exp(lambda psi) is in range on the grid
+        raise ConfigError(f"weight.beta: {exc} with beta = {beta:g}") from None
 
 
 def _run_carleman_certify(config, out, rng):

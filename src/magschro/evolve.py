@@ -20,12 +20,20 @@ The discrete energy increment satisfies
 with no discretization remainder; the recorded per-step dissipation is that
 midpoint value, and the trapezoid average of the endpoint dissipations is
 kept alongside as an O(dt^2) cross-check.
+
+Memory is held per block, not per trajectory: the stepper fills a buffer of
+about ``_BLOCK_ENTRIES`` complex entries, checks the energy law on it, and
+streams its retained states to the snapshot record when ``simulate`` is given
+one.  Only callers that need the states themselves (the multiplier identity,
+the tests) keep them, in an in-memory Trajectory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -87,11 +95,57 @@ class EnergyTrace:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
+class _SnapshotRecord:
+    """The binary snapshot record (t, re/im per node) and its JSON sidecar.
+
+    Rows are appended once per block of states from one reused buffer, as
+    tall as the most retained states any block holds, whose nodes off the
+    state stay zero: only the times and the state entries are filled.  The
+    sidecar is written next to the record (same name, ``.json``) when the run
+    completes; a run that raises removes the partial record.
+    """
+
+    def __init__(self, gen, path, steps, width):
+        self.gen, self.path, self.rows = gen, Path(path), steps.size
+        nodes = gen.grid.num_nodes
+        # block b holds steps b*width+1 .. (b+1)*width, the first also step 0
+        height = int(np.bincount(np.maximum(steps - 1, 0) // width).max())
+        self.buf = np.zeros((height, 1 + 2 * nodes))
+        self.nodes = self.buf[:, 1:].view(complex)
+
+    def __enter__(self):
+        self.fh = open(self.path, "wb")
+        return self
+
+    def append(self, times, cols):
+        """Append the states ``cols`` (n, k) at ``times`` (k,) as k rows."""
+        k = times.size
+        self.buf[:k, 0] = times
+        self.nodes[:k, self.gen.state_idx] = cols.T
+        self.buf[:k].tofile(self.fh)
+
+    def __exit__(self, exc_type, exc, tb):
+        self.fh.close()
+        if exc_type is not None:
+            self.path.unlink()
+            return
+        sidecar = {
+            "format": "float64 rows of (t, node0_re, node0_im, ...)",
+            "rows": int(self.rows),
+            "row_length": int(self.buf.shape[1]),
+            "nodes": int(self.gen.grid.num_nodes),
+            "generator_kind": self.gen.kind,
+        }
+        with open(self.path.with_suffix(".json"), "w") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+
+
+def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=None):
     """Integrate u' = A u over [0, T] and record the energy law.
 
     The default step dt = h^2/4 keeps the implicit solve conditioned like a
-    parabolic problem.  Returns (EnergyTrace, Trajectory).  Raises
+    parabolic problem.  Returns (EnergyTrace, Trajectory), the Trajectory
+    None when the states go to ``record``.  Raises
     EnergyIncreaseError when the energy of a damped generator rises beyond
     ``increase_tol`` (default: ten times dt^2 times the initial energy, plus
     rounding headroom).
@@ -101,7 +155,16 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
     Once per full buffer, one pass over its states gives their energies (half
     the generator's quadratic form), the endpoint and midpoint dissipations
     from the damped traces, and for A0 the mass and stiffness drifts, the mass
-    norm read off the energy as sqrt(2 E).
+    norm read off the energy as sqrt(2 E); then the retained states of the
+    block (every ``snapshot_stride``-th step, and the last) are taken out.
+
+    Memory: without ``record`` the retained states are kept in the returned
+    Trajectory, an (n_snap, n) array.  With ``record`` (a path) they are
+    appended block by block to the binary snapshot record there, with its
+    JSON sidecar next to it (``_SnapshotRecord``), and the Trajectory is
+    None: the run then holds one block of states and one block of record
+    rows, about ``_BLOCK_ENTRIES`` complex entries each, whatever the number
+    of steps.
     """
     if dt is None:
         dt = float(min(gen.grid.h)) ** 2 / 4.0
@@ -133,49 +196,59 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
     mass_drift = 0.0
     stiff_drift = 0.0
 
-    snap_steps = retained_steps(nsteps, snapshot_stride)
-    states = np.empty((snap_steps.size, n), dtype=complex)
-    states[0] = u
-
     solve = gen.cayley_solver(dt)
     # column 0 holds the last state of the previous block
     width = max(1, _BLOCK_ENTRIES // n)
     buf = np.empty((n, width + 1), dtype=complex)
     buf[:, 0] = u
+    snap_steps = retained_steps(nsteps, snapshot_stride)
+    if record is None:
+        states = np.empty((snap_steps.size, n), dtype=complex)
+        sink = contextlib.nullcontext()
+    else:
+        sink = _SnapshotRecord(gen, record, snap_steps, width)
+    kept = 0
     done = 0
-    while done < nsteps:
-        m = min(width, nsteps - done)
-        for j in range(1, m + 1):
-            u_next = solve(u)
-            u_next -= u
-            buf[:, j] = u = u_next
+    with sink:
+        while done < nsteps:
+            m = min(width, nsteps - done)
+            for j in range(1, m + 1):
+                u_next = solve(u)
+                u_next -= u
+                buf[:, j] = u = u_next
 
-        # a full buffer is C-contiguous, so sparse products take it uncopied
-        U = buf[:, :m + 1]
-        steps = slice(done, done + m)
-        energy[done + 1:done + m + 1] = gen.energies(U)[1:]
-        e_old, e_new = energy[done:done + m], energy[done + 1:done + m + 1]
-        bad = np.flatnonzero(e_new > e_old + increase_tol)
-        if not conservative and bad.size:
-            k = int(bad[0])
-            raise EnergyIncreaseError(
-                f"energy rose by {e_new[k] - e_old[k]:.3e} at step {done + k} "
-                f"(tolerance {increase_tol:.3e}); generator assembly is suspect"
-            )
-        rate = (e_new - e_old) / dt
-        d_end, diss[steps] = gen.step_dissipations(U)
-        res_mid[steps] = np.abs(rate - diss[steps])
-        res_end[steps] = np.abs(rate - 0.5 * (d_end[:-1] + d_end[1:]))
-        if conservative:
-            # A0 lives in the mass metric: 2 E is its mass form, bitwise
-            mass_drift = max(mass_drift, np.max(np.abs(np.sqrt(2.0 * e_new) - mass0)))
-            stiff_drift = max(stiff_drift,
-                              np.max(np.abs(gen.stiffness_norms(U)[1:] - stiff0)))
+            # a full buffer is C-contiguous, so sparse products take it uncopied
+            U = buf[:, :m + 1]
+            steps = slice(done, done + m)
+            energy[done + 1:done + m + 1] = gen.energies(U)[1:]
+            e_old, e_new = energy[done:done + m], energy[done + 1:done + m + 1]
+            bad = np.flatnonzero(e_new > e_old + increase_tol)
+            if not conservative and bad.size:
+                k = int(bad[0])
+                raise EnergyIncreaseError(
+                    f"energy rose by {e_new[k] - e_old[k]:.3e} at step {done + k} "
+                    f"(tolerance {increase_tol:.3e}); generator assembly is suspect"
+                )
+            rate = (e_new - e_old) / dt
+            d_end, diss[steps] = gen.step_dissipations(U)
+            res_mid[steps] = np.abs(rate - diss[steps])
+            res_end[steps] = np.abs(rate - 0.5 * (d_end[:-1] + d_end[1:]))
+            if conservative:
+                # A0 lives in the mass metric: 2 E is its mass form, bitwise
+                mass_drift = max(mass_drift, np.max(np.abs(np.sqrt(2.0 * e_new) - mass0)))
+                stiff_drift = max(stiff_drift,
+                                  np.max(np.abs(gen.stiffness_norms(U)[1:] - stiff0)))
 
-        taken = (snap_steps > done) & (snap_steps <= done + m)
-        states[taken] = U[:, snap_steps[taken] - done].T
-        buf[:, 0] = u
-        done += m
+            # the retained steps of this block; the first block also holds step 0
+            stop = int(np.searchsorted(snap_steps, done + m, side="right"))
+            taken = snap_steps[kept:stop]
+            if record is None:
+                states[kept:stop] = U[:, taken - done].T
+            else:
+                sink.append(times[taken], U[:, taken - done])
+            kept = stop
+            buf[:, 0] = u
+            done += m
 
     conservation = {}
     if conservative:
@@ -193,7 +266,9 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None):
         midpoint_residual=res_mid, endpoint_residual=res_end, dt=dt,
         conservation=conservation,
     )
-    traj = Trajectory(generator=gen, times=times[snap_steps], states=states)
+    traj = None
+    if record is None:
+        traj = Trajectory(generator=gen, times=times[snap_steps], states=states)
     return trace, traj
 
 
@@ -236,32 +311,3 @@ def prepare_smooth_initial(gen, v, k=1):
     for _ in range(int(k)):
         u = solve(u)
     return u
-
-
-def export_snapshots(traj, path_bin, path_sidecar):
-    """Binary snapshot record (t, re/im per node) plus a JSON layout sidecar.
-
-    Rows are written in blocks from one reused buffer of about
-    ``_BLOCK_ENTRIES`` complex entries: the nodes off the state stay zero in
-    it, so only the times and the state entries are filled per block.
-    """
-    n = traj.generator.grid.num_nodes
-    rows = traj.times.size
-    width = max(1, min(rows, _BLOCK_ENTRIES // n))
-    buf = np.zeros((width, 1 + 2 * n))
-    nodes = buf[:, 1:].view(complex)
-    with open(path_bin, "wb") as fh:
-        for start in range(0, rows, width):
-            k = min(width, rows - start)
-            buf[:k, 0] = traj.times[start:start + k]
-            nodes[:k, traj.generator.state_idx] = traj.states[start:start + k]
-            buf[:k].tofile(fh)
-    sidecar = {
-        "format": "float64 rows of (t, node0_re, node0_im, ...)",
-        "rows": int(traj.times.size),
-        "row_length": int(1 + 2 * n),
-        "nodes": int(n),
-        "generator_kind": traj.generator.kind,
-    }
-    with open(path_sidecar, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)

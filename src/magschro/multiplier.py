@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evolve
 from .mesh import trapezoid_weights
 
 
@@ -110,46 +111,85 @@ def multiplier_identity_residual(traj, field, forcing=None):
     forcing = 0; otherwise supply f = i u_t + Delta_a u on the snapshot
     grid).  The potential is that of the trajectory's generator.  Returns
     per-term magnitudes so a failing term is identifiable.
+
+    Memory: the volume terms are summed over blocks of time samples.  Each
+    block scatters its states to the full grid, applies grad_a once and adds
+    its contributions, its live (N, samples) arrays together about one
+    ``evolve._BLOCK_ENTRIES`` buffer; only the boundary rows (u, the conormal
+    trace and grad_a u on the boundary nodes) are kept for every sample, for
+    u_t and the boundary terms.  Beyond the trajectory itself the identity
+    holds O(block + nt * boundary nodes), not O(nt * N).
     """
     gen = traj.generator
     grid, a = gen.grid, gen.potential
     times = traj.times
     if not np.array_equal(field.times, times):
         raise ValueError("multiplier field must be sampled at the snapshot times")
+    nt, N, dim = times.size, grid.num_nodes, grid.dim
     wt = trapezoid_weights(times)
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]
     nu = grid.normals[b]
-
-    # node-major (N, nt) blocks: the snapshots on the full grid and their
-    # magnetic gradients, one sparse product per axis
-    u = np.zeros((grid.num_nodes, times.size), dtype=complex)
-    u[gen.state_idx] = traj.states.T
-    gu = [G @ u for G in a.gradient]
     X = field.values
+    f_all = None if forcing is None else np.asarray(forcing)
 
-    # boundary quantities (nt, nb); u_t is needed on the boundary only
-    gu_b = np.stack([g[b].T for g in gu], axis=2)
-    conormal = (a.conormal @ u).T
-    X_b = X[:, b, :]
-    X_nu = np.einsum("tnj,nj->tn", X_b, nu)
-    X_gu_b = np.einsum("tnj,tnj->tn", X_b, gu_b)
-    div_b = field.divergence[:, b]
-    u_b = u[b].T
-    ut_b = np.gradient(u_b, times, axis=0)
-
-    def sigma_int(vals):
-        return np.sum(wt[:, None] * ws[None, :] * vals)
-
-    # volume terms contract (N, nt) slices of the field, which may be
-    # broadcast views of a static field, against (N, nt) products of the state
-    def vol_int(vals):
-        return wv @ vals @ wt
+    def vol_int(vals, w):
+        return wv @ vals @ w
 
     def re_pair(z, w):
         """Re(z conj(w)), elementwise."""
         return (z * np.conj(w)).real
+
+    # boundary rows (nt, nb), gathered block by block; u_t is needed there only
+    u_b = np.empty((nt, b.size), dtype=complex)
+    conormal = np.empty((nt, b.size), dtype=complex)
+    gu_b = np.empty((nt, b.size, dim), dtype=complex)
+
+    # volume terms over blocks of samples: the state, its dim gradients and
+    # about three (N, k) temporaries of the products are live at once
+    width = max(1, evolve._BLOCK_ENTRIES // ((dim + 3) * N))
+    t_jac = t_graddiv = t_xt = t_forcing = t_div_f = 0.0
+    brackets = [0.0, 0.0]
+    for start in range(0, nt, width):
+        blk = slice(start, min(start + width, nt))
+        w = wt[blk]
+        # node-major (N, k): the snapshots on the full grid and their
+        # magnetic gradients, one sparse product per axis
+        u = np.zeros((N, w.size), dtype=complex)
+        u[gen.state_idx] = traj.states[blk].T
+        gu = [G @ u for G in a.gradient]
+        u_b[blk] = u[b].T
+        conormal[blk] = (a.conormal @ u).T
+        for j, g in enumerate(gu):
+            gu_b[blk, :, j] = g[b].T
+
+        # field slices may be broadcast views of a static field
+        t_jac += sum(vol_int(field.jacobian[blk, :, j, k].T * re_pair(gu[j], gu[k]), w)
+                     for j in range(dim) for k in range(dim))
+        for j, g in enumerate(gu):
+            p = u * g.conj()                    # u conj(grad_a u) along axis j
+            t_graddiv += 0.5 * vol_int(field.grad_div[blk, :, j].T * p.real, w)
+            t_xt -= 0.5 * vol_int(field.time_deriv[blk, :, j].T * p.imag, w)  # Re(i/2 z) = -Im(z)/2
+            for e, i in enumerate((0, nt - 1)):
+                if blk.start <= i < blk.stop:
+                    brackets[e] += (wv * X[i, :, j]) @ p[:, i - blk.start]
+        if f_all is not None:                   # f = 0: both forcing terms vanish
+            f = f_all[blk].T
+            t_forcing += sum(vol_int(X[blk, :, j].T * re_pair(f, g), w)
+                             for j, g in enumerate(gu))
+            t_div_f += 0.5 * vol_int(field.divergence[blk].T * re_pair(u, f), w)
+    t_bracket = np.real(-0.5j * (brackets[1] - brackets[0]))
+    rhs = t_jac + t_graddiv + t_xt + t_bracket + t_forcing + t_div_f
+
+    X_b = X[:, b, :]
+    X_nu = np.einsum("tnj,nj->tn", X_b, nu)
+    X_gu_b = np.einsum("tnj,tnj->tn", X_b, gu_b)
+    div_b = field.divergence[:, b]
+    ut_b = np.gradient(u_b, times, axis=0)
+
+    def sigma_int(vals):
+        return np.sum(wt[:, None] * ws[None, :] * vals)
 
     t_flux = sigma_int(np.real(conormal * np.conj(X_gu_b)))
     t_carrier = -0.5 * sigma_int(np.sum(np.abs(gu_b) ** 2, axis=2) * X_nu)
@@ -157,23 +197,6 @@ def multiplier_identity_residual(traj, field, forcing=None):
     t_time_b = np.real(-0.5j * np.sum(
         wt[:, None] * ws[None, :] * (u_b * X_nu * np.conj(ut_b))))
     lhs = t_flux + t_carrier + t_div_b + t_time_b
-
-    t_jac = sum(vol_int(field.jacobian[:, :, j, k].T * re_pair(gu[j], gu[k]))
-                for j in range(grid.dim) for k in range(grid.dim))
-    u_gu = [u * g.conj() for g in gu]           # u conj(grad_a u), per axis
-    t_graddiv = 0.5 * sum(vol_int(field.grad_div[:, :, j].T * p.real)
-                          for j, p in enumerate(u_gu))
-    t_xt = -0.5 * sum(vol_int(field.time_deriv[:, :, j].T * p.imag)   # Re(i/2 z) = -Im(z)/2
-                      for j, p in enumerate(u_gu))
-    brackets = [sum((wv * X[i, :, j]) @ p[:, i] for j, p in enumerate(u_gu)) for i in (0, -1)]
-    t_bracket = np.real(-0.5j * (brackets[1] - brackets[0]))
-    if forcing is None:                         # f = 0: both forcing terms vanish
-        t_forcing = t_div_f = 0.0
-    else:
-        f = np.asarray(forcing).T
-        t_forcing = sum(vol_int(X[:, :, j].T * re_pair(f, g)) for j, g in enumerate(gu))
-        t_div_f = 0.5 * vol_int(field.divergence.T * re_pair(u, f))
-    rhs = t_jac + t_graddiv + t_xt + t_bracket + t_forcing + t_div_f
 
     terms = {
         "boundary_flux_pairing": t_flux,

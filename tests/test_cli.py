@@ -614,23 +614,34 @@ weight.x0 = [-0.3, 0.5]
 weight.lambda = 800
 """, "weight.lambda: exp(lambda psi) over- or underflows at lambda = 800 "
      "(psi from 1.09 to 2.94)"),
-    # exp(20 psi) underflows only at the cylinder ends, where psi = -39 + |x - x0|^2
-    "carleman-probe-lambda-underflow": ("""
+    # exp(20 psi) is in range on the grid and underflows only at the cylinder
+    # ends, where psi = -10 s^2 + |x - x0|^2 reaches -39: beta's doing
+    "carleman-probe-beta-underflow": ("""
 kind = "carleman-probe"
 grid.dim = 1
 grid.n = 12
 weight.x0 = [-0.3]
 weight.lambda = 20
 weight.beta = 10
-""", "weight.lambda: exp(lambda psi) over- or underflows at lambda = 20 "
-     "(psi from -38.9 to 2.36)"),
+""", "weight.beta: exp(lambda psi) over- or underflows at lambda = 20 "
+     "(psi from -38.9 to 2.36) with beta = 10"),
+    # a stride of 2.5 once ran as stride 2
+    "simulate-snapshot-stride-fraction": ("""
+kind = "simulate"
+grid.dim = 1
+grid.n = 16
+T = 0.05
+dt = 0.01
+snapshot_stride = 2.5
+""", "snapshot_stride: must be a whole number >= 1, got 2.5"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_refused_inputs_are_config_errors(tmp_path, capsys, name):
     """Inputs the handlers refuse (dense orders above the limit, boxes off the
-    grid or the state, weights out of double range) end in exit 2 and one
+    grid or the state, weights out of double range, named by the key that
+    puts them there, fractional counts) end in exit 2 and one
     ``config error:`` line, not a traceback."""
     text, message = REFUSED[name]
     cfg_path = tmp_path / "refused.cfg"
@@ -664,8 +675,8 @@ def test_linalg_error_in_gramian_is_not_a_config_error(tmp_path, monkeypatch, ca
 
 def test_energy_increase_is_a_failed_run_with_a_manifest(tmp_path, monkeypatch, capsys):
     """A damped A1 run completes with status "ok"; made anti-damped, it trips
-    simulate's energy guard, exits 1, the manifest names the error and
-    ``report`` prints it."""
+    simulate's energy guard, exits 1, leaves no partial snapshot record, the
+    manifest names the error and ``report`` prints it."""
     import dataclasses
 
     import scipy.sparse as sp
@@ -692,6 +703,7 @@ def test_energy_increase_is_a_failed_run_with_a_manifest(tmp_path, monkeypatch, 
     assert doc["error"]["type"] == "EnergyIncreaseError"
     assert doc["error"]["message"].startswith("energy rose by ")
     assert doc["verdicts"] == {} and doc["outputs"] == []
+    assert not (out / "snapshots.bin").exists() and not (out / "snapshots.json").exists()
     assert cli.main(["report", str(out / "manifest.json")]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed == ["experiment: simulate",

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,18 +242,20 @@ def test_trace_export_csv_matches_per_row_writer(tmp_path):
 
 
 def test_snapshot_export_roundtrip(tmp_path, gen_a0):
+    """The streamed record reads back, through its sidecar, as the times and
+    full-grid states of the in-memory run."""
     _, traj = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2,
                               snapshot_stride=2)
-    import json
-
     pbin = tmp_path / "snaps.bin"
-    pjson = tmp_path / "snaps.json"
-    evolve.export_snapshots(traj, pbin, pjson)
-    side = json.loads(pjson.read_text())
+    _, none = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2,
+                              snapshot_stride=2, record=pbin)
+    assert none is None
+    side = json.loads((tmp_path / "snaps.json").read_text())
+    assert side["rows"] == traj.times.size and side["generator_kind"] == "A0"
     rec = np.frombuffer(pbin.read_bytes()).reshape(side["rows"], side["row_length"])
-    assert np.allclose(rec[:, 0], traj.times)
-    full0 = traj.full_field(0)
-    assert np.allclose(rec[0, 1::2] + 1j * rec[0, 2::2], full0)
+    np.testing.assert_array_equal(rec[:, 0], traj.times)
+    for i in range(traj.times.size):
+        np.testing.assert_array_equal(rec[i, 1::2] + 1j * rec[i, 2::2], traj.full_field(i))
 
 
 def test_simulate_default_dt_is_h_squared_over_four(gen_a0):
@@ -406,11 +410,7 @@ def _one_buffer_record(traj):
     return rec.tobytes()
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("kind", ["A0", "A1", "A2", "A3"])
-def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
-    """The blocked writer gives the bytes of the one-buffer record, for every
-    stride and block height, a last block shorter than the others included."""
+def _small_generator(kind, dim):
     grid = mesh.build_grid(dim, 1.0, 24 if dim == 1 else 7)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(2.0 * p + 0.3))
     damping, split = None, None
@@ -421,17 +421,75 @@ def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
         d = np.zeros(grid.num_nodes)
         d[split.gamma0] = 1.5
         damping = magop.DampingConfig.boundary(grid, d)
-    gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    return magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["A0", "A1", "A2", "A3"])
+def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
+    """The record streamed block by block gives the bytes of the one-buffer
+    record of the in-memory run, for every stride and block height, a last
+    block shorter than the others included, and leaves the trace as it is."""
+    gen = _small_generator(kind, dim)
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    path = tmp_path / "s.bin"
     for stride in (1, 2, 3, 7):
         _, traj = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride)
         want = _one_buffer_record(traj)
-        for rows in (1, 2, 3, traj.times.size, traj.times.size + 5):
+        # 20 steps: blocks of 3 and 7 end short, one of 20 or 25 holds them all
+        for width in (1, 2, 3, 7, 20, 25):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evolve, "_BLOCK_ENTRIES", rows * grid.num_nodes)
-                evolve.export_snapshots(traj, tmp_path / "s.bin", tmp_path / "s.json")
-            assert (tmp_path / "s.bin").read_bytes() == want, (stride, rows)
+                mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
+                trace, _ = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride)
+                streamed, _ = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride,
+                                              record=path)
+            assert path.read_bytes() == want, (stride, width)
+            np.testing.assert_array_equal(streamed.energy, trace.energy)
+            np.testing.assert_array_equal(streamed.dissipation, trace.dissipation)
+            side = json.loads((tmp_path / "s.json").read_text())
+            assert side == {"format": "float64 rows of (t, node0_re, node0_im, ...)",
+                            "rows": traj.times.size, "row_length": 1 + 2 * gen.grid.num_nodes,
+                            "nodes": gen.grid.num_nodes, "generator_kind": kind}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_failed_run_leaves_no_record(tmp_path, dim):
+    """A run stopped by the energy guard after several blocks have been
+    appended removes its record and writes no sidecar."""
+    bad = anti_damped(_small_generator("A1", dim), 5.0)
+    rng = np.random.default_rng(3)
+    u0 = rng.normal(size=bad.size) + 1j * rng.normal(size=bad.size)
+    energy, _, _, _ = reference_loop(bad, u0, 2e-3, 20)
+    rises = np.diff(energy)
+    tol = 0.5 * (np.max(rises[:12]) + np.max(rises))   # first passed after step 11
+    first = int(np.flatnonzero(rises > tol)[0])
+    assert first >= 12
+    path = tmp_path / "s.bin"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_BLOCK_ENTRIES", 2 * bad.size)
+        with pytest.raises(evolve.EnergyIncreaseError, match=f"at step {first} "):
+            evolve.simulate(bad, u0, 0.04, 2e-3, increase_tol=tol, record=path)
+    assert not path.exists() and not (tmp_path / "s.json").exists()
+
+
+def test_streamed_simulate_memory_does_not_grow_with_steps(tmp_path):
+    """A streamed stride-1 2D run holds one block of states and record rows:
+    its traced peak at 800 steps (12 blocks of 68 states) is within 10 % of
+    that at 100 steps (2 blocks).  The in-memory record of 800 states alone
+    would be 12 MB, a block 1 MiB."""
+    grid = mesh.build_grid(2, 1.0, 32)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    u0 = np.random.default_rng(0).normal(size=gen.size) + 0j
+    dt = 1e-4
+    gen.cayley_solver(dt)                       # the factor is made outside the trace
+    peaks = []
+    for nsteps in (100, 800):
+        tracemalloc.start()
+        evolve.simulate(gen, u0, nsteps * dt, dt, record=tmp_path / "s.bin")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,11 +143,10 @@ def _materialized_terms(traj, a, field, forcing=None):
     }
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_terms_match_materialized_field(seed):
-    """The broadcast radial field and the one-pass contractions give the ten
-    terms of the materialized field, on random grids, x0, potentials,
-    states and forcings."""
+def _random_case(seed):
+    """A random grid, potential, A0 trajectory, x0 and (odd seeds) forcing,
+    with a random time-dependent field whose jacobian is full: it exercises
+    every contraction (its derived fields need not be consistent here)."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     n = int(rng.integers(9, 40)) if dim == 1 else int(rng.integers(5, 14))
@@ -161,13 +162,20 @@ def test_terms_match_materialized_field(seed):
     if seed % 2:
         shape = (traj.times.size, grid.num_nodes)
         forcing = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # a random time-dependent field with a full jacobian exercises every
-    # contraction; its derived fields need not be consistent for this check
     nt, N = traj.times.size, grid.num_nodes
     general = multiplier.MultiplierField(
         grid=grid, times=traj.times, values=rng.normal(size=(nt, N, dim)),
         jacobian=rng.normal(size=(nt, N, dim, dim)), divergence=rng.normal(size=(nt, N)),
         grad_div=rng.normal(size=(nt, N, dim)), time_deriv=rng.normal(size=(nt, N, dim)))
+    return grid, a, traj, x0, forcing, general
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_terms_match_materialized_field(seed):
+    """The broadcast radial field and the one-pass contractions give the ten
+    terms of the materialized field, on random grids, x0, potentials,
+    states and forcings."""
+    grid, a, traj, x0, forcing, general = _random_case(seed)
     for field, oracle in ((multiplier.MultiplierField.radial(grid, traj.times, x0),
                            _materialized_radial(grid, traj.times, x0)),
                           (general, general)):
@@ -178,3 +186,75 @@ def test_terms_match_materialized_field(seed):
         for name, value in want.items():
             assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
         assert rep.scale == pytest.approx(scale, rel=1e-12)
+
+
+def _with_block(samples, grid, fn):
+    """fn() with the identity taking ``samples`` time samples per block: it
+    takes _BLOCK_ENTRIES // ((dim + 3) N) of them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_BLOCK_ENTRIES", samples * (grid.dim + 3) * grid.num_nodes)
+        return fn()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_blocked_identity_matches_one_block(seed):
+    """Summed over time blocks of 1, 2 and 3 samples, the identity gives every
+    term, both sides and the residual of the one-block evaluation to 1e-13
+    scale, with the general field and (odd seeds) forcing; the boundary terms,
+    gathered row by row for all times, agree exactly."""
+    grid, a, traj, x0, forcing, general = _random_case(seed)
+    nt = traj.times.size
+    assert nt >= 6
+    for field in (general, multiplier.MultiplierField.radial(grid, traj.times, x0)):
+        one = _with_block(nt + 5, grid, lambda: multiplier.multiplier_identity_residual(
+            traj, field, forcing))
+        for samples in (1, 2, 3):
+            rep = _with_block(samples, grid, lambda: multiplier.multiplier_identity_residual(
+                traj, field, forcing))
+            tol = 1e-13 * one.scale
+            for name, value in one.terms.items():
+                if name.startswith("boundary_"):
+                    assert rep.terms[name] == value, (samples, name)
+                assert abs(rep.terms[name] - value) <= tol, (samples, name)
+            assert abs(rep.lhs - one.lhs) <= tol and abs(rep.rhs - one.rhs) <= tol
+            assert abs(rep.residual - one.residual) <= tol
+            assert rep.scale == pytest.approx(one.scale, rel=1e-13)
+
+
+def _identity_peak(dim, n, nt):
+    """Traced peak of the identity on an nt-sample A0 trajectory (the states
+    are made before the trace starts), and the boundary node count."""
+    grid = mesh.build_grid(dim, 1.0, n)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.3 * np.sin(2.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    rng = np.random.default_rng(0)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    _, traj = evolve.simulate(gen, u0, (nt - 1) * 1e-4, 1e-4)
+    field = multiplier.MultiplierField.radial(grid, traj.times, [0.1] * dim)
+    tracemalloc.start()
+    multiplier.multiplier_identity_residual(traj, field)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, grid.boundary_idx.size
+
+
+BLOCK_BYTES = 16 * evolve._BLOCK_ENTRIES
+
+
+@pytest.mark.parametrize("nt", [101, 801, 3201])
+def test_identity_memory_is_one_block_in_1d(nt):
+    """Beyond the trajectory, the 1D identity (two boundary nodes) holds one
+    block of samples: a peak under 2 MiB for every nt.  The whole-trajectory
+    evaluation took 2.9 MB at 801 samples on this grid."""
+    peak, _ = _identity_peak(1, 64, nt)
+    assert peak <= 2 * BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("nt", [101, 801])
+def test_identity_memory_is_block_plus_boundary_rows_in_2d(nt):
+    """In 2D the identity also keeps its boundary rows for every sample:
+    about ten (nt, nb) complex arrays, for u_t and the boundary terms.  The
+    volume terms add one block, whatever nt (the whole-trajectory evaluation
+    took 48 MB at 801 samples on this grid)."""
+    peak, nb = _identity_peak(2, 24, nt)
+    assert peak <= 2 * BLOCK_BYTES + 16 * nt * nb * 16, peak
