@@ -123,16 +123,15 @@ def _rng(config):
 
 def _build_grid(config):
     dim = _whole(config, "grid.dim", 1)
+    if dim not in (1, 2):
+        raise ConfigError(f"grid.dim: must be 1 or 2, got {dim}")
     extents = _per_axis(config, "grid.extents", dim, 1.0)
     n = _per_axis(config, "grid.n", dim, 64)
     if np.any(extents <= 0):
         raise ConfigError(f"grid.extents: must be positive, got {extents.tolist()!r}")
     if np.any((n < 4) | (n != np.floor(n))):
         raise ConfigError(f"grid.n: must be whole numbers >= 4, got {n.tolist()!r}")
-    try:
-        return mesh.build_grid(dim, extents, n.astype(int))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return mesh.build_grid(dim, extents, n.astype(int))
 
 
 def _build_potential(grid, config):
@@ -574,7 +573,7 @@ def _run_carleman_certify(config, out, rng):
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=2))
     wext = _cylinder_weight(w, cyl, config)
     region_cyl = np.concatenate([region + i * grid.num_nodes
-                                 for i in range(cyl.ns)])
+                                 for i in range(cyl.n[0])])
     tau_grid = _number_list(config, "tau.grid", [1.0, 2.0, 4.0])
     if np.any(tau_grid <= 0):
         raise ConfigError(f"tau.grid: values must be positive, got {tau_grid.tolist()!r}")

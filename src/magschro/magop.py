@@ -7,15 +7,16 @@ trapezoid matrix, so skew-adjointness of the conservative generator,
 dissipativity of the damped ones, and gauge covariance all hold at machine
 precision rather than at discretization order.  The term-by-term expansion
 Delta + 2i a.grad + i div(a) - |a|^2 with centered stencils
-(``laplacian_stencil_full``) is the cross-check operator: second-order
+(``MagneticPotential.laplacian``) is the cross-check operator: second-order
 consistent with the link phases, and applied to full-grid fields with
 boundary data.
 
-The potential owns the node-wise operators of the multiplier method and of
-boundary observation, as sparse matrices over the full grid built from
-``Grid.gradients`` and ``Grid.normals``: ``MagneticPotential.gradient``, the
-per-axis d_ax + i a_ax, and ``MagneticPotential.conormal``, the trace
-d_nu + i a.nu at the boundary nodes.
+The potential owns the node-wise operators of the multiplier method, of
+boundary observation and of the Carleman probe, as sparse matrices over the
+full grid built from ``Grid.gradients`` and ``Grid.normals``:
+``MagneticPotential.gradient``, the per-axis d_ax + i a_ax,
+``MagneticPotential.conormal``, the trace d_nu + i a.nu at the boundary
+nodes, and ``MagneticPotential.laplacian``, the cross-check stencil.
 
 Generators (state space in parentheses):
 
@@ -44,14 +45,14 @@ energy dissipation identities exact algebraic statements:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .mesh import Grid, BoundarySplit, _axis_matrix, _d2_matrix, _trapezoid_1d
+from .mesh import Grid, BoundarySplit, edge_nodes, _axis_matrix, _d2_matrix, _trapezoid_1d
 
 
 # ---------------------------------------------------------------------------
@@ -60,27 +61,18 @@ from .mesh import Grid, BoundarySplit, _axis_matrix, _d2_matrix, _trapezoid_1d
 
 def _edges(grid, axis):
     """Tail/head flat indices and midpoint coordinates of edges along one axis."""
-    idx = np.arange(grid.num_nodes).reshape(grid.shape)
-    if grid.dim == 1:
-        tails, heads = idx[:-1], idx[1:]
-    elif axis == 0:
-        tails, heads = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    else:
-        tails, heads = idx[:, :-1].ravel(), idx[:, 1:].ravel()
+    tails, heads = edge_nodes(grid, axis)
     mids = grid.coords[tails].copy()
     mids[:, axis] += grid.h[axis] / 2.0
     return tails, heads, mids
 
 
 def _edge_transverse_weights(grid, axis):
-    """Quadrature weight of each edge: h_axis times the transverse trapezoid weight."""
-    tails, _, _ = _edges(grid, axis)
-    if grid.dim == 1:
-        return np.full(tails.shape[0], grid.h[0])
-    other = 1 - axis
-    w_other = _trapezoid_1d(grid.n[other], grid.h[other])
-    mi = np.unravel_index(tails, grid.shape)
-    return grid.h[axis] * w_other[mi[other]]
+    """Quadrature weight of each edge, in ``_edges`` order: h_axis times the
+    other axes' trapezoid weights."""
+    w1d = [_trapezoid_1d(n, h) for n, h in zip(grid.n, grid.h)]
+    w1d[axis] = np.full(grid.n[axis] - 1, grid.h[axis])
+    return reduce(np.multiply.outer, w1d).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +146,6 @@ class MagneticPotential:
         return bool(np.max(np.abs(self.values[nodes]), initial=0.0) <= tol)
 
     @cached_property
-    def div(self):
-        """The divergence of the node samples by centered differences (one-sided
-        on the boundary), built on first use: only the cross-check stencil
-        reads it."""
-        grads = self.grid.gradients
-        div = np.zeros(self.grid.num_nodes)
-        for ax in range(self.grid.dim):
-            div += grads[ax] @ self.values[:, ax]
-        return div
-
-    @cached_property
     def gradient(self):
         """Per axis, the sparse d_ax + i a_ax over all grid nodes (one-sided
         stencils on the boundary), built on first use and kept here."""
@@ -178,6 +159,21 @@ class MagneticPotential:
         b = self.grid.boundary_idx
         rows = [sp.diags(self.grid.normals[b, ax]) @ G[b] for ax, G in enumerate(self.gradient)]
         return sum(rows[1:], rows[0]).tocsr()
+
+    @cached_property
+    def laplacian(self):
+        """The cross-check Delta + 2i a.grad + i div(a) - |a|^2 over all grid
+        nodes (one-sided boundary rows, div(a) by the centered differences of
+        ``Grid.gradients``), built on first use and kept here."""
+        grid = self.grid
+        d2 = [_axis_matrix(grid, _d2_matrix(grid.n[ax], grid.h[ax]), ax)
+              for ax in range(grid.dim)]
+        L = sum(d2[1:], d2[0]).astype(complex)
+        div = np.zeros(grid.num_nodes)
+        for ax, G in enumerate(grid.gradients):
+            L = L + 2j * sp.diags(self.values[:, ax]) @ G
+            div += G @ self.values[:, ax]
+        return (L + sp.diags(1j * div - np.sum(self.values**2, axis=1))).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,20 +289,6 @@ def magnetic_edge_root(grid, a, state_idx):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num_rows, state_idx.size),
     )
-
-
-def laplacian_stencil_full(grid, a=None):
-    """The cross-check Delta + 2i a.grad + i div(a) - |a|^2 over all grid nodes
-    (one-sided boundary rows)."""
-    d2 = [_axis_matrix(grid, _d2_matrix(grid.n[ax], grid.h[ax]), ax)
-          for ax in range(grid.dim)]
-    L = sum(d2[1:], d2[0]).astype(complex)
-    if a is not None:
-        grads = grid.gradients
-        for ax in range(grid.dim):
-            L = L + 2j * sp.diags(a.values[:, ax]) @ grads[ax]
-        L = L + sp.diags(1j * a.div - np.sum(a.values**2, axis=1))
-    return L.tocsr()
 
 
 @dataclass(eq=False)
@@ -514,10 +496,12 @@ class GeneratorMatrix:
         return float(num / den)
 
     def dissipativity_margin(self):
-        """Largest eigenvalue of the Hermitian part of L A, relative to ||L A||_F.
+        """Largest eigenvalue of the Hermitian part of L A, and ||L A||_F.
 
         Nonpositive (to eigensolver accuracy) certifies Re (u | A u)_L <= 0
-        for every u.
+        for every u.  Read off the diagonal when the Hermitian part is
+        diagonal, else from a dense ``eigvalsh``; ``DenseLimitError`` above
+        ``_DENSE_LIMIT`` unknowns.
         """
         B = (self.inner_matrix @ self.matrix).tocsr()
         H = (B + B.getH()) * 0.5
@@ -526,13 +510,9 @@ class GeneratorMatrix:
         off = H - sp.diags(H.diagonal())
         if sp.linalg.norm(off) <= 1e-15 * max(scale, 1.0):
             lam = float(np.max(H.diagonal().real))
-        elif H.shape[0] <= 600:
-            lam = float(np.linalg.eigvalsh(H.toarray())[-1])
         else:
-            shift = 1e-8 * max(scale, 1.0)
-            v0 = np.random.default_rng(0).normal(size=H.shape[0])
-            lam = float(spla.eigsh(H, k=1, sigma=shift, which="LM", v0=v0,
-                                   return_eigenvectors=False)[0])
+            _check_order(H.shape[0], "the dissipativity margin")
+            lam = float(np.linalg.eigvalsh(H.toarray())[-1])
         return lam, float(scale)
 
 
@@ -652,7 +632,7 @@ def check_green_identity(grid, a, f, g):
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    lap_f = laplacian_stencil_full(grid, a) @ f
+    lap_f = a.laplacian @ f
     t_vol = np.sum(grid.volume_weights * lap_f * np.conj(g))
     t_grad = np.sum(grid.volume_weights * sum((G @ f) * np.conj(G @ g) for G in a.gradient))
     t_bnd = np.sum(grid.surface_weights[grid.boundary_idx] * (a.conormal @ f)

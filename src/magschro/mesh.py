@@ -1,11 +1,13 @@
-"""Interval and rectangle grids: boundary classification, quadrature, Poincare constants.
+"""Uniform tensor grids: boundary classification, quadrature, Poincare constants.
 
-Grids are uniform tensor products.  Volume integrals use the trapezoid rule
-and surface integrals the trapezoid rule along each face, so the weights sum
-to the domain measure and to each face measure exactly.  ``Grid.normals``
-gives every boundary node the outward unit normal of exactly one face
-(x-faces take priority over y-faces at corners); the conormal trace reads
-that rule from it alone.
+Grids are uniform tensor products of any number of axes; the CLI builds
+intervals and rectangles, and the Carleman cylinder (s, x) is a grid with one
+more axis.  Volume integrals use the trapezoid rule and surface integrals the
+trapezoid rule along each face, so the weights sum to the domain measure and
+to each face measure exactly.  ``Grid.normals`` gives every boundary node the
+outward unit normal of exactly one face (faces of a lower axis take priority
+at edges and corners: x before y before z); the conormal trace reads that
+rule from it alone.
 
 The observation split classifies boundary nodes by the strict sign of
 m(x) . nu(x) with m(x) = x - x0: positive goes to the observed part
@@ -20,7 +22,7 @@ eigenvalues converge at second order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,6 +91,8 @@ class Grid:
 
 def _d1_matrix(n, h):
     """Second-order first derivative; one-sided rows at both ends."""
+    if n < 3:
+        raise ValueError(f"the first-derivative stencil needs at least 3 nodes, got {n}")
     main = np.zeros(n)
     lower = np.full(n - 1, -1.0 / (2 * h))
     upper = np.full(n - 1, 1.0 / (2 * h))
@@ -100,6 +104,8 @@ def _d1_matrix(n, h):
 
 def _d2_matrix(n, h):
     """Second derivative; one-sided second-order rows at both ends."""
+    if n < 4:
+        raise ValueError(f"the second-derivative stencil needs at least 4 nodes, got {n}")
     h2 = h * h
     D = sp.diags(
         [np.full(n - 1, 1.0 / h2), np.full(n, -2.0 / h2), np.full(n - 1, 1.0 / h2)],
@@ -112,13 +118,18 @@ def _d2_matrix(n, h):
 
 
 def _axis_matrix(grid, mat1d, axis):
-    """A one-axis matrix extended by the identity over the other axis."""
-    if grid.dim == 1:
-        return mat1d
-    eye_other = sp.identity(grid.n[1 - axis], format="csr")
-    if axis == 0:
-        return sp.kron(mat1d, eye_other, format="csr")
-    return sp.kron(eye_other, mat1d, format="csr")
+    """A one-axis matrix extended by the identity over the other axes."""
+    mats = [sp.identity(n, format="csr") for n in grid.n]
+    mats[axis] = mat1d
+    return reduce(partial(sp.kron, format="csr"), mats)
+
+
+def edge_nodes(grid, axis):
+    """Flat indices of the tail and head of every edge along one axis, in C
+    order of the tails."""
+    idx = np.arange(grid.num_nodes).reshape(grid.shape)
+    n = grid.shape[axis]
+    return idx.take(range(n - 1), axis).ravel(), idx.take(range(1, n), axis).ravel()
 
 
 def _trapezoid_1d(n, h):
@@ -148,25 +159,24 @@ def retained_steps(nsteps, stride):
 
 
 def build_grid(dim, extents, n, origin=None):
-    """Build a 1D interval or 2D rectangle grid with n nodes per axis.
+    """Build a uniform tensor grid of ``dim`` axes with n nodes per axis.
 
-    ``extents`` and ``n`` may be scalars (shared by every axis) or per-axis
-    sequences.  Spacing is h = extent/(n-1); quadrature is trapezoid.
+    ``extents`` and ``n`` may be scalars or 1-element sequences (shared by
+    every axis) or per-axis sequences.  Spacing is h = extent/(n-1);
+    quadrature is trapezoid.  Every axis needs 2 nodes; the derivative
+    stencils of ``gradients`` need 3 and the cross-check Laplacian 4.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    extents = tuple(float(e) for e in np.atleast_1d(extents)) if np.ndim(extents) else (float(extents),) * dim
-    if len(extents) == 1 and dim == 2:
-        extents = extents * 2
-    ns = tuple(int(v) for v in np.atleast_1d(n)) if np.ndim(n) else (int(n),) * dim
-    if len(ns) == 1 and dim == 2:
-        ns = ns * 2
-    if len(extents) != dim or len(ns) != dim:
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    extents, ns = (np.atleast_1d(v) for v in (extents, n))
+    if extents.size not in (1, dim) or ns.size not in (1, dim):
         raise ValueError("extents and n must match dim")
+    extents = tuple(float(e) for e in np.broadcast_to(extents, dim))
+    ns = tuple(int(v) for v in np.broadcast_to(ns, dim))
     if any(e <= 0 for e in extents):
         raise ValueError(f"extents must be positive, got {extents}")
-    if any(v < 4 for v in ns):
-        raise ValueError(f"need at least 4 nodes per axis for the stencils, got {ns}")
+    if any(v < 2 for v in ns):
+        raise ValueError(f"need at least 2 nodes per axis, got {ns}")
     if origin is None:
         origin = (0.0,) * dim
     origin = tuple(float(o) for o in np.atleast_1d(origin))
@@ -179,28 +189,22 @@ def build_grid(dim, extents, n, origin=None):
     shape = ns
 
     w1d = [_trapezoid_1d(ns[a], h[a]) for a in range(dim)]
-    vol = w1d[0]
-    for a in range(1, dim):
-        vol = np.multiply.outer(vol, w1d[a])
-    volume_weights = vol.ravel()
+    volume_weights = reduce(np.multiply.outer, w1d).ravel()
 
-    # faces as (nodes, trapezoid weights along the face, outward normal)
+    # two faces per axis, low end first; a face's nodes come in C order, its
+    # weights are the outer product of the other axes' trapezoid weights
     idx = np.arange(num).reshape(shape)
-    if dim == 1:
-        faces = [(idx[:1], 1.0, -1.0), (idx[-1:], 1.0, 1.0)]
-    else:
-        wx, wy = w1d
-        faces = [(idx[0, :], wy, (-1.0, 0.0)), (idx[-1, :], wy, (1.0, 0.0)),
-                 (idx[:, 0], wx, (0.0, -1.0)), (idx[:, -1], wx, (0.0, 1.0))]
-
     normals = np.zeros((num, dim))
     on_face = np.zeros(num, dtype=bool)
     surface_weights = np.zeros(num)
-    for nodes, weights, normal in faces:
-        surface_weights[nodes] += weights
-        new = nodes[~on_face[nodes]]     # x-faces come first, so corners go to them
-        normals[new] = normal
-        on_face[nodes] = True
+    for a in range(dim):
+        weights = np.ravel(reduce(np.multiply.outer, w1d[:a] + w1d[a + 1:], 1.0))
+        for end, sign in ((0, -1.0), (-1, 1.0)):
+            nodes = idx.take(end, axis=a).ravel()
+            surface_weights[nodes] += weights
+            new = nodes[~on_face[nodes]]     # lower axes come first and own the corners
+            normals[new, a] = sign
+            on_face[nodes] = True
 
     boundary_idx = np.flatnonzero(on_face)
     interior_idx = np.flatnonzero(~on_face)
@@ -259,16 +263,12 @@ def split_boundary(grid, x0):
     in_g0 = np.zeros(grid.num_nodes, dtype=bool)
     in_g0[gamma0] = True
     transitions = 0
-    if grid.dim == 2:
-        shape = grid.shape
-        idx = np.arange(grid.num_nodes).reshape(shape)
-        on_b = np.zeros(grid.num_nodes, dtype=bool)
-        on_b[b] = True
-        for axis in range(2):
-            lo = idx.take(range(shape[axis] - 1), axis=axis).ravel()
-            hi = idx.take(range(1, shape[axis]), axis=axis).ravel()
-            both = on_b[lo] & on_b[hi]
-            transitions += int(np.sum(in_g0[lo[both]] != in_g0[hi[both]]))
+    on_b = np.zeros(grid.num_nodes, dtype=bool)
+    on_b[b] = True
+    for axis in range(grid.dim):
+        lo, hi = edge_nodes(grid, axis)
+        both = on_b[lo] & on_b[hi]
+        transitions += int(np.sum(in_g0[lo[both]] != in_g0[hi[both]]))
 
     split = BoundarySplit(gamma0=gamma0, gamma1=gamma1, m=m,
                           transition_pairs=transitions)
@@ -297,14 +297,14 @@ def _mass_1d(n, h):
 
 
 def neumann_stiffness(grid):
-    """Scalar stiffness matrix with natural boundary condition on all faces."""
-    if grid.dim == 1:
-        return _stiffness_1d(grid.n[0], grid.h[0])
-    kx = _stiffness_1d(grid.n[0], grid.h[0])
-    ky = _stiffness_1d(grid.n[1], grid.h[1])
-    mx = _mass_1d(grid.n[0], grid.h[0])
-    my = _mass_1d(grid.n[1], grid.h[1])
-    return (sp.kron(kx, my) + sp.kron(mx, ky)).tocsr()
+    """Scalar stiffness matrix with natural boundary condition on all faces:
+    per axis, that axis's 1D stiffness times the other axes' masses."""
+    terms = []
+    for ax in range(grid.dim):
+        mats = [_mass_1d(n, h) for n, h in zip(grid.n, grid.h)]
+        mats[ax] = _stiffness_1d(grid.n[ax], grid.h[ax])
+        terms.append(reduce(sp.kron, mats))
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 def poincare_constant(grid, dirichlet_part):

@@ -2,7 +2,9 @@
 
 A weight is a base function psi with gradient and Hessian fields plus a
 composition phi = exp(lambda * psi), possibly on a cylinder (s, x) with an
-added axis carrying -beta s^2.  Certification has three layers:
+added axis carrying -beta s^2.  The cylinder is a ``mesh.Grid`` with the
+s-axis first that also knows its spatial grid.  Certification has three
+layers:
 
 * pseudo-convexity: the node-wise smallest eigenvalue of
   grad psi grad psi^T + Hess psi, positive away from the control region,
@@ -30,111 +32,43 @@ added axis carrying -beta s^2.  Certification has three layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import magop
-from .mesh import Grid, _d1_matrix, _d2_matrix, _trapezoid_1d
+from .mesh import Grid, build_grid, _d1_matrix, _d2_matrix
 
 
 # ---------------------------------------------------------------------------
-# cylinder domain: an auxiliary axis s in (-s_half, s_half) times a grid
+# cylinder domain: a grid with an auxiliary axis s in (-s_half, s_half) first
 
 
 @dataclass(frozen=True, eq=False)
-class CylinderGrid:
-    """Tensor extension (s, x) of a spatial grid by one auxiliary axis.
-
-    Node fields are flat (ns * N,) arrays in s-major order; the domain answers
-    what a probe asks of a Grid (shape, spacings, box, coordinates, quadrature,
-    boundary nodes, gradient matrices).
-    """
+class CylinderGrid(Grid):
+    """The grid (s, x) over a spatial grid: axis 0 is s, the others are the
+    spatial grid's.  Node fields are flat (n[0] * N,) arrays in s-major order;
+    everything but ``spatial`` is the tensor grid's own."""
 
     spatial: Grid
-    s_nodes: np.ndarray
-    s_h: float
-
-    @property
-    def ns(self):
-        return self.s_nodes.size
-
-    @property
-    def num_nodes(self):
-        return self.ns * self.spatial.num_nodes
-
-    @property
-    def shape(self):
-        return (self.ns, *self.spatial.shape)
-
-    @property
-    def dim(self):
-        return 1 + self.spatial.dim
-
-    @property
-    def h(self):
-        return (self.s_h, *self.spatial.h)
-
-    @property
-    def origin(self):
-        return (float(self.s_nodes[0]), *self.spatial.origin)
-
-    @property
-    def extents(self):
-        return (float(self.s_nodes[-1] - self.s_nodes[0]), *self.spatial.extents)
-
-    @cached_property
-    def coords(self):
-        """(ns * N, 1 + dim) array of (s, x) points."""
-        N = self.spatial.num_nodes
-        out = np.empty((self.num_nodes, self.dim))
-        out[:, 0] = np.repeat(self.s_nodes, N)
-        out[:, 1:] = np.tile(self.spatial.coords, (self.ns, 1))
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def volume_weights(self):
-        out = np.outer(_trapezoid_1d(self.ns, self.s_h),
-                       self.spatial.volume_weights).ravel()
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def boundary_idx(self):
-        """The two s-end slices and the spatial-boundary column of every slice."""
-        on = np.zeros((self.ns, self.spatial.num_nodes), dtype=bool)
-        on[[0, -1]] = True
-        on[:, self.spatial.boundary_idx] = True
-        out = np.flatnonzero(on)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def gradients(self):
-        """d_s and the spatial first-derivative matrices over all nodes."""
-        eye_s = sp.identity(self.ns, format="csr")
-        eye_x = sp.identity(self.spatial.num_nodes, format="csr")
-        return (sp.kron(_d1_matrix(self.ns, self.s_h), eye_x, format="csr"),
-                *(sp.kron(eye_s, g, format="csr") for g in self.spatial.gradients))
 
 
 def make_cylinder(spatial, s_half=2.0, ns=None):
+    """The cylinder (-s_half, s_half) x spatial with ns nodes along s (by
+    default the spatial grid's largest node count)."""
     if ns is None:
         ns = max(spatial.n)
-    s = np.linspace(-s_half, s_half, int(ns))
-    return CylinderGrid(spatial=spatial, s_nodes=s, s_h=float(s[1] - s[0]))
+    grid = build_grid(spatial.dim + 1, (2.0 * s_half, *spatial.extents),
+                      (int(ns), *spatial.n), origin=(-s_half, *spatial.origin))
+    return CylinderGrid(spatial=spatial, **vars(grid))
 
 
 def _factor_operators(dom, a):
     """P and grad by factors: the spatial Delta_a and gradients, and on a
     cylinder d_ss and d_s along s (None on a grid)."""
-    if isinstance(dom, Grid):
-        return magop.laplacian_stencil_full(dom, a), dom.gradients, None
-    return (magop.laplacian_stencil_full(dom.spatial, a), dom.spatial.gradients,
-            (_d2_matrix(dom.ns, dom.s_h), _d1_matrix(dom.ns, dom.s_h)))
+    if not isinstance(dom, CylinderGrid):
+        return a.laplacian, dom.gradients, None
+    ns, hs = dom.n[0], dom.h[0]
+    return a.laplacian, dom.spatial.gradients, (_d2_matrix(ns, hs), _d1_matrix(ns, hs))
 
 
 def _fields_on_band(f, lap, grads, s_ops):
@@ -179,9 +113,7 @@ class WeightFunction:
     grad: np.ndarray                  # (N, D)
     hess: np.ndarray                  # (N, D, D)
     lam: float = 1.0
-    beta: float = 0.0
     analytic_mask: np.ndarray = None
-    label: str = "custom"
 
     def __post_init__(self):
         if self.analytic_mask is None:
@@ -213,10 +145,7 @@ class WeightFunction:
         return self.lam * ph[:, None, None] * (self.lam * outer + self.hess)
 
     def with_lambda(self, lam):
-        out = WeightFunction(domain=self.domain, psi=self.psi, grad=self.grad,
-                             hess=self.hess, lam=float(lam), beta=self.beta,
-                             analytic_mask=self.analytic_mask, label=self.label)
-        return out
+        return replace(self, lam=float(lam))
 
     def derivative_consistency(self):
         """Max mismatch between the stored gradient and finite differences of
@@ -233,8 +162,7 @@ def quadratic_weight(grid, x0, shift=0.0):
     grad = 2.0 * diff
     hess = np.broadcast_to(2.0 * np.eye(grid.dim),
                            (grid.num_nodes, grid.dim, grid.dim)).copy()
-    return WeightFunction(domain=grid, psi=psi, grad=grad, hess=hess,
-                          label="quadratic")
+    return WeightFunction(domain=grid, psi=psi, grad=grad, hess=hess)
 
 
 def linear_weight(grid, direction, offset=2.0):
@@ -245,8 +173,7 @@ def linear_weight(grid, direction, offset=2.0):
         raise ValueError("offset too small: psi must stay positive")
     grad = np.broadcast_to(e, (grid.num_nodes, grid.dim)).copy()
     hess = np.zeros((grid.num_nodes, grid.dim, grid.dim))
-    return WeightFunction(domain=grid, psi=psi, grad=grad, hess=hess,
-                          label="linear")
+    return WeightFunction(domain=grid, psi=psi, grad=grad, hess=hess)
 
 
 def cylinder_extend(weight, cylinder, beta):
@@ -254,9 +181,9 @@ def cylinder_extend(weight, cylinder, beta):
     grid = weight.domain
     if grid is not cylinder.spatial:
         raise ValueError("weight must live on the cylinder's spatial grid")
-    ns, N = cylinder.ns, grid.num_nodes
+    ns, N = cylinder.n[0], grid.num_nodes
     D = cylinder.dim
-    s = cylinder.s_nodes
+    s = cylinder.coords[::N, 0]
     psi = (-beta * s[:, None] ** 2 + weight.psi[None, :]).ravel()
     grad = np.zeros((ns * N, D))
     grad[:, 0] = np.repeat(-2.0 * beta * s, N)
@@ -266,8 +193,7 @@ def cylinder_extend(weight, cylinder, beta):
     hess[:, 1:, 1:] = np.tile(weight.hess, (ns, 1, 1))
     mask = np.tile(weight.analytic_mask, ns)
     return WeightFunction(domain=cylinder, psi=psi, grad=grad, hess=hess,
-                          lam=weight.lam, beta=float(beta),
-                          analytic_mask=mask, label=f"{weight.label}+s")
+                          lam=weight.lam, analytic_mask=mask)
 
 
 def _smoothstep(s):
@@ -335,7 +261,7 @@ def construct_psi_G(grid, omega, x0):
     psi = psi + shift
     mask = ~transition
     return WeightFunction(domain=grid, psi=psi, grad=grad, hess=hess,
-                          analytic_mask=mask, label="collar-cutoff")
+                          analytic_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +298,7 @@ def check_pseudoconvexity(weight, region):
     max_dnu = -np.inf
     failures = []
     domain = weight.domain
-    if isinstance(domain, Grid):
+    if not isinstance(domain, CylinderGrid):
         b = domain.boundary_idx
         dnu = np.einsum("nj,nj->n", weight.grad[b], domain.normals[b])
         max_dnu = float(np.max(dnu))
@@ -553,8 +479,8 @@ def carleman_probe(weight, potential, test_functions, tau_grid):
     The domain is ``weight.domain``, a Grid (P = Delta_a) or a CylinderGrid
     (P = d_ss + Delta_a); samples are flat node fields on it.  P and grad
     apply by factors: the spatial Delta_a and gradients slice by slice, with
-    the magnetic potential sampled on the spatial grid (None for the plain
-    Laplacian), and on a cylinder d_ss and d_s along s.  Test functions must
+    Delta_a the cached ``laplacian`` of the potential sampled on the spatial
+    grid, and on a cylinder d_ss and d_s along s.  Test functions must
     vanish on the domain's boundary nodes (compact support); zero samples are
     excluded from the max.  tau is restricted to the aliasing window
     tau h <= 1/2.  The exponential weight is renormalized by its maximum over

@@ -625,6 +625,12 @@ weight.lambda = 20
 weight.beta = 10
 """, "weight.beta: exp(lambda psi) over- or underflows at lambda = 20 "
      "(psi from -38.9 to 2.36) with beta = 10"),
+    # the grids are intervals and rectangles, though mesh builds any dimension
+    "carleman-certify-grid-dim-3": ("""
+kind = "carleman-certify"
+grid.dim = 3
+grid.n = 8
+""", "grid.dim: must be 1 or 2, got 3"),
     # a stride of 2.5 once ran as stride 2
     "simulate-snapshot-stride-fraction": ("""
 kind = "simulate"

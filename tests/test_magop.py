@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -48,7 +50,7 @@ def test_constant_potential_isospectral(grid_1d):
 def cross_check_laplacian(grid, a):
     """The expansion stencil with the boundary rows and columns removed."""
     inner = grid.interior_idx
-    return magop.laplacian_stencil_full(grid, a)[inner][:, inner]
+    return a.laplacian[inner][:, inner]
 
 
 def test_schemes_identical_for_zero_potential(grid_1d):
@@ -241,6 +243,34 @@ def test_dissipativity_margins(grid_1d, smooth_pot, kind):
     assert lam <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("n", [24, 28])
+def test_dissipativity_margin_sees_a_positive_eigenvalue(n, monkeypatch):
+    """A 2D A2 generator plus S^-1 (delta e_j e_j^T) is not dissipative: the
+    Hermitian part of S A gains delta at (j, j).  The margin reports that
+    largest eigenvalue on both sides of 600 unknowns (552 at n = 24, 756 at
+    n = 28), and refuses an order above the dense limit."""
+    grid = mesh.build_grid(2, 1.0, n)
+    split = mesh.split_boundary(grid, [-0.3, 0.5])
+    d = np.zeros(grid.num_nodes)
+    d[split.gamma0] = 1.0
+    gen = magop.assemble_generator("A2", grid, magop.MagneticPotential.zero(grid), split=split,
+                                   damping=magop.DampingConfig.boundary(grid, d))
+    j = gen.size // 2
+    delta = 1e-3 * sp.linalg.norm(gen.stiffness @ gen.matrix)
+    col = spla.spsolve(gen.stiffness.tocsc(), np.eye(gen.size, 1, -j)[:, 0] * delta)
+    bump = sp.csr_matrix((col, (np.arange(gen.size), np.full(gen.size, j))),
+                         shape=gen.matrix.shape)
+    bad = replace(gen, matrix=(gen.matrix + bump).tocsr())
+    B = (bad.stiffness @ bad.matrix).toarray()
+    want = np.linalg.eigvalsh(0.5 * (B + B.conj().T))[-1]
+    lam, scale = bad.dissipativity_margin()
+    assert want > 1e-10 * scale
+    assert abs(lam - want) <= 1e-10 * scale
+    monkeypatch.setattr(magop, "_DENSE_LIMIT", gen.size - 1)
+    with pytest.raises(magop.DenseLimitError, match=f"dense order {gen.size}"):
+        bad.dissipativity_margin()
+
+
 def test_a2_requires_gamma0(grid_1d, smooth_pot):
     g = grid_1d
     split = mesh.BoundarySplit(
@@ -427,6 +457,37 @@ def test_structural_identities(case):
             assert rel <= 1e-12
 
 
+def test_generators_on_a_3d_grid():
+    """The edge assembly is dimension-free: on a 5^3 grid A0 is skew-adjoint,
+    A1 is dissipative, gauge conjugation is the assembly with a + grad psi, and
+    with a = 0 the lowest Dirichlet eigenvalue is the tensor one,
+    3 (4/h^2) sin^2(pi h/2)."""
+    grid = mesh.build_grid(3, 1.0, 5)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: np.sin(2.0 * p + 0.3))
+    psi = np.cos(grid.coords @ np.array([1.0, -0.5, 0.7]))
+    shifted = magop.potential_plus_edge_gradient(a, psi)
+    c = np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
+    damping = magop.DampingConfig.interior(grid, c, c0=5.0,
+                                           omega=grid.box_nodes([0.0] * 3, [0.29, 1.0, 1.0]))
+    for kind in ("A0", "A1"):
+        gen = magop.assemble_generator(kind, grid, a, damping=damping)
+        if kind == "A0":
+            assert gen.hermitian_residual() <= 1e-12
+        else:
+            lam, scale = gen.dissipativity_margin()
+            assert lam <= 1e-10 * scale
+        conj = magop.gauge_transform(gen, psi)
+        direct = magop.assemble_generator(kind, grid, shifted, damping=damping)
+        for name in ("matrix", "lap_matrix"):
+            want = getattr(direct, name)
+            assert sp.linalg.norm(getattr(conj, name) - want) <= 1e-12 * sp.linalg.norm(want)
+    lap = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid)).lap_matrix
+    assert lap.shape == (27, 27)
+    lowest = np.linalg.eigvalsh(-lap.toarray())[0]
+    h = grid.h[0]
+    assert abs(lowest - 3.0 * (4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2) <= 1e-12 * lowest
+
+
 @PROPERTY
 @given(assembly_cases(), st.just(0.0) | st.floats(-400.0, 100.0))
 def test_shifted_is_the_sparse_difference(case, mu):
@@ -549,16 +610,33 @@ def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
             assert solve(x).tobytes() == (2.0 * want(x)).tobytes()
 
 
-def test_generator_build_forms_no_gradient_matrices():
+def test_generator_build_forms_no_gradient_matrices(monkeypatch):
     """Assembly reads edges only: the grid's gradient matrices and the
-    potential's divergence are built on first use, by the cross-check
-    stencil, and the divergence is the centered-difference sum."""
+    potential's cross-check stencil are built on first use.  The stencil is
+    kept on the potential, so a second probe does not rebuild it, and its
+    i div(a) term is the centered-difference sum."""
+    from magschro import weights
+
     grid = mesh.build_grid(2, 1.0, 9)
     a, split, damping = damped_setup(
         grid, magop.MagneticPotential.from_callable(grid, lambda p: np.sin(2.0 * p + 0.5)))
     for kind in KINDS:
         magop.assemble_generator(kind, grid, a, damping=damping, split=split)
-    assert "gradients" not in vars(grid) and "div" not in vars(a)
-    magop.laplacian_stencil_full(grid, a)
-    want = sum(G @ a.values[:, ax] for ax, G in enumerate(grid.gradients))
-    assert a.div.tobytes() == want.tobytes()
+    assert "gradients" not in vars(grid) and "laplacian" not in vars(a)
+
+    builds = []
+    d2 = magop._d2_matrix
+    monkeypatch.setattr(magop, "_d2_matrix", lambda n, h: builds.append(n) or d2(n, h))
+    w = weights.quadratic_weight(grid, [-0.3, 0.5]).with_lambda(0.3)
+    funcs = weights.bump_functions(grid, 2, seed=0)
+    weights.carleman_probe(w, a, funcs, [2.0])
+    assert builds == [9, 9]
+    stencil = a.laplacian
+    weights.carleman_probe(w, a, funcs, [3.0])
+    assert builds == [9, 9] and a.laplacian is stencil
+
+    second = sum(mesh._axis_matrix(grid, d2(9, grid.h[ax]), ax) for ax in range(2))
+    drift = sum(2j * sp.diags(a.values[:, ax]) @ G for ax, G in enumerate(grid.gradients))
+    rest = (stencil - second - drift).toarray() + np.diag(np.sum(a.values**2, axis=1))
+    div = sum(G @ a.values[:, ax] for ax, G in enumerate(grid.gradients))
+    assert np.allclose(rest, np.diag(1j * div), rtol=0.0, atol=1e-12 * np.max(np.abs(div)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magschro import mesh
+from magschro import magop, mesh
 
 
 def test_build_grid_1d_basic():
@@ -20,15 +20,51 @@ def test_build_grid_2d_counts():
 
 
 def test_build_grid_rejects_small_n():
-    with pytest.raises(ValueError):
-        mesh.build_grid(1, [2.0], 3)
+    """A grid needs 2 nodes per axis; its gradient matrices need 3 and the
+    cross-check Laplacian 4, and each refuses fewer."""
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        mesh.build_grid(1, [2.0], 1)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        mesh.build_grid(2, [1.0, 1.0], [5, 1])
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        mesh.build_grid(2, 1.0, [5, 2]).gradients
+    g = mesh.build_grid(2, 1.0, [5, 3])
+    assert len(g.gradients) == 2
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        magop.MagneticPotential.zero(g).laplacian
+    g = mesh.build_grid(2, 1.0, [5, 4])
+    assert magop.MagneticPotential.zero(g).laplacian.shape == (20, 20)
 
 
 def test_build_grid_rejects_bad_extent():
     with pytest.raises(ValueError):
         mesh.build_grid(1, [-1.0], 8)
-    with pytest.raises(ValueError):
-        mesh.build_grid(3, [1.0] * 3, 8)
+    with pytest.raises(ValueError, match="at least 1"):
+        mesh.build_grid(0, [], 8)
+    with pytest.raises(ValueError, match="must match dim"):
+        mesh.build_grid(2, [1.0] * 3, 8)
+
+
+def test_build_grid_3d_quadrature_and_faces():
+    """On a 5^3 cube the volume weights sum to 1, the surface weights are the
+    six faces' outer-product trapezoid weights (each face summing to 1), and
+    a boundary node takes the normal of its lowest axis's face."""
+    g = mesh.build_grid(3, 1.0, 5)
+    assert g.num_nodes == 125 and g.boundary_idx.size == 125 - 27
+    assert abs(g.volume_weights.sum() - 1.0) < 1e-14
+    w = mesh._trapezoid_1d(5, 0.25)
+    idx = np.arange(125).reshape(5, 5, 5)
+    expect = np.zeros(125)
+    for axis in range(3):
+        face = np.multiply.outer(w, w).ravel()
+        assert abs(face.sum() - 1.0) < 1e-14
+        for end in (0, -1):
+            expect[idx.take(end, axis=axis).ravel()] += face
+    assert np.allclose(g.surface_weights, expect, rtol=1e-15, atol=0.0)
+    assert np.all(np.linalg.norm(g.normals[g.boundary_idx], axis=1) == 1.0)
+    assert tuple(g.normals[g.flat_index((0, 0, 0))]) == (-1.0, 0.0, 0.0)
+    assert tuple(g.normals[g.flat_index((2, 4, 0))]) == (0.0, 1.0, 0.0)
+    assert tuple(g.normals[g.flat_index((2, 2, 4))]) == (0.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("dim,extents,n", [(1, [1.0], 9), (1, [2.5], 31),

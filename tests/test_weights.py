@@ -413,11 +413,11 @@ def test_probe_constant_weight_reduces_to_unweighted(grid):
     const = weights.WeightFunction(
         domain=grid, psi=np.full(grid.num_nodes, 2.0),
         grad=np.zeros((grid.num_nodes, 1)),
-        hess=np.zeros((grid.num_nodes, 1, 1)), label="flat")
+        hess=np.zeros((grid.num_nodes, 1, 1)))
     f = bump_1d(grid, 0.5, 0.25)
     tau = 3.0
     rep = weights.carleman_probe(const, pot, [f], [tau])
-    Pf = magop.laplacian_stencil_full(grid, pot) @ f
+    Pf = pot.laplacian @ f
     gf = grid.gradients[0] @ f
     wq = grid.volume_weights
     plain = ((tau**3 * np.sum(wq * np.abs(f) ** 2)
@@ -481,15 +481,17 @@ def test_probe_trend_on_shipped_cylinder():
 def test_cylinder_grid_vocabulary(dim):
     grid = mesh.build_grid(dim, [1.0, 0.5][:dim], [9, 7][:dim])
     cyl = weights.make_cylinder(grid, s_half=1.5, ns=6)
+    ns = cyl.n[0]
     s = cyl.coords[:, 0]
+    assert np.allclose(s[::grid.num_nodes], np.linspace(-1.5, 1.5, ns), rtol=0.0, atol=1e-15)
+    assert np.array_equal(cyl.coords[:, 1:], np.tile(grid.coords, (ns, 1)))
     on_space_boundary = np.zeros(grid.num_nodes, dtype=bool)
     on_space_boundary[grid.boundary_idx] = True
-    expect = ((s == cyl.s_nodes[0]) | (s == cyl.s_nodes[-1])
-              | np.tile(on_space_boundary, cyl.ns))
+    expect = ((s == s.min()) | (s == s.max()) | np.tile(on_space_boundary, ns))
     assert np.array_equal(cyl.boundary_idx, np.flatnonzero(expect))
     assert np.isclose(cyl.volume_weights.sum(), 2 * 1.5 * grid.measure, rtol=1e-14)
-    assert cyl.dim == 1 + dim and cyl.num_nodes == cyl.ns * grid.num_nodes
-    assert cyl.h == (cyl.s_h, *grid.h)
+    assert cyl.dim == 1 + dim and cyl.num_nodes == ns * grid.num_nodes
+    assert cyl.h[1:] == grid.h and np.isclose(cyl.h[0], 3.0 / (ns - 1), rtol=1e-15)
     slope = np.array([0.7, -1.3, 2.1][:1 + dim])
     affine = 0.4 + cyl.coords @ slope
     for g, c in zip(cyl.gradients, slope):
@@ -517,18 +519,13 @@ def test_probe_overflow_guard(grid):
         weights.carleman_probe(w, pot, [f], [16.0])
 
 
-def bump_functions_all_nodes(dom, count, seed, cylinder=False):
-    """The bump generator evaluating profile and phase on every node."""
+def bump_functions_all_nodes(dom, count, seed):
+    """The bump generator evaluating profile and phase on every node of a
+    grid or a cylinder (a grid with the s-axis first)."""
     rng = np.random.default_rng(seed)
-    if cylinder:
-        pts = dom.coords
-        los = np.concatenate([[dom.s_nodes[0]], np.asarray(dom.spatial.origin)])
-        his = np.concatenate([[dom.s_nodes[-1]], np.asarray(dom.spatial.origin)
-                              + np.asarray(dom.spatial.extents)])
-    else:
-        pts = dom.coords
-        los = np.asarray(dom.origin)
-        his = los + np.asarray(dom.extents)
+    pts = dom.coords
+    los = np.asarray(dom.origin)
+    his = los + np.asarray(dom.extents)
     out = []
     for _ in range(count):
         center = los + (0.3 + 0.4 * rng.random(pts.shape[1])) * (his - los)
@@ -547,7 +544,7 @@ def test_bump_functions_match_all_node_evaluation(dim, cylinder):
     dom = weights.make_cylinder(grid, ns=9) if cylinder else grid
     for seed in (0, 5):
         got = weights.bump_functions(dom, 20, seed=seed)
-        ref = bump_functions_all_nodes(dom, 20, seed=seed, cylinder=cylinder)
+        ref = bump_functions_all_nodes(dom, 20, seed=seed)
         assert len(got) == len(ref) == 20
         for f, g in zip(got, ref):
             assert f.shape == g.shape and np.array_equal(f, g)
@@ -584,13 +581,13 @@ def probe_fields(dom, potential, f):
     form on (ns, N) arrays, flattened back to node fields."""
     if isinstance(dom, weights.CylinderGrid):
         space = dom.spatial
-        F = f.reshape(dom.ns, space.num_nodes)
-        lap = magop.laplacian_stencil_full(space, potential)
-        Pf = mesh._d2_matrix(dom.ns, dom.s_h) @ F + (lap @ F.T).T
-        gf = [mesh._d1_matrix(dom.ns, dom.s_h) @ F]
+        ns, hs = dom.n[0], dom.h[0]
+        F = f.reshape(ns, space.num_nodes)
+        Pf = mesh._d2_matrix(ns, hs) @ F + (potential.laplacian @ F.T).T
+        gf = [mesh._d1_matrix(ns, hs) @ F]
         gf += [(g @ F.T).T for g in space.gradients]
         return Pf.ravel(), np.stack([g.ravel() for g in gf], axis=-1)
-    Pf = magop.laplacian_stencil_full(dom, potential) @ f
+    Pf = potential.laplacian @ f
     return Pf, np.column_stack([g @ f for g in dom.gradients])
 
 
