@@ -356,6 +356,14 @@ def _point(config, key, dim, default=None):
     return vals
 
 
+def _whole_steps(T, dt):
+    """Refuse a horizon T that is not a whole multiple of the step dt."""
+    try:
+        mesh.step_count(T, dt)
+    except ValueError:
+        raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
+
+
 def _mu_grid(config):
     if config.get("mu.grid") is not None:
         return _number_list(config, "mu.grid", None)
@@ -372,7 +380,8 @@ def _run_simulate(config, out, rng):
     gen = _build_generator(config)
     u0 = _initial_state(gen, config, rng)
     T = _positive(config, "T", 1.0)
-    dt = _positive(config, "dt", float(min(gen.grid.h)) ** 2 / 4.0)
+    dt = _positive(config, "dt", evolve.default_step(gen.grid, T))
+    _whole_steps(T, dt)
     stride = _whole(config, "snapshot_stride", max(1, int(round(T / dt)) // 200))
     trace, _ = evolve.simulate(gen, u0, T, dt, snapshot_stride=stride,
                                record=out / "snapshots.bin")
@@ -423,9 +432,11 @@ def _run_observability(config, out, rng):
     gen = _build_generator(config, kind="A0")
     obs_kind = config.get("observation.kind", "interior-l2")
     if obs_kind == "boundary-conormal":
+        part = config.get("observation.part", "gamma0")
+        if part not in ("gamma0", "all"):
+            raise ConfigError(f"observation.part: expected \"gamma0\" or \"all\", got {part!r}")
         split = _build_split(gen.grid, config, required=True)
-        nodes = split.gamma0 if config.get("observation.part", "gamma0") == "gamma0" \
-            else gen.grid.boundary_idx
+        nodes = split.gamma0 if part == "gamma0" else gen.grid.boundary_idx
     else:
         nodes = _box_nodes(gen.grid, config.get("observation.omega", "all"),
                            "observation.omega", gen.state_idx)
@@ -440,10 +451,7 @@ def _run_observability(config, out, rng):
     dt = _positive(config, "dt", 0.01)
     stride = _whole(config, "stride", 1)
     if method == "cn":
-        try:
-            obsgram._trapezoid_steps(T, dt, 1)
-        except ValueError:
-            raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
+        _whole_steps(T, dt)
     try:
         rep = obsgram.gramian(gen, obs, T, dt, stride=stride, method=method)
     except magop.DenseLimitError as exc:
@@ -519,6 +527,7 @@ def _run_multiplier_check(config, out, rng):
     u0 = _initial_state(gen, config, rng)
     T = _positive(config, "T", 0.25)
     dt = _positive(config, "dt", 5e-4)
+    _whole_steps(T, dt)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
     x0 = _point(config, "multiplier.x0", gen.grid.dim, [0.0] * gen.grid.dim)
     fld = multiplier.MultiplierField.radial(gen.grid, traj.times, x0)

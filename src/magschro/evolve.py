@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import magop
-from .mesh import retained_steps
+from .mesh import retained_steps, step_count
 
 
 class EnergyIncreaseError(RuntimeError):
@@ -140,12 +140,19 @@ class _SnapshotRecord:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
+def default_step(grid, T):
+    """T / n for the fewest whole n steps no longer than h^2/4, h the
+    grid's finest spacing: the run ends at T."""
+    return T / np.ceil(T / (float(min(grid.h)) ** 2 / 4.0))
+
+
 def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=None):
     """Integrate u' = A u over [0, T] and record the energy law.
 
-    The default step dt = h^2/4 keeps the implicit solve conditioned like a
-    parabolic problem.  Returns (EnergyTrace, Trajectory), the Trajectory
-    None when the states go to ``record``.  Raises
+    T must be a whole multiple of dt (ValueError otherwise).  The default
+    step is ``default_step``, at most h^2/4, which keeps the implicit solve
+    conditioned like a parabolic problem.  Returns (EnergyTrace,
+    Trajectory), the Trajectory None when the states go to ``record``.  Raises
     EnergyIncreaseError when the energy of a damped generator rises beyond
     ``increase_tol`` (default: ten times dt^2 times the initial energy, plus
     rounding headroom).
@@ -166,19 +173,19 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=N
     rows, about ``_BLOCK_ENTRIES`` complex entries each, whatever the number
     of steps.
     """
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"need finite T > 0, got T={T!r}")
     if dt is None:
-        dt = float(min(gen.grid.h)) ** 2 / 4.0
-    if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
-        raise ValueError(f"need finite T > 0 and dt > 0, got T={T!r}, dt={dt!r}")
+        dt = default_step(gen.grid, T)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"need finite dt > 0, got dt={dt!r}")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be at least 1, got {snapshot_stride!r}")
     u = np.asarray(u0, dtype=complex).copy()
     n = gen.size
     if u.shape[0] != n:
         raise ValueError(f"initial state has size {u.shape[0]}, generator {n}")
-    nsteps = int(round(T / dt))
-    if abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
-        nsteps = int(np.ceil(T / dt))
+    nsteps = step_count(T, dt)
     times = dt * np.arange(nsteps + 1)
 
     conservative = gen.kind == "A0"

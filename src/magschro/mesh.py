@@ -150,6 +150,15 @@ def trapezoid_weights(times):
     return w
 
 
+def step_count(T, dt):
+    """The number of steps dt in the horizon T, refused with ValueError unless
+    T is a positive whole multiple of dt (to 1e-9 relative)."""
+    nsteps = int(round(T / dt))
+    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T must be a positive whole multiple of dt, got T={T!r}, dt={dt!r}")
+    return nsteps
+
+
 def retained_steps(nsteps, stride):
     """Every ``stride``-th step index of 0..nsteps, with nsteps always kept."""
     keep = np.arange(0, nsteps + 1, stride)

@@ -15,7 +15,14 @@ boundary-flux and H1 observation) give
 the best constants in the observability and hidden-regularity inequalities.
 
 Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
-integrates the modal phase couplings exactly in time.  That integral is
+integrates the modal phase couplings exactly in time.  On a rectangle whose
+link phases along each axis do not change across the other axis (the zero,
+constant and sine potentials) the generator is the Kronecker sum of two 1D
+ones, which ``_axis_pencils`` checks on the assembled stiffness; the modes
+are then V_x (x) V_y with frequencies lam_x (+) lam_y, from two 1D
+eigendecompositions, and any other generator takes one dense eigensolve.
+The product-space check reads its modes and couplings from its two factors
+in the same way.  The time integral is
 P K P^H with P a diagonal of unit phases and K real symmetric, so the modal
 Gramian is a diagonal unitary similarity of Z o K (Z the modal observation
 couplings): when A = 0 the modes and Z are real and its extremes come from a
@@ -50,7 +57,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import zherk
 
 from . import evolve, magop
-from .mesh import retained_steps, trapezoid_weights
+from .mesh import build_grid, retained_steps, step_count, trapezoid_weights
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -129,22 +136,73 @@ class ObservabilityReport:
 
 
 def _modal_data(gen):
+    """Frequencies lam >= 0, ascending, and modes V with V^H M V = I of the
+    pencil (S, diag M): from the two axis pencils when the generator is their
+    Kronecker sum (``_axis_pencils``), else by one dense eigensolve."""
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator")
     magop._check_order(gen.size, "the modal eigendecomposition")
+    axes = _axis_pencils(gen)
+    if axes is None:
+        return _pencil_modes(gen.stiffness, gen.mass_diag)
+    (lam_x, V_x), (lam_y, V_y) = (_pencil_modes(S, M) for S, M in axes)
+    lam, j, k = _kron_sum(lam_x, lam_y)
+    return lam, (V_x[:, None, j] * V_y[None, :, k]).reshape(-1, lam.size)
+
+
+def _pencil_modes(S, mass):
     # the pencil (S, diag M) as the standard problem D S D, D = M^-1/2; real when A = 0
-    S = gen.stiffness.toarray()
-    d = 1.0 / np.sqrt(gen.mass_diag)
+    S = S.toarray()
+    d = 1.0 / np.sqrt(mass)
     lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
-    return lam, d[:, None] * U      # V^H M V = I, frequencies lambda >= 0
+    return lam, d[:, None] * U
+
+
+def _axis_pencils(gen):
+    """The 1D pencils (S_x, M_x), (S_y, M_y) whose Kronecker sum is the
+    generator's, or None.
+
+    On a rectangle each axis takes the first line of the potential's edge
+    values along it.  The pencils are returned only when
+    kron(S_x, M_y) + kron(M_x, S_y) reproduces the stiffness to 1e-14
+    relative and kron(M_x, M_y) is the mass bit for bit: link phases along
+    each axis that do not change across the other, as for the zero, constant
+    and sine potentials.
+    """
+    grid, pot = gen.grid, gen.potential
+    if grid.dim != 2:
+        return None
+    axes = []
+    for ax in range(2):
+        line = build_grid(1, grid.extents[ax], grid.n[ax], grid.origin[ax])
+        shape = list(grid.shape)
+        shape[ax] = -1                  # nodes or edges along ax
+        # node and edge values on the line at index 0 of the other axis
+        values, edges = (np.take(v.reshape(shape), 0, axis=1 - ax)
+                         for v in (pot.values[:, ax], pot.edge_values[ax]))
+        a = magop.MagneticPotential._finish(line, values[:, None], (edges,))
+        state = line.interior_idx
+        axes.append((magop.magnetic_stiffness(line, a, state), line.volume_weights[state]))
+    (S_x, M_x), (S_y, M_y) = axes
+    if not np.array_equal(np.outer(M_x, M_y).ravel(), gen.mass_diag):
+        return None
+    S = sp.kron(S_x, sp.diags(M_y)) + sp.kron(sp.diags(M_x), S_y)
+    if sp.linalg.norm(S - gen.stiffness) > 1e-14 * sp.linalg.norm(gen.stiffness):
+        return None
+    return axes
+
+
+def _kron_sum(lam1, lam2):
+    """lam1 (+) lam2 in ascending (stable) order, with the factor indices
+    (j, k) of each entry: mode p of the Kronecker sum is V1[:, j_p] (x) V2[:, k_p]."""
+    lam = np.add.outer(lam1, lam2).ravel()
+    order = np.argsort(lam, kind="stable")
+    return (lam[order], *np.divmod(order, lam2.size))
 
 
 def _trapezoid_steps(T, dt, stride):
     """Retained step indices of the stride-``stride`` rule over [0, T]."""
-    nsteps = int(round(T / dt))
-    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("T must be a positive integer multiple of dt")
-    return retained_steps(nsteps, stride)
+    return retained_steps(step_count(T, dt), stride)
 
 
 def _cn_weights(T, dt, stride):
@@ -464,22 +522,16 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     # one-factor constant: the exact modal Gramian on the factor's own modes
     lam1, V1 = _modal_data(gen1)
     N1, W1 = Observation("interior-l2", omega1).build(gen1)
-    c1d = _c_obs(*_extremes_from_modal(
-        _phase_gramian_exact(_modal_couplings(N1, W1, V1), lam1, T), lam1, "mass"))
+    Z1 = _modal_couplings(N1, W1, V1)
+    c1d = _c_obs(*_extremes_from_modal(_phase_gramian_exact(Z1, lam1, T), lam1, "mass"))
 
-    # direct product-space constant: modal Gramian of the Kronecker-sum flow
+    # direct product-space constant: modal Gramian of the Kronecker-sum flow on
+    # the modes V1 (x) V2, observed on omega1 x Omega2, whose couplings are
+    # Z1 (x) V2^H M2 V2 by the mixed-product rule
     lam2, V2 = _modal_data(gen2)
-    lam12 = (lam1[:, None] + lam2[None, :]).ravel()
-    mass_kron = np.kron(gen1.mass_diag, gen2.mass_diag)
-    pos1 = magop._positions(gen1.grid.num_nodes, gen1.state_idx)
-    sel1 = pos1[np.asarray(omega1, dtype=int)]
-    sel1 = sel1[sel1 >= 0]
-    mask = np.zeros(n1, dtype=bool)
-    mask[sel1] = True
-    rows = np.nonzero(np.repeat(mask, n2))[0]
-    V12 = np.kron(V1, V2)
-    Y = V12[rows, :]
-    Z = (Y.conj().T * mass_kron[rows]) @ Y
+    lam12, j, k = _kron_sum(lam1, lam2)
+    Z2 = (V2.conj().T * gen2.mass_diag) @ V2
+    Z = Z1[np.ix_(j, j)] * Z2[np.ix_(k, k)]
     c2d = _c_obs(*_extremes_from_modal(_phase_gramian_exact(Z, lam12, T), lam12, "mass"))
 
     ratio = c2d / c1d if np.isfinite(c1d) else float("nan")

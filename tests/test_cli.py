@@ -277,6 +277,58 @@ def test_observability_bad_numbers_are_config_errors(tmp_path, line):
                      "--out", str(tmp_path / "main")]) == 2
 
 
+BOUNDARY_OBSERVABILITY = """
+kind = "observability"
+grid.dim = 1
+grid.n = 32
+observation.kind = "boundary-conormal"
+split.x0 = [-0.3]
+T = 0.5
+"""
+
+
+@pytest.mark.parametrize("part, nodes", [("gamma0", 1), ("all", 2)])
+def test_observation_part_picks_the_boundary_nodes(tmp_path, part, nodes):
+    cfg = cli.ExperimentConfig.parse(BOUNDARY_OBSERVABILITY + f'observation.part = "{part}"\n')
+    assert cli.run(cfg, out_dir=tmp_path) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["observation"] == f"boundary-conormal[{nodes} nodes]"
+
+
+@pytest.mark.parametrize("part", ["gamma1", "gama0", "ALL", "none"])
+def test_unknown_observation_part_is_a_config_error(tmp_path, part):
+    text = BOUNDARY_OBSERVABILITY + f'observation.part = "{part}"\n'
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=r"^observation\.part: expected"):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run" / "report.json").exists()
+    cfg_path = tmp_path / "obs.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["observability", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "main")]) == 2
+
+
+@pytest.mark.parametrize("kind, outputs", [("simulate", "energy.csv"),
+                                           ("multiplier-check", "residuals.json")])
+def test_horizon_off_the_step_is_a_config_error(tmp_path, kind, outputs):
+    """T = 1 is not a whole number of dt = 0.3 steps: refused, not run to 1.2."""
+    text = f'kind = "{kind}"\ngrid.dim = 1\ngrid.n = 32\nT = 1.0\ndt = 0.3\n'
+    cfg = cli.ExperimentConfig.parse(text)
+    with pytest.raises(cli.ConfigError, match=r"^T: must be a whole multiple of dt"):
+        cli.run(cfg, out_dir=tmp_path / "run")
+    assert not (tmp_path / "run" / outputs).exists()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "main")]) == 2
+
+
+def test_simulate_default_step_ends_at_T(tmp_path):
+    text = 'kind = "simulate"\ngrid.dim = 1\ngrid.n = 32\nT = 0.05\n'
+    assert cli.run(cli.ExperimentConfig.parse(text), out_dir=tmp_path) == 0
+    last = (tmp_path / "energy.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == pytest.approx(0.05, rel=1e-15)
+
+
 def test_observability_reports_rank_bound(tmp_path):
     cfg = cli.ExperimentConfig.parse(OBSERVABILITY_CN.replace(
         'observation.omega = [[0.0], [0.4]]', 'observation.omega = [[0.0], [0.05]]'))

@@ -264,6 +264,23 @@ def test_simulate_default_dt_is_h_squared_over_four(gen_a0):
     assert abs(trace.dt - h * h / 4.0) < 1e-15
 
 
+def test_default_step_ends_the_run_at_T():
+    """The default step is T / ceil(T / (h^2/4)): whole steps, none past T."""
+    grid = mesh.build_grid(1, [1.0], 32)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    h = grid.h[0]
+    trace, _ = evolve.simulate(gen, first_mode(gen), T=0.05)
+    assert trace.times.size == 194                   # ceil(0.05 / (h^2/4)) = 193 steps
+    assert trace.dt <= h * h / 4.0
+    assert trace.times[-1] == pytest.approx(0.05, rel=1e-15)
+
+
+def test_simulate_refuses_a_step_that_does_not_divide_T(gen_a0):
+    for T, dt in ((1.0, 0.3), (0.05, 0.02), (1e-3, 1e-2)):
+        with pytest.raises(ValueError, match="whole multiple of dt"):
+            evolve.simulate(gen_a0, first_mode(gen_a0), T=T, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # property tests: the blocked stepper against a per-step reference loop
 #

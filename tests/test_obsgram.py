@@ -469,6 +469,128 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
     check()
 
 
+# -- separable generators: modes from the two axis factors -------------------
+
+SEPARABLE = {
+    "zero": lambda g: magop.MagneticPotential.zero(g),
+    "constant": lambda g: magop.MagneticPotential.from_samples(
+        g, np.tile([0.7, -0.4], (g.num_nodes, 1))),
+    "sine": lambda g: magop.MagneticPotential.from_callable(
+        g, lambda p: 0.3 * np.sin(2.0 * p + 0.1)),
+}
+OBSERVATIONS = {
+    "interior-l2": lambda g: g.box_nodes([0.0, 0.0], [0.3, 2.5]),
+    "boundary-conormal": lambda g: g.boundary_idx,
+    "interior-h1": lambda g: g.box_nodes([0.0, 0.0], [0.5, 1.0]),
+}
+
+
+def eigh_orders(monkeypatch):
+    """Record the order of every matrix obsgram hands to la.eigh."""
+    orders = []
+    eigh = la.eigh
+
+    def spy(a, *args, **kwargs):
+        orders.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(obsgram.la, "eigh", spy)
+    return orders
+
+
+def dense_route(monkeypatch):
+    """Make every generator take the dense eigensolve."""
+    monkeypatch.setattr(obsgram, "_axis_pencils", lambda gen: None)
+
+
+@pytest.mark.parametrize("n", [(9, 14), (13, 21)])
+@pytest.mark.parametrize("preset", sorted(SEPARABLE))
+def test_separable_modes_come_from_the_axis_factors(preset, n, monkeypatch):
+    grid = mesh.build_grid(2, (1.0, 2.5), n)
+    gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
+    with monkeypatch.context() as mp:
+        orders = eigh_orders(mp)
+        lam, V = obsgram._modal_data(gen)
+    assert orders == [n[0] - 2, n[1] - 2]            # two 1D solves, no dense 2D one
+    with monkeypatch.context() as mp:
+        dense_route(mp)
+        orders = eigh_orders(mp)
+        lam_ref, _ = obsgram._modal_data(gen)
+    assert orders == [gen.size]
+    M = gen.mass_diag
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-13 * lam_ref[-1]
+    assert np.max(np.abs(V.conj().T @ (M[:, None] * V) - np.eye(gen.size))) <= 1e-13
+    assert np.linalg.norm(gen.stiffness @ V - (M[:, None] * V) * lam) <= 1e-12 * lam_ref[-1]
+    assert np.isrealobj(V) == (preset == "zero")
+
+
+@pytest.mark.parametrize("kind", sorted(OBSERVATIONS))
+@pytest.mark.parametrize("preset", sorted(SEPARABLE))
+def test_separable_gramian_matches_the_dense_route(preset, kind, monkeypatch):
+    grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
+    gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
+    obs = obsgram.Observation(kind, OBSERVATIONS[kind](grid))
+    rep = obsgram.gramian(gen, obs, 0.8)
+    with monkeypatch.context() as mp:
+        dense_route(mp)
+        ref = obsgram.gramian(gen, obs, 0.8)
+    assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
+    assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
+
+
+def test_curl_potential_keeps_the_dense_route(monkeypatch):
+    """a = (-y, x)/2 changes the x-links across y: no Kronecker factors, one
+    dense eigensolve, and modes of the pencil (S, diag M)."""
+    grid = mesh.build_grid(2, (1.0, 2.5), (9, 14))
+    a = magop.MagneticPotential.from_callable(
+        grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]]))
+    gen = magop.assemble_generator("A0", grid, a)
+    assert obsgram._axis_pencils(gen) is None
+    orders = eigh_orders(monkeypatch)
+    lam, V = obsgram._modal_data(gen)
+    assert orders == [gen.size]
+    lam_ref, _ = generalized_modal_data(gen)
+    M = gen.mass_diag
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-13 * lam_ref[-1]
+    assert np.max(np.abs(V.conj().T @ (M[:, None] * V) - np.eye(gen.size))) <= 1e-13
+    assert np.linalg.norm(gen.stiffness @ V - (M[:, None] * V) * lam) <= 1e-12 * lam_ref[-1]
+
+
+def product_oracle(gen1, gen2, omega1, T):
+    """C_1D and C_2D from the explicit product modes V1 (x) V2: the rows of
+    omega1 x Omega2 gathered from the Kronecker product, then the exact
+    modal Gramian."""
+    (lam1, V1), (lam2, V2) = generalized_modal_data(gen1), generalized_modal_data(gen2)
+    pos1 = magop._positions(gen1.grid.num_nodes, gen1.state_idx)
+    sel1 = pos1[omega1]
+    sel1 = sel1[sel1 >= 0]
+
+    def c_obs(Y, w, lam):
+        Z = (Y.conj().T * w) @ Y
+        return obsgram._c_obs(*obsgram._extremes_from_modal(
+            obsgram._phase_gramian_exact(Z, lam, T), lam, "mass"))
+
+    rows = (sel1[:, None] * gen2.size + np.arange(gen2.size)).ravel()
+    M12 = np.kron(gen1.mass_diag, gen2.mass_diag)
+    return (c_obs(V1[sel1], gen1.mass_diag[sel1], lam1),
+            c_obs(np.kron(V1, V2)[rows], M12[rows], np.add.outer(lam1, lam2).ravel()))
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.6])
+def test_product_constants_match_the_row_gather_oracle(amp):
+    g1 = mesh.build_grid(1, [1.0], 14)
+    g2 = mesh.build_grid(1, [1.7], 11)
+    a1 = magop.MagneticPotential.from_callable(g1, lambda p: amp * np.sin(2.0 * p))
+    gen1 = magop.assemble_generator("A0", g1, a1)
+    gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
+    for omega1 in (g1.box_nodes([0.0], [0.3]), g1.box_nodes([0.2], [0.9])):
+        rep = obsgram.product_observability(gen1, gen2, omega1, T=0.7, dt=0.01)
+        c1d, c2d = product_oracle(gen1, gen2, omega1, 0.7)
+        assert rep.c_1d == pytest.approx(c1d, rel=1e-12)
+        assert rep.c_2d == pytest.approx(c2d, rel=1e-12)
+
+
 # -- the real phase form of the exact modal integral ----------------------
 
 
