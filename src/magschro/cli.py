@@ -530,7 +530,7 @@ def _run_multiplier_check(config, out, rng):
     _whole_steps(T, dt)
     trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
     x0 = _point(config, "multiplier.x0", gen.grid.dim, [0.0] * gen.grid.dim)
-    fld = multiplier.MultiplierField.radial(gen.grid, traj.times, x0)
+    fld = multiplier.MultiplierField.radial(gen.grid, x0)
     rep = multiplier.multiplier_identity_residual(traj, fld)
     (out / "residuals.json").write_text(rep.to_json())
     tol = _finite(config, "tolerance", 0.1)

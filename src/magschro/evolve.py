@@ -142,16 +142,18 @@ class _SnapshotRecord:
 
 def default_step(grid, T):
     """T / n for the fewest whole n steps no longer than h^2/4, h the
-    grid's finest spacing: the run ends at T."""
-    return T / np.ceil(T / (float(min(grid.h)) ** 2 / 4.0))
+    grid's finest spacing: the run ends at T.  A quotient T / (h^2/4) within
+    1e-9 relative of a whole number (``mesh.step_count``'s tolerance) counts
+    as that number, so its rounding cannot add a step."""
+    return T / np.ceil(T / (float(min(grid.h)) ** 2 / 4.0) * (1.0 - 1e-9))
 
 
 def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=None):
     """Integrate u' = A u over [0, T] and record the energy law.
 
     T must be a whole multiple of dt (ValueError otherwise).  The default
-    step is ``default_step``, at most h^2/4, which keeps the implicit solve
-    conditioned like a parabolic problem.  Returns (EnergyTrace,
+    step is ``default_step``, at most h^2/4 (to 1e-9), which keeps the
+    implicit solve conditioned like a parabolic problem.  Returns (EnergyTrace,
     Trajectory), the Trajectory None when the states go to ``record``.  Raises
     EnergyIncreaseError when the energy of a damped generator rises beyond
     ``increase_tol`` (default: ten times dt^2 times the initial energy, plus

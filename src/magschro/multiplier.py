@@ -1,31 +1,34 @@
-"""Discrete verification of the multiplier identities.
+"""Discrete verification of the multiplier identity.
 
-The central object is the space-time balance obtained by pairing the
-evolution equation with a vector-field multiplier: for f = i u_t + Delta_a u
-and a C^2 field X(x, t),
+The identity is the multiplier method's for the magnetic Schroedinger
+equation i u_t + Delta_a u = 0 in Q = Omega x (0, T), u = 0 on
+Sigma = boundary x (0, T), with the radial multiplier m(x) = x - x0
+(Lions 1988; Machtyngier 1994).  With D = grad_a = grad + i a and
+D_nu u = D u . nu its conormal trace,
 
-    Re< grad_a u . nu | X . grad_a u >_Sigma
-      - 1/2 ( |grad_a u|^2 | X . nu )_Sigma
-      + 1/2 Re( div(X) u | grad_a u . nu )_Sigma
-      - Re[ i/2 ( u (X . nu) | u_t )_Sigma ]
+    Re< D_nu u | m . D u >_Sigma - 1/2 ( |D u|^2 | m . nu )_Sigma
     =
-    Re< DX grad_a u | grad_a u >_Q
-      + 1/2 Re( u grad div(X) | grad_a u )_Q
-      + Re[ i/2 ( u X_t | grad_a u )_Q ]
-      - Re[ i/2 [ ( u X | grad_a u )_Omega ]_0^T ]
-      + Re< f X | grad_a u >_Q
-      + 1/2 Re( div(X) u | f )_Q,
+    ( |D u|^2 )_Q
+      - Re[ i/2 [ ( u m | D u )_Omega ]_0^T ]
+      + Im( sum_{j<k} B_jk (m_k D_j u - m_j D_k u) | u )_Q,
 
-with every pairing taken through its real part (the derivation extracts
-real parts throughout).  All space-time integrals use the trapezoid
-quadratures of the grid; traces and gradients use the second-order node
-stencils, so the residual vanishes at second order in (h, dt) for smooth
-data.
+with ( f | g ) the integral of f conj(g) and < | > its real part.  The
+first volume term is Re< Dm D u | D u >_Q with Dm = I.  The last is the
+magnetic one: D_j and D_k do not commute, D_j D_k - D_k D_j = i B_jk with
+B_jk = d_j a_k - d_k a_j, and moving D_j past m . D u in the integration by
+parts of Re( Delta_a u | m . D u )_Q leaves it.  It vanishes in 1D and for
+curl-free potentials.
 
-The potential is that of the trajectory's generator, and grad_a and the
-conormal trace grad_a u . nu are its operators (``MagneticPotential.gradient``
-and ``.conormal``).  The field supplied is the radial multiplier
-m(x) = x - x0, with its derived fields in closed form.
+Six terms of the identity for a general field X(x, t) and forcing f vanish
+here and are not computed: the two boundary terms carrying u (u = 0 on
+Sigma: the A0 state is the interior nodes), the one carrying grad div X
+(div m = dim), the one carrying X_t (m does not depend on t) and the two
+carrying f (f = 0 on A0 trajectories).
+
+All space-time integrals use the trapezoid quadratures of the grid; D and
+the conormal trace are the potential's operators (``MagneticPotential.gradient``
+and ``.conormal``), B comes from the grid's node gradients, so the residual
+vanishes at second order in (h, dt) for smooth data.
 """
 
 from __future__ import annotations
@@ -39,55 +42,17 @@ from . import evolve
 from .mesh import trapezoid_weights
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MultiplierField:
-    """Vector multiplier X on the space-time grid with derived fields.
-
-    values:     (nt, N, dim)
-    jacobian:   (nt, N, dim, dim), jacobian[..., j, k] = d_j X_k
-    divergence: (nt, N)
-    grad_div:   (nt, N, dim)
-    time_deriv: (nt, N, dim)
-
-    A field that does not depend on t may hold read-only broadcast views of
-    one (N, ...) array for these (``radial``).
-    """
+    """The radial multiplier m(x) = x - x0 at the grid nodes, (N, dim)."""
 
     grid: object
-    times: np.ndarray
     values: np.ndarray
-    jacobian: np.ndarray
-    divergence: np.ndarray
-    grad_div: np.ndarray
-    time_deriv: np.ndarray
 
     @classmethod
-    def radial(cls, grid, times, x0):
-        """The field m(x) = x - x0, static: jacobian I, divergence dim.
-
-        Each field is stored once and broadcast over t (read-only views), so
-        no (nt, N, ...) copy is made.
-        """
-        times = np.asarray(times, dtype=float)
-        nt, N, d = times.size, grid.num_nodes, grid.dim
-        m = grid.coords - np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
-        return cls(grid=grid, times=times,
-                   values=np.broadcast_to(m, (nt, N, d)),
-                   jacobian=np.broadcast_to(np.eye(d), (nt, N, d, d)),
-                   divergence=np.broadcast_to(float(d), (nt, N)),
-                   grad_div=np.broadcast_to(0.0, (nt, N, d)),
-                   time_deriv=np.broadcast_to(0.0, (nt, N, d)))
-
-    def consistency_residual(self):
-        """Round-trip check of the derived fields against finite differences."""
-        grads = self.grid.gradients
-        worst = 0.0
-        for it in range(self.times.size):
-            div_fd = np.zeros(self.grid.num_nodes)
-            for j in range(self.grid.dim):
-                div_fd += grads[j] @ self.values[it, :, j]
-            worst = max(worst, float(np.max(np.abs(div_fd - self.divergence[it]))))
-        return worst
+    def radial(cls, grid, x0):
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        return cls(grid=grid, values=grid.coords - x0[None, :])
 
 
 @dataclass(eq=False)
@@ -104,52 +69,46 @@ class MultiplierIdentityReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def multiplier_identity_residual(traj, field, forcing=None):
-    """|LHS - RHS| of the space-time multiplier balance on a trajectory.
+def _re_pair(z, w):
+    """Re(z conj(w)), elementwise."""
+    return (z * np.conj(w)).real
 
-    ``traj`` must provide snapshots on the full grid (conservative runs have
-    forcing = 0; otherwise supply f = i u_t + Delta_a u on the snapshot
-    grid).  The potential is that of the trajectory's generator.  Returns
-    per-term magnitudes so a failing term is identifiable.
 
-    Memory: the volume terms are summed over blocks of time samples.  Each
-    block scatters its states to the full grid, applies grad_a once and adds
-    its contributions, its live (N, samples) arrays together about one
-    ``evolve._BLOCK_ENTRIES`` buffer; only the boundary rows (u, the conormal
-    trace and grad_a u on the boundary nodes) are kept for every sample, for
-    u_t and the boundary terms.  Beyond the trajectory itself the identity
-    holds O(block + nt * boundary nodes), not O(nt * N).
+def multiplier_identity_residual(traj, field):
+    """|LHS - RHS| of the multiplier identity on an A0 trajectory.
+
+    ``traj`` holds A0 snapshots (ValueError for another generator: the
+    identity would miss its forcing) and ``field`` the radial multiplier on
+    the trajectory's grid.  Returns per-term values so a failing term is
+    identifiable.
+
+    Memory: every term is summed over blocks of time samples.  Each block
+    scatters its states to the full grid, applies D once and adds its volume
+    and boundary contributions, its live (N, samples) arrays together about
+    one ``evolve._BLOCK_ENTRIES`` buffer; beyond the trajectory itself the
+    identity holds O(block), whatever the number of samples.
     """
     gen = traj.generator
+    if gen.kind != "A0":
+        raise ValueError(f"the multiplier identity needs an A0 trajectory, got {gen.kind}")
     grid, a = gen.grid, gen.potential
-    times = traj.times
-    if not np.array_equal(field.times, times):
-        raise ValueError("multiplier field must be sampled at the snapshot times")
-    nt, N, dim = times.size, grid.num_nodes, grid.dim
-    wt = trapezoid_weights(times)
+    if not np.array_equal(field.grid.coords, grid.coords):
+        raise ValueError("multiplier field must be built on the trajectory's grid")
+    nt, N, dim = traj.times.size, grid.num_nodes, grid.dim
+    wt = trapezoid_weights(traj.times)
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]
-    nu = grid.normals[b]
-    X = field.values
-    f_all = None if forcing is None else np.asarray(forcing)
+    m = field.values
+    m_b = m[b]
+    w_carrier = -0.5 * ws * np.sum(m_b * grid.normals[b], axis=1)
+    curls = [(j, k, grid.gradients[j] @ a.values[:, k] - grid.gradients[k] @ a.values[:, j])
+             for j in range(dim) for k in range(j + 1, dim)]
 
-    def vol_int(vals, w):
-        return wv @ vals @ w
-
-    def re_pair(z, w):
-        """Re(z conj(w)), elementwise."""
-        return (z * np.conj(w)).real
-
-    # boundary rows (nt, nb), gathered block by block; u_t is needed there only
-    u_b = np.empty((nt, b.size), dtype=complex)
-    conormal = np.empty((nt, b.size), dtype=complex)
-    gu_b = np.empty((nt, b.size, dim), dtype=complex)
-
-    # volume terms over blocks of samples: the state, its dim gradients and
-    # about three (N, k) temporaries of the products are live at once
+    # the state, its dim gradients and about three (N, k) temporaries of the
+    # products are live at once
     width = max(1, evolve._BLOCK_ENTRIES // ((dim + 3) * N))
-    t_jac = t_graddiv = t_xt = t_forcing = t_div_f = 0.0
+    t_flux = t_carrier = t_jac = t_mag = 0.0
     brackets = [0.0, 0.0]
     for start in range(0, nt, width):
         blk = slice(start, min(start + width, nt))
@@ -159,56 +118,32 @@ def multiplier_identity_residual(traj, field, forcing=None):
         u = np.zeros((N, w.size), dtype=complex)
         u[gen.state_idx] = traj.states[blk].T
         gu = [G @ u for G in a.gradient]
-        u_b[blk] = u[b].T
-        conormal[blk] = (a.conormal @ u).T
-        for j, g in enumerate(gu):
-            gu_b[blk, :, j] = g[b].T
+        gu_b = [g[b] for g in gu]
 
-        # field slices may be broadcast views of a static field
-        t_jac += sum(vol_int(field.jacobian[blk, :, j, k].T * re_pair(gu[j], gu[k]), w)
-                     for j in range(dim) for k in range(dim))
-        for j, g in enumerate(gu):
-            p = u * g.conj()                    # u conj(grad_a u) along axis j
-            t_graddiv += 0.5 * vol_int(field.grad_div[blk, :, j].T * p.real, w)
-            t_xt -= 0.5 * vol_int(field.time_deriv[blk, :, j].T * p.imag, w)  # Re(i/2 z) = -Im(z)/2
-            for e, i in enumerate((0, nt - 1)):
-                if blk.start <= i < blk.stop:
-                    brackets[e] += (wv * X[i, :, j]) @ p[:, i - blk.start]
-        if f_all is not None:                   # f = 0: both forcing terms vanish
-            f = f_all[blk].T
-            t_forcing += sum(vol_int(X[blk, :, j].T * re_pair(f, g), w)
-                             for j, g in enumerate(gu))
-            t_div_f += 0.5 * vol_int(field.divergence[blk].T * re_pair(u, f), w)
+        m_gu_b = sum(m_b[:, j, None] * g for j, g in enumerate(gu_b))
+        t_flux += ws @ _re_pair(a.conormal @ u, m_gu_b) @ w
+        t_carrier += w_carrier @ sum(_re_pair(g, g) for g in gu_b) @ w
+        t_jac += sum(wv @ _re_pair(g, g) @ w for g in gu)
+        for j, k, B in curls:
+            z = m[:, k, None] * gu[j]
+            z -= m[:, j, None] * gu[k]
+            z *= u.conj()
+            t_mag += (wv * B) @ z.imag @ w
+        for e, i in enumerate((0, nt - 1)):
+            if blk.start <= i < blk.stop:
+                c = i - blk.start
+                brackets[e] += sum((wv * m[:, j]) @ (u[:, c] * g[:, c].conj())
+                                   for j, g in enumerate(gu))
     t_bracket = np.real(-0.5j * (brackets[1] - brackets[0]))
-    rhs = t_jac + t_graddiv + t_xt + t_bracket + t_forcing + t_div_f
-
-    X_b = X[:, b, :]
-    X_nu = np.einsum("tnj,nj->tn", X_b, nu)
-    X_gu_b = np.einsum("tnj,tnj->tn", X_b, gu_b)
-    div_b = field.divergence[:, b]
-    ut_b = np.gradient(u_b, times, axis=0)
-
-    def sigma_int(vals):
-        return np.sum(wt[:, None] * ws[None, :] * vals)
-
-    t_flux = sigma_int(np.real(conormal * np.conj(X_gu_b)))
-    t_carrier = -0.5 * sigma_int(np.sum(np.abs(gu_b) ** 2, axis=2) * X_nu)
-    t_div_b = 0.5 * sigma_int(np.real(div_b * u_b * np.conj(conormal)))
-    t_time_b = np.real(-0.5j * np.sum(
-        wt[:, None] * ws[None, :] * (u_b * X_nu * np.conj(ut_b))))
-    lhs = t_flux + t_carrier + t_div_b + t_time_b
+    lhs = t_flux + t_carrier
+    rhs = t_jac + t_bracket + t_mag
 
     terms = {
         "boundary_flux_pairing": t_flux,
         "boundary_carrier": t_carrier,
-        "boundary_divergence": t_div_b,
-        "boundary_time": t_time_b,
         "volume_jacobian": t_jac,
-        "volume_grad_div": t_graddiv,
-        "volume_time_deriv": t_xt,
         "endpoint_bracket": t_bracket,
-        "volume_forcing": t_forcing,
-        "volume_div_forcing": t_div_f,
+        "volume_magnetic": t_mag,
     }
     scale = max(abs(v) for v in terms.values())
     return MultiplierIdentityReport(

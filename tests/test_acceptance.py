@@ -320,7 +320,7 @@ def test_criterion_9_multiplier_identity():
     x = grid.coords[gen.state_idx, 0]
     _, traj = evolve.simulate(gen, np.sqrt(2) * np.sin(np.pi * x) + 0j, T,
                               2e-4, snapshot_stride=1)
-    field = multiplier.MultiplierField.radial(grid, traj.times, [0.0])
+    field = multiplier.MultiplierField.radial(grid, [0.0])
     rep = multiplier.multiplier_identity_residual(traj, field)
     want = np.pi**2 * T
     rel = max(abs(rep.lhs - want), abs(rep.rhs - want)) / want

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from magschro import cli
+from magschro import cli, mesh
 
 
 MINIMAL_SIMULATE = """
@@ -382,6 +382,19 @@ dt = 0.001
 """
     cfg = cli.ExperimentConfig.parse(text)
     assert cli.run(cfg, out_dir=tmp_path) == 0
+
+
+@pytest.mark.parametrize("preset", ["zero", "tabulated"])
+def test_multiplier_check_reports_the_magnetic_term(tmp_path, preset):
+    """The tabulated a = 3 (-(y - 1/2), x - 1/2) has curl 6: its magnetic term
+    is nonzero; the zero potential's is exactly 0."""
+    values = {"grid.dim": 2, "grid.n": 9, "T": 0.01, "dt": 0.001, "potential.preset": preset}
+    if preset == "tabulated":
+        x, y = mesh.build_grid(2, 1.0, 9).coords.T
+        values["potential.values"] = (3.0 * np.column_stack([0.5 - y, x - 0.5])).tolist()
+    assert cli.run(cli.ExperimentConfig("multiplier-check", values), out_dir=tmp_path) == 0
+    term = json.loads((tmp_path / "residuals.json").read_text())["terms"]["volume_magnetic"]
+    assert (term != 0.0) if preset == "tabulated" else term == 0.0
 
 
 def test_product_observability_run(tmp_path):

@@ -275,6 +275,17 @@ def test_default_step_ends_the_run_at_T():
     assert trace.times[-1] == pytest.approx(0.05, rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [32, 256])
+def test_default_step_rounding_adds_no_step(n):
+    """T = 100 h^2 is 400 steps of h^2/4, although T / (h^2/4) reads
+    400.00000000000006 on 32 nodes and 399.99999999999994 on 256."""
+    grid = mesh.build_grid(1, [1.0], n)
+    h = grid.h[0]
+    dt = evolve.default_step(grid, 100 * h * h)
+    assert mesh.step_count(100 * h * h, dt) == 400
+    assert dt == pytest.approx(h * h / 4.0, rel=1e-15)
+
+
 def test_simulate_refuses_a_step_that_does_not_divide_T(gen_a0):
     for T, dt in ((1.0, 0.3), (0.05, 0.02), (1e-3, 1e-2)):
         with pytest.raises(ValueError, match="whole multiple of dt"):

@@ -33,7 +33,6 @@ TEST_ONLY = {
     "flat_index": "grid multi-index to flat node index, for hand-built fixtures",
     "check_green_identity": "discrete magnetic Green formula, the oracle for the assembled stiffness",
     "poincare_constant": "the discrete Poincare constant of acceptance criterion 5",
-    "consistency_residual": "finite-difference oracle for the radial multiplier field",
     "observed_ratio": "one state's observed energy, the Rayleigh oracle for the Gramian",
     "resolvent_solve": "one resolvent solve with identity residuals, the resolvent oracle",
     "refinement_trend": "grid-refinement trend of resolvent norms (planned CLI home)",

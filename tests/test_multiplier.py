@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from magschro import evolve, magop, mesh, multiplier
-from util_fields import trig_multiplier_field
 
 
 def a0_trajectory(n, dt, T, u0_fn=None, pot_fn=None, seed=None):
@@ -30,7 +29,7 @@ def test_identity_zero_state():
     times = np.linspace(0, 0.1, 5)
     states = np.zeros((5, gen.size), dtype=complex)
     traj = evolve.Trajectory(generator=gen, times=times, states=states)
-    field = multiplier.MultiplierField.radial(grid, times, [0.0])
+    field = multiplier.MultiplierField.radial(grid, [0.0])
     rep = multiplier.multiplier_identity_residual(traj, field)
     assert rep.residual == 0.0
 
@@ -40,15 +39,14 @@ def test_identity_rellich_mode_closed_form():
     flux identity; closed-form value pi^2 T."""
     T = 0.25
     grid, a, traj = a0_trajectory(129, dt=2e-4, T=T)
-    field = multiplier.MultiplierField.radial(grid, traj.times, [0.0])
+    field = multiplier.MultiplierField.radial(grid, [0.0])
     rep = multiplier.multiplier_identity_residual(traj, field)
     want = np.pi**2 * T
     assert abs(rep.lhs - want) < 1e-3 * want
     assert abs(rep.rhs - want) < 1e-3 * want
     assert rep.residual < 1e-3 * want
-    # per-term oracle: only flux and carrier terms survive on the boundary
-    assert abs(rep.terms["boundary_divergence"]) < 1e-12
-    assert abs(rep.terms["boundary_time"]) < 1e-12
+    # per-term oracle: a 1D potential has no curl
+    assert rep.terms["volume_magnetic"] == 0.0
     assert abs(rep.terms["boundary_flux_pairing"] - 2 * want) < 2e-3 * want
     assert abs(rep.terms["boundary_carrier"] + want) < 1e-3 * want
 
@@ -67,7 +65,7 @@ def test_identity_random_smooth_refinement(seed):
         grid, a, traj = a0_trajectory(
             n, dt=2e-4, T=0.25, u0_fn=u0_fn,
             pot_fn=lambda p: 0.3 * np.sin(2.0 * p[:, 0] + 0.4))
-        field = trig_multiplier_field(grid, traj.times, seed)
+        field = multiplier.MultiplierField.radial(grid, [-0.3])
         rep = multiplier.multiplier_identity_residual(traj, field)
         residuals.append(rep.residual)
     assert residuals[0] / residuals[1] >= 1.8
@@ -75,33 +73,45 @@ def test_identity_random_smooth_refinement(seed):
 
 
 def test_radial_field_consistency():
+    """The node gradients of m = x - x0 are the identity matrix, the DX = I
+    the identity's volume term rests on, and its divergence is dim."""
     grid = mesh.build_grid(2, [1.0, 1.0], 9)
-    times = np.linspace(0, 0.1, 3)
-    field = multiplier.MultiplierField.radial(grid, times, [0.2, -0.1])
-    assert field.consistency_residual() < 1e-12
-    assert np.all(field.divergence == 2.0)
+    field = multiplier.MultiplierField.radial(grid, [0.2, -0.1])
+    np.testing.assert_array_equal(field.values, grid.coords - [0.2, -0.1])
+    for j, G in enumerate(grid.gradients):
+        for k in range(grid.dim):
+            np.testing.assert_allclose(G @ field.values[:, k], float(j == k), atol=1e-12)
 
 
-def _materialized_radial(grid, times, x0):
-    """The radial field copied out to (nt, N, ...) arrays, as first written."""
-    nt, N, d = times.size, grid.num_nodes, grid.dim
-    m = grid.coords - np.atleast_1d(np.asarray(x0, dtype=float))[None, :]
-    return multiplier.MultiplierField(
-        grid=grid, times=times,
-        values=np.broadcast_to(m, (nt, N, d)).copy(),
-        jacobian=np.broadcast_to(np.eye(d), (nt, N, d, d)).copy(),
-        divergence=np.full((nt, N), float(d)),
-        grad_div=np.zeros((nt, N, d)), time_deriv=np.zeros((nt, N, d)))
+def test_identity_refuses_other_generators_and_grids():
+    """Without forcing the identity holds for A0 only, and the field must sit
+    on the trajectory's grid."""
+    grid = mesh.build_grid(1, [1.0], 17)
+    a = magop.MagneticPotential.zero(grid)
+    damping = magop.DampingConfig(c=np.ones(grid.num_nodes), c0=1.0,
+                                  omega=np.arange(grid.num_nodes), d=np.zeros(grid.num_nodes),
+                                  d0=0.0, gamma0_support=np.array([], dtype=int))
+    gen = magop.assemble_generator("A1", grid, a, damping=damping)
+    states = np.zeros((3, gen.size), dtype=complex)
+    traj = evolve.Trajectory(generator=gen, times=np.linspace(0, 0.1, 3), states=states)
+    with pytest.raises(ValueError, match="A0"):
+        multiplier.multiplier_identity_residual(
+            traj, multiplier.MultiplierField.radial(grid, [0.0]))
+    _, _, traj = a0_trajectory(17, dt=1e-3, T=0.01)
+    other = mesh.build_grid(1, [1.0], 33)
+    with pytest.raises(ValueError, match="grid"):
+        multiplier.multiplier_identity_residual(
+            traj, multiplier.MultiplierField.radial(other, [0.0]))
 
 
-def _materialized_terms(traj, a, field, forcing=None):
-    """The ten multiplier terms from full (nt, N, ...) temporaries: the oracle."""
+def _materialized_terms(traj, a, x0):
+    """The five multiplier terms of the radial field on an A0 trajectory, from
+    full (nt, N, dim) temporaries: the oracle."""
     grid = traj.generator.grid
     times = traj.times
     nt, N, d = times.size, grid.num_nodes, grid.dim
     u = np.zeros((nt, N), dtype=complex)
     u[:, traj.generator.state_idx] = traj.states
-    ut = np.gradient(u, times, axis=0)
     wt = np.zeros(nt)
     wt[:-1] += 0.5 * np.diff(times)
     wt[1:] += 0.5 * np.diff(times)
@@ -109,83 +119,69 @@ def _materialized_terms(traj, a, field, forcing=None):
     b = grid.boundary_idx
     ws = grid.surface_weights[b]
     nu = grid.normals[b]
+    G = grid.gradients
     gu = np.empty((nt, N, d), dtype=complex)
     for it in range(nt):
         for ax in range(d):
-            gu[it, :, ax] = grid.gradients[ax] @ u[it] + 1j * a.values[:, ax] * u[it]
-    X = field.values
-    f = np.zeros((nt, N), dtype=complex) if forcing is None else forcing
+            gu[it, :, ax] = G[ax] @ u[it] + 1j * a.values[:, ax] * u[it]
+    X = grid.coords - np.asarray(x0)[None, :]
     gu_b = gu[:, b, :]
     conormal = np.einsum("tnj,nj->tn", gu_b, nu)
-    X_nu = np.einsum("tnj,nj->tn", X[:, b, :], nu)
-    X_gu_b = np.einsum("tnj,tnj->tn", X[:, b, :], gu_b)
+    X_nu = np.einsum("nj,nj->n", X[b], nu)
+    X_gu_b = np.einsum("nj,tnj->tn", X[b], gu_b)
     sig = wt[:, None] * ws[None, :]
     vol = wt[:, None] * wv[None, :]
-    u_b, ut_b = u[:, b], ut[:, b]
-    brk = [np.sum(wv * np.einsum("nj,nj->n", u[i, :, None] * X[i], np.conj(gu[i])))
+    brk = [np.sum(wv * np.einsum("nj,nj->n", u[i, :, None] * X, np.conj(gu[i])))
            for i in (0, -1)]
+    mag = np.zeros((nt, N), dtype=complex)
+    for j in range(d):
+        for k in range(d):          # B antisymmetric: the sum over j < k, twice
+            B = G[j] @ a.values[:, k] - G[k] @ a.values[:, j]
+            mag += 0.5 * B * (X[:, k] * gu[:, :, j] - X[:, j] * gu[:, :, k])
     return {
         "boundary_flux_pairing": np.sum(sig * np.real(conormal * np.conj(X_gu_b))),
         "boundary_carrier": -0.5 * np.sum(sig * (np.sum(np.abs(gu_b) ** 2, axis=2) * X_nu)),
-        "boundary_divergence": 0.5 * np.sum(
-            sig * np.real(field.divergence[:, b] * u_b * np.conj(conormal))),
-        "boundary_time": np.real(-0.5j * np.sum(sig * (u_b * X_nu * np.conj(ut_b)))),
-        "volume_jacobian": np.sum(vol * np.real(
-            np.einsum("tnjk,tnj,tnk->tn", field.jacobian, gu, np.conj(gu)))),
-        "volume_grad_div": 0.5 * np.sum(vol * np.real(
-            u[:, :, None] * field.grad_div * np.conj(gu)).sum(axis=2)),
-        "volume_time_deriv": np.real(0.5j * np.sum(vol * np.einsum(
-            "tnj,tnj->tn", u[:, :, None] * field.time_deriv, np.conj(gu)))),
+        "volume_jacobian": np.sum(vol * np.sum(np.abs(gu) ** 2, axis=2)),
         "endpoint_bracket": np.real(-0.5j * (brk[1] - brk[0])),
-        "volume_forcing": np.sum(vol * np.real(
-            np.einsum("tnj,tnj->tn", f[:, :, None] * X, np.conj(gu)))),
-        "volume_div_forcing": 0.5 * np.sum(vol * np.real(field.divergence * u * np.conj(f))),
+        "volume_magnetic": np.sum(vol * np.imag(mag * np.conj(u))),
     }
 
 
 def _random_case(seed):
-    """A random grid, potential, A0 trajectory, x0 and (odd seeds) forcing,
-    with a random time-dependent field whose jacobian is full: it exercises
-    every contraction (its derived fields need not be consistent here)."""
+    """A random grid, potential, A0 trajectory and x0.  The potential's
+    components are sines of the other coordinate, so a 2D one has a curl
+    that varies over the grid."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     n = int(rng.integers(9, 40)) if dim == 1 else int(rng.integers(5, 14))
     grid = mesh.build_grid(dim, 1.0, n)
-    amp, freq = rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0)
+    amp, freq = rng.uniform(0.5, 3.0, 2), rng.uniform(0.5, 4.0)
     a = magop.MagneticPotential.from_callable(
-        grid, lambda p: amp[:dim] * np.sin(freq * p + 0.3))
+        grid, lambda p: amp[:dim] * np.sin(freq * p[:, ::-1] + 0.3))
     gen = magop.assemble_generator("A0", grid, a)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
     _, traj = evolve.simulate(gen, u0, 0.01 * rng.integers(1, 4), 2e-3)
     x0 = rng.uniform(-0.5, 1.5, dim)
-    forcing = None
-    if seed % 2:
-        shape = (traj.times.size, grid.num_nodes)
-        forcing = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    nt, N = traj.times.size, grid.num_nodes
-    general = multiplier.MultiplierField(
-        grid=grid, times=traj.times, values=rng.normal(size=(nt, N, dim)),
-        jacobian=rng.normal(size=(nt, N, dim, dim)), divergence=rng.normal(size=(nt, N)),
-        grad_div=rng.normal(size=(nt, N, dim)), time_deriv=rng.normal(size=(nt, N, dim)))
-    return grid, a, traj, x0, forcing, general
+    return grid, a, traj, x0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_terms_match_materialized_field(seed):
-    """The broadcast radial field and the one-pass contractions give the ten
-    terms of the materialized field, on random grids, x0, potentials,
-    states and forcings."""
-    grid, a, traj, x0, forcing, general = _random_case(seed)
-    for field, oracle in ((multiplier.MultiplierField.radial(grid, traj.times, x0),
-                           _materialized_radial(grid, traj.times, x0)),
-                          (general, general)):
-        rep = multiplier.multiplier_identity_residual(traj, field, forcing)
-        want = _materialized_terms(traj, a, oracle, forcing)
-        scale = max(abs(v) for v in want.values())
-        assert rep.terms.keys() == want.keys()
-        for name, value in want.items():
-            assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
-        assert rep.scale == pytest.approx(scale, rel=1e-12)
+    """The blocked contractions give the five terms of the materialized
+    oracle on random grids, x0, potentials (with curl in 2D) and states."""
+    grid, a, traj, x0 = _random_case(seed)
+    rep = multiplier.multiplier_identity_residual(
+        traj, multiplier.MultiplierField.radial(grid, x0))
+    want = _materialized_terms(traj, a, x0)
+    scale = max(abs(v) for v in want.values())
+    assert rep.terms.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(rep.terms[name] - value) <= 1e-12 * scale, name
+    assert rep.scale == pytest.approx(scale, rel=1e-12)
+    # the magnetic term is small beside the gradient terms: hold it to its own size
+    mag = want["volume_magnetic"]
+    assert (mag != 0.0) == (grid.dim == 2)
+    assert abs(rep.terms["volume_magnetic"] - mag) <= 1e-12 * abs(mag)
 
 
 def _with_block(samples, grid, fn):
@@ -200,42 +196,40 @@ def _with_block(samples, grid, fn):
 def test_blocked_identity_matches_one_block(seed):
     """Summed over time blocks of 1, 2 and 3 samples, the identity gives every
     term, both sides and the residual of the one-block evaluation to 1e-13
-    scale, with the general field and (odd seeds) forcing; the boundary terms,
-    gathered row by row for all times, agree exactly."""
-    grid, a, traj, x0, forcing, general = _random_case(seed)
+    scale.  The boundary terms are summed per block like the volume terms,
+    so they share that bound (no longer bitwise equal)."""
+    grid, a, traj, x0 = _random_case(seed)
     nt = traj.times.size
     assert nt >= 6
-    for field in (general, multiplier.MultiplierField.radial(grid, traj.times, x0)):
-        one = _with_block(nt + 5, grid, lambda: multiplier.multiplier_identity_residual(
-            traj, field, forcing))
-        for samples in (1, 2, 3):
-            rep = _with_block(samples, grid, lambda: multiplier.multiplier_identity_residual(
-                traj, field, forcing))
-            tol = 1e-13 * one.scale
-            for name, value in one.terms.items():
-                if name.startswith("boundary_"):
-                    assert rep.terms[name] == value, (samples, name)
-                assert abs(rep.terms[name] - value) <= tol, (samples, name)
-            assert abs(rep.lhs - one.lhs) <= tol and abs(rep.rhs - one.rhs) <= tol
-            assert abs(rep.residual - one.residual) <= tol
-            assert rep.scale == pytest.approx(one.scale, rel=1e-13)
+    field = multiplier.MultiplierField.radial(grid, x0)
+    one = _with_block(nt + 5, grid, lambda: multiplier.multiplier_identity_residual(
+        traj, field))
+    for samples in (1, 2, 3):
+        rep = _with_block(samples, grid, lambda: multiplier.multiplier_identity_residual(
+            traj, field))
+        tol = 1e-13 * one.scale
+        for name, value in one.terms.items():
+            assert abs(rep.terms[name] - value) <= tol, (samples, name)
+        assert abs(rep.lhs - one.lhs) <= tol and abs(rep.rhs - one.rhs) <= tol
+        assert abs(rep.residual - one.residual) <= tol
+        assert rep.scale == pytest.approx(one.scale, rel=1e-13)
 
 
 def _identity_peak(dim, n, nt):
     """Traced peak of the identity on an nt-sample A0 trajectory (the states
-    are made before the trace starts), and the boundary node count."""
+    are made before the trace starts)."""
     grid = mesh.build_grid(dim, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.3 * np.sin(2.0 * p))
     gen = magop.assemble_generator("A0", grid, a)
     rng = np.random.default_rng(0)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
     _, traj = evolve.simulate(gen, u0, (nt - 1) * 1e-4, 1e-4)
-    field = multiplier.MultiplierField.radial(grid, traj.times, [0.1] * dim)
+    field = multiplier.MultiplierField.radial(grid, [0.1] * dim)
     tracemalloc.start()
     multiplier.multiplier_identity_residual(traj, field)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return peak, grid.boundary_idx.size
+    return peak
 
 
 BLOCK_BYTES = 16 * evolve._BLOCK_ENTRIES
@@ -246,15 +240,38 @@ def test_identity_memory_is_one_block_in_1d(nt):
     """Beyond the trajectory, the 1D identity (two boundary nodes) holds one
     block of samples: a peak under 2 MiB for every nt.  The whole-trajectory
     evaluation took 2.9 MB at 801 samples on this grid."""
-    peak, _ = _identity_peak(1, 64, nt)
+    peak = _identity_peak(1, 64, nt)
     assert peak <= 2 * BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("nt", [101, 801])
-def test_identity_memory_is_block_plus_boundary_rows_in_2d(nt):
-    """In 2D the identity also keeps its boundary rows for every sample:
-    about ten (nt, nb) complex arrays, for u_t and the boundary terms.  The
-    volume terms add one block, whatever nt (the whole-trajectory evaluation
-    took 48 MB at 801 samples on this grid)."""
-    peak, nb = _identity_peak(2, 24, nt)
-    assert peak <= 2 * BLOCK_BYTES + 16 * nt * nb * 16, peak
+def test_identity_memory_is_one_block_in_2d(nt):
+    """The 2D identity sums its boundary terms per block too, so beyond the
+    trajectory it holds one block of samples whatever nt (keeping the boundary
+    rows of every sample took 12.3 MiB at 801 samples on this grid, the
+    whole-trajectory evaluation 48 MB)."""
+    peak = _identity_peak(2, 24, nt)
+    assert peak <= 2 * BLOCK_BYTES, peak
+
+
+def test_identity_converges_with_a_magnetic_field():
+    """The uniform field B = 6, a = B (-(y - 1/2), x - 1/2) / 2: with the
+    magnetic term the residual falls at least 1.8x per refinement.  Without
+    it the residual rose towards that term's value (0.0025, 0.0067 and 0.0079
+    on 17, 33 and 65 nodes a side; the term is about -0.0083)."""
+    B = 6.0
+    residuals = []
+    for n in (17, 33, 65):
+        grid = mesh.build_grid(2, 1.0, n)
+        a = magop.MagneticPotential.from_callable(
+            grid, lambda p: 0.5 * B * np.column_stack([0.5 - p[:, 1], p[:, 0] - 0.5]))
+        gen = magop.assemble_generator("A0", grid, a)
+        x, y = grid.coords[gen.state_idx].T
+        u0 = np.sin(np.pi * x) * np.sin(np.pi * y) + 0.5j * np.sin(2 * np.pi * x) * np.sin(np.pi * y)
+        _, traj = evolve.simulate(gen, u0, 0.02, 5e-5)
+        rep = multiplier.multiplier_identity_residual(
+            traj, multiplier.MultiplierField.radial(grid, [-0.3, 0.4]))
+        assert abs(rep.terms["volume_magnetic"] + 0.0083) < 2e-4
+        residuals.append(rep.residual)
+    assert residuals[0] / residuals[1] >= 1.8
+    assert residuals[1] / residuals[2] >= 1.8
