@@ -357,9 +357,9 @@ def _point(config, key, dim, default=None):
 
 
 def _whole_steps(T, dt):
-    """Refuse a horizon T that is not a whole multiple of the step dt."""
+    """The number of steps dt in the horizon T, refused unless whole."""
     try:
-        mesh.step_count(T, dt)
+        return mesh.step_count(T, dt)
     except ValueError:
         raise ConfigError(f"T: must be a whole multiple of dt = {dt!r}, got {T!r}") from None
 
@@ -381,10 +381,9 @@ def _run_simulate(config, out, rng):
     u0 = _initial_state(gen, config, rng)
     T = _positive(config, "T", 1.0)
     dt = _positive(config, "dt", evolve.default_step(gen.grid, T))
-    _whole_steps(T, dt)
-    stride = _whole(config, "snapshot_stride", max(1, int(round(T / dt)) // 200))
-    trace, _ = evolve.simulate(gen, u0, T, dt, snapshot_stride=stride,
-                               record=out / "snapshots.bin")
+    stride = _whole(config, "snapshot_stride", max(1, _whole_steps(T, dt) // 200))
+    with evolve.SnapshotRecord(gen, out / "snapshots.bin", T, dt, stride) as record:
+        trace = evolve.simulate(gen, u0, T, dt, sink=record)
     trace.export_csv(out / "energy.csv")
     verdicts = {}
     if gen.kind == "A0":
@@ -528,10 +527,9 @@ def _run_multiplier_check(config, out, rng):
     T = _positive(config, "T", 0.25)
     dt = _positive(config, "dt", 5e-4)
     _whole_steps(T, dt)
-    trace, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
     x0 = _point(config, "multiplier.x0", gen.grid.dim, [0.0] * gen.grid.dim)
     fld = multiplier.MultiplierField.radial(gen.grid, x0)
-    rep = multiplier.multiplier_identity_residual(traj, fld)
+    rep = multiplier.multiplier_identity_residual(gen, u0, T, dt, fld)
     (out / "residuals.json").write_text(rep.to_json())
     tol = _finite(config, "tolerance", 0.1)
     verdicts = {"identity": {"pass": bool(rep.residual <= tol * rep.scale),

@@ -23,14 +23,13 @@ kept alongside as an O(dt^2) cross-check.
 
 Memory is held per block, not per trajectory: the stepper fills a buffer of
 about ``_BLOCK_ENTRIES`` complex entries, checks the energy law on it, and
-streams its retained states to the snapshot record when ``simulate`` is given
-one.  Only callers that need the states themselves (the multiplier identity,
-the tests) keep them, in an in-memory Trajectory.
+hands the block to the caller's sink, which consumes it before the buffer is
+reused.  The ``simulate`` kind's sink is the snapshot record
+(``SnapshotRecord``); the multiplier identity sums its terms in another.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,19 +52,6 @@ def step(gen, u, dt):
     if dt == 0:
         return u.copy()
     return gen.cayley_solver(dt)(u) - u
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Snapshots of a simulation, on the generator's state space."""
-
-    generator: object
-    times: np.ndarray
-    states: np.ndarray        # (n_snap, n_state)
-
-    def full_field(self, i):
-        """Snapshot i zero-extended to the full grid."""
-        return self.generator.embed(self.states[i])
 
 
 @dataclass(eq=False)
@@ -95,33 +81,44 @@ class EnergyTrace:
 _BLOCK_ENTRIES = 1 << 16
 
 
-class _SnapshotRecord:
-    """The binary snapshot record (t, re/im per node) and its JSON sidecar.
+def _block_width(n):
+    """Steps per block of ``simulate`` on n unknowns."""
+    return max(1, _BLOCK_ENTRIES // n)
 
-    Rows are appended once per block of states from one reused buffer, as
-    tall as the most retained states any block holds, whose nodes off the
-    state stay zero: only the times and the state entries are filled.  The
-    sidecar is written next to the record (same name, ``.json``) when the run
-    completes; a run that raises removes the partial record.
+
+class SnapshotRecord:
+    """The binary snapshot record (t, re/im per node) and its JSON sidecar: a
+    ``simulate`` sink.
+
+    It keeps every ``stride``-th step of the run over [0, T] in steps of dt,
+    and the last.  The retained states of each block are appended as rows
+    from one reused buffer, as tall as the most any block retains, whose
+    nodes off the state stay zero: only the times and the state entries are
+    filled.  The sidecar is written next to the record (same name, ``.json``)
+    when the run completes; a run that raises removes the partial record.
     """
 
-    def __init__(self, gen, path, steps, width):
-        self.gen, self.path, self.rows = gen, Path(path), steps.size
-        nodes = gen.grid.num_nodes
+    def __init__(self, gen, path, T, dt, stride):
+        if stride < 1:
+            raise ValueError(f"snapshot stride must be at least 1, got {stride!r}")
+        self.gen, self.path, self.dt = gen, Path(path), dt
+        self.steps = retained_steps(step_count(T, dt), stride)
         # block b holds steps b*width+1 .. (b+1)*width, the first also step 0
-        height = int(np.bincount(np.maximum(steps - 1, 0) // width).max())
-        self.buf = np.zeros((height, 1 + 2 * nodes))
-        self.nodes = self.buf[:, 1:].view(complex)
+        width = _block_width(gen.size)
+        height = int(np.bincount(np.maximum(self.steps - 1, 0) // width).max())
+        self.buf = np.zeros((height, 1 + 2 * gen.grid.num_nodes))
 
     def __enter__(self):
         self.fh = open(self.path, "wb")
         return self
 
-    def append(self, times, cols):
-        """Append the states ``cols`` (n, k) at ``times`` (k,) as k rows."""
-        k = times.size
-        self.buf[:k, 0] = times
-        self.nodes[:k, self.gen.state_idx] = cols.T
+    def __call__(self, steps, U):
+        """Append the retained ones of the states U (n, k) at ``steps``."""
+        lo, hi = np.searchsorted(self.steps, (steps[0], steps[-1] + 1))
+        taken = self.steps[lo:hi]
+        k = taken.size
+        self.buf[:k, 0] = self.dt * taken
+        self.buf[:k, 1:].view(complex)[:, self.gen.state_idx] = U[:, taken - steps[0]].T
         self.buf[:k].tofile(self.fh)
 
     def __exit__(self, exc_type, exc, tb):
@@ -131,7 +128,7 @@ class _SnapshotRecord:
             return
         sidecar = {
             "format": "float64 rows of (t, node0_re, node0_im, ...)",
-            "rows": int(self.rows),
+            "rows": int(self.steps.size),
             "row_length": int(self.buf.shape[1]),
             "nodes": int(self.gen.grid.num_nodes),
             "generator_kind": self.gen.kind,
@@ -148,32 +145,26 @@ def default_step(grid, T):
     return T / np.ceil(T / (float(min(grid.h)) ** 2 / 4.0) * (1.0 - 1e-9))
 
 
-def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=None):
+def simulate(gen, u0, T, dt=None, increase_tol=None, sink=None):
     """Integrate u' = A u over [0, T] and record the energy law.
 
     T must be a whole multiple of dt (ValueError otherwise).  The default
     step is ``default_step``, at most h^2/4 (to 1e-9), which keeps the
-    implicit solve conditioned like a parabolic problem.  Returns (EnergyTrace,
-    Trajectory), the Trajectory None when the states go to ``record``.  Raises
-    EnergyIncreaseError when the energy of a damped generator rises beyond
-    ``increase_tol`` (default: ten times dt^2 times the initial energy, plus
-    rounding headroom).
+    implicit solve conditioned like a parabolic problem.  Returns the
+    EnergyTrace.  Raises EnergyIncreaseError when the energy of a damped
+    generator rises beyond ``increase_tol`` (default: ten times dt^2 times
+    the initial energy, plus rounding headroom).
 
     The time loop only advances the state, by the Cayley identity
     u+ = 2 (I - dt/2 A)^-1 u - u (``solve(u) - u``), into a buffer of states.
-    Once per full buffer, one pass over its states gives their energies (half
+    Once per block, one pass over its states gives their energies (half
     the generator's quadratic form), the endpoint and midpoint dissipations
     from the damped traces, and for A0 the mass and stiffness drifts, the mass
-    norm read off the energy as sqrt(2 E); then the retained states of the
-    block (every ``snapshot_stride``-th step, and the last) are taken out.
-
-    Memory: without ``record`` the retained states are kept in the returned
-    Trajectory, an (n_snap, n) array.  With ``record`` (a path) they are
-    appended block by block to the binary snapshot record there, with its
-    JSON sidecar next to it (``_SnapshotRecord``), and the Trajectory is
-    None: the run then holds one block of states and one block of record
-    rows, about ``_BLOCK_ENTRIES`` complex entries each, whatever the number
-    of steps.
+    norm read off the energy as sqrt(2 E); then the block goes to
+    ``sink(steps, U)``: U (n, k) holds the states of the steps in the range
+    ``steps``, and steps 0..nsteps each arrive once, in order.  U is a view of
+    the reused buffer, valid during the call only, so the run holds one block
+    of about ``_BLOCK_ENTRIES`` complex entries whatever the number of steps.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"need finite T > 0, got T={T!r}")
@@ -181,14 +172,11 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=N
         dt = default_step(gen.grid, T)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"need finite dt > 0, got dt={dt!r}")
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be at least 1, got {snapshot_stride!r}")
     u = np.asarray(u0, dtype=complex).copy()
     n = gen.size
     if u.shape[0] != n:
         raise ValueError(f"initial state has size {u.shape[0]}, generator {n}")
     nsteps = step_count(T, dt)
-    times = dt * np.arange(nsteps + 1)
 
     conservative = gen.kind == "A0"
     e0 = gen.energy(u)
@@ -206,58 +194,47 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=N
     stiff_drift = 0.0
 
     solve = gen.cayley_solver(dt)
-    # column 0 holds the last state of the previous block
-    width = max(1, _BLOCK_ENTRIES // n)
-    buf = np.empty((n, width + 1), dtype=complex)
-    buf[:, 0] = u
-    snap_steps = retained_steps(nsteps, snapshot_stride)
-    if record is None:
-        states = np.empty((snap_steps.size, n), dtype=complex)
-        sink = contextlib.nullcontext()
-    else:
-        sink = _SnapshotRecord(gen, record, snap_steps, width)
-    kept = 0
+    width = _block_width(n)
+    U = np.empty((n, width + 1), dtype=complex)
     done = 0
-    with sink:
-        while done < nsteps:
-            m = min(width, nsteps - done)
-            for j in range(1, m + 1):
-                u_next = solve(u)
-                u_next -= u
-                buf[:, j] = u = u_next
+    while done < nsteps:
+        m = min(width, nsteps - done)
+        if m < width:
+            # the last, short block views the buffer's head as (n, m + 1), so
+            # the block stays C-contiguous and sparse products take it uncopied
+            U = U.reshape(-1)[:n * (m + 1)].reshape(n, m + 1)
+        # column 0 holds the last state of the previous block, step 0 first
+        U[:, 0] = u
+        for j in range(1, m + 1):
+            u_next = solve(u)
+            u_next -= u
+            U[:, j] = u = u_next
 
-            # a full buffer is C-contiguous, so sparse products take it uncopied
-            U = buf[:, :m + 1]
-            steps = slice(done, done + m)
-            energy[done + 1:done + m + 1] = gen.energies(U)[1:]
-            e_old, e_new = energy[done:done + m], energy[done + 1:done + m + 1]
-            bad = np.flatnonzero(e_new > e_old + increase_tol)
-            if not conservative and bad.size:
-                k = int(bad[0])
-                raise EnergyIncreaseError(
-                    f"energy rose by {e_new[k] - e_old[k]:.3e} at step {done + k} "
-                    f"(tolerance {increase_tol:.3e}); generator assembly is suspect"
-                )
-            rate = (e_new - e_old) / dt
-            d_end, diss[steps] = gen.step_dissipations(U)
-            res_mid[steps] = np.abs(rate - diss[steps])
-            res_end[steps] = np.abs(rate - 0.5 * (d_end[:-1] + d_end[1:]))
-            if conservative:
-                # A0 lives in the mass metric: 2 E is its mass form, bitwise
-                mass_drift = max(mass_drift, np.max(np.abs(np.sqrt(2.0 * e_new) - mass0)))
-                stiff_drift = max(stiff_drift,
-                                  np.max(np.abs(gen.stiffness_norms(U)[1:] - stiff0)))
+        span = slice(done, done + m)
+        energy[done + 1:done + m + 1] = gen.energies(U)[1:]
+        e_old, e_new = energy[done:done + m], energy[done + 1:done + m + 1]
+        bad = np.flatnonzero(e_new > e_old + increase_tol)
+        if not conservative and bad.size:
+            k = int(bad[0])
+            raise EnergyIncreaseError(
+                f"energy rose by {e_new[k] - e_old[k]:.3e} at step {done + k} "
+                f"(tolerance {increase_tol:.3e}); generator assembly is suspect"
+            )
+        rate = (e_new - e_old) / dt
+        d_end, diss[span] = gen.step_dissipations(U)
+        res_mid[span] = np.abs(rate - diss[span])
+        res_end[span] = np.abs(rate - 0.5 * (d_end[:-1] + d_end[1:]))
+        if conservative:
+            # A0 lives in the mass metric: 2 E is its mass form, bitwise
+            mass_drift = max(mass_drift, np.max(np.abs(np.sqrt(2.0 * e_new) - mass0)))
+            stiff_drift = max(stiff_drift,
+                              np.max(np.abs(gen.stiffness_norms(U)[1:] - stiff0)))
 
-            # the retained steps of this block; the first block also holds step 0
-            stop = int(np.searchsorted(snap_steps, done + m, side="right"))
-            taken = snap_steps[kept:stop]
-            if record is None:
-                states[kept:stop] = U[:, taken - done].T
-            else:
-                sink.append(times[taken], U[:, taken - done])
-            kept = stop
-            buf[:, 0] = u
-            done += m
+        if sink is not None:
+            # column 0 is the previous block's last step, except step 0
+            first = 1 if done else 0
+            sink(range(done + first, done + m + 1), U[:, first:])
+        done += m
 
     conservation = {}
     if conservative:
@@ -270,15 +247,11 @@ def simulate(gen, u0, T, dt=None, snapshot_stride=1, increase_tol=None, record=N
             "stiffness_norm_relative_drift": stiff_drift / stiff0 if stiff0 else 0.0,
         }
 
-    trace = EnergyTrace(
-        kind=gen.kind, times=times, energy=energy, dissipation=diss,
+    return EnergyTrace(
+        kind=gen.kind, times=dt * np.arange(nsteps + 1), energy=energy, dissipation=diss,
         midpoint_residual=res_mid, endpoint_residual=res_end, dt=dt,
         conservation=conservation,
     )
-    traj = None
-    if record is None:
-        traj = Trajectory(generator=gen, times=times[snap_steps], states=states)
-    return trace, traj
 
 
 # ---------------------------------------------------------------------------

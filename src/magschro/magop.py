@@ -367,8 +367,9 @@ class GeneratorMatrix:
     # -- state embedding -------------------------------------------------
 
     def embed(self, u):
-        """Zero-extend a state vector to the full grid."""
-        full = np.zeros(self.grid.num_nodes, dtype=complex)
+        """Zero-extend a state vector, or the columns of an (n, k) block of
+        states, to the full grid."""
+        full = np.zeros((self.grid.num_nodes,) + np.shape(u)[1:], dtype=complex)
         full[self.state_idx] = u
         return full
 

@@ -29,6 +29,10 @@ All space-time integrals use the trapezoid quadratures of the grid; D and
 the conormal trace are the potential's operators (``MagneticPotential.gradient``
 and ``.conormal``), B comes from the grid's node gradients, so the residual
 vanishes at second order in (h, dt) for smooth data.
+
+The identity runs its own Crank-Nicolson trajectory: it is a sink of
+``evolve.simulate`` and adds every term over each block of states as the
+stepper makes it, so no trajectory is kept.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve
-from .mesh import trapezoid_weights
+from .mesh import step_count, trapezoid_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,28 +78,30 @@ def _re_pair(z, w):
     return (z * np.conj(w)).real
 
 
-def multiplier_identity_residual(traj, field):
-    """|LHS - RHS| of the multiplier identity on an A0 trajectory.
+def multiplier_identity_residual(gen, u0, T, dt, field):
+    """|LHS - RHS| of the multiplier identity on the A0 run from u0 over
+    [0, T] in steps of dt.
 
-    ``traj`` holds A0 snapshots (ValueError for another generator: the
-    identity would miss its forcing) and ``field`` the radial multiplier on
-    the trajectory's grid.  Returns per-term values so a failing term is
-    identifiable.
+    ``gen`` is the A0 generator (ValueError for another: the identity would
+    miss its forcing) and ``field`` the radial multiplier on its grid.
+    Returns per-term values so a failing term is identifiable.
 
-    Memory: every term is summed over blocks of time samples.  Each block
-    scatters its states to the full grid, applies D once and adds its volume
-    and boundary contributions, its live (N, samples) arrays together about
-    one ``evolve._BLOCK_ENTRIES`` buffer; beyond the trajectory itself the
-    identity holds O(block), whatever the number of samples.
+    Memory: the identity is a sink of ``evolve.simulate`` and sums every term
+    over each block of states as the stepper makes it, in sub-blocks of
+    samples.  Each sub-block scatters its states to the full grid
+    (``GeneratorMatrix.embed``), applies D once and adds its volume and
+    boundary contributions, its live (N, samples) arrays together about one
+    ``evolve._BLOCK_ENTRIES`` buffer; so the run holds O(block), whatever the
+    number of steps.
     """
-    gen = traj.generator
     if gen.kind != "A0":
-        raise ValueError(f"the multiplier identity needs an A0 trajectory, got {gen.kind}")
+        raise ValueError(f"the multiplier identity needs an A0 generator, got {gen.kind}")
     grid, a = gen.grid, gen.potential
     if not np.array_equal(field.grid.coords, grid.coords):
-        raise ValueError("multiplier field must be built on the trajectory's grid")
-    nt, N, dim = traj.times.size, grid.num_nodes, grid.dim
-    wt = trapezoid_weights(traj.times)
+        raise ValueError("multiplier field must be built on the generator's grid")
+    nsteps = step_count(T, dt)
+    N, dim = grid.num_nodes, grid.dim
+    wt = trapezoid_weights(dt * np.arange(nsteps + 1))
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]
@@ -110,30 +116,34 @@ def multiplier_identity_residual(traj, field):
     width = max(1, evolve._BLOCK_ENTRIES // ((dim + 3) * N))
     t_flux = t_carrier = t_jac = t_mag = 0.0
     brackets = [0.0, 0.0]
-    for start in range(0, nt, width):
-        blk = slice(start, min(start + width, nt))
-        w = wt[blk]
-        # node-major (N, k): the snapshots on the full grid and their
-        # magnetic gradients, one sparse product per axis
-        u = np.zeros((N, w.size), dtype=complex)
-        u[gen.state_idx] = traj.states[blk].T
-        gu = [G @ u for G in a.gradient]
-        gu_b = [g[b] for g in gu]
 
-        m_gu_b = sum(m_b[:, j, None] * g for j, g in enumerate(gu_b))
-        t_flux += ws @ _re_pair(a.conormal @ u, m_gu_b) @ w
-        t_carrier += w_carrier @ sum(_re_pair(g, g) for g in gu_b) @ w
-        t_jac += sum(wv @ _re_pair(g, g) @ w for g in gu)
-        for j, k, B in curls:
-            z = m[:, k, None] * gu[j]
-            z -= m[:, j, None] * gu[k]
-            z *= u.conj()
-            t_mag += (wv * B) @ z.imag @ w
-        for e, i in enumerate((0, nt - 1)):
-            if blk.start <= i < blk.stop:
-                c = i - blk.start
-                brackets[e] += sum((wv * m[:, j]) @ (u[:, c] * g[:, c].conj())
-                                   for j, g in enumerate(gu))
+    def add(steps, U):
+        nonlocal t_flux, t_carrier, t_jac, t_mag
+        for start in range(0, len(steps), width):
+            blk = steps[start:start + width]
+            w = wt[blk.start:blk.stop]
+            # node-major (N, k): the states on the full grid and their
+            # magnetic gradients, one sparse product per axis
+            u = gen.embed(U[:, start:start + width])
+            gu = [G @ u for G in a.gradient]
+            gu_b = [g[b] for g in gu]
+
+            m_gu_b = sum(m_b[:, j, None] * g for j, g in enumerate(gu_b))
+            t_flux += ws @ _re_pair(a.conormal @ u, m_gu_b) @ w
+            t_carrier += w_carrier @ sum(_re_pair(g, g) for g in gu_b) @ w
+            t_jac += sum(wv @ _re_pair(g, g) @ w for g in gu)
+            for j, k, B in curls:
+                z = m[:, k, None] * gu[j]
+                z -= m[:, j, None] * gu[k]
+                z *= u.conj()
+                t_mag += (wv * B) @ z.imag @ w
+            for e, i in enumerate((0, nsteps)):
+                if i in blk:
+                    c = i - blk.start
+                    brackets[e] += sum((wv * m[:, j]) @ (u[:, c] * g[:, c].conj())
+                                       for j, g in enumerate(gu))
+
+    evolve.simulate(gen, u0, T, dt, sink=add)
     t_bracket = np.real(-0.5j * (brackets[1] - brackets[0]))
     lhs = t_flux + t_carrier
     rhs = t_jac + t_bracket + t_mag

@@ -138,7 +138,8 @@ class ObservabilityReport:
 def _modal_data(gen):
     """Frequencies lam >= 0, ascending, and modes V with V^H M V = I of the
     pencil (S, diag M): from the two axis pencils when the generator is their
-    Kronecker sum (``_axis_pencils``), else by one dense eigensolve."""
+    Kronecker sum (``_axis_pencils``), else by one dense eigensolve.  V is
+    C-ordered, so the sparse N @ V of ``_modal_couplings`` takes it uncopied."""
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator")
     magop._check_order(gen.size, "the modal eigendecomposition")
@@ -147,7 +148,7 @@ def _modal_data(gen):
         return _pencil_modes(gen.stiffness, gen.mass_diag)
     (lam_x, V_x), (lam_y, V_y) = (_pencil_modes(S, M) for S, M in axes)
     lam, j, k = _kron_sum(lam_x, lam_y)
-    return lam, (V_x[:, None, j] * V_y[None, :, k]).reshape(-1, lam.size)
+    return lam, np.multiply(V_x[:, None, j], V_y[None, :, k], order="C").reshape(-1, lam.size)
 
 
 def _pencil_modes(S, mass):
@@ -155,7 +156,7 @@ def _pencil_modes(S, mass):
     S = S.toarray()
     d = 1.0 / np.sqrt(mass)
     lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
-    return lam, d[:, None] * U
+    return lam, np.multiply(d[:, None], U, order="C")
 
 
 def _axis_pencils(gen):

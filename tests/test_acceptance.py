@@ -97,7 +97,7 @@ def test_criterion_2_conservation(setups_1d):
     rng = np.random.default_rng(0)
     u0 = sum(rng.normal() * np.sin(k * np.pi * x) * np.exp(1j * rng.normal())
              for k in (1, 2, 3, 5))
-    trace, _ = evolve.simulate(gen, u0, T=10.0, dt=1e-3, snapshot_stride=2000)
+    trace = evolve.simulate(gen, u0, T=10.0, dt=1e-3)
     drift_m = trace.conservation["mass_norm_relative_drift"]
     drift_s = trace.conservation["stiffness_norm_relative_drift"]
     assert drift_m <= 1e-10
@@ -146,12 +146,12 @@ def test_criterion_4_known_rate_decay(setups_1d):
     gen_c = magop.assemble_generator("A1", grid, a0, damping=const)
     x = grid.coords[gen_c.state_idx, 0]
     u0 = np.sqrt(2) * np.sin(np.pi * x) + 0j
-    trace, _ = evolve.simulate(gen_c, u0, T=2.0, dt=1e-3, snapshot_stride=500)
+    trace = evolve.simulate(gen_c, u0, T=2.0, dt=1e-3)
     fit_c = evolve.fit_exponential(trace)
     assert abs(fit_c.rate - 2.0) <= 1e-3
 
     gen_l = magop.assemble_generator("A1", grid, a0, damping=dinterior)
-    trace_l, _ = evolve.simulate(gen_l, u0, T=10.0, dt=2e-3, snapshot_stride=500)
+    trace_l = evolve.simulate(gen_l, u0, T=10.0, dt=2e-3)
     fit_l = evolve.fit_exponential(trace_l, window=(1.0, 10.0))
     assert fit_l.rate > 0
     assert fit_l.r_squared >= 0.99
@@ -182,7 +182,7 @@ def _boundary_damped_run(grid, x0, afun):
     for ax in range(grid.dim):
         u0 *= np.sin(np.pi * x[:, ax])
     u0 = evolve.prepare_smooth_initial(gen, u0)
-    trace, _ = evolve.simulate(gen, u0, T=2.0, dt=2e-3, snapshot_stride=100)
+    trace = evolve.simulate(gen, u0, T=2.0, dt=2e-3)
     fit = evolve.fit_exponential(trace)
     return bool(np.all(np.diff(trace.energy) < 0)), fit.rate
 
@@ -318,10 +318,9 @@ def test_criterion_9_multiplier_identity():
     a = magop.MagneticPotential.zero(grid)
     gen = magop.assemble_generator("A0", grid, a)
     x = grid.coords[gen.state_idx, 0]
-    _, traj = evolve.simulate(gen, np.sqrt(2) * np.sin(np.pi * x) + 0j, T,
-                              2e-4, snapshot_stride=1)
     field = multiplier.MultiplierField.radial(grid, [0.0])
-    rep = multiplier.multiplier_identity_residual(traj, field)
+    rep = multiplier.multiplier_identity_residual(
+        gen, np.sqrt(2) * np.sin(np.pi * x) + 0j, T, 2e-4, field)
     want = np.pi**2 * T
     rel = max(abs(rep.lhs - want), abs(rep.rhs - want)) / want
     assert rel <= 1e-3

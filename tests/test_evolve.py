@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from magschro import evolve, magop, mesh
+from util_fields import Keep
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +88,7 @@ def test_step_contraction_all_dissipative(grid, a_zero):
 
 
 def test_simulate_conservation(gen_a0):
-    trace, _ = evolve.simulate(gen_a0, first_mode(gen_a0), T=2.0, dt=1e-3,
-                               snapshot_stride=500)
+    trace = evolve.simulate(gen_a0, first_mode(gen_a0), T=2.0, dt=1e-3)
     assert trace.conservation["mass_norm_relative_drift"] < 1e-10
     assert trace.conservation["stiffness_norm_relative_drift"] < 1e-10
     assert np.max(np.abs(trace.energy - trace.energy[0])) < 1e-10 * trace.energy[0]
@@ -98,8 +98,7 @@ def test_simulate_constant_damping_rate(grid, a_zero):
     damping = magop.DampingConfig.interior(
         grid, np.ones(grid.num_nodes), c0=1.0, omega=np.arange(grid.num_nodes))
     gen = magop.assemble_generator("A1", grid, a_zero, damping=damping)
-    trace, _ = evolve.simulate(gen, first_mode(gen), T=2.0, dt=1e-3,
-                               snapshot_stride=500)
+    trace = evolve.simulate(gen, first_mode(gen), T=2.0, dt=1e-3)
     fit = evolve.fit_exponential(trace)
     assert abs(fit.rate - 2.0) < 1e-3
 
@@ -109,8 +108,7 @@ def test_simulate_localized_damping_decays(grid, a_zero):
     damping = magop.DampingConfig.interior(grid, c, c0=5.0,
                                            omega=grid.box_nodes([0.0], [0.29]))
     gen = magop.assemble_generator("A1", grid, a_zero, damping=damping)
-    trace, _ = evolve.simulate(gen, first_mode(gen), T=4.0, dt=2e-3,
-                               snapshot_stride=100)
+    trace = evolve.simulate(gen, first_mode(gen), T=4.0, dt=2e-3)
     assert np.all(np.diff(trace.energy) <= 1e-12 * trace.energy[0])
     fit = evolve.fit_exponential(trace, window=(1.0, 4.0))
     assert fit.rate > 0
@@ -121,7 +119,7 @@ def test_simulate_dissipation_identity_exact(grid, a_zero):
     damping = magop.DampingConfig.interior(grid, c, c0=5.0,
                                            omega=grid.box_nodes([0.0], [0.29]))
     gen = magop.assemble_generator("A1", grid, a_zero, damping=damping)
-    trace, _ = evolve.simulate(gen, first_mode(gen), T=0.5, dt=1e-3)
+    trace = evolve.simulate(gen, first_mode(gen), T=0.5, dt=1e-3)
     assert np.max(trace.midpoint_residual) < 1e-10 * trace.energy[0]
     assert np.all(trace.dissipation <= 0)
 
@@ -134,20 +132,20 @@ def test_endpoint_dissipation_second_order(grid, a_zero):
     u0 = first_mode(gen)
     res = []
     for dt in (4e-3, 2e-3, 1e-3):
-        trace, _ = evolve.simulate(gen, u0, T=0.2, dt=dt)
+        trace = evolve.simulate(gen, u0, T=0.2, dt=dt)
         res.append(np.max(trace.endpoint_residual))
     assert res[0] / res[1] > 3.0
     assert res[1] / res[2] > 3.0
 
 
-def test_simulate_rejects_bad_args(gen_a0):
+def test_simulate_rejects_bad_args(gen_a0, tmp_path):
     with pytest.raises(ValueError):
         evolve.simulate(gen_a0, first_mode(gen_a0), T=0.0, dt=1e-3)
     for T, dt in ((np.nan, 1e-3), (1.0, np.nan), (np.inf, 1e-3), (1.0, -1e-3)):
         with pytest.raises(ValueError, match="finite"):
             evolve.simulate(gen_a0, first_mode(gen_a0), T=T, dt=dt)
-    with pytest.raises(ValueError, match="snapshot_stride"):
-        evolve.simulate(gen_a0, first_mode(gen_a0), T=1.0, dt=1e-3, snapshot_stride=0)
+    with pytest.raises(ValueError, match="stride"):
+        evolve.SnapshotRecord(gen_a0, tmp_path / "s.bin", 1.0, 1e-3, 0)
     with pytest.raises(ValueError):
         evolve.simulate(gen_a0, first_mode(gen_a0)[:-3], T=1.0, dt=1e-3)
 
@@ -211,7 +209,7 @@ def test_prepare_smooth_initial_inverts(gen_a0):
 
 
 def test_trace_export_csv(tmp_path, gen_a0):
-    trace, _ = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2)
+    trace = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2)
     path = tmp_path / "energy.csv"
     trace.export_csv(path)
     lines = path.read_text().splitlines()
@@ -243,24 +241,24 @@ def test_trace_export_csv_matches_per_row_writer(tmp_path):
 
 def test_snapshot_export_roundtrip(tmp_path, gen_a0):
     """The streamed record reads back, through its sidecar, as the times and
-    full-grid states of the in-memory run."""
-    _, traj = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2,
-                              snapshot_stride=2)
+    full-grid states (``embed`` of a block) of steps 0, 2, 4 and 5."""
+    kept = Keep()
+    evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2, sink=kept)
     pbin = tmp_path / "snaps.bin"
-    _, none = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2,
-                              snapshot_stride=2, record=pbin)
-    assert none is None
+    with evolve.SnapshotRecord(gen_a0, pbin, 0.05, 1e-2, 2) as record:
+        trace = evolve.simulate(gen_a0, first_mode(gen_a0), T=0.05, dt=1e-2, sink=record)
     side = json.loads((tmp_path / "snaps.json").read_text())
-    assert side["rows"] == traj.times.size and side["generator_kind"] == "A0"
+    assert side["rows"] == 4 and side["generator_kind"] == "A0"
     rec = np.frombuffer(pbin.read_bytes()).reshape(side["rows"], side["row_length"])
-    np.testing.assert_array_equal(rec[:, 0], traj.times)
-    for i in range(traj.times.size):
-        np.testing.assert_array_equal(rec[i, 1::2] + 1j * rec[i, 2::2], traj.full_field(i))
+    np.testing.assert_array_equal(rec[:, 0], trace.times[[0, 2, 4, 5]])
+    full = gen_a0.embed(kept.states[[0, 2, 4, 5]].T)
+    assert full.shape == (gen_a0.grid.num_nodes, 4)
+    np.testing.assert_array_equal(rec[:, 1::2] + 1j * rec[:, 2::2], full.T)
 
 
 def test_simulate_default_dt_is_h_squared_over_four(gen_a0):
     h = gen_a0.grid.h[0]
-    trace, _ = evolve.simulate(gen_a0, first_mode(gen_a0), T=100 * h * h)
+    trace = evolve.simulate(gen_a0, first_mode(gen_a0), T=100 * h * h)
     assert abs(trace.dt - h * h / 4.0) < 1e-15
 
 
@@ -269,7 +267,7 @@ def test_default_step_ends_the_run_at_T():
     grid = mesh.build_grid(1, [1.0], 32)
     gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
     h = grid.h[0]
-    trace, _ = evolve.simulate(gen, first_mode(gen), T=0.05)
+    trace = evolve.simulate(gen, first_mode(gen), T=0.05)
     assert trace.times.size == 194                   # ceil(0.05 / (h^2/4)) = 193 steps
     assert trace.dt <= h * h / 4.0
     assert trace.times[-1] == pytest.approx(0.05, rel=1e-15)
@@ -353,14 +351,15 @@ def blocked(gen, u0, dt, width, nsteps, tridiagonal=True, **kw):
         mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
         if not tridiagonal:
             mp.setattr(magop, "_tridiagonal_solver", lambda M: None)
-        return evolve.simulate(gen, u0, nsteps * dt, dt, snapshot_stride=3, **kw)
+        return evolve.simulate(gen, u0, nsteps * dt, dt, **kw)
 
 
 @PROPERTY
 @given(cases())
 def test_blocked_simulate_matches_reference_loop(case):
     gen, u0, dt, width, nsteps = case
-    trace, traj = blocked(gen, u0, dt, width, nsteps)
+    kept = Keep()
+    trace = blocked(gen, u0, dt, width, nsteps, sink=kept)
     energy, diss, u_end, _ = reference_loop(gen, u0, dt, nsteps)
     e0 = energy[0]
     assert trace.energy.shape == (nsteps + 1,)
@@ -369,18 +368,18 @@ def test_blocked_simulate_matches_reference_loop(case):
                                atol=1e-12 * max(np.max(np.abs(diss)), e0))
     assert np.max(trace.midpoint_residual) <= 1e-9 * max(e0, 1.0)
     scale = np.max(np.abs(u0))
-    np.testing.assert_allclose(traj.states[-1], u_end, rtol=0, atol=1e-12 * scale)
-    assert traj.times[-1] == trace.times[-1]
-    np.testing.assert_array_equal(traj.times[:-1], trace.times[:-1:3])
+    assert kept.steps == list(range(nsteps + 1))
+    np.testing.assert_allclose(kept.states[-1], u_end, rtol=0, atol=1e-12 * scale)
 
     # every 1D generator is tridiagonal and takes the LAPACK path
     cn = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
     assert (magop._tridiagonal_solver(cn) is not None) == (gen.grid.dim == 1)
     # a copy starts with no factor, so it is factored again, here by SuperLU
     gen_lu = dataclasses.replace(gen)
-    trace_lu, traj_lu = blocked(gen_lu, u0, dt, width, nsteps, tridiagonal=False)
+    kept_lu = Keep()
+    trace_lu = blocked(gen_lu, u0, dt, width, nsteps, tridiagonal=False, sink=kept_lu)
     np.testing.assert_allclose(trace.energy, trace_lu.energy, rtol=1e-13, atol=1e-13 * e0)
-    np.testing.assert_allclose(traj.states, traj_lu.states, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(kept.states, kept_lu.states, rtol=0, atol=1e-13 * scale)
     np.testing.assert_allclose(gen.cayley_solver(dt, trans="H")(u0),
                                gen_lu.cayley_solver(dt, trans="H")(u0),
                                rtol=0, atol=1e-13 * scale)
@@ -429,12 +428,21 @@ def test_gauge_conjugate_steps_with_its_own_factor(dim):
                                atol=1e-13 * np.max(np.abs(u)))
 
 
-def _one_buffer_record(traj):
-    """The snapshot record as first written: one zeroed (rows, 1 + 2N) array."""
-    n = traj.generator.grid.num_nodes
-    rec = np.zeros((traj.times.size, 1 + 2 * n))
-    rec[:, 0] = traj.times
-    rec[:, 1:].view(complex)[:, traj.generator.state_idx] = traj.states
+def reference_states(gen, u0, dt, nsteps):
+    """States 0..nsteps of the ``step`` loop, one row per step."""
+    states = [np.asarray(u0, dtype=complex)]
+    for _ in range(nsteps):
+        states.append(evolve.step(gen, states[-1], dt))
+    return np.array(states)
+
+
+def _one_buffer_record(gen, dt, states, stride):
+    """The snapshot record as first written: one zeroed (rows, 1 + 2N) array
+    of every ``stride``-th state and the last."""
+    keep = sorted(set(range(0, len(states), stride)) | {len(states) - 1})
+    rec = np.zeros((len(keep), 1 + 2 * gen.grid.num_nodes))
+    rec[:, 0] = dt * np.array(keep)
+    rec[:, 1:].view(complex)[:, gen.state_idx] = states[keep]
     return rec.tobytes()
 
 
@@ -452,32 +460,55 @@ def _small_generator(kind, dim):
     return magop.assemble_generator(kind, grid, a, damping=damping, split=split)
 
 
+# 20 steps: blocks of 3 and 7 end short, one of 20 or 25 holds them all
+WIDTHS = (1, 2, 3, 7, 20, 25)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("kind", ["A0", "A2"])
+def test_sink_sees_every_step_once_in_order(kind, width):
+    """Whatever the block width, a last block shorter than the others
+    included, the sink is given steps 0..20 once each, in order, with the
+    states of the ``step`` loop, bit for bit."""
+    gen = _small_generator(kind, 2)
+    rng = np.random.default_rng(11)
+    u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    kept = Keep()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
+        evolve.simulate(gen, u0, 0.04, 2e-3, sink=kept)
+    assert kept.steps == list(range(21))
+    assert len(kept.blocks) == -(-20 // width)
+    assert kept.states.tobytes() == reference_states(gen, u0, 2e-3, 20).tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind", ["A0", "A1", "A2", "A3"])
 def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
     """The record streamed block by block gives the bytes of the one-buffer
-    record of the in-memory run, for every stride and block height, a last
-    block shorter than the others included, and leaves the trace as it is."""
+    record of the ``step`` loop's states, for every stride and block height,
+    a last block shorter than the others included, and leaves the trace as
+    it is."""
     gen = _small_generator(kind, dim)
     rng = np.random.default_rng(7)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    states = reference_states(gen, u0, 2e-3, 20)
     path = tmp_path / "s.bin"
     for stride in (1, 2, 3, 7):
-        _, traj = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride)
-        want = _one_buffer_record(traj)
-        # 20 steps: blocks of 3 and 7 end short, one of 20 or 25 holds them all
-        for width in (1, 2, 3, 7, 20, 25):
+        want = _one_buffer_record(gen, 2e-3, states, stride)
+        for width in WIDTHS:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evolve, "_BLOCK_ENTRIES", width * gen.size)
-                trace, _ = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride)
-                streamed, _ = evolve.simulate(gen, u0, 0.04, 2e-3, snapshot_stride=stride,
-                                              record=path)
+                trace = evolve.simulate(gen, u0, 0.04, 2e-3)
+                with evolve.SnapshotRecord(gen, path, 0.04, 2e-3, stride) as record:
+                    streamed = evolve.simulate(gen, u0, 0.04, 2e-3, sink=record)
             assert path.read_bytes() == want, (stride, width)
             np.testing.assert_array_equal(streamed.energy, trace.energy)
             np.testing.assert_array_equal(streamed.dissipation, trace.dissipation)
             side = json.loads((tmp_path / "s.json").read_text())
             assert side == {"format": "float64 rows of (t, node0_re, node0_im, ...)",
-                            "rows": traj.times.size, "row_length": 1 + 2 * gen.grid.num_nodes,
+                            "rows": len(want) // (8 * (1 + 2 * gen.grid.num_nodes)),
+                            "row_length": 1 + 2 * gen.grid.num_nodes,
                             "nodes": gen.grid.num_nodes, "generator_kind": kind}
 
 
@@ -497,7 +528,8 @@ def test_failed_run_leaves_no_record(tmp_path, dim):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "_BLOCK_ENTRIES", 2 * bad.size)
         with pytest.raises(evolve.EnergyIncreaseError, match=f"at step {first} "):
-            evolve.simulate(bad, u0, 0.04, 2e-3, increase_tol=tol, record=path)
+            with evolve.SnapshotRecord(bad, path, 0.04, 2e-3, 1) as record:
+                evolve.simulate(bad, u0, 0.04, 2e-3, increase_tol=tol, sink=record)
     assert not path.exists() and not (tmp_path / "s.json").exists()
 
 
@@ -514,7 +546,8 @@ def test_streamed_simulate_memory_does_not_grow_with_steps(tmp_path):
     peaks = []
     for nsteps in (100, 800):
         tracemalloc.start()
-        evolve.simulate(gen, u0, nsteps * dt, dt, record=tmp_path / "s.bin")
+        with evolve.SnapshotRecord(gen, tmp_path / "s.bin", nsteps * dt, dt, 1) as record:
+            evolve.simulate(gen, u0, nsteps * dt, dt, sink=record)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
@@ -560,15 +593,17 @@ def test_energy_law_on_random_damped_problems(kind, dim, seed):
     gen, u0, dt, nsteps = random_damped_problem(kind, dim, seed)
     if kind == "A1":
         assert (gen._damping_support[0].size == 0) == (seed == 0)
-    trace, traj = evolve.simulate(gen, u0, nsteps * dt, dt)
+    kept = Keep()
+    trace = evolve.simulate(gen, u0, nsteps * dt, dt, sink=kept)
     e0 = trace.energy[0]
     assert np.max(trace.midpoint_residual) <= 1e-9 * max(e0, 1.0)
     assert np.max(np.diff(trace.energy)) <= 1e-12 * e0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve, "_BLOCK_ENTRIES", gen.size)
-        single, single_traj = evolve.simulate(gen, u0, nsteps * dt, dt)
-    assert single_traj.states.tobytes() == traj.states.tobytes()
+        kept_single = Keep()
+        single = evolve.simulate(gen, u0, nsteps * dt, dt, sink=kept_single)
+    assert kept_single.states.tobytes() == kept.states.tobytes()
     np.testing.assert_allclose(single.energy, trace.energy, rtol=1e-14, atol=0)
     scale = max(np.max(np.abs(trace.dissipation)), e0)
     np.testing.assert_allclose(single.dissipation, trace.dissipation, rtol=1e-12,

@@ -25,7 +25,6 @@ SRC = Path(magschro.__file__).parent
 
 TEST_ONLY = {
     "emit": "config serialization, the inverse of parse in the roundtrip test",
-    "full_field": "one snapshot on the full grid, the oracle for the streamed snapshot record",
     "prepare_smooth_initial": "states in D(A^k), the inverse-iteration fixture",
     "vanishes_on": "the potential's support predicate, checked against its samples",
     "hermitian_residual": "skew-adjointness oracle for the assembled generators",

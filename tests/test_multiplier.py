@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from magschro import evolve, magop, mesh, multiplier
+from util_fields import Keep
 
 
-def a0_trajectory(n, dt, T, u0_fn=None, pot_fn=None, seed=None):
+def a0_run(n, x0, dt, T, u0_fn=None, pot_fn=None):
+    """The identity with the radial multiplier at x0 on a 1D A0 run."""
     grid = mesh.build_grid(1, [1.0], n)
     if pot_fn is None:
         a = magop.MagneticPotential.zero(grid)
@@ -18,19 +20,12 @@ def a0_trajectory(n, dt, T, u0_fn=None, pot_fn=None, seed=None):
         u0 = np.sqrt(2) * np.sin(np.pi * x) + 0j
     else:
         u0 = u0_fn(x)
-    _, traj = evolve.simulate(gen, u0, T, dt, snapshot_stride=1)
-    return grid, a, traj
+    field = multiplier.MultiplierField.radial(grid, x0)
+    return multiplier.multiplier_identity_residual(gen, u0, T, dt, field)
 
 
 def test_identity_zero_state():
-    grid = mesh.build_grid(1, [1.0], 17)
-    a = magop.MagneticPotential.zero(grid)
-    gen = magop.assemble_generator("A0", grid, a)
-    times = np.linspace(0, 0.1, 5)
-    states = np.zeros((5, gen.size), dtype=complex)
-    traj = evolve.Trajectory(generator=gen, times=times, states=states)
-    field = multiplier.MultiplierField.radial(grid, [0.0])
-    rep = multiplier.multiplier_identity_residual(traj, field)
+    rep = a0_run(17, [0.0], 0.025, 0.1, u0_fn=lambda x: np.zeros(x.size, dtype=complex))
     assert rep.residual == 0.0
 
 
@@ -38,9 +33,7 @@ def test_identity_rellich_mode_closed_form():
     """Standing mode with the radial multiplier: both sides reduce to the
     flux identity; closed-form value pi^2 T."""
     T = 0.25
-    grid, a, traj = a0_trajectory(129, dt=2e-4, T=T)
-    field = multiplier.MultiplierField.radial(grid, [0.0])
-    rep = multiplier.multiplier_identity_residual(traj, field)
+    rep = a0_run(129, [0.0], dt=2e-4, T=T)
     want = np.pi**2 * T
     assert abs(rep.lhs - want) < 1e-3 * want
     assert abs(rep.rhs - want) < 1e-3 * want
@@ -62,11 +55,8 @@ def test_identity_random_smooth_refinement(seed):
 
     residuals = []
     for n in (17, 33, 65):
-        grid, a, traj = a0_trajectory(
-            n, dt=2e-4, T=0.25, u0_fn=u0_fn,
-            pot_fn=lambda p: 0.3 * np.sin(2.0 * p[:, 0] + 0.4))
-        field = multiplier.MultiplierField.radial(grid, [-0.3])
-        rep = multiplier.multiplier_identity_residual(traj, field)
+        rep = a0_run(n, [-0.3], dt=2e-4, T=0.25, u0_fn=u0_fn,
+                     pot_fn=lambda p: 0.3 * np.sin(2.0 * p[:, 0] + 0.4))
         residuals.append(rep.residual)
     assert residuals[0] / residuals[1] >= 1.8
     assert residuals[1] / residuals[2] >= 1.8
@@ -85,33 +75,34 @@ def test_radial_field_consistency():
 
 def test_identity_refuses_other_generators_and_grids():
     """Without forcing the identity holds for A0 only, and the field must sit
-    on the trajectory's grid."""
+    on the generator's grid."""
     grid = mesh.build_grid(1, [1.0], 17)
     a = magop.MagneticPotential.zero(grid)
     damping = magop.DampingConfig(c=np.ones(grid.num_nodes), c0=1.0,
                                   omega=np.arange(grid.num_nodes), d=np.zeros(grid.num_nodes),
                                   d0=0.0, gamma0_support=np.array([], dtype=int))
     gen = magop.assemble_generator("A1", grid, a, damping=damping)
-    states = np.zeros((3, gen.size), dtype=complex)
-    traj = evolve.Trajectory(generator=gen, times=np.linspace(0, 0.1, 3), states=states)
+    u0 = np.zeros(gen.size, dtype=complex)
     with pytest.raises(ValueError, match="A0"):
         multiplier.multiplier_identity_residual(
-            traj, multiplier.MultiplierField.radial(grid, [0.0]))
-    _, _, traj = a0_trajectory(17, dt=1e-3, T=0.01)
+            gen, u0, 0.01, 1e-3, multiplier.MultiplierField.radial(grid, [0.0]))
+    gen = magop.assemble_generator("A0", grid, a)
     other = mesh.build_grid(1, [1.0], 33)
     with pytest.raises(ValueError, match="grid"):
         multiplier.multiplier_identity_residual(
-            traj, multiplier.MultiplierField.radial(other, [0.0]))
+            gen, u0, 0.01, 1e-3, multiplier.MultiplierField.radial(other, [0.0]))
 
 
-def _materialized_terms(traj, a, x0):
-    """The five multiplier terms of the radial field on an A0 trajectory, from
-    full (nt, N, dim) temporaries: the oracle."""
-    grid = traj.generator.grid
-    times = traj.times
+def _materialized_terms(case):
+    """The five multiplier terms of the radial field on an A0 run, from its
+    kept states and full (nt, N, dim) temporaries: the oracle."""
+    grid, a, gen, u0, T, dt, x0 = case
+    kept = Keep()
+    evolve.simulate(gen, u0, T, dt, sink=kept)
+    times = dt * np.array(kept.steps)
     nt, N, d = times.size, grid.num_nodes, grid.dim
     u = np.zeros((nt, N), dtype=complex)
-    u[:, traj.generator.state_idx] = traj.states
+    u[:, gen.state_idx] = kept.states
     wt = np.zeros(nt)
     wt[:-1] += 0.5 * np.diff(times)
     wt[1:] += 0.5 * np.diff(times)
@@ -148,9 +139,9 @@ def _materialized_terms(traj, a, x0):
 
 
 def _random_case(seed):
-    """A random grid, potential, A0 trajectory and x0.  The potential's
-    components are sines of the other coordinate, so a 2D one has a curl
-    that varies over the grid."""
+    """A random grid, potential, A0 generator, initial state, horizon, step
+    and x0.  The potential's components are sines of the other coordinate,
+    so a 2D one has a curl that varies over the grid."""
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     n = int(rng.integers(9, 40)) if dim == 1 else int(rng.integers(5, 14))
@@ -160,19 +151,23 @@ def _random_case(seed):
         grid, lambda p: amp[:dim] * np.sin(freq * p[:, ::-1] + 0.3))
     gen = magop.assemble_generator("A0", grid, a)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
-    _, traj = evolve.simulate(gen, u0, 0.01 * rng.integers(1, 4), 2e-3)
     x0 = rng.uniform(-0.5, 1.5, dim)
-    return grid, a, traj, x0
+    return grid, a, gen, u0, 0.01 * int(rng.integers(1, 4)), 2e-3, x0
+
+
+def _identity(case):
+    grid, _, gen, u0, T, dt, x0 = case
+    return multiplier.multiplier_identity_residual(
+        gen, u0, T, dt, multiplier.MultiplierField.radial(grid, x0))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_terms_match_materialized_field(seed):
     """The blocked contractions give the five terms of the materialized
     oracle on random grids, x0, potentials (with curl in 2D) and states."""
-    grid, a, traj, x0 = _random_case(seed)
-    rep = multiplier.multiplier_identity_residual(
-        traj, multiplier.MultiplierField.radial(grid, x0))
-    want = _materialized_terms(traj, a, x0)
+    case = _random_case(seed)
+    rep = _identity(case)
+    want = _materialized_terms(case)
     scale = max(abs(v) for v in want.values())
     assert rep.terms.keys() == want.keys()
     for name, value in want.items():
@@ -180,7 +175,7 @@ def test_terms_match_materialized_field(seed):
     assert rep.scale == pytest.approx(scale, rel=1e-12)
     # the magnetic term is small beside the gradient terms: hold it to its own size
     mag = want["volume_magnetic"]
-    assert (mag != 0.0) == (grid.dim == 2)
+    assert (mag != 0.0) == (case[0].dim == 2)
     assert abs(rep.terms["volume_magnetic"] - mag) <= 1e-12 * abs(mag)
 
 
@@ -198,15 +193,13 @@ def test_blocked_identity_matches_one_block(seed):
     term, both sides and the residual of the one-block evaluation to 1e-13
     scale.  The boundary terms are summed per block like the volume terms,
     so they share that bound (no longer bitwise equal)."""
-    grid, a, traj, x0 = _random_case(seed)
-    nt = traj.times.size
+    case = _random_case(seed)
+    grid, _, _, _, T, dt, _ = case
+    nt = round(T / dt) + 1
     assert nt >= 6
-    field = multiplier.MultiplierField.radial(grid, x0)
-    one = _with_block(nt + 5, grid, lambda: multiplier.multiplier_identity_residual(
-        traj, field))
+    one = _with_block(nt + 5, grid, lambda: _identity(case))
     for samples in (1, 2, 3):
-        rep = _with_block(samples, grid, lambda: multiplier.multiplier_identity_residual(
-            traj, field))
+        rep = _with_block(samples, grid, lambda: _identity(case))
         tol = 1e-13 * one.scale
         for name, value in one.terms.items():
             assert abs(rep.terms[name] - value) <= tol, (samples, name)
@@ -216,17 +209,19 @@ def test_blocked_identity_matches_one_block(seed):
 
 
 def _identity_peak(dim, n, nt):
-    """Traced peak of the identity on an nt-sample A0 trajectory (the states
-    are made before the trace starts)."""
+    """Traced peak of a whole identity run of nt samples, its stepping
+    included; the Crank-Nicolson factor and the gradient matrices are made
+    before the trace starts."""
     grid = mesh.build_grid(dim, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.3 * np.sin(2.0 * p))
     gen = magop.assemble_generator("A0", grid, a)
     rng = np.random.default_rng(0)
     u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
-    _, traj = evolve.simulate(gen, u0, (nt - 1) * 1e-4, 1e-4)
     field = multiplier.MultiplierField.radial(grid, [0.1] * dim)
+    gen.cayley_solver(1e-4)
+    grid.gradients, a.gradient, a.conormal
     tracemalloc.start()
-    multiplier.multiplier_identity_residual(traj, field)
+    multiplier.multiplier_identity_residual(gen, u0, (nt - 1) * 1e-4, 1e-4, field)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak
@@ -237,21 +232,32 @@ BLOCK_BYTES = 16 * evolve._BLOCK_ENTRIES
 
 @pytest.mark.parametrize("nt", [101, 801, 3201])
 def test_identity_memory_is_one_block_in_1d(nt):
-    """Beyond the trajectory, the 1D identity (two boundary nodes) holds one
-    block of samples: a peak under 2 MiB for every nt.  The whole-trajectory
-    evaluation took 2.9 MB at 801 samples on this grid."""
+    """A whole 1D identity run holds the stepper's block of states and the
+    identity's block of samples: a peak under 3 MiB for every nt (2.2 MiB at
+    3201 samples, whose states alone are 3.2 MB; holding them all the run
+    peaked at 5.2 MiB)."""
     peak = _identity_peak(1, 64, nt)
-    assert peak <= 2 * BLOCK_BYTES, peak
+    assert peak <= 3 * BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("nt", [101, 801])
 def test_identity_memory_is_one_block_in_2d(nt):
-    """The 2D identity sums its boundary terms per block too, so beyond the
-    trajectory it holds one block of samples whatever nt (keeping the boundary
-    rows of every sample took 12.3 MiB at 801 samples on this grid, the
-    whole-trajectory evaluation 48 MB)."""
+    """The 2D identity sums its boundary terms per block too, so a whole run
+    holds the stepper's block of states and the identity's block of samples:
+    a peak under 3 MiB whatever nt (2.3 MiB at 101 and 801 samples on this
+    grid; keeping the boundary rows of every sample took 12.3 MiB at 801
+    samples, the whole-trajectory evaluation 48 MB)."""
     peak = _identity_peak(2, 24, nt)
-    assert peak <= 2 * BLOCK_BYTES, peak
+    assert peak <= 3 * BLOCK_BYTES, peak
+
+
+def test_identity_run_memory_is_flat_in_samples():
+    """The identity sums each block of states as the stepper makes it, so the
+    traced peak of a whole 2D run at 801 samples is within 10 % of that at
+    101 (2.3 MiB each on this grid; holding every state it was 3.3 and
+    8.8 MiB)."""
+    peaks = [_identity_peak(2, 24, nt) for nt in (101, 801)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_identity_converges_with_a_magnetic_field():
@@ -268,9 +274,8 @@ def test_identity_converges_with_a_magnetic_field():
         gen = magop.assemble_generator("A0", grid, a)
         x, y = grid.coords[gen.state_idx].T
         u0 = np.sin(np.pi * x) * np.sin(np.pi * y) + 0.5j * np.sin(2 * np.pi * x) * np.sin(np.pi * y)
-        _, traj = evolve.simulate(gen, u0, 0.02, 5e-5)
         rep = multiplier.multiplier_identity_residual(
-            traj, multiplier.MultiplierField.radial(grid, [-0.3, 0.4]))
+            gen, u0, 0.02, 5e-5, multiplier.MultiplierField.radial(grid, [-0.3, 0.4]))
         assert abs(rep.terms["volume_magnetic"] + 0.0083) < 2e-4
         residuals.append(rep.residual)
     assert residuals[0] / residuals[1] >= 1.8

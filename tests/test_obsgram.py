@@ -557,6 +557,36 @@ def test_curl_potential_keeps_the_dense_route(monkeypatch):
     assert np.linalg.norm(gen.stiffness @ V - (M[:, None] * V) * lam) <= 1e-12 * lam_ref[-1]
 
 
+
+@pytest.mark.parametrize("route", ["1d", "separable", "dense"])
+def test_modes_are_c_ordered(route, monkeypatch):
+    """Every route gives C-ordered modes, so the sparse N @ V of the couplings
+    takes them uncopied, and C_obs is that of Fortran-ordered modes to 1e-12."""
+    if route == "1d":
+        grid = mesh.build_grid(1, 1.0, 40)
+        omega = grid.box_nodes([0.0], [0.3])
+    else:
+        grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
+        omega = OBSERVATIONS["interior-l2"](grid)
+    gen = magop.assemble_generator("A0", grid, SEPARABLE["sine"](grid))
+    assert (obsgram._axis_pencils(gen) is not None) == (route != "1d")
+    if route == "dense":
+        dense_route(monkeypatch)
+    _, V = obsgram._modal_data(gen)
+    assert V.flags.c_contiguous and V.shape == (gen.size, gen.size)
+    obs = obsgram.Observation("interior-l2", omega)
+    rep = obsgram.gramian(gen, obs, 0.8)
+    modal_data = obsgram._modal_data
+
+    def fortran_modes(g):
+        lam, V = modal_data(g)
+        return lam, np.asfortranarray(V)
+
+    monkeypatch.setattr(obsgram, "_modal_data", fortran_modes)
+    ref = obsgram.gramian(gen, obs, 0.8)
+    assert np.isfinite(ref.c_obs)
+    assert abs(rep.c_obs - ref.c_obs) <= 1e-12 * ref.c_obs
+
 def product_oracle(gen1, gen2, omega1, T):
     """C_1D and C_2D from the explicit product modes V1 (x) V2: the rows of
     omega1 x Omega2 gathered from the Kronecker product, then the exact

@@ -1,8 +1,26 @@
-"""Shared builders for randomized multiplier-identity runs."""
+"""Shared builders for streamed runs and randomized multiplier-identity runs."""
 
 import numpy as np
 
-from magschro import evolve, magop, mesh, multiplier
+from magschro import magop, mesh, multiplier
+
+
+class Keep:
+    """A ``simulate`` sink that keeps every step it is given and a copy of
+    its state: the in-memory oracle of the streamed consumers."""
+
+    def __init__(self):
+        self.steps, self.blocks = [], []
+
+    def __call__(self, steps, U):
+        assert isinstance(steps, range) and U.shape[1] == len(steps)
+        self.steps += steps
+        self.blocks.append(U.T.copy())
+
+    @property
+    def states(self):
+        """The kept states, one row per step."""
+        return np.vstack(self.blocks)
 
 
 def random_mode_initial(seed, x):
@@ -22,9 +40,8 @@ def identity_residuals_over_grids(seed, grids=(17, 33, 65), dt=2e-4, T=0.25):
             grid, lambda p: 0.3 * np.sin(2.0 * p[:, 0] + 0.4))
         gen = magop.assemble_generator("A0", grid, a)
         x = grid.coords[gen.state_idx, 0]
-        _, traj = evolve.simulate(gen, random_mode_initial(seed, x), T, dt,
-                                  snapshot_stride=1)
         field = multiplier.MultiplierField.radial(grid, [-0.3])
-        rep = multiplier.multiplier_identity_residual(traj, field)
+        rep = multiplier.multiplier_identity_residual(
+            gen, random_mode_initial(seed, x), T, dt, field)
         out.append(rep.residual)
     return np.array(out)
