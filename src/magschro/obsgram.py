@@ -14,35 +14,30 @@ boundary-flux and H1 observation) give
 
 the best constants in the observability and hidden-regularity inequalities.
 
-Two assembly paths:  ``eig`` diagonalizes the conservative generator once and
-integrates the modal phase couplings exactly in time.  On a rectangle whose
-link phases along each axis do not change across the other axis (the zero,
-constant and sine potentials) the generator is the Kronecker sum of two 1D
-ones, which ``_axis_pencils`` checks on the assembled stiffness; the modes
-are then V_x (x) V_y with frequencies lam_x (+) lam_y, from two 1D
-eigendecompositions, and any other generator takes one dense eigensolve.
-The product-space check reads its modes and couplings from its two factors
-in the same way.  The time integral is
-P K P^H with P a diagonal of unit phases and K real symmetric, so the modal
-Gramian is a diagonal unitary similarity of Z o K (Z the modal observation
-couplings): when A = 0 the modes and Z are real and its extremes come from a
-real symmetric eigenproblem.  ``cn`` samples Y_n = N S^n, S the
-Crank-Nicolson step, by propagating the m observation rows with the adjoint
-step.  A sampled Gramian has rank at most m times the number of time samples
-s; the report records that bound.  Its eigenproblem is solved on the smaller
-Gram side: the state side forms the k x k Gramian (``_cn_gramians``); when
-m s < k, the snapshot side reads lambda_max from the (m s) x (m s) snapshot
-correlation matrix (``_cn_snapshot_extremes``, the method of snapshots,
-Sirovich 1987), and lambda_min is 0 by rank.
-Every Crank-Nicolson solve here is the generator's own ``cayley_solver``,
-b -> 2 (I - dt/2 A)^-1 b (LAPACK zgttrs for 1D generators, SuperLU
-otherwise), factored once per dt, so a step is ``solve(x) - x``.
+One modal pipeline, two time kernels.  The conservative generator is
+diagonalized once: modes V with V^H M V = I and frequencies lam.  On a
+rectangle whose link phases along each axis do not change across the other
+axis (the zero, constant and sine potentials) the generator is the Kronecker
+sum of two 1D ones, which ``_axis_pencils`` checks on the assembled
+stiffness; the modes are then V_x (x) V_y with frequencies lam_x (+) lam_y,
+from two 1D eigendecompositions, and any other generator takes one dense
+eigensolve.  In the modes the Gramian is Z o K, Z = (N V)^H W (N V) the
+modal observation couplings and K the time kernel, up to a diagonal unitary
+similarity.  ``eig`` takes the exact time integral, K real symmetric
+(``_phase_gramian_exact``); ``cn`` takes the trapezoid sum over the
+Crank-Nicolson steps, under which mode j turns by 2 arctan(lam_j dt/2) per
+step, a Dirichlet kernel in closed form (``_phase_gramian_cn``).  When A = 0
+the modes and Z are real, and so is K unless the stride leaves a remainder,
+so the extremes come from a real symmetric eigenproblem.  A Gramian sampled
+at s times has rank at most m s for m observation rows; the report records
+that bound.  The product-space check reads its modes and couplings from its
+two factors in the same way, and steps its factors with the generator's own
+``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
 
 Every dense path is exact, or refused: it runs only when its dense order is
 at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
-before any dense allocation.  The orders are n for the modal path, the
-smaller Gram side min(m s, n) for the stepped one and n1 n2 for the product
-space.
+before any dense allocation.  The orders are n for the modal path (both
+methods) and n1 n2 for the product space.
 """
 
 from __future__ import annotations
@@ -54,10 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-from scipy.linalg.blas import zherk
 
-from . import evolve, magop
-from .mesh import build_grid, retained_steps, step_count, trapezoid_weights
+from . import magop
+from .mesh import build_grid, retained_steps, step_count
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -201,110 +195,6 @@ def _kron_sum(lam1, lam2):
     return (lam[order], *np.divmod(order, lam2.size))
 
 
-def _trapezoid_steps(T, dt, stride):
-    """Retained step indices of the stride-``stride`` rule over [0, T]."""
-    return retained_steps(step_count(T, dt), stride)
-
-
-def _cn_weights(T, dt, stride):
-    """Retained steps with their trapezoid weights for the stride (g1) and the
-    double-stride rule (g2, zero off the double stride), in units of dt, so
-    that the halves are exact."""
-    steps = _trapezoid_steps(T, dt, stride)
-    steps2 = _trapezoid_steps(T, dt, 2 * stride)
-    g1 = trapezoid_weights(steps.astype(float))
-    g2 = np.zeros(steps.size)
-    g2[np.searchsorted(steps, steps2)] = trapezoid_weights(steps2.astype(float))
-    return steps, g1, g2
-
-
-def _observed_rows(gen, N, steps, dt):
-    """Yield X_t = (N S^t)^H at each retained step t, S the Crank-Nicolson step.
-
-    The m observation rows are propagated, as X = N^H under the adjoint step
-    x <- 2 (I - dt/2 A)^-H x - x (``solve(x) - x`` with
-    ``gen.cayley_solver(dt, trans="H")``): one solve on m columns per time
-    step.
-    """
-    solve = gen.cayley_solver(dt, trans="H")
-    X = N.conj().T.toarray()
-    done = 0
-    for target in steps:
-        for _ in range(target - done):
-            x = solve(X)
-            x -= X
-            X = x
-        done = target
-        yield X
-
-
-def _cn_gramians(gen, N, W, T, dt, stride):
-    """Stepped Gramians G (stride) and G2 (double stride), the state side.
-
-    G = sum_t w_t Z_t^H W Z_t with Z_t = N S^t = X_t^H (``_observed_rows``).
-    Samples are buffered (``evolve._BLOCK_ENTRIES`` complex entries) and added
-    in once per block, split by whether they lie on the double stride:
-    G = G_E + G_O and G2 = 2 G_E + R, since the double-stride weight is
-    twice the stride weight except on the samples R holds, at most two near
-    an uneven end.  G_E and G_O are accumulated by Hermitian updates (``zherk``,
-    half the work of a general product) on the weight-scaled samples.
-    Returns (G, G2).
-    """
-    steps, g1, g2 = _cn_weights(T, dt, stride)
-    even = g2 != 0                                   # every double-stride step is a stride step
-    r = np.where(even, g2 - 2.0 * g1, 0.0)
-    m, k = N.shape
-    width = max(1, evolve._BLOCK_ENTRIES // (m * k))
-    buf = np.empty((width, m, k), dtype=complex)     # conj(Z_t) = X_t^T
-    upper = [np.zeros((k, k), dtype=complex, order="F") for _ in range(2)]
-    R = np.zeros((k, k), dtype=complex)
-    filled = 0
-    for j, X in enumerate(_observed_rows(gen, N, steps, dt)):
-        buf[filled] = X.T
-        filled += 1
-        if filled == width or j == steps.size - 1:
-            blk = slice(j + 1 - filled, j + 1)
-            for i, rows in enumerate((even[blk], ~even[blk])):
-                if rows.any():
-                    # positive weights D: Y = sqrt(D) conj(Z), Y^T conj(Y) = Z^H D Z
-                    s = np.sqrt(np.outer(dt * g1[blk][rows], W).ravel())
-                    Y = s[:, None] * buf[:filled][rows].reshape(-1, k)
-                    upper[i] = zherk(1.0, Y.T, beta=1.0, c=upper[i], overwrite_c=1)
-            rows = r[blk] != 0
-            if rows.any():
-                Y = buf[:filled][rows].reshape(-1, k)
-                R += (Y.T * np.outer(dt * r[blk][rows], W).ravel()) @ Y.conj()
-            filled = 0
-    GE, GO = (U + np.triu(U, 1).conj().T for U in upper)   # herk fills the upper triangle
-    return GE + GO, 2.0 * GE + R
-
-
-def _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride):
-    """lambda_max of the stepped Gramians G and G2 against the metric L, the
-    snapshot side.
-
-    With X = [X_0 X_1 ...] the n x (m s) block of propagated observation rows
-    (``_observed_rows``) and D = diag(dt g_t W_i) the sample weights,
-    G = X D X^H.  The nonzero spectrum of the pencil (G, L) is that of the
-    (m s) x (m s) snapshot correlation matrix D^1/2 X^H L^-1 X D^1/2 (the
-    method of snapshots), so neither G nor an n x n eigenproblem is formed;
-    G2 is the same matrix with the double-stride weights.  Returns
-    (lambda_max(G), lambda_max(G2)).
-    """
-    steps, g1, g2 = _cn_weights(T, dt, stride)
-    X = np.hstack(list(_observed_rows(gen, N, steps, dt)))
-    if metric == "mass":
-        LX = X / gen.mass_diag[:, None]
-    else:
-        LX = magop.factorize(gen.stiffness)["N"](X)
-    C = X.conj().T @ LX
-    tops = []
-    for g in (g1, g2):
-        s = np.sqrt(np.outer(dt * g, W).ravel())
-        tops.append(float(la.eigvalsh(s[:, None] * C * s[None, :])[-1]))
-    return tuple(tops)
-
-
 def _modal_couplings(N, W, V):
     """Z = (N V)^H W (N V), real when N V has no imaginary part (A = 0)."""
     Y = N @ V
@@ -335,6 +225,40 @@ def _phase_gramian_exact(Z, lam, T):
     return Z * K
 
 
+def _phase_gramian_cn(Z, lam, dt, nsteps, stride):
+    """The Crank-Nicolson time sum of the modal phase couplings over nsteps
+    steps of dt, sampled every ``stride`` steps, up to a diagonal unitary
+    similarity.
+
+    One Cayley step turns mode j by theta_j = 2 arctan(lam_j dt/2), so the
+    stepped Gramian sum_t w_t (N S^t)^H W (N S^t) is, in the modes, Z o K with
+    K_jk = sum_t w_t exp(i phi_jk t), phi = theta_j - theta_k, over the
+    retained steps t with their trapezoid weights w_t.  With
+    nsteps = L stride + r, the samples 0, stride, ..., L stride give the
+    Dirichlet kernel exp(i phi L stride/2) times the real symmetric
+
+        stride dt (sin((L+1) psi/2) / sin(psi/2) - cos(L psi/2)),   psi = stride phi,
+
+    (stride dt L where psi = 0).  When r = 0 the phase is a diagonal unitary
+    similarity and is dropped, so K is real; otherwise the samples L stride
+    and nsteps each gain the weight r dt/2 of the last, shorter interval,
+    which adds (r dt/2)(exp(i phi L stride) + exp(i phi nsteps)) to the
+    phased kernel.
+    """
+    theta = 2.0 * np.arctan(0.5 * dt * lam)
+    phi = theta[:, None] - theta[None, :]
+    L, r = divmod(nsteps, stride)
+    half = 0.5 * stride * phi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.sin((L + 1) * half) / np.sin(half) - np.cos(L * half)
+    K[half == 0] = L
+    K *= stride * dt
+    if r:
+        K = K * np.exp(1j * L * half) + 0.5 * r * dt * (
+            np.exp(2j * L * half) + np.exp(1j * nsteps * phi))
+    return Z * K
+
+
 def _extremes_from_modal(Ghat, lam, metric):
     if metric == "mass":
         ev = la.eigvalsh(Ghat)
@@ -353,65 +277,59 @@ def _c_obs(lo, hi):
 def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     """Observability report for the conservative flow observed through N.
 
-    ``method="eig"`` diagonalizes the generator and integrates the modal
-    phases exactly in time, so ``dt`` and ``stride`` are unused and the
-    quadrature error estimate is 0; ``"cn"`` samples N S^n with trapezoid
-    weights, S the Crank-Nicolson step, by propagating the m observation rows
-    with the adjoint step (``_observed_rows``).  For the stepped assembly a
-    Richardson comparison against the double-stride rule estimates the
-    time-quadrature error; above 5% a warning is attached.  The report's
-    ``rank_bound`` is min(k, m s) for s time samples (k for the exact modal
-    integral); a warning is attached when it is below k.
+    Both methods read the modes V (V^H M V = I) and frequencies lam of
+    ``_modal_data`` and the modal couplings Z = (N V)^H W (N V), and differ
+    only in the time kernel K of the modal Gramian Z o K.  ``method="eig"``
+    integrates the modal phases exactly in time (``_phase_gramian_exact``), so
+    ``dt`` and ``stride`` are unused and the quadrature error estimate is 0.
+    ``"cn"`` sums them over the Crank-Nicolson steps S^t with trapezoid
+    weights, every ``stride`` steps (``_phase_gramian_cn``), which is the
+    Gramian of the sampled N S^t in closed form; the same kernel at the
+    double stride gives a Richardson estimate of the time-quadrature error,
+    and above 5% a warning is attached.  Both samplings are of the same
+    Cayley flow, so the estimate cannot see the Crank-Nicolson phase error.
 
-    The stepped eigenproblem runs on one of two Gram sides, chosen by that
-    bound.  With m s < k, the snapshot side (``_cn_snapshot_extremes``)
-    reads lambda_max of G and of its double-stride companion from
-    (m s) x (m s) matrices, and lambda_min is reported as exactly 0.0, since
-    G has rank at most m s < k.  Otherwise the state side assembles the
-    k x k Gramians (``_cn_gramians``) and solves the generalized problem
-    against the metric.
+    The report's ``rank_bound`` is min(k, m s) for m observation rows and
+    s time samples (k for the exact modal integral).  When it is below k a
+    warning is attached and lambda_min is reported as exactly 0.0, since the
+    stepped Gramian has rank at most m s < k.
 
-    A path whose dense order (k for ``eig``, min(k, m s) for ``cn``)
-    exceeds ``magop._DENSE_LIMIT`` raises ``magop.DenseLimitError`` before it
-    allocates.
+    Both methods have dense order k, the modal eigendecomposition, and raise
+    ``magop.DenseLimitError`` before they allocate when k exceeds
+    ``magop._DENSE_LIMIT``.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
     if gen.kind != "A0":
         raise ValueError("gramian assembly requires the conservative generator (A0)")
+    if method not in ("eig", "cn"):
+        raise ValueError(f"unknown method {method!r}")
     if dt is None and method == "cn":
         raise ValueError("quadrature-based assembly needs a time step dt")
     N, W = observation.build(gen)
-    m = N.shape[0]
-    k = gen.size
+    m, k = N.shape
     metric = observation.metric
     warns = []
+    if method == "cn":
+        nsteps = step_count(T, dt)
+    lam, V = _modal_data(gen)
+    Z = _modal_couplings(N, W, V)
 
     if method == "eig":
-        lam, V = _modal_data(gen)
-        samples = None
-        Z = _modal_couplings(N, W, V)
         lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
         lo2, hi2 = lo, hi
-    elif method == "cn":
-        samples = _trapezoid_steps(T, dt, stride).size
-        magop._check_order(min(k, m * samples), "the stepped Gramian")
-        if m * samples < k:
-            # snapshot side: G has rank <= m s < k, so lambda_min = 0 exactly
-            hi, hi2 = _cn_snapshot_extremes(gen, N, W, metric, T, dt, stride)
-            lo = lo2 = 0.0
-        else:
-            G, G2 = _cn_gramians(gen, N, W, T, dt, stride)
-            L = (sp.diags(gen.mass_diag) if metric == "mass" else gen.stiffness).toarray()
-            ev = la.eigvalsh(G, L)
-            ev2 = la.eigvalsh(G2, L)
-            lo, hi = float(ev[0]), float(ev[-1])
-            lo2, hi2 = float(ev2[0]), float(ev2[-1])
+        rank_bound = k
     else:
-        raise ValueError(f"unknown method {method!r}")
-    # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
-    rank_bound = k if samples is None else min(k, m * samples)
+        (lo, hi), (lo2, hi2) = (
+            _extremes_from_modal(_phase_gramian_cn(Z, lam, dt, nsteps, s), lam, metric)
+            for s in (stride, 2 * stride))
+        # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
+        samples = retained_steps(nsteps, stride).size
+        rank_bound = min(k, m * samples)
+        if m * retained_steps(nsteps, 2 * stride).size < k:
+            lo2 = 0.0
     if rank_bound < k:
+        lo = 0.0
         warns.append(
             f"Gramian rank <= {m} observation rows x {samples} time samples = "
             f"{m * samples} < {k} unknowns: lambda_min = 0 (C_obs = inf) by sampling alone")
@@ -419,21 +337,21 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     c_obs = _c_obs(lo, hi)
     c_hid = np.sqrt(max(hi, 0.0))
     quad_err = abs(hi2 - hi) / max(abs(hi), 1e-300)
-    if np.isfinite(c_obs) and lo2 > 0:
-        quad_err = max(quad_err, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
+    if np.isfinite(c_obs):
+        # a double-stride lambda_min at or below 0 is an infinite C_obs there: 100%
+        quad_err = max(quad_err, abs(np.sqrt(max(lo2, 0.0) / lo) - 1.0))
     if quad_err > 0.05:
         msg = f"stride {stride} too coarse: quadrature error estimate {quad_err:.2%}"
         warns.append(msg)
         warnings.warn(msg, stacklevel=2)
 
-    report = ObservabilityReport(
+    return ObservabilityReport(
         observation=f"{observation.kind}[{observation.nodes.size} nodes]",
         T=float(T), lambda_min=lo, lambda_max=hi, c_obs=float(c_obs),
         c_hid=float(c_hid), quadrature_error_estimate=float(quad_err),
         stride=int(stride), method=method, warnings=warns,
         rank_bound=int(rank_bound),
     )
-    return report
 
 
 def observed_ratio(gen, u0, observation, T):

@@ -595,7 +595,8 @@ grid.dim = 2
 grid.n = 67
 method = "eig"
 """, "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
-    # 2210 observed rows x 5 samples >= 4225 unknowns: the state side
+    # cn reads the modes eig does: refused at the order of the unknowns,
+    # whatever the sampled rank m s (2210 rows x 5 samples here)
     "observability-cn-state": ("""
 kind = "observability"
 grid.dim = 2
@@ -604,8 +605,8 @@ method = "cn"
 observation.omega = [[0.0, 0.0], [0.5, 1.0]]
 T = 0.004
 dt = 0.001
-""", "grid.n: the stepped Gramian has dense order 4225, above the dense limit 4096"),
-    # 2080 observed rows x 2 samples = 4160 < 4225 unknowns: the snapshot side
+""", "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
+    # 2080 observed rows x 2 samples = 4160 < 4225 unknowns
     "observability-cn-snapshot": ("""
 kind = "observability"
 grid.dim = 2
@@ -614,7 +615,18 @@ method = "cn"
 observation.omega = [[0.0, 0.0], [0.49, 1.0]]
 T = 0.001
 dt = 0.001
-""", "grid.n: the stepped Gramian has dense order 4160, above the dense limit 4096"),
+""", "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
+    # 36 observed rows x 5 samples = 180 < 4225 unknowns: a rank-deficient
+    # Gramian is refused at order 4225 too
+    "observability-cn-narrow": ("""
+kind = "observability"
+grid.dim = 2
+grid.n = 67
+method = "cn"
+observation.omega = [[0.0, 0.0], [0.1, 0.1]]
+T = 0.004
+dt = 0.001
+""", "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
     "product-observability": ("""
 kind = "product-observability"
 grid.n1 = 100

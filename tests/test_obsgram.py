@@ -216,10 +216,10 @@ def test_report_json_fields(gen, grid):
         assert key in doc
 
 
-# -- property test: the blocked adjoint CN Gramian against a forward loop ----
+# -- property test: the closed-form CN Gramian against a forward loop ------
 #
-# Random small 1D and 2D grids, all observation kinds and strides, on both Gram
-# sides; the sample buffer is shrunk so that runs span several blocks.
+# Random small 1D and 2D grids, all observation kinds and strides, a = 0 and
+# a != 0, with sampled ranks m s below and above the number of unknowns.
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -244,8 +244,7 @@ def cn_cases(draw):
     dt = draw(st.sampled_from([1e-3, 5e-3, 2e-2]))
     nsteps = draw(st.integers(1, 14))
     stride = draw(st.integers(1, 3))
-    width = draw(st.integers(1, 6))
-    return gen, obsgram.Observation(kind, np.sort(nodes)), dt, nsteps, stride, width
+    return gen, obsgram.Observation(kind, np.sort(nodes)), dt, nsteps, stride
 
 
 def forward_gramians(gen, obs, dt, nsteps, stride):
@@ -274,72 +273,44 @@ def forward_gramians(gen, obs, dt, nsteps, stride):
 
 
 def _check_cn_case(case):
-    """Check one stepped Gramian against the forward oracle; return
-    (rows no wider than the state, the Gram side that ran)."""
-    gen, obs, dt, nsteps, stride, width = case
+    """Check one ``method="cn"`` report against the forward oracle; return
+    (rows no wider than the state, sampled rank bound below the state)."""
+    gen, obs, dt, nsteps, stride = case
     n, m = gen.size, obs.build(gen)[0].shape[0]
-    samples = len(set(range(0, nsteps + 1, stride)) | {nsteps})
-    solves = []
 
-    cayley_solver = magop.GeneratorMatrix.cayley_solver
+    def samples(s):
+        return len(set(range(0, nsteps + 1, s)) | {nsteps})
 
-    def spy_solver(g, step, trans="N"):
-        solve = cayley_solver(g, step, trans)
-
-        def spy(x):
-            solves.append((trans, x.shape[1]))
-            return solve(x)
-        return spy
-
-    ran = []
-
-    def recorded(side, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            ran.append((side, out))
-            return out
-        return wrapper
-
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mp.setattr(evolve, "_BLOCK_ENTRIES", width * m * n)
-        mp.setattr(magop.GeneratorMatrix, "cayley_solver", spy_solver)
-        mp.setattr(obsgram, "_cn_gramians", recorded("state", obsgram._cn_gramians))
-        mp.setattr(obsgram, "_cn_snapshot_extremes",
-                   recorded("snapshot", obsgram._cn_snapshot_extremes))
         rep = obsgram.gramian(gen, obs, nsteps * dt, dt, stride=stride, method="cn")
-    # one adjoint solve per step, on the m observation rows only
-    assert solves == [("H", m)] * nsteps
-    [(side, out)] = ran
-    # the snapshot side runs exactly when the sampled rank m s is below n
-    assert side == ("snapshot" if m * samples < n else "state")
 
     G, G2 = forward_gramians(gen, obs, dt, nsteps, stride)
-    if side == "state":
-        assert np.linalg.norm(out[0] - G) <= 1e-12 * np.linalg.norm(G)
-
     L = (sp.diags(gen.mass_diag) if obs.metric == "mass" else gen.stiffness).toarray()
     ev = la.eigvalsh(G, L)
     ev2 = la.eigvalsh(G2, L)
     lo, hi = ev[0], ev[-1]
     lo2, hi2 = ev2[0], ev2[-1]
+    deficient = m * samples(stride) < n
     assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
-    if side == "snapshot":
+    if deficient:
         # rank <= m s < n: lambda_min is 0 exactly, not a rounding-level value
         assert rep.lambda_min == 0.0
         assert rep.lambda_max == pytest.approx(hi, rel=1e-10)
     else:
         assert abs(rep.lambda_min - lo) <= 1e-11 * abs(hi)
+    if m * samples(2 * stride) < n:
+        lo2 = 0.0
     quad = abs(hi2 - hi) / max(abs(hi), 1e-300)
-    if lo > 1e-4 * hi and lo2 > 0:
-        quad = max(quad, abs(np.sqrt(lo2) - np.sqrt(lo)) / np.sqrt(lo))
+    if lo > 1e-4 * hi:
+        quad = max(quad, abs(np.sqrt(max(lo2, 0.0) / lo) - 1.0))
     elif np.isfinite(rep.c_obs):
         # the sqrt(lambda_min) term is rounding noise: lambda_min is near 0
         quad = None
     if quad is not None:
         assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
-    assert rep.rank_bound == min(n, m * samples)
-    return m <= n, side
+    assert rep.rank_bound == min(n, m * samples(stride))
+    return m <= n, deficient
 
 
 def test_cn_gramian_matches_forward_loop():
@@ -351,40 +322,26 @@ def test_cn_gramian_matches_forward_loop():
         seen.add(_check_cn_case(case))
 
     check()
-    assert {wide for wide, _ in seen} == {True, False}   # rows narrower and wider than the state
-    assert {side for _, side in seen} == {"state", "snapshot"}
+    assert {wide for wide, _ in seen} == {True, False}        # rows narrower and wider than the state
+    assert {deficient for _, deficient in seen} == {True, False}   # m s below and above the state
 
 
 @pytest.mark.parametrize("dim, kind", [(1, "interior-l2"), (1, "boundary-conormal"),
                                        (1, "interior-h1"), (2, "interior-l2"),
                                        (2, "boundary-conormal"), (2, "interior-h1")])
 def test_cn_snapshot_side_every_metric(dim, kind):
-    """Few observation rows and samples: the snapshot side, on both metrics."""
+    """Few observation rows and samples (m s < n), on both metrics, against
+    the forward oracle."""
     grid = mesh.build_grid(dim, 1.0, 60 if dim == 1 else 11)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.7 * np.sin(1.3 * p))
     gen = magop.assemble_generator("A0", grid, a)
     pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
     obs = obsgram.Observation(kind, pool[:2])
-    for stride, width in ((1, 2), (2, 5)):
-        assert _check_cn_case((gen, obs, 5e-3, 9, stride, width))[1] == "snapshot"
+    for stride in (1, 2):
+        assert _check_cn_case((gen, obs, 5e-3, 9, stride))[1]
 
 
 # -- the dense limit: every path exact, or refused before it allocates -------
-
-
-@pytest.mark.parametrize("kind", ["interior-l2", "boundary-conormal"])
-def test_snapshot_side_runs_above_the_dense_limit(kind, monkeypatch):
-    """The snapshot side's order is m s, not n: with the limit below n but not
-    below m s it returns the same report as without a limit."""
-    grid = mesh.build_grid(2, 1.0, 12)
-    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
-    pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
-    obs = obsgram.Observation(kind, pool[:3])
-    want = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
-    assert want.rank_bound == 3 * 21 < gen.size
-    monkeypatch.setattr(magop, "_DENSE_LIMIT", want.rank_bound)
-    got = obsgram.gramian(gen, obs, T=0.02, dt=1e-3, method="cn")
-    assert got.to_json() == want.to_json()
 
 
 def _refused_peak_bytes(run, order):
@@ -403,15 +360,15 @@ def test_oversize_paths_are_refused_before_allocating(monkeypatch):
     grid = mesh.build_grid(1, 1.0, 402)
     gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
     n = gen.size
-    wide = obsgram.Observation("interior-l2", gen.state_idx)       # m = n: state side
-    narrow = obsgram.Observation("interior-l2", gen.state_idx[:10])
+    wide = obsgram.Observation("interior-l2", gen.state_idx)         # m s >= n
+    narrow = obsgram.Observation("interior-l2", gen.state_idx[:10])   # m s < n
     g1 = mesh.build_grid(1, 1.0, 22)
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     dt = 1e-3
     cases = [
         (lambda: obsgram.gramian(gen, narrow, T=1.0), n),                        # eig
-        (lambda: obsgram.gramian(gen, wide, T=2 * dt, dt=dt, method="cn"), n),   # state side
-        (lambda: obsgram.gramian(gen, narrow, T=29 * dt, dt=dt, method="cn"), 300),  # m s < n
+        (lambda: obsgram.gramian(gen, wide, T=2 * dt, dt=dt, method="cn"), n),
+        (lambda: obsgram.gramian(gen, narrow, T=29 * dt, dt=dt, method="cn"), n),  # m s = 300
         (lambda: obsgram.product_observability(gen1, gen1, g1.box_nodes([0.0], [0.3]),
                                                T=1.0, dt=0.01), 400),
         (lambda: spectra.hautus_sweep(gen, gen.state_idx[:10], [-10.0], [0.0]), n),
