@@ -2,10 +2,11 @@
 
 The magnetic Laplacian sum_j (d_j + i a_j)^2 is discretized by finite
 differences with complex phase factors exp(i h a) on edges (link phases).
-The magnetic stiffness S is Hermitian and the mass M is the diagonal
-trapezoid matrix, so skew-adjointness of the conservative generator,
-dissipativity of the damped ones, and gauge covariance all hold at machine
-precision rather than at discretization order.  The term-by-term expansion
+One edge table, ``magnetic_edge_root``, holds them: the magnetic stiffness
+is S = R^H R for its rows R, and the mass M is the diagonal trapezoid
+matrix, so skew-adjointness of the conservative generator, dissipativity of
+the damped ones, and gauge covariance all hold at machine precision rather
+than at discretization order.  The term-by-term expansion
 Delta + 2i a.grad + i div(a) - |a|^2 with centered stencils
 (``MagneticPotential.laplacian``) is the cross-check operator: second-order
 consistent with the link phases, and applied to full-grid fields with
@@ -18,7 +19,8 @@ full grid built from ``Grid.gradients`` and ``Grid.normals``:
 ``MagneticPotential.conormal``, the trace d_nu + i a.nu at the boundary
 nodes, and ``MagneticPotential.laplacian``, the cross-check stencil.
 
-Generators (state space in parentheses):
+Generators (state space in parentheses), for an interior damping c >= 0
+and a boundary damping d >= 0 given as fields over the grid nodes:
 
 * A0 = i Delta_a, Dirichlet on the whole boundary (interior nodes),
 * A1 = i Delta_a - c, same state space,
@@ -44,7 +46,7 @@ energy dissipation identities exact algebraic statements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 import numpy as np
@@ -176,54 +178,6 @@ class MagneticPotential:
         return (L + sp.diags(1j * div - np.sum(self.values**2, axis=1))).tocsr()
 
 
-@dataclass(frozen=True, eq=False)
-class DampingConfig:
-    """Interior damping c with floor c0 on omega; boundary damping d with floor d0."""
-
-    c: np.ndarray
-    c0: float
-    omega: np.ndarray
-    d: np.ndarray
-    d0: float
-    gamma0_support: np.ndarray
-
-    def __post_init__(self):
-        for name in ("c", "d"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        for name in ("omega", "gamma0_support"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=int))
-        if np.any(self.c < 0):
-            raise ValueError("interior damping must be nonnegative")
-        if np.any(self.d < 0):
-            raise ValueError("boundary damping must be nonnegative")
-        if self.omega.size and self.c0 > 0 and np.min(self.c[self.omega]) < self.c0 - 1e-14:
-            raise ValueError("c must dominate its floor c0 on omega")
-        if (self.gamma0_support.size and self.d0 > 0
-                and np.min(self.d[self.gamma0_support]) < self.d0 - 1e-14):
-            raise ValueError("d must dominate its floor d0 on gamma0 support")
-
-    @classmethod
-    def none(cls, grid):
-        z = np.zeros(grid.num_nodes)
-        e = np.array([], dtype=int)
-        return cls(c=z, c0=0.0, omega=e, d=z.copy(), d0=0.0, gamma0_support=e)
-
-    @classmethod
-    def interior(cls, grid, c_values, c0=0.0, omega=None):
-        c = np.asarray(c_values, dtype=float)
-        omega = np.asarray(omega, dtype=int) if omega is not None else np.nonzero(c > 0)[0]
-        base = cls.none(grid)
-        return replace(base, c=c, c0=float(c0), omega=omega)
-
-    @classmethod
-    def boundary(cls, grid, d_values, d0=0.0, gamma0_support=None):
-        d = np.asarray(d_values, dtype=float)
-        sup = (np.asarray(gamma0_support, dtype=int) if gamma0_support is not None
-               else np.nonzero(d > 0)[0])
-        base = cls.none(grid)
-        return replace(base, d=d, d0=float(d0), gamma0_support=sup)
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -234,51 +188,22 @@ def _positions(num_nodes, state_idx):
     return pos
 
 
-def _state_edges(grid, a, state_idx):
-    """Per axis: the state positions of each edge's tail and head (-1 off the
-    state), its weight w_e (quadrature weight / h^2) and link phase exp(i h a)."""
-    pos = _positions(grid.num_nodes, state_idx)
-    for ax in range(grid.dim):
-        tails, heads, _ = _edges(grid, ax)
-        w = _edge_transverse_weights(grid, ax) / grid.h[ax] ** 2
-        phase = np.exp(1j * (grid.h[ax] * a.edge_values[ax]))
-        yield pos[tails], pos[heads], w, phase
-
-
-def magnetic_stiffness(grid, a, state_idx):
-    """Hermitian form sum_edges w_e |exp(i theta_e) u_head - u_tail|^2.
-
-    Nodes outside ``state_idx`` are eliminated (their values are zero); edges
-    touching them contribute only the surviving diagonal entry.
-    """
-    rows, cols, vals = [], [], []
-    for pt, ph, w, phase in _state_edges(grid, a, state_idx):
-        both = (pt >= 0) & (ph >= 0)
-        rows += [pt[both], ph[both], pt[both], ph[both]]
-        cols += [pt[both], ph[both], ph[both], pt[both]]
-        vals += [w[both] + 0j, w[both] + 0j, -w[both] * phase[both],
-                 -w[both] * np.conj(phase[both])]
-        tail_only = (pt >= 0) & (ph < 0)
-        rows.append(pt[tail_only]); cols.append(pt[tail_only]); vals.append(w[tail_only] + 0j)
-        head_only = (pt < 0) & (ph >= 0)
-        rows.append(ph[head_only]); cols.append(ph[head_only]); vals.append(w[head_only] + 0j)
-    n = state_idx.size
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return S
-
-
 def magnetic_edge_root(grid, a, state_idx):
-    """R with R^H R = magnetic_stiffness(grid, a, state_idx): one row
-    sqrt(w_e) (exp(i theta_e) e_head - e_tail) per edge touching a state node,
-    the eliminated end dropped."""
+    """The link-phase edge table R: one row sqrt(w_e) (exp(i theta_e) e_head -
+    e_tail) per edge touching a state node, with w_e the edge's quadrature
+    weight / h^2 and theta_e = h a at its midpoint.  Nodes outside
+    ``state_idx`` are eliminated (their values are zero), so an edge's
+    eliminated end is dropped."""
+    pos = _positions(grid.num_nodes, state_idx)
     rows, cols, vals = [], [], []
     num_rows = 0
-    for pt, ph, w, phase in _state_edges(grid, a, state_idx):
+    for ax in range(grid.dim):
+        tails, heads, _ = _edges(grid, ax)
+        pt, ph = pos[tails], pos[heads]
         touch = (pt >= 0) | (ph >= 0)
-        pt, ph, r, phase = pt[touch], ph[touch], np.sqrt(w[touch]), phase[touch]
+        w = _edge_transverse_weights(grid, ax)[touch] / grid.h[ax] ** 2
+        phase = np.exp(1j * (grid.h[ax] * a.edge_values[ax][touch]))
+        pt, ph, r = pt[touch], ph[touch], np.sqrt(w)
         edge = num_rows + np.arange(pt.size)
         t, h = pt >= 0, ph >= 0
         rows += [edge[t], edge[h]]
@@ -289,6 +214,13 @@ def magnetic_edge_root(grid, a, state_idx):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num_rows, state_idx.size),
     )
+
+
+def magnetic_stiffness(grid, a, state_idx):
+    """The Hermitian form sum_edges w_e |exp(i theta_e) u_head - u_tail|^2,
+    R^H R for the edge table R of ``magnetic_edge_root``."""
+    R = magnetic_edge_root(grid, a, state_idx)
+    return (R.getH() @ R).tocsr()
 
 
 @dataclass(eq=False)
@@ -313,7 +245,6 @@ class GeneratorMatrix:
     sigma_d: np.ndarray = None         # surface weight * d at those positions
     damping_c: np.ndarray = None       # c at the unknowns (A1)
     potential: MagneticPotential = None
-    damping: DampingConfig = None
     split: BoundarySplit = None
 
     # -- inner products ------------------------------------------------
@@ -470,11 +401,11 @@ class GeneratorMatrix:
 
     @cached_property
     def _cayley_solvers(self):
-        """{dt: {"N": solve, "H": adjoint solve}}, filled by cayley_solver."""
+        """{dt: solve}, filled by cayley_solver."""
         return {}
 
-    def cayley_solver(self, dt, trans="N"):
-        """b -> 2 (I - dt/2 A)^-1 b, or 2 (I - dt/2 A)^-H b with trans="H".
+    def cayley_solver(self, dt):
+        """b -> 2 (I - dt/2 A)^-1 b.
 
         The factor is of (I - dt/2 A)/2, an exact power-of-two scaling: the
         pivots are those of I - dt/2 A, so each solve is bitwise twice the
@@ -484,8 +415,9 @@ class GeneratorMatrix:
         dt = float(dt)
         if dt not in self._cayley_solvers:
             eye = sp.identity(self.size, dtype=complex, format="csc")
-            self._cayley_solvers[dt] = factorize((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
-        return self._cayley_solvers[dt][trans]
+            self._cayley_solvers[dt] = factorize(
+                (eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)["N"]
+        return self._cayley_solvers[dt]
 
     # -- structural checks -------------------------------------------------
 
@@ -570,18 +502,21 @@ def _tridiagonal_solver(M):
             "H": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b, trans="C")[0]}
 
 
-def assemble_generator(kind, grid, a, damping=None, split=None):
+def assemble_generator(kind, grid, a, c=None, d=None, split=None):
     """Assemble one of the generators A0..A3 on the given grid.
 
-    The unknowns are the interior nodes, plus the gamma0 nodes for A2 and A3;
-    every kind is then the module's one formula with its own bracketed terms.
+    ``c`` and ``d`` are the interior and boundary damping, nonnegative fields
+    over all grid nodes (zero when None); A1 reads c at the unknowns, A2 and
+    A3 read d on gamma0.  The unknowns are the interior nodes, plus the gamma0
+    nodes for A2 and A3; every kind is then the module's one formula with its
+    own bracketed terms.
     """
     if kind not in ("A0", "A1", "A2", "A3"):
         raise ValueError(f"unknown generator kind {kind!r}")
     if a.grid is not grid:
         raise ValueError("potential was sampled on a different grid")
-    if damping is None:
-        damping = DampingConfig.none(grid)
+    c = _damping_field(grid, c, "interior")
+    d = _damping_field(grid, d, "boundary")
 
     state, g0_pos, sigma_d = grid.interior_idx, None, None
     D = np.zeros(grid.num_nodes)        # sigma d, nonzero on gamma0 only
@@ -592,12 +527,12 @@ def assemble_generator(kind, grid, a, damping=None, split=None):
             raise ValueError("boundary_split: gamma0 is empty, no damped boundary part")
         state = np.sort(np.concatenate([grid.interior_idx, split.gamma0]))
         g0_pos = _positions(grid.num_nodes, state)[split.gamma0]
-        sigma_d = grid.surface_weights[split.gamma0] * damping.d[split.gamma0]
+        sigma_d = grid.surface_weights[split.gamma0] * d[split.gamma0]
         D[split.gamma0] = sigma_d
     D = D[state]
     mass = grid.volume_weights[state]
     S = magnetic_stiffness(grid, a, state)
-    c = damping.c[state] if kind == "A1" else None
+    c = c[state] if kind == "A1" else None
 
     # From M Delta u = -S u + sigma flux on gamma0: A2's flux -i d Delta u moves
     # to the left as i sigma d, A3's flux i d u stays on the right.
@@ -607,8 +542,17 @@ def assemble_generator(kind, grid, a, damping=None, split=None):
     return GeneratorMatrix(
         kind=kind, matrix=A, grid=grid, state_idx=state, mass_diag=mass,
         stiffness=S, lap_matrix=lap, gamma0_pos=g0_pos, sigma_d=sigma_d,
-        damping_c=c, potential=a, damping=damping, split=split,
+        damping_c=c, potential=a, split=split,
     )
+
+
+def _damping_field(grid, values, what):
+    """A damping field as floats over the grid nodes, zeros for None."""
+    field = np.zeros(grid.num_nodes) if values is None else np.asarray(values, dtype=float)
+    if field.shape != (grid.num_nodes,) or not np.all(field >= 0):
+        raise ValueError(f"{what} damping must be a nonnegative field over the "
+                         f"{grid.num_nodes} grid nodes")
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +608,11 @@ def check_green_identity(grid, a, f, g):
 
 
 def gauge_transform(gen, psi):
-    """Conjugate a generator by the phase exp(i psi); spectra are unchanged."""
-    psi = np.asarray(psi, dtype=float)
-    phase = np.exp(1j * psi[gen.state_idx])
-    D = sp.diags(phase)
-    Dinv = sp.diags(np.conj(phase))
-    new_matrix = (Dinv @ gen.matrix @ D).tocsr()
-    new_lap = (Dinv @ gen.lap_matrix @ D).tocsr()
-    return replace(gen, matrix=new_matrix, lap_matrix=new_lap)
+    """D^-1 A D for the phase D = exp(i psi) at the generator's unknowns: to
+    rounding the matrix of the generator assembled from
+    ``potential_plus_edge_gradient(gen.potential, psi)``, with the same spectrum."""
+    phase = np.exp(1j * np.asarray(psi, dtype=float)[gen.state_idx])
+    return (sp.diags(np.conj(phase)) @ gen.matrix @ sp.diags(phase)).tocsr()
 
 
 def edge_gradient(grid, psi):

@@ -29,10 +29,10 @@ Crank-Nicolson steps, under which mode j turns by 2 arctan(lam_j dt/2) per
 step, a Dirichlet kernel in closed form (``_phase_gramian_cn``).  When A = 0
 the modes and Z are real, and so is K unless the stride leaves a remainder,
 so the extremes come from a real symmetric eigenproblem.  A Gramian sampled
-at s times has rank at most m s for m observation rows; the report records
-that bound.  The product-space check reads its modes and couplings from its
-two factors in the same way, and steps its factors with the generator's own
-``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
+at s times has rank at most r s for observation rows N of rank r; the
+report records that bound.  The product-space check reads its modes and
+couplings from its two factors in the same way, and steps its factors with
+the generator's own ``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
 
 Every dense path is exact, or refused: it runs only when its dense order is
 at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
@@ -110,7 +110,7 @@ class ObservabilityReport:
     quadrature_error_estimate: float
     stride: int
     method: str
-    rank_bound: int                    # min(k, m s): k unknowns, m rows, s samples
+    rank_bound: int                    # min(k, r s): k unknowns, r = rank N, s samples
     warnings: list = field(default_factory=list)
 
     def to_json(self):
@@ -289,10 +289,10 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     and above 5% a warning is attached.  Both samplings are of the same
     Cayley flow, so the estimate cannot see the Crank-Nicolson phase error.
 
-    The report's ``rank_bound`` is min(k, m s) for m observation rows and
-    s time samples (k for the exact modal integral).  When it is below k a
-    warning is attached and lambda_min is reported as exactly 0.0, since the
-    stepped Gramian has rank at most m s < k.
+    The report's ``rank_bound`` is min(k, r s) for the rank r of the
+    observation rows N and s time samples (k for the exact modal integral).
+    When it is below k a warning is attached and lambda_min is reported as
+    exactly 0.0, since the stepped Gramian has rank at most r s < k.
 
     Both methods have dense order k, the modal eigendecomposition, and raise
     ``magop.DenseLimitError`` before they allocate when k exceeds
@@ -323,16 +323,20 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
         (lo, hi), (lo2, hi2) = (
             _extremes_from_modal(_phase_gramian_cn(Z, lam, dt, nsteps, s), lam, metric)
             for s in (stride, 2 * stride))
-        # a sum of s sampled terms of rank <= m each: rank <= m s, whatever the geometry
+        # a sum of s sampled terms of rank <= rank N each: rank <= r s, whatever
+        # the geometry; N^H N has N's rank at dense order k
+        r = int(np.linalg.matrix_rank(
+            N.toarray() if m <= k else (N.getH() @ N).toarray(), hermitian=m > k))
         samples = retained_steps(nsteps, stride).size
-        rank_bound = min(k, m * samples)
-        if m * retained_steps(nsteps, 2 * stride).size < k:
+        rank_bound = min(k, r * samples)
+        if r * retained_steps(nsteps, 2 * stride).size < k:
             lo2 = 0.0
     if rank_bound < k:
         lo = 0.0
         warns.append(
-            f"Gramian rank <= {m} observation rows x {samples} time samples = "
-            f"{m * samples} < {k} unknowns: lambda_min = 0 (C_obs = inf) by sampling alone")
+            f"Gramian rank <= rank {r} of the {m} observation rows x {samples} time "
+            f"samples = {r * samples} < {k} unknowns: lambda_min = 0 (C_obs = inf) "
+            "by sampling alone")
 
     c_obs = _c_obs(lo, hi)
     c_hid = np.sqrt(max(hi, 0.0))

@@ -29,12 +29,8 @@ def setups_1d():
                    grid.normals[split.gamma0])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = mn
-    dboundary = magop.DampingConfig.boundary(grid, d, d0=float(mn.min()),
-                                             gamma0_support=split.gamma0)
     c = np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
-    dinterior = magop.DampingConfig.interior(grid, c, c0=5.0,
-                                             omega=grid.box_nodes([0.0], [0.29]))
-    return grid, a, split, dinterior, dboundary
+    return grid, a, split, c, d
 
 
 @pytest.fixture(scope="module")
@@ -48,22 +44,18 @@ def setups_2d():
                    grid.normals[split.gamma0])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = mn
-    dboundary = magop.DampingConfig.boundary(
-        grid, d, d0=0.0, gamma0_support=split.gamma0[mn > 0.4])
     c = np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
-    dinterior = magop.DampingConfig.interior(
-        grid, c, c0=5.0, omega=grid.box_nodes([0.0, 0.0], [0.29, 1.0]))
-    return grid, a, split, dinterior, dboundary
+    return grid, a, split, c, d
 
 
-def _structural_checks(grid, a, split, dinterior, dboundary):
+def _structural_checks(grid, a, split, c, d):
     worst_margin = 0.0
     worst_identity = 0.0
     gen0 = magop.assemble_generator("A0", grid, a)
     assert gen0.hermitian_residual() <= 1e-12
     rng = np.random.default_rng(7)
-    for kind, dmp in (("A1", dinterior), ("A2", dboundary), ("A3", dboundary)):
-        gen = magop.assemble_generator(kind, grid, a, damping=dmp, split=split)
+    for kind in ("A1", "A2", "A3"):
+        gen = magop.assemble_generator(kind, grid, a, c=c, d=d, split=split)
         lam, scale = gen.dissipativity_margin()
         assert lam <= 1e-10 * scale
         worst_margin = max(worst_margin, lam / scale)
@@ -116,13 +108,13 @@ def test_criterion_3_gauge_exactness(setups_1d):
     conj = magop.gauge_transform(gen, psi)
     direct = magop.assemble_generator(
         "A0", grid, magop.potential_plus_edge_gradient(a, psi))
-    r_conj = sp.linalg.norm(conj.matrix - direct.matrix) / sp.linalg.norm(direct.matrix)
+    r_conj = sp.linalg.norm(conj - direct.matrix) / sp.linalg.norm(direct.matrix)
     assert r_conj <= 1e-12
 
     anti = magop.edge_antiderivative_1d(grid, a)
     red = magop.gauge_transform(gen, -anti)
     zero = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
-    r_red = sp.linalg.norm(red.matrix - zero.matrix) / sp.linalg.norm(zero.matrix)
+    r_red = sp.linalg.norm(red - zero.matrix) / sp.linalg.norm(zero.matrix)
     assert r_red <= 1e-12
 
     e1 = la.eigvals(gen.matrix.toarray())
@@ -139,18 +131,16 @@ def test_criterion_3_gauge_exactness(setups_1d):
 
 
 def test_criterion_4_known_rate_decay(setups_1d):
-    grid, _, _, dinterior, _ = setups_1d
+    grid, _, _, c, _ = setups_1d
     a0 = magop.MagneticPotential.zero(grid)
-    const = magop.DampingConfig.interior(
-        grid, np.ones(grid.num_nodes), c0=1.0, omega=np.arange(grid.num_nodes))
-    gen_c = magop.assemble_generator("A1", grid, a0, damping=const)
+    gen_c = magop.assemble_generator("A1", grid, a0, c=np.ones(grid.num_nodes))
     x = grid.coords[gen_c.state_idx, 0]
     u0 = np.sqrt(2) * np.sin(np.pi * x) + 0j
     trace = evolve.simulate(gen_c, u0, T=2.0, dt=1e-3)
     fit_c = evolve.fit_exponential(trace)
     assert abs(fit_c.rate - 2.0) <= 1e-3
 
-    gen_l = magop.assemble_generator("A1", grid, a0, damping=dinterior)
+    gen_l = magop.assemble_generator("A1", grid, a0, c=c)
     trace_l = evolve.simulate(gen_l, u0, T=10.0, dt=2e-3)
     fit_l = evolve.fit_exponential(trace_l, window=(1.0, 10.0))
     assert fit_l.rate > 0
@@ -174,9 +164,7 @@ def _boundary_damped_run(grid, x0, afun):
                    grid.normals[split.gamma0])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = mn
-    damping = magop.DampingConfig.boundary(
-        grid, d, d0=0.0, gamma0_support=split.gamma0[mn > 0.4])
-    gen = magop.assemble_generator("A2", grid, a, damping=damping, split=split)
+    gen = magop.assemble_generator("A2", grid, a, d=d, split=split)
     x = grid.coords[gen.state_idx]
     u0 = np.ones(gen.size, dtype=complex)
     for ax in range(grid.dim):
@@ -208,7 +196,7 @@ def test_criterion_5_boundary_damped_decay():
 
 
 def test_criterion_6_resolvent(setups_1d):
-    grid, _, split, dinterior, dboundary = setups_1d
+    grid, _, split, c, d = setups_1d
     a0 = magop.MagneticPotential.zero(grid)
     gen0 = magop.assemble_generator("A0", grid, a0)
     mus = -np.linspace(5, 450, 100)
@@ -219,17 +207,14 @@ def test_criterion_6_resolvent(setups_1d):
     assert rel <= 1e-6
 
     coarse = np.linspace(-500, 0, 26)
-    for kind, dmp in (("A1", dinterior), ("A3", dboundary)):
-        gen = magop.assemble_generator(kind, grid, a0, damping=dmp, split=split)
+    for kind in ("A1", "A3"):
+        gen = magop.assemble_generator(kind, grid, a0, c=c, d=d, split=split)
         scan = spectra.scan_resolvent(gen, coarse)
         assert np.all(scan.ok) and np.all(np.isfinite(scan.norms))
 
     fine = mesh.build_grid(1, [1.0], 512)
-    c = np.where(fine.coords[:, 0] < 0.25, 5.0, 0.0)
-    dmp = magop.DampingConfig.interior(fine, c, c0=5.0,
-                                       omega=fine.box_nodes([0.0], [0.24]))
-    gen_f = magop.assemble_generator(
-        "A1", fine, magop.MagneticPotential.zero(fine), damping=dmp)
+    gen_f = magop.assemble_generator("A1", fine, magop.MagneticPotential.zero(fine),
+                                     c=np.where(fine.coords[:, 0] < 0.25, 5.0, 0.0))
     scan_f = spectra.scan_resolvent(gen_f, -np.linspace(5, 2500, 160))
     assert scan_f.fit_p is not None
     assert scan_f.fit_p <= 0.65

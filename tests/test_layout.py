@@ -1,21 +1,21 @@
 """Guard against test-only code.
 
-Every public function, class or method of the package is named in the
-package's code (not its comments or docstrings) besides its definition, or is
-listed in TEST_ONLY as a reference that only the tests call.  Every dataclass
-field and property is read as ``.name`` somewhere in the package, or is
-listed in TEST_ONLY_FIELDS as a value that only the tests read.  Every method
-the benchmark tracer wraps exists on its class.  A run loads only the SciPy
-modules it uses."""
+Every public function, class or method of the package is read in the
+package's code, or is listed in TEST_ONLY as a reference that only the tests
+call.  A read is an AST reference, not a word in a comment or docstring: a
+method is read only as ``x.name`` with x not a module from outside the
+package, so neither ``np.linalg.norm`` nor a local variable reads a method
+``norm``.  Every dataclass field and property is read as ``.name`` somewhere
+in the package, or is listed in TEST_ONLY_FIELDS as a value that only the
+tests read.  Every method the benchmark tracer wraps exists on its class.  A
+run loads only the SciPy modules it uses."""
 
 import ast
 import importlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tokenize
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -38,7 +38,7 @@ TEST_ONLY = {
     "spectral_distance_norms": "1/dist(i mu, spectrum), the normal-operator oracle (planned CLI home)",
     "derivative_consistency": "finite-difference oracle for weight gradients and Hessians",
     "step": "one Crank-Nicolson step, the forward oracle of the stepped-Gramian tests",
-    "boundary": "boundary damping d on gamma0, a fixture constructor",
+    "norm": "a state's norm in the generator's inner product, the contraction oracle",
 }
 
 TEST_ONLY_FIELDS = {
@@ -81,19 +81,37 @@ def _public_definitions(tree):
                     yield item.name
 
 
-def _code_names(text):
-    """The NAME tokens of a source text: identifiers in code, not words in
-    comments or strings."""
-    return (tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
-            if tok.type == tokenize.NAME)
+def _root(node):
+    """The name an attribute, call or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _references(tree):
+    """The reads of a module's code that can reach a package name: ``x.name``
+    unless x starts from a module imported from outside the package (so
+    ``np.linalg.norm`` is no read of a method ``norm``), and a bare ``name``
+    read where the module defines or imports that name (so a local variable
+    is no read of a method)."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    foreign = {alias.asname or alias.name.split(".")[0] for node in imports
+               if not getattr(node, "level", 0) for alias in node.names}
+    own = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {alias.asname or alias.name for node in imports
+            if getattr(node, "level", 0) for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _root(node) not in foreign:
+            yield node.attr
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
+            yield node.id
 
 
 def unreferenced_public_names():
-    """Public names whose every occurrence in the package's code is a definition."""
-    texts = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    defined = Counter(name for text in texts for name in _public_definitions(ast.parse(text)))
-    used = Counter(name for text in texts for name in _code_names(text))
-    return {name for name, count in defined.items() if used[name] <= count}
+    """Public names that no read in the package's code reaches."""
+    trees = _trees()
+    reads = Counter(name for tree in trees for name in _references(tree))
+    return {name for tree in trees for name in _public_definitions(tree) if not reads[name]}
 
 
 def test_public_names_are_used_or_listed():

@@ -174,14 +174,12 @@ def test_green_identity_refinement():
 
 
 def damped_setup(grid, pot=None):
+    """A potential, a boundary split and the boundary damping d = m.nu on gamma0."""
     a = pot if pot is not None else magop.MagneticPotential.zero(grid)
     split = mesh.split_boundary(grid, [-0.3] + [0.5] * (grid.dim - 1))
-    mn = np.einsum("ij,ij->i", split.m[split.gamma0], grid.normals[split.gamma0])
     d = np.zeros(grid.num_nodes)
-    d[split.gamma0] = mn
-    damping = magop.DampingConfig.boundary(grid, d, d0=float(mn.min()),
-                                           gamma0_support=split.gamma0)
-    return a, split, damping
+    d[split.gamma0] = np.einsum("ij,ij->i", split.m[split.gamma0], grid.normals[split.gamma0])
+    return a, split, d
 
 
 def test_a0_skew_adjoint(grid_1d, smooth_pot):
@@ -192,11 +190,8 @@ def test_a0_skew_adjoint(grid_1d, smooth_pot):
 def test_a1_constant_damping_shift(grid_1d):
     a = magop.MagneticPotential.zero(grid_1d)
     c0 = 1.5
-    damping = magop.DampingConfig.interior(
-        grid_1d, np.full(grid_1d.num_nodes, c0), c0=c0,
-        omega=np.arange(grid_1d.num_nodes))
     A0 = magop.assemble_generator("A0", grid_1d, a)
-    A1 = magop.assemble_generator("A1", grid_1d, a, damping=damping)
+    A1 = magop.assemble_generator("A1", grid_1d, a, c=np.full(grid_1d.num_nodes, c0))
     e0 = la.eigvals(A0.matrix.toarray())
     e1 = la.eigvals(A1.matrix.toarray())
     e0 = e0[np.argsort(e0.imag)]
@@ -206,21 +201,16 @@ def test_a1_constant_damping_shift(grid_1d):
 
 def test_a3_zero_damping_imaginary_spectrum(grid_1d, smooth_pot):
     split = mesh.split_boundary(grid_1d, [-0.3])
-    damping = magop.DampingConfig.boundary(grid_1d, np.zeros(grid_1d.num_nodes))
-    gen = magop.assemble_generator("A3", grid_1d, smooth_pot, damping=damping,
-                                   split=split)
+    gen = magop.assemble_generator("A3", grid_1d, smooth_pot, split=split)
     eigs = la.eigvals(gen.matrix.toarray())
     assert np.max(np.abs(eigs.real)) < 1e-10 * np.max(np.abs(eigs))
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3"])
 def test_dissipation_identities_random_states(grid_1d, smooth_pot, kind):
-    a, split, damping = damped_setup(grid_1d, smooth_pot)
-    if kind == "A1":
-        c = np.where(grid_1d.coords[:, 0] < 0.3, 5.0, 0.0)
-        damping = magop.DampingConfig.interior(
-            grid_1d, c, c0=5.0, omega=grid_1d.box_nodes([0.0], [0.29]))
-    gen = magop.assemble_generator(kind, grid_1d, a, damping=damping, split=split)
+    a, split, d = damped_setup(grid_1d, smooth_pot)
+    c = np.where(grid_1d.coords[:, 0] < 0.3, 5.0, 0.0)
+    gen = magop.assemble_generator(kind, grid_1d, a, c=c, d=d, split=split)
     rng = np.random.default_rng(42)
     L = gen.inner_matrix
     for _ in range(5):
@@ -233,12 +223,9 @@ def test_dissipation_identities_random_states(grid_1d, smooth_pot, kind):
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3"])
 def test_dissipativity_margins(grid_1d, smooth_pot, kind):
-    a, split, damping = damped_setup(grid_1d, smooth_pot)
-    if kind == "A1":
-        damping = magop.DampingConfig.interior(
-            grid_1d, np.where(grid_1d.coords[:, 0] < 0.3, 5.0, 0.0), c0=5.0,
-            omega=grid_1d.box_nodes([0.0], [0.29]))
-    gen = magop.assemble_generator(kind, grid_1d, a, damping=damping, split=split)
+    a, split, d = damped_setup(grid_1d, smooth_pot)
+    c = np.where(grid_1d.coords[:, 0] < 0.3, 5.0, 0.0)
+    gen = magop.assemble_generator(kind, grid_1d, a, c=c, d=d, split=split)
     lam, scale = gen.dissipativity_margin()
     assert lam <= 1e-10 * scale
 
@@ -253,8 +240,8 @@ def test_dissipativity_margin_sees_a_positive_eigenvalue(n, monkeypatch):
     split = mesh.split_boundary(grid, [-0.3, 0.5])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = 1.0
-    gen = magop.assemble_generator("A2", grid, magop.MagneticPotential.zero(grid), split=split,
-                                   damping=magop.DampingConfig.boundary(grid, d))
+    gen = magop.assemble_generator("A2", grid, magop.MagneticPotential.zero(grid), d=d,
+                                   split=split)
     j = gen.size // 2
     delta = 1e-3 * sp.linalg.norm(gen.stiffness @ gen.matrix)
     col = spla.spsolve(gen.stiffness.tocsc(), np.eye(gen.size, 1, -j)[:, 0] * delta)
@@ -276,9 +263,8 @@ def test_a2_requires_gamma0(grid_1d, smooth_pot):
     split = mesh.BoundarySplit(
         gamma0=np.array([], dtype=int), gamma1=g.boundary_idx.copy(),
         m=g.coords.copy(), transition_pairs=0)
-    damping = magop.DampingConfig.none(g)
     with pytest.raises(ValueError, match="boundary_split"):
-        magop.assemble_generator("A2", g, smooth_pot, damping=damping, split=split)
+        magop.assemble_generator("A2", g, smooth_pot, split=split)
 
 
 def test_generator_2d_margins(grid_2d):
@@ -298,14 +284,14 @@ def test_gauge_conjugation_matches_shifted_potential(grid_1d, smooth_pot):
     conj = magop.gauge_transform(gen, psi)
     shifted = magop.potential_plus_edge_gradient(smooth_pot, psi)
     direct = magop.assemble_generator("A0", grid_1d, shifted)
-    rel = sp.linalg.norm(conj.matrix - direct.matrix) / sp.linalg.norm(direct.matrix)
+    rel = sp.linalg.norm(conj - direct.matrix) / sp.linalg.norm(direct.matrix)
     assert rel < 1e-12
 
 
 def test_gauge_constant_phase_no_op(grid_1d, smooth_pot):
     gen = magop.assemble_generator("A0", grid_1d, smooth_pot)
     conj = magop.gauge_transform(gen, np.full(grid_1d.num_nodes, 1.234))
-    rel = sp.linalg.norm(conj.matrix - gen.matrix) / sp.linalg.norm(gen.matrix)
+    rel = sp.linalg.norm(conj - gen.matrix) / sp.linalg.norm(gen.matrix)
     assert rel < 1e-14
 
 
@@ -315,7 +301,7 @@ def test_gauge_1d_reduction(grid_1d, smooth_pot):
     red = magop.gauge_transform(gen, -psi)
     zero = magop.assemble_generator(
         "A0", grid_1d, magop.MagneticPotential.zero(grid_1d))
-    rel = sp.linalg.norm(red.matrix - zero.matrix) / sp.linalg.norm(zero.matrix)
+    rel = sp.linalg.norm(red - zero.matrix) / sp.linalg.norm(zero.matrix)
     assert rel < 1e-12
 
 
@@ -336,13 +322,15 @@ def test_potential_invariants(grid_1d, smooth_pot):
     assert not smooth_pot.vanishes_on(grid_1d.boundary_idx)
 
 
-def test_damping_validation(grid_1d):
-    with pytest.raises(ValueError):
-        magop.DampingConfig.interior(grid_1d, -np.ones(grid_1d.num_nodes))
-    with pytest.raises(ValueError):
-        magop.DampingConfig.interior(
-            grid_1d, np.full(grid_1d.num_nodes, 0.5), c0=1.0,
-            omega=np.arange(grid_1d.num_nodes))
+def test_damping_validation(grid_1d, smooth_pot):
+    """A damping field is nonnegative and lives on every grid node."""
+    split = mesh.split_boundary(grid_1d, [-0.3])
+    bad = -np.ones(grid_1d.num_nodes)
+    for kind in ("A0", "A1", "A2", "A3"):
+        for field in ({"c": bad}, {"d": bad}, {"c": np.ones(3)},
+                      {"d": np.full(grid_1d.num_nodes, np.nan)}):
+            with pytest.raises(ValueError, match="nonnegative field"):
+                magop.assemble_generator(kind, grid_1d, smooth_pot, split=split, **field)
 
 
 
@@ -374,8 +362,7 @@ def assembly_cases(draw):
     c = draw(st.floats(0.0, 20.0)) * rng.random(grid.num_nodes)
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = draw(st.floats(0.0, 5.0)) * rng.random(split.gamma0.size)
-    damping = magop.DampingConfig(c=c, c0=0.0, omega=np.nonzero(c > 0)[0], d=d,
-                                  d0=0.0, gamma0_support=split.gamma0)
+    damping = {"c": c, "d": d}
     psi = draw(st.floats(0.1, 3.0)) * np.cos(
         grid.coords @ np.array([draw(st.floats(-4.0, 4.0)) for _ in range(dim)])
         + draw(st.floats(0.0, 3.0)))
@@ -392,7 +379,7 @@ def reference_assembly(kind, grid, a, damping, split):
         A = (1j * lap).tocsr()
         cvals = None
         if kind == "A1":
-            cvals = damping.c[state]
+            cvals = damping["c"][state]
             A = (A - sp.diags(cvals)).tocsr()
         return dict(matrix=A, lap_matrix=lap, stiffness=S, mass_diag=mass,
                     state_idx=state, gamma0_pos=None, sigma_d=None, damping_c=cvals)
@@ -400,7 +387,7 @@ def reference_assembly(kind, grid, a, damping, split):
     mass = grid.volume_weights[state]
     S = magop.magnetic_stiffness(grid, a, state)
     g0_pos = magop._positions(grid.num_nodes, state)[split.gamma0]
-    sigma_d = grid.surface_weights[split.gamma0] * damping.d[split.gamma0]
+    sigma_d = grid.surface_weights[split.gamma0] * damping["d"][split.gamma0]
     D = np.zeros(state.size)
     D[g0_pos] = sigma_d
     if kind == "A3":
@@ -431,7 +418,7 @@ def assert_bitwise(got, want):
 def test_assembly_matches_per_kind_formulas(case):
     grid, a, damping, split, _ = case
     for kind in KINDS:
-        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        gen = magop.assemble_generator(kind, grid, a, split=split, **damping)
         for name, want in reference_assembly(kind, grid, a, damping, split).items():
             assert_bitwise(getattr(gen, name), want)
 
@@ -442,19 +429,15 @@ def test_structural_identities(case):
     grid, a, damping, split, psi = case
     shifted = magop.potential_plus_edge_gradient(a, psi)
     for kind in KINDS:
-        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        gen = magop.assemble_generator(kind, grid, a, split=split, **damping)
         if kind == "A0":
             assert gen.hermitian_residual() <= 1e-12
         else:
             lam, scale = gen.dissipativity_margin()
             assert lam <= 1e-10 * scale
-        conj = magop.gauge_transform(gen, psi)
-        direct = magop.assemble_generator(kind, grid, shifted, damping=damping,
-                                          split=split)
-        for name in ("matrix", "lap_matrix"):
-            want = getattr(direct, name)
-            rel = sp.linalg.norm(getattr(conj, name) - want) / sp.linalg.norm(want)
-            assert rel <= 1e-12
+        direct = magop.assemble_generator(kind, grid, shifted, split=split, **damping).matrix
+        rel = sp.linalg.norm(magop.gauge_transform(gen, psi) - direct) / sp.linalg.norm(direct)
+        assert rel <= 1e-12
 
 
 def test_generators_on_a_3d_grid():
@@ -467,20 +450,16 @@ def test_generators_on_a_3d_grid():
     psi = np.cos(grid.coords @ np.array([1.0, -0.5, 0.7]))
     shifted = magop.potential_plus_edge_gradient(a, psi)
     c = np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
-    damping = magop.DampingConfig.interior(grid, c, c0=5.0,
-                                           omega=grid.box_nodes([0.0] * 3, [0.29, 1.0, 1.0]))
     for kind in ("A0", "A1"):
-        gen = magop.assemble_generator(kind, grid, a, damping=damping)
+        gen = magop.assemble_generator(kind, grid, a, c=c)
         if kind == "A0":
             assert gen.hermitian_residual() <= 1e-12
         else:
             lam, scale = gen.dissipativity_margin()
             assert lam <= 1e-10 * scale
-        conj = magop.gauge_transform(gen, psi)
-        direct = magop.assemble_generator(kind, grid, shifted, damping=damping)
-        for name in ("matrix", "lap_matrix"):
-            want = getattr(direct, name)
-            assert sp.linalg.norm(getattr(conj, name) - want) <= 1e-12 * sp.linalg.norm(want)
+        direct = magop.assemble_generator(kind, grid, shifted, c=c).matrix
+        assert (sp.linalg.norm(magop.gauge_transform(gen, psi) - direct)
+                <= 1e-12 * sp.linalg.norm(direct))
     lap = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid)).lap_matrix
     assert lap.shape == (27, 27)
     lowest = np.linalg.eigvalsh(-lap.toarray())[0]
@@ -495,7 +474,7 @@ def test_shifted_is_the_sparse_difference(case, mu):
     writing one shift leaves the pattern for the next."""
     grid, a, damping, split, _ = case
     for kind in KINDS:
-        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        gen = magop.assemble_generator(kind, grid, a, split=split, **damping)
         eye = sp.identity(gen.size, dtype=complex, format="csr")
         for m in (mu, -mu + 1.0, mu):
             got, want = gen.shifted(m), (gen.matrix - 1j * m * eye).tocsc()
@@ -513,7 +492,7 @@ def test_metric_root_factors_the_inner_product(case):
     grid, a, damping, split, _ = case
     rng = np.random.default_rng(0)
     for kind in KINDS:
-        gen = magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        gen = magop.assemble_generator(kind, grid, a, split=split, **damping)
         L = gen.inner_matrix.toarray()
         if np.linalg.cond(L) > 1e10:
             R = magop.magnetic_edge_root(grid, a, gen.state_idx).toarray()
@@ -547,7 +526,7 @@ def test_a1_trace_on_the_damping_support(support, dim):
     c = {"empty": np.zeros(grid.num_nodes),
          "everywhere": 0.5 + 4.0 * rng.random(grid.num_nodes),
          "box": np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)}[support]
-    gen = magop.assemble_generator("A1", grid, a, damping=magop.DampingConfig.interior(grid, c))
+    gen = magop.assemble_generator("A1", grid, a, c=c)
     rows, _ = gen._damping_support
     assert np.array_equal(rows, np.flatnonzero(gen.damping_c > 0))
     U = rng.normal(size=(gen.size, 9)) + 1j * rng.normal(size=(gen.size, 9))
@@ -574,8 +553,8 @@ def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
     """Energies are half the quadratic form with no square root taken: within
     rounding of half the squared norm of each state, the mass norm for A0 and
     A1, the stiffness norm for A2."""
-    a, split, damping = damped_setup(grid_1d, smooth_pot)
-    gen = magop.assemble_generator(kind, grid_1d, a, damping=damping, split=split)
+    a, split, d = damped_setup(grid_1d, smooth_pot)
+    gen = magop.assemble_generator(kind, grid_1d, a, d=d, split=split)
     rng = np.random.default_rng(3)
     U = rng.normal(size=(gen.size, 6)) + 1j * rng.normal(size=(gen.size, 6))
     norm = gen.mass_norm if gen.inner_kind == "mass" else gen.stiffness_norm
@@ -587,7 +566,7 @@ def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
     np.testing.assert_allclose(gen.energies(U), want, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("trans", ["N", "H"])
+@pytest.mark.parametrize("trans", ["N"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
     """The factor of (I - dt/2 A)/2 solves bitwise as twice the factor of
@@ -597,15 +576,14 @@ def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
     split = mesh.split_boundary(grid, [-0.3] * dim)
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = 1.7
-    gen = magop.assemble_generator("A2", grid, a, split=split,
-                                   damping=magop.DampingConfig.boundary(grid, d))
+    gen = magop.assemble_generator("A2", grid, a, d=d, split=split)
     rng = np.random.default_rng(11)
     b = rng.normal(size=(gen.size, 4)) + 1j * rng.normal(size=(gen.size, 4))
     for dt in (1e-3, 0.3):
         unscaled = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
         assert (magop._tridiagonal_solver(unscaled) is not None) == (dim == 1)
         want = magop.factorize(unscaled)[trans]
-        solve = gen.cayley_solver(dt, trans)
+        solve = gen.cayley_solver(dt)
         for x in (b, b[:, 0]):
             assert solve(x).tobytes() == (2.0 * want(x)).tobytes()
 
@@ -618,10 +596,10 @@ def test_generator_build_forms_no_gradient_matrices(monkeypatch):
     from magschro import weights
 
     grid = mesh.build_grid(2, 1.0, 9)
-    a, split, damping = damped_setup(
+    a, split, d = damped_setup(
         grid, magop.MagneticPotential.from_callable(grid, lambda p: np.sin(2.0 * p + 0.5)))
     for kind in KINDS:
-        magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+        magop.assemble_generator(kind, grid, a, d=d, split=split)
     assert "gradients" not in vars(grid) and "laplacian" not in vars(a)
 
     builds = []

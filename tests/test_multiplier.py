@@ -78,10 +78,7 @@ def test_identity_refuses_other_generators_and_grids():
     on the generator's grid."""
     grid = mesh.build_grid(1, [1.0], 17)
     a = magop.MagneticPotential.zero(grid)
-    damping = magop.DampingConfig(c=np.ones(grid.num_nodes), c0=1.0,
-                                  omega=np.arange(grid.num_nodes), d=np.zeros(grid.num_nodes),
-                                  d0=0.0, gamma0_support=np.array([], dtype=int))
-    gen = magop.assemble_generator("A1", grid, a, damping=damping)
+    gen = magop.assemble_generator("A1", grid, a, c=np.ones(grid.num_nodes))
     u0 = np.zeros(gen.size, dtype=complex)
     with pytest.raises(ValueError, match="A0"):
         multiplier.multiplier_identity_residual(

@@ -52,10 +52,8 @@ def test_zero_horizon_rejected(gen, grid):
 
 
 def test_damped_generator_rejected(grid):
-    damping = magop.DampingConfig.interior(
-        grid, np.ones(grid.num_nodes), c0=1.0, omega=np.arange(grid.num_nodes))
     gen1 = magop.assemble_generator(
-        "A1", grid, magop.MagneticPotential.zero(grid), damping=damping)
+        "A1", grid, magop.MagneticPotential.zero(grid), c=np.ones(grid.num_nodes))
     obs = obsgram.Observation("interior-l2", grid.interior_idx)
     with pytest.raises(ValueError):
         obsgram.gramian(gen1, obs, T=1.0, dt=0.01)
@@ -276,7 +274,8 @@ def _check_cn_case(case):
     """Check one ``method="cn"`` report against the forward oracle; return
     (rows no wider than the state, sampled rank bound below the state)."""
     gen, obs, dt, nsteps, stride = case
-    n, m = gen.size, obs.build(gen)[0].shape[0]
+    N = obs.build(gen)[0].toarray()
+    n, m, r = gen.size, N.shape[0], np.linalg.matrix_rank(N)
 
     def samples(s):
         return len(set(range(0, nsteps + 1, s)) | {nsteps})
@@ -291,7 +290,7 @@ def _check_cn_case(case):
     ev2 = la.eigvalsh(G2, L)
     lo, hi = ev[0], ev[-1]
     lo2, hi2 = ev2[0], ev2[-1]
-    deficient = m * samples(stride) < n
+    deficient = r * samples(stride) < n
     assert rep.c_hid == pytest.approx(np.sqrt(hi), rel=1e-10)
     if deficient:
         # rank <= m s < n: lambda_min is 0 exactly, not a rounding-level value
@@ -299,7 +298,7 @@ def _check_cn_case(case):
         assert rep.lambda_max == pytest.approx(hi, rel=1e-10)
     else:
         assert abs(rep.lambda_min - lo) <= 1e-11 * abs(hi)
-    if m * samples(2 * stride) < n:
+    if r * samples(2 * stride) < n:
         lo2 = 0.0
     quad = abs(hi2 - hi) / max(abs(hi), 1e-300)
     if lo > 1e-4 * hi:
@@ -309,7 +308,7 @@ def _check_cn_case(case):
         quad = None
     if quad is not None:
         assert rep.quadrature_error_estimate == pytest.approx(quad, rel=1e-10, abs=1e-10)
-    assert rep.rank_bound == min(n, m * samples(stride))
+    assert rep.rank_bound == min(n, r * samples(stride))
     return m <= n, deficient
 
 
@@ -339,6 +338,24 @@ def test_cn_snapshot_side_every_metric(dim, kind):
     obs = obsgram.Observation(kind, pool[:2])
     for stride in (1, 2):
         assert _check_cn_case((gen, obs, 5e-3, 9, stride))[1]
+
+
+def test_cn_rank_bound_counts_the_rank_of_the_rows():
+    """Observing the whole boundary of a 9^2 grid gives 32 conormal rows,
+    28 of them nonzero, of rank 24.  Two samples bound the Gramian's rank by
+    48 < 49 unknowns, which a count of 64 rows would hide: lambda_min is 0,
+    with a warning."""
+    grid = mesh.build_grid(2, 1.0, 9)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    obs = obsgram.Observation("boundary-conormal", grid.boundary_idx)
+    N = obs.build(gen)[0]
+    assert N.shape == (32, 49) and np.linalg.matrix_rank(N.toarray()) == 24
+    assert _check_cn_case((gen, obs, 1e-3, 1, 1))[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = obsgram.gramian(gen, obs, T=1e-3, dt=1e-3, method="cn")
+    assert rep.rank_bound == 48 and rep.lambda_min == 0.0 and rep.c_obs == float("inf")
+    assert any("rank 24 of the 32 observation rows" in w for w in rep.warnings)
 
 
 # -- the dense limit: every path exact, or refused before it allocates -------
@@ -752,10 +769,8 @@ def test_product_full_omega_recovers_inverse_sqrt_T():
 
 def test_product_rejects_damped_factor():
     g1 = mesh.build_grid(1, [1.0], 12)
-    damping = magop.DampingConfig.interior(
-        g1, np.ones(g1.num_nodes), c0=1.0, omega=np.arange(g1.num_nodes))
     gen1 = magop.assemble_generator(
-        "A1", g1, magop.MagneticPotential.zero(g1), damping=damping)
+        "A1", g1, magop.MagneticPotential.zero(g1), c=np.ones(g1.num_nodes))
     gen2 = magop.assemble_generator(
         "A0", g1, magop.MagneticPotential.zero(g1))
     with pytest.raises(ValueError):

@@ -26,10 +26,8 @@ def gen_a0(grid, a_zero):
 
 @pytest.fixture(scope="module")
 def gen_a1(grid, a_zero):
-    c = np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
-    damping = magop.DampingConfig.interior(grid, c, c0=5.0,
-                                           omega=grid.box_nodes([0.0], [0.29]))
-    return magop.assemble_generator("A1", grid, a_zero, damping=damping)
+    return magop.assemble_generator("A1", grid, a_zero,
+                                    c=np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +69,9 @@ def test_resolvent_damping_estimate(gen_a1, grid):
     sol = spectra.resolvent_solve(gen_a1, -90.0, g)
     u = sol.u
     mass = gen_a1.mass_diag
-    omega_pos = np.isin(gen_a1.state_idx, gen_a1.damping.omega)
+    omega_pos = gen_a1.damping_c > 0
     u2_omega = float(np.sum(mass[omega_pos] * np.abs(u[omega_pos]) ** 2))
-    c0 = gen_a1.damping.c0
+    c0 = np.min(gen_a1.damping_c[omega_pos])
     assert c0 * u2_omega <= gen_a1.norm(u) * gen_a1.norm(g) * (1 + 1e-9)
 
 
@@ -82,12 +80,9 @@ def test_resolvent_identity_residuals_boundary(grid, a_zero):
     mn = np.einsum("ij,ij->i", split.m[split.gamma0], grid.normals[split.gamma0])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = mn
-    damping = magop.DampingConfig.boundary(grid, d, d0=float(mn.min()),
-                                           gamma0_support=split.gamma0)
     rng = np.random.default_rng(2)
     for kind in ("A2", "A3"):
-        gen = magop.assemble_generator(kind, grid, a_zero, damping=damping,
-                                       split=split)
+        gen = magop.assemble_generator(kind, grid, a_zero, d=d, split=split)
         g = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
         sol = spectra.resolvent_solve(gen, -55.0, g)
         assert sol.identity_residuals["real"] < 1e-9
@@ -259,11 +254,8 @@ def test_refinement_trend_report(grid, a_zero):
     scans = []
     for n in (64, 128):
         g = mesh.build_grid(1, [1.0], n)
-        c = np.where(g.coords[:, 0] < 0.3, 5.0, 0.0)
-        damp = magop.DampingConfig.interior(g, c, c0=5.0,
-                                            omega=g.box_nodes([0.0], [0.29]))
-        gen = magop.assemble_generator(
-            "A1", g, magop.MagneticPotential.zero(g), damping=damp)
+        gen = magop.assemble_generator("A1", g, magop.MagneticPotential.zero(g),
+                                       c=np.where(g.coords[:, 0] < 0.3, 5.0, 0.0))
         scans.append(spectra.scan_resolvent(gen, -np.linspace(10, 300, 30)))
     trend = spectra.refinement_trend(scans)
     assert trend["grids"] == [(64,), (128,)]
@@ -308,14 +300,12 @@ def damped_generators(draw, dims=(1, 2)):
         c0 = draw(st.floats(0.5, 20.0))
         c = np.zeros(grid.num_nodes)
         c[omega] = c0
-        damping = magop.DampingConfig.interior(grid, c, c0=c0, omega=omega)
-        return magop.assemble_generator("A1", grid, a, damping=damping)
+        return magop.assemble_generator("A1", grid, a, c=c)
     x0 = [draw(st.floats(-0.8, -0.1))] + [draw(st.floats(0.0, 1.0)) for _ in range(dim - 1)]
     split = mesh.split_boundary(grid, x0)
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = draw(st.floats(0.2, 5.0))
-    damping = magop.DampingConfig.boundary(grid, d)
-    return magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    return magop.assemble_generator(kind, grid, a, d=d, split=split)
 
 
 def dense_resolvent_norm(gen, mu):
@@ -361,12 +351,9 @@ def test_factorize_branches_agree(gen, mu):
 def generator_1d(kind, n):
     grid = mesh.build_grid(1, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(p))
-    if kind == "A1":
-        damping = magop.DampingConfig.interior(grid, np.full(grid.num_nodes, 2.0), c0=2.0)
-        return magop.assemble_generator(kind, grid, a, damping=damping)
+    ones = np.ones(grid.num_nodes)
     split = mesh.split_boundary(grid, [-0.3])
-    damping = magop.DampingConfig.boundary(grid, np.ones(grid.num_nodes))
-    return magop.assemble_generator(kind, grid, a, damping=damping, split=split)
+    return magop.assemble_generator(kind, grid, a, c=2.0 * ones, d=ones, split=split)
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2"])
