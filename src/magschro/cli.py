@@ -175,7 +175,8 @@ def _box_nodes(grid, spec, key, state_idx=None):
             lo, hi = spec
             nodes = grid.box_nodes(lo, hi)
         except Exception as exc:
-            raise ConfigError(f"{key}: expected 'all' or [lo, hi] box, got {spec!r}") from exc
+            raise ConfigError(
+                f"{key}: expected 'all' or [lo, hi] box, got {spec!r} ({exc})") from exc
         if nodes.size == 0:
             raise ConfigError(f"{key}: the box {spec!r} holds no grid node")
     if state_idx is not None and not np.isin(nodes, state_idx).any():

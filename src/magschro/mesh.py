@@ -1,4 +1,4 @@
-"""Uniform tensor grids: boundary classification, quadrature, Poincare constants.
+"""Uniform tensor grids: boundary classification and quadrature.
 
 Grids are uniform tensor products of any number of axes; the CLI builds
 intervals and rectangles, and the Carleman cylinder (s, x) is a grid with one
@@ -12,11 +12,6 @@ rule from it alone.
 The observation split classifies boundary nodes by the strict sign of
 m(x) . nu(x) with m(x) = x - x0: positive goes to the observed part
 ``gamma0``, the rest (including the measure-zero tie set) to ``gamma1``.
-
-Poincare constants are computed from the smallest eigenvalue of the discrete
-Laplacian with Dirichlet condition on a prescribed node set and natural
-condition elsewhere, assembled in lumped finite-element form so the mixed
-eigenvalues converge at second order.
 """
 
 from __future__ import annotations
@@ -26,15 +21,6 @@ from functools import cached_property, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-
-
-class EigenSolveError(RuntimeError):
-    """Eigenvalue iteration failed; carries solver diagnostics."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +66,13 @@ class Grid:
                      for ax in range(self.dim))
 
     def box_nodes(self, lo, hi):
-        """Indices of nodes inside the closed box [lo, hi] (per-axis bounds)."""
+        """Indices of nodes inside the closed box [lo, hi] (per-axis bounds);
+        ValueError unless lo and hi each have ``dim`` coordinates."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        if lo.shape != (self.dim,) or hi.shape != (self.dim,):
+            raise ValueError(f"a {self.dim}D grid takes box corners of {self.dim} "
+                             f"coordinates, got {lo.size} and {hi.size}")
         mask = np.ones(self.num_nodes, dtype=bool)
         for ax in range(self.dim):
             mask &= (self.coords[:, ax] >= lo[ax] - 1e-12) & (self.coords[:, ax] <= hi[ax] + 1e-12)
@@ -135,18 +125,6 @@ def edge_nodes(grid, axis):
 def _trapezoid_1d(n, h):
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0
-    return w
-
-
-def trapezoid_weights(times):
-    """Trapezoid weights on increasing sample points (weight 1 for one point)."""
-    w = np.empty(times.size)
-    if times.size == 1:
-        w[0] = 1.0
-        return w
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
     return w
 
 
@@ -284,70 +262,3 @@ def split_boundary(grid, x0):
     for arr in (split.gamma0, split.gamma1, split.m):
         arr.setflags(write=False)
     return split
-
-
-@dataclass(frozen=True, eq=False)
-class PoincareReport:
-    """Best constant kappa with ||u|| <= kappa ||grad u|| on the subspace."""
-
-    kappa: float
-
-
-def _stiffness_1d(n, h):
-    """Neumann-natural 1D stiffness (lumped P1 elements)."""
-    main = np.full(n, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _mass_1d(n, h):
-    return sp.diags(_trapezoid_1d(n, h), format="csr")
-
-
-def neumann_stiffness(grid):
-    """Scalar stiffness matrix with natural boundary condition on all faces:
-    per axis, that axis's 1D stiffness times the other axes' masses."""
-    terms = []
-    for ax in range(grid.dim):
-        mats = [_mass_1d(n, h) for n, h in zip(grid.n, grid.h)]
-        mats[ax] = _stiffness_1d(grid.n[ax], grid.h[ax])
-        terms.append(reduce(sp.kron, mats))
-    return sum(terms[1:], terms[0]).tocsr()
-
-
-def poincare_constant(grid, dirichlet_part):
-    """kappa = 1/sqrt(lambda_min) for the mixed Dirichlet/natural Laplacian.
-
-    ``dirichlet_part`` is a nonempty node set carrying the zero trace; the
-    remaining boundary carries the natural condition.
-    """
-    dirichlet = np.asarray(dirichlet_part, dtype=int)
-    if dirichlet.size == 0:
-        raise ValueError("dirichlet_part must be nonempty")
-    keep = np.setdiff1d(np.arange(grid.num_nodes), dirichlet)
-    K = neumann_stiffness(grid)[keep][:, keep]
-    M = sp.diags(grid.volume_weights[keep], format="csc")
-
-    nkeep = keep.size
-    try:
-        if nkeep <= 400:
-            import scipy.linalg as la
-
-            w = la.eigh(K.toarray(), M.toarray(), eigvals_only=True,
-                        subset_by_index=[0, 0])
-            lam = float(w[0])
-        else:
-            w = spla.eigsh(K.tocsc(), k=1, M=M, sigma=0.0, which="LM",
-                           return_eigenvectors=False)
-            lam = float(w[0])
-    except spla.ArpackNoConvergence as exc:
-        raise EigenSolveError(
-            "Poincare eigenvalue iteration did not converge",
-            diagnostics={"converged_eigenvalues": len(exc.eigenvalues),
-                         "size": nkeep},
-        ) from exc
-    if lam <= 0:
-        raise EigenSolveError("nonpositive smallest eigenvalue",
-                              diagnostics={"eigenvalue": lam})
-    return PoincareReport(kappa=1.0 / np.sqrt(lam))

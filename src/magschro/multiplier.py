@@ -25,10 +25,10 @@ Sigma: the A0 state is the interior nodes), the one carrying grad div X
 (div m = dim), the one carrying X_t (m does not depend on t) and the two
 carrying f (f = 0 on A0 trajectories).
 
-All space-time integrals use the trapezoid quadratures of the grid; D and
-the conormal trace are the potential's operators (``MagneticPotential.gradient``
-and ``.conormal``), B comes from the grid's node gradients, so the residual
-vanishes at second order in (h, dt) for smooth data.
+All space-time integrals use the grid's trapezoid quadratures, and the same
+1D rule at step dt in time; D and the conormal trace are the potential's
+operators (``MagneticPotential.gradient`` and ``.conormal``) and B comes from
+the grid's node gradients, so the residual is O(h^2 + dt^2) for smooth data.
 
 The identity runs its own Crank-Nicolson trajectory: it is a sink of
 ``evolve.simulate`` and adds every term over each block of states as the
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolve
-from .mesh import step_count, trapezoid_weights
+from .mesh import step_count, _trapezoid_1d
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ def multiplier_identity_residual(gen, u0, T, dt, field):
         raise ValueError("multiplier field must be built on the generator's grid")
     nsteps = step_count(T, dt)
     N, dim = grid.num_nodes, grid.dim
-    wt = trapezoid_weights(dt * np.arange(nsteps + 1))
+    wt = _trapezoid_1d(nsteps + 1, dt)
     wv = grid.volume_weights
     b = grid.boundary_idx
     ws = grid.surface_weights[b]

@@ -33,11 +33,14 @@ at s times has rank at most r s for observation rows N of rank r; the
 report records that bound.  The product-space check reads its modes and
 couplings from its two factors in the same way, and steps its factors with
 the generator's own ``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
+The Poincare constant of a Dirichlet part (``poincare_constant``) is read
+from the same pencil at a = 0 on the other nodes.
 
 Every dense path is exact, or refused: it runs only when its dense order is
 at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
 before any dense allocation.  The orders are n for the modal path (both
-methods) and n1 n2 for the product space.
+methods), n1 n2 for the product space and the number of nodes off the
+Dirichlet part for the Poincare constant.
 """
 
 from __future__ import annotations
@@ -151,6 +154,22 @@ def _pencil_modes(S, mass):
     d = 1.0 / np.sqrt(mass)
     lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
     return lam, np.multiply(d[:, None], U, order="C")
+
+
+def poincare_constant(grid, dirichlet_part):
+    """kappa = 1/sqrt(lambda_1), the best constant in ||u|| <= kappa ||grad u||
+    for fields that vanish on the nonempty node set ``dirichlet_part``: lambda_1
+    of the generators' pencil (S, diag M) at a = 0 on the other nodes, whose
+    S = sum_e w_e |u_head - u_tail|^2 is the lumped-P1 Laplacian, natural on the
+    rest of the boundary.  Refused above ``magop._DENSE_LIMIT`` before assembly.
+    """
+    dirichlet = np.asarray(dirichlet_part, dtype=int)
+    if dirichlet.size == 0:
+        raise ValueError("dirichlet_part must be nonempty")
+    keep = np.setdiff1d(np.arange(grid.num_nodes), dirichlet)
+    magop._check_order(keep.size, "the Poincare pencil")
+    S = magop.magnetic_stiffness(grid, magop.MagneticPotential.zero(grid), keep)
+    return float(1.0 / np.sqrt(_pencil_modes(S, grid.volume_weights[keep])[0][0]))
 
 
 def _axis_pencils(gen):

@@ -63,26 +63,17 @@ def _identity_residuals(gen, mu, u, g):
     grad2 = np.vdot(u, gen.stiffness @ u).real  # ||grad_a u||^2
     mu_u2 = mu * np.vdot(u, mass * u).real
     scale = abs(grad2) + abs(mu_u2) + abs(pair) + 1e-300
-    out = {}
-    if gen.kind in ("A0", "A1"):
-        cterm = 0.0
-        if gen.kind == "A1":
-            cterm = np.vdot(u, mass * gen.damping_c * u).real
-        out["real"] = abs(-grad2 - mu_u2 - pair.real) / scale
-        out["imag"] = abs(cterm - pair.imag) / scale
-    elif gen.kind == "A3":
-        tr = u[gen.gamma0_pos]
-        dterm = float(np.sum(gen.sigma_d * np.abs(tr) ** 2))
-        out["real"] = abs(-grad2 - mu_u2 - pair.real) / scale
-        out["imag"] = abs(dterm - pair.imag) / scale
-    elif gen.kind == "A2":
+    if gen.kind == "A2":
         tr = u[gen.gamma0_pos]
         gt_tr = gt[gen.gamma0_pos]
         dterm = mu * float(np.sum(gen.sigma_d * np.abs(tr) ** 2))
         bpair = np.vdot(tr, gen.sigma_d * gt_tr)   # (d gt | u) on gamma0
-        out["real"] = abs(-grad2 - mu_u2 - (pair.real - bpair.imag)) / scale
-        out["imag"] = abs(-dterm - (pair.imag + bpair.real)) / scale
-    return out
+        return {"real": abs(-grad2 - mu_u2 - (pair.real - bpair.imag)) / scale,
+                "imag": abs(-dterm - (pair.imag + bpair.real)) / scale}
+    # A0, A1, A3: the damping term is minus the dissipation, sum c |u|^2 in M
+    # for A1, sum sigma d |u|^2 on gamma0 for A3
+    return {"real": abs(-grad2 - mu_u2 - pair.real) / scale,
+            "imag": abs(-float(gen.dissipations(u)) - pair.imag) / scale}
 
 
 def resolvent_solve(gen, mu, g):

@@ -155,7 +155,7 @@ def test_criterion_4_known_rate_decay(setups_1d):
 
 def _boundary_damped_run(grid, x0, afun):
     split = mesh.split_boundary(grid, x0)
-    kappa1 = mesh.poincare_constant(grid, split.gamma1).kappa
+    kappa1 = obsgram.poincare_constant(grid, split.gamma1)
     alpha = 0.05 / kappa1
     a = magop.MagneticPotential.from_callable(grid, lambda p: afun(p, alpha))
     assert a.vanishes_on(split.gamma0, tol=1e-12)

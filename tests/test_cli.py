@@ -682,6 +682,18 @@ damping.omega = [[2.0], [3.0]]
 T = 0.05
 dt = 0.01
 """, "damping.omega: the box [[2.0], [3.0]] holds no grid node"),
+    # 2D corners on an interval once damped [0, 0.3], the second coordinates ignored
+    "simulate-damping-box-wrong-dim": ("""
+kind = "simulate"
+grid.dim = 1
+grid.n = 16
+generator = "A1"
+damping.c_preset = "box"
+damping.omega = [[0.0, 0.0], [0.3, 1.0]]
+T = 0.05
+dt = 0.01
+""", "damping.omega: expected 'all' or [lo, hi] box, got [[0.0, 0.0], [0.3, 1.0]] "
+     "(a 1D grid takes box corners of 1 coordinates, got 2 and 2)"),
     # exp(800 psi) overflows on the grid (and underflows at the cylinder ends)
     "carleman-certify-lambda-out-of-range": ("""
 kind = "carleman-certify"

@@ -31,7 +31,7 @@ TEST_ONLY = {
     "dissipativity_margin": "dissipativity oracle for the assembled generators",
     "flat_index": "grid multi-index to flat node index, for hand-built fixtures",
     "check_green_identity": "discrete magnetic Green formula, the oracle for the assembled stiffness",
-    "poincare_constant": "the discrete Poincare constant of acceptance criterion 5",
+    "poincare_constant": "kappa of a Dirichlet part from the generators' a = 0 pencil (acceptance criterion 5)",
     "observed_ratio": "one state's observed energy, the Rayleigh oracle for the Gramian",
     "resolvent_solve": "one resolvent solve with identity residuals, the resolvent oracle",
     "refinement_trend": "grid-refinement trend of resolvent norms (planned CLI home)",
@@ -60,7 +60,6 @@ TEST_ONLY_FIELDS = {
     "ResolventSolution.residual": "part of the resolvent_solve oracle",
     "ResolventSolution.identity_residuals": "part of the resolvent_solve oracle",
     "ResolventSolution.condition_estimate": "part of the resolvent_solve oracle",
-    "PoincareReport.kappa": "part of the poincare_constant oracle",
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magschro import magop, mesh
+from magschro import magop, mesh, obsgram
 
 
 def test_build_grid_1d_basic():
@@ -136,37 +136,37 @@ def test_split_transition_count_interior_2d():
 
 def test_poincare_full_dirichlet_interval():
     g = mesh.build_grid(1, [1.0], 256)
-    rep = mesh.poincare_constant(g, g.boundary_idx)
-    assert abs(rep.kappa - 1.0 / np.pi) < 1e-3
+    kappa = obsgram.poincare_constant(g, g.boundary_idx)
+    assert abs(kappa - 1.0 / np.pi) < 1e-3
 
 
 def test_poincare_scaled_interval():
     L = 2.7
     g = mesh.build_grid(1, [L], 256)
-    rep = mesh.poincare_constant(g, g.boundary_idx)
-    assert abs(rep.kappa - L / np.pi) < 1e-3
+    kappa = obsgram.poincare_constant(g, g.boundary_idx)
+    assert abs(kappa - L / np.pi) < 1e-3
 
 
 def test_poincare_mixed_interval():
     g = mesh.build_grid(1, [1.0], 256)
-    rep = mesh.poincare_constant(g, np.array([0]))
-    assert abs(rep.kappa - 2.0 / np.pi) < 1e-2
+    kappa = obsgram.poincare_constant(g, np.array([0]))
+    assert abs(kappa - 2.0 / np.pi) < 1e-2
 
 
 def test_poincare_monotone_in_dirichlet_part():
     g = mesh.build_grid(2, [1.0, 1.0], 17)
     s = mesh.split_boundary(g, [-0.4, 0.5])
-    small = mesh.poincare_constant(g, s.gamma1)
-    full = mesh.poincare_constant(g, g.boundary_idx)
-    assert full.kappa <= small.kappa + 1e-6
+    small = obsgram.poincare_constant(g, s.gamma1)
+    full = obsgram.poincare_constant(g, g.boundary_idx)
+    assert full <= small + 1e-6
 
 
 def test_poincare_second_order_convergence():
     errs = []
     for n in (32, 64, 128):
         g = mesh.build_grid(1, [1.0], n)
-        rep = mesh.poincare_constant(g, g.boundary_idx)
-        errs.append(abs(rep.kappa - 1.0 / np.pi))
+        kappa = obsgram.poincare_constant(g, g.boundary_idx)
+        errs.append(abs(kappa - 1.0 / np.pi))
     assert errs[0] / errs[1] > 3.4
     assert errs[1] / errs[2] > 3.4
 
@@ -174,10 +174,44 @@ def test_poincare_second_order_convergence():
 def test_poincare_rejects_empty_part():
     g = mesh.build_grid(1, [1.0], 16)
     with pytest.raises(ValueError):
-        mesh.poincare_constant(g, np.array([], dtype=int))
+        obsgram.poincare_constant(g, np.array([], dtype=int))
+
+
+def test_poincare_is_the_a2_generators_pencil():
+    """At a = 0 the A2 state is every node off gamma1 and its stiffness is
+    the Poincare stiffness, so kappa is the generator's first mode exactly."""
+    g = mesh.build_grid(2, [1.0, 1.0], 17)
+    s = mesh.split_boundary(g, [-0.4, 0.5])
+    d = np.zeros(g.num_nodes)
+    d[s.gamma0] = 1.0
+    gen = magop.assemble_generator("A2", g, magop.MagneticPotential.zero(g), d=d, split=s)
+    lam = obsgram._pencil_modes(gen.stiffness, gen.mass_diag)[0][0]
+    assert obsgram.poincare_constant(g, s.gamma1) == 1.0 / np.sqrt(lam)
+
+
+def test_poincare_dirichlet_rectangle_is_the_discrete_sine():
+    """Whole boundary Dirichlet on a rectangle: lambda_1 is the sum over axes
+    of the 3-point Laplacian's first eigenvalue (4/h^2) sin^2(pi h/2L)."""
+    g = mesh.build_grid(2, [1.0, 2.0], [20, 31])
+    lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
+              for h, L in zip(g.h, g.extents))
+    kappa = obsgram.poincare_constant(g, g.boundary_idx)
+    assert abs(kappa - lam ** -0.5) <= 1e-12 * lam ** -0.5
+
+
+def test_poincare_refuses_above_the_dense_limit():
+    g = mesh.build_grid(1, [1.0], 4200)
+    with pytest.raises(magop.DenseLimitError, match="dense order 4198"):
+        obsgram.poincare_constant(g, g.boundary_idx)
 
 
 def test_box_nodes():
     g = mesh.build_grid(1, [1.0], 11)
     nodes = g.box_nodes([0.0], [0.3])
     assert np.allclose(g.coords[nodes, 0], [0.0, 0.1, 0.2, 0.3])
+    # corners of another dimension are refused, not truncated
+    square = mesh.build_grid(2, [1.0, 1.0], 5)
+    for grid, lo, hi in ((g, [0.0, 0.0], [0.3, 1.0]), (square, [0.0] * 3, [1.0] * 3),
+                         (square, [0.0], [1.0])):
+        with pytest.raises(ValueError, match=f"{grid.dim}D grid takes box corners"):
+            grid.box_nodes(lo, hi)
