@@ -246,6 +246,7 @@ class GeneratorMatrix:
     damping_c: np.ndarray = None       # c at the unknowns (A1)
     potential: MagneticPotential = None
     split: BoundarySplit = None
+    edge_root: sp.csr_matrix = None    # the edge table R of S = R^H R (A2)
 
     # -- inner products ------------------------------------------------
 
@@ -269,11 +270,11 @@ class GeneratorMatrix:
         """(rows, R, R^H, L^-1) for the inner product L = R^H R, as functions
         applying R (n -> rows), R^H (rows -> n) and L^-1 to vectors: the
         elementwise sqrt(mass) and 1/mass, or for the stiffness the edge rows
-        of ``magnetic_edge_root`` and a ``factorize`` of S."""
+        of ``edge_root``, kept from assembly, and a ``factorize`` of S."""
         if self.inner_kind == "mass":
             root, mass = np.sqrt(self.mass_diag), self.mass_diag
             return self.size, root.__mul__, root.__mul__, lambda x: x / mass
-        R = magnetic_edge_root(self.grid, self.potential, self.state_idx)
+        R = self.edge_root
         return (R.shape[0], R.__matmul__, R.getH().tocsr().__matmul__,
                 factorize(self.stiffness)["N"])
 
@@ -489,13 +490,25 @@ def factorize(M):
 
 def _tridiagonal_solver(M):
     """zgttrf/zgttrs solves, or None when M has fewer than 3 rows, entries off
-    its three central diagonals, or a zero pivot."""
+    its three central diagonals, or a zero pivot.  The band test and the
+    three diagonals come from one pass over M's CSC arrays, after a count of
+    its nonzeros has turned away most matrices that do not fit the band."""
     n = M.shape[0]
-    coo = M.tocoo()
-    if n < 3 or np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
+    C = M.tocsc()
+    if not C.has_canonical_format:
+        C = C.copy()
+        C.sum_duplicates()
+    if n < 3 or np.count_nonzero(C.data) > 3 * n - 2:
         return None
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(
-        *(M.diagonal(k).astype(complex) for k in (-1, 0, 1)))
+    cols = np.repeat(np.arange(n), np.diff(C.indptr))
+    off = C.indices - cols
+    band = np.abs(off) <= 1
+    if np.any(C.data[~band]):
+        return None
+    # rows dl, d, du of the band, each entry at the lower of its row and column
+    diagonals = np.zeros((3, n), dtype=complex)
+    diagonals[1 - off[band], np.minimum(C.indices, cols)[band]] = C.data[band]
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(diagonals[0, :-1], diagonals[1], diagonals[2, :-1])
     if info != 0:
         return None
     return {"N": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b)[0],
@@ -531,7 +544,8 @@ def assemble_generator(kind, grid, a, c=None, d=None, split=None):
         D[split.gamma0] = sigma_d
     D = D[state]
     mass = grid.volume_weights[state]
-    S = magnetic_stiffness(grid, a, state)
+    R = magnetic_edge_root(grid, a, state)
+    S = (R.getH() @ R).tocsr()
     c = c[state] if kind == "A1" else None
 
     # From M Delta u = -S u + sigma flux on gamma0: A2's flux -i d Delta u moves
@@ -542,7 +556,7 @@ def assemble_generator(kind, grid, a, c=None, d=None, split=None):
     return GeneratorMatrix(
         kind=kind, matrix=A, grid=grid, state_idx=state, mass_diag=mass,
         stiffness=S, lap_matrix=lap, gamma0_pos=g0_pos, sigma_d=sigma_d,
-        damping_c=c, potential=a, split=split,
+        damping_c=c, potential=a, split=split, edge_root=R if kind == "A2" else None,
     )
 
 

@@ -6,8 +6,8 @@ The resolvent norm at i mu in the generator's inner product L is
     sigma_min^2 = min_u (u^H K^H L K u) / (u^H L u),  K = A - i mu.
 
 With L = R^H R, 1 / sigma_min^2 is the largest eigenvalue of the Hermitian
-R K^-1 L^-1 K^-H R^H, which standard-mode Lanczos reads directly, one
-sparse factor of K serving every product.
+R K^-1 L^-1 K^-H R^H, which Lanczos with full reorthogonalization reads
+directly, one sparse factor of K serving every product.
 R is the generator's ``metric_root``: sqrt(mass) for the mass metric, one
 row per edge for the magnetic stiffness of A2.
 Scans fit C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope,
@@ -38,6 +38,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import magop
 
@@ -104,28 +105,46 @@ def resolvent_norm(gen, mu):
     of products x -> R K^-1 L^-1 K^-H R^H x it took.
 
     The norm is the square root of that Hermitian operator's largest
-    eigenvalue, read by standard-mode Lanczos on an 8-vector basis in at most
-    400 ARPACK iterations; each product applies ``magop.factorize`` of K twice and the
-    metric root (R, R^H, L^-1) of ``GeneratorMatrix.metric_root`` once each.
-    It starts from R z with z drawn from a fixed seed, so reruns agree
-    bitwise.  An ARPACK failure propagates: ``scan_resolvent`` records it as a
-    failed point.
+    eigenvalue, read by unrestarted Lanczos with full reorthogonalization
+    (two Gram-Schmidt passes against a basis that grows on demand).  Each
+    product applies ``magop.factorize`` of K twice and the metric root
+    (R, R^H, L^-1) of ``GeneratorMatrix.metric_root`` once each.  LAPACK's
+    dstemr gives the top Ritz pair (theta, s) of the tridiagonal without
+    forming the other eigenvectors, and the iteration stops on ARPACK's test,
+    the residual bound |beta s_k| <= eps theta, or on beta = 0.  It starts
+    from R z with z drawn from a fixed seed, so reruns agree bitwise.  Short
+    of convergence in min(400, rows) vectors it raises: ``scan_resolvent``
+    records a failed point.
     """
     rows, r_apply, rh_apply, l_solve = gen.metric_root
     solve = magop.factorize(gen.shifted(mu))
-    products = 0
-
-    def apply(x):
-        nonlocal products
-        products += 1
-        return r_apply(solve["N"](l_solve(solve["H"](rh_apply(x)))))
-
     rng = np.random.default_rng(7)
-    x = r_apply(rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size))
-    op = spla.LinearOperator((rows, rows), matvec=apply, dtype=complex)
-    lam = float(spla.eigsh(op, k=1, which="LM", v0=x, ncv=min(8, rows),
-                           return_eigenvectors=False, maxiter=400)[0])
-    return np.sqrt(lam), products
+    w = r_apply(rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size))
+    limit = min(400, rows)
+    Q = np.empty((min(16, limit), rows), dtype=complex)
+    alpha, beta = np.zeros(limit), np.zeros(limit)
+    b = np.linalg.norm(w)
+    for k in range(1, limit + 1):
+        if k > len(Q):
+            Q = np.vstack([Q, np.empty_like(Q[:limit - len(Q)])])
+        Q[k - 1] = w / b
+        w = r_apply(solve["N"](l_solve(solve["H"](rh_apply(Q[k - 1])))))
+        basis = Q[:k]
+        for _ in range(2):
+            c = np.conj(basis @ np.conj(w))
+            alpha[k - 1] += c[-1].real
+            w -= c @ basis
+        b = beta[k - 1] = np.linalg.norm(w)
+        if not np.isfinite(b):
+            raise RuntimeError(f"Lanczos product not finite at mu = {mu}")
+        # the k-th (top) eigenpair only, range 2 being by index; dstemr
+        # overwrites its off-diagonal and takes the last entry as workspace
+        _, theta, s, info = lapack.dstemr(alpha[:k], beta[:k].copy(), 2, 0.0, 0.0, k, k)
+        if info:
+            raise RuntimeError(f"dstemr error {info} at mu = {mu}")
+        if b == 0.0 or abs(b * s[-1, 0]) <= np.finfo(float).eps * theta[0]:
+            return np.sqrt(theta[0]), k
+    raise RuntimeError(f"Lanczos did not converge in {limit} vectors at mu = {mu}")
 
 
 @dataclass(eq=False)

@@ -510,6 +510,32 @@ def test_metric_root_factors_the_inner_product(case):
         assert np.linalg.norm(L @ l_solve(x) - x) <= 1e-12 * np.linalg.norm(x)
 
 
+def test_a2_edge_table_is_built_once(monkeypatch):
+    """An A2 generator keeps the edge table its stiffness was built from, so
+    reading ``metric_root`` builds no second one, and its R and R^H products
+    are bitwise those of a fresh table.  The other kinds keep none."""
+    grid = mesh.build_grid(2, 1.0, 10)
+    a, split, d = damped_setup(
+        grid, magop.MagneticPotential.from_callable(grid, lambda p: np.sin(2.0 * p + 0.5)))
+    builds = []
+    edge_root = magop.magnetic_edge_root
+    monkeypatch.setattr(magop, "magnetic_edge_root",
+                        lambda *args: builds.append(args) or edge_root(*args))
+    gens = {kind: magop.assemble_generator(kind, grid, a, d=d, split=split) for kind in KINDS}
+    assert [kind for kind, g in gens.items() if g.edge_root is not None] == ["A2"]
+    gen = gens["A2"]
+    gen.metric_root
+    assert len(builds) == len(KINDS)
+
+    R = edge_root(grid, a, gen.state_idx)
+    rows, r_apply, rh_apply, _ = gen.metric_root
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+    y = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    assert r_apply(x).tobytes() == (R @ x).tobytes()
+    assert rh_apply(y).tobytes() == (R.getH().tocsr() @ y).tobytes()
+
+
 # -- block diagnostics and the Cayley solver ---------------------------------
 
 

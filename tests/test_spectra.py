@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -323,8 +323,12 @@ RESOLVENT_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 @RESOLVENT_PROPERTY
-@given(damped_generators(), st.floats(-400.0, 100.0))
-def test_resolvent_norm_matches_dense_oracle(gen, mu):
+@given(damped_generators(), st.data())
+def test_resolvent_norm_matches_dense_oracle(gen, data):
+    """A2 draws frequencies up to 4/h^2, the top of the discrete spectrum,
+    where the top two singular values can nearly tie at positive mu."""
+    top = 4.0 / min(gen.grid.h) ** 2 if gen.kind == "A2" else 100.0
+    mu = data.draw(st.floats(-400.0, top), label="mu")
     norm, products = spectra.resolvent_norm(gen, mu)
     assert products > 0
     ref = dense_resolvent_norm(gen, mu)
@@ -348,6 +352,38 @@ def test_factorize_branches_agree(gen, mu):
         assert np.linalg.norm(op @ x - b) <= 1e-13 * la.norm(K.toarray(), 2) * np.linalg.norm(x)
 
 
+def test_tridiagonal_band_read_from_csc():
+    """The three diagonals read from the CSC arrays are bitwise those of
+    ``diagonal(k)``, in any sparse format: so are the solves.  An explicit
+    zero off the band keeps the tridiagonal branch, duplicates are summed,
+    and a nonzero off the band or a zero pivot turns it down."""
+    rng = np.random.default_rng(5)
+    n = 9
+    diags = [rng.normal(size=n - abs(k)) + 1j * rng.normal(size=n - abs(k)) for k in (-1, 0, 1)]
+    T = sp.diags(diags, [-1, 0, 1], format="csr")
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    factors = lapack.zgttrf(*(T.diagonal(k) for k in (-1, 0, 1)))[:5]
+    want = {"N": lapack.zgttrs(*factors, b)[0], "H": lapack.zgttrs(*factors, b, trans="C")[0]}
+
+    coo, csc = T.tocoo(), T.tocsc()
+    zero_off_band = sp.coo_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0),
+                                                            np.append(coo.col, 5))), shape=(n, n))
+    halves = sp.csc_matrix((np.repeat(0.5 * csc.data, 2), np.repeat(csc.indices, 2),
+                            2 * csc.indptr), shape=(n, n))
+    assert zero_off_band.tocsc().nnz == T.nnz + 1 and not halves.has_canonical_format
+    for M in (T, csc, zero_off_band, halves):
+        solvers = magop._tridiagonal_solver(M)
+        for trans in ("N", "H"):
+            assert solvers[trans](b).tobytes() == want[trans].tobytes()
+
+    off_band = T.tolil()
+    off_band[0, 5] = 1e-300
+    singular = T.tolil()
+    singular[0, :2] = 0.0
+    assert magop._tridiagonal_solver(off_band.tocsr()) is None
+    assert magop._tridiagonal_solver(singular.tocsr()) is None
+
+
 def generator_1d(kind, n):
     grid = mesh.build_grid(1, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(p))
@@ -357,51 +393,76 @@ def generator_1d(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2"])
-def test_small_grid_scan_runs_arpack(kind):
-    """At n <= 8 unknowns the Lanczos basis is the whole space: ARPACK still
-    runs in standard mode (no metric, no shift, no fallback, no failure), and
-    the reported products are its applications of the operator."""
+def test_small_grid_scan_runs_lanczos(kind):
+    """At n <= 8 unknowns the Lanczos basis can span the whole space: every
+    point still converges, in at most as many products as the operator has
+    rows, and the reported products are its applications of the operator,
+    one solve with the factor of K and one with its adjoint each."""
     gen = generator_1d(kind, 6)
     assert gen.size <= 8
-    calls = []
-    eigsh = spla.eigsh
+    rows = gen.metric_root[0]            # A2's factor of S is built before the spy
+    solves = []
+    factorize = magop.factorize
 
-    def spy(A, **kw):
-        assert kw.get("M") is None and kw.get("sigma") is None and kw.get("OPinv") is None
-        counted = {"products": 0}
+    def spy(M):
+        solvers, count = factorize(M), {"N": 0, "H": 0}
+        solves.append(count)
 
-        def matvec(x):
-            counted["products"] += 1
-            return A.matvec(x)
+        def counted(trans):
+            def solve(b):
+                count[trans] += 1
+                return solvers[trans](b)
+            return solve
 
-        out = eigsh(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), **kw)
-        calls.append(counted["products"])    # only when ARPACK returns
-        return out
+        return {trans: counted(trans) for trans in solvers}
 
     mus = -np.linspace(5.0, 300.0, 7)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spla, "eigsh", spy)
+        mp.setattr(magop, "factorize", spy)
         scan = spectra.scan_resolvent(gen, mus)
     assert scan.failures == [] and np.all(scan.ok)
-    assert list(scan.products) == calls and min(calls) > 0
+    assert list(scan.products) == [c["N"] for c in solves] == [c["H"] for c in solves]
+    assert 0 < min(scan.products) and max(scan.products) <= rows
     for mu, norm in zip(mus, scan.norms):
         ref = dense_resolvent_norm(gen, mu)
         assert abs(norm - ref) <= 1e-10 * ref
 
 
-def _arpack_stalls(*args, **kwargs):
-    raise spla.ArpackNoConvergence("stalled", np.array([]), np.array([]))
+def _nan_factor(M):
+    return {"N": lambda b: np.full_like(b, np.nan), "H": lambda b: np.full_like(b, np.nan)}
 
 
 def test_unconverged_fallback_is_a_failed_point(gen_a1):
-    """An ARPACK miss is not rescued: the scan records the point as failed,
-    with ARPACK's message, instead of keeping an unconverged norm."""
+    """A point where Lanczos cannot converge (here a factor whose solves
+    return NaN) is not rescued: the scan records it as failed, with the
+    solver's message, instead of keeping a norm."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spla, "eigsh", _arpack_stalls)
+        mp.setattr(magop, "factorize", _nan_factor)
+        with pytest.raises(RuntimeError) as exc:
+            spectra.resolvent_norm(gen_a1, -120.0)
         scan = spectra.scan_resolvent(gen_a1, [-120.0, -40.0])
-    assert not scan.ok.any() and np.isnan(scan.norms).all()
+    assert not scan.ok.any() and np.isnan(scan.norms).all() and not scan.products.any()
     assert [f["mu"] for f in scan.failures] == [-120.0, -40.0]
-    assert all(f["error"] == "ARPACK error -1: stalled" for f in scan.failures)
+    assert scan.failures[0]["error"] == str(exc.value)
+    assert all("Lanczos" in f["error"] for f in scan.failures)
+
+
+def test_a2_positive_frequency_scan_converges():
+    """The 12 x 12 A2 scan at positive frequencies, where the top two
+    singular values of the resolvent nearly tie and an 8-vector ARPACK basis
+    stalled at 10 of 12 points: every point converges to the dense norm."""
+    grid = mesh.build_grid(2, 1.0, 12)
+    split = mesh.split_boundary(grid, [-0.3, 0.5])
+    d = np.zeros(grid.num_nodes)
+    d[split.gamma0] = 3.0
+    gen = magop.assemble_generator("A2", grid, magop.MagneticPotential.zero(grid),
+                                   d=d, split=split)
+    mus = np.linspace(5.0, 600.0, 12)
+    scan = spectra.scan_resolvent(gen, mus)
+    assert scan.failures == [] and np.all(scan.ok)
+    for mu, norm in zip(mus, scan.norms):
+        ref = dense_resolvent_norm(gen, mu)
+        assert abs(norm - ref) <= 1e-12 * ref
 
 
 # ---------------------------------------------------------------------------
