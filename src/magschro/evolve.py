@@ -10,8 +10,13 @@ skew-adjoint there and exactly contractive when A is dissipative, so
 conservation and monotonicity are rounding-level statements.  The solve is
 the generator's own ``cayley_solver(dt)``, b -> 2 (I - dt/2 A)^-1 b with the
 factor of two folded into the factor, so a step is ``solve(u) - u``.  It is
-factored once per dt by ``magop.factorize`` (zgttrf in 1D, SuperLU otherwise)
-and kept on the generator, so the factor is freed with it.
+factored once per dt by ``magop.factorize`` and kept on the generator, so the
+factor is freed with it: zgttrf of (I - dt/2 A)/2 in 1D, and otherwise SuperLU
+(no relaxed supernodes, 2-column panels) of the weighted system
+W (I - dt/2 A)/2, W = M + i sigma d [A2], applied to W b.  That system is
+strictly column diagonally dominant, so partial pivoting keeps its diagonal
+and the minimum-degree fill, which I - dt/2 A itself loses on A2 from about
+128^2 on (CHANGES.md).
 
 The discrete energy increment satisfies
 

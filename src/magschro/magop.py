@@ -229,9 +229,10 @@ class GeneratorMatrix:
 
     Immutable after assembly; operator application is pure.  Derived data
     (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
-    gamma0, the factored inner product of ``metric_root`` and the A - i mu I
-    pattern of ``shifted``) is built on first use and kept on the instance, so
-    it is freed with it; ``dataclasses.replace`` gives a copy with empty caches.
+    gamma0, the factored inner product of ``metric_root``, the Lanczos start
+    ``resolvent_start`` and the A - i mu I pattern of ``shifted``) is built on
+    first use and kept on the instance, so it is freed with it;
+    ``dataclasses.replace`` gives a copy with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3
@@ -277,6 +278,17 @@ class GeneratorMatrix:
         R = self.edge_root
         return (R.shape[0], R.__matmul__, R.getH().tocsr().__matmul__,
                 factorize(self.stiffness)["N"])
+
+    @cached_property
+    def resolvent_start(self):
+        """R z with z complex normal from seed 7 and R the ``metric_root``: the
+        Lanczos start of every ``spectra.resolvent_norm`` on this generator,
+        drawn once and kept read-only, so a scan's norms are bitwise those of
+        separate calls."""
+        rng = np.random.default_rng(7)
+        start = self.metric_root[1](rng.normal(size=self.size) + 1j * rng.normal(size=self.size))
+        start.setflags(write=False)
+        return start
 
     def inner_product(self, u, v):
         """(u | v) in the generator's inner product (integral of u conj v)."""
@@ -406,19 +418,50 @@ class GeneratorMatrix:
         return {}
 
     def cayley_solver(self, dt):
-        """b -> 2 (I - dt/2 A)^-1 b.
+        """b -> 2 (I - dt/2 A)^-1 b, factored once per dt by ``factorize`` and
+        kept on this instance; a Crank-Nicolson step is ``solve(u) - u``.
 
-        The factor is of (I - dt/2 A)/2, an exact power-of-two scaling: the
-        pivots are those of I - dt/2 A, so each solve is bitwise twice the
-        unscaled one, and a Crank-Nicolson step is ``solve(u) - u``.  Factored
-        once per dt by ``factorize`` and kept on this instance.
+        On the zgttrf path (1D) the factor is of (I - dt/2 A)/2, an exact
+        power-of-two scaling: the pivots are those of I - dt/2 A, so each solve
+        is bitwise twice the unscaled one.  A tridiagonal factor has no fill to
+        lose.  On the SuperLU path it is of the weighted system W (I - dt/2 A)/2
+        with W = M + i sigma d [A2], the left side of the assembly's flux
+        balance, and a solve is that factor applied to W b.  Written from the
+        assembly's parts,
+
+            W (I - dt/2 A) = W + dt/2 (W c [A1] + sigma d [A3]) + i dt/2 S,
+
+        which is strictly column diagonally dominant (|S_ij| = w_e and
+        S_jj >= sum_i |S_ij|, while Re W = M > 0).  So partial pivoting makes no
+        interchanges and keeps MMD's fill at every grid size.  The unweighted
+        128^2 A2 system makes 567 interchanges, nearly doubles the fill
+        (1 255 661 against 660 512) and factors about 3x slower; at 256^2 the
+        fill is four times as large and the factor about 45x slower
+        (CHANGES.md).
         """
         dt = float(dt)
         if dt not in self._cayley_solvers:
-            eye = sp.identity(self.size, dtype=complex, format="csc")
-            self._cayley_solvers[dt] = factorize(
-                (eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)["N"]
+            solve = None
+            if self.grid.dim == 1:
+                # Only 1D operators are tridiagonal; in 2D, forming I - dt/2 A
+                # for the band test alone took 1 of the factor's 10 ms at 64^2.
+                eye = sp.identity(self.size, dtype=complex, format="csc")
+                solve = _tridiagonal_solver((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
+            self._cayley_solvers[dt] = (self._weighted_cayley(dt) if solve is None
+                                        else solve["N"])
         return self._cayley_solvers[dt]
+
+    def _weighted_cayley(self, dt):
+        """b -> 2 (I - dt/2 A)^-1 b through the factor of W (I - dt/2 A)/2."""
+        w = self.mass_diag.astype(complex)
+        diag = self.mass_diag * self.damping_c if self.kind == "A1" else np.zeros(self.size)
+        if self.kind == "A2":
+            w[self.gamma0_pos] += 1j * self.sigma_d
+        if self.kind == "A3":
+            diag[self.gamma0_pos] += self.sigma_d
+        system = (sp.diags(w + (dt / 2.0) * diag) + (0.5j * dt) * self.stiffness) * 0.5
+        solve, w_col = factorize(system)["N"], w[:, None]
+        return lambda b: solve((w if np.ndim(b) == 1 else w_col) * b)
 
     # -- structural checks -------------------------------------------------
 
@@ -478,12 +521,20 @@ def _check_order(order, what):
 
 def factorize(M):
     """{"N": b -> M^-1 b, "H": b -> M^-H b}, the package's one sparse factor:
-    LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU with
-    the minimum-degree ordering of M^T + M, which fits the structurally
-    symmetric stencils assembled here better than the default COLAMD."""
+    LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU.
+
+    SuperLU takes the minimum-degree ordering of M^T + M, which fits the
+    structurally symmetric stencils assembled here better than the default
+    COLAMD, and its default partial pivoting.  Its supernodes are not relaxed
+    (relax=1) and its panels are 2 columns wide.  In an interleaved sweep on one
+    BLAS thread (CHANGES.md) the pivots and fill stayed those of the defaults on
+    every matrix, the ten 48^2 A3 resolvent factors took 28 ms instead of 37
+    and the 64^2 A2 Crank-Nicolson factor 5.8 ms instead of 7.6, with solves
+    as fast.  One-column panels led by 3-4 % up to 128^2 and not at 256^2;
+    widths 4 and 8 were slower at every size."""
     solvers = _tridiagonal_solver(M)
     if solvers is None:
-        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
         solvers = {"N": lu.solve, "H": partial(lu.solve, trans="H")}
     return solvers
 

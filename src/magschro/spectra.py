@@ -112,14 +112,14 @@ def resolvent_norm(gen, mu):
     dstemr gives the top Ritz pair (theta, s) of the tridiagonal without
     forming the other eigenvectors, and the iteration stops on ARPACK's test,
     the residual bound |beta s_k| <= eps theta, or on beta = 0.  It starts
-    from R z with z drawn from a fixed seed, so reruns agree bitwise.  Short
-    of convergence in min(400, rows) vectors it raises: ``scan_resolvent``
-    records a failed point.
+    from the generator's ``resolvent_start``, R z with z drawn once from a
+    fixed seed, so reruns agree bitwise.  Short of convergence in
+    min(400, rows) vectors it raises: ``scan_resolvent`` records a failed
+    point.
     """
     rows, r_apply, rh_apply, l_solve = gen.metric_root
     solve = magop.factorize(gen.shifted(mu))
-    rng = np.random.default_rng(7)
-    w = r_apply(rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size))
+    w = gen.resolvent_start
     limit = min(400, rows)
     Q = np.empty((min(16, limit), rows), dtype=complex)
     alpha, beta = np.zeros(limit), np.zeros(limit)

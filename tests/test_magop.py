@@ -595,23 +595,73 @@ def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
 @pytest.mark.parametrize("trans", ["N"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
-    """The factor of (I - dt/2 A)/2 solves bitwise as twice the factor of
-    I - dt/2 A, on the zgttrf path (1D) and the SuperLU path (2D)."""
+    """On the zgttrf path (1D) the factor of (I - dt/2 A)/2 solves bitwise as
+    twice the factor of I - dt/2 A.  On the SuperLU path (2D) the factor is of
+    the weighted system W (I - dt/2 A)/2, W = M + i sigma d on gamma0, written
+    from the generator's parts as W + i dt/2 S: each solve is bitwise twice
+    that system's factor applied to W b, and the system is W times I - dt/2 A
+    to rounding."""
     grid = mesh.build_grid(dim, 1.0, 48 if dim == 1 else 10)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.9 * np.cos(3.0 * p + 0.2))
     split = mesh.split_boundary(grid, [-0.3] * dim)
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = 1.7
     gen = magop.assemble_generator("A2", grid, a, d=d, split=split)
+    w = gen.mass_diag.astype(complex)
+    w[gen.gamma0_pos] += 1j * gen.sigma_d
     rng = np.random.default_rng(11)
     b = rng.normal(size=(gen.size, 4)) + 1j * rng.normal(size=(gen.size, 4))
     for dt in (1e-3, 0.3):
         unscaled = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
         assert (magop._tridiagonal_solver(unscaled) is not None) == (dim == 1)
-        want = magop.factorize(unscaled)[trans]
         solve = gen.cayley_solver(dt)
+        if dim == 1:
+            want = magop.factorize(unscaled)[trans]
+            for x in (b, b[:, 0]):
+                assert solve(x).tobytes() == (2.0 * want(x)).tobytes()
+            continue
+        weighted = sp.diags(w) + (0.5j * dt) * gen.stiffness
+        product = sp.diags(w) @ unscaled
+        assert spla.norm(weighted - product) <= 1e-15 * spla.norm(product)
+        want = magop.factorize(weighted)[trans]
         for x in (b, b[:, 0]):
-            assert solve(x).tobytes() == (2.0 * want(x)).tobytes()
+            wx = w[:, None] * x if x.ndim == 2 else w * x
+            assert solve(x).tobytes() == (2.0 * want(wx)).tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [(k, 12) for k in KINDS] + [("A2", 128)])
+def test_cayley_factor_makes_no_interchanges(monkeypatch, kind, n):
+    """The SuperLU factor of ``cayley_solver`` keeps its diagonal: the weighted
+    system W (I - dt/2 A) is strictly column diagonally dominant, so partial
+    pivoting leaves perm_r equal to perm_c, also at 128^2, where I - dt/2 A
+    itself makes hundreds of interchanges on A2.  The solve matches a dense
+    solve of I - dt/2 A, or past the dense limit has a rounding-level
+    residual."""
+    grid = mesh.build_grid(2, 1.0, n)
+    a, split, d = damped_setup(
+        grid, magop.MagneticPotential.from_callable(grid, lambda p: 0.8 * np.sin(2.0 * p + 0.3)))
+    c = np.where(grid.coords[:, 0] < 0.4, 3.0, 0.0)
+    gen = magop.assemble_generator(kind, grid, a, c=c, d=d, split=split)
+    factors, splu = [], spla.splu
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=(gen.size, 2)) + 1j * rng.normal(size=(gen.size, 2))
+    for dt in (5e-4, 0.05):
+        x = gen.cayley_solver(dt)(b)
+        assert np.array_equal(factors[-1].perm_r, factors[-1].perm_c)
+        if n <= 12:
+            dense = np.eye(gen.size) - (dt / 2.0) * gen.matrix.toarray()
+            want = 2.0 * np.linalg.solve(dense, b)
+            assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+        else:
+            unscaled = sp.identity(gen.size, format="csr") - (dt / 2.0) * gen.matrix
+            assert np.linalg.norm(unscaled @ x - 2.0 * b) <= 1e-13 * np.linalg.norm(2.0 * b)
+    assert len(factors) == 2
 
 
 def test_generator_build_forms_no_gradient_matrices(monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -463,6 +465,36 @@ def test_a2_positive_frequency_scan_converges():
     for mu, norm in zip(mus, scan.norms):
         ref = dense_resolvent_norm(gen, mu)
         assert abs(norm - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2"])
+def test_lanczos_start_is_drawn_once_per_generator(monkeypatch, kind):
+    """A scan draws the seed-7 Lanczos start once, on its generator: over
+    several mu its norms and product counts are bitwise those of separate
+    ``resolvent_norm`` calls on fresh copies, which draw their own."""
+    grid = mesh.build_grid(2, 1.0, 12)
+    split = mesh.split_boundary(grid, [-0.3, 0.5])
+    d = np.zeros(grid.num_nodes)
+    d[split.gamma0] = 1.5
+    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.6 * np.cos(2.0 * p))
+    gen = magop.assemble_generator(kind, grid, a, c=np.where(grid.coords[:, 0] < 0.3, 4.0, 0.0),
+                                   d=d, split=split)
+    mus = np.linspace(-150.0, -5.0, 5)
+    draws, default_rng = [], np.random.default_rng
+
+    def recording_rng(*seed):
+        draws.append(seed)
+        return default_rng(*seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    scan = spectra.scan_resolvent(gen, mus)
+    assert draws == [(7,)] and scan.failures == []
+    assert not gen.resolvent_start.flags.writeable
+    for mu, norm, products in zip(mus, scan.norms, scan.products):
+        want_norm, want_products = spectra.resolvent_norm(replace(gen), mu)
+        assert norm.tobytes() == np.float64(want_norm).tobytes()
+        assert products == want_products
+    assert len(draws) == 1 + mus.size
 
 
 # ---------------------------------------------------------------------------
