@@ -423,8 +423,8 @@ def _run_observability(config, out, rng):
         part = config.get("observation.part", "gamma0")
         if part not in ("gamma0", "all"):
             raise ConfigError(f"observation.part: expected \"gamma0\" or \"all\", got {part!r}")
-        split = _build_split(gen.grid, config, required=True)
-        nodes = split.gamma0 if part == "gamma0" else gen.grid.boundary_idx
+        nodes = (_build_split(gen.grid, config, required=True).gamma0 if part == "gamma0"
+                 else gen.grid.boundary_idx)
     else:
         nodes = _box_nodes(gen.grid, config.get("observation.omega", "all"),
                            "observation.omega", gen.state_idx)

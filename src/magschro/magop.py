@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -230,9 +231,9 @@ class GeneratorMatrix:
     Immutable after assembly; operator application is pure.  Derived data
     (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
     gamma0, the factored inner product of ``metric_root``, the Lanczos start
-    ``resolvent_start`` and the A - i mu I pattern of ``shifted``) is built on
-    first use and kept on the instance, so it is freed with it;
-    ``dataclasses.replace`` gives a copy with empty caches.
+    ``resolvent_start``, A0's ``modes`` and the A - i mu I pattern of
+    ``shifted``) is built on first use and kept on the instance, so it is
+    freed with it; ``dataclasses.replace`` gives a copy with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3
@@ -289,6 +290,22 @@ class GeneratorMatrix:
         start = self.metric_root[1](rng.normal(size=self.size) + 1j * rng.normal(size=self.size))
         start.setflags(write=False)
         return start
+
+    @cached_property
+    def modes(self):
+        """(lam, V) of A0's pencil (S, diag M): lam ascending and V with
+        V^H M V = I, C-ordered so that a sparse N @ V takes it uncopied, both
+        read-only.  In closed form where the link phases separate by axis
+        (``_separable_modes``), else by one dense ``eigh``; refused above
+        ``_DENSE_LIMIT`` before any dense allocation."""
+        if self.kind != "A0":
+            raise ValueError("the modes are those of the conservative generator (A0)")
+        _check_order(self.size, "the modal eigendecomposition")
+        lam, V = (_separable_modes(self.grid, self.potential)
+                  or _pencil_modes(self.stiffness, self.mass_diag))
+        for arr in (lam, V):
+            arr.setflags(write=False)
+        return lam, V
 
     def inner_product(self, u, v):
         """(u | v) in the generator's inner product (integral of u conj v)."""
@@ -519,6 +536,52 @@ def _check_order(order, what):
             f"{what} has dense order {order}, above the dense limit {_DENSE_LIMIT}")
 
 
+def _pencil_modes(S, mass):
+    """The pencil (S, diag M) as the standard problem D S D, D = M^-1/2, by
+    one dense ``eigh``; real when S is.  V is C-ordered."""
+    S = S.toarray()
+    d = 1.0 / np.sqrt(mass)
+    lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
+    return lam, np.multiply(d[:, None], U, order="C")
+
+
+def _separable_modes(grid, a):
+    """A0's modes (lam, V), the Kronecker sum of its axes' closed forms, or
+    None when some axis's link phases change across the interior lines of the
+    other axes.  Along a line, u = exp(-i psi) v with psi the antiderivative
+    of h a takes each link to a = 0, exp(i h a_j) u_j+1 - u_j =
+    exp(-i psi_j) (v_j+1 - v_j), where the pencil is tridiag(-1, 2, -1)/h^2
+    with mass h and its modes are discrete sines (Infante & Zuazua, M2AN 33,
+    1999): for j, k = 1 .. n-2,
+
+        lam_k = (4/h^2) sin^2(k pi / (2 (n-1))),
+        V_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)) exp(-i psi_j).
+    """
+    lam, V = np.zeros(1), np.ones((1, 1))          # the sum over no axes
+    for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
+        lines = a.edge_values[ax].reshape(grid.shape[:ax] + (n - 1,) + grid.shape[ax + 1:])
+        lines = np.moveaxis(lines, ax, -1)[(slice(1, -1),) * (grid.dim - 1)].reshape(-1, n - 1)
+        if np.any(lines[1:] != lines[:1]):
+            return None
+        k, m = np.arange(1, n - 1), 2 * (n - 1)
+        # j k reduced mod 2 (n-1), so every sine is taken in [0, 2 pi)
+        V_ax = np.sqrt(4.0 / (h * m)) * np.sin(np.outer(k, k) % m * (2.0 * np.pi / m))
+        psi = _antiderivative(h, lines[0])[1:-1]
+        if psi.any():
+            V_ax = np.exp(-1j * psi)[:, None] * V_ax
+        lam, j, k = _kron_sum(lam, (4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2)
+        V = np.multiply(V[:, None, j], V_ax[None, :, k], order="C").reshape(-1, lam.size)
+    return lam, V
+
+
+def _kron_sum(lam1, lam2):
+    """lam1 (+) lam2 in ascending (stable) order, with the factor indices
+    (j, k) of each entry: mode p of the Kronecker sum is V1[:, j_p] (x) V2[:, k_p]."""
+    lam = np.add.outer(lam1, lam2).ravel()
+    order = np.argsort(lam, kind="stable")
+    return (lam[order], *np.divmod(order, lam2.size))
+
+
 def factorize(M):
     """{"N": b -> M^-1 b, "H": b -> M^-H b}, the package's one sparse factor:
     LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU.
@@ -709,6 +772,9 @@ def edge_antiderivative_1d(grid, a):
     """psi with psi(0) = 0 whose edge differences equal the potential's edges."""
     if grid.dim != 1:
         raise ValueError("the antiderivative reduction is one-dimensional")
-    psi = np.zeros(grid.num_nodes)
-    psi[1:] = np.cumsum(grid.h[0] * a.edge_values[0])
-    return psi
+    return _antiderivative(grid.h[0], a.edge_values[0])
+
+
+def _antiderivative(h, edges):
+    """psi with psi_0 = 0 and psi_j+1 - psi_j = h a_j along one line of edges."""
+    return np.concatenate(([0.0], np.cumsum(h * edges)))

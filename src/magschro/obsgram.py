@@ -14,25 +14,24 @@ boundary-flux and H1 observation) give
 
 the best constants in the observability and hidden-regularity inequalities.
 
-One modal pipeline, two time kernels.  The conservative generator is
-diagonalized once: modes V with V^H M V = I and frequencies lam.  On a
-rectangle whose link phases along each axis do not change across the other
-axis (the zero, constant and sine potentials) the generator is the Kronecker
-sum of two 1D ones, which ``_axis_pencils`` checks on the assembled
-stiffness; the modes are then V_x (x) V_y with frequencies lam_x (+) lam_y,
-from two 1D eigendecompositions, and any other generator takes one dense
-eigensolve.  In the modes the Gramian is Z o K, Z = (N V)^H W (N V) the
-modal observation couplings and K the time kernel, up to a diagonal unitary
-similarity.  ``eig`` takes the exact time integral, K real symmetric
-(``_phase_gramian_exact``); ``cn`` takes the trapezoid sum over the
-Crank-Nicolson steps, under which mode j turns by 2 arctan(lam_j dt/2) per
-step, a Dirichlet kernel in closed form (``_phase_gramian_cn``).  When A = 0
-the modes and Z are real, and so is K unless the stride leaves a remainder,
-so the extremes come from a real symmetric eigenproblem.  A Gramian sampled
-at s times has rank at most r s for observation rows N of rank r; the
-report records that bound.  The product-space check reads its modes and
-couplings from its two factors in the same way, and steps its factors with
-the generator's own ``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
+One modal pipeline, two time kernels.  The conservative generator owns its
+modes, ``GeneratorMatrix.modes``: V with V^H M V = I and frequencies lam,
+computed once per generator.  Where the link phases along each axis do not
+change across the other axes (every 1D generator; in 2D the zero, constant
+and sine potentials) they are gauged discrete sines in closed form, and any
+other generator takes one dense eigensolve.  In the modes the Gramian is
+Z o K, Z = (N V)^H W (N V) the modal observation couplings and K the time
+kernel, up to a diagonal unitary similarity.  ``eig`` takes the exact time
+integral, K real symmetric (``_phase_gramian_exact``); ``cn`` takes the
+trapezoid sum over the Crank-Nicolson steps, under which mode j turns by
+2 arctan(lam_j dt/2) per step, a Dirichlet kernel in closed form
+(``_phase_gramian_cn``).  When A = 0 the modes and Z are real, and so is K
+unless the stride leaves a remainder, so the extremes come from a real
+symmetric eigenproblem.  A Gramian sampled at s times has rank at most r s
+for observation rows N of rank r; the report records that bound.  The
+product-space check reads its modes and couplings from its two factors in
+the same way, and steps its factors with the generator's own
+``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
 The Poincare constant of a Dirichlet part (``poincare_constant``) is read
 from the same pencil at a = 0 on the other nodes.
 
@@ -54,7 +53,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import magop
-from .mesh import build_grid, retained_steps, step_count
+from .mesh import retained_steps, step_count
 
 @dataclass(frozen=True, eq=False)
 class Observation:
@@ -132,30 +131,6 @@ class ObservabilityReport:
         }, sort_keys=True)
 
 
-def _modal_data(gen):
-    """Frequencies lam >= 0, ascending, and modes V with V^H M V = I of the
-    pencil (S, diag M): from the two axis pencils when the generator is their
-    Kronecker sum (``_axis_pencils``), else by one dense eigensolve.  V is
-    C-ordered, so the sparse N @ V of ``_modal_couplings`` takes it uncopied."""
-    if gen.kind != "A0":
-        raise ValueError("gramian assembly requires the conservative generator")
-    magop._check_order(gen.size, "the modal eigendecomposition")
-    axes = _axis_pencils(gen)
-    if axes is None:
-        return _pencil_modes(gen.stiffness, gen.mass_diag)
-    (lam_x, V_x), (lam_y, V_y) = (_pencil_modes(S, M) for S, M in axes)
-    lam, j, k = _kron_sum(lam_x, lam_y)
-    return lam, np.multiply(V_x[:, None, j], V_y[None, :, k], order="C").reshape(-1, lam.size)
-
-
-def _pencil_modes(S, mass):
-    # the pencil (S, diag M) as the standard problem D S D, D = M^-1/2; real when A = 0
-    S = S.toarray()
-    d = 1.0 / np.sqrt(mass)
-    lam, U = la.eigh(d[:, None] * (S if S.imag.any() else S.real) * d, driver="evd")
-    return lam, np.multiply(d[:, None], U, order="C")
-
-
 def poincare_constant(grid, dirichlet_part):
     """kappa = 1/sqrt(lambda_1), the best constant in ||u|| <= kappa ||grad u||
     for fields that vanish on the nonempty node set ``dirichlet_part``: lambda_1
@@ -169,49 +144,7 @@ def poincare_constant(grid, dirichlet_part):
     keep = np.setdiff1d(np.arange(grid.num_nodes), dirichlet)
     magop._check_order(keep.size, "the Poincare pencil")
     S = magop.magnetic_stiffness(grid, magop.MagneticPotential.zero(grid), keep)
-    return float(1.0 / np.sqrt(_pencil_modes(S, grid.volume_weights[keep])[0][0]))
-
-
-def _axis_pencils(gen):
-    """The 1D pencils (S_x, M_x), (S_y, M_y) whose Kronecker sum is the
-    generator's, or None.
-
-    On a rectangle each axis takes the first line of the potential's edge
-    values along it.  The pencils are returned only when
-    kron(S_x, M_y) + kron(M_x, S_y) reproduces the stiffness to 1e-14
-    relative and kron(M_x, M_y) is the mass bit for bit: link phases along
-    each axis that do not change across the other, as for the zero, constant
-    and sine potentials.
-    """
-    grid, pot = gen.grid, gen.potential
-    if grid.dim != 2:
-        return None
-    axes = []
-    for ax in range(2):
-        line = build_grid(1, grid.extents[ax], grid.n[ax], grid.origin[ax])
-        shape = list(grid.shape)
-        shape[ax] = -1                  # nodes or edges along ax
-        # node and edge values on the line at index 0 of the other axis
-        values, edges = (np.take(v.reshape(shape), 0, axis=1 - ax)
-                         for v in (pot.values[:, ax], pot.edge_values[ax]))
-        a = magop.MagneticPotential._finish(line, values[:, None], (edges,))
-        state = line.interior_idx
-        axes.append((magop.magnetic_stiffness(line, a, state), line.volume_weights[state]))
-    (S_x, M_x), (S_y, M_y) = axes
-    if not np.array_equal(np.outer(M_x, M_y).ravel(), gen.mass_diag):
-        return None
-    S = sp.kron(S_x, sp.diags(M_y)) + sp.kron(sp.diags(M_x), S_y)
-    if sp.linalg.norm(S - gen.stiffness) > 1e-14 * sp.linalg.norm(gen.stiffness):
-        return None
-    return axes
-
-
-def _kron_sum(lam1, lam2):
-    """lam1 (+) lam2 in ascending (stable) order, with the factor indices
-    (j, k) of each entry: mode p of the Kronecker sum is V1[:, j_p] (x) V2[:, k_p]."""
-    lam = np.add.outer(lam1, lam2).ravel()
-    order = np.argsort(lam, kind="stable")
-    return (lam[order], *np.divmod(order, lam2.size))
+    return float(1.0 / np.sqrt(magop._pencil_modes(S, grid.volume_weights[keep])[0][0]))
 
 
 def _modal_couplings(N, W, V):
@@ -296,8 +229,8 @@ def _c_obs(lo, hi):
 def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     """Observability report for the conservative flow observed through N.
 
-    Both methods read the modes V (V^H M V = I) and frequencies lam of
-    ``_modal_data`` and the modal couplings Z = (N V)^H W (N V), and differ
+    Both methods read the generator's modes V (V^H M V = I) and frequencies
+    lam, ``gen.modes``, and the modal couplings Z = (N V)^H W (N V), and differ
     only in the time kernel K of the modal Gramian Z o K.  ``method="eig"``
     integrates the modal phases exactly in time (``_phase_gramian_exact``), so
     ``dt`` and ``stride`` are unused and the quadrature error estimate is 0.
@@ -313,7 +246,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     When it is below k a warning is attached and lambda_min is reported as
     exactly 0.0, since the stepped Gramian has rank at most r s < k.
 
-    Both methods have dense order k, the modal eigendecomposition, and raise
+    Both methods have dense order k, that of the modes, and raise
     ``magop.DenseLimitError`` before they allocate when k exceeds
     ``magop._DENSE_LIMIT``.
     """
@@ -331,7 +264,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     warns = []
     if method == "cn":
         nsteps = step_count(T, dt)
-    lam, V = _modal_data(gen)
+    lam, V = gen.modes
     Z = _modal_couplings(N, W, V)
 
     if method == "eig":
@@ -382,7 +315,7 @@ def observed_ratio(gen, u0, observation, T):
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
     N, W = observation.build(gen)
-    lam, V = _modal_data(gen)
+    lam, V = gen.modes
     c = V.conj().T @ (gen.mass_diag * np.asarray(u0, dtype=complex))
     c *= np.exp(-0.5j * lam * T)        # P^H c: the phase form is Z o K, not Z o F
     Ghat = _phase_gramian_exact(_modal_couplings(N, W, V), lam, T)
@@ -462,7 +395,7 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
         worst = max(worst, diff / np.linalg.norm(Wmat))
 
     # one-factor constant: the exact modal Gramian on the factor's own modes
-    lam1, V1 = _modal_data(gen1)
+    lam1, V1 = gen1.modes
     N1, W1 = Observation("interior-l2", omega1).build(gen1)
     Z1 = _modal_couplings(N1, W1, V1)
     c1d = _c_obs(*_extremes_from_modal(_phase_gramian_exact(Z1, lam1, T), lam1, "mass"))
@@ -470,8 +403,8 @@ def product_observability(gen1, gen2, omega1, T, dt, tol=0.05, nsteps_check=25,
     # direct product-space constant: modal Gramian of the Kronecker-sum flow on
     # the modes V1 (x) V2, observed on omega1 x Omega2, whose couplings are
     # Z1 (x) V2^H M2 V2 by the mixed-product rule
-    lam2, V2 = _modal_data(gen2)
-    lam12, j, k = _kron_sum(lam1, lam2)
+    lam2, V2 = gen2.modes
+    lam12, j, k = magop._kron_sum(lam1, lam2)
     Z2 = (V2.conj().T * gen2.mass_diag) @ V2
     Z = Z1[np.ix_(j, j)] * Z2[np.ix_(k, k)]
     c2d = _c_obs(*_extremes_from_modal(_phase_gramian_exact(Z, lam12, T), lam12, "mass"))

@@ -293,6 +293,16 @@ def test_observation_part_picks_the_boundary_nodes(tmp_path, part, nodes):
     assert cli.run(cfg, out_dir=tmp_path) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["observation"] == f"boundary-conormal[{nodes} nodes]"
+    # the whole boundary needs no split; gamma0 does
+    cfg = cli.ExperimentConfig.parse(BOUNDARY_OBSERVABILITY.replace("split.x0 = [-0.3]\n", "")
+                                     + f'observation.part = "{part}"\n')
+    if part == "all":
+        assert cli.run(cfg, out_dir=tmp_path / "no-split") == 0
+        doc = json.loads((tmp_path / "no-split" / "report.json").read_text())
+        assert doc["observation"] == f"boundary-conormal[{nodes} nodes]"
+    else:
+        with pytest.raises(cli.ConfigError, match=r"^boundary_split: split\.x0 is required"):
+            cli.run(cfg, out_dir=tmp_path / "no-split")
 
 
 @pytest.mark.parametrize("part", ["gamma1", "gama0", "ALL", "none"])
@@ -595,6 +605,12 @@ grid.dim = 2
 grid.n = 67
 method = "eig"
 """, "grid.n: the modal eigendecomposition has dense order 4225, above the dense limit 4096"),
+    # a 1D generator's closed-form modes are refused before their sine table
+    "observability-1d": ("""
+kind = "observability"
+grid.dim = 1
+grid.n = 4100
+""", "grid.n: the modal eigendecomposition has dense order 4098, above the dense limit 4096"),
     # cn reads the modes eig does: refused at the order of the unknowns,
     # whatever the sampled rank m s (2210 rows x 5 samples here)
     "observability-cn-state": ("""

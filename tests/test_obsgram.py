@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import warnings
@@ -391,6 +392,8 @@ def test_oversize_paths_are_refused_before_allocating(monkeypatch):
         (lambda: spectra.hautus_sweep(gen, gen.state_idx[:10], [-10.0], [0.0]), n),
         (lambda: spectra.eigenvalues_dense(gen), n),
     ]
+    # the 1D closed form is refused before its k x k sine table too
+    cases.append((lambda: gen.modes, n))
     for run, order in cases:
         monkeypatch.setattr(magop, "_DENSE_LIMIT", order - 1)
         peak = _refused_peak_bytes(run, order)
@@ -400,22 +403,44 @@ def test_oversize_paths_are_refused_before_allocating(monkeypatch):
 
 @st.composite
 def modal_cases(draw, kind, magnetic):
+    """A0 with a sine potential, or in 1D a random tabulated one and in 2D the
+    curl-free but non-separable a = amp grad(xy) = amp (y, x), whose x-links
+    change across y: that one alone takes the dense eigensolve."""
     dim = draw(st.sampled_from([1, 2]))
     grid = mesh.build_grid(dim, 1.0, draw(st.integers(6, 40) if dim == 1 else st.integers(4, 11)))
     amp = draw(st.floats(0.1, 1.5)) if magnetic else 0.0
     freq = draw(st.floats(0.5, 4.0))
-    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    preset = draw(st.sampled_from(["sine", "tabulated" if dim == 1 else "grad-xy"]))
+    if preset == "sine":
+        a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
+    elif preset == "tabulated":
+        a = magop.MagneticPotential.from_samples(grid, amp * rng.uniform(-1.0, 1.0, grid.num_nodes))
+    else:
+        a = magop.MagneticPotential.from_callable(grid, lambda p: amp * p[:, ::-1])
     gen = magop.assemble_generator("A0", grid, a)
     pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     size = max(1, round(draw(st.sampled_from([0.2, 0.5, 1.0])) * pool.size))
     nodes = np.sort(rng.choice(pool, size=size, replace=False))
-    return gen, obsgram.Observation(kind, nodes), draw(st.floats(0.1, 2.0))
+    dense = magnetic and preset == "grad-xy"
+    return gen, obsgram.Observation(kind, nodes), draw(st.floats(0.1, 2.0)), dense
 
 
 def generalized_modal_data(gen):
     """Modes of the pencil (S, diag M) by LAPACK's complex generalized eigh."""
     return la.eigh(gen.stiffness.toarray(), np.diag(gen.mass_diag))
+
+
+def with_modes(gen, modes):
+    """A copy of gen that reads the given (lam, V) as its modes."""
+    copy = dataclasses.replace(gen)
+    copy.modes = modes
+    return copy
+
+
+def dense_modes(gen):
+    """A copy of gen whose modes come from the dense eigensolve."""
+    return with_modes(gen, magop._pencil_modes(gen.stiffness, gen.mass_diag))
 
 
 @pytest.mark.parametrize("magnetic", [False, True])
@@ -424,8 +449,11 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
     @settings(PROPERTY, max_examples=10)
     @given(modal_cases(kind, magnetic))
     def check(case):
-        gen, obs, T = case
-        lam, V = obsgram._modal_data(gen)
+        gen, obs, T, dense = case
+        with pytest.MonkeyPatch.context() as mp:
+            orders = eigh_orders(mp)
+            lam, V = gen.modes
+        assert orders == ([gen.size] if dense else [])   # else the closed form
         lam_ref, _ = generalized_modal_data(gen)
         S, M = gen.stiffness.toarray(), gen.mass_diag
         assert np.isrealobj(V) != magnetic            # A = 0: real modes
@@ -434,9 +462,7 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
         assert np.linalg.norm(S @ V - (M[:, None] * V) * lam) <= 1e-12 * lam_ref[-1]
 
         rep = obsgram.gramian(gen, obs, T)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(obsgram, "_modal_data", generalized_modal_data)
-            ref = obsgram.gramian(gen, obs, T)
+        ref = obsgram.gramian(with_modes(gen, generalized_modal_data(gen)), obs, T)
         assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
         assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
 
@@ -460,7 +486,7 @@ OBSERVATIONS = {
 
 
 def eigh_orders(monkeypatch):
-    """Record the order of every matrix obsgram hands to la.eigh."""
+    """Record the order of every matrix the package hands to la.eigh."""
     orders = []
     eigh = la.eigh
 
@@ -468,13 +494,8 @@ def eigh_orders(monkeypatch):
         orders.append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(obsgram.la, "eigh", spy)
+    monkeypatch.setattr(magop.la, "eigh", spy)
     return orders
-
-
-def dense_route(monkeypatch):
-    """Make every generator take the dense eigensolve."""
-    monkeypatch.setattr(obsgram, "_axis_pencils", lambda gen: None)
 
 
 @pytest.mark.parametrize("n", [(9, 14), (13, 21)])
@@ -484,12 +505,11 @@ def test_separable_modes_come_from_the_axis_factors(preset, n, monkeypatch):
     gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
     with monkeypatch.context() as mp:
         orders = eigh_orders(mp)
-        lam, V = obsgram._modal_data(gen)
-    assert orders == [n[0] - 2, n[1] - 2]            # two 1D solves, no dense 2D one
+        lam, V = gen.modes
+    assert orders == []                              # closed form: no dense eigh at all
     with monkeypatch.context() as mp:
-        dense_route(mp)
         orders = eigh_orders(mp)
-        lam_ref, _ = obsgram._modal_data(gen)
+        lam_ref, _ = dense_modes(gen).modes
     assert orders == [gen.size]
     M = gen.mass_diag
     assert np.all(np.diff(lam) >= 0)
@@ -501,14 +521,12 @@ def test_separable_modes_come_from_the_axis_factors(preset, n, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(OBSERVATIONS))
 @pytest.mark.parametrize("preset", sorted(SEPARABLE))
-def test_separable_gramian_matches_the_dense_route(preset, kind, monkeypatch):
+def test_separable_gramian_matches_the_dense_route(preset, kind):
     grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
     gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
     obs = obsgram.Observation(kind, OBSERVATIONS[kind](grid))
     rep = obsgram.gramian(gen, obs, 0.8)
-    with monkeypatch.context() as mp:
-        dense_route(mp)
-        ref = obsgram.gramian(gen, obs, 0.8)
+    ref = obsgram.gramian(dense_modes(gen), obs, 0.8)
     assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
     assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
 
@@ -520,9 +538,9 @@ def test_curl_potential_keeps_the_dense_route(monkeypatch):
     a = magop.MagneticPotential.from_callable(
         grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]]))
     gen = magop.assemble_generator("A0", grid, a)
-    assert obsgram._axis_pencils(gen) is None
+    assert magop._separable_modes(grid, a) is None
     orders = eigh_orders(monkeypatch)
-    lam, V = obsgram._modal_data(gen)
+    lam, V = gen.modes
     assert orders == [gen.size]
     lam_ref, _ = generalized_modal_data(gen)
     M = gen.mass_diag
@@ -535,31 +553,56 @@ def test_curl_potential_keeps_the_dense_route(monkeypatch):
 @pytest.mark.parametrize("route", ["1d", "separable", "dense"])
 def test_modes_are_c_ordered(route, monkeypatch):
     """Every route gives C-ordered modes, so the sparse N @ V of the couplings
-    takes them uncopied, and C_obs is that of Fortran-ordered modes to 1e-12."""
+    takes them uncopied, and C_obs is that of Fortran-ordered modes to 1e-12.
+    The sine potential separates in 1D and 2D, so both take the closed form
+    with no eigh; the dense route is its one eigh."""
     if route == "1d":
         grid = mesh.build_grid(1, 1.0, 40)
         omega = grid.box_nodes([0.0], [0.3])
     else:
         grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
         omega = OBSERVATIONS["interior-l2"](grid)
-    gen = magop.assemble_generator("A0", grid, SEPARABLE["sine"](grid))
-    assert (obsgram._axis_pencils(gen) is not None) == (route != "1d")
+    a = SEPARABLE["sine"](grid)
+    gen = magop.assemble_generator("A0", grid, a)
+    assert magop._separable_modes(grid, a) is not None
+    orders = eigh_orders(monkeypatch)
     if route == "dense":
-        dense_route(monkeypatch)
-    _, V = obsgram._modal_data(gen)
+        gen = dense_modes(gen)
+    lam, V = gen.modes
+    assert orders == ([gen.size] if route == "dense" else [])
     assert V.flags.c_contiguous and V.shape == (gen.size, gen.size)
     obs = obsgram.Observation("interior-l2", omega)
     rep = obsgram.gramian(gen, obs, 0.8)
-    modal_data = obsgram._modal_data
-
-    def fortran_modes(g):
-        lam, V = modal_data(g)
-        return lam, np.asfortranarray(V)
-
-    monkeypatch.setattr(obsgram, "_modal_data", fortran_modes)
-    ref = obsgram.gramian(gen, obs, 0.8)
+    ref = obsgram.gramian(with_modes(gen, (lam, np.asfortranarray(V))), obs, 0.8)
     assert np.isfinite(ref.c_obs)
     assert abs(rep.c_obs - ref.c_obs) <= 1e-12 * ref.c_obs
+
+@pytest.mark.parametrize("preset", ["sine", "curl"])
+def test_modes_are_computed_once_per_generator(preset, monkeypatch):
+    """gen.modes is built on first use and kept: a second access returns the
+    same read-only arrays, ``dataclasses.replace`` gives a copy that computes
+    its own, and only the conservative generator has modes."""
+    grid = mesh.build_grid(2, (1.0, 2.5), (9, 14))
+    a = (SEPARABLE["sine"](grid) if preset == "sine" else magop.MagneticPotential.from_callable(
+        grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]])))
+    gen = magop.assemble_generator("A0", grid, a)
+    axis_modes, solved = magop._separable_modes, []
+    monkeypatch.setattr(magop, "_separable_modes",
+                        lambda grid, a: solved.append(grid) or axis_modes(grid, a))
+    lam, V = gen.modes
+    again = gen.modes
+    assert again[0] is lam and again[1] is V and solved == [grid]
+    for arr in (lam, V):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    lam2, V2 = dataclasses.replace(gen).modes
+    assert len(solved) == 2 and lam2 is not lam
+    assert np.array_equal(lam2, lam) and np.array_equal(V2, V)
+    damped = magop.assemble_generator("A1", grid, a, c=np.ones(grid.num_nodes))
+    with pytest.raises(ValueError, match="conservative generator"):
+        damped.modes
+    assert len(solved) == 2
+
 
 def product_oracle(gen1, gen2, omega1, T):
     """C_1D and C_2D from the explicit product modes V1 (x) V2: the rows of
@@ -659,7 +702,7 @@ def test_observed_ratio_matches_cn_stepped_energy(kind, amp):
     grid = mesh.build_grid(1, [1.0], 32)
     a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
     gen = magop.assemble_generator("A0", grid, a)
-    _, V = obsgram._modal_data(gen)
+    _, V = gen.modes
     rng = np.random.default_rng(1)
     u0 = V[:, :4] @ (rng.normal(size=4) + 1j * rng.normal(size=4))
     nodes = grid.box_nodes([0.0], [0.3]) if kind == "interior-l2" else grid.boundary_idx
@@ -738,22 +781,22 @@ def test_product_tensor_identity_and_bound():
 
 
 def test_product_one_factor_constant_is_the_gramian_constant(monkeypatch):
-    """C_1D is read from the factor's own modal data, one eigensolve per
-    factor, and equals the exact modal Gramian's C_obs bit for bit."""
+    """C_1D is read from the factor's own modes, computed once per factor and
+    shared with the Gramian, and equals the exact modal Gramian's C_obs bit
+    for bit."""
     g1 = mesh.build_grid(1, [1.0], 20)
     g2 = mesh.build_grid(1, [1.0], 14)
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
+    axis_modes, solved = magop._separable_modes, []
+    monkeypatch.setattr(magop, "_separable_modes",
+                        lambda grid, a: solved.append(grid) or axis_modes(grid, a))
     for omega1 in (g1.box_nodes([0.0], [0.3]), g1.box_nodes([0.2], [0.9])):
         want = obsgram.gramian(gen1, obsgram.Observation("interior-l2", omega1),
                                0.7, method="eig").c_obs
-        modal_data, solved = obsgram._modal_data, []
-        with monkeypatch.context() as mp:
-            mp.setattr(obsgram, "_modal_data",
-                       lambda gen: solved.append(gen) or modal_data(gen))
-            rep = obsgram.product_observability(gen1, gen2, omega1, T=0.7, dt=0.01)
-        assert solved == [gen1, gen2]
+        rep = obsgram.product_observability(gen1, gen2, omega1, T=0.7, dt=0.01)
         assert rep.c_1d == want
+    assert solved == [g1, g2]
 
 
 def test_product_full_omega_recovers_inverse_sqrt_T():
