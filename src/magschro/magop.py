@@ -231,9 +231,10 @@ class GeneratorMatrix:
     Immutable after assembly; operator application is pure.  Derived data
     (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
     gamma0, the factored inner product of ``metric_root``, the Lanczos start
-    ``resolvent_start``, A0's ``modes`` and the A - i mu I pattern of
-    ``shifted``) is built on first use and kept on the instance, so it is
-    freed with it; ``dataclasses.replace`` gives a copy with empty caches.
+    ``resolvent_start``, A0's ``modes`` and their ``axis_modes``, and the
+    A - i mu I pattern of ``shifted``) is built on first use and kept on the
+    instance, so it is freed with it; ``dataclasses.replace`` gives a copy
+    with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3
@@ -292,17 +293,36 @@ class GeneratorMatrix:
         return start
 
     @cached_property
+    def axis_modes(self):
+        """Per axis, the closed-form factors (lam_ax, V_ax) of A0's pencil,
+        read-only, with V_ax^H h_ax V_ax = I, or None when the link phases do
+        not separate by axis (``_separable_modes``); ``modes`` is their
+        Kronecker sum.  A factor has order n_ax - 2 and is not refused."""
+        if self.kind != "A0":
+            raise ValueError("the modes are those of the conservative generator (A0)")
+        factors = _separable_modes(self.grid, self.potential)
+        for arr in (arr for factor in factors or () for arr in factor):
+            arr.setflags(write=False)
+        return factors
+
+    @cached_property
     def modes(self):
         """(lam, V) of A0's pencil (S, diag M): lam ascending and V with
         V^H M V = I, C-ordered so that a sparse N @ V takes it uncopied, both
-        read-only.  In closed form where the link phases separate by axis
-        (``_separable_modes``), else by one dense ``eigh``; refused above
+        read-only.  The Kronecker sum of ``axis_modes`` where the link phases
+        separate by axis, else one dense ``eigh``; refused above
         ``_DENSE_LIMIT`` before any dense allocation."""
         if self.kind != "A0":
             raise ValueError("the modes are those of the conservative generator (A0)")
         _check_order(self.size, "the modal eigendecomposition")
-        lam, V = (_separable_modes(self.grid, self.potential)
-                  or _pencil_modes(self.stiffness, self.mass_diag))
+        factors = self.axis_modes
+        if factors is None:
+            lam, V = _pencil_modes(self.stiffness, self.mass_diag)
+        else:
+            lam, V = np.zeros(1), np.ones((1, 1))          # the sum over no axes
+            for lam_ax, V_ax in factors:
+                lam, j, k = _kron_sum(lam, lam_ax)
+                V = np.multiply(V[:, None, j], V_ax[None, :, k], order="C").reshape(-1, lam.size)
         for arr in (lam, V):
             arr.setflags(write=False)
         return lam, V
@@ -546,18 +566,18 @@ def _pencil_modes(S, mass):
 
 
 def _separable_modes(grid, a):
-    """A0's modes (lam, V), the Kronecker sum of its axes' closed forms, or
-    None when some axis's link phases change across the interior lines of the
-    other axes.  Along a line, u = exp(-i psi) v with psi the antiderivative
-    of h a takes each link to a = 0, exp(i h a_j) u_j+1 - u_j =
-    exp(-i psi_j) (v_j+1 - v_j), where the pencil is tridiag(-1, 2, -1)/h^2
-    with mass h and its modes are discrete sines (Infante & Zuazua, M2AN 33,
-    1999): for j, k = 1 .. n-2,
+    """Per axis, the closed-form modes (lam_ax, V_ax) of A0's pencil, whose
+    Kronecker sum is A0's, or None when some axis's link phases change across
+    the interior lines of the other axes.  Along a line, u = exp(-i psi) v
+    with psi the antiderivative of h a takes each link to a = 0,
+    exp(i h a_j) u_j+1 - u_j = exp(-i psi_j) (v_j+1 - v_j), where the pencil
+    is tridiag(-1, 2, -1)/h^2 with mass h and its modes are discrete sines
+    (Infante & Zuazua, M2AN 33, 1999): for j, k = 1 .. n-2,
 
         lam_k = (4/h^2) sin^2(k pi / (2 (n-1))),
         V_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)) exp(-i psi_j).
     """
-    lam, V = np.zeros(1), np.ones((1, 1))          # the sum over no axes
+    factors = []
     for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
         lines = a.edge_values[ax].reshape(grid.shape[:ax] + (n - 1,) + grid.shape[ax + 1:])
         lines = np.moveaxis(lines, ax, -1)[(slice(1, -1),) * (grid.dim - 1)].reshape(-1, n - 1)
@@ -569,9 +589,8 @@ def _separable_modes(grid, a):
         psi = _antiderivative(h, lines[0])[1:-1]
         if psi.any():
             V_ax = np.exp(-1j * psi)[:, None] * V_ax
-        lam, j, k = _kron_sum(lam, (4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2)
-        V = np.multiply(V[:, None, j], V_ax[None, :, k], order="C").reshape(-1, lam.size)
-    return lam, V
+        factors.append(((4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2, V_ax))
+    return tuple(factors)
 
 
 def _kron_sum(lam1, lam2):

@@ -28,18 +28,30 @@ trapezoid sum over the Crank-Nicolson steps, under which mode j turns by
 (``_phase_gramian_cn``).  When A = 0 the modes and Z are real, and so is K
 unless the stride leaves a remainder, so the extremes come from a real
 symmetric eigenproblem.  A Gramian sampled at s times has rank at most r s
-for observation rows N of rank r; the report records that bound.  The
-product-space check reads its modes and couplings from its two factors in
-the same way, and steps its factors with the generator's own
-``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.
-The Poincare constant of a Dirichlet part (``poincare_constant``) is read
-from the same pencil at a = 0 on the other nodes.
+for observation rows N of rank r; the report records that bound.
+
+Strips split.  When the modes separate by axis (``GeneratorMatrix.axis_modes``)
+and an interior-l2 observation covers a product omega_1 x Omega_2, all of the
+other axis's interior line, the couplings are exactly Z_1 (x) I, so Z o K is
+block diagonal: one block Z_1 o K(lam_1 + lam_2k) per mode k of the full axis
+(``_strip_split``).  ``eig``'s kernel reads only gaps, so every block has the
+spectrum of Z_1 o K(lam_1) and one eigensolve of the partial axis's order
+gives the extremes; ``cn``'s Cayley angles are not additive, so its blocks are
+stacked and solved in one batched call.  Any other observation, set or
+potential takes the order-n route.
+
+The product-space check reads its modes and couplings from its two factors
+in the same way, and steps its factors with the generator's own
+``cayley_solver``, b -> 2 (I - dt/2 A)^-1 b.  The Poincare constant of a
+Dirichlet part (``poincare_constant``) is the lowest eigenvalue alone of the
+same pencil at a = 0 on the other nodes.
 
 Every dense path is exact, or refused: it runs only when its dense order is
 at most ``magop._DENSE_LIMIT``, and otherwise raises ``magop.DenseLimitError``
 before any dense allocation.  The orders are n for the modal path (both
-methods), n1 n2 for the product space and the number of nodes off the
-Dirichlet part for the Poincare constant.
+methods, and a strip too, although its blocks are smaller), n1 n2 for the
+product space and the number of nodes off the Dirichlet part for the
+Poincare constant.
 """
 
 from __future__ import annotations
@@ -143,8 +155,9 @@ def poincare_constant(grid, dirichlet_part):
         raise ValueError("dirichlet_part must be nonempty")
     keep = np.setdiff1d(np.arange(grid.num_nodes), dirichlet)
     magop._check_order(keep.size, "the Poincare pencil")
-    S = magop.magnetic_stiffness(grid, magop.MagneticPotential.zero(grid), keep)
-    return float(1.0 / np.sqrt(magop._pencil_modes(S, grid.volume_weights[keep])[0][0]))
+    S = magop.magnetic_stiffness(grid, magop.MagneticPotential.zero(grid), keep).toarray().real
+    d = 1.0 / np.sqrt(grid.volume_weights[keep])
+    return float(1.0 / np.sqrt(la.eigvalsh(d[:, None] * S * d, subset_by_index=[0, 0])[0]))
 
 
 def _modal_couplings(N, W, V):
@@ -168,16 +181,21 @@ def _phase_gramian_exact(Z, lam, T):
     real symmetric when Z is real (A = 0), Hermitian otherwise.  A quadratic
     form c^H (Z o F) c is (P^H c)^H (Z o K) (P^H c).  The closed form avoids
     aliasing of the fast spectral gaps that any fixed-step quadrature would
-    undersample, and sin(x)/x has no cancellation at tiny gaps.
+    undersample, and sin(x)/x has no cancellation at tiny gaps.  K is built in
+    place beside the gap matrix D, and a real Z o K is written into K.
     """
     D = lam[:, None] - lam[None, :]
+    K = np.multiply(D, 0.5 * T)
+    np.sin(K, out=K)
+    K *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = 2.0 * np.sin(0.5 * T * D) / D
-    K[np.abs(D) < 1e-300] = T
-    return Z * K
+        K /= D
+    K[np.abs(D, out=D) < 1e-300] = T
+    del D
+    return Z * K if np.iscomplexobj(Z) else np.multiply(Z, K, out=K)
 
 
-def _phase_gramian_cn(Z, lam, dt, nsteps, stride):
+def _phase_gramian_cn(Z, theta, dt, nsteps, stride):
     """The Crank-Nicolson time sum of the modal phase couplings over nsteps
     steps of dt, sampled every ``stride`` steps, up to a diagonal unitary
     similarity.
@@ -195,10 +213,10 @@ def _phase_gramian_cn(Z, lam, dt, nsteps, stride):
     similarity and is dropped, so K is real; otherwise the samples L stride
     and nsteps each gain the weight r dt/2 of the last, shorter interval,
     which adds (r dt/2)(exp(i phi L stride) + exp(i phi nsteps)) to the
-    phased kernel.
+    phased kernel.  ``theta`` is (blocks, n): each row gives one block
+    Z o K of a stack.
     """
-    theta = 2.0 * np.arctan(0.5 * dt * lam)
-    phi = theta[:, None] - theta[None, :]
+    phi = theta[:, :, None] - theta[:, None, :]
     L, r = divmod(nsteps, stride)
     half = 0.5 * stride * phi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,12 +230,49 @@ def _phase_gramian_cn(Z, lam, dt, nsteps, stride):
 
 
 def _extremes_from_modal(Ghat, lam, metric):
-    if metric == "mass":
-        ev = la.eigvalsh(Ghat)
-    else:
+    """The least and largest eigenvalue of the modal Gramian Ghat, over all
+    blocks of a stack (blocks, n, n).  Ghat is a temporary: it is overwritten."""
+    if metric != "mass":
         d = 1.0 / np.sqrt(np.maximum(lam, 1e-300))
-        ev = la.eigvalsh((Ghat * d[None, :]) * d[:, None])
-    return float(ev[0]), float(ev[-1])
+        Ghat *= d[None, :]
+        Ghat *= d[:, None]
+    ev = la.eigvalsh(Ghat, overwrite_a=True)
+    return float(ev[..., 0].min()), float(ev[..., -1].max())
+
+
+def _strip_split(gen, observation):
+    """The block split of an interior-l2 Gramian on a strip, or None.
+
+    It applies when the modes separate (``gen.axis_modes``: V = V_1 (x) V_2,
+    lam = lam_1 (+) lam_2, ordered by mode pairs) and the observed state nodes
+    are a product omega_1 x (the whole interior line of the other axis), for
+    either axis as the partial one.  The rows of V on that set give the
+    couplings Z = Z_1 (x) V_2^H M_2 V_2 = Z_1 (x) I, with
+    Z_1 = V_1[omega_1]^H h_1 V_1[omega_1] real, because the gauge phase
+    exp(-i psi_j) of a row cancels against its conjugate.  So the Gramian is
+    block diagonal, one block Z_1 o K(lam_1 + lam_2k) per mode k of the full
+    axis.  Returns (lam_1, Z_1, lam_2), the blocks indexed by lam_2; in 1D
+    there is nothing to split.  Never forms an order-k object.
+    """
+    grid = gen.grid
+    if observation.kind != "interior-l2" or grid.dim < 2 or gen.axis_modes is None:
+        return None
+    pos = magop._positions(grid.num_nodes, gen.state_idx)
+    keep = observation.nodes[pos[observation.nodes] >= 0]
+    sets = [np.unique(i) for i in np.unravel_index(keep, grid.shape)]
+    if np.unique(keep).size != keep.size or keep.size != np.prod([s.size for s in sets]):
+        return None
+    partial = [ax for ax, s in enumerate(sets) if s.size < grid.n[ax] - 2]
+    if len(partial) > 1:
+        return None
+    p = partial[0] if partial else 0
+    lam_p, V_p = gen.axis_modes[p]
+    Y = V_p[sets[p] - 1]                       # interior node j sits on row j - 1
+    Z = (Y.conj().T * grid.h[p]) @ Y
+    lam_q = np.zeros(1)                        # the full axes' lam, summed
+    for lam_ax, _ in gen.axis_modes[:p] + gen.axis_modes[p + 1:]:
+        lam_q = np.add.outer(lam_q, lam_ax).ravel()
+    return lam_p, Z.real, lam_q
 
 
 def _c_obs(lo, hi):
@@ -241,6 +296,13 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     and above 5% a warning is attached.  Both samplings are of the same
     Cayley flow, so the estimate cannot see the Crank-Nicolson phase error.
 
+    On a strip of separable modes (``_strip_split``: interior-l2, the
+    observed state nodes a product set whose every axis but one is a whole
+    interior line) the modal Gramian is block diagonal and neither the order-k
+    modes nor an order-k eigensolve is formed: ``eig`` solves one block of the
+    partial axis's order and ``cn`` one batched stack of them, one per mode of
+    the full axis.  lambda_min and lambda_max are the extremes over the blocks.
+
     The report's ``rank_bound`` is min(k, r s) for the rank r of the
     observation rows N and s time samples (k for the exact modal integral).
     When it is below k a warning is attached and lambda_min is reported as
@@ -248,7 +310,7 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
 
     Both methods have dense order k, that of the modes, and raise
     ``magop.DenseLimitError`` before they allocate when k exceeds
-    ``magop._DENSE_LIMIT``.
+    ``magop._DENSE_LIMIT``; a strip is refused at that order too.
     """
     if T <= 0:
         raise ValueError("the observation horizon T must be positive")
@@ -264,20 +326,30 @@ def gramian(gen, observation, T, dt=None, stride=1, method="eig"):
     warns = []
     if method == "cn":
         nsteps = step_count(T, dt)
-    lam, V = gen.modes
-    Z = _modal_couplings(N, W, V)
+    # refused at the order k of the modes, on a strip too
+    magop._check_order(k, "the modal eigendecomposition")
+    strip = _strip_split(gen, observation)
+    if strip is None:
+        lam, V = gen.modes
+        Z, lam_q = _modal_couplings(N, W, V), np.zeros(1)
+    else:
+        lam, Z, lam_q = strip
 
     if method == "eig":
+        # the kernel reads only the gaps lam_j - lam_l, the same in every block
         lo, hi = _extremes_from_modal(_phase_gramian_exact(Z, lam, T), lam, metric)
         lo2, hi2 = lo, hi
         rank_bound = k
     else:
+        # the Cayley angle of lam_1 + lam_2 is no sum of angles: one block each
+        theta = 2.0 * np.arctan(0.5 * dt * np.add.outer(lam_q, lam))
         (lo, hi), (lo2, hi2) = (
-            _extremes_from_modal(_phase_gramian_cn(Z, lam, dt, nsteps, s), lam, metric)
+            _extremes_from_modal(_phase_gramian_cn(Z, theta, dt, nsteps, s), lam, metric)
             for s in (stride, 2 * stride))
         # a sum of s sampled terms of rank <= rank N each: rank <= r s, whatever
-        # the geometry; N^H N has N's rank at dense order k
-        r = int(np.linalg.matrix_rank(
+        # the geometry; N^H N has N's rank at dense order k, and a strip's rows
+        # select m distinct nodes
+        r = m if strip else int(np.linalg.matrix_rank(
             N.toarray() if m <= k else (N.getH() @ N).toarray(), hermitian=m > k))
         samples = retained_steps(nsteps, stride).size
         rank_bound = min(k, r * samples)

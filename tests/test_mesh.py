@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from magschro import magop, mesh, obsgram
 
@@ -179,14 +180,42 @@ def test_poincare_rejects_empty_part():
 
 def test_poincare_is_the_a2_generators_pencil():
     """At a = 0 the A2 state is every node off gamma1 and its stiffness is
-    the Poincare stiffness, so kappa is the generator's first mode exactly."""
+    the Poincare stiffness, so kappa is the generator's first mode exactly:
+    the lowest-eigenvalue solve of the generator's scaled pencil gives it bit
+    for bit, and the pencil's full eigendecomposition agrees to rounding."""
     g = mesh.build_grid(2, [1.0, 1.0], 17)
     s = mesh.split_boundary(g, [-0.4, 0.5])
     d = np.zeros(g.num_nodes)
     d[s.gamma0] = 1.0
     gen = magop.assemble_generator("A2", g, magop.MagneticPotential.zero(g), d=d, split=s)
-    lam = magop._pencil_modes(gen.stiffness, gen.mass_diag)[0][0]
+    root = 1.0 / np.sqrt(gen.mass_diag)
+    lam = la.eigvalsh(root[:, None] * gen.stiffness.toarray().real * root,
+                      subset_by_index=[0, 0])[0]
     assert obsgram.poincare_constant(g, s.gamma1) == 1.0 / np.sqrt(lam)
+    full = magop._pencil_modes(gen.stiffness, gen.mass_diag)[0][0]
+    assert abs(lam - full) <= 1e-13 * full
+
+
+def test_poincare_asks_for_one_eigenvalue_and_no_vectors(monkeypatch):
+    """lambda_1 is all kappa needs: the one dense solve asks for the first
+    eigenvalue alone, and forms no eigenvector."""
+    calls = []
+
+    def spy(solve, vectors):
+        def run(a, *args, **kwargs):
+            calls.append((a.shape[0], vectors and not kwargs.get("eigvals_only", False),
+                          kwargs.get("subset_by_index")))
+            return solve(a, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(la, "eigh", spy(la.eigh, True))
+    monkeypatch.setattr(la, "eigvalsh", spy(la.eigvalsh, False))
+    monkeypatch.setattr(np.linalg, "eigh", spy(np.linalg.eigh, True))
+    g = mesh.build_grid(2, [1.0, 1.0], 17)
+    obsgram.poincare_constant(g, mesh.split_boundary(g, [-0.4, 0.5]).gamma1)
+    assert len(calls) == 1
+    order, vectors, subset = calls[0]
+    assert order == g.num_nodes - 17 and not vectors and list(subset) == [0, 0]
 
 
 def test_poincare_dirichlet_rectangle_is_the_discrete_sine():

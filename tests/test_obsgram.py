@@ -432,9 +432,11 @@ def generalized_modal_data(gen):
 
 
 def with_modes(gen, modes):
-    """A copy of gen that reads the given (lam, V) as its modes."""
+    """A copy of gen that reads the given (lam, V) as its modes, and has no
+    axis factors, so its Gramians take the order-k route through them."""
     copy = dataclasses.replace(gen)
     copy.modes = modes
+    copy.axis_modes = None
     return copy
 
 
@@ -519,16 +521,112 @@ def test_separable_modes_come_from_the_axis_factors(preset, n, monkeypatch):
     assert np.isrealobj(V) == (preset == "zero")
 
 
+# the strip omega_1 x [0, 2.5] of OBSERVATIONS, and a strip along y
+STRIP_Y = ([0.0, 0.0], [1.0, 0.7])
+# T = 0.8: 400 steps of 0.002, and stride 3 leaves a remainder of 1
+METHODS = [{"method": "eig"}, {"method": "cn", "dt": 0.002},
+           {"method": "cn", "dt": 0.002, "stride": 3}]
+
+
 @pytest.mark.parametrize("kind", sorted(OBSERVATIONS))
 @pytest.mark.parametrize("preset", sorted(SEPARABLE))
 def test_separable_gramian_matches_the_dense_route(preset, kind):
+    """Both methods on the separable modes against the order-k route through
+    the dense eigensolve; the interior-l2 strips along x and along y take the
+    block split."""
     grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
     gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
-    obs = obsgram.Observation(kind, OBSERVATIONS[kind](grid))
-    rep = obsgram.gramian(gen, obs, 0.8)
-    ref = obsgram.gramian(dense_modes(gen), obs, 0.8)
-    assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
-    assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
+    ref_gen = dense_modes(gen)
+    sets = [OBSERVATIONS[kind](grid)]
+    if kind == "interior-l2":
+        sets.append(grid.box_nodes(*STRIP_Y))
+    for nodes in sets:
+        obs = obsgram.Observation(kind, nodes)
+        assert (obsgram._strip_split(gen, obs) is not None) == (kind == "interior-l2")
+        for kwargs in METHODS:
+            rep = obsgram.gramian(gen, obs, 0.8, **kwargs)
+            ref = obsgram.gramian(ref_gen, obs, 0.8, **kwargs)
+            assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
+            assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
+            assert rep.rank_bound == ref.rank_bound
+            assert abs(rep.quadrature_error_estimate - ref.quadrature_error_estimate) <= 1e-9
+
+
+def dense_eig_orders(monkeypatch):
+    """Record the order of every matrix handed to a dense Hermitian eigensolver."""
+    orders = []
+
+    def spy(solve):
+        def run(a, *args, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return solve(a, *args, **kwargs)
+        return run
+
+    for mod in (la, np.linalg):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+    return orders
+
+
+@pytest.mark.parametrize("kwargs", METHODS, ids=["eig", "cn", "cn-remainder"])
+def test_strip_gramian_solves_only_axis_order_blocks(kwargs, monkeypatch):
+    """A strip's Gramian never forms the order-k modes: every eigensolve has
+    at most the order of an axis, max(n_ax - 2).  The box [0, 0.3] x [0, 1]
+    is no strip of the (1.0, 2.5) rectangle and takes the order-k route."""
+    grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
+    for box, strip in ((([0.0, 0.0], [0.3, 2.5]), True), (STRIP_Y, True),
+                       (([0.0, 0.0], [0.3, 1.0]), False)):
+        gen = magop.assemble_generator("A0", grid, SEPARABLE["sine"](grid))
+        obs = obsgram.Observation("interior-l2", grid.box_nodes(*box))
+        with monkeypatch.context() as mp:
+            orders = dense_eig_orders(mp)
+            obsgram.gramian(gen, obs, 0.8, **kwargs)
+        assert orders
+        if strip:
+            assert max(orders) <= max(n - 2 for n in grid.n)
+            assert "modes" not in vars(gen)
+        else:
+            assert max(orders) == gen.size
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.6])
+def test_strip_constant_is_the_one_factor_constant(amp):
+    """On omega_1 x Omega_2 the 2D C_obs is C_1D of the x factor, to 1e-12:
+    the oracle gathers the rows of the explicit product modes."""
+    n, ext = (14, 11), (1.0, 1.7)
+    grid = mesh.build_grid(2, ext, n)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
+    gen = magop.assemble_generator("A0", grid, a)
+    g1, g2 = (mesh.build_grid(1, [L], m) for L, m in zip(ext, n))
+    a1 = magop.MagneticPotential.from_callable(g1, lambda p: amp * np.sin(2.0 * p))
+    gen1 = magop.assemble_generator("A0", g1, a1)
+    gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
+    for lo, hi in ((0.0, 0.3), (0.2, 0.9)):
+        obs = obsgram.Observation("interior-l2", grid.box_nodes([lo, 0.0], [hi, ext[1]]))
+        assert obsgram._strip_split(gen, obs) is not None
+        c1d, _ = product_oracle(gen1, gen2, g1.box_nodes([lo], [hi]), 0.7)
+        assert np.isfinite(c1d)
+        assert obsgram.gramian(gen, obs, 0.7).c_obs == pytest.approx(c1d, rel=1e-12)
+
+
+def test_only_strips_of_separable_modes_split():
+    """The split needs interior-l2, modes that separate, a product set and at
+    most one partial axis; a duplicated node or a curl potential keeps the
+    order-k route."""
+    grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
+    gen = magop.assemble_generator("A0", grid, SEPARABLE["constant"](grid))
+    strip = np.intersect1d(grid.box_nodes([0.0, 0.0], [0.3, 2.5]), gen.state_idx)
+    assert obsgram._strip_split(gen, obsgram.Observation("interior-l2", strip)) is not None
+    whole = obsgram._strip_split(gen, obsgram.Observation("interior-l2", gen.state_idx))
+    assert whole is not None and np.allclose(whole[1], np.eye(grid.n[0] - 2), atol=1e-13)
+    for kind, nodes in (("interior-h1", strip), ("interior-l2", np.append(strip, strip[:1])),
+                        ("interior-l2", grid.box_nodes([0.0, 0.0], [0.3, 1.0])),
+                        ("interior-l2", np.delete(strip, strip.size // 2))):
+        assert obsgram._strip_split(gen, obsgram.Observation(kind, nodes)) is None
+    curl = magop.MagneticPotential.from_callable(
+        grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]]))
+    gen = magop.assemble_generator("A0", grid, curl)
+    assert obsgram._strip_split(gen, obsgram.Observation("interior-l2", strip)) is None
 
 
 def test_curl_potential_keeps_the_dense_route(monkeypatch):
@@ -691,6 +789,32 @@ def test_real_phase_form_at_tiny_gaps():
     K = obsgram._phase_gramian_exact(np.ones((lam.size, lam.size)), lam, T)
     D = lam[:, None] - lam[None, :]
     assert np.max(np.abs(K - T * (1.0 - (D * T) ** 2 / 24.0))) <= 4e-16 * T
+
+
+@pytest.mark.parametrize("complex_z", [False, True])
+def test_exact_kernel_is_built_in_place(complex_z):
+    """K is built in the buffer beside the gap matrix and a real Z o K is
+    written into it: the kernel's peak is two order-n^2 float arrays and a
+    byte mask for real Z, three for complex Z (whose product needs its own
+    complex array), against one more of each when every step allocated."""
+    n, T = 300, 0.7
+    rng = np.random.default_rng(5)
+    lam = np.sort(rng.uniform(1.0, 1e3, n))
+    lam[4] = lam[3]                                  # one exact tie
+    Y = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_z else 0.0)
+    Z = Y.conj().T @ Y
+    tracemalloc.start()
+    try:
+        Ghat = obsgram._phase_gramian_exact(Z, lam, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((3 if complex_z else 2) + 0.25) * 8 * n**2
+    D = lam[:, None] - lam[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = 2.0 * np.sin(0.5 * T * D) / D
+    K[np.abs(D) < 1e-300] = T
+    assert np.array_equal(Ghat, Z * K)
 
 
 @pytest.mark.parametrize("amp", [0.0, 0.8])
