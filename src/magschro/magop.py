@@ -231,10 +231,11 @@ class GeneratorMatrix:
     Immutable after assembly; operator application is pure.  Derived data
     (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
     gamma0, the factored inner product of ``metric_root``, the Lanczos start
-    ``resolvent_start``, A0's ``modes`` and their ``axis_modes``, and the
-    A - i mu I pattern of ``shifted``) is built on first use and kept on the
-    instance, so it is freed with it; ``dataclasses.replace`` gives a copy
-    with empty caches.
+    ``resolvent_start``, A0's ``modes`` and their ``axis_modes``, the
+    A - i mu I pattern of ``shifted``, and the band or the SuperLU column
+    order that ``shift_solvers`` factors every shift with) is built on first
+    use and kept on the instance, so it is freed with it;
+    ``dataclasses.replace`` gives a copy with empty caches.
     """
 
     kind: str                      # A0 | A1 | A2 | A3
@@ -447,6 +448,54 @@ class GeneratorMatrix:
         K.data[diag] -= np.ones(diag.size, dtype=complex) * (1j * mu)
         return K
 
+    @cached_property
+    def _shift_band(self):
+        """The three diagonals of ``_shift_pattern`` (``_band``), or None off
+        the band; the shift does not move the band test's verdict."""
+        return _band(self._shift_pattern[0])
+
+    @cached_property
+    def _shift_orders(self):
+        """[], then the ``_permuted_pattern`` of the first SuperLU shift."""
+        return []
+
+    def shift_solvers(self, mu):
+        """{"N", "H"} solves of A - i mu I, bitwise those of
+        ``factorize(self.shifted(mu))``; no factor is kept.
+
+        On the band (every 1D operator) each mu is one zgttrf of
+        ``_shift_band`` with the shift written into its main diagonal, and a
+        zero pivot falls back to SuperLU as ``factorize`` does.  Off the band
+        the first mu is SuperLU's MMD factor, whose column order the instance
+        keeps (``_permuted_pattern``), and each later mu factors Pc^T K Pc in
+        natural order.  The order and the postorder of the column elimination
+        tree read the pattern alone, not the values or the row pivots
+        (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20,
+        1999), so L, U and the pivots are the MMD factor's.  Relabelling the
+        rows keeps K's own diagonal the one that partial pivoting prefers in
+        a tie (2D A2 at small |mu| has ties).  The columns keep K's storage
+        order, in which SuperLU discovers rows, and are marked canonical so
+        that ``splu`` does not sort them: sorted rows change the order of its
+        updates and the last bits.
+        """
+        shift = np.ones(self.size, dtype=complex) * (1j * mu)
+        band = self._shift_band
+        if band is not None:
+            solvers = _band_solvers(band[0, :-1], band[1] - shift, band[2, :-1])
+            return _lu_solvers(_splu(self.shifted(mu))) if solvers is None else solvers
+        if not self._shift_orders:
+            lu = _splu(self.shifted(mu))
+            self._shift_orders.append(_permuted_pattern(self._shift_pattern[0], lu.perm_c))
+            return _lu_solvers(lu)
+        q, perm_c, gather, indices, indptr, diag = self._shift_orders[0]
+        data = self._shift_pattern[0].data[gather]
+        data[diag] -= shift
+        K = sp.csc_matrix((data, indices, indptr), shape=(self.size,) * 2)
+        K.has_canonical_format = True
+        lu = _splu(K, "NATURAL")
+        return {"N": lambda b: lu.solve(b[q])[perm_c],
+                "H": lambda b: lu.solve(b[q], trans="H")[perm_c]}
+
     # -- Crank-Nicolson (Cayley) solves --------------------------------------
 
     @cached_property
@@ -603,7 +652,15 @@ def _kron_sum(lam1, lam2):
 
 def factorize(M):
     """{"N": b -> M^-1 b, "H": b -> M^-H b}, the package's one sparse factor:
-    LAPACK zgttrf when M is tridiagonal (every 1D operator), else SuperLU.
+    LAPACK zgttrf when M is tridiagonal (every 1D operator), else ``_splu``.
+    The shifts A - i mu I of a generator take theirs from
+    ``GeneratorMatrix.shift_solvers``, bitwise these."""
+    solvers = _tridiagonal_solver(M)
+    return _lu_solvers(_splu(M.tocsc())) if solvers is None else solvers
+
+
+def _splu(M, permc_spec="MMD_AT_PLUS_A"):
+    """SuperLU of a CSC M with the package's settings.
 
     SuperLU takes the minimum-degree ordering of M^T + M, which fits the
     structurally symmetric stencils assembled here better than the default
@@ -614,18 +671,44 @@ def factorize(M):
     and the 64^2 A2 Crank-Nicolson factor 5.8 ms instead of 7.6, with solves
     as fast.  One-column panels led by 3-4 % up to 128^2 and not at 256^2;
     widths 4 and 8 were slower at every size."""
-    solvers = _tridiagonal_solver(M)
-    if solvers is None:
-        lu = spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
-        solvers = {"N": lu.solve, "H": partial(lu.solve, trans="H")}
-    return solvers
+    return spla.splu(M, permc_spec=permc_spec, relax=1, panel_size=2)
+
+
+def _lu_solvers(lu):
+    return {"N": lu.solve, "H": partial(lu.solve, trans="H")}
+
+
+def _permuted_pattern(C, perm_c):
+    """(q, perm_c, gather, indices, indptr, diag) of Pc^T C Pc: the columns
+    C[:, q], q = argsort(perm_c), with row r relabelled perm_c[r] and each
+    column's rows in C's storage order.  Its data is C.data[gather] with the
+    diagonal at positions ``diag``.  Permuting by perm_c, not by its inverse,
+    took the 48^2 A3 fill from 62k to 585k entries (CHANGES.md).  perm_c is
+    copied: SciPy's is a view that keeps the whole factor alive."""
+    index = C.indices.dtype                    # SuperLU's, big enough for nnz
+    perm_c = perm_c.astype(np.intp)            # intp: each solve gathers by it
+    q = np.argsort(perm_c)
+    counts = np.diff(C.indptr)[q]
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
+    gather = np.repeat(C.indptr[q] - indptr[:-1], counts) + np.arange(C.nnz, dtype=index)
+    indices = perm_c[C.indices[gather]].astype(index)
+    on_diag = indices == np.repeat(np.arange(q.size, dtype=index), counts)
+    return q, perm_c, gather, indices, indptr, np.flatnonzero(on_diag).astype(index)
 
 
 def _tridiagonal_solver(M):
-    """zgttrf/zgttrs solves, or None when M has fewer than 3 rows, entries off
-    its three central diagonals, or a zero pivot.  The band test and the
-    three diagonals come from one pass over M's CSC arrays, after a count of
-    its nonzeros has turned away most matrices that do not fit the band."""
+    """zgttrf/zgttrs solves, or None when M is off the band (``_band``) or
+    has a zero pivot."""
+    band = _band(M)
+    return None if band is None else _band_solvers(band[0, :-1], band[1], band[2, :-1])
+
+
+def _band(M):
+    """The rows dl, d, du of M's three central diagonals as one (3, n) array,
+    each entry at the lower of its row and column, or None when M has fewer
+    than 3 rows or entries off that band.  The band test and the diagonals
+    come from one pass over M's CSC arrays, after a count of its nonzeros has
+    turned away most matrices that do not fit the band."""
     n = M.shape[0]
     C = M.tocsc()
     if not C.has_canonical_format:
@@ -638,10 +721,15 @@ def _tridiagonal_solver(M):
     band = np.abs(off) <= 1
     if np.any(C.data[~band]):
         return None
-    # rows dl, d, du of the band, each entry at the lower of its row and column
     diagonals = np.zeros((3, n), dtype=complex)
     diagonals[1 - off[band], np.minimum(C.indices, cols)[band]] = C.data[band]
-    dl, d, du, du2, ipiv, info = lapack.zgttrf(diagonals[0, :-1], diagonals[1], diagonals[2, :-1])
+    return diagonals
+
+
+def _band_solvers(dl, d, du):
+    """zgttrf/zgttrs solves of the tridiagonal (dl, d, du), or None on a zero
+    pivot; the diagonals are read, not overwritten."""
+    dl, d, du, du2, ipiv, info = lapack.zgttrf(dl, d, du)
     if info != 0:
         return None
     return {"N": lambda b: lapack.zgttrs(dl, d, du, du2, ipiv, b)[0],

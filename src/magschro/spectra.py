@@ -7,7 +7,10 @@ The resolvent norm at i mu in the generator's inner product L is
 
 With L = R^H R, 1 / sigma_min^2 is the largest eigenvalue of the Hermitian
 R K^-1 L^-1 K^-H R^H, which Lanczos with full reorthogonalization reads
-directly, one sparse factor of K serving every product.
+directly, one sparse factor of K serving every product.  The factors come
+from ``GeneratorMatrix.shift_solvers``: a scan keeps one band or one column
+order per generator and factors each mu without re-reading the band or
+re-running the minimum-degree ordering.
 R is the generator's ``metric_root``: sqrt(mass) for the mass metric, one
 row per edge for the magnetic stiffness of A2.
 Scans fit C exp(K sqrt(mu)) and C exp(K mu^p) against the peak envelope,
@@ -85,7 +88,7 @@ def resolvent_solve(gen, mu, g):
     """
     g = np.asarray(g, dtype=complex)
     K = gen.shifted(mu)
-    solve = magop.factorize(K)
+    solve = gen.shift_solvers(mu)
     u = solve["N"](g)
     gnorm = float(np.linalg.norm(g))
     res = float(np.linalg.norm(K @ u - g)) / gnorm if gnorm > 0 else 0.0
@@ -107,18 +110,19 @@ def resolvent_norm(gen, mu):
     The norm is the square root of that Hermitian operator's largest
     eigenvalue, read by unrestarted Lanczos with full reorthogonalization
     (two Gram-Schmidt passes against a basis that grows on demand).  Each
-    product applies ``magop.factorize`` of K twice and the metric root
-    (R, R^H, L^-1) of ``GeneratorMatrix.metric_root`` once each.  LAPACK's
-    dstemr gives the top Ritz pair (theta, s) of the tridiagonal without
-    forming the other eigenvectors, and the iteration stops on ARPACK's test,
-    the residual bound |beta s_k| <= eps theta, or on beta = 0.  It starts
-    from the generator's ``resolvent_start``, R z with z drawn once from a
-    fixed seed, so reruns agree bitwise.  Short of convergence in
-    min(400, rows) vectors it raises: ``scan_resolvent`` records a failed
-    point.
+    product applies the factor of K from ``GeneratorMatrix.shift_solvers``
+    twice, bitwise ``magop.factorize(gen.shifted(mu))``'s, and the metric
+    root (R, R^H, L^-1) of ``GeneratorMatrix.metric_root`` once each.
+    LAPACK's dstemr gives the top Ritz pair (theta, s) of the tridiagonal
+    without forming the other eigenvectors, and the iteration stops on
+    ARPACK's test, the residual bound |beta s_k| <= eps theta, or on
+    beta = 0.  It starts from the generator's ``resolvent_start``, R z with
+    z drawn once from a fixed seed, so reruns agree bitwise.  Short of
+    convergence in min(400, rows) vectors it raises: ``scan_resolvent``
+    records a failed point.
     """
     rows, r_apply, rh_apply, l_solve = gen.metric_root
-    solve = magop.factorize(gen.shifted(mu))
+    solve = gen.shift_solvers(mu)
     w = gen.resolvent_start
     limit = min(400, rows)
     Q = np.empty((min(16, limit), rows), dtype=complex)
@@ -192,16 +196,20 @@ def fit_growth(mus, norms, envelope=True):
     The free exponent is profiled over a grid and refined; among exponents
     whose residual is indistinguishable from the best, the smallest is
     reported (flat scans are consistent with any p, and the smallest
-    exponent is the conservative growth-shape statement).
+    exponent is the conservative growth-shape statement).  The law reads
+    |mu| alone, so a fit takes two distinct |mu| (None below) and a free
+    exponent three (None below): with fewer, least squares returns one of
+    many exact fits, not a growth rate.
     """
     mus = np.asarray(mus, dtype=float)
     norms = np.asarray(norms, dtype=float)
     good = np.isfinite(norms) & (norms > 0)
     mus, norms = mus[good], norms[good]
-    if mus.size < 2:
-        return None
     if envelope:
         mus, norms = _peak_envelope(mus, norms)
+    distinct = np.unique(np.abs(mus)).size
+    if distinct < 2:
+        return None
     y = np.log(norms)
     x = np.sqrt(np.abs(mus))
 
@@ -217,7 +225,7 @@ def fit_growth(mus, norms, envelope=True):
         "k": float(coef_half[0]),
         "points": int(mus.size),
     }
-    if mus.size >= 3:
+    if distinct >= 3:
         def rss_of(p):
             return lin(np.abs(mus) ** p)[1]
 

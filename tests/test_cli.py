@@ -234,6 +234,27 @@ mu.count = 8
     assert len(products) == 8 and all(isinstance(p, int) and p > 0 for p in products)
 
 
+@pytest.mark.parametrize("mu", ["mu.grid = [-5.0, 5.0]",
+                                "mu.start = 5.0\nmu.stop = 5.0\nmu.count = 3"])
+def test_resolvent_scan_at_one_abscissa_has_no_fit(tmp_path, mu):
+    """Points at one |mu| are no growth law: the run reports no C, K or p
+    instead of a rank-deficient least-squares fit."""
+    text = f"""
+kind = "resolvent-scan"
+grid.dim = 1
+grid.n = 16
+generator = "A1"
+damping.c_preset = "constant"
+{mu}
+"""
+    assert cli.run(cli.ExperimentConfig.parse(text), out_dir=tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["failures"] == [] and summary["points"] == 0
+    assert all(summary[key] is None for key in ("C", "K", "p", "C_free", "K_free"))
+    verdict = json.loads((tmp_path / "manifest.json").read_text())["verdicts"]["growth_fit"]
+    assert verdict["K_hat"] is None and verdict["p_hat"] is None
+
+
 def test_observability_run(tmp_path):
     text = """
 kind = "observability"

@@ -140,6 +140,16 @@ def test_fit_flat_data_reports_smallest_exponent():
     assert fit["p"] <= 0.1
 
 
+def test_fit_needs_distinct_frequencies():
+    """The law reads |mu| alone: -5 and 5 are one abscissa and give no fit,
+    and two distinct |mu| fit C and K but no free exponent."""
+    assert spectra.fit_growth([-5.0, 5.0], [1.3, 0.9]) is None
+    assert spectra.fit_growth([5.0, 5.0, 5.0], [1.0, 1.1, 1.2]) is None
+    fit = spectra.fit_growth([-5.0, 5.0, -20.0], [1.0, 1.1, 2.0], envelope=False)
+    assert np.isfinite(fit["k"]) and fit["k"] > 0 and fit["points"] == 3
+    assert fit["p"] is None and fit["k_free"] is None and not fit["growth_detected"]
+
+
 def test_scan_export_csv(tmp_path, gen_a0):
     scan = spectra.scan_resolvent(gen_a0, -np.linspace(5, 100, 8))
     path = tmp_path / "scan.csv"
@@ -289,13 +299,16 @@ def test_resolvent_near_singular_condition_estimate(gen_a0, modal):
 
 
 @st.composite
-def damped_generators(draw, dims=(1, 2)):
-    """Random small A1/A2/A3 generators in 1D and 2D."""
+def damped_generators(draw, dims=(1, 2), kinds=("A1", "A2", "A3")):
+    """Random small generators of the given kinds (damped by default) in 1D
+    and 2D."""
     dim = draw(st.sampled_from(dims))
     grid = mesh.build_grid(dim, 1.0, draw(st.integers(6, 30) if dim == 1 else st.integers(4, 8)))
     amp, freq = draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 4.0))
     a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
-    kind = draw(st.sampled_from(["A1", "A2", "A3"]))
+    kind = draw(st.sampled_from(list(kinds)))
+    if kind == "A0":
+        return magop.assemble_generator("A0", grid, a)
     if kind == "A1":
         lo = [draw(st.floats(0.0, 0.6)) for _ in range(dim)]
         omega = grid.box_nodes(lo, [l + draw(st.floats(0.2, 1.0)) for l in lo])
@@ -386,6 +399,111 @@ def test_tridiagonal_band_read_from_csc():
     assert magop._tridiagonal_solver(singular.tocsr()) is None
 
 
+def _assert_solves_bitwise(got, want, size):
+    """The N and H solves agree byte for byte on an (n,) and an (n, 2) right side."""
+    rng = np.random.default_rng(3)
+    for shape in ((size,), (size, 2)):
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for trans in ("N", "H"):
+            assert got[trans](b).tobytes() == want[trans](b).tobytes()
+
+
+@RESOLVENT_PROPERTY
+@given(damped_generators(kinds=("A0", "A1", "A2", "A3")), st.data())
+def test_shift_solvers_are_the_factorize_solves(gen, data):
+    """Whichever mu is factored first, and so sets the band or the column
+    order kept on the generator, every shift's solves are bitwise those of
+    ``factorize(shifted(mu))``, up to the top of the discrete spectrum."""
+    top = 4.0 / min(gen.grid.h) ** 2
+    mus = [data.draw(st.floats(-400.0, top), label=f"mu{i}") for i in range(3)]
+    for mu in mus + mus[:1]:
+        _assert_solves_bitwise(gen.shift_solvers(mu), magop.factorize(gen.shifted(mu)), gen.size)
+
+
+def _generators_2d(n, amp=0.0):
+    grid = mesh.build_grid(2, 1.0, n)
+    a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(2.0 * p))
+    split = mesh.split_boundary(grid, [-0.3, 0.5])
+    ones, box = np.ones(grid.num_nodes), np.where(grid.coords[:, 0] < 0.3, 5.0, 0.0)
+    return [magop.assemble_generator("A0", grid, a),
+            magop.assemble_generator("A1", grid, a, c=box),
+            magop.assemble_generator("A2", grid, a, d=3.0 * ones, split=split),
+            magop.assemble_generator("A3", grid, a, d=3.0 * ones, split=split)]
+
+
+def test_shift_pivot_ties_prefer_the_diagonal():
+    """A2 at a = 0 and small |mu| meets exact ties in partial pivoting, which
+    SuperLU breaks toward the diagonal: the reused order relabels the rows,
+    so that diagonal is K's own, and the solves stay bitwise."""
+    gen = _generators_2d(12)[2]
+    lu = magop._splu(gen.shifted(0.0))
+    unlabelled = magop._splu(gen.shifted(0.0)[:, np.argsort(lu.perm_c)].tocsc(), "NATURAL")
+    assert not np.array_equal(unlabelled.perm_r, lu.perm_r)
+    gen.shift_solvers(300.0)
+    for mu in (0.0, 3.3, -5.0):
+        _assert_solves_bitwise(gen.shift_solvers(mu), magop.factorize(gen.shifted(mu)), gen.size)
+
+
+def test_minimum_degree_order_is_the_same_at_every_shift():
+    """SuperLU's MMD column order, postorder included, reads the pattern of
+    A - i mu I alone: four shifts of each kind give one perm_c."""
+    for gen in _generators_2d(16, amp=0.7):
+        h = min(gen.grid.h)
+        orders = [magop._splu(gen.shifted(mu)).perm_c for mu in (-300.0, -5.0, 40.0, 0.7 * 4 / h**2)]
+        assert all(np.array_equal(order, orders[0]) for order in orders[1:])
+
+
+def test_scan_orders_once():
+    """A 10-point 2D scan runs the minimum-degree ordering once and factors
+    the other nine shifts in natural order; a 1D scan reads the band once."""
+    specs, bands = [], []
+    splu, band = magop.spla.splu, magop._band
+
+    def splu_spy(M, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(M, permc_spec=permc_spec, **kwargs)
+
+    def band_spy(M):
+        bands.append(M.shape)
+        return band(M)
+
+    mus = -np.linspace(5.0, 200.0, 10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(magop.spla, "splu", splu_spy)
+        mp.setattr(magop, "_band", band_spy)
+        scan_2d = spectra.scan_resolvent(_generators_2d(10)[3], mus)
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 9 and len(bands) == 1
+        scan_1d = spectra.scan_resolvent(generator_1d("A1", 40), mus)
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 9 and len(bands) == 2
+    assert np.all(scan_2d.ok) and np.all(scan_1d.ok)
+
+
+def test_band_zero_pivot_takes_factorize_path():
+    """A zero pivot on the band falls back to SuperLU's MMD factor, as
+    ``factorize`` does: the exactly singular 16i tridiag(1, 0, 1) raises
+    SuperLU's error on both, and a pivot forced to zero gives bitwise the
+    same SuperLU solves."""
+    grid = mesh.build_grid(1, 1.0, 5)
+    gen = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
+    K = gen.shifted(-32.0)
+    assert not np.any(K.diagonal()) and magop._band(K) is not None
+    errors = []
+    for solve in (lambda: gen.shift_solvers(-32.0), lambda: magop.factorize(K)):
+        with pytest.raises(RuntimeError) as exc:
+            solve()
+        errors.append(str(exc.value))
+    assert errors == ["Factor is exactly singular"] * 2
+
+    gen = generator_1d("A3", 30)
+    specs, splu = [], magop._splu
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(magop, "_band_solvers", lambda dl, d, du: None)
+        mp.setattr(magop, "_splu", lambda M, *spec: specs.append(spec) or splu(M, *spec))
+        for mu in (-120.0, 40.0):
+            _assert_solves_bitwise(gen.shift_solvers(mu), magop.factorize(gen.shifted(mu)), gen.size)
+    assert specs == [()] * 4
+
+
 def generator_1d(kind, n):
     grid = mesh.build_grid(1, 1.0, n)
     a = magop.MagneticPotential.from_callable(grid, lambda p: 0.5 * np.sin(p))
@@ -402,12 +520,12 @@ def test_small_grid_scan_runs_lanczos(kind):
     one solve with the factor of K and one with its adjoint each."""
     gen = generator_1d(kind, 6)
     assert gen.size <= 8
-    rows = gen.metric_root[0]            # A2's factor of S is built before the spy
+    rows = gen.metric_root[0]
     solves = []
-    factorize = magop.factorize
+    shift_solvers = magop.GeneratorMatrix.shift_solvers
 
-    def spy(M):
-        solvers, count = factorize(M), {"N": 0, "H": 0}
+    def spy(self, mu):
+        solvers, count = shift_solvers(self, mu), {"N": 0, "H": 0}
         solves.append(count)
 
         def counted(trans):
@@ -420,7 +538,7 @@ def test_small_grid_scan_runs_lanczos(kind):
 
     mus = -np.linspace(5.0, 300.0, 7)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(magop, "factorize", spy)
+        mp.setattr(magop.GeneratorMatrix, "shift_solvers", spy)
         scan = spectra.scan_resolvent(gen, mus)
     assert scan.failures == [] and np.all(scan.ok)
     assert list(scan.products) == [c["N"] for c in solves] == [c["H"] for c in solves]
@@ -430,7 +548,7 @@ def test_small_grid_scan_runs_lanczos(kind):
         assert abs(norm - ref) <= 1e-10 * ref
 
 
-def _nan_factor(M):
+def _nan_factor(gen, mu):
     return {"N": lambda b: np.full_like(b, np.nan), "H": lambda b: np.full_like(b, np.nan)}
 
 
@@ -439,7 +557,7 @@ def test_unconverged_fallback_is_a_failed_point(gen_a1):
     return NaN) is not rescued: the scan records it as failed, with the
     solver's message, instead of keeping a norm."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(magop, "factorize", _nan_factor)
+        mp.setattr(magop.GeneratorMatrix, "shift_solvers", _nan_factor)
         with pytest.raises(RuntimeError) as exc:
             spectra.resolvent_norm(gen_a1, -120.0)
         scan = spectra.scan_resolvent(gen_a1, [-120.0, -40.0])
