@@ -5,8 +5,10 @@ with plain JSON accepted as an alternative input format.  Every run is
 reproducible from its config and seed: all randomness flows from one
 counter-based generator, and the data artifacts (CSV/JSON) are
 byte-identical across reruns.  The manifest echoes the config, library
-versions, the output file list, per-invariant verdicts, and wall-clock
-timings (timings are the one non-reproducible entry).
+versions, the output file list, per-invariant verdicts, wall-clock timings
+(timings are the one non-reproducible entry), and for the stepping kinds
+(``simulate``, ``multiplier-check``) the Crank-Nicolson route that ran:
+``band``, ``modes``, ``modes+schur`` or ``superlu`` (``GeneratorMatrix.cayley_route``).
 
 Exit codes: 0 all verdicts pass, 1 invariant failure, 2 config error.  A
 handler that raises anything but a config error exits 1 with a manifest whose
@@ -362,7 +364,8 @@ def _mu_grid(config):
 
 
 # ---------------------------------------------------------------------------
-# experiment handlers (each returns (verdicts, outputs))
+# experiment handlers (each returns (verdicts, outputs), and the stepping
+# kinds the Crank-Nicolson route of ``GeneratorMatrix.cayley_route`` third)
 
 
 def _run_simulate(config, out, rng):
@@ -394,7 +397,7 @@ def _run_simulate(config, out, rng):
     res = float(np.max(trace.midpoint_residual, initial=0.0))
     verdicts["dissipation_identity"] = {
         "pass": bool(res <= 1e-9 * max(trace.energy[0], 1.0)), "max_residual": res}
-    return verdicts, ["energy.csv", "snapshots.bin", "snapshots.json"]
+    return verdicts, ["energy.csv", "snapshots.bin", "snapshots.json"], gen.cayley_route(dt)
 
 
 def _run_resolvent_scan(config, out, rng):
@@ -523,7 +526,7 @@ def _run_multiplier_check(config, out, rng):
     tol = _finite(config, "tolerance", 0.1)
     verdicts = {"identity": {"pass": bool(rep.residual <= tol * rep.scale),
                              "residual": rep.residual, "scale": rep.scale}}
-    return verdicts, ["residuals.json"]
+    return verdicts, ["residuals.json"], gen.cayley_route(dt)
 
 
 def _weight_from_config(grid, config):
@@ -673,9 +676,9 @@ def run(config, out_dir=None, jobs=1):
     out.mkdir(parents=True, exist_ok=True)
     rng = _rng(config)
     t0 = time.perf_counter()
-    status = {"status": "ok"}
+    status, route = {"status": "ok"}, []
     try:
-        verdicts, outputs = _HANDLERS[config.kind](config, out, rng)
+        verdicts, outputs, *route = _HANDLERS[config.kind](config, out, rng)
     except ConfigError:
         raise
     except Exception as exc:  # a numerical failure is a failed run with a manifest
@@ -691,6 +694,7 @@ def run(config, out_dir=None, jobs=1):
         "verdicts": verdicts,
         "timings": {"wall_seconds": elapsed},
         **status,
+        **({"crank_nicolson_route": route[0]} if route else {}),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
     ok = "error" not in status and all(v.get("pass", False) for v in verdicts.values())
@@ -709,6 +713,8 @@ def report(manifest_path):
     except (json.JSONDecodeError, KeyError) as exc:
         raise ValueError(f"corrupt manifest {path}: {exc}") from exc
     lines = [f"experiment: {kind}"]
+    if "crank_nicolson_route" in doc:
+        lines.append(f"crank-nicolson route: {doc['crank_nicolson_route']}")
     if "error" in doc:
         lines.append(f"error: {doc['error']['type']}: {doc['error']['message']}")
     for name, v in sorted(verdicts.items()):

@@ -9,14 +9,17 @@ exactly norm-preserving in the generator's inner product when A is
 skew-adjoint there and exactly contractive when A is dissipative, so
 conservation and monotonicity are rounding-level statements.  The solve is
 the generator's own ``cayley_solver(dt)``, b -> 2 (I - dt/2 A)^-1 b with the
-factor of two folded into the factor, so a step is ``solve(u) - u``.  It is
-factored once per dt by ``magop.factorize`` and kept on the generator, so the
-factor is freed with it: zgttrf of (I - dt/2 A)/2 in 1D, and otherwise SuperLU
-(no relaxed supernodes, 2-column panels) of the weighted system
-W (I - dt/2 A)/2, W = M + i sigma d [A2], applied to W b.  That system is
-strictly column diagonally dominant, so partial pivoting keeps its diagonal
-and the minimum-degree fill, which I - dt/2 A itself loses on A2 from about
-128^2 on (CHANGES.md).
+factor of two folded into the system, so a step is ``solve(u) - u``.  It is
+set up once per dt and kept on the generator, so it is freed with it, by one
+of the routes ``cayley_route(dt)`` names: ``band``, zgttrf of (I - dt/2 A)/2
+in 1D; otherwise the weighted system W (I - dt/2 A)/2, W = M + i sigma d [A2],
+applied to W b, in A0's closed-form axis modes where the link phases separate
+by axis (``modes`` for A0, ``modes+schur`` for A2 and A3, whose gamma0
+unknowns a dense Schur complement eliminates), else factored by SuperLU
+(``superlu``: A1 and potentials whose phases do not separate).  That system
+is strictly column diagonally dominant, so partial pivoting keeps its
+diagonal and the minimum-degree fill, which I - dt/2 A itself loses on A2
+from about 128^2 on (CHANGES.md).
 
 The discrete energy increment satisfies
 
@@ -106,7 +109,7 @@ class SnapshotRecord:
     def __init__(self, gen, path, T, dt, stride):
         if stride < 1:
             raise ValueError(f"snapshot stride must be at least 1, got {stride!r}")
-        self.gen, self.path, self.dt = gen, Path(path), dt
+        self.gen, self.path, self.dt, self.stride = gen, Path(path), dt, stride
         self.steps = retained_steps(step_count(T, dt), stride)
         # block b holds steps b*width+1 .. (b+1)*width, the first also step 0
         width = _block_width(gen.size)
@@ -118,12 +121,20 @@ class SnapshotRecord:
         return self
 
     def __call__(self, steps, U):
-        """Append the retained ones of the states U (n, k) at ``steps``."""
+        """Append the retained ones of the states U (n, k) at ``steps``.  They
+        are every stride-th column from the first, but for the run's last
+        step, which the stride may not reach: each run is read as a slice."""
         lo, hi = np.searchsorted(self.steps, (steps[0], steps[-1] + 1))
         taken = self.steps[lo:hi]
         k = taken.size
         self.buf[:k, 0] = self.dt * taken
-        self.buf[:k, 1:].view(complex)[:, self.gen.state_idx] = U[:, taken - steps[0]].T
+        rows = self.buf[:k, 1:].view(complex)
+        cols = taken - steps[0]
+        run = k if k < 2 or cols[-1] - cols[-2] == self.stride else k - 1
+        if run:
+            rows[:run, self.gen.state_idx] = U[:, cols[0]:cols[run - 1] + 1:self.stride].T
+        if run < k:
+            rows[run, self.gen.state_idx] = U[:, cols[-1]]
         self.buf[:k].tofile(self.fh)
 
     def __exit__(self, exc_type, exc, tb):

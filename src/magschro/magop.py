@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
+from math import prod
 
 import numpy as np
 import scipy.linalg as la
@@ -229,9 +230,10 @@ class GeneratorMatrix:
     """A complex square operator together with the inner product it lives in.
 
     Immutable after assembly; operator application is pure.  Derived data
-    (the Crank-Nicolson factors of ``cayley_solver``, the Delta_a rows on
-    gamma0, the factored inner product of ``metric_root``, the Lanczos start
-    ``resolvent_start``, A0's ``modes`` and their ``axis_modes``, the
+    (the Crank-Nicolson solvers of ``cayley_solver`` and the interior's axis
+    sines they may use, the Delta_a rows on gamma0, the factored inner
+    product of ``metric_root``, the Lanczos start ``resolvent_start``, A0's
+    ``modes`` and their ``axis_modes``, the
     A - i mu I pattern of ``shifted``, and the band or the SuperLU column
     order that ``shift_solvers`` factors every shift with) is built on first
     use and kept on the instance, so it is freed with it;
@@ -368,8 +370,9 @@ class GeneratorMatrix:
     # rows of U on the support of c.
 
     def _mass_forms(self, U):
-        """(u | u)_M."""
-        return self.mass_diag @ _abs_squares(U)
+        """(u | u)_M, with no n x k temporary."""
+        return (np.einsum("i,i...,i...->...", self.mass_diag, U.real, U.real)
+                + np.einsum("i,i...,i...->...", self.mass_diag, U.imag, U.imag))
 
     def _stiffness_forms(self, U):
         """(S u | u), clamped at 0 against rounding."""
@@ -500,31 +503,45 @@ class GeneratorMatrix:
 
     @cached_property
     def _cayley_solvers(self):
-        """{dt: solve}, filled by cayley_solver."""
+        """{dt: (route, solve)}, filled by cayley_solver."""
         return {}
 
     def cayley_solver(self, dt):
-        """b -> 2 (I - dt/2 A)^-1 b, factored once per dt by ``factorize`` and
-        kept on this instance; a Crank-Nicolson step is ``solve(u) - u``.
+        """b -> 2 (I - dt/2 A)^-1 b for a vector or an (n, k) block b, set up
+        once per dt and kept on this instance; a Crank-Nicolson step is
+        ``solve(u) - u``.  ``cayley_route(dt)`` names the route taken.
 
-        On the zgttrf path (1D) the factor is of (I - dt/2 A)/2, an exact
-        power-of-two scaling: the pivots are those of I - dt/2 A, so each solve
-        is bitwise twice the unscaled one.  A tridiagonal factor has no fill to
-        lose.  On the SuperLU path it is of the weighted system W (I - dt/2 A)/2
-        with W = M + i sigma d [A2], the left side of the assembly's flux
-        balance, and a solve is that factor applied to W b.  Written from the
-        assembly's parts,
+        * ``band`` (1D): zgttrf of (I - dt/2 A)/2, an exact power-of-two
+          scaling: the pivots are those of I - dt/2 A, so each solve is bitwise
+          twice the unscaled one.  A tridiagonal factor has no fill to lose.
+        * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2 or more dimensions
+          where the link phases separate by axis (``_axis_sines``): the
+          weighted system below in A0's closed-form axis modes
+          (``_ModalCayley``), with no factorization of the grid.
+        * ``superlu`` (A1, potentials whose phases do not separate, and
+          ``_ModalCayley``'s refusals): ``factorize`` of the weighted system.
+
+        The weighted system is W (I - dt/2 A)/2 with W = M + i sigma d [A2],
+        the left side of the assembly's flux balance, and a solve is its
+        inverse applied to W b.  Written from the assembly's parts,
 
             W (I - dt/2 A) = W + dt/2 (W c [A1] + sigma d [A3]) + i dt/2 S,
 
         which is strictly column diagonally dominant (|S_ij| = w_e and
-        S_jj >= sum_i |S_ij|, while Re W = M > 0).  So partial pivoting makes no
-        interchanges and keeps MMD's fill at every grid size.  The unweighted
-        128^2 A2 system makes 567 interchanges, nearly doubles the fill
-        (1 255 661 against 660 512) and factors about 3x slower; at 256^2 the
-        fill is four times as large and the factor about 45x slower
+        S_jj >= sum_i |S_ij|, while Re W = M > 0).  So SuperLU's partial
+        pivoting makes no interchanges and keeps MMD's fill at every grid size.
+        The unweighted 128^2 A2 system makes 567 interchanges, nearly doubles
+        the fill (1 255 661 against 660 512) and factors about 3x slower; at
+        256^2 the fill is four times as large and the factor about 45x slower
         (CHANGES.md).
         """
+        return self._cayley(dt)[1]
+
+    def cayley_route(self, dt):
+        """The route of ``cayley_solver(dt)``: band, modes, modes+schur or superlu."""
+        return self._cayley(dt)[0]
+
+    def _cayley(self, dt):
         dt = float(dt)
         if dt not in self._cayley_solvers:
             solve = None
@@ -532,20 +549,36 @@ class GeneratorMatrix:
                 # Only 1D operators are tridiagonal; in 2D, forming I - dt/2 A
                 # for the band test alone took 1 of the factor's 10 ms at 64^2.
                 eye = sp.identity(self.size, dtype=complex, format="csc")
-                solve = _tridiagonal_solver((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
-            self._cayley_solvers[dt] = (self._weighted_cayley(dt) if solve is None
-                                        else solve["N"])
+                band = _tridiagonal_solver((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
+                if band is not None:
+                    route, solve = "band", band["N"]
+            elif self.kind != "A1" and self._interior_sines is not None:
+                solve = _ModalCayley.build(self, dt, self._interior_sines)
+                route = "modes" if self.kind == "A0" else "modes+schur"
+            if solve is None:
+                route, solve = "superlu", self._weighted_cayley(dt)
+            self._cayley_solvers[dt] = route, solve
         return self._cayley_solvers[dt]
 
-    def _weighted_cayley(self, dt):
-        """b -> 2 (I - dt/2 A)^-1 b through the factor of W (I - dt/2 A)/2."""
+    @cached_property
+    def _interior_sines(self):
+        """``_axis_sines`` of the grid and potential: the closed-form modes of
+        A0's pencil, which is every kind's interior block."""
+        return _axis_sines(self.grid, self.potential)
+
+    def _weighted_system(self, dt):
+        """(W, W (I - dt/2 A)/2): the diagonal W and the sparse system."""
         w = self.mass_diag.astype(complex)
         diag = self.mass_diag * self.damping_c if self.kind == "A1" else np.zeros(self.size)
         if self.kind == "A2":
             w[self.gamma0_pos] += 1j * self.sigma_d
         if self.kind == "A3":
             diag[self.gamma0_pos] += self.sigma_d
-        system = (sp.diags(w + (dt / 2.0) * diag) + (0.5j * dt) * self.stiffness) * 0.5
+        return w, (sp.diags(w + (dt / 2.0) * diag) + (0.5j * dt) * self.stiffness) * 0.5
+
+    def _weighted_cayley(self, dt):
+        """b -> 2 (I - dt/2 A)^-1 b through the factor of W (I - dt/2 A)/2."""
+        w, system = self._weighted_system(dt)
         solve, w_col = factorize(system)["N"], w[:, None]
         return lambda b: solve((w if np.ndim(b) == 1 else w_col) * b)
 
@@ -617,14 +650,27 @@ def _pencil_modes(S, mass):
 def _separable_modes(grid, a):
     """Per axis, the closed-form modes (lam_ax, V_ax) of A0's pencil, whose
     Kronecker sum is A0's, or None when some axis's link phases change across
-    the interior lines of the other axes.  Along a line, u = exp(-i psi) v
-    with psi the antiderivative of h a takes each link to a = 0,
-    exp(i h a_j) u_j+1 - u_j = exp(-i psi_j) (v_j+1 - v_j), where the pencil
-    is tridiag(-1, 2, -1)/h^2 with mass h and its modes are discrete sines
-    (Infante & Zuazua, M2AN 33, 1999): for j, k = 1 .. n-2,
+    the interior lines of the other axes: V_ax = diag(phase_ax) Q_ax from
+    ``_axis_sines``."""
+    sines = _axis_sines(grid, a)
+    if sines is None:
+        return None
+    return tuple((lam, Q if phase is None else phase[:, None] * Q) for lam, Q, phase in sines)
+
+
+def _axis_sines(grid, a):
+    """Per axis (lam_ax, Q_ax, phase_ax), the factors of A0's closed-form
+    modes V_ax = diag(phase_ax) Q_ax, or None as for ``_separable_modes``.
+    Along a line, u = exp(-i psi) v with psi the antiderivative of h a takes
+    each link to a = 0, exp(i h a_j) u_j+1 - u_j = exp(-i psi_j) (v_j+1 - v_j),
+    where the pencil is tridiag(-1, 2, -1)/h^2 with mass h and its modes are
+    discrete sines (Infante & Zuazua, M2AN 33, 1999): for j, k = 1 .. n-2,
 
         lam_k = (4/h^2) sin^2(k pi / (2 (n-1))),
-        V_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)) exp(-i psi_j).
+        Q_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)),   phase_j = exp(-i psi_j).
+
+    Q_ax is real and symmetric, Q_ax h Q_ax = I; phase_ax is None where psi
+    vanishes on the line.
     """
     factors = []
     for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
@@ -634,11 +680,10 @@ def _separable_modes(grid, a):
             return None
         k, m = np.arange(1, n - 1), 2 * (n - 1)
         # j k reduced mod 2 (n-1), so every sine is taken in [0, 2 pi)
-        V_ax = np.sqrt(4.0 / (h * m)) * np.sin(np.outer(k, k) % m * (2.0 * np.pi / m))
+        Q = np.sqrt(4.0 / (h * m)) * np.sin(np.outer(k, k) % m * (2.0 * np.pi / m))
         psi = _antiderivative(h, lines[0])[1:-1]
-        if psi.any():
-            V_ax = np.exp(-1j * psi)[:, None] * V_ax
-        factors.append(((4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2, V_ax))
+        factors.append(((4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2, Q,
+                        np.exp(-1j * psi) if psi.any() else None))
     return tuple(factors)
 
 
@@ -648,6 +693,204 @@ def _kron_sum(lam1, lam2):
     lam = np.add.outer(lam1, lam2).ravel()
     order = np.argsort(lam, kind="stable")
     return (lam[order], *np.divmod(order, lam2.size))
+
+
+class _ModalCayley:
+    """b -> 2 (I - dt/2 A)^-1 b = B^-1 W b, B = W (I - dt/2 A)/2 (see
+    ``GeneratorMatrix.cayley_solver``), for A0, A2 and A3 whose link phases
+    separate by axis, with no factorization of the grid.
+
+    B's interior block B_II = (M + i dt/2 S_II)/2 is A0's pencil, diagonal in
+    its closed-form axis modes V = (x)_ax diag(phase_ax) Q_ax:
+    B_II^-1 = V diag(2 / (1 + i dt lam/2)) V^H, fast diagonalization (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964).  A2 and A3 add the gamma0 unknowns
+    G, eliminated by the dense Schur complement S_G = B_GG - B_GI B_II^-1 B_IG
+    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), set up once
+    per dt.  A gamma0 node couples to at most one interior node, across its
+    face, on the interior's first or last line along the face's axis: a slab.
+    So B_IG and B_GI act on slabs only, and S_G reads B_II^-1 between slabs.
+
+    A solve makes one full forward and one full inverse transform, with the
+    phases applied as one diagonal.  Each is a product with the real Q_ax
+    along every axis, taken on the complex array viewed as real, so one real
+    matrix product per axis; the axis taken next is moved to the front in
+    between.  The forward transform leaves the axes in the order
+    (d-1, 0, .., d-2), ``order``, which the factor is stored in and the inverse
+    transform undoes.  The slab terms are products with the rows of Q_ax at
+    the slabs along axis ax, and back with its columns; the rest of the Schur
+    step is two small dense products (``_eliminate``).  Arrays carry the
+    right-hand sides' columns as their last axis.
+    """
+
+    def __init__(self, sines, dt, w):
+        lams, self.sines, phases = zip(*sines)
+        self.shape = tuple(lam.size for lam in lams)
+        d = len(self.shape)
+        self.order = (d - 1,) + tuple(range(d - 1))
+        self.where = tuple(self.order.index(ax) for ax in range(d))
+        factor = 2.0 / (1.0 + (0.5j * dt) * reduce(np.add.outer, lams))
+        self.factor = np.ascontiguousarray(factor.transpose(self.order))[..., None]
+        self.w, self.phase, self.interior = w, None, None
+        if any(p is not None for p in phases):
+            self.phase = reduce(np.multiply.outer, [np.ones(size) if p is None else p
+                                                    for p, size in zip(phases, self.shape)])
+            self.columns = self.phase.reshape(-1, 1), np.conj(self.phase).reshape(-1, 1)
+
+    @classmethod
+    def build(cls, gen, dt, sines):
+        """The solve, or None when the interior is empty or ``_eliminate``
+        refuses."""
+        if min(gen.grid.n) < 3:
+            return None
+        w, system = gen._weighted_system(dt)
+        solve = cls(sines, dt, w)
+        if gen.kind == "A0" or solve._eliminate(gen, system):
+            return solve
+        return None
+
+    def _eliminate(self, gen, system):
+        """Set up the Schur complement of gamma0; False past the dense limit,
+        or when no gamma0 node couples to the interior (only edge nodes).
+
+        The rim is the slabs' nodes one after the other, each slab in C order
+        of its other axes.  Per axis with slabs, a solve reads T_ax, the rows
+        of Q_ax at them applied to the modes D V^H f_I (``thin``), and writes
+        back through the columns.  The sines of the other axes, the phases
+        and the couplings are folded into two dense matrices: ``reads`` takes
+        T to B_GI B_II^-1 f_I, and ``writes`` takes x_G to the T of
+        V^H B_IG x_G."""
+        grid, state, G = gen.grid, gen.state_idx, gen.gamma0_pos
+        I = _positions(grid.num_nodes, state)[grid.interior_idx]
+        coupling = system[I][:, G].tocoo()          # B_IG, one entry per coupled column
+        i, g = coupling.row, coupling.col
+        # each pair couples across one face (axis, side); its interior node
+        # lies on the slab of that face, the first or last index along the axis
+        inner = np.array(np.unravel_index(grid.interior_idx[i], grid.shape))
+        outer = np.array(np.unravel_index(state[G[g]], grid.shape))
+        across = np.argmax(inner != outer, axis=0)
+        keys, which = np.unique(2 * across + (outer > inner)[across, np.arange(i.size)],
+                                return_inverse=True)
+        at = np.array(np.unravel_index(i, self.shape))
+        slabs, rim, size = [], np.empty(i.size, dtype=int), 0
+        for s, key in enumerate(keys):
+            ax, side = divmod(int(key), 2)
+            face = self.shape[:ax] + self.shape[ax + 1:]
+            rim[which == s] = size + np.ravel_multi_index(
+                tuple(np.delete(at[:, which == s], ax, axis=0)), face)
+            slabs.append((ax, side * (self.shape[ax] - 1), size))
+            size += prod(face)
+        if not i.size or max(G.size, size) > _DENSE_LIMIT:
+            return False
+        factor = self.factor[..., 0].transpose(self.where)
+        K = np.empty((size, size), dtype=complex)   # B_II^-1 between the slabs
+        for s, (ax, e, lo) in enumerate(slabs):
+            for ax2, e2, lo2 in slabs[s:]:
+                block = _slab_block(self.sines, factor, (ax, e), (ax2, e2))
+                K[lo:lo + block.shape[0], lo2:lo2 + block.shape[1]] = block
+                K[lo2:lo2 + block.shape[1], lo:lo + block.shape[0]] = block.T
+        phase = np.ones(size)
+        if self.phase is not None:
+            phase = np.concatenate([self.phase.take(e, axis=ax).ravel() for ax, e, _ in slabs])
+            K *= phase[:, None] * np.conj(phase)
+        b_ig, b_gi = coupling.data, np.asarray(system[G[g], I[i]]).ravel()
+        schur = system[G][:, G].toarray()
+        schur[np.ix_(g, g)] -= b_gi[:, None] * K[np.ix_(rim, rim)] * b_ig
+        # a product with the inverse: one zgemv of 11 us, where zgetrs took
+        # 50 us at order 190 for one right-hand side (2-core x86 host, one
+        # BLAS thread)
+        self.schur_inverse = la.inv(schur, check_finite=False)
+
+        # the rim values of T, per axis: the other axes' sines applied to an
+        # identity of T's size, read in rim order (real: Q and the orders are)
+        physical = [self.shape[o] for o in self.order]
+        self.thin, blocks = [], []
+        for ax in sorted({ax for ax, _, _ in slabs}):
+            rows = [e for a, e, _ in slabs if a == ax]
+            shape = physical.copy()
+            shape[self.where[ax]] = len(rows)
+            m = prod(shape)
+            Y = np.eye(m, dtype=complex).reshape(shape + [m])
+            others = [o for o in range(len(self.shape)) if o != ax]
+            for o in others:
+                Y = _along(Y, self.sines[o], self.where[o])
+            Y = Y.real.transpose([self.where[o] for o in [ax] + others] + [-1])
+            blocks.append(Y.reshape(-1, m))
+            self.thin.append((ax, self.sines[ax][rows], self.sines[ax][:, rows], tuple(shape)))
+        R = la.block_diag(*blocks)                  # rim values of T, without phases
+        self.reads = np.zeros((G.size, R.shape[1]), dtype=complex)
+        self.reads[g] = (b_gi * phase[rim])[:, None] * R[rim]
+        self.writes = np.zeros((R.shape[1], G.size), dtype=complex)
+        self.writes[:, g] = R[rim].T * (np.conj(phase[rim]) * b_ig)
+        self.interior, self.gamma0 = I, G
+        return True
+
+    def __call__(self, b):
+        F = self.w[:, None] * np.reshape(b, (self.w.size, -1))
+        k = F.shape[1]
+        Fi = F if self.interior is None else np.take(F, self.interior, axis=0)
+        if self.phase is not None:
+            Fi = self.columns[1] * Fi
+        Z = Fi.reshape(self.shape + (k,))
+        for ax, Q in enumerate(self.sines):
+            if ax:
+                Z = np.moveaxis(Z, 0, -2)
+            Z = _along(Z, Q, 0)
+        Z *= self.factor
+        if self.interior is not None:
+            T = [_along(Z, rows, self.where[ax]).reshape(-1, k) for ax, rows, _, _ in self.thin]
+            xG = self.schur_inverse @ (F[self.gamma0] - self.reads @ np.concatenate(T))
+            U, lo, total = self.writes @ xG, 0, 0.0
+            for (ax, _, cols, shape), t in zip(self.thin, T):
+                total = total + _along(U[lo:lo + len(t)].reshape(shape + (k,)), cols,
+                                       self.where[ax])
+                lo += len(t)
+            Z -= self.factor * total
+        for ax in reversed(range(len(self.shape))):
+            if ax != len(self.shape) - 1:
+                Z = np.moveaxis(Z, -2, 0)
+            Z = _along(Z, self.sines[ax], 0)
+        X = Z.reshape(-1, k)
+        if self.phase is not None:
+            X = self.columns[0] * X
+        if self.interior is None:
+            return X.reshape(np.shape(b))
+        x = np.empty_like(F)
+        x[self.interior], x[self.gamma0] = X, xG
+        return x.reshape(np.shape(b))
+
+
+def _along(X, M, axis):
+    """The real M applied along one axis of the complex X, out[.., i, ..] =
+    sum_j M[i, j] X[.., j, ..]: real matrix products on X viewed as real,
+    one per index before the axis."""
+    X = np.ascontiguousarray(X)
+    pre, n, post = prod(X.shape[:axis]), X.shape[axis], prod(X.shape[axis + 1:])
+    shape = X.shape[:axis] + (M.shape[0],) + X.shape[axis + 1:]
+    if post == 1:
+        return (X.reshape(pre, n) @ M.T).reshape(shape)
+    return np.matmul(M, X.reshape(pre, n, post).view(float)).view(complex).reshape(shape)
+
+
+def _slab_block(sines, factor, s, t):
+    """Q_s diag(factor) Q_t^T for the interior slabs s = (axis, index) and t:
+    the real axis sines at the nodes of s (rows, C order of its other axes)
+    and of t (columns), contracted over the modes in one einsum.  The rows
+    of Q at a slab's index come first, so no intermediate holds more than
+    two of the modes' axes in 2D; the order is given, not searched."""
+    d = factor.ndim
+    rows, cols, vectors, matrices = [], [], [], []
+    for o, Q in enumerate(sines):
+        for (ax, e), free, label in ((s, rows, d + o), (t, cols, 2 * d + o)):
+            if o == ax:
+                vectors += [Q[e], [o]]
+            else:
+                free.append(label)
+                matrices += [Q, [label, o]]
+    operands = [factor, list(range(d))] + vectors + matrices
+    count = len(operands) // 2
+    path = ["einsum_path", (0, 1)] + [(0, count - 2 - j) for j in range(count - 2)]
+    out = np.einsum(*operands, rows + cols, optimize=path)
+    return out.reshape(prod(out.shape[:len(rows)]), -1)
 
 
 def factorize(M):

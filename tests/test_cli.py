@@ -144,6 +144,52 @@ def test_report_of_finished_run(tmp_path, capsys):
     assert "conservation: PASS" in text
 
 
+# the 2D stepping configs of the benchmark's stepping-2d workload, and an A1
+# and a non-separable twin of the first
+STEPPING_2D = {
+    "simulate-a2-2d": ({
+        "kind": "simulate", "grid.dim": 2, "grid.extents": 1.0, "grid.n": 64,
+        "generator": "A2", "split.x0": [-0.3, 0.5], "damping.d_preset": "m-dot-nu",
+        "T": 0.1, "dt": 5e-4}, "modes+schur"),
+    "multiplier-check-2d": ({
+        "kind": "multiplier-check", "grid.dim": 2, "grid.extents": 1.0, "grid.n": 33,
+        "T": 0.05, "dt": 5e-4}, "modes"),
+    "simulate-a1-2d": ({
+        "kind": "simulate", "grid.dim": 2, "grid.n": 16, "generator": "A1",
+        "damping.c_preset": "constant", "T": 0.01, "dt": 5e-4}, "superlu"),
+    "simulate-a2-2d-curl": ({
+        "kind": "simulate", "grid.dim": 2, "grid.n": 16, "generator": "A2",
+        "split.x0": [-0.3, 0.5], "damping.d_preset": "m-dot-nu", "potential.preset": "tabulated",
+        "T": 0.01, "dt": 5e-4}, "superlu"),
+    "simulate-a1-1d": ({
+        "kind": "simulate", "grid.dim": 1, "grid.n": 32, "generator": "A1",
+        "damping.c_preset": "constant", "T": 0.01, "dt": 5e-4}, "band"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPING_2D))
+def test_stepping_manifest_names_the_crank_nicolson_route(tmp_path, monkeypatch, name):
+    """The simulate and multiplier-check manifests name the Crank-Nicolson
+    route, and ``report`` prints it.  stepping-2d's two 2D generators run in
+    closed-form modes and factor nothing; A1 and a potential of nonzero curl
+    make one SuperLU factor, 1D none."""
+    import scipy.sparse.linalg as spla
+
+    values, route = STEPPING_2D[name]
+    values = dict(values)
+    if values.get("potential.preset") == "tabulated":
+        grid = mesh.build_grid(2, 1.0, 16)
+        x, y = grid.coords.T
+        values["potential.values"] = (3.0 * np.column_stack([-(y - 0.5), x - 0.5])).tolist()
+    factors, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: factors.append(1) or splu(*args, **kw))
+    assert cli.run(cli.ExperimentConfig(values.pop("kind"), values), out_dir=tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["crank_nicolson_route"] == route
+    assert f"crank-nicolson route: {route}" in cli.report(tmp_path / "manifest.json")
+    assert len(factors) == (1 if route == "superlu" else 0)
+
+
 def test_report_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         cli.report(tmp_path / "nope.json")

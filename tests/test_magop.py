@@ -592,17 +592,25 @@ def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
     np.testing.assert_allclose(gen.energies(U), want, rtol=1e-14, atol=0)
 
 
+def across_axes(p):
+    """0.8 sin(2 (x + y) + 0.3) in every component: link phases that do not
+    separate by axis, so a 2D Crank-Nicolson system stays on SuperLU."""
+    return 0.8 * np.sin(2.0 * p.sum(axis=1, keepdims=True) + 0.3) * np.ones(p.shape[1])
+
+
 @pytest.mark.parametrize("trans", ["N"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
     """On the zgttrf path (1D) the factor of (I - dt/2 A)/2 solves bitwise as
-    twice the factor of I - dt/2 A.  On the SuperLU path (2D) the factor is of
-    the weighted system W (I - dt/2 A)/2, W = M + i sigma d on gamma0, written
-    from the generator's parts as W + i dt/2 S: each solve is bitwise twice
-    that system's factor applied to W b, and the system is W times I - dt/2 A
-    to rounding."""
+    twice the factor of I - dt/2 A.  On the SuperLU path (2D, a potential
+    whose phases do not separate) the factor is of the weighted system
+    W (I - dt/2 A)/2, W = M + i sigma d on gamma0, written from the
+    generator's parts as W + i dt/2 S: each solve is bitwise twice that
+    system's factor applied to W b, and the system is W times I - dt/2 A to
+    rounding."""
     grid = mesh.build_grid(dim, 1.0, 48 if dim == 1 else 10)
-    a = magop.MagneticPotential.from_callable(grid, lambda p: 0.9 * np.cos(3.0 * p + 0.2))
+    a = magop.MagneticPotential.from_callable(
+        grid, (lambda p: 0.9 * np.cos(3.0 * p + 0.2)) if dim == 1 else across_axes)
     split = mesh.split_boundary(grid, [-0.3] * dim)
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = 1.7
@@ -615,6 +623,7 @@ def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
         unscaled = sp.identity(gen.size, dtype=complex, format="csc") - (dt / 2.0) * gen.matrix
         assert (magop._tridiagonal_solver(unscaled) is not None) == (dim == 1)
         solve = gen.cayley_solver(dt)
+        assert gen.cayley_route(dt) == ("band" if dim == 1 else "superlu")
         if dim == 1:
             want = magop.factorize(unscaled)[trans]
             for x in (b, b[:, 0]):
@@ -636,10 +645,10 @@ def test_cayley_factor_makes_no_interchanges(monkeypatch, kind, n):
     pivoting leaves perm_r equal to perm_c, also at 128^2, where I - dt/2 A
     itself makes hundreds of interchanges on A2.  The solve matches a dense
     solve of I - dt/2 A, or past the dense limit has a rounding-level
-    residual."""
+    residual.  The potential's phases do not separate, so every kind takes
+    SuperLU."""
     grid = mesh.build_grid(2, 1.0, n)
-    a, split, d = damped_setup(
-        grid, magop.MagneticPotential.from_callable(grid, lambda p: 0.8 * np.sin(2.0 * p + 0.3)))
+    a, split, d = damped_setup(grid, magop.MagneticPotential.from_callable(grid, across_axes))
     c = np.where(grid.coords[:, 0] < 0.4, 3.0, 0.0)
     gen = magop.assemble_generator(kind, grid, a, c=c, d=d, split=split)
     factors, splu = [], spla.splu
@@ -653,6 +662,7 @@ def test_cayley_factor_makes_no_interchanges(monkeypatch, kind, n):
     b = rng.normal(size=(gen.size, 2)) + 1j * rng.normal(size=(gen.size, 2))
     for dt in (5e-4, 0.05):
         x = gen.cayley_solver(dt)(b)
+        assert gen.cayley_route(dt) == "superlu"
         assert np.array_equal(factors[-1].perm_r, factors[-1].perm_c)
         if n <= 12:
             dense = np.eye(gen.size) - (dt / 2.0) * gen.matrix.toarray()
@@ -662,6 +672,95 @@ def test_cayley_factor_makes_no_interchanges(monkeypatch, kind, n):
             unscaled = sp.identity(gen.size, format="csr") - (dt / 2.0) * gen.matrix
             assert np.linalg.norm(unscaled @ x - 2.0 * b) <= 1e-13 * np.linalg.norm(2.0 * b)
     assert len(factors) == 2
+
+
+PRESETS = {
+    "zero": lambda grid: magop.MagneticPotential.zero(grid),
+    "constant": lambda grid: magop.MagneticPotential.from_samples(
+        grid, np.tile([0.7, -1.3], (grid.num_nodes, 1))),
+    "sine": lambda grid: magop.MagneticPotential.from_callable(
+        grid, lambda p: 0.9 * np.sin(3.0 * p + 0.2)),
+}
+
+
+def face_split(grid, faces):
+    """A boundary split whose gamma0 is the given faces (axis, 0 or -1)."""
+    at = np.array(np.unravel_index(grid.boundary_idx, grid.shape))
+    on = np.zeros(grid.boundary_idx.size, dtype=bool)
+    for ax, end in faces:
+        on |= at[ax] == (grid.shape[ax] - 1 if end else 0)
+    return mesh.BoundarySplit(gamma0=grid.boundary_idx[on], gamma1=grid.boundary_idx[~on],
+                              m=grid.coords, transition_pairs=0)
+
+
+GAMMA0 = {
+    "one side": lambda grid, rng: face_split(grid, [(0, -1)]),
+    "three sides": lambda grid, rng: mesh.split_boundary(grid, [-0.3, 0.5]),
+    "whole boundary": lambda grid, rng: mesh.split_boundary(grid, [0.5, 0.5]),
+    "random x0": lambda grid, rng: mesh.split_boundary(grid, rng.uniform(-0.5, 1.5, 2)),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("kind, gamma0", [("A0", None)] + [
+    (kind, gamma0) for kind in ("A2", "A3") for gamma0 in GAMMA0])
+def test_modal_cayley_matches_a_dense_solve(kind, gamma0, preset):
+    """Where the link phases separate by axis, A0, A2 and A3 solve the
+    Crank-Nicolson system in A0's closed-form axis modes, A2 and A3 through
+    the Schur complement of gamma0, with no SuperLU factor.  Vector and
+    block right-hand sides match a dense solve of I - dt/2 A to 1e-13, on a
+    rectangle of unequal axes, at every dt and gamma0."""
+    grid = mesh.build_grid(2, (1.0, 1.4), (9, 12))
+    rng = np.random.default_rng(sorted(GAMMA0).index(gamma0) if gamma0 else 7)
+    split, d = None, None
+    if kind != "A0":
+        split = GAMMA0[gamma0](grid, rng)
+        d = np.zeros(grid.num_nodes)
+        d[split.gamma0] = rng.uniform(0.1, 5.0, split.gamma0.size)
+    gen = magop.assemble_generator(kind, grid, PRESETS[preset](grid), d=d, split=split)
+    assert magop._separable_modes(grid, gen.potential) is not None
+    b = rng.normal(size=(gen.size, 3)) + 1j * rng.normal(size=(gen.size, 3))
+    for dt in (5e-4, 0.05, 1.0):
+        solve = gen.cayley_solver(dt)
+        assert gen.cayley_route(dt) == ("modes" if kind == "A0" else "modes+schur")
+        want = 2.0 * np.linalg.solve(np.eye(gen.size) - (dt / 2.0) * gen.matrix.toarray(), b)
+        for x, w in ((b, want), (b[:, 0], want[:, 0])):
+            got = solve(x)
+            assert got.shape == w.shape
+            assert np.linalg.norm(got - w) <= 1e-13 * np.linalg.norm(w)
+
+
+def test_modal_cayley_takes_superlu_where_it_does_not_apply(monkeypatch):
+    """A1, a potential whose phases do not separate, a gamma0 of corners
+    alone (no node of it couples to the interior) and a Schur complement past
+    the dense limit make one SuperLU factor per dt; the separable A0, A2 and
+    A3 make none.  1D takes zgttrf."""
+    factors, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: factors.append(1) or splu(*args, **kw))
+    grid = mesh.build_grid(2, 1.0, 12)
+    a, split, d = damped_setup(grid)
+    c = np.where(grid.coords[:, 0] < 0.4, 3.0, 0.0)
+    crossed = magop.MagneticPotential.from_callable(grid, across_axes)
+    cases = [("A0", a, "modes"), ("A2", a, "modes+schur"), ("A3", a, "modes+schur"),
+             ("A1", a, "superlu"), ("A0", crossed, "superlu"), ("A2", crossed, "superlu")]
+    for kind, pot, route in cases:
+        gen = magop.assemble_generator(kind, grid, pot, c=c, d=d, split=split)
+        before = len(factors)
+        for dt in (5e-4, 0.05):
+            gen.cayley_solver(dt)
+            assert gen.cayley_route(dt) == route
+        assert len(factors) - before == (2 if route == "superlu" else 0), (kind, route)
+    corners = grid.flat_index(([0, 0, 11, 11], [0, 11, 0, 11]))
+    only_corners = mesh.BoundarySplit(gamma0=np.sort(corners), m=grid.coords, transition_pairs=0,
+                                      gamma1=np.setdiff1d(grid.boundary_idx, corners))
+    gen = magop.assemble_generator("A2", grid, a, d=d, split=only_corners)
+    assert gen.cayley_route(0.1) == "superlu" and len(factors) == 7
+    gen = magop.assemble_generator("A3", grid, a, d=d, split=split)
+    monkeypatch.setattr(magop, "_DENSE_LIMIT", split.gamma0.size - 1)
+    assert gen.cayley_route(0.1) == "superlu" and len(factors) == 8
+    grid_1d = mesh.build_grid(1, 1.0, 16)
+    gen = magop.assemble_generator("A0", grid_1d, magop.MagneticPotential.zero(grid_1d))
+    assert gen.cayley_route(0.1) == "band" and len(factors) == 8
 
 
 def test_generator_build_forms_no_gradient_matrices(monkeypatch):
