@@ -599,7 +599,8 @@ def _run_carleman_probe(config, out, rng):
     w = _weight_from_config(grid, config)
     cyl = weights.make_cylinder(grid, ns=_whole(config, "cylinder.ns", grid.n[0], least=4))
     tau_hi = 0.5 / min(cyl.h)
-    taus = _number_list(config, "tau.grid", np.linspace(5.0, tau_hi, 8).tolist())
+    tau_lo = 5.0 if tau_hi > 5.0 else tau_hi / 8       # 8 distinct taus in any window
+    taus = _number_list(config, "tau.grid", np.linspace(tau_lo, tau_hi, 8).tolist())
     if np.any(taus <= 0) or np.any(taus > tau_hi + 1e-12):
         raise ConfigError(f"tau.grid: values must lie in the aliasing window "
                           f"(0, 0.5/h = {tau_hi:.6g}], got {taus.tolist()!r}")

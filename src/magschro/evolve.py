@@ -11,9 +11,10 @@ conservation and monotonicity are rounding-level statements.  The solve is
 the generator's own ``cayley_solver(dt)``, b -> 2 (I - dt/2 A)^-1 b with the
 factor of two folded into the system, so a step is ``solve(u) - u``.  It is
 set up once per dt and kept on the generator, so it is freed with it, by one
-of the routes ``cayley_route(dt)`` names: ``band``, zgttrf of (I - dt/2 A)/2
-in 1D; otherwise the weighted system W (I - dt/2 A)/2, W = M + i sigma d [A2],
-applied to W b, in A0's closed-form axis modes where the link phases separate
+of the routes ``cayley_route(dt)`` names, each read off the generator's
+parts through its one flux balance W Delta_a = -S + i r: ``band``, zgttrf of
+(I - dt/2 A)/2 in 1D; otherwise the weighted system W (I - dt/2 A)/2 applied
+to W b, in A0's closed-form ``axis_sines`` where the link phases separate
 by axis (``modes`` for A0, ``modes+schur`` for A2 and A3, whose gamma0
 unknowns a dense Schur complement eliminates), else factored by SuperLU
 (``superlu``: A1 and potentials whose phases do not separate).  That system

@@ -229,11 +229,12 @@ def magnetic_stiffness(grid, a, state_idx):
 class GeneratorMatrix:
     """A complex square operator together with the inner product it lives in.
 
-    Immutable after assembly; operator application is pure.  Derived data
-    (the Crank-Nicolson solvers of ``cayley_solver`` and the interior's axis
-    sines they may use, the Delta_a rows on gamma0, the factored inner
-    product of ``metric_root``, the Lanczos start ``resolvent_start``, A0's
-    ``modes`` and their ``axis_modes``, the
+    The fields are the assembly's parts, immutable; operator application is
+    pure.  Derived data (A, ``matrix``, and Delta_a, ``lap_matrix``, both
+    read off the parts' ``_flux_balance``, the Crank-Nicolson solvers of
+    ``cayley_solver``, the interior's closed-form ``axis_sines``, A0's
+    ``modes``, the Delta_a rows on gamma0, the factored inner product of
+    ``metric_root``, the Lanczos start ``resolvent_start``, the
     A - i mu I pattern of ``shifted``, and the band or the SuperLU column
     order that ``shift_solvers`` factors every shift with) is built on first
     use and kept on the instance, so it is freed with it;
@@ -241,12 +242,10 @@ class GeneratorMatrix:
     """
 
     kind: str                      # A0 | A1 | A2 | A3
-    matrix: sp.csr_matrix
     grid: Grid
     state_idx: np.ndarray          # full-grid node indices of the unknowns
     mass_diag: np.ndarray          # trapezoid volume weights at the unknowns
     stiffness: sp.csr_matrix       # magnetic stiffness on the unknowns
-    lap_matrix: sp.csr_matrix      # discrete Delta_a including the BC elimination
     gamma0_pos: np.ndarray = None      # positions of gamma0 nodes in the state vector
     sigma_d: np.ndarray = None         # surface weight * d at those positions
     damping_c: np.ndarray = None       # c at the unknowns (A1)
@@ -254,11 +253,36 @@ class GeneratorMatrix:
     split: BoundarySplit = None
     edge_root: sp.csr_matrix = None    # the edge table R of S = R^H R (A2)
 
-    # -- inner products ------------------------------------------------
+    # -- the operator and its inner products -------------------------------
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return self.state_idx.size
+
+    @cached_property
+    def _flux_balance(self):
+        """(W, r) of the flux balance W Delta_a = -S + i diag(r), from
+        M Delta_a u = -S u + sigma flux on gamma0: A2's flux -i d Delta_a u
+        moves to the left, W = M + i sigma d [A2], A3's i d u stays on the
+        right, r = sigma d [A3]."""
+        w, r = self.mass_diag.astype(complex), np.zeros(self.size)
+        if self.kind == "A2":
+            w[self.gamma0_pos] += 1j * self.sigma_d
+        if self.kind == "A3":
+            r[self.gamma0_pos] = self.sigma_d
+        return w, r
+
+    @cached_property
+    def lap_matrix(self):
+        """The discrete Delta_a including the BC elimination, W^-1 (-S + i r)."""
+        w, r = self._flux_balance
+        return (sp.diags(1.0 / w) @ (-self.stiffness + 1j * sp.diags(r))).tocsr()
+
+    @cached_property
+    def matrix(self):
+        """A = i Delta_a - c [A1]."""
+        A = 1j * self.lap_matrix
+        return (A - sp.diags(self.damping_c)).tocsr() if self.kind == "A1" else A
 
     @property
     def inner_kind(self):
@@ -296,34 +320,32 @@ class GeneratorMatrix:
         return start
 
     @cached_property
-    def axis_modes(self):
-        """Per axis, the closed-form factors (lam_ax, V_ax) of A0's pencil,
-        read-only, with V_ax^H h_ax V_ax = I, or None when the link phases do
-        not separate by axis (``_separable_modes``); ``modes`` is their
-        Kronecker sum.  A factor has order n_ax - 2 and is not refused."""
-        if self.kind != "A0":
-            raise ValueError("the modes are those of the conservative generator (A0)")
-        factors = _separable_modes(self.grid, self.potential)
-        for arr in (arr for factor in factors or () for arr in factor):
+    def axis_sines(self):
+        """``_axis_sines`` of the grid and potential, read-only: A0's pencil is
+        every kind's interior block, so its closed-form modes serve ``modes``,
+        the strip Gramians and the Crank-Nicolson ``modes`` routes of A0, A2
+        and A3.  A factor has order n_ax - 2 and is not refused."""
+        sines = _axis_sines(self.grid, self.potential)
+        for arr in (arr for factor in sines or () for arr in factor if arr is not None):
             arr.setflags(write=False)
-        return factors
+        return sines
 
     @cached_property
     def modes(self):
         """(lam, V) of A0's pencil (S, diag M): lam ascending and V with
         V^H M V = I, C-ordered so that a sparse N @ V takes it uncopied, both
-        read-only.  The Kronecker sum of ``axis_modes`` where the link phases
-        separate by axis, else one dense ``eigh``; refused above
+        read-only.  The Kronecker sum of the ``axis_sines`` V_ax where the link
+        phases separate by axis, else one dense ``eigh``; refused above
         ``_DENSE_LIMIT`` before any dense allocation."""
         if self.kind != "A0":
             raise ValueError("the modes are those of the conservative generator (A0)")
         _check_order(self.size, "the modal eigendecomposition")
-        factors = self.axis_modes
-        if factors is None:
+        if self.axis_sines is None:
             lam, V = _pencil_modes(self.stiffness, self.mass_diag)
         else:
             lam, V = np.zeros(1), np.ones((1, 1))          # the sum over no axes
-            for lam_ax, V_ax in factors:
+            for lam_ax, Q, phase in self.axis_sines:
+                V_ax = Q if phase is None else phase[:, None] * Q
                 lam, j, k = _kron_sum(lam, lam_ax)
                 V = np.multiply(V[:, None, j], V_ax[None, :, k], order="C").reshape(-1, lam.size)
         for arr in (lam, V):
@@ -515,17 +537,17 @@ class GeneratorMatrix:
           scaling: the pivots are those of I - dt/2 A, so each solve is bitwise
           twice the unscaled one.  A tridiagonal factor has no fill to lose.
         * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2 or more dimensions
-          where the link phases separate by axis (``_axis_sines``): the
+          where the link phases separate by axis (``axis_sines``): the
           weighted system below in A0's closed-form axis modes
           (``_ModalCayley``), with no factorization of the grid.
         * ``superlu`` (A1, potentials whose phases do not separate, and
           ``_ModalCayley``'s refusals): ``factorize`` of the weighted system.
 
-        The weighted system is W (I - dt/2 A)/2 with W = M + i sigma d [A2],
-        the left side of the assembly's flux balance, and a solve is its
-        inverse applied to W b.  Written from the assembly's parts,
+        The weighted system is W (I - dt/2 A)/2 with W the left side of the
+        flux balance W Delta_a = -S + i r (``_flux_balance``), and a solve is
+        its inverse applied to W b.  Written from the parts,
 
-            W (I - dt/2 A) = W + dt/2 (W c [A1] + sigma d [A3]) + i dt/2 S,
+            W (I - dt/2 A) = W + dt/2 (W c [A1] + r) + i dt/2 S,
 
         which is strictly column diagonally dominant (|S_ij| = w_e and
         S_jj >= sum_i |S_ij|, while Re W = M > 0).  So SuperLU's partial
@@ -552,28 +574,18 @@ class GeneratorMatrix:
                 band = _tridiagonal_solver((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
                 if band is not None:
                     route, solve = "band", band["N"]
-            elif self.kind != "A1" and self._interior_sines is not None:
-                solve = _ModalCayley.build(self, dt, self._interior_sines)
+            elif self.kind != "A1" and self.axis_sines is not None:
+                solve = _ModalCayley.build(self, dt)
                 route = "modes" if self.kind == "A0" else "modes+schur"
             if solve is None:
                 route, solve = "superlu", self._weighted_cayley(dt)
             self._cayley_solvers[dt] = route, solve
         return self._cayley_solvers[dt]
 
-    @cached_property
-    def _interior_sines(self):
-        """``_axis_sines`` of the grid and potential: the closed-form modes of
-        A0's pencil, which is every kind's interior block."""
-        return _axis_sines(self.grid, self.potential)
-
     def _weighted_system(self, dt):
-        """(W, W (I - dt/2 A)/2): the diagonal W and the sparse system."""
-        w = self.mass_diag.astype(complex)
-        diag = self.mass_diag * self.damping_c if self.kind == "A1" else np.zeros(self.size)
-        if self.kind == "A2":
-            w[self.gamma0_pos] += 1j * self.sigma_d
-        if self.kind == "A3":
-            diag[self.gamma0_pos] += self.sigma_d
+        """(W, W (I - dt/2 A)/2): ``_flux_balance``'s W and the sparse system."""
+        w, r = self._flux_balance
+        diag = self.mass_diag * self.damping_c if self.kind == "A1" else r
         return w, (sp.diags(w + (dt / 2.0) * diag) + (0.5j * dt) * self.stiffness) * 0.5
 
     def _weighted_cayley(self, dt):
@@ -647,20 +659,10 @@ def _pencil_modes(S, mass):
     return lam, np.multiply(d[:, None], U, order="C")
 
 
-def _separable_modes(grid, a):
-    """Per axis, the closed-form modes (lam_ax, V_ax) of A0's pencil, whose
-    Kronecker sum is A0's, or None when some axis's link phases change across
-    the interior lines of the other axes: V_ax = diag(phase_ax) Q_ax from
-    ``_axis_sines``."""
-    sines = _axis_sines(grid, a)
-    if sines is None:
-        return None
-    return tuple((lam, Q if phase is None else phase[:, None] * Q) for lam, Q, phase in sines)
-
-
 def _axis_sines(grid, a):
-    """Per axis (lam_ax, Q_ax, phase_ax), the factors of A0's closed-form
-    modes V_ax = diag(phase_ax) Q_ax, or None as for ``_separable_modes``.
+    """Per axis (lam_ax, Q_ax, phase_ax), A0's closed-form modes
+    V_ax = diag(phase_ax) Q_ax, whose Kronecker sum is A0's, or None when an
+    axis's link phases change across the interior lines of the other axes.
     Along a line, u = exp(-i psi) v with psi the antiderivative of h a takes
     each link to a = 0, exp(i h a_j) u_j+1 - u_j = exp(-i psi_j) (v_j+1 - v_j),
     where the pencil is tridiag(-1, 2, -1)/h^2 with mass h and its modes are
@@ -737,13 +739,13 @@ class _ModalCayley:
             self.columns = self.phase.reshape(-1, 1), np.conj(self.phase).reshape(-1, 1)
 
     @classmethod
-    def build(cls, gen, dt, sines):
-        """The solve, or None when the interior is empty or ``_eliminate``
-        refuses."""
+    def build(cls, gen, dt):
+        """The solve in ``gen.axis_sines``, or None when the interior is empty
+        or ``_eliminate`` refuses."""
         if min(gen.grid.n) < 3:
             return None
         w, system = gen._weighted_system(dt)
-        solve = cls(sines, dt, w)
+        solve = cls(gen.axis_sines, dt, w)
         if gen.kind == "A0" or solve._eliminate(gen, system):
             return solve
         return None
@@ -996,7 +998,6 @@ def assemble_generator(kind, grid, a, c=None, d=None, split=None):
     d = _damping_field(grid, d, "boundary")
 
     state, g0_pos, sigma_d = grid.interior_idx, None, None
-    D = np.zeros(grid.num_nodes)        # sigma d, nonzero on gamma0 only
     if kind in ("A2", "A3"):
         if split is None:
             raise ValueError("boundary_split: A2/A3 require a boundary split")
@@ -1005,22 +1006,12 @@ def assemble_generator(kind, grid, a, c=None, d=None, split=None):
         state = np.sort(np.concatenate([grid.interior_idx, split.gamma0]))
         g0_pos = _positions(grid.num_nodes, state)[split.gamma0]
         sigma_d = grid.surface_weights[split.gamma0] * d[split.gamma0]
-        D[split.gamma0] = sigma_d
-    D = D[state]
-    mass = grid.volume_weights[state]
     R = magnetic_edge_root(grid, a, state)
-    S = (R.getH() @ R).tocsr()
-    c = c[state] if kind == "A1" else None
-
-    # From M Delta u = -S u + sigma flux on gamma0: A2's flux -i d Delta u moves
-    # to the left as i sigma d, A3's flux i d u stays on the right.
-    lap = (sp.diags(1.0 / (mass + 1j * D * (kind == "A2")))
-           @ (-S + 1j * sp.diags(D * (kind == "A3")))).tocsr()
-    A = 1j * lap if c is None else (1j * lap - sp.diags(c)).tocsr()
     return GeneratorMatrix(
-        kind=kind, matrix=A, grid=grid, state_idx=state, mass_diag=mass,
-        stiffness=S, lap_matrix=lap, gamma0_pos=g0_pos, sigma_d=sigma_d,
-        damping_c=c, potential=a, split=split, edge_root=R if kind == "A2" else None,
+        kind=kind, grid=grid, state_idx=state, mass_diag=grid.volume_weights[state],
+        stiffness=(R.getH() @ R).tocsr(), gamma0_pos=g0_pos, sigma_d=sigma_d,
+        damping_c=c[state] if kind == "A1" else None, potential=a, split=split,
+        edge_root=R if kind == "A2" else None,
     )
 
 

@@ -30,9 +30,10 @@ unless the stride leaves a remainder, so the extremes come from a real
 symmetric eigenproblem.  A Gramian sampled at s times has rank at most r s
 for observation rows N of rank r; the report records that bound.
 
-Strips split.  When the modes separate by axis (``GeneratorMatrix.axis_modes``)
+Strips split.  When the modes separate by axis (``GeneratorMatrix.axis_sines``)
 and an interior-l2 observation covers a product omega_1 x Omega_2, all of the
-other axis's interior line, the couplings are exactly Z_1 (x) I, so Z o K is
+other axis's interior line, the couplings are exactly Z_1 (x) I, Z_1 real
+because the gauge phase cancels, so Z o K is
 block diagonal: one block Z_1 o K(lam_1 + lam_2k) per mode k of the full axis
 (``_strip_split``).  ``eig``'s kernel reads only gaps, so every block has the
 spectrum of Z_1 o K(lam_1) and one eigensolve of the partial axis's order
@@ -243,19 +244,19 @@ def _extremes_from_modal(Ghat, lam, metric):
 def _strip_split(gen, observation):
     """The block split of an interior-l2 Gramian on a strip, or None.
 
-    It applies when the modes separate (``gen.axis_modes``: V = V_1 (x) V_2,
-    lam = lam_1 (+) lam_2, ordered by mode pairs) and the observed state nodes
-    are a product omega_1 x (the whole interior line of the other axis), for
-    either axis as the partial one.  The rows of V on that set give the
-    couplings Z = Z_1 (x) V_2^H M_2 V_2 = Z_1 (x) I, with
-    Z_1 = V_1[omega_1]^H h_1 V_1[omega_1] real, because the gauge phase
-    exp(-i psi_j) of a row cancels against its conjugate.  So the Gramian is
-    block diagonal, one block Z_1 o K(lam_1 + lam_2k) per mode k of the full
-    axis.  Returns (lam_1, Z_1, lam_2), the blocks indexed by lam_2; in 1D
-    there is nothing to split.  Never forms an order-k object.
+    It applies when the modes separate (``gen.axis_sines``: V = V_1 (x) V_2,
+    V_ax = diag(phase_ax) Q_ax, lam = lam_1 (+) lam_2, ordered by mode pairs)
+    and the observed state nodes are a product omega_1 x (the whole interior
+    line of the other axis), for either axis as the partial one.  The rows
+    of V on that set give the couplings Z = Z_1 (x) V_2^H M_2 V_2 = Z_1 (x) I
+    with Z_1 = Q_1[omega_1]^T h_1 Q_1[omega_1], real: the gauge phase of a row
+    cancels against its conjugate.  So the Gramian is block diagonal, one
+    block Z_1 o K(lam_1 + lam_2k) per mode k of the full axis.  Returns
+    (lam_1, Z_1, lam_2), the blocks indexed by lam_2; in 1D there is nothing
+    to split.  Never forms an order-k object.
     """
     grid = gen.grid
-    if observation.kind != "interior-l2" or grid.dim < 2 or gen.axis_modes is None:
+    if observation.kind != "interior-l2" or grid.dim < 2 or gen.axis_sines is None:
         return None
     pos = magop._positions(grid.num_nodes, gen.state_idx)
     keep = observation.nodes[pos[observation.nodes] >= 0]
@@ -266,13 +267,13 @@ def _strip_split(gen, observation):
     if len(partial) > 1:
         return None
     p = partial[0] if partial else 0
-    lam_p, V_p = gen.axis_modes[p]
-    Y = V_p[sets[p] - 1]                       # interior node j sits on row j - 1
-    Z = (Y.conj().T * grid.h[p]) @ Y
+    sines = gen.axis_sines
+    lam_p, Q_p, _ = sines[p]
+    Y = Q_p[sets[p] - 1]                       # interior node j sits on row j - 1
     lam_q = np.zeros(1)                        # the full axes' lam, summed
-    for lam_ax, _ in gen.axis_modes[:p] + gen.axis_modes[p + 1:]:
+    for lam_ax, _, _ in sines[:p] + sines[p + 1:]:
         lam_q = np.add.outer(lam_q, lam_ax).ravel()
-    return lam_p, Z.real, lam_q
+    return lam_p, (Y.T * grid.h[p]) @ Y, lam_q
 
 
 def _c_obs(lo, hi):

@@ -506,6 +506,27 @@ bumps = 6
     assert (tmp_path / "probe.csv").exists()
 
 
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 10)])
+def test_carleman_probe_default_taus_fit_a_coarse_window(tmp_path, dim, n):
+    """Where the aliasing window 0.5/h ends below 5, the default tau grid is 8
+    distinct values in it, not a config error."""
+    text = f"""
+kind = "carleman-probe"
+grid.dim = {dim}
+grid.n = {n}
+weight.preset = "quadratic"
+weight.x0 = {[-1.0] * dim}
+weight.lambda = 0.4
+bumps = 4
+"""
+    cfg_path = tmp_path / "probe.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["carleman-probe", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
+    taus = np.loadtxt(out / "probe.csv", delimiter=",", skiprows=1, usecols=0)
+    assert np.unique(taus).size == 8 and taus.min() > 0
+
+
 BAD_NUMBER_BASES = {
     "product-observability": """
 kind = "product-observability"
@@ -857,8 +878,6 @@ def test_energy_increase_is_a_failed_run_with_a_manifest(tmp_path, monkeypatch, 
     manifest names the error and ``report`` prints it."""
     import dataclasses
 
-    import scipy.sparse as sp
-
     cfg_path = tmp_path / "sim.cfg"
     cfg_path.write_text(MINIMAL_SIMULATE.replace('"A0"', '"A1"')
                         + 'damping.c_preset = "constant"\n')
@@ -869,8 +888,7 @@ def test_energy_increase_is_a_failed_run_with_a_manifest(tmp_path, monkeypatch, 
 
     def anti_damped(config, kind=None):
         gen = build(config, kind)
-        return dataclasses.replace(
-            gen, matrix=(gen.matrix + 2.0 * sp.identity(gen.size)).tocsr())
+        return dataclasses.replace(gen, damping_c=gen.damping_c - 2.0)
 
     monkeypatch.setattr(cli, "_build_generator", anti_damped)
     out = tmp_path / "out"

@@ -138,14 +138,9 @@ def test_simulate_rejects_bad_args(gen_a0, tmp_path):
 
 
 def test_energy_increase_detected(grid, a_zero):
-    # an anti-damped operator must trip the monotonicity guard
+    # an anti-damped operator (c = -1) must trip the monotonicity guard
     gen = magop.assemble_generator("A1", grid, a_zero, c=np.ones(grid.num_nodes))
-    import scipy.sparse as sp
-
-    bad = magop.GeneratorMatrix(
-        kind="A1", matrix=(gen.matrix + 2.0 * sp.identity(gen.size)).tocsr(),
-        grid=gen.grid, state_idx=gen.state_idx, mass_diag=gen.mass_diag,
-        stiffness=gen.stiffness, lap_matrix=gen.lap_matrix, damping_c=gen.damping_c)
+    bad = dataclasses.replace(gen, damping_c=gen.damping_c - 2.0)
     with pytest.raises(evolve.EnergyIncreaseError):
         evolve.simulate(bad, first_mode(gen), T=1.0, dt=1e-2)
 
@@ -366,12 +361,15 @@ def test_blocked_simulate_matches_reference_loop(case):
 
 
 def anti_damped(gen, shift):
-    """gen.matrix + shift I under a damped label, so the energy check applies."""
-    parts = {f.name: getattr(gen, f.name) for f in dataclasses.fields(gen)}
-    parts["matrix"] = (gen.matrix + shift * sp.identity(gen.size)).tocsr()
-    if gen.kind == "A0":
-        parts.update(kind="A1", damping_c=np.zeros(gen.size))
-    return magop.GeneratorMatrix(**parts)
+    """gen made to gain energy through its parts, under a damped label so the
+    energy check applies: A0 and A1 take c - shift (A0 as A1 with c = 0), so
+    A gains shift I; A2 and A3 take -sigma d.  ``dataclasses.replace`` gives
+    fresh caches, so every Crank-Nicolson route solves the anti-damped
+    system."""
+    if gen.kind in ("A2", "A3"):
+        return dataclasses.replace(gen, sigma_d=-gen.sigma_d)
+    c = np.zeros(gen.size) if gen.kind == "A0" else gen.damping_c
+    return dataclasses.replace(gen, kind="A1", damping_c=c - shift)
 
 
 @PROPERTY
@@ -520,6 +518,28 @@ def test_snapshot_bytes_match_one_buffer_writer(tmp_path, kind, dim):
                             "nodes": gen.grid.num_nodes, "generator_kind": kind}
 
 
+@pytest.mark.parametrize("dim, kind, route", [(1, "A1", "band"), (2, "A1", "superlu"),
+                                              (2, "A3", "modes+schur")])
+def test_energy_guard_reads_every_route(dim, kind, route):
+    """The guard sees the system each Crank-Nicolson route solves: A1 with c
+    lowered by 5 (tridiagonal in 1D, SuperLU in 2D) and the separable A3 with
+    sigma d negated (closed-form modes and the Schur complement of gamma0)
+    gain energy at every step, and simulate stops at the step where the
+    reference loop first passes a positive tolerance, the median rise."""
+    bad = anti_damped(_small_generator(kind, dim), 5.0)
+    dt = 2e-3
+    rng = np.random.default_rng(4)
+    u0 = rng.normal(size=bad.size) + 1j * rng.normal(size=bad.size)
+    energy, _, _, _ = reference_loop(bad, u0, dt, 20)
+    rises = np.diff(energy)
+    assert bad.cayley_route(dt) == route and np.all(rises > 0)
+    tol = float(np.median(rises))
+    _, _, _, first = reference_loop(bad, u0, dt, 20, increase_tol=tol)
+    with pytest.raises(evolve.EnergyIncreaseError,
+                       match=re.escape(f"at step {first} (tolerance {tol:.3e})")):
+        evolve.simulate(bad, u0, 20 * dt, dt, increase_tol=tol)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_failed_run_leaves_no_record(tmp_path, dim):
     """A run stopped by the energy guard after several blocks have been
@@ -530,6 +550,7 @@ def test_failed_run_leaves_no_record(tmp_path, dim):
     energy, _, _, _ = reference_loop(bad, u0, 2e-3, 20)
     rises = np.diff(energy)
     tol = 0.5 * (np.max(rises[:12]) + np.max(rises))   # first passed after step 11
+    assert tol > 0
     first = int(np.flatnonzero(rises > tol)[0])
     assert first >= 12
     path = tmp_path / "s.bin"

@@ -232,22 +232,18 @@ def test_dissipativity_margins(grid_1d, smooth_pot, kind):
 
 @pytest.mark.parametrize("n", [24, 28])
 def test_dissipativity_margin_sees_a_positive_eigenvalue(n, monkeypatch):
-    """A 2D A2 generator plus S^-1 (delta e_j e_j^T) is not dissipative: the
-    Hermitian part of S A gains delta at (j, j).  The margin reports that
-    largest eigenvalue on both sides of 600 unknowns (552 at n = 24, 756 at
-    n = 28), and refuses an order above the dense limit."""
+    """A 2D A2 generator with sigma d negated is not dissipative: the
+    Hermitian part of S A is -S diag(sigma d / (M^2 + sigma^2 d^2)) S, not
+    diagonal, and positive semidefinite once sigma d < 0.  The margin reports
+    its largest eigenvalue on both sides of 600 unknowns (552 at n = 24, 756
+    at n = 28), and refuses an order above the dense limit."""
     grid = mesh.build_grid(2, 1.0, n)
     split = mesh.split_boundary(grid, [-0.3, 0.5])
     d = np.zeros(grid.num_nodes)
     d[split.gamma0] = 1.0
     gen = magop.assemble_generator("A2", grid, magop.MagneticPotential.zero(grid), d=d,
                                    split=split)
-    j = gen.size // 2
-    delta = 1e-3 * sp.linalg.norm(gen.stiffness @ gen.matrix)
-    col = spla.spsolve(gen.stiffness.tocsc(), np.eye(gen.size, 1, -j)[:, 0] * delta)
-    bump = sp.csr_matrix((col, (np.arange(gen.size), np.full(gen.size, j))),
-                         shape=gen.matrix.shape)
-    bad = replace(gen, matrix=(gen.matrix + bump).tocsr())
+    bad = replace(gen, sigma_d=-gen.sigma_d)
     B = (bad.stiffness @ bad.matrix).toarray()
     want = np.linalg.eigvalsh(0.5 * (B + B.conj().T))[-1]
     lam, scale = bad.dissipativity_margin()
@@ -718,7 +714,7 @@ def test_modal_cayley_matches_a_dense_solve(kind, gamma0, preset):
         d = np.zeros(grid.num_nodes)
         d[split.gamma0] = rng.uniform(0.1, 5.0, split.gamma0.size)
     gen = magop.assemble_generator(kind, grid, PRESETS[preset](grid), d=d, split=split)
-    assert magop._separable_modes(grid, gen.potential) is not None
+    assert gen.axis_sines is not None
     b = rng.normal(size=(gen.size, 3)) + 1j * rng.normal(size=(gen.size, 3))
     for dt in (5e-4, 0.05, 1.0):
         solve = gen.cayley_solver(dt)

@@ -433,10 +433,10 @@ def generalized_modal_data(gen):
 
 def with_modes(gen, modes):
     """A copy of gen that reads the given (lam, V) as its modes, and has no
-    axis factors, so its Gramians take the order-k route through them."""
+    axis sines, so its Gramians take the order-k route through them."""
     copy = dataclasses.replace(gen)
     copy.modes = modes
-    copy.axis_modes = None
+    copy.axis_sines = None
     return copy
 
 
@@ -636,7 +636,7 @@ def test_curl_potential_keeps_the_dense_route(monkeypatch):
     a = magop.MagneticPotential.from_callable(
         grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]]))
     gen = magop.assemble_generator("A0", grid, a)
-    assert magop._separable_modes(grid, a) is None
+    assert gen.axis_sines is None
     orders = eigh_orders(monkeypatch)
     lam, V = gen.modes
     assert orders == [gen.size]
@@ -662,7 +662,7 @@ def test_modes_are_c_ordered(route, monkeypatch):
         omega = OBSERVATIONS["interior-l2"](grid)
     a = SEPARABLE["sine"](grid)
     gen = magop.assemble_generator("A0", grid, a)
-    assert magop._separable_modes(grid, a) is not None
+    assert gen.axis_sines is not None
     orders = eigh_orders(monkeypatch)
     if route == "dense":
         gen = dense_modes(gen)
@@ -684,9 +684,9 @@ def test_modes_are_computed_once_per_generator(preset, monkeypatch):
     a = (SEPARABLE["sine"](grid) if preset == "sine" else magop.MagneticPotential.from_callable(
         grid, lambda p: 0.5 * np.column_stack([-p[:, 1], p[:, 0]])))
     gen = magop.assemble_generator("A0", grid, a)
-    axis_modes, solved = magop._separable_modes, []
-    monkeypatch.setattr(magop, "_separable_modes",
-                        lambda grid, a: solved.append(grid) or axis_modes(grid, a))
+    axis_sines, solved = magop._axis_sines, []
+    monkeypatch.setattr(magop, "_axis_sines",
+                        lambda grid, a: solved.append(grid) or axis_sines(grid, a))
     lam, V = gen.modes
     again = gen.modes
     assert again[0] is lam and again[1] is V and solved == [grid]
@@ -700,6 +700,29 @@ def test_modes_are_computed_once_per_generator(preset, monkeypatch):
     with pytest.raises(ValueError, match="conservative generator"):
         damped.modes
     assert len(solved) == 2
+
+
+def test_axis_sines_are_computed_once_per_generator(monkeypatch):
+    """A 2D A0 generator's modes, its Crank-Nicolson solves in closed form and
+    its strip Gramian all read the one ``axis_sines`` cache: the sines are
+    computed once, and the strip's C_obs is that of the order-k route."""
+    grid = mesh.build_grid(2, (1.0, 2.5), (9, 14))
+    gen = magop.assemble_generator("A0", grid, SEPARABLE["sine"](grid))
+    axis_sines, solved = magop._axis_sines, []
+    monkeypatch.setattr(magop, "_axis_sines",
+                        lambda grid, a: solved.append(grid) or axis_sines(grid, a))
+    lam, V = gen.modes
+    gen.cayley_solver(0.002)
+    assert gen.cayley_route(0.002) == "modes"
+    obs = obsgram.Observation("interior-l2", OBSERVATIONS["interior-l2"](grid))
+    assert obsgram._strip_split(gen, obs) is not None
+    rep = obsgram.gramian(gen, obs, 0.8)
+    assert solved == [grid]
+    ref = obsgram.gramian(with_modes(gen, (lam, V)), obs, 0.8)
+    assert abs(rep.c_obs - ref.c_obs) <= 1e-12 * ref.c_obs
+    for arr in (arr for factor in gen.axis_sines for arr in factor if arr is not None):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def product_oracle(gen1, gen2, omega1, T):
@@ -912,9 +935,9 @@ def test_product_one_factor_constant_is_the_gramian_constant(monkeypatch):
     g2 = mesh.build_grid(1, [1.0], 14)
     gen1 = magop.assemble_generator("A0", g1, magop.MagneticPotential.zero(g1))
     gen2 = magop.assemble_generator("A0", g2, magop.MagneticPotential.zero(g2))
-    axis_modes, solved = magop._separable_modes, []
-    monkeypatch.setattr(magop, "_separable_modes",
-                        lambda grid, a: solved.append(grid) or axis_modes(grid, a))
+    axis_sines, solved = magop._axis_sines, []
+    monkeypatch.setattr(magop, "_axis_sines",
+                        lambda grid, a: solved.append(grid) or axis_sines(grid, a))
     for omega1 in (g1.box_nodes([0.0], [0.3]), g1.box_nodes([0.2], [0.9])):
         want = obsgram.gramian(gen1, obsgram.Observation("interior-l2", omega1),
                                0.7, method="eig").c_obs
