@@ -449,8 +449,13 @@ class GeneratorMatrix:
 
     @cached_property
     def _lap_gamma0(self):
-        """The rows of the discrete Delta_a at the gamma0 nodes."""
-        return self.lap_matrix[self.gamma0_pos]
+        """The rows of the discrete Delta_a at the gamma0 nodes, the flux
+        balance's rows W[G]^-1 (-S[G] + i diag(r)[G]) alone: bitwise those of
+        ``lap_matrix``, which is not formed."""
+        w, r = self._flux_balance
+        G = self.gamma0_pos
+        diag = sp.csr_matrix((1j * r[G], (np.arange(G.size), G)), shape=(G.size, self.size))
+        return (sp.diags(1.0 / w[G]) @ (-self.stiffness[G] + diag)).tocsr()
 
     # -- resolvent shifts ---------------------------------------------------
 
@@ -536,11 +541,11 @@ class GeneratorMatrix:
         * ``band`` (1D): zgttrf of (I - dt/2 A)/2, an exact power-of-two
           scaling: the pivots are those of I - dt/2 A, so each solve is bitwise
           twice the unscaled one.  A tridiagonal factor has no fill to lose.
-        * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2 or more dimensions
-          where the link phases separate by axis (``axis_sines``): the
-          weighted system below in A0's closed-form axis modes
-          (``_ModalCayley``), with no factorization of the grid.
-        * ``superlu`` (A1, potentials whose phases do not separate, and
+        * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2D where the link
+          phases separate by axis (``axis_sines``): the weighted system below
+          in A0's closed-form axis modes (``_ModalCayley``), with no
+          factorization of the grid.
+        * ``superlu`` (A1, 3D, potentials whose phases do not separate, and
           ``_ModalCayley``'s refusals): ``factorize`` of the weighted system.
 
         The weighted system is W (I - dt/2 A)/2 with W the left side of the
@@ -574,7 +579,7 @@ class GeneratorMatrix:
                 band = _tridiagonal_solver((eye - (dt / 2.0) * self.matrix.tocsc()) * 0.5)
                 if band is not None:
                     route, solve = "band", band["N"]
-            elif self.kind != "A1" and self.axis_sines is not None:
+            elif self.grid.dim == 2 and self.kind != "A1" and self.axis_sines is not None:
                 solve = _ModalCayley.build(self, dt)
                 route = "modes" if self.kind == "A0" else "modes+schur"
             if solve is None:
@@ -699,200 +704,183 @@ def _kron_sum(lam1, lam2):
 
 class _ModalCayley:
     """b -> 2 (I - dt/2 A)^-1 b = B^-1 W b, B = W (I - dt/2 A)/2 (see
-    ``GeneratorMatrix.cayley_solver``), for A0, A2 and A3 whose link phases
-    separate by axis, with no factorization of the grid.
+    ``GeneratorMatrix.cayley_solver``), for 2D A0, A2 and A3 whose link
+    phases separate by axis, with no factorization of the grid.
 
     B's interior block B_II = (M + i dt/2 S_II)/2 is A0's pencil, diagonal in
-    its closed-form axis modes V = (x)_ax diag(phase_ax) Q_ax:
+    its closed-form axis modes V = diag(phase) (Q_1 (x) Q_2):
     B_II^-1 = V diag(2 / (1 + i dt lam/2)) V^H, fast diagonalization (Lynch,
-    Rice & Thomas, Numer. Math. 6, 1964).  A2 and A3 add the gamma0 unknowns
-    G, eliminated by the dense Schur complement S_G = B_GG - B_GI B_II^-1 B_IG
-    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), set up once
-    per dt.  A gamma0 node couples to at most one interior node, across its
-    face, on the interior's first or last line along the face's axis: a slab.
-    So B_IG and B_GI act on slabs only, and S_G reads B_II^-1 between slabs.
+    Rice & Thomas, Numer. Math. 6, 1964).  The interior mass is uniform,
+    M_II = h_1 h_2 I, so it is folded into that diagonal (``factor``).  A2
+    and A3 add the gamma0 unknowns G, eliminated by the dense Schur
+    complement S_G = B_GG - B_GI B_II^-1 B_IG (Buzbee, Dorr, George & Golub,
+    SIAM J. Numer. Anal. 8, 1971), set up once per dt.  A gamma0 node couples
+    to at most one interior node, across its face, on the interior's first or
+    last line along the face's axis: a slab.
 
-    A solve makes one full forward and one full inverse transform, with the
-    phases applied as one diagonal.  Each is a product with the real Q_ax
-    along every axis, taken on the complex array viewed as real, so one real
-    matrix product per axis; the axis taken next is moved to the front in
-    between.  The forward transform leaves the axes in the order
-    (d-1, 0, .., d-2), ``order``, which the factor is stored in and the inverse
-    transform undoes.  The slab terms are products with the rows of Q_ax at
-    the slabs along axis ax, and back with its columns; the rest of the Schur
-    step is two small dense products (``_eliminate``).  Arrays carry the
-    right-hand sides' columns as their last axis.
+    Arrays carry the right-hand sides' k columns inside, the interior as
+    (m_1, m_2, k) in C order and the modes as (j_2, k, j_1).  A solve is Q_1
+    on the (m_1, 2 m_2 k) real view of the interior, one transpose copy, and
+    Q_2 on the real view again, which leaves the modes in the factor's order;
+    the inverse transform mirrors it.  The Schur step reads the modes at the
+    slabs, T, with the slab rows of Q_1 and of Q_2, and writes its result
+    back as one rank-(number of slabs) product (``_eliminate``).
     """
 
-    def __init__(self, sines, dt, w):
-        lams, self.sines, phases = zip(*sines)
-        self.shape = tuple(lam.size for lam in lams)
-        d = len(self.shape)
-        self.order = (d - 1,) + tuple(range(d - 1))
-        self.where = tuple(self.order.index(ax) for ax in range(d))
-        factor = 2.0 / (1.0 + (0.5j * dt) * reduce(np.add.outer, lams))
-        self.factor = np.ascontiguousarray(factor.transpose(self.order))[..., None]
-        self.w, self.phase, self.interior = w, None, None
-        if any(p is not None for p in phases):
-            self.phase = reduce(np.multiply.outer, [np.ones(size) if p is None else p
-                                                    for p, size in zip(phases, self.shape)])
-            self.columns = self.phase.reshape(-1, 1), np.conj(self.phase).reshape(-1, 1)
+    def __init__(self, gen, dt):
+        (lam1, self.q1, p1), (lam2, self.q2, p2) = gen.axis_sines
+        self.shape = lam1.size, lam2.size
+        # over the modes (j_2, j_1), the order a solve leaves them in
+        self.inverse = 2.0 / (1.0 + (0.5j * dt) * np.add.outer(lam2, lam1))
+        self.factor = (prod(gen.grid.h) * self.inverse)[:, None, :]
+        self.phase, self.interior = None, None
+        if p1 is not None or p2 is not None:
+            ones = [np.ones(m) if p is None else p for p, m in zip((p1, p2), self.shape)]
+            self.phase = np.multiply.outer(*ones).reshape(-1, 1)
+            self.conj_phase = np.conj(self.phase)
 
     @classmethod
     def build(cls, gen, dt):
-        """The solve in ``gen.axis_sines``, or None when the interior is empty
-        or ``_eliminate`` refuses."""
+        """The solve in ``gen.axis_sines`` of a 2D generator, or None when the
+        interior is empty or ``_eliminate`` refuses."""
         if min(gen.grid.n) < 3:
             return None
-        w, system = gen._weighted_system(dt)
-        solve = cls(gen.axis_sines, dt, w)
-        if gen.kind == "A0" or solve._eliminate(gen, system):
+        solve = cls(gen, dt)
+        if gen.kind == "A0" or solve._eliminate(gen, dt):
             return solve
         return None
 
-    def _eliminate(self, gen, system):
+    def _eliminate(self, gen, dt):
         """Set up the Schur complement of gamma0; False past the dense limit,
-        or when no gamma0 node couples to the interior (only edge nodes).
+        or when no gamma0 node couples to the interior (only corners).
 
-        The rim is the slabs' nodes one after the other, each slab in C order
-        of its other axes.  Per axis with slabs, a solve reads T_ax, the rows
-        of Q_ax at them applied to the modes D V^H f_I (``thin``), and writes
-        back through the columns.  The sines of the other axes, the phases
-        and the couplings are folded into two dense matrices: ``reads`` takes
-        T to B_GI B_II^-1 f_I, and ``writes`` takes x_G to the T of
-        V^H B_IG x_G."""
+        T is the modes read at the slabs: per slab along axis 0 at row e,
+        sum_j1 Q_1[e, j1] Y[j2, j1] for every j2, and per slab along axis 1
+        at row e, sum_j2 Q_2[e, j2] Y[j2, j1] for every j1.  An interior node
+        of a slab along axis 0 then takes its value from its row of Q_2
+        applied to the slab's T, and one along axis 1 from its row of Q_1.
+        Those rows, the phases, the couplings and the mass are folded into
+        two dense matrices: ``reads`` takes T to B_GI B_II^-1 f_I, and
+        ``writes`` takes x_G to the slabs' parts of V^H B_IG x_G / (h_1 h_2),
+        one factor per slab of the rank-(number of slabs) write-back."""
         grid, state, G = gen.grid, gen.state_idx, gen.gamma0_pos
+        w, system = gen._weighted_system(dt)
         I = _positions(grid.num_nodes, state)[grid.interior_idx]
         coupling = system[I][:, G].tocoo()          # B_IG, one entry per coupled column
         i, g = coupling.row, coupling.col
-        # each pair couples across one face (axis, side); its interior node
-        # lies on the slab of that face, the first or last index along the axis
         inner = np.array(np.unravel_index(grid.interior_idx[i], grid.shape))
         outer = np.array(np.unravel_index(state[G[g]], grid.shape))
         across = np.argmax(inner != outer, axis=0)
+        at = np.array(np.unravel_index(i, self.shape))
+        # slabs by (axis, side), those along axis 0 first
         keys, which = np.unique(2 * across + (outer > inner)[across, np.arange(i.size)],
                                 return_inverse=True)
-        at = np.array(np.unravel_index(i, self.shape))
-        slabs, rim, size = [], np.empty(i.size, dtype=int), 0
-        for s, key in enumerate(keys):
-            ax, side = divmod(int(key), 2)
-            face = self.shape[:ax] + self.shape[ax + 1:]
-            rim[which == s] = size + np.ravel_multi_index(
-                tuple(np.delete(at[:, which == s], ax, axis=0)), face)
-            slabs.append((ax, side * (self.shape[ax] - 1), size))
-            size += prod(face)
-        if not i.size or max(G.size, size) > _DENSE_LIMIT:
+        slabs = [(int(key) // 2, int(key) % 2 * (self.shape[int(key) // 2] - 1)) for key in keys]
+        rows = [[e for ax, e in slabs if ax == axis] for axis in (0, 1)]
+        lo = np.cumsum([0] + [self.shape[1 - ax] for ax, _ in slabs])
+        if not i.size or max(G.size, lo[-1]) > _DENSE_LIMIT:
             return False
-        factor = self.factor[..., 0].transpose(self.where)
-        K = np.empty((size, size), dtype=complex)   # B_II^-1 between the slabs
-        for s, (ax, e, lo) in enumerate(slabs):
-            for ax2, e2, lo2 in slabs[s:]:
-                block = _slab_block(self.sines, factor, (ax, e), (ax2, e2))
-                K[lo:lo + block.shape[0], lo2:lo2 + block.shape[1]] = block
-                K[lo2:lo2 + block.shape[1], lo:lo + block.shape[0]] = block.T
-        phase = np.ones(size)
-        if self.phase is not None:
-            phase = np.concatenate([self.phase.take(e, axis=ax).ravel() for ax, e, _ in slabs])
-            K *= phase[:, None] * np.conj(phase)
+
+        # B_II^-1 between the slabs' nodes, and the rim: each pair's node there
+        K = np.empty((lo[-1], lo[-1]), dtype=complex)
+        for s, (ax, e) in enumerate(slabs):
+            for t in range(s, len(slabs)):
+                block = _slab_block(self.q1, self.q2, self.inverse, (ax, e), slabs[t])
+                K[lo[s]:lo[s + 1], lo[t]:lo[t + 1]] = block
+                K[lo[t]:lo[t + 1], lo[s]:lo[s + 1]] = block.T
+        line = at[1 - across, np.arange(i.size)]    # the node's index along its slab
+        rim = lo[which] + line
+        phase = np.ones(i.size) if self.phase is None else self.phase[i, 0]
         b_ig, b_gi = coupling.data, np.asarray(system[G[g], I[i]]).ravel()
         schur = system[G][:, G].toarray()
-        schur[np.ix_(g, g)] -= b_gi[:, None] * K[np.ix_(rim, rim)] * b_ig
+        reads, writes = b_gi * phase, np.conj(phase) * b_ig
+        schur[np.ix_(g, g)] -= reads[:, None] * K[np.ix_(rim, rim)] * writes
         # a product with the inverse: one zgemv of 11 us, where zgetrs took
         # 50 us at order 190 for one right-hand side (2-core x86 host, one
         # BLAS thread)
         self.schur_inverse = la.inv(schur, check_finite=False)
 
-        # the rim values of T, per axis: the other axes' sines applied to an
-        # identity of T's size, read in rim order (real: Q and the orders are)
-        physical = [self.shape[o] for o in self.order]
-        self.thin, blocks = [], []
-        for ax in sorted({ax for ax, _, _ in slabs}):
-            rows = [e for a, e, _ in slabs if a == ax]
-            shape = physical.copy()
-            shape[self.where[ax]] = len(rows)
-            m = prod(shape)
-            Y = np.eye(m, dtype=complex).reshape(shape + [m])
-            others = [o for o in range(len(self.shape)) if o != ax]
-            for o in others:
-                Y = _along(Y, self.sines[o], self.where[o])
-            Y = Y.real.transpose([self.where[o] for o in [ax] + others] + [-1])
-            blocks.append(Y.reshape(-1, m))
-            self.thin.append((ax, self.sines[ax][rows], self.sines[ax][:, rows], tuple(shape)))
-        R = la.block_diag(*blocks)                  # rim values of T, without phases
+        # each pair's node value from T: a row of the other axis's Q
+        m1, m2 = self.shape
+        s0 = len(rows[0])
+        slot = which - s0 * across                  # the slab's place among its axis's
+        R = np.zeros((i.size, m2 * s0 + len(rows[1]) * m1))
+        on0, on1 = across == 0, across == 1
+        R[np.flatnonzero(on0)[:, None], np.arange(m2) * s0 + slot[on0, None]] = self.q2[line[on0]]
+        R[np.flatnonzero(on1)[:, None], m2 * s0 + slot[on1, None] * m1 + np.arange(m1)] = \
+            self.q1[line[on1]]
         self.reads = np.zeros((G.size, R.shape[1]), dtype=complex)
-        self.reads[g] = (b_gi * phase[rim])[:, None] * R[rim]
+        self.reads[g] = reads[:, None] * R
         self.writes = np.zeros((R.shape[1], G.size), dtype=complex)
-        self.writes[:, g] = R[rim].T * (np.conj(phase[rim]) * b_ig)
-        self.interior, self.gamma0 = I, G
+        self.writes[:, g] = R.T * (writes / prod(grid.h))
+        # the slab rows: Q_1's transposed, for the modes' last axis, and Q_2's
+        self.slab_rows = self.q1[rows[0]].T.astype(complex), self.q2[rows[1]]
+        # the write-back's real factors, U_0 and U_1 left as zeros (see __call__)
+        self.write_back = (
+            np.concatenate([np.zeros((1, m2, 2 * s0)), self.q2[rows[1]].T[None]], axis=2),
+            np.concatenate([np.kron(self.q1[rows[0]], np.eye(2))[None],
+                            np.zeros((1, len(rows[1]), 2 * m1))], axis=1))
+        self.interior, self.gamma0, self.w_gamma0 = I, G, w[G][:, None]
         return True
 
     def __call__(self, b):
-        F = self.w[:, None] * np.reshape(b, (self.w.size, -1))
-        k = F.shape[1]
-        Fi = F if self.interior is None else np.take(F, self.interior, axis=0)
+        m1, m2 = self.shape
+        b = np.asarray(b, dtype=complex)
+        k = b.size // b.shape[0]
+        F = b if self.interior is None else b[self.interior]
         if self.phase is not None:
-            Fi = self.columns[1] * Fi
-        Z = Fi.reshape(self.shape + (k,))
-        for ax, Q in enumerate(self.sines):
-            if ax:
-                Z = np.moveaxis(Z, 0, -2)
-            Z = _along(Z, Q, 0)
+            F = self.conj_phase * F.reshape(-1, k)
+        # the interior (m_1, m_2, k) to the modes (j_2, k, j_1)
+        X = _real_rows(self.q1, np.ascontiguousarray(F).reshape(m1, -1)).reshape(m1, m2, k)
+        X = X.transpose(1, 2, 0).copy()
+        Z = _real_rows(self.q2, X.reshape(m2, -1)).reshape(m2, k, m1)
         Z *= self.factor
         if self.interior is not None:
-            T = [_along(Z, rows, self.where[ax]).reshape(-1, k) for ax, rows, _, _ in self.thin]
-            xG = self.schur_inverse @ (F[self.gamma0] - self.reads @ np.concatenate(T))
-            U, lo, total = self.writes @ xG, 0, 0.0
-            for (ax, _, cols, shape), t in zip(self.thin, T):
-                total = total + _along(U[lo:lo + len(t)].reshape(shape + (k,)), cols,
-                                       self.where[ax])
-                lo += len(t)
-            Z -= self.factor * total
-        for ax in reversed(range(len(self.shape))):
-            if ax != len(self.shape) - 1:
-                Z = np.moveaxis(Z, -2, 0)
-            Z = _along(Z, self.sines[ax], 0)
-        X = Z.reshape(-1, k)
+            rows0, rows1 = self.slab_rows
+            s0 = rows0.shape[1]
+            # T in ``reads``' order: (j_2, slab) along axis 0, (slab, j_1) along axis 1
+            T0 = (Z.reshape(-1, m1) @ rows0).reshape(m2, k, s0).transpose(0, 2, 1)
+            T1 = _real_rows(rows1, Z.reshape(m2, -1)).reshape(-1, k, m1).transpose(0, 2, 1)
+            T = np.concatenate([T0.reshape(-1, k), T1.reshape(-1, k)])
+            fG = self.w_gamma0 * b[self.gamma0].reshape(-1, k)
+            xG = self.schur_inverse @ (fG - self.reads @ T)
+            U = self.writes @ xG
+            # U_0 Q_1 rows + Q_2 rows^T U_1 per column, as one real product
+            # [U_0 | Q_2 rows^T] [Q_1 rows (x) I_2; U_1] on the real views
+            left, right = (np.repeat(c, k, axis=0) for c in self.write_back)
+            left[..., :2 * s0].view(complex)[:] = U[:m2 * s0].reshape(m2, s0, k).transpose(2, 0, 1)
+            right[:, 2 * s0:].view(complex)[:] = U[m2 * s0:].reshape(-1, m1, k).transpose(2, 0, 1)
+            Z -= self.factor * (left @ right).view(complex).transpose(1, 0, 2)
+        # and back, Q_2, a transpose copy to (j_1, m_2, k) and Q_1
+        X = _real_rows(self.q2, Z.reshape(m2, -1)).reshape(m2, k, m1)
+        X = X.transpose(2, 0, 1).copy()
+        X = _real_rows(self.q1, X.reshape(m1, -1)).reshape(-1, k)
         if self.phase is not None:
-            X = self.columns[0] * X
+            X *= self.phase
         if self.interior is None:
-            return X.reshape(np.shape(b))
-        x = np.empty_like(F)
-        x[self.interior], x[self.gamma0] = X, xG
-        return x.reshape(np.shape(b))
+            return X.reshape(b.shape)
+        x = np.empty_like(b)
+        x[self.interior], x[self.gamma0] = (y.reshape((-1,) + b.shape[1:]) for y in (X, xG))
+        return x
 
 
-def _along(X, M, axis):
-    """The real M applied along one axis of the complex X, out[.., i, ..] =
-    sum_j M[i, j] X[.., j, ..]: real matrix products on X viewed as real,
-    one per index before the axis."""
-    X = np.ascontiguousarray(X)
-    pre, n, post = prod(X.shape[:axis]), X.shape[axis], prod(X.shape[axis + 1:])
-    shape = X.shape[:axis] + (M.shape[0],) + X.shape[axis + 1:]
-    if post == 1:
-        return (X.reshape(pre, n) @ M.T).reshape(shape)
-    return np.matmul(M, X.reshape(pre, n, post).view(float)).view(complex).reshape(shape)
+def _real_rows(Q, X):
+    """The real Q applied to the rows of the C-contiguous complex X: one real
+    matrix product on X viewed as real."""
+    return (Q @ X.view(float)).view(complex)
 
 
-def _slab_block(sines, factor, s, t):
-    """Q_s diag(factor) Q_t^T for the interior slabs s = (axis, index) and t:
-    the real axis sines at the nodes of s (rows, C order of its other axes)
-    and of t (columns), contracted over the modes in one einsum.  The rows
-    of Q at a slab's index come first, so no intermediate holds more than
-    two of the modes' axes in 2D; the order is given, not searched."""
-    d = factor.ndim
-    rows, cols, vectors, matrices = [], [], [], []
-    for o, Q in enumerate(sines):
-        for (ax, e), free, label in ((s, rows, d + o), (t, cols, 2 * d + o)):
-            if o == ax:
-                vectors += [Q[e], [o]]
-            else:
-                free.append(label)
-                matrices += [Q, [label, o]]
-    operands = [factor, list(range(d))] + vectors + matrices
-    count = len(operands) // 2
-    path = ["einsum_path", (0, 1)] + [(0, count - 2 - j) for j in range(count - 2)]
-    out = np.einsum(*operands, rows + cols, optimize=path)
-    return out.reshape(prod(out.shape[:len(rows)]), -1)
+def _slab_block(q1, q2, inverse, s, t):
+    """Q diag(inverse) Q^T between the nodes of the interior slabs s =
+    (axis, index) and t, with Q = Q_1 (x) Q_2 and ``inverse`` over the modes
+    (j_2, j_1): along a slab the other axis's sines, and at it the slab's
+    row of its own.  Slabs along axis 0 come first."""
+    (a, e), (b, f) = s, t
+    if b == 0:
+        return (q2 * (inverse @ (q1[e] * q1[f]))) @ q2.T
+    if a == 1:
+        return (q1 * ((q2[e] * q2[f]) @ inverse)) @ q1.T
+    return (q2 * q2[f]) @ inverse @ (q1 * q1[e]).T
 
 
 def factorize(M):

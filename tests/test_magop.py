@@ -730,7 +730,8 @@ def test_modal_cayley_takes_superlu_where_it_does_not_apply(monkeypatch):
     """A1, a potential whose phases do not separate, a gamma0 of corners
     alone (no node of it couples to the interior) and a Schur complement past
     the dense limit make one SuperLU factor per dt; the separable A0, A2 and
-    A3 make none.  1D takes zgttrf."""
+    A3 make none.  1D takes zgttrf.  The closed-form modes are 2D only: a
+    separable 3D A0 or A2 takes SuperLU and matches a dense solve."""
     factors, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *args, **kw: factors.append(1) or splu(*args, **kw))
     grid = mesh.build_grid(2, 1.0, 12)
@@ -757,6 +758,42 @@ def test_modal_cayley_takes_superlu_where_it_does_not_apply(monkeypatch):
     grid_1d = mesh.build_grid(1, 1.0, 16)
     gen = magop.assemble_generator("A0", grid_1d, magop.MagneticPotential.zero(grid_1d))
     assert gen.cayley_route(0.1) == "band" and len(factors) == 8
+    grid_3d = mesh.build_grid(3, (1.0, 1.2, 0.9), (5, 6, 5))
+    rng = np.random.default_rng(3)
+    for kind in ("A0", "A2"):
+        a, split, d = damped_setup(grid_3d, PRESETS["sine"](grid_3d))
+        gen = magop.assemble_generator(kind, grid_3d, a, d=d, split=split)
+        assert gen.axis_sines is not None
+        b = rng.normal(size=(gen.size, 3)) + 1j * rng.normal(size=(gen.size, 3))
+        for dt in (5e-4, 0.05):
+            want = 2.0 * np.linalg.solve(np.eye(gen.size) - (dt / 2.0) * gen.matrix.toarray(), b)
+            for x, w in ((b, want), (b[:, 0], want[:, 0])):
+                assert np.linalg.norm(gen.cayley_solver(dt)(x) - w) <= 1e-13 * np.linalg.norm(w)
+            assert gen.cayley_route(dt) == "superlu"
+    assert len(factors) == 12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lap_gamma0_is_the_gamma0_rows_of_lap_matrix(dim):
+    """A2's dissipation reads the Delta_a rows at gamma0, built from the flux
+    balance's rows alone: bitwise the rows of ``lap_matrix``, which a 2D
+    ``modes+schur`` simulate never forms, nor A itself."""
+    from magschro import evolve
+
+    grid = mesh.build_grid(dim, 1.0, 48 if dim == 1 else 12)
+    a, split, d = damped_setup(grid, PRESETS["sine"](grid))
+    gen = magop.assemble_generator("A2", grid, a, d=d, split=split)
+    rows = gen._lap_gamma0
+    assert "lap_matrix" not in vars(gen)
+    want = gen.lap_matrix[gen.gamma0_pos]
+    assert rows.shape == want.shape and rows.toarray().tobytes() == want.toarray().tobytes()
+    if dim == 2:
+        gen = magop.assemble_generator("A2", grid, a, d=d, split=split)
+        rng = np.random.default_rng(1)
+        u0 = rng.normal(size=gen.size) + 1j * rng.normal(size=gen.size)
+        trace = evolve.simulate(gen, u0, 0.01, 1e-3)
+        assert gen.cayley_route(1e-3) == "modes+schur" and np.all(trace.dissipation < 0)
+        assert "lap_matrix" not in vars(gen) and "matrix" not in vars(gen)
 
 
 def test_generator_build_forms_no_gradient_matrices(monkeypatch):
