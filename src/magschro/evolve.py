@@ -14,10 +14,10 @@ set up once per dt and kept on the generator, so it is freed with it, by one
 of the routes ``cayley_route(dt)`` names, each read off the generator's
 parts through its one flux balance W Delta_a = -S + i r: ``band``, zgttrf of
 (I - dt/2 A)/2 in 1D; otherwise the weighted system W (I - dt/2 A)/2 applied
-to W b, in 2D in A0's closed-form ``axis_sines`` where the link phases
-separate by axis (``modes`` for A0, ``modes+schur`` for A2 and A3, whose
+to W b, in 2D in A0's closed-form ``axis_sines`` where the potential
+carries no field (``modes`` for A0, ``modes+schur`` for A2 and A3, whose
 gamma0 unknowns a dense Schur complement eliminates), else factored by
-SuperLU (``superlu``: A1, 3D and potentials whose phases do not separate).  That system
+SuperLU (``superlu``: A1, 3D and potentials with a field).  That system
 is strictly column diagonally dominant, so partial pivoting keeps its
 diagonal and the minimum-degree fill, which I - dt/2 A itself loses on A2
 from about 128^2 on (CHANGES.md).

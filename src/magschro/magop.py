@@ -326,7 +326,8 @@ class GeneratorMatrix:
         the strip Gramians and the Crank-Nicolson ``modes`` routes of A0, A2
         and A3.  A factor has order n_ax - 2 and is not refused."""
         sines = _axis_sines(self.grid, self.potential)
-        for arr in (arr for factor in sines or () for arr in factor if arr is not None):
+        factors, phase = sines or ((), None)
+        for arr in (arr for factor in factors + ((phase,),) for arr in factor if arr is not None):
             arr.setflags(write=False)
         return sines
 
@@ -334,20 +335,22 @@ class GeneratorMatrix:
     def modes(self):
         """(lam, V) of A0's pencil (S, diag M): lam ascending and V with
         V^H M V = I, C-ordered so that a sparse N @ V takes it uncopied, both
-        read-only.  The Kronecker sum of the ``axis_sines`` V_ax where the link
-        phases separate by axis, else one dense ``eigh``; refused above
-        ``_DENSE_LIMIT`` before any dense allocation."""
+        read-only.  The ``axis_sines``' Kronecker sum times their node phase
+        where the potential carries no field, else one dense ``eigh``; refused
+        above ``_DENSE_LIMIT`` before any dense allocation."""
         if self.kind != "A0":
             raise ValueError("the modes are those of the conservative generator (A0)")
         _check_order(self.size, "the modal eigendecomposition")
         if self.axis_sines is None:
             lam, V = _pencil_modes(self.stiffness, self.mass_diag)
         else:
+            factors, phase = self.axis_sines
             lam, V = np.zeros(1), np.ones((1, 1))          # the sum over no axes
-            for lam_ax, Q, phase in self.axis_sines:
-                V_ax = Q if phase is None else phase[:, None] * Q
+            for lam_ax, Q in factors:
                 lam, j, k = _kron_sum(lam, lam_ax)
-                V = np.multiply(V[:, None, j], V_ax[None, :, k], order="C").reshape(-1, lam.size)
+                V = np.multiply(V[:, None, j], Q[None, :, k], order="C").reshape(-1, lam.size)
+            if phase is not None:
+                V = phase[:, None] * V
         for arr in (lam, V):
             arr.setflags(write=False)
         return lam, V
@@ -541,11 +544,11 @@ class GeneratorMatrix:
         * ``band`` (1D): zgttrf of (I - dt/2 A)/2, an exact power-of-two
           scaling: the pivots are those of I - dt/2 A, so each solve is bitwise
           twice the unscaled one.  A tridiagonal factor has no fill to lose.
-        * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2D where the link
-          phases separate by axis (``axis_sines``): the weighted system below
-          in A0's closed-form axis modes (``_ModalCayley``), with no
+        * ``modes`` (A0) and ``modes+schur`` (A2, A3), in 2D where the
+          potential carries no field (``axis_sines``): the weighted system
+          below in A0's closed-form modes (``_ModalCayley``), with no
           factorization of the grid.
-        * ``superlu`` (A1, 3D, potentials whose phases do not separate, and
+        * ``superlu`` (A1, 3D, potentials with a field, and
           ``_ModalCayley``'s refusals): ``factorize`` of the weighted system.
 
         The weighted system is W (I - dt/2 A)/2 with W the left side of the
@@ -664,34 +667,57 @@ def _pencil_modes(S, mass):
     return lam, np.multiply(d[:, None], U, order="C")
 
 
+def _link_angles(grid, a):
+    """h a on the links along each axis, shaped as the grid with n - 1 nodes there."""
+    return [h * e.reshape(grid.shape[:ax] + (n - 1,) + grid.shape[ax + 1:])
+            for ax, (n, h, e) in enumerate(zip(grid.n, grid.h, a.edge_values))]
+
+
+def link_path_sum(grid, a):
+    """psi with psi_head - psi_tail = h a along a path of links from node
+    (0, 1, .., 1): along axis 0, then inside the interior along each next
+    axis in turn.  Over (every node of axis 0) x (the interior nodes of the
+    other axes), C-ordered; in 1D every node, with psi_0 = 0."""
+    parts = []
+    for ax, theta in enumerate(_link_angles(grid, a)):
+        line = tuple(slice(None) if b == 0 else slice(1, -1) if b <= ax else slice(1, 2)
+                     for b in range(grid.dim))
+        start = [(int(b == ax), 0) for b in range(grid.dim)]      # psi = 0 at the start
+        parts.append(np.pad(np.cumsum(theta[line], axis=ax), start))
+    return reduce(np.add, parts)
+
+
 def _axis_sines(grid, a):
-    """Per axis (lam_ax, Q_ax, phase_ax), A0's closed-form modes
-    V_ax = diag(phase_ax) Q_ax, whose Kronecker sum is A0's, or None when an
-    axis's link phases change across the interior lines of the other axes.
-    Along a line, u = exp(-i psi) v with psi the antiderivative of h a takes
-    each link to a = 0, exp(i h a_j) u_j+1 - u_j = exp(-i psi_j) (v_j+1 - v_j),
-    where the pencil is tridiag(-1, 2, -1)/h^2 with mass h and its modes are
-    discrete sines (Infante & Zuazua, M2AN 33, 1999): for j, k = 1 .. n-2,
+    """(((lam_ax, Q_ax) per axis), phase): A0's closed-form modes
+    V = diag(phase) (Q_1 (x) Q_2 ..), lam = lam_1 (+) lam_2 .., or None where
+    a plaquette of interior nodes has a flux, a sum of h a around it beyond
+    16 eps max |h a|.  A0 reads only the links between interior nodes (one to
+    an eliminated node enters as |exp(i h a)| = 1), so with no flux they are
+    the differences of the ``link_path_sum`` psi, and u = exp(-i psi) v takes
+    them to a = 0, exp(i h a) u_head - u_tail = exp(-i psi_tail) (v_head -
+    v_tail): the Kronecker sum of tridiag(-1, 2, -1)/h^2 with mass h, whose
+    modes are discrete sines (Infante & Zuazua, M2AN 33, 1999), j, k = 1 .. n-2:
 
         lam_k = (4/h^2) sin^2(k pi / (2 (n-1))),
-        Q_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)),   phase_j = exp(-i psi_j).
+        Q_jk = sqrt(2 / (h (n-1))) sin(j k pi / (n-1)),   phase = exp(-i psi).
 
-    Q_ax is real and symmetric, Q_ax h Q_ax = I; phase_ax is None where psi
-    vanishes on the line.
+    Q_ax is real and symmetric, Q_ax h Q_ax = I; phase is over the interior
+    nodes, None where psi vanishes there.
     """
+    theta = [t[(slice(1, -1),) * grid.dim] for t in _link_angles(grid, a)]
+    bound = 16 * np.finfo(float).eps * max(np.max(np.abs(t), initial=0.0) for t in theta)
+    flux = (np.diff(theta[q], axis=p) - np.diff(theta[p], axis=q)   # in each plane (p, q)
+            for q in range(grid.dim) for p in range(q))
+    if any(np.max(np.abs(f), initial=0.0) > bound for f in flux):
+        return None
     factors = []
-    for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
-        lines = a.edge_values[ax].reshape(grid.shape[:ax] + (n - 1,) + grid.shape[ax + 1:])
-        lines = np.moveaxis(lines, ax, -1)[(slice(1, -1),) * (grid.dim - 1)].reshape(-1, n - 1)
-        if np.any(lines[1:] != lines[:1]):
-            return None
+    for n, h in zip(grid.n, grid.h):
         k, m = np.arange(1, n - 1), 2 * (n - 1)
         # j k reduced mod 2 (n-1), so every sine is taken in [0, 2 pi)
         Q = np.sqrt(4.0 / (h * m)) * np.sin(np.outer(k, k) % m * (2.0 * np.pi / m))
-        psi = _antiderivative(h, lines[0])[1:-1]
-        factors.append(((4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2, Q,
-                        np.exp(-1j * psi) if psi.any() else None))
-    return tuple(factors)
+        factors.append(((4.0 / h**2) * np.sin(k * (np.pi / m)) ** 2, Q))
+    psi = link_path_sum(grid, a)[1:-1].ravel()
+    return tuple(factors), (np.exp(-1j * psi) if psi.any() else None)
 
 
 def _kron_sum(lam1, lam2):
@@ -704,11 +730,11 @@ def _kron_sum(lam1, lam2):
 
 class _ModalCayley:
     """b -> 2 (I - dt/2 A)^-1 b = B^-1 W b, B = W (I - dt/2 A)/2 (see
-    ``GeneratorMatrix.cayley_solver``), for 2D A0, A2 and A3 whose link
-    phases separate by axis, with no factorization of the grid.
+    ``GeneratorMatrix.cayley_solver``), for 2D A0, A2 and A3 whose potential
+    carries no field, with no factorization of the grid.
 
     B's interior block B_II = (M + i dt/2 S_II)/2 is A0's pencil, diagonal in
-    its closed-form axis modes V = diag(phase) (Q_1 (x) Q_2):
+    its closed-form modes V = diag(phase) (Q_1 (x) Q_2), one node phase:
     B_II^-1 = V diag(2 / (1 + i dt lam/2)) V^H, fast diagonalization (Lynch,
     Rice & Thomas, Numer. Math. 6, 1964).  The interior mass is uniform,
     M_II = h_1 h_2 I, so it is folded into that diagonal (``factor``).  A2
@@ -728,16 +754,14 @@ class _ModalCayley:
     """
 
     def __init__(self, gen, dt):
-        (lam1, self.q1, p1), (lam2, self.q2, p2) = gen.axis_sines
+        ((lam1, self.q1), (lam2, self.q2)), phase = gen.axis_sines
         self.shape = lam1.size, lam2.size
         # over the modes (j_2, j_1), the order a solve leaves them in
         self.inverse = 2.0 / (1.0 + (0.5j * dt) * np.add.outer(lam2, lam1))
         self.factor = (prod(gen.grid.h) * self.inverse)[:, None, :]
-        self.phase, self.interior = None, None
-        if p1 is not None or p2 is not None:
-            ones = [np.ones(m) if p is None else p for p, m in zip((p1, p2), self.shape)]
-            self.phase = np.multiply.outer(*ones).reshape(-1, 1)
-            self.conj_phase = np.conj(self.phase)
+        self.phase, self.interior = phase, None
+        if phase is not None:
+            self.phase, self.conj_phase = phase[:, None], np.conj(phase)[:, None]
 
     @classmethod
     def build(cls, gen, dt):
@@ -1072,38 +1096,15 @@ def gauge_transform(gen, psi):
     return (sp.diags(np.conj(phase)) @ gen.matrix @ sp.diags(phase)).tocsr()
 
 
-def edge_gradient(grid, psi):
-    """Per-axis edge differences (psi_head - psi_tail)/h, matching the links."""
+def potential_plus_edge_gradient(a, psi):
+    """The potential a + grad(psi) with edge values taken by edge differences
+    (psi_head - psi_tail)/h: assembling the link-phase operator with it
+    reproduces the gauge conjugation of the original operator to rounding."""
+    grid = a.grid
     psi = np.asarray(psi, dtype=float)
-    out = []
+    node_vals = a.values + np.column_stack([G @ psi for G in grid.gradients])
+    edges = []
     for ax in range(grid.dim):
         tails, heads, _ = _edges(grid, ax)
-        out.append((psi[heads] - psi[tails]) / grid.h[ax])
-    return out
-
-
-def potential_plus_edge_gradient(a, psi):
-    """The potential a + grad(psi) with edge values taken by edge differences.
-
-    Assembling the link-phase operator with this potential reproduces the
-    gauge conjugation of the original operator to rounding.
-    """
-    grid = a.grid
-    grads = grid.gradients
-    psi = np.asarray(psi, dtype=float)
-    node_vals = a.values + np.column_stack([grads[ax] @ psi for ax in range(grid.dim)])
-    eg = edge_gradient(grid, psi)
-    edges = tuple(a.edge_values[ax] + eg[ax] for ax in range(grid.dim))
-    return MagneticPotential._finish(grid, node_vals, edges)
-
-
-def edge_antiderivative_1d(grid, a):
-    """psi with psi(0) = 0 whose edge differences equal the potential's edges."""
-    if grid.dim != 1:
-        raise ValueError("the antiderivative reduction is one-dimensional")
-    return _antiderivative(grid.h[0], a.edge_values[0])
-
-
-def _antiderivative(h, edges):
-    """psi with psi_0 = 0 and psi_j+1 - psi_j = h a_j along one line of edges."""
-    return np.concatenate(([0.0], np.cumsum(h * edges)))
+        edges.append(a.edge_values[ax] + (psi[heads] - psi[tails]) / grid.h[ax])
+    return MagneticPotential._finish(grid, node_vals, tuple(edges))

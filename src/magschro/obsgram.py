@@ -16,24 +16,24 @@ the best constants in the observability and hidden-regularity inequalities.
 
 One modal pipeline, two time kernels.  The conservative generator owns its
 modes, ``GeneratorMatrix.modes``: V with V^H M V = I and frequencies lam,
-computed once per generator.  Where the link phases along each axis do not
-change across the other axes (every 1D generator; in 2D the zero, constant
-and sine potentials) they are gauged discrete sines in closed form, and any
-other generator takes one dense eigensolve.  In the modes the Gramian is
-Z o K, Z = (N V)^H W (N V) the modal observation couplings and K the time
-kernel, up to a diagonal unitary similarity.  ``eig`` takes the exact time
-integral, K real symmetric (``_phase_gramian_exact``); ``cn`` takes the
-trapezoid sum over the Crank-Nicolson steps, under which mode j turns by
-2 arctan(lam_j dt/2) per step, a Dirichlet kernel in closed form
+computed once per generator.  Where the potential carries no field (every 1D
+generator; in 2D every curl-free potential, such as the zero, constant and
+sine presets) they are discrete sines under one node phase in closed form,
+and a generator with a field takes one dense eigensolve.  In the modes the
+Gramian is Z o K, Z = (N V)^H W (N V) the modal observation couplings and K
+the time kernel, up to a diagonal unitary similarity.  ``eig`` takes the
+exact time integral, K real symmetric (``_phase_gramian_exact``); ``cn``
+takes the trapezoid sum over the Crank-Nicolson steps, under which mode j
+turns by 2 arctan(lam_j dt/2) per step, a Dirichlet kernel in closed form
 (``_phase_gramian_cn``).  When A = 0 the modes and Z are real, and so is K
 unless the stride leaves a remainder, so the extremes come from a real
 symmetric eigenproblem.  A Gramian sampled at s times has rank at most r s
 for observation rows N of rank r; the report records that bound.
 
-Strips split.  When the modes separate by axis (``GeneratorMatrix.axis_sines``)
+Strips split.  When the modes are in closed form (``GeneratorMatrix.axis_sines``)
 and an interior-l2 observation covers a product omega_1 x Omega_2, all of the
 other axis's interior line, the couplings are exactly Z_1 (x) I, Z_1 real
-because the gauge phase cancels, so Z o K is
+because the node phase cancels, so Z o K is
 block diagonal: one block Z_1 o K(lam_1 + lam_2k) per mode k of the full axis
 (``_strip_split``).  ``eig``'s kernel reads only gaps, so every block has the
 spectrum of Z_1 o K(lam_1) and one eigensolve of the partial axis's order
@@ -244,13 +244,13 @@ def _extremes_from_modal(Ghat, lam, metric):
 def _strip_split(gen, observation):
     """The block split of an interior-l2 Gramian on a strip, or None.
 
-    It applies when the modes separate (``gen.axis_sines``: V = V_1 (x) V_2,
-    V_ax = diag(phase_ax) Q_ax, lam = lam_1 (+) lam_2, ordered by mode pairs)
-    and the observed state nodes are a product omega_1 x (the whole interior
-    line of the other axis), for either axis as the partial one.  The rows
-    of V on that set give the couplings Z = Z_1 (x) V_2^H M_2 V_2 = Z_1 (x) I
-    with Z_1 = Q_1[omega_1]^T h_1 Q_1[omega_1], real: the gauge phase of a row
-    cancels against its conjugate.  So the Gramian is block diagonal, one
+    It applies to closed-form modes (``gen.axis_sines``: V = diag(phase)
+    (Q_1 (x) Q_2), lam = lam_1 (+) lam_2, ordered by mode pairs) when the
+    observed state nodes are a product omega_1 x (the whole interior line of
+    the other axis), for either axis as the partial one.  The rows of V on
+    that set give the couplings Z = Z_1 (x) Q_2^T M_2 Q_2 = Z_1 (x) I with
+    Z_1 = Q_1[omega_1]^T h_1 Q_1[omega_1], real: the phase of a row cancels
+    against its conjugate.  So the Gramian is block diagonal, one
     block Z_1 o K(lam_1 + lam_2k) per mode k of the full axis.  Returns
     (lam_1, Z_1, lam_2), the blocks indexed by lam_2; in 1D there is nothing
     to split.  Never forms an order-k object.
@@ -267,11 +267,11 @@ def _strip_split(gen, observation):
     if len(partial) > 1:
         return None
     p = partial[0] if partial else 0
-    sines = gen.axis_sines
-    lam_p, Q_p, _ = sines[p]
+    sines, _ = gen.axis_sines
+    lam_p, Q_p = sines[p]
     Y = Q_p[sets[p] - 1]                       # interior node j sits on row j - 1
     lam_q = np.zeros(1)                        # the full axes' lam, summed
-    for lam_ax, _, _ in sines[:p] + sines[p + 1:]:
+    for lam_ax, _ in sines[:p] + sines[p + 1:]:
         lam_q = np.add.outer(lam_q, lam_ax).ravel()
     return lam_p, (Y.T * grid.h[p]) @ Y, lam_q
 

@@ -111,7 +111,7 @@ def test_criterion_3_gauge_exactness(setups_1d):
     r_conj = sp.linalg.norm(conj - direct.matrix) / sp.linalg.norm(direct.matrix)
     assert r_conj <= 1e-12
 
-    anti = magop.edge_antiderivative_1d(grid, a)
+    anti = magop.link_path_sum(grid, a)
     red = magop.gauge_transform(gen, -anti)
     zero = magop.assemble_generator("A0", grid, magop.MagneticPotential.zero(grid))
     r_red = sp.linalg.norm(red - zero.matrix) / sp.linalg.norm(zero.matrix)

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from magschro import magop, mesh
+from util_fields import with_random_gradient
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +294,7 @@ def test_gauge_constant_phase_no_op(grid_1d, smooth_pot):
 
 def test_gauge_1d_reduction(grid_1d, smooth_pot):
     gen = magop.assemble_generator("A0", grid_1d, smooth_pot)
-    psi = magop.edge_antiderivative_1d(grid_1d, smooth_pot)
+    psi = magop.link_path_sum(grid_1d, smooth_pot)
     red = magop.gauge_transform(gen, -psi)
     zero = magop.assemble_generator(
         "A0", grid_1d, magop.MagneticPotential.zero(grid_1d))
@@ -589,9 +590,12 @@ def test_energies_are_half_the_form(grid_1d, smooth_pot, kind):
 
 
 def across_axes(p):
-    """0.8 sin(2 (x + y) + 0.3) in every component: link phases that do not
-    separate by axis, so a 2D Crank-Nicolson system stays on SuperLU."""
-    return 0.8 * np.sin(2.0 * p.sum(axis=1, keepdims=True) + 0.3) * np.ones(p.shape[1])
+    """0.8 sin(2 (x + y) + 0.3) in every component, on square cells a
+    discrete gradient, plus the symmetric gauge 1.5 (-(y - 1/2), x - 1/2) of
+    the field B = 3: link phases with a flux, so a 2D Crank-Nicolson system
+    stays on SuperLU."""
+    return (0.8 * np.sin(2.0 * p.sum(axis=1, keepdims=True) + 0.3) * np.ones(p.shape[1])
+            + 1.5 * np.column_stack([0.5 - p[:, 1], p[:, 0] - 0.5]))
 
 
 @pytest.mark.parametrize("trans", ["N"])
@@ -599,7 +603,7 @@ def across_axes(p):
 def test_cayley_solver_is_twice_the_unscaled_solve(dim, trans):
     """On the zgttrf path (1D) the factor of (I - dt/2 A)/2 solves bitwise as
     twice the factor of I - dt/2 A.  On the SuperLU path (2D, a potential
-    whose phases do not separate) the factor is of the weighted system
+    with a field) the factor is of the weighted system
     W (I - dt/2 A)/2, W = M + i sigma d on gamma0, written from the
     generator's parts as W + i dt/2 S: each solve is bitwise twice that
     system's factor applied to W b, and the system is W times I - dt/2 A to
@@ -641,8 +645,7 @@ def test_cayley_factor_makes_no_interchanges(monkeypatch, kind, n):
     pivoting leaves perm_r equal to perm_c, also at 128^2, where I - dt/2 A
     itself makes hundreds of interchanges on A2.  The solve matches a dense
     solve of I - dt/2 A, or past the dense limit has a rounding-level
-    residual.  The potential's phases do not separate, so every kind takes
-    SuperLU."""
+    residual.  The potential carries a field, so every kind takes SuperLU."""
     grid = mesh.build_grid(2, 1.0, n)
     a, split, d = damped_setup(grid, magop.MagneticPotential.from_callable(grid, across_axes))
     c = np.where(grid.coords[:, 0] < 0.4, 3.0, 0.0)
@@ -676,7 +679,21 @@ PRESETS = {
         grid, np.tile([0.7, -1.3], (grid.num_nodes, 1))),
     "sine": lambda grid: magop.MagneticPotential.from_callable(
         grid, lambda p: 0.9 * np.sin(3.0 * p + 0.2)),
+    # no field, but link phases that change across every axis
+    "gradient": lambda grid: with_random_gradient(grid, 5),
+    # links that change across the other axis on the boundary lines alone,
+    # which no plaquette of interior nodes reads
+    "boundary lines": lambda grid: magop.MagneticPotential.from_callable(grid, boundary_lines),
 }
+
+
+def boundary_lines(p):
+    """x-links that change with x on the lines y = 0 and y = 1.4 alone, and
+    y-links that change with y on x = 0 and x = 1 alone."""
+    on_x = (p[:, 0] < 1e-9) | (p[:, 0] > 1.0 - 1e-9)
+    on_y = (p[:, 1] < 1e-9) | (p[:, 1] > 1.4 - 1e-9)
+    return np.column_stack([0.3 * np.sin(2.0 * p[:, 0]) + on_y * np.cos(5.0 * p[:, 0]),
+                            0.4 * np.cos(p[:, 1]) + on_x * np.sin(3.0 * p[:, 1])])
 
 
 def face_split(grid, faces):
@@ -701,11 +718,12 @@ GAMMA0 = {
 @pytest.mark.parametrize("kind, gamma0", [("A0", None)] + [
     (kind, gamma0) for kind in ("A2", "A3") for gamma0 in GAMMA0])
 def test_modal_cayley_matches_a_dense_solve(kind, gamma0, preset):
-    """Where the link phases separate by axis, A0, A2 and A3 solve the
-    Crank-Nicolson system in A0's closed-form axis modes, A2 and A3 through
-    the Schur complement of gamma0, with no SuperLU factor.  Vector and
-    block right-hand sides match a dense solve of I - dt/2 A to 1e-13, on a
-    rectangle of unequal axes, at every dt and gamma0."""
+    """Where the potential carries no field, A0, A2 and A3 solve the
+    Crank-Nicolson system in A0's closed-form modes, A2 and A3 through the
+    Schur complement of gamma0, with no SuperLU factor.  Vector and block
+    right-hand sides match a dense solve of I - dt/2 A to 1e-13, on a
+    rectangle of unequal axes, at every dt and gamma0.  The links of the
+    boundary lines enter only gamma0's rows of the system."""
     grid = mesh.build_grid(2, (1.0, 1.4), (9, 12))
     rng = np.random.default_rng(sorted(GAMMA0).index(gamma0) if gamma0 else 7)
     split, d = None, None
@@ -727,11 +745,11 @@ def test_modal_cayley_matches_a_dense_solve(kind, gamma0, preset):
 
 
 def test_modal_cayley_takes_superlu_where_it_does_not_apply(monkeypatch):
-    """A1, a potential whose phases do not separate, a gamma0 of corners
-    alone (no node of it couples to the interior) and a Schur complement past
-    the dense limit make one SuperLU factor per dt; the separable A0, A2 and
-    A3 make none.  1D takes zgttrf.  The closed-form modes are 2D only: a
-    separable 3D A0 or A2 takes SuperLU and matches a dense solve."""
+    """A1, a potential with a field, a gamma0 of corners alone (no node of
+    it couples to the interior) and a Schur complement past the dense limit
+    make one SuperLU factor per dt; A0, A2 and A3 with no field make none.
+    1D takes zgttrf.  The closed-form modes are 2D only: a 3D A0 or A2 with
+    no field takes SuperLU and matches a dense solve."""
     factors, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *args, **kw: factors.append(1) or splu(*args, **kw))
     grid = mesh.build_grid(2, 1.0, 12)
@@ -771,6 +789,51 @@ def test_modal_cayley_takes_superlu_where_it_does_not_apply(monkeypatch):
                 assert np.linalg.norm(gen.cayley_solver(dt)(x) - w) <= 1e-13 * np.linalg.norm(w)
             assert gen.cayley_route(dt) == "superlu"
     assert len(factors) == 12
+
+
+def plaquette_flux(grid, a):
+    """The largest |flux| around a 2D plaquette of interior nodes, the sum of
+    h a over its four links, and the largest |h a| on a link between interior
+    nodes."""
+    tx, ty = (grid.h[ax] * a.edge_values[ax].reshape(
+        grid.shape[:ax] + (grid.n[ax] - 1,) + grid.shape[ax + 1:]) for ax in range(2))
+    # the plaquette with lower corner (i, j), for i = 1 .. n_x - 3 and j = 1 .. n_y - 3
+    flux = tx[1:-1, 1:-2] + ty[2:-1, 1:-1] - tx[1:-1, 2:-1] - ty[1:-2, 1:-1]
+    return float(np.max(np.abs(flux))), float(max(np.max(np.abs(tx[1:-1, 1:-1])),
+                                                  np.max(np.abs(ty[1:-1, 1:-1]))))
+
+
+def test_closed_forms_need_zero_flux():
+    """The closed forms take a potential with no flux through any plaquette
+    of interior nodes, and no other: a symmetric-gauge field whose flux is
+    1e-9 of max |h a| is refused, also on top of a large constant potential,
+    whose links round at a larger scale, while that constant alone is kept."""
+    grid = mesh.build_grid(2, (1.0, 1.4), (9, 12))
+    eps = np.finfo(float).eps
+    flux, scale = plaquette_flux(grid, with_random_gradient(grid, 2, np.sin))
+    assert flux <= 4 * eps * scale
+    B = 1e-9 * scale / np.prod(grid.h)          # the flux of B (-(y - c), x - c)/2 is B h_x h_y
+
+    def field(p):
+        return 0.5 * B * np.column_stack([0.7 - p[:, 1], p[:, 0] - 0.5])
+
+    split = mesh.split_boundary(grid, [0.5, 0.7])
+    d = np.full(grid.num_nodes, 1.3)
+    for fn, kept in (
+            (lambda p: 1e3 + np.sin(p), True),
+            (lambda p: np.sin(p) + field(p), False),
+            (lambda p: 1e3 + np.sin(p) + field(p), False)):
+        a = with_random_gradient(grid, 2, fn)
+        flux, scale = plaquette_flux(grid, a)
+        if kept:
+            assert flux <= 4 * eps * scale
+        else:
+            assert flux == pytest.approx(B * np.prod(grid.h), rel=1e-3)
+        for kind in ("A0", "A2"):
+            gen = magop.assemble_generator(kind, grid, a, d=d, split=split)
+            assert (gen.axis_sines is not None) == kept
+            route = ("modes" if kind == "A0" else "modes+schur") if kept else "superlu"
+            assert gen.cayley_route(0.01) == route
 
 
 @pytest.mark.parametrize("dim", [1, 2])

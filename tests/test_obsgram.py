@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from magschro import evolve, magop, mesh, obsgram, spectra
+from util_fields import with_random_gradient
 
 
 @pytest.fixture(scope="module")
@@ -403,26 +404,28 @@ def test_oversize_paths_are_refused_before_allocating(monkeypatch):
 
 @st.composite
 def modal_cases(draw, kind, magnetic):
-    """A0 with a sine potential, or in 1D a random tabulated one and in 2D the
-    curl-free but non-separable a = amp grad(xy) = amp (y, x), whose x-links
-    change across y: that one alone takes the dense eigensolve."""
+    """A0 with a sine potential, or in 1D a random tabulated one and in 2D
+    a = amp ((y, x) + 1.5 (-(y - 1/2), x - 1/2)), the gradient amp grad(xy)
+    plus the symmetric gauge of the field B = 3 amp: that one alone takes
+    the dense eigensolve."""
     dim = draw(st.sampled_from([1, 2]))
     grid = mesh.build_grid(dim, 1.0, draw(st.integers(6, 40) if dim == 1 else st.integers(4, 11)))
     amp = draw(st.floats(0.1, 1.5)) if magnetic else 0.0
     freq = draw(st.floats(0.5, 4.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    preset = draw(st.sampled_from(["sine", "tabulated" if dim == 1 else "grad-xy"]))
+    preset = draw(st.sampled_from(["tabulated" if dim == 1 else "field", "sine"]))
     if preset == "sine":
         a = magop.MagneticPotential.from_callable(grid, lambda p: amp * np.sin(freq * p))
     elif preset == "tabulated":
         a = magop.MagneticPotential.from_samples(grid, amp * rng.uniform(-1.0, 1.0, grid.num_nodes))
     else:
-        a = magop.MagneticPotential.from_callable(grid, lambda p: amp * p[:, ::-1])
+        a = magop.MagneticPotential.from_callable(
+            grid, lambda p: amp * (p[:, ::-1] + 1.5 * np.column_stack([0.5 - p[:, 1], p[:, 0] - 0.5])))
     gen = magop.assemble_generator("A0", grid, a)
     pool = grid.boundary_idx if kind == "boundary-conormal" else gen.state_idx
     size = max(1, round(draw(st.sampled_from([0.2, 0.5, 1.0])) * pool.size))
     nodes = np.sort(rng.choice(pool, size=size, replace=False))
-    dense = magnetic and preset == "grad-xy"
+    dense = magnetic and preset == "field"
     return gen, obsgram.Observation(kind, nodes), draw(st.floats(0.1, 2.0)), dense
 
 
@@ -471,7 +474,7 @@ def test_modal_eigensolve_matches_generalized_eigh(kind, magnetic):
     check()
 
 
-# -- separable generators: modes from the two axis factors -------------------
+# -- generators with no field: modes from the two axis factors ---------------
 
 SEPARABLE = {
     "zero": lambda g: magop.MagneticPotential.zero(g),
@@ -479,6 +482,8 @@ SEPARABLE = {
         g, np.tile([0.7, -0.4], (g.num_nodes, 1))),
     "sine": lambda g: magop.MagneticPotential.from_callable(
         g, lambda p: 0.3 * np.sin(2.0 * p + 0.1)),
+    # no field either, but links that change across every axis: one node phase
+    "gradient": lambda g: with_random_gradient(g, 3),
 }
 OBSERVATIONS = {
     "interior-l2": lambda g: g.box_nodes([0.0, 0.0], [0.3, 2.5]),
@@ -531,9 +536,9 @@ METHODS = [{"method": "eig"}, {"method": "cn", "dt": 0.002},
 @pytest.mark.parametrize("kind", sorted(OBSERVATIONS))
 @pytest.mark.parametrize("preset", sorted(SEPARABLE))
 def test_separable_gramian_matches_the_dense_route(preset, kind):
-    """Both methods on the separable modes against the order-k route through
-    the dense eigensolve; the interior-l2 strips along x and along y take the
-    block split."""
+    """Both methods on the closed-form modes against the order-k route
+    through the dense eigensolve, to 1e-12; the interior-l2 strips along x
+    and along y take the block split, which reads the sines alone."""
     grid = mesh.build_grid(2, (1.0, 2.5), (11, 16))
     gen = magop.assemble_generator("A0", grid, SEPARABLE[preset](grid))
     ref_gen = dense_modes(gen)
@@ -546,8 +551,8 @@ def test_separable_gramian_matches_the_dense_route(preset, kind):
         for kwargs in METHODS:
             rep = obsgram.gramian(gen, obs, 0.8, **kwargs)
             ref = obsgram.gramian(ref_gen, obs, 0.8, **kwargs)
-            assert abs(rep.lambda_max - ref.lambda_max) <= 1e-11 * ref.lambda_max
-            assert abs(rep.lambda_min - ref.lambda_min) <= 1e-11 * ref.lambda_max
+            assert abs(rep.lambda_max - ref.lambda_max) <= 1e-12 * ref.lambda_max
+            assert abs(rep.lambda_min - ref.lambda_min) <= 1e-12 * ref.lambda_max
             assert rep.rank_bound == ref.rank_bound
             assert abs(rep.quadrature_error_estimate - ref.quadrature_error_estimate) <= 1e-9
 
@@ -720,7 +725,9 @@ def test_axis_sines_are_computed_once_per_generator(monkeypatch):
     assert solved == [grid]
     ref = obsgram.gramian(with_modes(gen, (lam, V)), obs, 0.8)
     assert abs(rep.c_obs - ref.c_obs) <= 1e-12 * ref.c_obs
-    for arr in (arr for factor in gen.axis_sines for arr in factor if arr is not None):
+    factors, phase = gen.axis_sines
+    assert phase is not None
+    for arr in [arr for factor in factors for arr in factor] + [phase]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 

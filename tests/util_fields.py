@@ -1,4 +1,5 @@
-"""Shared builders for streamed runs and randomized multiplier-identity runs."""
+"""Shared builders for streamed runs, randomized multiplier-identity runs and
+potentials with no magnetic field."""
 
 import numpy as np
 
@@ -45,3 +46,16 @@ def identity_residuals_over_grids(seed, grids=(17, 33, 65), dt=2e-4, T=0.25):
             gen, random_mode_initial(seed, x), T, dt, field)
         out.append(rep.residual)
     return np.array(out)
+
+
+def sine_part(p):
+    return 0.6 * np.sin(2.3 * p + 0.4)
+
+
+def with_random_gradient(grid, seed, fn=sine_part):
+    """fn sampled on the grid plus the edge gradient of a random node psi: the
+    field of fn (none for the default sine part), and link phases that change
+    across every axis."""
+    rng = np.random.default_rng(seed)
+    smooth = magop.MagneticPotential.from_callable(grid, fn)
+    return magop.potential_plus_edge_gradient(smooth, rng.uniform(-np.pi, np.pi, grid.num_nodes))
